@@ -57,5 +57,5 @@ print(f"mean baseline:   eval {macro(y_eval, mean_fusion(eval_preds, task='expr'
 # its own out-of-bag estimate exposes how much it overfits the dev split
 fused, info = stack_and_fuse_rf(dev_preds, y_dev, eval_preds, task="expr")
 print(f"forest stacking: eval {macro(y_eval, fused):.3f} "
-      f"({info.n_trees} trees, dev {info.dev_score:.3f}, oob {info.oob_score:.3f}, "
-      f"overfit gap {info.overfit_gap:+.3f})")
+      f"({info.n_trees} trees, dev {info.dev_score:.3f}, "
+      f"oob {info.oob_metric_score:.3f}, overfit gap {info.overfit_gap:+.3f})")

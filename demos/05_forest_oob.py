@@ -30,10 +30,13 @@ train_acc = float((predict_forest_labels(model, x) == y).mean())
 print(f"training accuracy {train_acc:.3f} vs out-of-bag {model.oob_score:.3f} "
       f"-> the gap is the memorization the OOB view catches")
 
-# tree-count selection reuses already-grown trees, so the sweep is cheap
+# tree-count selection grows one forest of max(grid) trees and reads every
+# grid score off its out-of-bag curve; the chosen prefix is the model
 grid = [10, 20, 50, 100]
-best_n, scores = select_n_trees(x, y, grid, ForestSpec(n_trees=10, seed=0),
-                                task="classification")
+best_n, scores, chosen = select_n_trees(x, y, grid, ForestSpec(n_trees=10, seed=0),
+                                        task="classification")
 for n_trees, score in zip(grid, scores):
     marker = " <- chosen" if n_trees == best_n else ""
     print(f"  {n_trees:>4} trees: oob {score:.3f}{marker}")
+print(f"chosen model: {chosen.n_trees} trees, training accuracy "
+      f"{float((predict_forest_labels(chosen, x) == y).mean()):.3f}")

@@ -6,15 +6,23 @@ are grown greedily (Gini decrease for classification, variance
 reduction for regression) on bootstrap samples, with a random feature
 subset considered at every split. Each tree draws its randomness from
 a generator derived as (root_seed, tree_index), so tree t is identical
-no matter how many trees the forest has — growing the forest reuses
-the existing trees, which is what makes out-of-bag selection of the
-tree count cheap.
+no matter how many trees the forest has: the first k trees of a larger
+forest *are* the k-tree forest. Training applies each tree once to the
+rows its bootstrap left out and records the out-of-bag score of every
+prefix length, so `select_n_trees` grows one forest of max(grid) trees,
+reads every grid score off that curve and returns the chosen prefix as
+the trained model.
+
+A tree is five preorder node arrays (feature, threshold, left, right,
+value), as in scikit-learn's `Tree`; prediction descends all rows one
+level at a time, and persistence writes the arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,27 +68,30 @@ class ForestSpec:
         return d
 
 
-@dataclass
-class _Node:
-    """Binary tree node; `value` is set on leaves only."""
+class Tree(NamedTuple):
+    """One tree as preorder node arrays; node 0 is the root.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: np.ndarray | None = None
+    A split node sends rows with x[feature] <= threshold to `left`
+    (the next node, in grown trees) and the rest to `right`; both
+    children come after their parent. Leaves have feature, left and
+    right all -1. value is (n_nodes, n_outputs): class frequencies or
+    the mean target on leaves, zeros on split nodes.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
 @dataclass(frozen=True)
 class ForestModel:
     """Trained forest. oob_score is accuracy for classification and
     negative mean squared error for regression, so larger is always
-    better. in_bag records each tree's bootstrap membership (None on
-    models loaded from disk, where only predictions are reproduced).
+    better; oob_curve[k - 1] is that score for the first k trees. in_bag
+    records each tree's bootstrap membership. Both are None on models
+    loaded from disk, where only predictions are reproduced.
     """
 
     trees: list = field(repr=False)
@@ -89,6 +100,7 @@ class ForestModel:
     n_outputs: int
     spec: ForestSpec | None = None
     in_bag: np.ndarray | None = field(default=None, repr=False)
+    oob_curve: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_trees(self) -> int:
@@ -143,100 +155,104 @@ def _best_for_feature(col, onehot_src, y_float, min_leaf, task):
     return float(score[j]), float(0.5 * (xs[b] + xs[b + 1]))
 
 
-def _leaf(y_int, y_float, idx, task, n_outputs) -> _Node:
+def _leaf_value(y_int, y_float, idx, task, n_outputs) -> np.ndarray:
     if task == "classification":
-        counts = np.bincount(y_int[idx], minlength=n_outputs)
-        return _Node(value=counts / idx.size)
-    return _Node(value=np.array([float(y_float[idx].mean())]))
+        return np.bincount(y_int[idx], minlength=n_outputs) / idx.size
+    return np.array([float(y_float[idx].mean())])
 
 
-def _grow_tree(x, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outputs):
+def _grow_tree(x, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outputs) -> Tree:
     """Grow one tree iteratively in preorder (stack-based, no recursion)."""
     d = x.shape[1]
     mtry = spec.resolve_mtry(d, task)
-    root = _Node()
-    stack = [(root, boot_idx, 0)]
+    nodes = []  # [feature, threshold, left, right, value] in preorder
+    # (rows, depth, node whose right child this is, or -1)
+    stack = [(boot_idx, 0, -1)]
     while stack:
-        node, idx, depth = stack.pop()
+        idx, depth, parent = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = node
         pure = (
             np.all(y_int[idx] == y_int[idx[0]])
             if task == "classification"
             else np.all(y_float[idx] == y_float[idx[0]])
         )
-        if (
+        candidates = []
+        if not (
             pure
             or idx.size < 2 * spec.min_leaf
             or (spec.max_depth is not None and depth >= spec.max_depth)
         ):
-            done = _leaf(y_int, y_float, idx, task, n_outputs)
-            node.value = done.value
-            continue
-        # random feature subset: walk a permutation until mtry features
-        # produced a usable boundary (constant features do not count)
-        candidates = []
-        usable = 0
-        for f in rng.permutation(d):
-            found = _best_for_feature(
-                x[idx, f],
-                None if onehot is None else onehot[idx],
-                None if y_float is None else y_float[idx],
-                spec.min_leaf,
-                task,
-            )
-            if found is None:
-                continue
-            candidates.append((found[0], int(f), found[1]))
-            usable += 1
-            if usable >= mtry:
-                break
+            # random feature subset: walk a permutation until mtry features
+            # produced a usable boundary (constant features do not count)
+            for f in rng.permutation(d):
+                found = _best_for_feature(
+                    x[idx, f],
+                    None if onehot is None else onehot[idx],
+                    None if y_float is None else y_float[idx],
+                    spec.min_leaf,
+                    task,
+                )
+                if found is None:
+                    continue
+                candidates.append((found[0], int(f), found[1]))
+                if len(candidates) >= mtry:
+                    break
         if not candidates:
-            done = _leaf(y_int, y_float, idx, task, n_outputs)
-            node.value = done.value
+            nodes.append([-1, 0.0, -1, -1, _leaf_value(y_int, y_float, idx, task, n_outputs)])
             continue
         # zero-gain splits are accepted while the node is impure: a split
         # never increases weighted impurity, and always shrinks both
         # sides, so growth terminates and distinct rows separate fully
         _, feat, thr = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
-        node.feature, node.threshold = feat, thr
-        node.left, node.right = _Node(), _Node()
+        # the right child index is filled in when that child is popped
+        nodes.append([feat, thr, node + 1, -1, np.zeros(n_outputs)])
         mask = x[idx, feat] <= thr
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
-    return root
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, -1))
+    feature, threshold, left, right, value = zip(*nodes)
+    return Tree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value, dtype=np.float64),
+    )
 
 
-def _tree_apply(root: _Node, x: np.ndarray, n_outputs: int) -> np.ndarray:
-    """Leaf values for every row of x, shape (q, n_outputs)."""
-    out = np.empty((x.shape[0], n_outputs))
-    stack = [(root, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = x[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+def _tree_apply(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """Leaf values for every row of x, shape (q, n_outputs).
+
+    All rows descend together, one level per iteration; since children
+    come after their parent, the loop ends within n_nodes iterations.
+    """
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    rows = np.arange(x.shape[0])
+    while True:
+        rows = rows[tree.left[node[rows]] >= 0]  # rows still at a split node
+        if rows.size == 0:
+            return tree.value[node]
+        at = node[rows]
+        node[rows] = np.where(
+            x[rows, tree.feature[at]] <= tree.threshold[at], tree.left[at], tree.right[at]
+        )
 
 
-def _oob_score(x, y_int, y_float, trees, in_bag, task, n_outputs) -> float:
-    """Aggregate each row's predictions over trees that left it out.
+def _add_oob(total, hits, tree: Tree, bag: np.ndarray, x: np.ndarray) -> None:
+    """Add one tree's predictions to the running sums of the rows it left out."""
+    oob = ~bag
+    if oob.any():
+        total[oob] += _tree_apply(tree, x[oob])
+        hits[oob] += 1
+
+
+def _oob_score(total, hits, y_int, y_float, task) -> float:
+    """Score the out-of-bag sums accumulated so far.
 
     Rows in every bootstrap are skipped; NaN when no row was ever
     left out.
     """
-    n = x.shape[0]
-    total = np.zeros((n, n_outputs))
-    hits = np.zeros(n, dtype=np.int64)
-    for tree, bag in zip(trees, in_bag):
-        oob = ~bag
-        if not oob.any():
-            continue
-        total[oob] += _tree_apply(tree, x[oob], n_outputs)
-        hits[oob] += 1
     seen = hits > 0
     if not seen.any():
         return float("nan")
@@ -254,11 +270,13 @@ def train_forest(
     task: str = "classification",
     n_classes: int | None = None,
 ) -> ForestModel:
-    """Bagged trees with per-tree derived seeds and an OOB score.
+    """Bagged trees with per-tree derived seeds and an OOB score curve.
 
     Classification leaves hold class-frequency vectors; regression
-    leaves hold the mean target. Retraining with the same spec and data
-    reproduces the model exactly.
+    leaves hold the mean target. Each tree is applied once to the rows
+    it left out, and the sums accumulate in tree order, so oob_curve[k-1]
+    equals the oob_score of a k-tree forest trained with the same seed.
+    Retraining with the same spec and data reproduces the model exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -289,21 +307,25 @@ def train_forest(
     n = x.shape[0]
     trees = []
     in_bag = np.zeros((spec.n_trees, n), dtype=bool)
+    total = np.zeros((n, n_outputs))
+    hits = np.zeros(n, dtype=np.int64)
+    curve = np.empty(spec.n_trees)
     for t in range(spec.n_trees):
         rng = np.random.default_rng([spec.seed, t])
         boot = rng.integers(0, n, size=n)
         in_bag[t] = np.bincount(boot, minlength=n) > 0
-        trees.append(
-            _grow_tree(x, y_int, onehot, y_float, boot, rng, spec, task, n_outputs)
-        )
-    oob = _oob_score(x, y_int, y_float, trees, in_bag, task, n_outputs)
+        tree = _grow_tree(x, y_int, onehot, y_float, boot, rng, spec, task, n_outputs)
+        trees.append(tree)
+        _add_oob(total, hits, tree, in_bag[t], x)
+        curve[t] = _oob_score(total, hits, y_int, y_float, task)
     return ForestModel(
         trees=trees,
-        oob_score=oob,
+        oob_score=float(curve[-1]),
         task=task,
         n_outputs=n_outputs,
         spec=spec,
         in_bag=in_bag,
+        oob_curve=curve,
     )
 
 
@@ -314,7 +336,7 @@ def predict_forest(model: ForestModel, x: np.ndarray) -> np.ndarray:
         raise ValueError("prediction input must be a 2-d matrix")
     total = np.zeros((x.shape[0], model.n_outputs))
     for tree in model.trees:
-        total += _tree_apply(tree, x, model.n_outputs)
+        total += _tree_apply(tree, x)
     total /= model.n_trees
     return total if model.task == "classification" else total[:, 0]
 
@@ -326,6 +348,26 @@ def predict_forest_labels(model: ForestModel, x: np.ndarray) -> np.ndarray:
     return predict_forest(model, x).argmax(axis=1)
 
 
+def predict_oob(model: ForestModel, x: np.ndarray) -> np.ndarray:
+    """Out-of-bag prediction for each training row, shaped like predict_forest.
+
+    Each row averages only the trees whose bootstrap left it out; rows
+    that every tree saw are NaN. x must be the training matrix.
+    """
+    if model.in_bag is None:
+        raise ValueError("out-of-bag predictions need the bootstrap membership")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != model.in_bag.shape[1]:
+        raise ValueError("x must be the matrix the forest was trained on")
+    total = np.zeros((x.shape[0], model.n_outputs))
+    hits = np.zeros(x.shape[0], dtype=np.int64)
+    for tree, bag in zip(model.trees, model.in_bag):
+        _add_oob(total, hits, tree, bag, x)
+    with np.errstate(invalid="ignore"):
+        total /= hits[:, None]
+    return total if model.task == "classification" else total[:, 0]
+
+
 def select_n_trees(
     x: np.ndarray,
     y: np.ndarray,
@@ -333,13 +375,15 @@ def select_n_trees(
     base_spec: ForestSpec,
     task: str = "classification",
     n_classes: int | None = None,
-) -> tuple[int, list[float]]:
-    """OOB score per grid point, reusing trees as the count grows.
+) -> tuple[int, list[float], ForestModel]:
+    """OOB score per grid point from one forest of max(grid) trees.
 
-    One forest of max(grid) trees is trained; each grid point's score
-    aggregates only its first k trees (identical to training k trees
-    from scratch, by the per-tree seed derivation). Returns the count
-    with the best OOB score, ties going to the fewest trees.
+    Each grid point's score is the forest's OOB curve at that length,
+    identical to training k trees from scratch by the per-tree seed
+    derivation. Returns the count with the best OOB score (ties going
+    to the fewest trees), the grid scores, and the first that-many
+    trees as the trained model, equal to train_forest with
+    n_trees=count.
     """
     grid = [int(k) for k in grid]
     if not grid or min(grid) < 1:
@@ -347,46 +391,34 @@ def select_n_trees(
     full = train_forest(
         x, y, replace(base_spec, n_trees=max(grid)), task=task, n_classes=n_classes
     )
-    x = np.asarray(x, dtype=np.float64)
-    if task == "classification":
-        y_int = np.asarray(y, dtype=np.int64).ravel()
-        y_float = None
-    else:
-        y_int = None
-        y_float = np.asarray(y, dtype=np.float64).ravel()
-    scores: dict[int, float] = {}
-    for k in sorted(set(grid)):
-        scores[k] = _oob_score(
-            x, y_int, y_float, full.trees[:k], full.in_bag[:k], task, full.n_outputs
-        )
+    scores = {k: float(full.oob_curve[k - 1]) for k in grid}
     best_k = None
     best_score = None
     for k in sorted(scores):
         s = scores[k]
         if best_k is None or (not np.isnan(s) and (np.isnan(best_score) or s > best_score)):
             best_k, best_score = k, s
-    return best_k, [scores[k] for k in grid]
+    model = ForestModel(
+        trees=full.trees[:best_k],
+        oob_score=best_score,
+        task=full.task,
+        n_outputs=full.n_outputs,
+        spec=replace(base_spec, n_trees=best_k),
+        in_bag=full.in_bag[:best_k],
+        oob_curve=full.oob_curve[:best_k],
+    )
+    return best_k, [scores[k] for k in grid], model
 
 
 # ---------------------------------------------------------------------------
-# Persistence: preorder text dump, one node per line. Thresholds and leaf
-# values carry 17 significant digits, so a reloaded forest predicts
-# identically. Bootstrap membership is not stored.
+# Persistence: a text header, then per tree a "[tree t] nodes=N" line and
+# one line per node array. Thresholds and values carry 17 significant
+# digits, so a reloaded forest predicts identically. Bootstrap membership
+# and the OOB curve are not stored.
 # ---------------------------------------------------------------------------
 
-_MAGIC = "forest-model v1"
-
-
-def _dump_tree(root: _Node, out: list[str]) -> None:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append("l " + ",".join("%.17g" % v for v in node.value))
-        else:
-            out.append("s %d %.17g" % (node.feature, node.threshold))
-            stack.append(node.right)
-            stack.append(node.left)
+_MAGIC = "forest-model v2"
+_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def save_forest_model(model: ForestModel, path: str | Path) -> None:
@@ -398,46 +430,49 @@ def save_forest_model(model: ForestModel, path: str | Path) -> None:
         "oob_score=%.17g" % model.oob_score,
     ]
     for t, tree in enumerate(model.trees):
-        lines.append(f"[tree {t}]")
-        _dump_tree(tree, lines)
+        lines.append(f"[tree {t}] nodes={tree.feature.shape[0]}")
+        for name in _ARRAYS:
+            arr = getattr(tree, name)
+            fmt = "%d" if arr.dtype.kind == "i" else "%.17g"
+            lines.append(f"{name}=" + " ".join(fmt % v for v in arr.ravel()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_tree(lines: list[str], i: int) -> tuple[_Node, int]:
-    def node_from(line: str) -> _Node:
-        if line.startswith("l "):
-            return _Node(value=np.array([float(v) for v in line[2:].split(",")]))
-        if line.startswith("s "):
-            f, thr = line[2:].split()
-            return _Node(feature=int(f), threshold=float(thr))
-        raise DataFormatError(f"unrecognized tree node line: {line!r}")
-
-    if i >= len(lines):
-        raise DataFormatError("truncated tree dump")
-    root = node_from(lines[i])
-    i += 1
-    if root.is_leaf:
-        return root, i
-    pending = [root]
-    while pending:
-        if i >= len(lines):
-            raise DataFormatError("truncated tree dump")
-        node = node_from(lines[i])
-        i += 1
-        parent = pending[-1]
-        if parent.left is None:
-            parent.left = node
-        else:
-            parent.right = node
-            pending.pop()
-        if not node.is_leaf:
-            pending.append(node)
-    return root, i
+def _tree_from_lines(lines: list[str], n_outputs: int) -> Tree:
+    """Parse and validate one tree's node-array lines."""
+    n_nodes = int(lines[0].partition("nodes=")[2])
+    if n_nodes < 1:
+        raise DataFormatError("a tree needs at least one node")
+    arrays = {}
+    for name, line in zip(_ARRAYS, lines[1:]):
+        key, sep, data = line.partition("=")
+        if key != name or not sep:
+            raise DataFormatError(f"expected the {name} array, got {line[:40]!r}")
+        dtype = np.float64 if name in ("threshold", "value") else np.int64
+        arr = np.array(data.split(), dtype=dtype)
+        size = n_nodes * n_outputs if name == "value" else n_nodes
+        if arr.shape[0] != size:
+            raise DataFormatError(f"{name} has {arr.shape[0]} entries, expected {size}")
+        arrays[name] = arr
+    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
+    leaf = left == -1
+    parent = np.arange(n_nodes)[~leaf]
+    if np.any(feature[~leaf] < 0):
+        raise DataFormatError("split node with a negative feature index")
+    # children strictly after their parent keep the level-wise descent finite
+    for child in (left[~leaf], right[~leaf]):
+        if np.any(child <= parent) or np.any(child >= n_nodes):
+            raise DataFormatError("child index out of range or not after its parent")
+    arrays["value"] = arrays["value"].reshape(n_nodes, n_outputs)
+    return Tree(**arrays)
 
 
 def load_forest_model(path: str | Path) -> ForestModel:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a {_MAGIC} file") from exc
     if not lines or lines[0] != _MAGIC:
         raise DataFormatError(f"{path}: not a {_MAGIC} file")
     try:
@@ -448,11 +483,18 @@ def load_forest_model(path: str | Path) -> ForestModel:
         oob = float(header["oob_score"])
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed header") from exc
+    if task not in ("classification", "regression") or n_trees < 1 or n_outputs < 1:
+        raise DataFormatError(f"{path}: malformed header")
+    block = 1 + len(_ARRAYS)
     trees = []
-    i = 5
     for t in range(n_trees):
-        if i >= len(lines) or lines[i] != f"[tree {t}]":
-            raise DataFormatError(f"{path}: missing [tree {t}] section")
-        root, i = _parse_tree(lines, i + 1)
-        trees.append(root)
+        lines_t = lines[5 + t * block : 5 + (t + 1) * block]
+        if len(lines_t) < block or not lines_t[0].startswith(f"[tree {t}] nodes="):
+            raise DataFormatError(f"{path}: missing or truncated [tree {t}] section")
+        try:
+            trees.append(_tree_from_lines(lines_t, n_outputs))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: tree {t}: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{path}: tree {t}: unparsable number") from exc
     return ForestModel(trees=trees, oob_score=oob, task=task, n_outputs=n_outputs)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics
 from .errors import AlignmentError
-from .forest import ForestSpec, predict_forest, select_n_trees, train_forest
+from .forest import ForestSpec, predict_forest, predict_oob, select_n_trees
 from .timeline import FrameTrack
 
 SIMPLEX_ATOL = 1e-9
@@ -261,18 +261,26 @@ def dwf_search(
 
 @dataclass(frozen=True)
 class RfFusionInfo:
-    """Diagnostics from forest stacking: the out-of-bag score is the
-    honest estimate; dev_score is measured on the same split the forest
-    was fit on, so a large dev-minus-OOB gap signals overfitting."""
+    """Diagnostics from forest stacking.
+
+    oob_score is the forest's own out-of-bag estimate (accuracy or
+    negative MSE, averaged over va dimensions). oob_metric_score scores
+    the out-of-bag predictions with the challenge metric `metric`
+    (macro_f1 or mean_ccc), on the rows some tree left out; dev_score is
+    that metric on the split the forest was fit on, so a large
+    dev-minus-OOB gap signals overfitting.
+    """
 
     n_trees: int
     oob_score: float
     grid_scores: tuple
     dev_score: float
+    metric: str
+    oob_metric_score: float
 
     @property
     def overfit_gap(self) -> float:
-        return self.dev_score - self.oob_score
+        return self.dev_score - self.oob_metric_score
 
 
 def _stack_features(preds) -> np.ndarray:
@@ -313,22 +321,26 @@ def stack_and_fuse_rf(
         ).ravel()
         n_classes = int(dev_preds[0].width if isinstance(dev_preds[0], FrameTrack)
                         else np.asarray(dev_preds[0]).shape[1])
-        best_n, grid_scores = select_n_trees(
+        best_n, grid_scores, model = select_n_trees(
             x_dev, truth, grid, base_spec, task="classification", n_classes=n_classes
-        )
-        model = train_forest(
-            x_dev,
-            truth,
-            replace(base_spec, n_trees=best_n),
-            task="classification",
-            n_classes=n_classes,
         )
         fused = predict_forest(model, x_target)
         dev_labels = predict_forest(model, x_dev).argmax(axis=1)
         dev_score = metrics.classification_report(
             truth, dev_labels, n_classes=n_classes
         ).macro_f1
-        info = RfFusionInfo(best_n, model.oob_score, tuple(grid_scores), dev_score)
+        oob = predict_oob(model, x_dev)
+        seen = ~np.isnan(oob[:, 0])
+        oob_f1 = (
+            metrics.classification_report(
+                truth[seen], oob[seen].argmax(axis=1), n_classes=n_classes
+            ).macro_f1
+            if seen.any()
+            else float("nan")
+        )
+        info = RfFusionInfo(
+            best_n, model.oob_score, tuple(grid_scores), dev_score, "macro_f1", oob_f1
+        )
         return _rewrap(fused, target_template, "class_scores"), info
 
     truth = np.asarray(
@@ -342,19 +354,24 @@ def stack_and_fuse_rf(
     dev_cols = []
     chosen = []
     oob_sum = 0.0
+    oob_cccs = []
     grid_table = []
     for j in range(n_dims):
         # each output dimension gets its own forest and derived seed
         dim_seed = int(np.random.SeedSequence([base_spec.seed, j]).generate_state(1)[0])
         dim_spec = replace(base_spec, seed=dim_seed)
-        best_n, grid_scores = select_n_trees(
+        best_n, grid_scores, model = select_n_trees(
             x_dev, truth[:, j], grid, dim_spec, task="regression"
-        )
-        model = train_forest(
-            x_dev, truth[:, j], replace(dim_spec, n_trees=best_n), task="regression"
         )
         fused_cols.append(np.clip(predict_forest(model, x_target), -1.0, 1.0))
         dev_cols.append(np.clip(predict_forest(model, x_dev), -1.0, 1.0))
+        oob = predict_oob(model, x_dev)
+        seen = ~np.isnan(oob)
+        oob_cccs.append(
+            metrics.ccc(truth[seen, j], np.clip(oob[seen], -1.0, 1.0)).ccc
+            if seen.sum() >= 2
+            else float("nan")
+        )
         chosen.append(best_n)
         oob_sum += model.oob_score
         grid_table.append(tuple(grid_scores))
@@ -366,6 +383,8 @@ def stack_and_fuse_rf(
         oob_score=oob_sum / n_dims,
         grid_scores=tuple(grid_table),
         dev_score=dev_score,
+        metric="mean_ccc",
+        oob_metric_score=sum(oob_cccs) / n_dims,
     )
     return _rewrap(fused, target_template, "va"), info
 

@@ -1018,15 +1018,16 @@ def stage_fuse(config: PipelineConfig, run_dir: Path) -> None:
         )
         if info.overfit_gap > 0:
             log.warning(
-                "rf fusion: dev score %.4f exceeds the out-of-bag estimate %.4f "
+                "rf fusion: dev %s %.4f exceeds its out-of-bag estimate %.4f "
                 "by %.4f; treat dev gains as optimistic",
-                info.dev_score, info.oob_score, info.overfit_gap,
+                info.metric, info.dev_score, info.oob_metric_score, info.overfit_gap,
             )
         with (run_dir / "rf_info.csv").open("w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["metric", "value"])
             writer.writerow(["n_trees", str(info.n_trees)])
             writer.writerow(["oob_score", FLOAT_FMT % info.oob_score])
+            writer.writerow([f"oob_{info.metric}", FLOAT_FMT % info.oob_metric_score])
             writer.writerow(["dev_score", FLOAT_FMT % info.dev_score])
             writer.writerow(["overfit_gap", FLOAT_FMT % info.overfit_gap])
         fused = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from affectpipe.forest import (
     load_forest_model,
     predict_forest,
     predict_forest_labels,
+    predict_oob,
     save_forest_model,
     select_n_trees,
     train_forest,
@@ -55,8 +58,8 @@ class TestTrainForest:
         model = train_forest(
             x, y, ForestSpec(n_trees=1, max_depth=1, features_per_split="all", seed=5)
         )
-        root = model.trees[0]
-        assert not root.is_leaf
+        tree = model.trees[0]
+        assert tree.left[0] != -1  # the root is a split node
 
         boot = np.random.default_rng([5, 0]).integers(0, 40, size=40)
         xs = np.sort(x[boot, 0])
@@ -73,7 +76,7 @@ class TestTrainForest:
 
         mids = [(a + b) / 2 for a, b in zip(xs, xs[1:]) if a != b]
         best = min(mids, key=weighted_gini)
-        np.testing.assert_allclose(root.threshold, best)
+        np.testing.assert_allclose(tree.threshold[0], best)
 
     def test_constant_regression_target(self):
         rng = np.random.default_rng(3)
@@ -88,7 +91,11 @@ class TestTrainForest:
         x = np.ones((10, 3))
         y = np.array([0, 1] * 5)
         model = train_forest(x, y, ForestSpec(n_trees=3, seed=0))
-        assert all(tree.is_leaf for tree in model.trees)
+        # a lone root leaf: one node, no children
+        assert all(
+            tree.feature.tolist() == [-1] and tree.left.tolist() == [-1]
+            for tree in model.trees
+        )
         probs = predict_forest(model, x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -101,8 +108,9 @@ class TestTrainForest:
         x = rng.normal(size=(60, 2))
         y = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(int)
         model = train_forest(x, y, ForestSpec(n_trees=1, max_depth=1, seed=2))
-        root = model.trees[0]
-        assert root.left.is_leaf and root.right.is_leaf
+        tree = model.trees[0]
+        assert tree.left[0] != -1
+        assert tree.left[tree.left[0]] == -1 and tree.left[tree.right[0]] == -1
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(5)
@@ -110,19 +118,19 @@ class TestTrainForest:
         y = rng.integers(0, 2, size=40)
         model = train_forest(x, y, ForestSpec(n_trees=3, min_leaf=5, seed=6))
 
-        def smallest_leaf(node, idx):
-            if node.is_leaf:
+        def smallest_leaf(tree, node, idx):
+            if tree.left[node] == -1:
                 return idx.size
-            mask = x[idx, node.feature] <= node.threshold
+            mask = x[idx, tree.feature[node]] <= tree.threshold[node]
             return min(
-                smallest_leaf(node.left, idx[mask]),
-                smallest_leaf(node.right, idx[~mask]),
+                smallest_leaf(tree, tree.left[node], idx[mask]),
+                smallest_leaf(tree, tree.right[node], idx[~mask]),
             )
 
         # leaf sizes are measured on the bootstrap sample each tree saw
         for t, tree in enumerate(model.trees):
             boot = np.random.default_rng([6, t]).integers(0, 40, size=40)
-            assert smallest_leaf(tree, boot) >= 5
+            assert smallest_leaf(tree, 0, boot) >= 5
 
 
 class TestPredictForest:
@@ -131,8 +139,23 @@ class TestPredictForest:
         x, y = _noisy_stack(rng, 50)
         model = train_forest(x, y, ForestSpec(n_trees=1, seed=11), n_classes=4)
         np.testing.assert_array_equal(
-            predict_forest(model, x), _tree_apply(model.trees[0], x, 4)
+            predict_forest(model, x), _tree_apply(model.trees[0], x)
         )
+
+    def test_vectorised_apply_matches_per_row_descent(self):
+        rng = np.random.default_rng(22)
+        x, y = _noisy_stack(rng, 120)
+        model = train_forest(x, y, ForestSpec(n_trees=4, seed=14), n_classes=4)
+        z = np.vstack([rng.dirichlet(np.ones(4), size=60), x[:20]])
+        for tree in model.trees:
+            expected = []
+            for row in z:
+                node = 0
+                while tree.left[node] != -1:
+                    go_left = row[tree.feature[node]] <= tree.threshold[node]
+                    node = tree.left[node] if go_left else tree.right[node]
+                expected.append(tree.value[node])
+            np.testing.assert_array_equal(_tree_apply(tree, z), np.array(expected))
 
     def test_duplicated_tree_leaves_average_unchanged(self):
         rng = np.random.default_rng(8)
@@ -194,13 +217,13 @@ class TestSelectNTrees:
     def test_single_point_grid(self):
         rng = np.random.default_rng(14)
         x, y = _noisy_stack(rng, 60)
-        best, scores = select_n_trees(x, y, [10], ForestSpec(n_trees=1, seed=61))
+        best, scores, _ = select_n_trees(x, y, [10], ForestSpec(n_trees=1, seed=61))
         assert best == 10 and len(scores) == 1
 
     def test_duplicate_grid_points_agree(self):
         rng = np.random.default_rng(15)
         x, y = _noisy_stack(rng, 60)
-        best, scores = select_n_trees(x, y, [10, 10], ForestSpec(n_trees=1, seed=62))
+        best, scores, _ = select_n_trees(x, y, [10, 10], ForestSpec(n_trees=1, seed=62))
         assert best == 10
         assert scores[0] == scores[1]
 
@@ -211,7 +234,7 @@ class TestSelectNTrees:
         x, y = _noisy_stack(rng, 150)
         grid = [2, 5, 9]
         base = ForestSpec(n_trees=1, seed=63)
-        _, scores = select_n_trees(x, y, grid, base, n_classes=4)
+        _, scores, _ = select_n_trees(x, y, grid, base, n_classes=4)
         for k, reported in zip(grid, scores):
             solo = train_forest(
                 x, y, ForestSpec(n_trees=k, seed=63), n_classes=4
@@ -222,7 +245,7 @@ class TestSelectNTrees:
         rng = np.random.default_rng(17)
         x, y = _noisy_stack(rng, 500)
         grid = [5, 10, 25, 50]
-        best, scores = select_n_trees(x, y, grid, ForestSpec(n_trees=1, seed=64))
+        best, scores, _ = select_n_trees(x, y, grid, ForestSpec(n_trees=1, seed=64))
         assert max(scores) == scores[grid.index(best)]
         # ties go to the fewest trees
         for k, s in zip(grid, scores):
@@ -233,11 +256,65 @@ class TestSelectNTrees:
         rng = np.random.default_rng(18)
         x = rng.normal(size=(120, 3))
         y = x[:, 0] + 0.1 * rng.normal(size=120)
-        best, scores = select_n_trees(
+        best, scores, _ = select_n_trees(
             x, y, [3, 12], ForestSpec(n_trees=1, seed=65), task="regression"
         )
         assert all(s <= 0 for s in scores)
         assert best in (3, 12)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_returned_prefix_matches_from_scratch_training(self, task):
+        # the oracle for the reuse: the first `best` trees of the grown
+        # forest must be the forest train_forest grows for n_trees=best
+        x, y, grid, base = _prefix_case(task)
+        best, _, model = select_n_trees(x, y, grid, base, task=task)
+        assert best < max(grid)
+        solo = train_forest(x, y, replace(base, n_trees=best), task=task)
+        z = np.random.default_rng(30).normal(size=(50, x.shape[1]))
+        for points in (x, z):
+            np.testing.assert_array_equal(
+                predict_forest(model, points), predict_forest(solo, points)
+            )
+        assert model.oob_score == solo.oob_score
+        np.testing.assert_array_equal(model.in_bag, solo.in_bag)
+        np.testing.assert_array_equal(model.oob_curve, solo.oob_curve)
+        assert model.spec == solo.spec and model.n_trees == best
+
+
+def _prefix_case(task):
+    """Noise data whose OOB choice falls below the largest grid point."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(80, 4))
+    y = rng.integers(0, 3, size=80)
+    if task == "classification":
+        return x, y, [1, 4, 16], ForestSpec(n_trees=1, seed=3)
+    x = rng.normal(size=(40, 3))
+    return x, rng.normal(size=40), [4, 8], ForestSpec(n_trees=1, seed=5)
+
+
+class TestPredictOob:
+    def test_matches_per_row_average_over_trees_that_left_it_out(self):
+        rng = np.random.default_rng(24)
+        x, y = _noisy_stack(rng, 60)
+        model = train_forest(x, y, ForestSpec(n_trees=3, seed=15), n_classes=4)
+        oob = predict_oob(model, x)
+        for i in range(x.shape[0]):
+            trees = [t for t, bag in zip(model.trees, model.in_bag) if not bag[i]]
+            if not trees:
+                assert np.all(np.isnan(oob[i]))
+                continue
+            rows = [_tree_apply(t, x[i : i + 1])[0] for t in trees]
+            np.testing.assert_allclose(oob[i], np.mean(rows, axis=0), rtol=1e-12)
+        assert np.isnan(oob[:, 0]).any()  # 3 trees leave some rows always in-bag
+
+    def test_curve_ends_at_the_oob_score(self):
+        rng = np.random.default_rng(25)
+        x, y = _noisy_stack(rng, 90)
+        model = train_forest(x, y, ForestSpec(n_trees=6, seed=16), n_classes=4)
+        assert model.oob_curve.shape == (6,)
+        assert model.oob_curve[-1] == model.oob_score
+        seen = ~np.isnan(predict_oob(model, x)[:, 0])
+        assert model.oob_score == (predict_oob(model, x)[seen].argmax(axis=1) == y[seen]).mean()
 
 
 class TestPersistence:
@@ -273,6 +350,16 @@ class TestPersistence:
         path.write_text("hello\n")
         with pytest.raises(DataFormatError):
             load_forest_model(path)
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+        with pytest.raises(DataFormatError):
+            load_forest_model(path)
+        # the node-per-line v1 layout is not read any more
+        path.write_text(
+            "forest-model v1\ntask=classification\nn_trees=1\nn_outputs=2\n"
+            "oob_score=0.5\n[tree 0]\nl 0.5,0.5\n"
+        )
+        with pytest.raises(DataFormatError):
+            load_forest_model(path)
 
     def test_rejects_truncated_dump(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -283,6 +370,56 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:6]) + "\n")
         with pytest.raises(DataFormatError):
+            load_forest_model(path)
+
+    @staticmethod
+    def _saved_lines(tmp_path):
+        """A saved 2-tree classification forest, as lines, and its path."""
+        rng = np.random.default_rng(26)
+        x, y = _noisy_stack(rng, 40)
+        model = train_forest(x, y, ForestSpec(n_trees=2, seed=74), n_classes=4)
+        path = tmp_path / "forest.txt"
+        save_forest_model(model, path)
+        return path, path.read_text().splitlines()
+
+    @staticmethod
+    def _rewrite(path, lines, name, edit):
+        """Replace the first tree's `name` array with edit(values)."""
+        i = next(j for j, line in enumerate(lines) if line.startswith(name + "="))
+        values = lines[i].partition("=")[2].split()
+        lines = list(lines)
+        lines[i] = name + "=" + " ".join(edit(values))
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_rejects_short_array(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            self._rewrite(path, lines, name, lambda v: v[:-1])
+            with pytest.raises(DataFormatError, match=name):
+                load_forest_model(path)
+
+    def test_rejects_child_index_out_of_range(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        n_nodes = int(lines[5].partition("nodes=")[2])
+        self._rewrite(path, lines, "right",
+                      lambda v: [str(n_nodes) if e != "-1" else e for e in v])
+        with pytest.raises(DataFormatError, match="child index"):
+            load_forest_model(path)
+
+    def test_rejects_child_not_after_parent(self, tmp_path):
+        # a right child pointing back at the root would make the
+        # level-wise descent cycle forever
+        path, lines = self._saved_lines(tmp_path)
+        self._rewrite(path, lines, "right",
+                      lambda v: ["0" if e != "-1" else e for e in v])
+        with pytest.raises(DataFormatError, match="child index"):
+            load_forest_model(path)
+
+    def test_rejects_negative_split_feature(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        self._rewrite(path, lines, "feature",
+                      lambda v: ["-2" if e != "-1" else e for e in v])
+        with pytest.raises(DataFormatError, match="negative feature"):
             load_forest_model(path)
 
 

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from affectpipe import metrics
 from affectpipe.errors import AlignmentError
-from affectpipe.forest import ForestSpec
+from affectpipe.forest import (
+    ForestSpec,
+    predict_forest,
+    predict_oob,
+    select_n_trees,
+    train_forest,
+)
 from affectpipe.fusion import (
     FusionMatrix,
     FusionPool,
@@ -301,6 +309,90 @@ class TestRfStacking:
         a, _ = stack_and_fuse_rf(preds, truth, preds, **kwargs)
         b, _ = stack_and_fuse_rf(preds, truth, preds, **kwargs)
         np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def _noise_case():
+        """Uninformative scores on which expr and va dimension 0 choose
+        the smaller of two tree counts."""
+        rng = np.random.default_rng(61)
+        truth = rng.integers(0, 3, size=60)
+        preds = [rng.dirichlet(np.ones(3), size=60) for _ in range(2)]
+        va_truth = np.clip(rng.normal(scale=0.4, size=(50, 2)), -1, 1)
+        va_preds = [np.clip(rng.normal(scale=0.4, size=(50, 2)), -1, 1) for _ in range(2)]
+        return truth, preds, va_truth, va_preds
+
+    @staticmethod
+    def _retrain_path(dev_preds, truth, target_preds, task, spec, grid):
+        """Fusion as it was before the prefix reuse: choose the count,
+        then grow that many trees again from scratch."""
+        x_dev, x_target = _stack_features(dev_preds), _stack_features(target_preds)
+        if task == "expr":
+            k = dev_preds[0].shape[1]
+            best, _, _ = select_n_trees(x_dev, truth, grid, spec, n_classes=k)
+            model = train_forest(x_dev, truth, replace(spec, n_trees=best), n_classes=k)
+            return predict_forest(model, x_target), [best]
+        cols, chosen = [], []
+        for j in range(truth.shape[1]):
+            dim_seed = int(np.random.SeedSequence([spec.seed, j]).generate_state(1)[0])
+            dim_spec = replace(spec, seed=dim_seed)
+            best, _, _ = select_n_trees(x_dev, truth[:, j], grid, dim_spec, task="regression")
+            model = train_forest(
+                x_dev, truth[:, j], replace(dim_spec, n_trees=best), task="regression"
+            )
+            cols.append(np.clip(predict_forest(model, x_target), -1.0, 1.0))
+            chosen.append(best)
+        return np.column_stack(cols), chosen
+
+    @pytest.mark.parametrize("task", ["expr", "va"])
+    def test_fused_output_equals_the_retrain_path(self, task):
+        truth, preds, va_truth, va_preds = self._noise_case()
+        if task == "va":
+            truth, preds = va_truth, va_preds
+        rng = np.random.default_rng(62)
+        target = [p[rng.permutation(p.shape[0])] for p in preds]
+        spec, grid = ForestSpec(n_trees=2, seed=61), [2, 6]
+        expected, chosen = self._retrain_path(preds, truth, target, task, spec, grid)
+        assert min(chosen) < max(grid)  # the prefix path is exercised
+        fused, info = stack_and_fuse_rf(
+            preds, truth, target, task=task, base_spec=spec, grid=grid
+        )
+        np.testing.assert_array_equal(fused, expected)
+        assert info.n_trees == max(chosen)
+
+    def test_expr_overfit_gap_uses_oob_macro_f1(self):
+        truth, preds, _, _ = self._noise_case()
+        spec, grid = ForestSpec(n_trees=2, seed=61), [2, 6]
+        _, info = stack_and_fuse_rf(preds, truth, preds, task="expr",
+                                    base_spec=spec, grid=grid)
+        x = _stack_features(preds)
+        _, _, model = select_n_trees(x, truth, grid, spec, n_classes=3)
+        oob = predict_oob(model, x)
+        seen = ~np.isnan(oob[:, 0])
+        expected = metrics.classification_report(
+            truth[seen], oob[seen].argmax(axis=1), n_classes=3
+        ).macro_f1
+        assert info.metric == "macro_f1"
+        assert info.oob_metric_score == expected
+        assert info.oob_score == model.oob_score  # accuracy stays reported
+        assert info.overfit_gap == info.dev_score - expected
+
+    def test_va_overfit_gap_uses_oob_mean_ccc(self):
+        _, _, truth, preds = self._noise_case()
+        spec, grid = ForestSpec(n_trees=2, seed=61), [2, 6]
+        _, info = stack_and_fuse_rf(preds, truth, preds, task="va",
+                                    base_spec=spec, grid=grid)
+        x = _stack_features(preds)
+        cccs = []
+        for j in range(2):
+            dim_seed = int(np.random.SeedSequence([61, j]).generate_state(1)[0])
+            _, _, model = select_n_trees(x, truth[:, j], grid,
+                                         replace(spec, seed=dim_seed), task="regression")
+            oob = predict_oob(model, x)
+            seen = ~np.isnan(oob)
+            cccs.append(metrics.ccc(truth[seen, j], np.clip(oob[seen], -1, 1)).ccc)
+        assert info.metric == "mean_ccc"
+        assert info.oob_metric_score == sum(cccs) / 2
+        assert info.overfit_gap == info.dev_score - sum(cccs) / 2
 
 
 class TestPersistence:

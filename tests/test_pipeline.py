@@ -361,7 +361,10 @@ class TestRunPipeline:
             if method == "dwf":
                 assert (result.run_dir / "pool_scores.csv").exists()
             else:
-                assert (result.run_dir / "rf_info.csv").exists()
+                rows = (result.run_dir / "rf_info.csv").read_text().splitlines()
+                keys = [row.partition(",")[0] for row in rows]
+                assert keys == ["metric", "n_trees", "oob_score", "oob_macro_f1",
+                                "dev_score", "overfit_gap"]
 
 
 class TestCli:
