@@ -41,7 +41,7 @@ config_path = workdir / "config.yaml"
 config_path.write_text(yaml.safe_dump(config))
 
 cfg = load_config(config_path)
-synth_generate(cfg.synth, cfg.embeddings, cfg.labels)
+synth_generate(cfg.synth, cfg.paths.embeddings, cfg.paths.labels)
 print("synthetic data in", workdir)
 
 result = run_pipeline(cfg)

@@ -42,9 +42,9 @@ def _cmd_synth(args) -> int:
     config = _load(args)
     if config.synth is None:
         raise ConfigError("synth needs a 'synth' section in the config")
-    if not config.embeddings or not config.labels:
+    if not config.paths.embeddings or not config.paths.labels:
         raise ConfigError("synth needs paths.embeddings and paths.labels to write to")
-    emb, lab, vad = config.embeddings, config.labels, config.vad
+    emb, lab, vad = config.paths.embeddings, config.paths.labels, config.paths.vad
     if args.out_dir:
         base = Path(args.out_dir)
         emb = base / Path(emb).name

@@ -20,10 +20,11 @@ import hashlib
 import json
 import logging
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -104,6 +105,26 @@ FUSION_METHODS = ("dwf", "rf", "mean")
 
 
 @dataclass(frozen=True)
+class PathSettings:
+    embeddings: str | None = None
+    labels: str | None = None
+    vad: str | None = None
+    base_predictions: tuple[str, ...] = ()
+    source_fps: float | None = None  # None: already at the working rate
+
+
+@dataclass(frozen=True)
+class SplitSettings:
+    dev_videos: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class WindowSettings:
+    window_seconds: float = 4.0
+    hop_seconds: float = 2.0
+
+
+@dataclass(frozen=True)
 class KelmSettings:
     enabled: bool = True
     kernel: str = "rbf"
@@ -124,40 +145,57 @@ class FusionSettings:
 class PostprocessSettings:
     smooth_seconds: float = 0.5
     target_fps: float | None = None  # None: the working rate
-    video_fps: tuple[tuple[str, float], ...] = ()  # per-video overrides
+    video_fps: dict[str, float] = field(default_factory=dict)  # per-video overrides
 
     def fps_for(self, video_id: str, default: float) -> float:
-        for vid, fps in self.video_fps:
-            if vid == video_id:
-                return fps
+        if video_id in self.video_fps:
+            return self.video_fps[video_id]
         return self.target_fps if self.target_fps is not None else default
 
 
 @dataclass(frozen=True)
+class OutputSettings:
+    dir: str = "runs"
+
+
+# Field metadata. _UNHASHED marks a field that cannot change an output
+# byte, so config_to_dict leaves it out. _FROM_PARENT holds a function
+# from the built parent to the section fields that the parent sets;
+# those fields are not keys of the section and are hashed in the parent.
+_UNHASHED = "unhashed"
+_FROM_PARENT = "from_parent"
+
+
+def _synth_from_top(config: PipelineConfig) -> dict:
+    """The synth section is a SyntheticSpec minus these top-level fields."""
+    return dict(task=config.task, seed=config.seed, fps=config.fps_target)
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
+    """The YAML config: its keys, their types and defaults are these fields."""
+
     task: str = "expr"
     seed: int = 0
-    workers: int = 1
+    workers: int = field(default=1, metadata={_UNHASHED: True})
     fps_target: float = 5.0
-    embeddings: str | None = None
-    labels: str | None = None
-    vad: str | None = None
-    source_fps: float | None = None  # None: already at the working rate
-    base_predictions: tuple[str, ...] = ()
-    dev_videos: tuple[str, ...] = ()
-    window_seconds: float = 4.0
-    hop_seconds: float = 2.0
+    paths: PathSettings = PathSettings()
+    split: SplitSettings = SplitSettings()
+    window: WindowSettings = WindowSettings()
     functionals: tuple[str, ...] = ("mean", "max", "min")
     normalization: str = "global_minmax"
     kelm: KelmSettings = KelmSettings()
     fusion: FusionSettings = FusionSettings()
     postprocess: PostprocessSettings = PostprocessSettings()
-    output_dir: str = "runs"
-    synth: SyntheticSpec | None = None
+    output: OutputSettings = field(default=OutputSettings(), metadata={_UNHASHED: True})
+    synth: SyntheticSpec | None = field(
+        default=None, metadata={_FROM_PARENT: _synth_from_top}
+    )
 
     @property
     def window_spec(self) -> WindowSpec:
-        return WindowSpec(self.window_seconds, self.hop_seconds, self.fps_target)
+        w = self.window
+        return WindowSpec(w.window_seconds, w.hop_seconds, self.fps_target)
 
     @property
     def functional_set(self) -> FunctionalSet:
@@ -180,62 +218,7 @@ class PipelineConfig:
         return "class_scores" if self.task == "expr" else "va"
 
     def run_dir(self) -> Path:
-        return Path(self.output_dir) / f"run-{config_hash(self)[:12]}"
-
-
-_DEFAULTS: dict = {
-    "task": "expr",
-    "seed": 0,
-    "workers": 1,
-    "fps_target": 5.0,
-    "paths": {
-        "embeddings": None,
-        "labels": None,
-        "vad": None,
-        "base_predictions": [],
-        "source_fps": None,
-    },
-    "split": {"dev_videos": []},
-    "window": {"window_seconds": 4.0, "hop_seconds": 2.0},
-    "functionals": ["mean", "max", "min"],
-    "normalization": "global_minmax",
-    "kelm": {
-        "enabled": True,
-        "kernel": "rbf",
-        "gamma": None,
-        "c_grid": list(DEFAULT_C_GRID),
-        "weighted": True,
-    },
-    "fusion": {
-        "method": "mean",
-        "pool_size": 10_000,
-        "alpha": 1.0,
-        "tree_grid": [10, 20, 50, 100, 200],
-    },
-    "postprocess": {"smooth_seconds": 0.5, "target_fps": None, "video_fps": {}},
-    "output": {"dir": "runs"},
-    "synth": None,
-}
-
-_SYNTH_KEYS = (
-    "n_videos",
-    "frames_per_video",
-    "embedding_dim",
-    "class_count",
-    "noise",
-    "priors",
-    "block_seconds",
-    "voiced_fraction",
-)
-
-
-def _merge_section(name: str, defaults: dict, given: dict) -> dict:
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) in {name}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
+        return Path(self.output.dir) / f"run-{config_hash(self)[:12]}"
 
 
 def load_config(
@@ -264,108 +247,109 @@ def load_config(
             raise ConfigError(f"{path}: config must be a mapping")
         raw = loaded
 
-    top = _merge_section("config", _DEFAULTS, raw)
-    for section in ("paths", "split", "window", "kelm", "fusion", "postprocess", "output"):
-        given = top[section]
-        if given is None:
-            given = {}
-        if not isinstance(given, dict):
-            raise ConfigError(f"config section {section!r} must be a mapping")
-        top[section] = _merge_section(section, _DEFAULTS[section], given)
-
-    if seed is not None:
-        top["seed"] = seed
-    if workers is not None:
-        top["workers"] = workers
+    flags = {k: v for k, v in dict(seed=seed, workers=workers).items() if v is not None}
+    config = _build(PipelineConfig, {**raw, **flags}, "config")
     if out_dir is not None:
-        top["output"] = dict(top["output"], dir=out_dir)
-
-    try:
-        synth = None
-        if top["synth"] is not None:
-            if not isinstance(top["synth"], dict):
-                raise ConfigError("config section 'synth' must be a mapping")
-            unknown = set(top["synth"]) - set(_SYNTH_KEYS)
-            if unknown:
-                raise ConfigError(f"unknown config key(s) in synth: {sorted(unknown)}")
-            synth_kwargs = dict(top["synth"])
-            if synth_kwargs.get("priors") is not None:
-                synth_kwargs["priors"] = tuple(synth_kwargs["priors"])
-            synth = SyntheticSpec(
-                task=top["task"],
-                seed=int(top["seed"]),
-                fps=float(top["fps_target"]),
-                **synth_kwargs,
-            )
-        video_fps = tuple(
-            sorted((str(k), float(v)) for k, v in top["postprocess"]["video_fps"].items())
-        )
-        config = PipelineConfig(
-            task=str(top["task"]),
-            seed=int(top["seed"]),
-            workers=int(top["workers"]),
-            fps_target=float(top["fps_target"]),
-            embeddings=top["paths"]["embeddings"],
-            labels=top["paths"]["labels"],
-            vad=top["paths"]["vad"],
-            source_fps=(
-                None
-                if top["paths"]["source_fps"] is None
-                else float(top["paths"]["source_fps"])
-            ),
-            base_predictions=tuple(str(p) for p in top["paths"]["base_predictions"]),
-            dev_videos=tuple(str(v) for v in top["split"]["dev_videos"]),
-            window_seconds=float(top["window"]["window_seconds"]),
-            hop_seconds=float(top["window"]["hop_seconds"]),
-            functionals=tuple(top["functionals"]),
-            normalization=str(top["normalization"]),
-            kelm=KelmSettings(
-                enabled=bool(top["kelm"]["enabled"]),
-                kernel=str(top["kelm"]["kernel"]),
-                gamma=(
-                    None if top["kelm"]["gamma"] is None else float(top["kelm"]["gamma"])
-                ),
-                c_grid=tuple(float(c) for c in top["kelm"]["c_grid"]),
-                weighted=bool(top["kelm"]["weighted"]),
-            ),
-            fusion=FusionSettings(
-                method=str(top["fusion"]["method"]),
-                pool_size=int(top["fusion"]["pool_size"]),
-                alpha=float(top["fusion"]["alpha"]),
-                tree_grid=tuple(int(k) for k in top["fusion"]["tree_grid"]),
-            ),
-            postprocess=PostprocessSettings(
-                smooth_seconds=float(top["postprocess"]["smooth_seconds"]),
-                target_fps=(
-                    None
-                    if top["postprocess"]["target_fps"] is None
-                    else float(top["postprocess"]["target_fps"])
-                ),
-                video_fps=video_fps,
-            ),
-            output_dir=str(top["output"]["dir"]),
-            synth=synth,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
-
+        config = replace(config, output=OutputSettings(dir=out_dir))
     _validate(config)
     return config
 
 
+def _build(cls, mapping, where: str, **given):
+    """An instance of the dataclass `cls` from one YAML mapping.
+
+    The field names are the keys, and absent keys keep the field
+    defaults; a null section means all defaults. Fields in `given` are
+    set by the caller and are not keys.
+    """
+    if mapping is None:
+        mapping = {}
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    keys = [f for f in fields(cls) if f.name not in given]
+    unknown = sorted(map(str, set(mapping) - {f.name for f in keys}))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) in {where}: {unknown}")
+    hints = get_type_hints(cls)
+    present = [f for f in keys if f.name in mapping]
+    later = [f for f in present if _FROM_PARENT in f.metadata]
+    values = {
+        f.name: _coerce(hints[f.name], mapping[f.name], f"{where}.{f.name}")
+        for f in present
+        if f not in later
+    }
+    try:
+        built = cls(**values, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    for f in later:
+        value = _coerce(
+            hints[f.name], mapping[f.name], f"{where}.{f.name}", **_set_by(f, built)
+        )
+        built = replace(built, **{f.name: value})
+    return built
+
+
+def _set_by(f, parent) -> dict:
+    """The fields of section `f` that its parent sets."""
+    return f.metadata[_FROM_PARENT](parent) if _FROM_PARENT in f.metadata else {}
+
+
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str, int)}
+
+
+def _coerce(annotation, value, where: str, **given):
+    """`value` read from YAML, checked against one field annotation.
+
+    A float field also takes an int and stores a float; a str field
+    also takes an int (numeric video ids); a tuple field takes a list;
+    null is accepted only where the annotation is `X | None`.
+    """
+    if isinstance(annotation, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (annotation,) = [a for a in get_args(annotation) if a is not type(None)]
+    if is_dataclass(annotation):
+        return _build(annotation, value, where, **given)
+    if value is None:
+        raise ConfigError(f"{where} must not be null")
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(_coerce(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a mapping, got {value!r}")
+        key_type, value_type = args
+        return {
+            _coerce(key_type, k, f"{where}[{k!r}]"):
+                _coerce(value_type, v, f"{where}.{k}")
+            for k, v in value.items()
+        }
+    if isinstance(value, bool) != (annotation is bool) or not isinstance(
+        value, _SCALARS[annotation]
+    ):
+        raise ConfigError(f"{where} must be {annotation.__name__}, got {value!r}")
+    try:
+        return annotation(value)
+    except OverflowError as exc:  # an int too large for a float
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _validate(config: PipelineConfig) -> None:
+    paths = config.paths
+    dev_videos = config.split.dev_videos
     if config.task not in ("expr", "va"):
         raise ConfigError(f"task must be 'expr' or 'va', got {config.task!r}")
     if config.fps_target <= 0:
         raise ConfigError("fps_target must be positive")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if config.source_fps is not None and config.source_fps < config.fps_target:
+    if paths.source_fps is not None and paths.source_fps < config.fps_target:
         raise ConfigError(
             f"fps_target {config.fps_target} exceeds the source rate "
-            f"{config.source_fps}; downsampling only"
+            f"{paths.source_fps}; downsampling only"
         )
     try:
         config.window_spec
@@ -389,19 +373,19 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("kelm c_grid must be a nonempty list of positive values")
     if config.postprocess.smooth_seconds <= 0:
         raise ConfigError("postprocess smooth_seconds must be positive")
-    if not config.kelm.enabled and not config.base_predictions:
+    if not config.kelm.enabled and not paths.base_predictions:
         raise ConfigError(
             "nothing to run: kelm is disabled and no base predictions are configured"
         )
-    if config.kelm.enabled and not config.dev_videos:
+    if config.kelm.enabled and not dev_videos:
         raise ConfigError("kelm training needs a nonempty split.dev_videos")
-    if config.kelm.enabled and not config.embeddings:
+    if config.kelm.enabled and not paths.embeddings:
         raise ConfigError("config is missing paths.embeddings")
-    if config.fusion.method in ("dwf", "rf") and not config.dev_videos:
+    if config.fusion.method in ("dwf", "rf") and not dev_videos:
         raise ConfigError(
             f"{config.fusion.method} fusion needs a nonempty split.dev_videos"
         )
-    if not config.labels:
+    if not paths.labels:
         raise ConfigError("config is missing paths.labels")
 
 
@@ -412,57 +396,25 @@ def config_to_dict(config: PipelineConfig) -> dict:
     neither changes a single output byte, so runs of the same config
     into different directories share one hash.
     """
-    synth = None
-    if config.synth is not None:
-        s = config.synth
-        synth = {
-            "n_videos": s.n_videos,
-            "frames_per_video": s.frames_per_video,
-            "embedding_dim": s.embedding_dim,
-            "class_count": s.class_count,
-            "noise": s.noise,
-            "priors": None if s.priors is None else list(s.priors),
-            "block_seconds": s.block_seconds,
-            "voiced_fraction": s.voiced_fraction,
+    return _plain(config)
+
+
+def _plain(value, given=()):
+    """JSON-ready copy of a config value without its unhashed fields.
+
+    Fields in `given` are set by the parent and hashed there.
+    """
+    if is_dataclass(value):
+        return {
+            f.name: _plain(getattr(value, f.name), _set_by(f, value))
+            for f in fields(value)
+            if f.name not in given and not f.metadata.get(_UNHASHED)
         }
-    return {
-        "task": config.task,
-        "seed": config.seed,
-        "fps_target": config.fps_target,
-        "paths": {
-            "embeddings": config.embeddings,
-            "labels": config.labels,
-            "vad": config.vad,
-            "base_predictions": list(config.base_predictions),
-            "source_fps": config.source_fps,
-        },
-        "split": {"dev_videos": list(config.dev_videos)},
-        "window": {
-            "window_seconds": config.window_seconds,
-            "hop_seconds": config.hop_seconds,
-        },
-        "functionals": list(config.functionals),
-        "normalization": config.normalization,
-        "kelm": {
-            "enabled": config.kelm.enabled,
-            "kernel": config.kelm.kernel,
-            "gamma": config.kelm.gamma,
-            "c_grid": list(config.kelm.c_grid),
-            "weighted": config.kelm.weighted,
-        },
-        "fusion": {
-            "method": config.fusion.method,
-            "pool_size": config.fusion.pool_size,
-            "alpha": config.fusion.alpha,
-            "tree_grid": list(config.fusion.tree_grid),
-        },
-        "postprocess": {
-            "smooth_seconds": config.postprocess.smooth_seconds,
-            "target_fps": config.postprocess.target_fps,
-            "video_fps": {vid: fps for vid, fps in config.postprocess.video_fps},
-        },
-        "synth": synth,
-    }
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 def config_hash(config: PipelineConfig) -> str:
@@ -512,7 +464,7 @@ def _read_labels_checked(path: Path, task: str) -> dict[str, dict[int, np.ndarra
 
 def _load_truth_tracks(config: PipelineConfig) -> dict[str, FrameTrack]:
     """Ground-truth tracks on their native (per-video) timelines."""
-    path = _require_file(config.labels, "labels file")
+    path = _require_file(config.paths.labels, "labels file")
     rows = _read_labels_checked(path, config.task)
     return {
         vid: labels_to_track(
@@ -542,7 +494,7 @@ def _truth_at_working_rate(config: PipelineConfig) -> dict[str, FrameTrack]:
 
 def _dev_split(config: PipelineConfig, vids: Sequence[str]) -> tuple[list[str], list[str]]:
     """(train, dev) video lists in sorted order; validates the config split."""
-    dev = sorted(config.dev_videos)
+    dev = sorted(config.split.dev_videos)
     unknown = [v for v in dev if v not in vids]
     if unknown:
         raise ConfigError(f"split.dev_videos names unknown videos: {unknown}")
@@ -551,7 +503,7 @@ def _dev_split(config: PipelineConfig, vids: Sequence[str]) -> tuple[list[str], 
 
 
 def _evaluated_videos(config: PipelineConfig, vids: Sequence[str]) -> list[str]:
-    return sorted(config.dev_videos) if config.dev_videos else sorted(vids)
+    return sorted(config.split.dev_videos) if config.split.dev_videos else sorted(vids)
 
 
 def _sha256_file(path: Path) -> str:
@@ -744,11 +696,12 @@ def _read_features_csv(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[st
 
 def stage_window(config: PipelineConfig, run_dir: Path) -> None:
     """Resample, gate by VAD, slice windows, and reduce window targets."""
-    emb_path = _require_file(config.embeddings, "embeddings file")
-    source_fps = config.source_fps or config.fps_target
+    emb_path = _require_file(config.paths.embeddings, "embeddings file")
+    source_fps = config.paths.source_fps or config.fps_target
     embeddings = read_track_csv(emb_path, fps=source_fps, kind="embedding")
     truth = _truth_at_working_rate(config)
-    vad = read_vad_csv(_require_file(config.vad, "vad file")) if config.vad else None
+    vad_path = config.paths.vad
+    vad = read_vad_csv(_require_file(vad_path, "vad file")) if vad_path else None
     vids = sorted(embeddings)
     _dev_split(config, vids)
     missing = [v for v in vids if v not in truth]
@@ -932,7 +885,7 @@ def _load_model_tracks(
         path = _require_file(run_dir / "models" / "kelm.csv", "predict-kelm stage output")
         names.append("kelm")
         models.append(read_track_csv(path, fps=config.fps_target, kind=config.track_kind))
-    for pred in config.base_predictions:
+    for pred in config.paths.base_predictions:
         path = _require_file(pred, "base predictions file")
         name = path.stem
         while name in names:
@@ -957,11 +910,11 @@ def stage_fuse(config: PipelineConfig, run_dir: Path) -> None:
     n_outputs = config.n_outputs
     matrix: FusionMatrix | None = None
     method = config.fusion.method
-    if method in ("dwf", "rf") and not config.dev_videos:
+    if method in ("dwf", "rf") and not config.split.dev_videos:
         raise ConfigError(f"{method} fusion needs a nonempty split.dev_videos")
 
     if method in ("dwf", "rf"):
-        dev_vids = sorted(config.dev_videos)
+        dev_vids = sorted(config.split.dev_videos)
         truth = _truth_at_working_rate(config)
         missing = [v for v in dev_vids if v not in truth]
         if missing:
@@ -1116,7 +1069,7 @@ def evaluate_files(pred_csv: str | Path, truth_csv: str | Path, task: str) -> Ev
 def stage_evaluate(config: PipelineConfig, run_dir: Path) -> EvalReport:
     report = evaluate_files(
         _require_file(run_dir / "predictions.csv", "postprocess stage output"),
-        _require_file(config.labels, "labels file"),
+        _require_file(config.paths.labels, "labels file"),
         config.task,
     )
     write_report(report, run_dir / "report.txt", run_dir / "report.csv")
@@ -1141,10 +1094,10 @@ _MANIFEST_EXCLUDED = ("manifest.json", "timings.json")
 def _build_manifest(config: PipelineConfig, run_dir: Path) -> dict:
     inputs = {}
     for path_s in (
-        config.embeddings,
-        config.labels,
-        config.vad,
-        *config.base_predictions,
+        config.paths.embeddings,
+        config.paths.labels,
+        config.paths.vad,
+        *config.paths.base_predictions,
     ):
         if path_s and Path(path_s).exists():
             inputs[str(path_s)] = _sha256_file(Path(path_s))

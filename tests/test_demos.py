@@ -1,4 +1,4 @@
-"""Smoke tests: demos that exercise public APIs still run to completion."""
+"""Smoke tests: every demo, which exercises public APIs, runs to completion."""
 
 from __future__ import annotations
 
@@ -7,16 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_forest_oob_demo_runs():
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
+    env["TMPDIR"] = str(tmp_path)  # demos that write files put them here
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "05_forest_oob.py")],
+        [sys.executable, str(demo)],
         env=env,
         capture_output=True,
         text=True,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -68,7 +69,8 @@ def _write_config(tmp_path, name="cfg.yaml", **overrides):
 
 
 def _synth_from(config):
-    synth_generate(config.synth, config.embeddings, config.labels, config.vad)
+    paths = config.paths
+    synth_generate(config.synth, paths.embeddings, paths.labels, paths.vad)
 
 
 class TestSyntheticData:
@@ -138,7 +140,7 @@ class TestConfig:
         }))
         config = load_config(path)
         assert config.fps_target == 5.0
-        assert config.window_seconds == 4.0 and config.hop_seconds == 2.0
+        assert config.window.window_seconds == 4.0 and config.window.hop_seconds == 2.0
         assert config.postprocess.smooth_seconds == 0.5
         assert config.kelm.kernel == "rbf" and config.kelm.weighted
         assert config.normalization == "global_minmax"
@@ -187,6 +189,122 @@ class TestConfig:
         c = load_config(_write_config(tmp_path, "c.yaml", seed=8))
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"postprocess": {"video_fps": None}}, "config.postprocess.video_fps"),
+            ({"kelm": {"enabled": "false"}}, "config.kelm.enabled"),
+            ({"seed": 1.7}, "config.seed"),
+            ({"split": {"dev_videos": "v003"}}, "config.split.dev_videos"),
+            ({"paths": {"base_predictions": "ab.csv"}}, "config.paths.base_predictions"),
+            ({"output": {"dir": None}}, "config.output.dir"),
+            ({"synth": {"n_videos": 2.5}}, "config.synth.n_videos"),
+            ({"fusion": {"tree_grid": [10, 2.5]}}, "config.fusion.tree_grid[1]"),
+            ({"workers": True}, "config.workers"),
+            ({"fps_target": 10**400}, "config.fps_target"),
+            ({"window": []}, "config.window"),
+            ({"synth": {"seed": 3}}, "config.synth"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_wrong_type_names_its_key(self, tmp_path, overrides, key):
+        path = _write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(path)
+
+    def test_yaml_values_coerce_to_the_field_types(self, tmp_path):
+        path = _write_config(
+            tmp_path,
+            fps_target=5,
+            split={"dev_videos": [3]},
+            kelm={"c_grid": [1, 10.5]},
+            postprocess={"video_fps": {7: 25}},
+            fusion=None,
+        )
+        config = load_config(path)
+        assert config.fps_target == 5.0 and isinstance(config.fps_target, float)
+        assert config.split.dev_videos == ("3",)
+        assert config.kelm.c_grid == (1.0, 10.5)
+        assert config.postprocess.video_fps == {"7": 25.0}
+        assert config.fusion == load_config(_write_config(tmp_path)).fusion
+        assert config.synth.seed == 7 and config.synth.fps == 5.0
+
+    def test_synth_takes_seed_from_the_flag_override(self, tmp_path):
+        config = load_config(_write_config(tmp_path, seed=3), seed=11)
+        assert config.synth.seed == 11 and config.synth.task == "expr"
+
+    def test_synth_float_written_as_int_hashes_like_the_float(self, tmp_path):
+        a = load_config(_write_config(tmp_path, "a.yaml", synth={"noise": 1}))
+        b = load_config(_write_config(tmp_path, "b.yaml", synth={"noise": 1.0}))
+        assert isinstance(a.synth.noise, float)
+        assert config_hash(a) == config_hash(b)
+
+    # Hashes computed by the hand-written schema this loader replaced; a
+    # change here renames every run directory of configs like these.
+    README_CONFIG = """
+task: expr            # or va
+seed: 7
+paths:
+  embeddings: data/embeddings.csv
+  labels: data/labels.csv
+  vad: data/vad.csv   # optional voiced/unvoiced gate
+split:
+  dev_videos: [v004]
+window: {window_seconds: 4.0, hop_seconds: 2.0}
+fusion: {method: mean}       # mean | dwf | rf
+synth:                       # only needed for `affectpipe synth`
+  n_videos: 5
+  frames_per_video: 600
+  embedding_dim: 16
+  noise: 1.0
+output: {dir: runs}
+"""
+    EVERY_KEY_CONFIG = """
+task: va
+seed: 11
+workers: 2
+fps_target: 5
+paths:
+  embeddings: data/embeddings.csv
+  labels: data/labels.csv
+  vad: data/vad.csv
+  base_predictions: [data/base_a.csv, data/base_b.csv]
+  source_fps: 25
+split:
+  dev_videos: [v003, 7]
+window: {window_seconds: 4, hop_seconds: 2.0}
+functionals: [min, mean]
+normalization: per_video_minmax
+kelm: {enabled: true, kernel: rbf, gamma: 0.5, c_grid: [1, 10.0], weighted: false}
+fusion: {method: dwf, pool_size: 500, alpha: 0.5, tree_grid: [3, 6]}
+postprocess: {smooth_seconds: 1, target_fps: 30, video_fps: {v001: 25, 7: 29.97}}
+output: {dir: elsewhere/runs}
+synth:
+  n_videos: 4
+  frames_per_video: 320
+  embedding_dim: 6
+  class_count: 3
+  noise: 0.5
+  priors: [0.5, 0.5, 0]
+  block_seconds: 16.0
+  voiced_fraction: 0.8
+"""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (README_CONFIG,
+             "621844f386360b57277e4760c8ee20ebf72e5d7d730c6c54c0a1d312a72e01fb"),
+            (EVERY_KEY_CONFIG,
+             "4d613e09b455184c7db9b1bc73d35ddc71e6cd285843629e978addf898c8fb65"),
+        ],
+        ids=["readme", "every_key"],
+    )
+    def test_config_hash_is_stable(self, tmp_path, text, expected):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        assert config_hash(load_config(path)) == expected
 
     def test_exit_codes_are_distinct_per_family(self):
         families = [AffectPipeError, ConfigError, MissingInputError, AlignmentError,
@@ -402,6 +520,9 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("task: banana\n")
         assert main(["run", "--config", str(bad)]) == 2
+        # 2: a value of the wrong type, not a traceback
+        assert main(["run", "--config", str(_write_config(
+            tmp_path, "null.yaml", postprocess={"video_fps": None}))]) == 2
         # 3: config loads but the data files are absent
         path = _write_config(tmp_path)
         assert main(["run", "--config", str(path)]) == 3
@@ -410,15 +531,15 @@ class TestCli:
         _synth_from(config)
         rng = np.random.default_rng(0)
         va_rows = {"v000": {t: np.clip(rng.normal(size=2), -1, 1) for t in range(10)}}
-        write_label_csv(config.labels, va_rows, task="va")
+        write_label_csv(config.paths.labels, va_rows, task="va")
         assert main(["run", "--config", str(path)]) == 5
         # 4: labels name a video the embeddings lack
         expr_rows = {"zzz": {t: np.array([0.0]) for t in range(10)}}
-        write_label_csv(config.labels, expr_rows, task="expr")
+        write_label_csv(config.paths.labels, expr_rows, task="expr")
         assert main(["run", "--config", str(path)]) == 4
         # 6: corrupt embeddings file
         _synth_from(config)
-        emb = config.embeddings
+        emb = config.paths.embeddings
         with open(emb, "w") as fh:
             fh.write("not,a,track\n1,2,3\n")
         assert main(["run", "--config", str(path)]) == 6
