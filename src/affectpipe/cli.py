@@ -58,9 +58,9 @@ def _cmd_synth(args) -> int:
 
 def _run_stage(args, stage, method: str | None = None) -> int:
     config = _load(args)
-    run_dir = config.run_dir()
     if method is not None and config.fusion.method != method:
         config = replace(config, fusion=replace(config.fusion, method=method))
+    run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
     result = stage(config, run_dir)
     if result is not None:

@@ -11,6 +11,7 @@ are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,6 +228,17 @@ def hamming_smooth(track: FrameTrack, spec: SmoothingSpec) -> FrameTrack:
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 
 
+def csv_row_format(video_id: str, tail: str) -> str:
+    """%-format for one video's rows: the id as csv.writer quotes it, then `tail`.
+
+    Writers that format whole rows at once quote the id once per video,
+    so their bytes match csv.writer's.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([video_id, ""])
+    return buf.getvalue()[: -len(",\n")].replace("%", "%%") + tail
+
+
 def write_track_csv(path: str | Path, tracks: list[FrameTrack]) -> None:
     """Write tracks to the shared CSV format, ordered by video id."""
     tracks = sorted(tracks, key=lambda t: t.video_id)
@@ -237,14 +249,16 @@ def write_track_csv(path: str | Path, tracks: list[FrameTrack]) -> None:
         if t.width != width:
             raise ValueError("all tracks in one file must share a width")
     path = Path(path)
+    values_fmt = ",".join([FLOAT_FMT] * width) + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", "frame"] + [f"c{j}" for j in range(width)])
+        header = ["video_id", "frame"] + [f"c{j}" for j in range(width)]
+        fh.write(",".join(header) + "\n")
         for t in tracks:
-            for i in range(t.n_frames):
-                row = [t.video_id, str(t.frame_index_origin + i)]
-                row += [FLOAT_FMT % v for v in t.values[i]]
-                writer.writerow(row)
+            fmt = csv_row_format(t.video_id, ",%s," + values_fmt)
+            origin = t.frame_index_origin
+            fh.write("".join(
+                [fmt % (origin + i, *row) for i, row in enumerate(t.values.tolist())]
+            ))
 
 
 def read_track_csv(
@@ -267,13 +281,18 @@ def read_track_csv(
         width = len(header) - 2
         if width < 1:
             raise DataFormatError(f"{path}: no value columns")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num
             if len(row) != width + 2:
                 raise DataFormatError(f"{path}:{lineno}: expected {width + 2} fields")
-            vid, frame_s = row[0], row[1]
-            frame = int(frame_s)
+            vid = row[0]
+            try:
+                frame = int(row[1])
+                values = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             if vid in last_frame:
                 if frame <= last_frame[vid]:
                     raise DataFormatError(
@@ -288,7 +307,7 @@ def read_track_csv(
                 origins[vid] = frame
                 per_video[vid] = []
             last_frame[vid] = frame
-            per_video[vid].append([float(v) for v in row[2:]])
+            per_video[vid].append(values)
     if not per_video:
         raise DataFormatError(f"{path}: no data rows")
     return {

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AlignmentError, DataFormatError
-from .timeline import N_EXPR_CLASSES, FrameTrack
+from .timeline import N_EXPR_CLASSES, FrameTrack, csv_row_format
 
 log = logging.getLogger(__name__)
 
@@ -315,43 +317,78 @@ def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
     return {vid: VadMask(vid, np.array(v, dtype=bool)) for vid, v in per_video.items()}
 
 
+def _label_header(task: str) -> list[str]:
+    if task == "expr":
+        return ["video_id", "frame", "label"]
+    if task == "va":
+        return ["video_id", "frame", "valence", "arousal"]
+    raise ValueError(f"unknown task {task!r}")
+
+
 def read_label_csv(path: str | Path, task: str) -> dict[str, dict[int, np.ndarray]]:
     """Read ground-truth labels keyed by video and frame.
 
-    task='expr' expects a `label` column in 0..7; task='va' expects
-    `valence,arousal` in [-1, 1]. Invalid rows are dropped and counted
-    in one log line. Frames need not be contiguous; use
-    :func:`labels_to_track` to build an aligned FrameTrack.
+    task='expr' expects a `label` column holding an integer in 0..7;
+    task='va' expects `valence,arousal` in [-1, 1]. Rows outside those
+    ranges, non-finite values included, are dropped and counted in one
+    log line. Videos and frames keep their order of first appearance; a
+    repeated (video, frame) takes the values of its last valid row.
+    Frames need not be contiguous; use :func:`labels_to_track` to build
+    an aligned FrameTrack. The returned rows are read-only views of one
+    array. A row with the wrong field count or a non-numeric frame or
+    value raises DataFormatError naming its line.
     """
     path = Path(path)
-    if task == "expr":
-        expected = ["video_id", "frame", "label"]
-    elif task == "va":
-        expected = ["video_id", "frame", "valence", "arousal"]
-    else:
-        raise ValueError(f"unknown task {task!r}")
-    out: dict[str, dict[int, np.ndarray]] = {}
-    dropped = 0
+    expected = _label_header(task)
+    n_fields = len(expected)
+    va = task == "va"
+    # One pass keeps the frames, the values as raw doubles and, for each
+    # run of consecutive rows of one video, (video id, first row index).
+    runs: list[tuple[str, int]] = []
+    frames: list[int] = []
+    flat = array("d")
+    add_frame, add_value = frames.append, flat.append
+    vid = None
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
             raise DataFormatError(f"{path}: expected header {','.join(expected)}")
         for row in reader:
-            if not row:
-                continue
-            vid, frame = row[0], int(row[1])
-            if task == "expr":
-                value = np.array([float(row[2])])
-                if not value[0].is_integer() or not 0 <= value[0] <= N_EXPR_CLASSES - 1:
-                    dropped += 1
+            if len(row) != n_fields:
+                if not row:
                     continue
-            else:
-                value = np.array([float(row[2]), float(row[3])])
-                if np.any(value < -1.0) or np.any(value > 1.0):
-                    dropped += 1
-                    continue
-            out.setdefault(vid, {})[frame] = value
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: expected {n_fields} fields, "
+                    f"got {len(row)}"
+                )
+            try:
+                add_value(float(row[2]))
+                if va:
+                    add_value(float(row[3]))
+                add_frame(int(row[1]))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+            if row[0] != vid:
+                vid = row[0]
+                runs.append((vid, len(frames) - 1))
+    values = np.frombuffer(flat, dtype=np.float64).reshape(len(frames), n_fields - 2)
+    values.setflags(write=False)
+    if va:
+        valid = ((values >= -1.0) & (values <= 1.0)).all(axis=1)
+    else:
+        label = values[:, 0]
+        in_range = (label >= 0) & (label <= N_EXPR_CLASSES - 1)
+        valid = in_range & (label == np.floor(label))
+    keep = valid.tolist()
+    out: dict[str, dict[int, np.ndarray]] = {}
+    ends = [start for _, start in runs[1:]] + [len(frames)]
+    for (vid, start), end in zip(runs, ends):
+        rows = zip(frames[start:end], values[start:end])
+        kept = dict(compress(rows, keep[start:end]))
+        if kept:
+            out.setdefault(vid, {}).update(kept)
+    dropped = len(frames) - int(valid.sum())
     if dropped:
         log.info("dropped %d invalid rows while reading %s", dropped, path)
     if not out:
@@ -382,24 +419,22 @@ def labels_to_track(
 def write_label_csv(
     path: str | Path, rows: dict[str, dict[int, np.ndarray]], task: str
 ) -> None:
-    """Write keyed label/prediction rows in the ground-truth format."""
+    """Write keyed label/prediction rows in the ground-truth format.
+
+    Rows go out sorted by video and frame; valence/arousal as "%.17g",
+    which round-trips float64, and labels truncated to int.
+    """
     path = Path(path)
-    if task == "expr":
-        header = ["video_id", "frame", "label"]
-    elif task == "va":
-        header = ["video_id", "frame", "valence", "arousal"]
-    else:
-        raise ValueError(f"unknown task {task!r}")
+    header = _label_header(task)
+    n_values = len(header) - 2
+    row_fmt = ",%s,%d\n" if task == "expr" else ",%s,%.17g,%.17g\n"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for vid in sorted(rows):
             frames = rows[vid]
-            for frame in sorted(frames):
-                value = frames[frame]
-                if task == "expr":
-                    writer.writerow([vid, str(frame), str(int(value[0]))])
-                else:
-                    writer.writerow(
-                        [vid, str(frame), "%.17g" % value[0], "%.17g" % value[1]]
-                    )
+            keys = sorted(frames)
+            if not keys:
+                continue
+            table = np.array([frames[k] for k in keys])[:, :n_values].tolist()
+            fmt = csv_row_format(vid, row_fmt)
+            fh.write("".join([fmt % (k, *v) for k, v in zip(keys, table)]))

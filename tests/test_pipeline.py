@@ -366,6 +366,18 @@ class TestEvaluateFiles:
         # frame 2 is invalid in truth, so 3 frames remain: 2 hits, 1 miss
         assert report.accuracy == pytest.approx(2.0 / 3.0)
 
+    def test_truth_nan_row_dropped(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = {"a": {t: np.clip(rng.normal(size=2), -1, 1) for t in range(20)}}
+        pred = self._labels(tmp_path, "p.csv", rows, task="va")
+        lines = pred.read_text().splitlines()
+        lines[5] = "a,4,nan,0.5"
+        truth = tmp_path / "t.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        report = evaluate_files(pred, truth, "va")
+        # frame 4 is dropped from the truth; the other 19 frames match exactly
+        assert report.ccc_mean == 1.0
+
     def test_empty_join_is_an_error(self, tmp_path):
         truth = self._labels(tmp_path, "t.csv", {"a": {0: np.array([0.0])}})
         pred = self._labels(tmp_path, "p.csv", {"b": {0: np.array([0.0])}})
@@ -543,6 +555,35 @@ class TestCli:
         with open(emb, "w") as fh:
             fh.write("not,a,track\n1,2,3\n")
         assert main(["run", "--config", str(path)]) == 6
+
+    @pytest.mark.parametrize(
+        "which, row",
+        [
+            ("labels", "v000,7"),  # short label row
+            ("labels", "v000,seven,1"),  # non-integer label frame
+            ("embeddings", "v000,1.5" + ",0.0" * 6),  # non-integer track frame
+            ("embeddings", "v000,320" + ",abc" * 6),  # non-numeric track value
+        ],
+    )
+    def test_malformed_rows_exit_6(self, tmp_path, capsys, which, row):
+        path = self._prepare(tmp_path)
+        data = Path(getattr(load_config(path).paths, which))
+        data.write_text(data.read_text() + row + "\n")
+        assert main(["run", "--config", str(path)]) == 6
+        assert f"{data}:" in capsys.readouterr().err
+
+    def test_fuse_with_another_method_leaves_the_config_run_alone(self, tmp_path):
+        path = self._prepare(tmp_path)
+        assert main(["run", "--config", str(path)]) == 0
+        run_dir = load_config(path).run_dir()
+        before = json.loads((run_dir / "manifest.json").read_text())["outputs_hash"]
+        # fuse-dwf on this mean config works in the dwf config's run
+        # directory, which has no predict-kelm output yet
+        assert main(["fuse-dwf", "--config", str(path)]) == 3
+        assert not (run_dir / "pool_scores.csv").exists()
+        assert main(["run", "--config", str(path)]) == 0
+        after = json.loads((run_dir / "manifest.json").read_text())["outputs_hash"]
+        assert after == before
 
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         path = self._prepare(tmp_path)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import csv
+import re
+
 import numpy as np
 import pytest
 
 from affectpipe.errors import AlignmentError, DataFormatError
 from affectpipe.timeline import (
+    FLOAT_FMT,
     FrameTrack,
     SmoothingSpec,
+    csv_row_format,
     hamming_smooth,
     interpolate_to,
     read_track_csv,
@@ -243,3 +248,61 @@ class TestTrackCsv:
         path.write_text("1,2,3\n")
         with pytest.raises(DataFormatError):
             read_track_csv(path, fps=5.0)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("v,1.5,1.0", "invalid literal for int"),
+            ("v,x,1.0", "invalid literal for int"),
+            ("v,1,abc", "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"video_id,frame,c0\nv,0,1.0\n{row}\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: {message}")):
+            read_track_csv(path, fps=5.0)
+        # a quoted id spanning two lines shifts the line number by one
+        path.write_text(f'video_id,frame,c0\n"l\nf",0,1.0\n{row}\n')
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:4: {message}")):
+            read_track_csv(path, fps=5.0)
+
+    @pytest.mark.parametrize(
+        "text", ["v0", "", "a,b", 'q"d', "l\nf", "c\rr", " lead", "x%sy", "é"]
+    )
+    def test_csv_row_format_quotes_like_csv_writer(self, tmp_path, text):
+        path = tmp_path / "row.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow([text, "1"])
+        expected = path.read_bytes().decode("utf-8")
+        assert csv_row_format(text, ",%d\n") % 1 == expected
+
+
+def _reference_write_track_csv(path, tracks):
+    """The per-row writer write_track_csv replaced."""
+    tracks = sorted(tracks, key=lambda t: t.video_id)
+    width = tracks[0].width
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["video_id", "frame"] + [f"c{j}" for j in range(width)])
+        for t in tracks:
+            for i in range(t.n_frames):
+                row = [t.video_id, str(t.frame_index_origin + i)]
+                row += [FLOAT_FMT % v for v in t.values[i]]
+                writer.writerow(row)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_track_writer_matches_the_per_row_reference(tmp_path, seed):
+    rng = np.random.default_rng([seed, 3])
+    width = int(rng.integers(1, 5))
+    tracks = []
+    for vid in rng.permutation(["v1", "v0", "b,c", 'q"d', "x%sy", "l\nf", ""]).tolist():
+        values = rng.normal(size=(int(rng.integers(1, 30)), width))
+        values[rng.random(values.shape) < 0.1] *= 1e300
+        values[rng.random(values.shape) < 0.05] = -0.0
+        tracks.append(FrameTrack(
+            vid, 5.0, values, frame_index_origin=int(rng.integers(0, 100))))
+    write_track_csv(tmp_path / "new.csv", tracks)
+    _reference_write_track_csv(tmp_path / "ref.csv", tracks)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from affectpipe.errors import AlignmentError, DataFormatError
-from affectpipe.timeline import FrameTrack
+from affectpipe.timeline import N_EXPR_CLASSES, FrameTrack
 from affectpipe.windowing import (
     VadMask,
     WindowSpec,
@@ -298,6 +302,50 @@ class TestLabelCsv:
         with pytest.raises(DataFormatError):
             read_label_csv(path, task="expr")
 
+    def test_va_non_finite_dropped(self, tmp_path, caplog):
+        path = tmp_path / "labels.csv"
+        path.write_text(
+            "video_id,frame,valence,arousal\n"
+            "v,0,0.5,0.5\nv,1,nan,0.0\nv,2,0.1,inf\nv,3,-inf,0.2\nv,4,0.0,0.0\n"
+        )
+        with caplog.at_level("INFO"):
+            loaded = read_label_csv(path, task="va")
+        assert list(loaded["v"]) == [0, 4]
+        assert "dropped 3 invalid rows" in caplog.text
+
+    def test_repeated_frame_takes_the_last_valid_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text(
+            "video_id,frame,label\nv,1,3\nv,0,1\nv,1,5\nw,0,2\nv,1,9\n"
+        )
+        loaded = read_label_csv(path, task="expr")
+        assert list(loaded) == ["v", "w"]
+        assert list(loaded["v"]) == [1, 0]
+        assert loaded["v"][1][0] == 5.0
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("v,0,1\nv,1\n", 3),  # short row
+            ("v,0,1\nv,1,2,3\n", 3),  # long row
+            ("v,0,1\nv,x,2\n", 3),  # non-integer frame
+            ("v,0,1\n\nv,1.5,2\n", 4),  # non-integer frame after a blank line
+            ("v,0,one\n", 2),  # non-numeric label
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, body, line):
+        path = tmp_path / "labels.csv"
+        path.write_text("video_id,frame,label\n" + body)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:{line}:")):
+            read_label_csv(path, task="expr")
+
+    def test_rows_are_read_only(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("video_id,frame,valence,arousal\nv,0,0.5,0.5\n")
+        row = read_label_csv(path, task="va")["v"][0]
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
     def test_labels_to_track_requires_contiguous_frames(self):
         frames = {0: np.array([1.0]), 2: np.array([2.0])}
         with pytest.raises(AlignmentError):
@@ -308,3 +356,138 @@ class TestLabelCsv:
         track = labels_to_track("v", frames, fps=5.0, task="expr")
         assert track.frame_index_origin == 5
         np.testing.assert_array_equal(track.labels(), [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# Reference equality: the per-row reader and writer these functions replaced,
+# kept verbatim apart from returning the dropped count instead of logging it.
+# ---------------------------------------------------------------------------
+
+
+def _reference_read_label_csv(path, task):
+    if task == "expr":
+        expected = ["video_id", "frame", "label"]
+    else:
+        expected = ["video_id", "frame", "valence", "arousal"]
+    out = {}
+    dropped = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        assert header == expected
+        for row in reader:
+            if not row:
+                continue
+            vid, frame = row[0], int(row[1])
+            if task == "expr":
+                value = np.array([float(row[2])])
+                if not value[0].is_integer() or not 0 <= value[0] <= N_EXPR_CLASSES - 1:
+                    dropped += 1
+                    continue
+            else:
+                value = np.array([float(row[2]), float(row[3])])
+                # the reference kept NaN rows; they are dropped now
+                if np.any(value < -1.0) or np.any(value > 1.0) or np.isnan(value).any():
+                    dropped += 1
+                    continue
+            out.setdefault(vid, {})[frame] = value
+    return out, dropped
+
+
+def _reference_write_label_csv(path, rows, task):
+    if task == "expr":
+        header = ["video_id", "frame", "label"]
+    else:
+        header = ["video_id", "frame", "valence", "arousal"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for vid in sorted(rows):
+            frames = rows[vid]
+            for frame in sorted(frames):
+                value = frames[frame]
+                if task == "expr":
+                    writer.writerow([vid, str(frame), str(int(value[0]))])
+                else:
+                    writer.writerow(
+                        [vid, str(frame), "%.17g" % value[0], "%.17g" % value[1]]
+                    )
+
+
+_ODD_VIDEO_IDS = ["v000", "v001", "b,c", 'q"d', "x%sy", " lead", "l\nf", ""]
+
+
+def _random_label_lines(rng, task):
+    """Data lines over several videos: shuffled and interleaved, with
+    repeated frames, invalid rows, blank lines and ids that need quoting."""
+    lines = []
+    for vid in _ODD_VIDEO_IDS[: rng.integers(3, len(_ODD_VIDEO_IDS) + 1)]:
+        n = int(rng.integers(1, 40))
+        frames = list(range(n)) + rng.integers(0, n, size=n // 3).tolist()
+        for frame in frames:
+            if task == "expr":
+                pick = rng.random()
+                if pick < 0.8:
+                    value = [str(int(rng.integers(0, N_EXPR_CLASSES)))]
+                else:
+                    odd = ["-1", "8", "2.5", "nan", "inf", "3.0", "-0", "1e0"]
+                    value = [rng.choice(odd)]
+            else:
+                value = [repr(float(v)) for v in rng.uniform(-1.1, 1.1, size=2)]
+                if rng.random() < 0.1:
+                    value[int(rng.integers(0, 2))] = rng.choice(["nan", "inf", "-inf"])
+                if rng.random() < 0.05:
+                    value = ["-1", "1.0"]
+            lines.append([vid, str(frame), *value])
+    order = rng.permutation(len(lines))
+    if rng.random() < 0.5:  # keep runs of one video, as files usually have
+        order = np.sort(order)
+    return [lines[i] for i in order]
+
+
+@pytest.mark.parametrize("task", ["expr", "va"])
+@pytest.mark.parametrize("seed", range(12))
+def test_reader_matches_the_per_row_reference(tmp_path, caplog, task, seed):
+    rng = np.random.default_rng([seed, 0 if task == "expr" else 1])
+    path = tmp_path / "labels.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        header = ["video_id", "frame", "label"] if task == "expr" else [
+            "video_id", "frame", "valence", "arousal"]
+        writer.writerow(header)
+        for row in _random_label_lines(rng, task):
+            writer.writerow(row)
+            if rng.random() < 0.02:
+                fh.write("\n")
+    expected, expected_dropped = _reference_read_label_csv(path, task)
+    with caplog.at_level(logging.INFO, logger="affectpipe.windowing"):
+        got = read_label_csv(path, task)
+    found = re.findall(r"dropped (\d+) invalid rows", caplog.text)
+    assert [int(n) for n in found] == ([expected_dropped] if expected_dropped else [])
+    assert list(got) == list(expected)
+    for vid in expected:
+        assert list(got[vid]) == list(expected[vid])
+        for frame, value in expected[vid].items():
+            assert got[vid][frame].dtype == value.dtype
+            assert got[vid][frame].shape == value.shape
+            assert got[vid][frame].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("task", ["expr", "va"])
+@pytest.mark.parametrize("seed", range(6))
+def test_writer_matches_the_per_row_reference(tmp_path, task, seed):
+    rng = np.random.default_rng([seed, 2])
+    rows = {}
+    for vid in rng.permutation(_ODD_VIDEO_IDS).tolist():
+        frames = rng.permutation(int(rng.integers(1, 30))) + int(rng.integers(0, 5))
+        if task == "expr":
+            rows[vid] = {int(f): np.array([float(rng.integers(0, N_EXPR_CLASSES))])
+                         for f in frames}
+        else:
+            values = rng.uniform(-1, 1, size=(len(frames), 2))
+            values[rng.random(values.shape) < 0.1] *= 1e-300
+            values[rng.random(values.shape) < 0.05] = -0.0
+            rows[vid] = {int(f): v for f, v in zip(frames, values)}
+    write_label_csv(tmp_path / "new.csv", rows, task)
+    _reference_write_label_csv(tmp_path / "ref.csv", rows, task)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
