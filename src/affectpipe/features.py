@@ -9,7 +9,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
 from .timeline import FrameTrack
 
 FUNCTIONAL_ORDER = ("mean", "max", "min")
@@ -188,25 +187,3 @@ def write_scaler_csv(path: str | Path, scaler: MinMaxScaler) -> None:
         writer.writerow(["dim", "lo", "hi"])
         for j in range(scaler.lo.shape[0]):
             writer.writerow([str(j), "%.17g" % scaler.lo[j], "%.17g" % scaler.hi[j]])
-
-
-def read_scaler_csv(path: str | Path) -> MinMaxScaler:
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        scope_line = fh.readline().strip()
-        if not scope_line.startswith("# scope="):
-            raise DataFormatError(f"{path}: missing scope header comment")
-        scope = scope_line.split("=", 1)[1]
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["dim", "lo", "hi"]:
-            raise DataFormatError(f"{path}: expected header dim,lo,hi")
-        lo, hi = [], []
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if int(row[0]) != i:
-                raise DataFormatError(f"{path}: dims must be consecutive from 0")
-            lo.append(float(row[1]))
-            hi.append(float(row[2]))
-    return MinMaxScaler(lo=np.array(lo), hi=np.array(hi), scope=scope)

@@ -15,18 +15,15 @@ the trained model.
 
 A tree is five preorder node arrays (feature, threshold, left, right,
 value), as in scikit-learn's `Tree`; prediction descends all rows one
-level at a time, and persistence writes the arrays.
+level at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import DataFormatError
 
 DEFAULT_TREE_GRID = (10, 20, 50, 100, 200)
 
@@ -90,8 +87,8 @@ class ForestModel:
     """Trained forest. oob_score is accuracy for classification and
     negative mean squared error for regression, so larger is always
     better; oob_curve[k - 1] is that score for the first k trees. in_bag
-    records each tree's bootstrap membership. Both are None on models
-    loaded from disk, where only predictions are reproduced.
+    records each tree's bootstrap membership. Both may be None on a model
+    built from trees alone, which only predicts.
     """
 
     trees: list = field(repr=False)
@@ -408,93 +405,3 @@ def select_n_trees(
         oob_curve=full.oob_curve[:best_k],
     )
     return best_k, [scores[k] for k in grid], model
-
-
-# ---------------------------------------------------------------------------
-# Persistence: a text header, then per tree a "[tree t] nodes=N" line and
-# one line per node array. Thresholds and values carry 17 significant
-# digits, so a reloaded forest predicts identically. Bootstrap membership
-# and the OOB curve are not stored.
-# ---------------------------------------------------------------------------
-
-_MAGIC = "forest-model v2"
-_ARRAYS = ("feature", "threshold", "left", "right", "value")
-
-
-def save_forest_model(model: ForestModel, path: str | Path) -> None:
-    lines = [
-        _MAGIC,
-        f"task={model.task}",
-        f"n_trees={model.n_trees}",
-        f"n_outputs={model.n_outputs}",
-        "oob_score=%.17g" % model.oob_score,
-    ]
-    for t, tree in enumerate(model.trees):
-        lines.append(f"[tree {t}] nodes={tree.feature.shape[0]}")
-        for name in _ARRAYS:
-            arr = getattr(tree, name)
-            fmt = "%d" if arr.dtype.kind == "i" else "%.17g"
-            lines.append(f"{name}=" + " ".join(fmt % v for v in arr.ravel()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _tree_from_lines(lines: list[str], n_outputs: int) -> Tree:
-    """Parse and validate one tree's node-array lines."""
-    n_nodes = int(lines[0].partition("nodes=")[2])
-    if n_nodes < 1:
-        raise DataFormatError("a tree needs at least one node")
-    arrays = {}
-    for name, line in zip(_ARRAYS, lines[1:]):
-        key, sep, data = line.partition("=")
-        if key != name or not sep:
-            raise DataFormatError(f"expected the {name} array, got {line[:40]!r}")
-        dtype = np.float64 if name in ("threshold", "value") else np.int64
-        arr = np.array(data.split(), dtype=dtype)
-        size = n_nodes * n_outputs if name == "value" else n_nodes
-        if arr.shape[0] != size:
-            raise DataFormatError(f"{name} has {arr.shape[0]} entries, expected {size}")
-        arrays[name] = arr
-    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
-    leaf = left == -1
-    parent = np.arange(n_nodes)[~leaf]
-    if np.any(feature[~leaf] < 0):
-        raise DataFormatError("split node with a negative feature index")
-    # children strictly after their parent keep the level-wise descent finite
-    for child in (left[~leaf], right[~leaf]):
-        if np.any(child <= parent) or np.any(child >= n_nodes):
-            raise DataFormatError("child index out of range or not after its parent")
-    arrays["value"] = arrays["value"].reshape(n_nodes, n_outputs)
-    return Tree(**arrays)
-
-
-def load_forest_model(path: str | Path) -> ForestModel:
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not a {_MAGIC} file") from exc
-    if not lines or lines[0] != _MAGIC:
-        raise DataFormatError(f"{path}: not a {_MAGIC} file")
-    try:
-        header = dict(line.partition("=")[::2] for line in lines[1:5])
-        task = header["task"]
-        n_trees = int(header["n_trees"])
-        n_outputs = int(header["n_outputs"])
-        oob = float(header["oob_score"])
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed header") from exc
-    if task not in ("classification", "regression") or n_trees < 1 or n_outputs < 1:
-        raise DataFormatError(f"{path}: malformed header")
-    block = 1 + len(_ARRAYS)
-    trees = []
-    for t in range(n_trees):
-        lines_t = lines[5 + t * block : 5 + (t + 1) * block]
-        if len(lines_t) < block or not lines_t[0].startswith(f"[tree {t}] nodes="):
-            raise DataFormatError(f"{path}: missing or truncated [tree {t}] section")
-        try:
-            trees.append(_tree_from_lines(lines_t, n_outputs))
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}: tree {t}: {exc}") from exc
-        except (ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}: tree {t}: unparsable number") from exc
-    return ForestModel(trees=trees, oob_score=oob, task=task, n_outputs=n_outputs)

@@ -193,12 +193,6 @@ def apply_fusion(preds, matrix: FusionMatrix, task: str | None = None):
     return _rewrap(fused, template, "class_scores")
 
 
-def fused_labels(fused) -> np.ndarray:
-    """Argmax class per frame; ties resolve to the smallest index."""
-    values = fused.values if isinstance(fused, FrameTrack) else np.asarray(fused)
-    return values.argmax(axis=1)
-
-
 def mean_fusion(preds, task: str | None = None):
     """Unweighted mean of all models, as fusion with uniform weights."""
     stacked, _ = _stack_tracks(preds)
@@ -409,17 +403,6 @@ def write_fusion_matrix(
         writer.writerow(["model", *output_names])
         for name, row in zip(model_names, matrix.weights):
             writer.writerow([name, *("%.17g" % v for v in row)])
-
-
-def read_fusion_matrix(path: str | Path) -> tuple[FusionMatrix, list[str], list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "model":
-        raise ValueError(f"{path}: not a fusion-matrix CSV")
-    output_names = rows[0][1:]
-    model_names = [r[0] for r in rows[1:]]
-    weights = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return FusionMatrix(weights), model_names, output_names
 
 
 def write_score_table(path: str | Path, scores: np.ndarray) -> None:

@@ -24,8 +24,7 @@ DEFAULT_C_GRID = tuple(10.0**k for k in range(-3, 4))
 class KernelSpec:
     """Kernel family and parameters.
 
-    gamma=None selects the 1/d default at training time; use
-    :func:`median_heuristic_gamma` for the distance-based alternative.
+    gamma=None selects the 1/d default at training time.
     """
 
     kind: str = "rbf"  # "linear" | "rbf"
@@ -66,22 +65,6 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     )
     np.maximum(sq, 0.0, out=sq)  # rounding can leave tiny negatives
     return np.exp(-spec.gamma * sq)
-
-
-def median_heuristic_gamma(x: np.ndarray, max_rows: int = 2000) -> float:
-    """gamma = 1 / median squared pairwise distance (zeros excluded)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] > max_rows:
-        x = x[:: int(np.ceil(x.shape[0] / max_rows))]
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(x * x, axis=1)[None, :]
-        - 2.0 * (x @ x.T)
-    )
-    positive = sq[sq > 0]
-    if positive.size == 0:
-        raise ValueError("all points identical; median heuristic undefined")
-    return float(1.0 / np.median(positive))
 
 
 def class_weights(labels) -> np.ndarray:

@@ -5,7 +5,10 @@ functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
 smoothing -> evaluation. Every stage reads its inputs from files and
 writes its outputs to files in the run directory, so the single-shot
-run and the stage-by-stage CLI produce bit-identical artifacts.
+run and the stage-by-stage CLI produce bit-identical artifacts. The
+one exception is the embedding track: the features stage re-slices it
+rather than read a copy, and `windows.csv` is the index of those
+windows, which the features stage checks its own windows against.
 
 Determinism contract: all floats are serialized with 17 significant
 digits, per-video work merges in sorted video-id order regardless of
@@ -74,6 +77,7 @@ from .timeline import (
     N_EXPR_CLASSES,
     FrameTrack,
     SmoothingSpec,
+    csv_row_format,
     hamming_smooth,
     interpolate_to,
     read_track_csv,
@@ -519,31 +523,18 @@ def _sha256_file(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_windows_csv(path: Path, batches: dict[str, WindowBatch]) -> None:
-    vids = sorted(batches)
-    first = batches[vids[0]]
-    d = first.payload.shape[2]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fps={FLOAT_FMT % first.fps}\n")
-        fh.write(f"# window={first.window_frames} hop={first.hop_frames}\n")
-        for vid in vids:
-            fh.write(f"# frames {vid} {batches[vid].n_source_frames}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["video_id", "window_index", "start", "row", "real"]
-            + [f"x{j}" for j in range(d)]
-        )
-        for vid in vids:
-            batch = batches[vid]
-            for i, start in enumerate(batch.starts):
-                for r in range(batch.window_frames):
-                    writer.writerow(
-                        [vid, i, start, r, int(batch.pad_mask[i, r])]
-                        + [FLOAT_FMT % v for v in batch.payload[i, r]]
-                    )
+def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
+    """The bytes of windows.csv: one (video, index, start, real frames) row per window."""
+    rows = ["video_id,window_index,start,n_real\n"]
+    for vid in sorted(batches):
+        batch = batches[vid]
+        fmt = csv_row_format(vid, ",%d,%d,%d\n")
+        n_real = batch.pad_mask.sum(axis=1).tolist()
+        rows += [fmt % row for row in zip(range(batch.n_windows), batch.starts, n_real)]
+    return "".join(rows).encode("utf-8")
 
 
-def _read_windows_meta(fh) -> dict:
+def _read_features_meta(fh) -> dict:
     meta = {"frames": {}}
     while True:
         pos = fh.tell()
@@ -562,46 +553,8 @@ def _read_windows_meta(fh) -> dict:
             _, vid, n = body.split()
             meta["frames"][vid] = int(n)
     if "fps" not in meta or "window" not in meta:
-        raise DataFormatError("windows file is missing its # fps/# window header")
+        raise DataFormatError("features file is missing its # fps/# window header")
     return meta
-
-
-def _read_windows_csv(path: Path) -> tuple[dict, dict[str, WindowBatch]]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        meta = _read_windows_meta(fh)
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:5] != ["video_id", "window_index", "start", "row", "real"]:
-            raise DataFormatError(f"{path}: unexpected windows header")
-        d = len(header) - 5
-        per_video: dict[str, dict] = {}
-        for row in reader:
-            if not row:
-                continue
-            vid, i, start, r = row[0], int(row[1]), int(row[2]), int(row[3])
-            entry = per_video.setdefault(vid, {"starts": {}, "rows": {}})
-            entry["starts"][i] = start
-            entry["rows"][(i, r)] = (row[4] == "1", [float(v) for v in row[5:]])
-    batches = {}
-    w = meta["window"]
-    for vid, entry in per_video.items():
-        n = len(entry["starts"])
-        payload = np.empty((n, w, d))
-        pad_mask = np.empty((n, w), dtype=bool)
-        for (i, r), (real, values) in entry["rows"].items():
-            payload[i, r] = values
-            pad_mask[i, r] = real
-        batches[vid] = WindowBatch(
-            video_id=vid,
-            starts=[entry["starts"][i] for i in range(n)],
-            payload=payload,
-            pad_mask=pad_mask,
-            window_frames=w,
-            hop_frames=meta["hop"],
-            fps=meta["fps"],
-            n_source_frames=meta["frames"][vid],
-        )
-    return meta, batches
 
 
 def _write_window_targets(path: Path, targets: dict[str, np.ndarray], task: str) -> None:
@@ -647,15 +600,16 @@ def _read_window_targets(path: Path, task: str) -> dict[str, np.ndarray]:
 
 
 def _write_features_csv(
-    path: Path, meta: dict, feats: dict[str, np.ndarray], starts: dict[str, list[int]]
+    path: Path, batches: dict[str, WindowBatch], feats: dict[str, np.ndarray]
 ) -> None:
     vids = sorted(feats)
+    first = batches[vids[0]]
     p = feats[vids[0]].shape[1]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fps={FLOAT_FMT % meta['fps']}\n")
-        fh.write(f"# window={meta['window']} hop={meta['hop']}\n")
+        fh.write(f"# fps={FLOAT_FMT % first.fps}\n")
+        fh.write(f"# window={first.window_frames} hop={first.hop_frames}\n")
         for vid in vids:
-            fh.write(f"# frames {vid} {meta['frames'][vid]}\n")
+            fh.write(f"# frames {vid} {batches[vid].n_source_frames}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["video_id", "window_index", "start"] + [f"f{j}" for j in range(p)]
@@ -663,13 +617,13 @@ def _write_features_csv(
         for vid in vids:
             for i, row in enumerate(feats[vid]):
                 writer.writerow(
-                    [vid, i, starts[vid][i]] + [FLOAT_FMT % v for v in row]
+                    [vid, i, batches[vid].starts[i]] + [FLOAT_FMT % v for v in row]
                 )
 
 
 def _read_features_csv(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, list[int]]]:
     with path.open("r", encoding="utf-8", newline="") as fh:
-        meta = _read_windows_meta(fh)
+        meta = _read_features_meta(fh)
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:3] != ["video_id", "window_index", "start"]:
@@ -694,21 +648,21 @@ def _read_features_csv(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[st
 # ---------------------------------------------------------------------------
 
 
-def stage_window(config: PipelineConfig, run_dir: Path) -> None:
-    """Resample, gate by VAD, slice windows, and reduce window targets."""
+def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
+    """Resample each embedding track, gate it by VAD and slice its windows.
+
+    The window stage writes the index of these windows and the features
+    stage recomputes them, so no copy of the track passes between them.
+    """
     emb_path = _require_file(config.paths.embeddings, "embeddings file")
     source_fps = config.paths.source_fps or config.fps_target
     embeddings = read_track_csv(emb_path, fps=source_fps, kind="embedding")
-    truth = _truth_at_working_rate(config)
     vad_path = config.paths.vad
     vad = read_vad_csv(_require_file(vad_path, "vad file")) if vad_path else None
     vids = sorted(embeddings)
     _dev_split(config, vids)
-    missing = [v for v in vids if v not in truth]
-    if missing:
-        raise AlignmentError(f"window stage: no labels for video(s) {missing}")
 
-    def one(vid: str):
+    def one(vid: str) -> WindowBatch:
         track = embeddings[vid]
         if abs(track.fps - config.fps_target) > 1e-9:
             track = resample_track(track, config.fps_target)
@@ -725,27 +679,38 @@ def stage_window(config: PipelineConfig, run_dir: Path) -> None:
             segments = voiced_segments(mask)
             if not segments:
                 raise AlignmentError(f"window stage: video {vid!r} has no voiced frames")
-        batch = slice_windows(track, config.window_spec, segments=segments)
-        if config.task == "expr":
-            target = window_labels(truth[vid], batch)
-        else:
-            target = window_va_means(truth[vid], batch)
-        return vid, batch, target
+        return slice_windows(track, config.window_spec, segments=segments)
 
-    results = _map_ordered(one, vids, config.workers)
-    batches = {vid: batch for vid, batch, _ in results}
-    targets = {vid: target for vid, _, target in results}
-    _write_windows_csv(run_dir / "windows.csv", batches)
-    _write_window_targets(run_dir / "window_targets.csv", targets, config.task)
+    return dict(zip(vids, _map_ordered(one, vids, config.workers)))
+
+
+def stage_window(config: PipelineConfig, run_dir: Path) -> None:
+    """Index the windows and reduce the labels to one target per window."""
+    batches = _window_batches(config)
+    truth = _truth_at_working_rate(config)
+    vids = sorted(batches)
+    missing = [v for v in vids if v not in truth]
+    if missing:
+        raise AlignmentError(f"window stage: no labels for video(s) {missing}")
+    reduce = window_labels if config.task == "expr" else window_va_means
+    targets = _map_ordered(lambda vid: reduce(truth[vid], batches[vid]), vids,
+                           config.workers)
+    (run_dir / "windows.csv").write_bytes(_windows_index(batches))
+    _write_window_targets(run_dir / "window_targets.csv", dict(zip(vids, targets)),
+                          config.task)
     log.info("window stage: %d windows over %d videos",
              sum(b.n_windows for b in batches.values()), len(vids))
 
 
 def stage_features(config: PipelineConfig, run_dir: Path) -> None:
-    """Per-window functionals plus the configured normalization."""
-    meta, batches = _read_windows_csv(
-        _require_file(run_dir / "windows.csv", "window stage output")
-    )
+    """Functionals over the re-sliced windows, plus the configured normalization."""
+    index = _require_file(run_dir / "windows.csv", "window stage output")
+    batches = _window_batches(config)
+    if index.read_bytes() != _windows_index(batches):
+        raise AlignmentError(
+            f"features stage: {index} does not match the windows of the current "
+            "inputs; rerun the window stage"
+        )
     fset = config.functional_set
     vids = sorted(batches)
 
@@ -763,8 +728,7 @@ def stage_features(config: PipelineConfig, run_dir: Path) -> None:
         write_scaler_csv(run_dir / "scaler.csv", scaler)
     elif config.normalization == "per_video_minmax":
         feats = {vid: per_video_minmax(feats[vid]) for vid in vids}
-    starts = {vid: batches[vid].starts for vid in vids}
-    _write_features_csv(run_dir / "features.csv", meta, feats, starts)
+    _write_features_csv(run_dir / "features.csv", batches, feats)
 
 
 def stage_train_kelm(config: PipelineConfig, run_dir: Path) -> None:

@@ -306,11 +306,11 @@ def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
         header = next(reader, None)
         if header != ["video_id", "frame", "voiced"]:
             raise DataFormatError(f"{path}: expected header video_id,frame,voiced")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 3 or row[2] not in ("0", "1"):
-                raise DataFormatError(f"{path}:{lineno}: voiced must be 0 or 1")
+                raise DataFormatError(f"{path}:{reader.line_num}: voiced must be 0 or 1")
             per_video.setdefault(row[0], []).append(row[2] == "1")
     if not per_video:
         raise DataFormatError(f"{path}: no data rows")

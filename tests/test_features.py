@@ -14,7 +14,6 @@ from affectpipe.features import (
     fit_minmax,
     functionals,
     per_video_minmax,
-    read_scaler_csv,
     write_scaler_csv,
 )
 from affectpipe.timeline import FrameTrack
@@ -163,19 +162,16 @@ class TestScalerCsv:
         scaler = MinMaxScaler(lo=lo, hi=lo + np.abs(rng.normal(size=8)))
         path = tmp_path / "scaler.csv"
         write_scaler_csv(path, scaler)
-        loaded = read_scaler_csv(path)
-        np.testing.assert_array_equal(loaded.lo, scaler.lo)
-        np.testing.assert_array_equal(loaded.hi, scaler.hi)
-        assert loaded.scope == "global"
+        expected = "# scope=global\ndim,lo,hi\n" + "".join(
+            f"{j},{'%.17g' % a},{'%.17g' % b}\n" for j, (a, b) in enumerate(zip(lo, scaler.hi))
+        )
+        assert path.read_bytes() == expected.encode()
+        rows = [line.split(",") for line in expected.splitlines()[2:]]
+        np.testing.assert_array_equal([float(r[1]) for r in rows], scaler.lo)
+        np.testing.assert_array_equal([float(r[2]) for r in rows], scaler.hi)
 
     def test_scope_comment_preserved(self, tmp_path):
         scaler = MinMaxScaler(lo=np.zeros(1), hi=np.ones(1), scope="per_video")
         path = tmp_path / "scaler.csv"
         write_scaler_csv(path, scaler)
-        assert read_scaler_csv(path).scope == "per_video"
-
-    def test_missing_scope_rejected(self, tmp_path):
-        path = tmp_path / "scaler.csv"
-        path.write_text("dim,lo,hi\n0,0.0,1.0\n")
-        with pytest.raises(Exception, match="scope"):
-            read_scaler_csv(path)
+        assert path.read_text().splitlines()[0] == "# scope=per_video"

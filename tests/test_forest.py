@@ -1,4 +1,4 @@
-"""Forest training, OOB scoring, tree-count selection, persistence."""
+"""Forest training, OOB scoring and tree-count selection."""
 
 from __future__ import annotations
 
@@ -7,16 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from affectpipe.errors import DataFormatError
 from affectpipe.forest import (
     ForestModel,
     ForestSpec,
     _tree_apply,
-    load_forest_model,
     predict_forest,
     predict_forest_labels,
     predict_oob,
-    save_forest_model,
     select_n_trees,
     train_forest,
 )
@@ -315,112 +312,6 @@ class TestPredictOob:
         assert model.oob_curve[-1] == model.oob_score
         seen = ~np.isnan(predict_oob(model, x)[:, 0])
         assert model.oob_score == (predict_oob(model, x)[seen].argmax(axis=1) == y[seen]).mean()
-
-
-class TestPersistence:
-    def test_round_trip_reproduces_predictions_exactly(self, tmp_path):
-        rng = np.random.default_rng(19)
-        x, y = _noisy_stack(rng, 100)
-        model = train_forest(x, y, ForestSpec(n_trees=6, seed=71), n_classes=4)
-        path = tmp_path / "forest.txt"
-        save_forest_model(model, path)
-        clone = load_forest_model(path)
-        z = rng.dirichlet(np.ones(4), size=40)
-        np.testing.assert_array_equal(
-            predict_forest(clone, z), predict_forest(model, z)
-        )
-        assert clone.task == model.task
-        assert clone.oob_score == model.oob_score
-
-    def test_regression_round_trip(self, tmp_path):
-        rng = np.random.default_rng(20)
-        x = rng.normal(size=(60, 2))
-        y = np.tanh(x[:, 0])
-        model = train_forest(
-            x, y, ForestSpec(n_trees=4, seed=72), task="regression"
-        )
-        path = tmp_path / "forest.txt"
-        save_forest_model(model, path)
-        np.testing.assert_array_equal(
-            predict_forest(load_forest_model(path), x), predict_forest(model, x)
-        )
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "nope.txt"
-        path.write_text("hello\n")
-        with pytest.raises(DataFormatError):
-            load_forest_model(path)
-        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
-        with pytest.raises(DataFormatError):
-            load_forest_model(path)
-        # the node-per-line v1 layout is not read any more
-        path.write_text(
-            "forest-model v1\ntask=classification\nn_trees=1\nn_outputs=2\n"
-            "oob_score=0.5\n[tree 0]\nl 0.5,0.5\n"
-        )
-        with pytest.raises(DataFormatError):
-            load_forest_model(path)
-
-    def test_rejects_truncated_dump(self, tmp_path):
-        rng = np.random.default_rng(21)
-        x, y = _noisy_stack(rng, 40)
-        model = train_forest(x, y, ForestSpec(n_trees=2, seed=73), n_classes=4)
-        path = tmp_path / "forest.txt"
-        save_forest_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:6]) + "\n")
-        with pytest.raises(DataFormatError):
-            load_forest_model(path)
-
-    @staticmethod
-    def _saved_lines(tmp_path):
-        """A saved 2-tree classification forest, as lines, and its path."""
-        rng = np.random.default_rng(26)
-        x, y = _noisy_stack(rng, 40)
-        model = train_forest(x, y, ForestSpec(n_trees=2, seed=74), n_classes=4)
-        path = tmp_path / "forest.txt"
-        save_forest_model(model, path)
-        return path, path.read_text().splitlines()
-
-    @staticmethod
-    def _rewrite(path, lines, name, edit):
-        """Replace the first tree's `name` array with edit(values)."""
-        i = next(j for j, line in enumerate(lines) if line.startswith(name + "="))
-        values = lines[i].partition("=")[2].split()
-        lines = list(lines)
-        lines[i] = name + "=" + " ".join(edit(values))
-        path.write_text("\n".join(lines) + "\n")
-
-    def test_rejects_short_array(self, tmp_path):
-        path, lines = self._saved_lines(tmp_path)
-        for name in ("feature", "threshold", "left", "right", "value"):
-            self._rewrite(path, lines, name, lambda v: v[:-1])
-            with pytest.raises(DataFormatError, match=name):
-                load_forest_model(path)
-
-    def test_rejects_child_index_out_of_range(self, tmp_path):
-        path, lines = self._saved_lines(tmp_path)
-        n_nodes = int(lines[5].partition("nodes=")[2])
-        self._rewrite(path, lines, "right",
-                      lambda v: [str(n_nodes) if e != "-1" else e for e in v])
-        with pytest.raises(DataFormatError, match="child index"):
-            load_forest_model(path)
-
-    def test_rejects_child_not_after_parent(self, tmp_path):
-        # a right child pointing back at the root would make the
-        # level-wise descent cycle forever
-        path, lines = self._saved_lines(tmp_path)
-        self._rewrite(path, lines, "right",
-                      lambda v: ["0" if e != "-1" else e for e in v])
-        with pytest.raises(DataFormatError, match="child index"):
-            load_forest_model(path)
-
-    def test_rejects_negative_split_feature(self, tmp_path):
-        path, lines = self._saved_lines(tmp_path)
-        self._rewrite(path, lines, "feature",
-                      lambda v: ["-2" if e != "-1" else e for e in v])
-        with pytest.raises(DataFormatError, match="negative feature"):
-            load_forest_model(path)
 
 
 def test_spec_validation():

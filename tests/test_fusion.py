@@ -21,9 +21,7 @@ from affectpipe.fusion import (
     FusionPool,
     apply_fusion,
     dwf_search,
-    fused_labels,
     mean_fusion,
-    read_fusion_matrix,
     sample_pool,
     selector_matrix,
     stack_and_fuse_rf,
@@ -121,10 +119,8 @@ class TestApplyFusion:
         rng = np.random.default_rng(15)
         preds = _random_scores(rng, 3, 50, 6)
         matrix = sample_pool(3, 6, pool_size=1, seed=16).matrices[0]
-        base = fused_labels(apply_fusion(preds, matrix, task="expr"))
-        scaled = fused_labels(
-            apply_fusion([7.5 * p for p in preds], matrix, task="expr")
-        )
+        base = apply_fusion(preds, matrix, task="expr").argmax(axis=1)
+        scaled = apply_fusion([7.5 * p for p in preds], matrix, task="expr").argmax(axis=1)
         np.testing.assert_array_equal(scaled, base)
 
     def test_va_outputs_clipped(self):
@@ -397,15 +393,17 @@ class TestRfStacking:
 
 class TestPersistence:
     def test_matrix_csv_round_trip(self, tmp_path):
-        pool = sample_pool(3, 2, pool_size=1, seed=50)
+        weights = sample_pool(3, 2, pool_size=1, seed=50).matrices[0].weights
+        names = ["audio", "video", "text"]
         path = tmp_path / "matrix.csv"
-        write_fusion_matrix(path, pool.matrices[0],
-                            model_names=["audio", "video", "text"],
+        write_fusion_matrix(path, FusionMatrix(weights), model_names=names,
                             output_names=["valence", "arousal"])
-        matrix, models, outputs = read_fusion_matrix(path)
-        np.testing.assert_array_equal(matrix.weights, pool.matrices[0].weights)
-        assert models == ["audio", "video", "text"]
-        assert outputs == ["valence", "arousal"]
+        expected = "model,valence,arousal\r\n" + "".join(
+            f"{name},{'%.17g' % a},{'%.17g' % b}\r\n" for name, (a, b) in zip(names, weights)
+        )
+        assert path.read_bytes() == expected.encode()
+        rows = [line.split(",")[1:] for line in path.read_text().splitlines()[1:]]
+        np.testing.assert_array_equal(np.array(rows, dtype=float), weights)
 
     def test_score_table_format(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -12,7 +12,6 @@ from affectpipe.kelm import (
     encode_classification_targets,
     kernel_matrix,
     load_kelm_model,
-    median_heuristic_gamma,
     predict_kelm,
     predict_kelm_labels,
     save_kelm_model,
@@ -246,17 +245,3 @@ class TestPersistence:
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(DataFormatError):
             load_kelm_model(path)
-
-
-def test_median_heuristic_positive_and_scale_aware():
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(50, 3))
-    g1 = median_heuristic_gamma(x)
-    g2 = median_heuristic_gamma(10.0 * x)
-    assert g1 > 0
-    np.testing.assert_allclose(g2, g1 / 100.0, rtol=1e-9)
-
-
-def test_median_heuristic_rejects_identical_points():
-    with pytest.raises(ValueError):
-        median_heuristic_gamma(np.ones((5, 2)))

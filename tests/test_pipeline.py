@@ -29,10 +29,24 @@ from affectpipe.pipeline import (
     evaluate_files,
     load_config,
     run_pipeline,
+    stage_window,
 )
 from affectpipe.synth import SyntheticSpec, synth_generate, synth_tracks
-from affectpipe.timeline import FrameTrack, SmoothingSpec, hamming_smooth, write_track_csv
-from affectpipe.windowing import write_label_csv
+from affectpipe.timeline import (
+    FrameTrack,
+    SmoothingSpec,
+    hamming_smooth,
+    read_track_csv,
+    write_track_csv,
+)
+from affectpipe.windowing import (
+    VadMask,
+    read_vad_csv,
+    slice_windows,
+    voiced_segments,
+    write_label_csv,
+    write_vad_csv,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -401,6 +415,26 @@ class TestRunPipeline:
         assert manifest["outputs_hash"] == result.manifest["outputs_hash"]
         assert "windows.csv" in manifest["outputs"]
 
+    def test_windows_csv_indexes_the_vad_gated_windows(self, tmp_path):
+        config = load_config(_write_config(tmp_path, synth={"voiced_fraction": 0.7}))
+        _synth_from(config)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        stage_window(config, run_dir)
+        tracks = read_track_csv(config.paths.embeddings, fps=config.fps_target,
+                                kind="embedding")
+        vad = read_vad_csv(config.paths.vad)
+        expected = ["video_id,window_index,start,n_real"]
+        padded = 0
+        for vid in sorted(tracks):
+            batch = slice_windows(tracks[vid], config.window_spec,
+                                  segments=voiced_segments(vad[vid]))
+            expected += [f"{vid},{i},{start},{batch.pad_mask[i].sum()}"
+                         for i, start in enumerate(batch.starts)]
+            padded += int((~batch.pad_mask).any(axis=1).sum())
+        assert padded > 0
+        assert (run_dir / "windows.csv").read_text().splitlines() == expected
+
     def test_separable_run_is_perfect_on_held_out_video(self, tmp_path):
         # 640 frames at 5 fps with 16 s blocks = 8 blocks; every class shows
         # up once per video and each block spans whole 2 s windows
@@ -509,8 +543,21 @@ class TestCli:
         assert main(["synth", "--config", str(path)]) == 0
         return path
 
-    def test_staged_commands_reproduce_the_single_shot_run(self, tmp_path):
-        path = self._prepare(tmp_path)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {
+                "task": "va",
+                "window": {"window_seconds": 4.0, "hop_seconds": 2.0},
+                "synth": {"n_videos": 3, "frames_per_video": 200, "noise": 0.05},
+                "split": {"dev_videos": ["v002"]},
+            },
+        ],
+        ids=["expr", "va"],
+    )
+    def test_staged_commands_reproduce_the_single_shot_run(self, tmp_path, overrides):
+        path = self._prepare(tmp_path, **overrides)
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         stage_cmds = ["window", "features", "train-kelm", "predict-kelm",
@@ -524,6 +571,22 @@ class TestCli:
         for rel in ("windows.csv", "features.csv", "kelm_model.txt",
                     "models/kelm.csv", "fused.csv", "predictions.csv", "report.csv"):
             assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes()
+
+    def test_features_exits_4_when_the_vad_changed_since_the_window_stage(self, tmp_path):
+        path = self._prepare(tmp_path)
+        assert main(["window", "--config", str(path)]) == 0
+        vad_path = load_config(path).paths.vad
+        write_vad_csv(vad_path, [
+            VadMask(vid, np.concatenate([[False], mask.voiced[1:]]))
+            for vid, mask in read_vad_csv(vad_path).items()
+        ])
+        assert main(["features", "--config", str(path)]) == 4
+
+    def test_features_exits_3_without_the_embeddings(self, tmp_path):
+        path = self._prepare(tmp_path)
+        assert main(["window", "--config", str(path)]) == 0
+        Path(load_config(path).paths.embeddings).unlink()
+        assert main(["features", "--config", str(path)]) == 3
 
     def test_exit_codes_by_error_family(self, tmp_path):
         # 3: missing config file

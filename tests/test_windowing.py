@@ -262,6 +262,12 @@ class TestVadCsv:
         with pytest.raises(DataFormatError):
             read_vad_csv(path)
 
+    def test_error_names_the_file_line_after_a_multiline_id(self, tmp_path):
+        path = tmp_path / "vad.csv"
+        path.write_text('video_id,frame,voiced\n"l\nf",0,1\nv,1,2\n')
+        with pytest.raises(DataFormatError, match=r"vad\.csv:4: "):
+            read_vad_csv(path)
+
 
 class TestLabelCsv:
     def test_expr_round_trip(self, tmp_path):
