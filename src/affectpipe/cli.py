@@ -62,7 +62,7 @@ def _run_stage(args, stage, method: str | None = None) -> int:
         config = replace(config, fusion=replace(config.fusion, method=method))
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    result = stage(config, run_dir)
+    result = stage(config, run_dir, {})
     if result is not None:
         print(report_to_text(result))
     print(f"run directory: {run_dir}")

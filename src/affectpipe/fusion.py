@@ -243,6 +243,12 @@ def dwf_search(
             f"dev truth has {truth.shape[0]} frames but predictions have "
             f"{stacked.shape[1]}"
         )
+    if stacked.shape[0] == 1 and all((m.weights == 1.0).all() for m in pool.matrices):
+        # one model: every simplex column is [1.0], so every matrix is the
+        # selector, all score alike and the first one wins
+        first = pool.matrices[0]
+        score = _dev_score(np.einsum("mqk,mk->qk", stacked, first.weights), truth, metric)
+        return first, float(score), np.full(len(pool), score)
     scores = np.empty(len(pool))
     best_idx = 0
     for i, matrix in enumerate(pool.matrices):

@@ -3,12 +3,14 @@
 A run executes resample -> VAD gate -> window -> reduce targets ->
 functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
-smoothing -> evaluation. Every stage reads its inputs from files and
-writes its outputs to files in the run directory, so the single-shot
-run and the stage-by-stage CLI produce bit-identical artifacts. The
-one exception is the embedding track: the features stage re-slices it
-rather than read a copy, and `windows.csv` is the index of those
-windows, which the features stage checks its own windows against.
+smoothing -> evaluation. Every stage writes its outputs to files in
+the run directory. Run stage by stage (the CLI), each stage reads its
+inputs from those files; the features stage re-slices the embedding
+track instead, and checks its windows against the `windows.csv` index.
+A single-shot run hands each stage's products to the later stages in
+memory, in one `products` dict: the values a stage would otherwise
+parse from the files, equal to what that parse gives. Both ways write
+bit-identical artifacts.
 
 Determinism contract: all floats are serialized with 17 significant
 digits, per-video work merges in sorted video-id order regardless of
@@ -26,6 +28,7 @@ import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
@@ -91,6 +94,7 @@ from .windowing import (
     read_label_csv,
     read_vad_csv,
     slice_windows,
+    valid_label_rows,
     voiced_segments,
     window_labels,
     window_va_means,
@@ -466,24 +470,31 @@ def _read_labels_checked(path: Path, task: str) -> dict[str, dict[int, np.ndarra
         ) from exc
 
 
-def _load_truth_tracks(config: PipelineConfig) -> dict[str, FrameTrack]:
-    """Ground-truth tracks on their native (per-video) timelines."""
-    path = _require_file(config.paths.labels, "labels file")
-    rows = _read_labels_checked(path, config.task)
-    return {
-        vid: labels_to_track(
-            vid,
-            frames,
-            fps=config.postprocess.fps_for(vid, config.fps_target),
-            task=config.task,
-        )
-        for vid, frames in rows.items()
-    }
+def _load_truth_tracks(config: PipelineConfig, products: dict) -> dict[str, FrameTrack]:
+    """Ground-truth tracks on their native (per-video) timelines.
+
+    The first stage of a run that needs them parses the labels. The run
+    keeps the tracks rather than the rows: they hold the same values in
+    one array per video, where a dict of rows costs a few hundred bytes
+    per frame.
+    """
+    if "truth" not in products:
+        path = _require_file(config.paths.labels, "labels file")
+        products["truth"] = {
+            vid: labels_to_track(
+                vid,
+                frames,
+                fps=config.postprocess.fps_for(vid, config.fps_target),
+                task=config.task,
+            )
+            for vid, frames in _read_labels_checked(path, config.task).items()
+        }
+    return products["truth"]
 
 
-def _truth_at_working_rate(config: PipelineConfig) -> dict[str, FrameTrack]:
+def _truth_at_working_rate(config: PipelineConfig, products: dict) -> dict[str, FrameTrack]:
     out = {}
-    for vid, track in _load_truth_tracks(config).items():
+    for vid, track in _load_truth_tracks(config, products).items():
         if abs(track.fps - config.fps_target) < 1e-9:
             out[vid] = track
         elif track.fps > config.fps_target:
@@ -534,7 +545,29 @@ def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
     return "".join(rows).encode("utf-8")
 
 
-def _read_features_meta(fh) -> dict:
+def _features_meta(batches: dict[str, WindowBatch]) -> dict:
+    """The features.csv header fields, as _read_features_meta returns them."""
+    vids = sorted(batches)
+    first = batches[vids[0]]
+    return {
+        "fps": first.fps,
+        "window": first.window_frames,
+        "hop": first.hop_frames,
+        "frames": {vid: batches[vid].n_source_frames for vid in vids},
+    }
+
+
+def _header_id(video_id: str) -> str:
+    """A video id as one token of a features.csv header line.
+
+    An id that is not a single whitespace-free token, or that starts
+    with a quote, goes out as a JSON string, which fits on one line.
+    """
+    plain = video_id.split() == [video_id] and not video_id.startswith('"')
+    return video_id if plain else json.dumps(video_id)
+
+
+def _read_features_meta(fh, path: Path) -> dict:
     meta = {"frames": {}}
     while True:
         pos = fh.tell()
@@ -543,17 +576,20 @@ def _read_features_meta(fh) -> dict:
             fh.seek(pos)
             break
         body = line[1:].strip()
-        if body.startswith("fps="):
-            meta["fps"] = float(body[4:])
-        elif body.startswith("window="):
-            win, hop = body.split()
-            meta["window"] = int(win.split("=")[1])
-            meta["hop"] = int(hop.split("=")[1])
-        elif body.startswith("frames "):
-            _, vid, n = body.split()
-            meta["frames"][vid] = int(n)
+        try:
+            if body.startswith("fps="):
+                meta["fps"] = float(body[4:])
+            elif body.startswith("window="):
+                win, hop = body.split()
+                meta["window"] = int(win.partition("=")[2])
+                meta["hop"] = int(hop.partition("=")[2])
+            elif body.startswith("frames "):
+                vid, n = body[len("frames "):].rsplit(" ", 1)
+                meta["frames"][json.loads(vid) if vid.startswith('"') else vid] = int(n)
+        except ValueError:
+            raise DataFormatError(f"{path}: malformed header line {body!r}") from None
     if "fps" not in meta or "window" not in meta:
-        raise DataFormatError("features file is missing its # fps/# window header")
+        raise DataFormatError(f"{path}: features file is missing its # fps/# window header")
     return meta
 
 
@@ -600,16 +636,15 @@ def _read_window_targets(path: Path, task: str) -> dict[str, np.ndarray]:
 
 
 def _write_features_csv(
-    path: Path, batches: dict[str, WindowBatch], feats: dict[str, np.ndarray]
+    path: Path, meta: dict, feats: dict[str, np.ndarray], starts: dict[str, list[int]]
 ) -> None:
     vids = sorted(feats)
-    first = batches[vids[0]]
     p = feats[vids[0]].shape[1]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fps={FLOAT_FMT % first.fps}\n")
-        fh.write(f"# window={first.window_frames} hop={first.hop_frames}\n")
-        for vid in vids:
-            fh.write(f"# frames {vid} {batches[vid].n_source_frames}\n")
+        fh.write(f"# fps={FLOAT_FMT % meta['fps']}\n")
+        fh.write(f"# window={meta['window']} hop={meta['hop']}\n")
+        for vid, n_frames in meta["frames"].items():
+            fh.write(f"# frames {_header_id(vid)} {n_frames}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["video_id", "window_index", "start"] + [f"f{j}" for j in range(p)]
@@ -617,13 +652,13 @@ def _write_features_csv(
         for vid in vids:
             for i, row in enumerate(feats[vid]):
                 writer.writerow(
-                    [vid, i, batches[vid].starts[i]] + [FLOAT_FMT % v for v in row]
+                    [vid, i, starts[vid][i]] + [FLOAT_FMT % v for v in row]
                 )
 
 
 def _read_features_csv(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, list[int]]]:
     with path.open("r", encoding="utf-8", newline="") as fh:
-        meta = _read_features_meta(fh)
+        meta = _read_features_meta(fh, path)
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:3] != ["video_id", "window_index", "start"]:
@@ -684,33 +719,43 @@ def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
     return dict(zip(vids, _map_ordered(one, vids, config.workers)))
 
 
-def stage_window(config: PipelineConfig, run_dir: Path) -> None:
+# Every stage takes `products`, the dict a single-shot run hands from
+# stage to stage: a stage takes an input from it when the stage that
+# made the input ran in the same process, and parses the file otherwise
+# (always so for the CLI, which passes an empty dict). It stores what
+# it wrote and pops what it is the last to use.
+
+
+def stage_window(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Index the windows and reduce the labels to one target per window."""
     batches = _window_batches(config)
-    truth = _truth_at_working_rate(config)
+    truth = _truth_at_working_rate(config, products)
     vids = sorted(batches)
     missing = [v for v in vids if v not in truth]
     if missing:
         raise AlignmentError(f"window stage: no labels for video(s) {missing}")
     reduce = window_labels if config.task == "expr" else window_va_means
-    targets = _map_ordered(lambda vid: reduce(truth[vid], batches[vid]), vids,
-                           config.workers)
+    targets = dict(zip(vids, _map_ordered(lambda vid: reduce(truth[vid], batches[vid]),
+                                          vids, config.workers)))
     (run_dir / "windows.csv").write_bytes(_windows_index(batches))
-    _write_window_targets(run_dir / "window_targets.csv", dict(zip(vids, targets)),
-                          config.task)
+    _write_window_targets(run_dir / "window_targets.csv", targets, config.task)
     log.info("window stage: %d windows over %d videos",
              sum(b.n_windows for b in batches.values()), len(vids))
+    products["batches"] = batches
+    products["targets"] = targets
 
 
-def stage_features(config: PipelineConfig, run_dir: Path) -> None:
-    """Functionals over the re-sliced windows, plus the configured normalization."""
-    index = _require_file(run_dir / "windows.csv", "window stage output")
-    batches = _window_batches(config)
-    if index.read_bytes() != _windows_index(batches):
-        raise AlignmentError(
-            f"features stage: {index} does not match the windows of the current "
-            "inputs; rerun the window stage"
-        )
+def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> None:
+    """Functionals over the windows, plus the configured normalization."""
+    batches = products.pop("batches", None)
+    if batches is None:
+        index = _require_file(run_dir / "windows.csv", "window stage output")
+        batches = _window_batches(config)
+        if index.read_bytes() != _windows_index(batches):
+            raise AlignmentError(
+                f"features stage: {index} does not match the windows of the current "
+                "inputs; rerun the window stage"
+            )
     fset = config.functional_set
     vids = sorted(batches)
 
@@ -728,17 +773,20 @@ def stage_features(config: PipelineConfig, run_dir: Path) -> None:
         write_scaler_csv(run_dir / "scaler.csv", scaler)
     elif config.normalization == "per_video_minmax":
         feats = {vid: per_video_minmax(feats[vid]) for vid in vids}
-    _write_features_csv(run_dir / "features.csv", batches, feats)
+    meta = _features_meta(batches)
+    starts = {vid: batches[vid].starts for vid in vids}
+    _write_features_csv(run_dir / "features.csv", meta, feats, starts)
+    products["features"] = (meta, feats, starts)
 
 
-def stage_train_kelm(config: PipelineConfig, run_dir: Path) -> None:
+def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Select the regularizer on the dev split and train on the rest."""
     if not config.kelm.enabled:
         raise ConfigError("kelm stage is disabled in this config")
-    _, feats, _ = _read_features_csv(
+    _, feats, _ = products.get("features") or _read_features_csv(
         _require_file(run_dir / "features.csv", "features stage output")
     )
-    targets = _read_window_targets(
+    targets = products.pop("targets", None) or _read_window_targets(
         _require_file(run_dir / "window_targets.csv", "window stage output"),
         config.task,
     )
@@ -772,6 +820,7 @@ def stage_train_kelm(config: PipelineConfig, run_dir: Path) -> None:
         x_train, enc, best_c, kernel=config.kernel_spec, weights=weights, task=task
     )
     save_kelm_model(model, run_dir / "kelm_model.txt")
+    products["kelm_model"] = model
     with (run_dir / "selection.csv").open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["c", "dev_score"])
@@ -815,12 +864,12 @@ def _spread_window_scores(
     return out
 
 
-def stage_predict_kelm(config: PipelineConfig, run_dir: Path) -> None:
+def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Score every window and lay the scores onto the working timeline."""
-    model = load_kelm_model(
+    model = products.pop("kelm_model", None) or load_kelm_model(
         _require_file(run_dir / "kelm_model.txt", "train-kelm stage output")
     )
-    meta, feats, starts = _read_features_csv(
+    meta, feats, starts = products.pop("features", None) or _read_features_csv(
         _require_file(run_dir / "features.csv", "features stage output")
     )
     vids = sorted(feats)
@@ -832,23 +881,27 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path) -> None:
         )
         if config.task == "va":
             frame_scores = np.clip(frame_scores, -1.0, 1.0)
-        return FrameTrack(vid, meta["fps"], frame_scores, kind=config.track_kind)
+        # at the working rate, as the fuse stage reads models/kelm.csv
+        return FrameTrack(vid, config.fps_target, frame_scores, kind=config.track_kind)
 
     tracks = _map_ordered(one, vids, config.workers)
     (run_dir / "models").mkdir(exist_ok=True)
     write_track_csv(run_dir / "models" / "kelm.csv", tracks)
+    products["kelm_tracks"] = dict(zip(vids, tracks))
 
 
 def _load_model_tracks(
-    config: PipelineConfig, run_dir: Path
+    config: PipelineConfig, run_dir: Path, products: dict
 ) -> tuple[list[str], list[dict[str, FrameTrack]]]:
     """All fusion inputs: this run's KELM track plus configured bases."""
     names: list[str] = []
     models: list[dict[str, FrameTrack]] = []
     if config.kelm.enabled:
-        path = _require_file(run_dir / "models" / "kelm.csv", "predict-kelm stage output")
         names.append("kelm")
-        models.append(read_track_csv(path, fps=config.fps_target, kind=config.track_kind))
+        models.append(products.pop("kelm_tracks", None) or read_track_csv(
+            _require_file(run_dir / "models" / "kelm.csv", "predict-kelm stage output"),
+            fps=config.fps_target, kind=config.track_kind,
+        ))
     for pred in config.paths.base_predictions:
         path = _require_file(pred, "base predictions file")
         name = path.stem
@@ -859,9 +912,9 @@ def _load_model_tracks(
     return names, models
 
 
-def stage_fuse(config: PipelineConfig, run_dir: Path) -> None:
+def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Combine model score tracks with the configured fusion method."""
-    names, models = _load_model_tracks(config, run_dir)
+    names, models = _load_model_tracks(config, run_dir, products)
     vids = sorted(models[0])
     for name, model in zip(names, models):
         if sorted(model) != vids:
@@ -879,7 +932,7 @@ def stage_fuse(config: PipelineConfig, run_dir: Path) -> None:
 
     if method in ("dwf", "rf"):
         dev_vids = sorted(config.split.dev_videos)
-        truth = _truth_at_working_rate(config)
+        truth = _truth_at_working_rate(config, products)
         missing = [v for v in dev_vids if v not in truth]
         if missing:
             raise AlignmentError(f"fuse stage: no labels for dev video(s) {missing}")
@@ -968,16 +1021,19 @@ def stage_fuse(config: PipelineConfig, run_dir: Path) -> None:
             output_names=[f"c{k}" for k in range(n_outputs)],
         )
     write_track_csv(run_dir / "fused.csv", fused)
+    # every model track is at the working rate and of the task's kind,
+    # so the fused tracks are too, as postprocess reads fused.csv
+    products["fused"] = {track.video_id: track for track in fused}
 
 
-def stage_postprocess(config: PipelineConfig, run_dir: Path) -> None:
+def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Interpolate fused scores to the truth timeline, smooth, and emit labels."""
-    fused = read_track_csv(
+    fused = products.pop("fused", None) or read_track_csv(
         _require_file(run_dir / "fused.csv", "fuse stage output"),
         fps=config.fps_target,
         kind=config.track_kind,
     )
-    truth = _load_truth_tracks(config)
+    truth = _load_truth_tracks(config, products)
     smoothing = SmoothingSpec(window_seconds=config.postprocess.smooth_seconds)
     vids = sorted(fused)
     missing = [v for v in vids if v not in truth]
@@ -996,22 +1052,35 @@ def stage_postprocess(config: PipelineConfig, run_dir: Path) -> None:
             rows = {origin + t: track.values[t] for t in range(track.n_frames)}
         return vid, rows
 
-    results = _map_ordered(one, vids, config.workers)
-    write_label_csv(run_dir / "predictions.csv", dict(results), task=config.task)
+    predictions = dict(_map_ordered(one, vids, config.workers))
+    write_label_csv(run_dir / "predictions.csv", predictions, task=config.task)
+    products["predictions"] = predictions
 
 
-def evaluate_files(pred_csv: str | Path, truth_csv: str | Path, task: str) -> EvalReport:
+def evaluate_files(
+    pred_csv: str | Path,
+    truth_csv: str | Path,
+    task: str,
+    pred: dict[str, dict[int, np.ndarray]] | None = None,
+    truth: dict[str, dict[int, np.ndarray]] | None = None,
+) -> EvalReport:
     """Join predictions with truth on (video_id, frame) and score them.
 
     Rows invalid for the task are dropped on read (so truth frames with
     out-of-range annotations are ignored); the join keeps only keys
     present on both sides and pools all frames before computing the
-    task's metric suite.
+    task's metric suite. `pred` and `truth`, when given, are the rows
+    of those files held in memory and are not read again; invalid
+    prediction rows are dropped from them as the read would drop them.
     """
     if task not in ("expr", "va"):
         raise ConfigError(f"task must be 'expr' or 'va', got {task!r}")
-    pred = _read_labels_checked(_require_file(pred_csv, "predictions file"), task)
-    truth = _read_labels_checked(_require_file(truth_csv, "truth file"), task)
+    if pred is None:
+        pred = _read_labels_checked(_require_file(pred_csv, "predictions file"), task)
+    else:
+        pred = _valid_rows(pred, task)
+    if truth is None:
+        truth = _read_labels_checked(_require_file(truth_csv, "truth file"), task)
     t_rows, p_rows = [], []
     for vid in sorted(set(pred) & set(truth)):
         for frame in sorted(set(pred[vid]) & set(truth[vid])):
@@ -1030,11 +1099,36 @@ def evaluate_files(pred_csv: str | Path, truth_csv: str | Path, task: str) -> Ev
     return va_report(t, p)
 
 
-def stage_evaluate(config: PipelineConfig, run_dir: Path) -> EvalReport:
+def _valid_rows(
+    rows: dict[str, dict[int, np.ndarray]], task: str
+) -> dict[str, dict[int, np.ndarray]]:
+    """The rows read_label_csv keeps of a label file holding `rows`."""
+    out = {}
+    for vid, frames in rows.items():
+        if not frames:
+            continue
+        keep = valid_label_rows(np.array(list(frames.values())), task).tolist()
+        kept = frames if all(keep) else dict(compress(frames.items(), keep))
+        if kept:
+            out[vid] = kept
+    return out
+
+
+def stage_evaluate(config: PipelineConfig, run_dir: Path, products: dict) -> EvalReport:
+    truth = products.pop("truth", None)
+    if truth is not None:
+        # every video's rows became a track, so the tracks hold all of them
+        truth = {
+            vid: dict(zip(range(t.frame_index_origin, t.frame_index_origin + t.n_frames),
+                          t.values))
+            for vid, t in truth.items()
+        }
     report = evaluate_files(
         _require_file(run_dir / "predictions.csv", "postprocess stage output"),
         _require_file(config.paths.labels, "labels file"),
         config.task,
+        pred=products.pop("predictions", None),
+        truth=truth,
     )
     write_report(report, run_dir / "report.txt", run_dir / "report.csv")
     return report
@@ -1104,13 +1198,13 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         ("postprocess", stage_postprocess),
     ]
     timings: dict[str, float] = {}
-    report: EvalReport | None = None
+    products: dict = {}
     for name, fn in stages:
         t0 = time.perf_counter()
-        fn(config, run_dir)
+        fn(config, run_dir, products)
         timings[name] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    report = stage_evaluate(config, run_dir)
+    report = stage_evaluate(config, run_dir, products)
     timings["evaluate"] = time.perf_counter() - t0
     manifest = _build_manifest(config, run_dir)
     (run_dir / "manifest.json").write_text(

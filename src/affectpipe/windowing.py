@@ -325,6 +325,19 @@ def _label_header(task: str) -> list[str]:
     raise ValueError(f"unknown task {task!r}")
 
 
+def valid_label_rows(values: np.ndarray, task: str) -> np.ndarray:
+    """Which rows of an (n, width) label array hold a valid label for the task.
+
+    va: valence and arousal both in [-1, 1], so a non-finite value fails;
+    expr: an integer label in 0..7.
+    """
+    if task == "va":
+        return ((values >= -1.0) & (values <= 1.0)).all(axis=1)
+    label = values[:, 0]
+    in_range = (label >= 0) & (label <= N_EXPR_CLASSES - 1)
+    return in_range & (label == np.floor(label))
+
+
 def read_label_csv(path: str | Path, task: str) -> dict[str, dict[int, np.ndarray]]:
     """Read ground-truth labels keyed by video and frame.
 
@@ -374,12 +387,7 @@ def read_label_csv(path: str | Path, task: str) -> dict[str, dict[int, np.ndarra
                 runs.append((vid, len(frames) - 1))
     values = np.frombuffer(flat, dtype=np.float64).reshape(len(frames), n_fields - 2)
     values.setflags(write=False)
-    if va:
-        valid = ((values >= -1.0) & (values <= 1.0)).all(axis=1)
-    else:
-        label = values[:, 0]
-        in_range = (label >= 0) & (label <= N_EXPR_CLASSES - 1)
-        valid = in_range & (label == np.floor(label))
+    valid = valid_label_rows(values, task)
     keep = valid.tolist()
     out: dict[str, dict[int, np.ndarray]] = {}
     ends = [start for _, start in runs[1:]] + [len(frames)]

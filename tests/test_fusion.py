@@ -244,6 +244,35 @@ class TestDwfSearch:
         ) / 2
         assert score >= solo_good  # selector for the good model is in the pool
 
+    @pytest.mark.parametrize("alpha", [1.0, 1e-3])  # 1e-3 draws zero columns
+    def test_one_model_pool_scores_every_matrix_like_the_selector(self, alpha):
+        rng = np.random.default_rng(37)
+        preds = _random_scores(rng, 1, 40, 4)
+        truth = rng.integers(0, 4, size=40)
+        pool = sample_pool(1, 4, pool_size=200, alpha=alpha, seed=38)
+        matrix, score, table = dwf_search(pool, preds, truth, "macro_f1")
+        solo = metrics.classification_report(
+            truth, preds[0].argmax(axis=1), n_classes=4
+        ).macro_f1
+        assert matrix is pool.matrices[0] and score == solo
+        np.testing.assert_array_equal(table, np.full(len(pool), solo))
+
+    def test_one_model_weights_off_one_are_each_scored(self):
+        rng = np.random.default_rng(39)
+        truth = np.clip(rng.normal(scale=0.4, size=(50, 2)), -1, 1)
+        pred = np.clip(truth + rng.normal(scale=0.2, size=(50, 2)), -1, 1)
+        w = 1.0 - 1e-9
+        pool = FusionPool(
+            matrices=(FusionMatrix(np.ones((1, 2))), FusionMatrix(np.array([[w, 1.0]]))),
+            alpha=1.0, seed=0, includes_selectors=True,
+        )
+        _, _, table = dwf_search(pool, [pred], truth, "mean_ccc")
+        scaled = (
+            metrics.ccc(truth[:, 0], w * pred[:, 0]).ccc
+            + metrics.ccc(truth[:, 1], pred[:, 1]).ccc
+        ) / 2
+        assert table[1] == scaled != table[0]
+
     def test_truth_length_mismatch_rejected(self):
         pool = sample_pool(1, 2, pool_size=1, seed=0)
         with pytest.raises(AlignmentError):

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from affectpipe import fusion, pipeline
 from affectpipe.cli import main
 from affectpipe.errors import (
     AffectPipeError,
@@ -41,6 +44,7 @@ from affectpipe.timeline import (
 )
 from affectpipe.windowing import (
     VadMask,
+    read_label_csv,
     read_vad_csv,
     slice_windows,
     voiced_segments,
@@ -85,6 +89,59 @@ def _write_config(tmp_path, name="cfg.yaml", **overrides):
 def _synth_from(config):
     paths = config.paths
     synth_generate(config.synth, paths.embeddings, paths.labels, paths.vad)
+
+
+def _base_paths(tmp_path, n):
+    return [str(tmp_path / "data" / f"base_{m}.csv") for m in range(n)]
+
+
+def _write_base_predictions(config, seed=0):
+    """Random score tracks over the synthetic videos at the working rate."""
+    rng = np.random.default_rng(seed)
+    spec = config.synth
+    vids = [f"v{i:03d}" for i in range(spec.n_videos)]
+    width = 8 if config.task == "expr" else 2
+    for path in config.paths.base_predictions:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        write_track_csv(path, [
+            FrameTrack(vid, config.fps_target,
+                       np.clip(rng.normal(scale=0.5, size=(spec.frames_per_video, width)),
+                               -1, 1),
+                       kind=config.track_kind)
+            for vid in vids
+        ])
+
+
+def _rename_videos(config, names):
+    """Rewrite the synthetic inputs with the videos renamed by `names`."""
+    paths = config.paths
+    tracks = read_track_csv(paths.embeddings, fps=config.fps_target)
+    write_track_csv(paths.embeddings, [replace(t, video_id=names.get(vid, vid))
+                                       for vid, t in tracks.items()])
+    labels = read_label_csv(paths.labels, config.task)
+    write_label_csv(paths.labels, {names.get(vid, vid): rows
+                                   for vid, rows in labels.items()}, task=config.task)
+    write_vad_csv(paths.vad, [VadMask(names.get(vid, vid), mask.voiced)
+                              for vid, mask in read_vad_csv(paths.vad).items()])
+
+
+def _file_digests(run_dir):
+    return {str(p.relative_to(run_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+def _dwf_search_loop(pool, dev_preds, dev_truth, metric):
+    """dwf_search as a plain loop that scores every pool matrix."""
+    stacked = np.stack(dev_preds)
+    scores = np.array([
+        fusion._dev_score(np.einsum("mqk,mk->qk", stacked, m.weights), dev_truth, metric)
+        for m in pool.matrices
+    ])
+    best = 0
+    for i, score in enumerate(scores):
+        if score > scores[best]:
+            best = i
+    return pool.matrices[best], float(scores[best]), scores
 
 
 class TestSyntheticData:
@@ -398,6 +455,20 @@ class TestEvaluateFiles:
         with pytest.raises(AlignmentError, match="share no"):
             evaluate_files(pred, truth, "expr")
 
+    def test_rows_in_memory_drop_what_the_read_drops(self, tmp_path):
+        rng = np.random.default_rng(4)
+        truth = {"a": {t: np.clip(rng.normal(size=2), -1, 1) for t in range(20)}}
+        pred = {"a": {t: np.clip(rng.normal(size=2), -1, 1) for t in range(20)}}
+        pred["a"][5] = np.array([1.0000000000000002, 0.5])
+        truth_file = self._labels(tmp_path, "truth.csv", truth, task="va")
+        pred_file = self._labels(tmp_path, "pred.csv", pred, task="va")
+        from_files = evaluate_files(pred_file, truth_file, "va")
+        in_memory = evaluate_files(pred_file, truth_file, "va", pred=pred,
+                                   truth=read_label_csv(truth_file, "va"))
+        without_row = {"a": {t: v for t, v in pred["a"].items() if t != 5}}
+        assert in_memory == from_files
+        assert from_files == evaluate_files(pred_file, truth_file, "va", pred=without_row)
+
     def test_wrong_task_file_is_a_task_mismatch(self, tmp_path):
         rows = {"a": {0: np.array([0.1, 0.2]), 1: np.array([0.0, 0.0])}}
         va_file = self._labels(tmp_path, "va.csv", rows, task="va")
@@ -420,7 +491,7 @@ class TestRunPipeline:
         _synth_from(config)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        stage_window(config, run_dir)
+        stage_window(config, run_dir, {})
         tracks = read_track_csv(config.paths.embeddings, fps=config.fps_target,
                                 kind="embedding")
         vad = read_vad_csv(config.paths.vad)
@@ -434,6 +505,43 @@ class TestRunPipeline:
             padded += int((~batch.pad_mask).any(axis=1).sum())
         assert padded > 0
         assert (run_dir / "windows.csv").read_text().splitlines() == expected
+
+    def test_run_parses_each_input_file_once(self, tmp_path, monkeypatch):
+        bases = _base_paths(tmp_path, 2)
+        config = load_config(_write_config(
+            tmp_path, fusion={"method": "dwf", "pool_size": 200},
+            paths={"base_predictions": bases}))
+        _synth_from(config)
+        _write_base_predictions(config)
+        calls = {}
+        for name in ("read_label_csv", "read_track_csv", "read_vad_csv",
+                     "_read_features_csv", "_read_window_targets", "load_kelm_model"):
+            def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        run_pipeline(config)
+        assert calls == {"read_label_csv": 1, "read_track_csv": 1 + len(bases),
+                         "read_vad_csv": 1}
+
+    @pytest.mark.parametrize("task", ["expr", "va"])
+    def test_one_model_dwf_writes_what_the_full_search_writes(
+        self, tmp_path, monkeypatch, task
+    ):
+        overrides = {"task": task, "fusion": {"method": "dwf", "pool_size": 300}}
+        if task == "va":
+            overrides.update(synth={"n_videos": 3, "frames_per_video": 200,
+                                    "noise": 0.05},
+                             split={"dev_videos": ["v002"]})
+        path = _write_config(tmp_path, **overrides)
+        config = load_config(path)
+        _synth_from(config)
+        shortcut = run_pipeline(config).run_dir
+        monkeypatch.setattr(pipeline, "dwf_search", _dwf_search_loop)
+        loop = run_pipeline(load_config(path, out_dir=str(tmp_path / "loop"))).run_dir
+        for rel in ("pool_scores.csv", "fusion_matrix.csv", "fused.csv"):
+            assert (shortcut / rel).read_bytes() == (loop / rel).read_bytes()
 
     def test_separable_run_is_perfect_on_held_out_video(self, tmp_path):
         # 640 frames at 5 fps with 16 s blocks = 8 blocks; every class shows
@@ -543,34 +651,74 @@ class TestCli:
         assert main(["synth", "--config", str(path)]) == 0
         return path
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {
-                "task": "va",
-                "window": {"window_seconds": 4.0, "hop_seconds": 2.0},
-                "synth": {"n_videos": 3, "frames_per_video": 200, "noise": 0.05},
-                "split": {"dev_videos": ["v002"]},
-            },
-        ],
-        ids=["expr", "va"],
-    )
-    def test_staged_commands_reproduce_the_single_shot_run(self, tmp_path, overrides):
-        path = self._prepare(tmp_path, **overrides)
+    _VA = {
+        "task": "va",
+        "window": {"window_seconds": 4.0, "hop_seconds": 2.0},
+        "synth": {"n_videos": 3, "frames_per_video": 200, "noise": 0.05},
+        "split": {"dev_videos": ["v002"]},
+    }
+
+    def _staged_equals_single_shot(self, tmp_path, path):
+        """Run `path` in one shot and stage by stage; compare every output."""
+        method = load_config(path).fusion.method
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         stage_cmds = ["window", "features", "train-kelm", "predict-kelm",
-                      "fuse-mean", "postprocess", "evaluate"]
+                      f"fuse-{method}", "postprocess", "evaluate"]
         for cmd in stage_cmds:
             assert main([cmd, "--config", str(path),
                          "--out-dir", str(tmp_path / "staged")]) == 0
         run_a = next((tmp_path / "single").iterdir())
         run_b = next((tmp_path / "staged").iterdir())
         assert run_a.name == run_b.name
-        for rel in ("windows.csv", "features.csv", "kelm_model.txt",
-                    "models/kelm.csv", "fused.csv", "predictions.csv", "report.csv"):
-            assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes()
+        outputs = json.loads((run_a / "manifest.json").read_text())["outputs"]
+        del outputs["config.json"]  # written by `run` alone
+        assert outputs == _file_digests(run_b)
+        return outputs
+
+    @pytest.mark.parametrize(
+        "overrides, n_bases",
+        [
+            ({}, 0),
+            (_VA, 0),
+            ({"fusion": {"method": "dwf", "pool_size": 200}}, 1),
+            ({**_VA, "fusion": {"method": "rf", "tree_grid": [3, 5]}}, 1),
+        ],
+        ids=["expr", "va", "expr-dwf", "va-rf"],
+    )
+    def test_staged_commands_reproduce_the_single_shot_run(
+        self, tmp_path, overrides, n_bases
+    ):
+        path = _write_config(
+            tmp_path, paths={"base_predictions": _base_paths(tmp_path, n_bases)}, **overrides
+        )
+        assert main(["synth", "--config", str(path)]) == 0
+        _write_base_predictions(load_config(path))
+        outputs = self._staged_equals_single_shot(tmp_path, path)
+        assert {"windows.csv", "window_targets.csv", "features.csv", "selection.csv",
+                "kelm_model.txt", "models/kelm.csv", "fused.csv", "predictions.csv",
+                "report.csv"} <= set(outputs)
+
+    def test_any_video_id_survives_the_staged_run(self, tmp_path):
+        path = self._prepare(tmp_path)
+        # v003 stays: it is the dev video the config names
+        _rename_videos(load_config(path), {"v000": "a b", "v001": 'q"u,o', "v002": "l\nf"})
+        outputs = self._staged_equals_single_shot(tmp_path, path)
+        assert "features.csv" in outputs
+
+    @pytest.mark.parametrize("line", ["# frames v000", '# frames "v000 320',
+                                      "# frames v000 many", "# window=40 hop=x"])
+    def test_malformed_features_header_exits_6(self, tmp_path, capsys, line):
+        path = self._prepare(tmp_path)
+        assert main(["window", "--config", str(path)]) == 0
+        assert main(["features", "--config", str(path)]) == 0
+        features = load_config(path).run_dir() / "features.csv"
+        lines = features.read_text().split("\n")
+        i = next(i for i, text in enumerate(lines) if text.startswith(line[:8]))
+        lines[i] = line
+        features.write_text("\n".join(lines))
+        assert main(["train-kelm", "--config", str(path)]) == 6
+        assert f"{features}:" in capsys.readouterr().err
 
     def test_features_exits_4_when_the_vad_changed_since_the_window_stage(self, tmp_path):
         path = self._prepare(tmp_path)
