@@ -10,11 +10,10 @@ factorization, never an explicit inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, SolverError
+from .errors import SolverError
 from . import metrics
 
 DEFAULT_C_GRID = tuple(10.0**k for k in range(-3, 4))
@@ -239,64 +238,3 @@ def score_predictions(
     ]
     return float(np.mean(per_dim))
 
-
-# ---------------------------------------------------------------------------
-# Model persistence: text header plus CSV blocks for D and beta. Floats are
-# written with 17 significant digits, so a round trip reproduces predictions
-# bit for bit.
-# ---------------------------------------------------------------------------
-
-_MAGIC = "kelm-model v1"
-
-
-def save_kelm_model(model: KelmModel, path: str | Path) -> None:
-    path = Path(path)
-    lines = [
-        _MAGIC,
-        f"task={model.task}",
-        f"kernel={model.kernel.kind}",
-        "gamma=%s" % ("" if model.kernel.gamma is None else "%.17g" % model.kernel.gamma),
-        "C=%.17g" % model.C,
-        f"n={model.D.shape[0]}",
-        f"d={model.D.shape[1]}",
-        f"m={model.beta.shape[1]}",
-        "[D]",
-    ]
-    lines += [",".join("%.17g" % v for v in row) for row in model.D]
-    lines.append("[beta]")
-    lines += [",".join("%.17g" % v for v in row) for row in model.beta]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_kelm_model(path: str | Path) -> KelmModel:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise DataFormatError(f"{path}: not a {_MAGIC} file")
-    header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i] != "[D]":
-        key, _, value = lines[i].partition("=")
-        header[key] = value
-        i += 1
-    try:
-        n, d, m = int(header["n"]), int(header["d"]), int(header["m"])
-        c = float(header["C"])
-        task = header["task"]
-        spec = KernelSpec(
-            kind=header["kernel"],
-            gamma=float(header["gamma"]) if header["gamma"] else None,
-        )
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed header") from exc
-    if i >= len(lines) or lines[i] != "[D]" or len(lines) < i + 1 + n + 1 + n:
-        raise DataFormatError(f"{path}: truncated model file")
-    d_rows = lines[i + 1 : i + 1 + n]
-    if lines[i + 1 + n] != "[beta]":
-        raise DataFormatError(f"{path}: missing [beta] block")
-    b_rows = lines[i + 2 + n : i + 2 + n + n]
-    d_mat = np.array([[float(v) for v in row.split(",")] for row in d_rows])
-    beta = np.array([[float(v) for v in row.split(",")] for row in b_rows])
-    if d_mat.shape != (n, d) or beta.shape != (n, m):
-        raise DataFormatError(f"{path}: block shapes disagree with header")
-    return KelmModel(D=d_mat, beta=beta, C=c, kernel=spec, task=task)

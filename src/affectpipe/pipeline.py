@@ -12,10 +12,11 @@ memory, in one `products` dict: the values a stage would otherwise
 parse from the files, equal to what that parse gives. Both ways write
 bit-identical artifacts.
 
-Determinism contract: all floats are serialized with 17 significant
-digits, per-video work merges in sorted video-id order regardless of
-the worker count, and the manifest's output hash depends only on the
-config, the seed, and the input files.
+Determinism contract: CSV floats are written with 17 significant
+digits and the window-level arrays as .npy, so both read back exactly;
+per-video work merges in sorted video-id order regardless of the worker
+count, and the manifest's output hash depends only on the config, the
+seed, and the input files.
 """
 
 from __future__ import annotations
@@ -64,12 +65,11 @@ from .fusion import (
 )
 from .kelm import (
     DEFAULT_C_GRID,
+    KelmModel,
     KernelSpec,
     class_weights,
     encode_classification_targets,
-    load_kelm_model,
     predict_kelm,
-    save_kelm_model,
     select_c,
     train_kelm,
 )
@@ -105,6 +105,7 @@ log = logging.getLogger("affectpipe")
 
 NORMALIZATIONS = ("none", "global_minmax", "per_video_minmax")
 FUSION_METHODS = ("dwf", "rf", "mean")
+_KELM_TASKS = {"expr": "classification", "va": "regression"}
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +535,15 @@ def _sha256_file(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
+# windows.csv indexes the windows, one row per window, sorted by video.
+# features.npy and window_targets.npy hold one row per windows.csv row;
+# kelm_beta.npy holds one row per window of the training videos.
+_WINDOWS_HEADER = "video_id,window_index,start,n_real"
+
+
 def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
     """The bytes of windows.csv: one (video, index, start, real frames) row per window."""
-    rows = ["video_id,window_index,start,n_real\n"]
+    rows = [_WINDOWS_HEADER + "\n"]
     for vid in sorted(batches):
         batch = batches[vid]
         fmt = csv_row_format(vid, ",%d,%d,%d\n")
@@ -545,137 +552,66 @@ def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
     return "".join(rows).encode("utf-8")
 
 
-def _features_meta(batches: dict[str, WindowBatch]) -> dict:
-    """The features.csv header fields, as _read_features_meta returns them."""
-    vids = sorted(batches)
-    first = batches[vids[0]]
-    return {
-        "fps": first.fps,
-        "window": first.window_frames,
-        "hop": first.hop_frames,
-        "frames": {vid: batches[vid].n_source_frames for vid in vids},
-    }
-
-
-def _header_id(video_id: str) -> str:
-    """A video id as one token of a features.csv header line.
-
-    An id that is not a single whitespace-free token, or that starts
-    with a quote, goes out as a JSON string, which fits on one line.
-    """
-    plain = video_id.split() == [video_id] and not video_id.startswith('"')
-    return video_id if plain else json.dumps(video_id)
-
-
-def _read_features_meta(fh, path: Path) -> dict:
-    meta = {"frames": {}}
-    while True:
-        pos = fh.tell()
-        line = fh.readline()
-        if not line or not line.startswith("#"):
-            fh.seek(pos)
-            break
-        body = line[1:].strip()
-        try:
-            if body.startswith("fps="):
-                meta["fps"] = float(body[4:])
-            elif body.startswith("window="):
-                win, hop = body.split()
-                meta["window"] = int(win.partition("=")[2])
-                meta["hop"] = int(hop.partition("=")[2])
-            elif body.startswith("frames "):
-                vid, n = body[len("frames "):].rsplit(" ", 1)
-                meta["frames"][json.loads(vid) if vid.startswith('"') else vid] = int(n)
-        except ValueError:
-            raise DataFormatError(f"{path}: malformed header line {body!r}") from None
-    if "fps" not in meta or "window" not in meta:
-        raise DataFormatError(f"{path}: features file is missing its # fps/# window header")
-    return meta
-
-
-def _write_window_targets(path: Path, targets: dict[str, np.ndarray], task: str) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if task == "expr":
-            writer.writerow(["video_id", "window_index", "label"])
-            for vid in sorted(targets):
-                for i, label in enumerate(targets[vid]):
-                    writer.writerow([vid, i, int(label)])
-        else:
-            writer.writerow(["video_id", "window_index", "valence", "arousal"])
-            for vid in sorted(targets):
-                for i, row in enumerate(targets[vid]):
-                    writer.writerow([vid, i, FLOAT_FMT % row[0], FLOAT_FMT % row[1]])
-
-
-def _read_window_targets(path: Path, task: str) -> dict[str, np.ndarray]:
-    expected = (
-        ["video_id", "window_index", "label"]
-        if task == "expr"
-        else ["video_id", "window_index", "valence", "arousal"]
-    )
+def _read_windows_csv(run_dir: Path) -> dict[str, list[int]]:
+    """Each video's window starts, in the order of the windows.csv rows."""
+    path = _require_file(run_dir / "windows.csv", "window stage output")
+    index: dict[str, list[int]] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise DataFormatError(f"{path}: expected header {','.join(expected)}")
-        rows: dict[str, list] = {}
+        if next(reader, None) != _WINDOWS_HEADER.split(","):
+            raise DataFormatError(f"{path}: expected header {_WINDOWS_HEADER}")
         for row in reader:
-            if not row:
-                continue
-            values = [float(v) for v in row[2:]]
-            rows.setdefault(row[0], []).append((int(row[1]), values))
-    out = {}
-    for vid, pairs in rows.items():
-        pairs.sort()
-        values = np.array([v for _, v in pairs])
-        out[vid] = (
-            values[:, 0].astype(np.int64) if task == "expr" else values
-        )
-    return out
-
-
-def _write_features_csv(
-    path: Path, meta: dict, feats: dict[str, np.ndarray], starts: dict[str, list[int]]
-) -> None:
-    vids = sorted(feats)
-    p = feats[vids[0]].shape[1]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fps={FLOAT_FMT % meta['fps']}\n")
-        fh.write(f"# window={meta['window']} hop={meta['hop']}\n")
-        for vid, n_frames in meta["frames"].items():
-            fh.write(f"# frames {_header_id(vid)} {n_frames}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["video_id", "window_index", "start"] + [f"f{j}" for j in range(p)]
-        )
-        for vid in vids:
-            for i, row in enumerate(feats[vid]):
-                writer.writerow(
-                    [vid, i, starts[vid][i]] + [FLOAT_FMT % v for v in row]
+            try:
+                vid, *ints = row
+                i, start, _ = map(int, ints)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+            starts = index.setdefault(vid, [])
+            if i != len(starts):
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: window_index {i} of {vid!r} out of sequence"
                 )
+            starts.append(start)
+    if not index:
+        raise DataFormatError(f"{path}: no windows")
+    return index
 
 
-def _read_features_csv(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, list[int]]]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        meta = _read_features_meta(fh, path)
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:3] != ["video_id", "window_index", "start"]:
-            raise DataFormatError(f"{path}: unexpected features header")
-        rows: dict[str, list] = {}
-        for row in reader:
-            if not row:
-                continue
-            rows.setdefault(row[0], []).append(
-                (int(row[1]), int(row[2]), [float(v) for v in row[3:]])
-            )
-    feats, starts = {}, {}
-    for vid, entries in rows.items():
-        entries.sort()
-        feats[vid] = np.array([values for _, _, values in entries])
-        starts[vid] = [start for _, start, _ in entries]
-    return meta, feats, starts
+def _load_rows(path: Path, stage: str, dtype, shape: tuple) -> np.ndarray:
+    """A window-level .npy array of `dtype` and `shape`; None is any width."""
+    path = _require_file(path, f"{stage} stage output")
+    try:
+        array = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataFormatError(f"{path}: not a loadable .npy array: {exc}") from None
+    if array.dtype != dtype or array.ndim != len(shape) or any(
+        want not in (None, got) for got, want in zip(array.shape[1:], shape[1:])
+    ):
+        raise DataFormatError(
+            f"{path}: expected {np.dtype(dtype)} of shape {shape}, "
+            f"got {array.dtype} of shape {array.shape}"
+        )
+    if len(array) != shape[0]:
+        raise AlignmentError(
+            f"{path} has {len(array)} rows, expected {shape[0]}; rerun the {stage} stage"
+        )
+    return array
+
+
+def _windows_and_features(run_dir: Path, take: Callable) -> tuple[dict, np.ndarray]:
+    """The window index and features; `take` is products.get, or pop for the last user."""
+    index = take("windows", None) or _read_windows_csv(run_dir)
+    feats = take("features", None)
+    if feats is None:
+        n = sum(map(len, index.values()))
+        feats = _load_rows(run_dir / "features.npy", "features", np.float64, (n, None))
+    return index, feats
+
+
+def _dev_rows(config: PipelineConfig, index: dict[str, list[int]]) -> np.ndarray:
+    """Which rows of a window-level array belong to a dev video."""
+    dev = set(_dev_split(config, list(index))[1])
+    return np.repeat([vid in dev for vid in index], [len(s) for s in index.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +671,13 @@ def stage_window(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     if missing:
         raise AlignmentError(f"window stage: no labels for video(s) {missing}")
     reduce = window_labels if config.task == "expr" else window_va_means
-    targets = dict(zip(vids, _map_ordered(lambda vid: reduce(truth[vid], batches[vid]),
-                                          vids, config.workers)))
+    targets = np.concatenate(_map_ordered(lambda vid: reduce(truth[vid], batches[vid]),
+                                          vids, config.workers))
     (run_dir / "windows.csv").write_bytes(_windows_index(batches))
-    _write_window_targets(run_dir / "window_targets.csv", targets, config.task)
-    log.info("window stage: %d windows over %d videos",
-             sum(b.n_windows for b in batches.values()), len(vids))
+    np.save(run_dir / "window_targets.npy", targets)
+    log.info("window stage: %d windows over %d videos", len(targets), len(vids))
     products["batches"] = batches
+    products["windows"] = {vid: batches[vid].starts for vid in vids}
     products["targets"] = targets
 
 
@@ -773,39 +709,34 @@ def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> Non
         write_scaler_csv(run_dir / "scaler.csv", scaler)
     elif config.normalization == "per_video_minmax":
         feats = {vid: per_video_minmax(feats[vid]) for vid in vids}
-    meta = _features_meta(batches)
-    starts = {vid: batches[vid].starts for vid in vids}
-    _write_features_csv(run_dir / "features.csv", meta, feats, starts)
-    products["features"] = (meta, feats, starts)
+    features = np.concatenate([feats[vid] for vid in vids])
+    np.save(run_dir / "features.npy", features)
+    products["features"] = features
 
 
 def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Select the regularizer on the dev split and train on the rest."""
     if not config.kelm.enabled:
         raise ConfigError("kelm stage is disabled in this config")
-    _, feats, _ = products.get("features") or _read_features_csv(
-        _require_file(run_dir / "features.csv", "features stage output")
-    )
-    targets = products.pop("targets", None) or _read_window_targets(
-        _require_file(run_dir / "window_targets.csv", "window stage output"),
-        config.task,
-    )
-    train_vids, dev_vids = _dev_split(config, sorted(feats))
-    if not train_vids:
+    index, feats = _windows_and_features(run_dir, products.get)
+    targets = products.pop("targets", None)
+    if targets is None:
+        targets = _load_rows(
+            run_dir / "window_targets.npy", "window",
+            *((np.int64, (len(feats),)) if config.task == "expr"
+              else (np.float64, (len(feats), 2))),
+        )
+    dev = _dev_rows(config, index)
+    if dev.all():
         raise ConfigError("kelm training needs at least one non-dev video")
-    x_train = np.vstack([feats[v] for v in train_vids])
-    x_dev = np.vstack([feats[v] for v in dev_vids])
+    x_train, x_dev = feats[~dev], feats[dev]
+    y_train, y_dev = targets[~dev], targets[dev]
     if config.task == "expr":
-        y_train = np.concatenate([targets[v] for v in train_vids])
-        y_dev = np.concatenate([targets[v] for v in dev_vids])
         enc = encode_classification_targets(y_train, N_EXPR_CLASSES)
         weights = class_weights(y_train) if config.kelm.weighted else None
-        task = "classification"
     else:
-        enc = np.vstack([targets[v] for v in train_vids])
-        y_dev = np.vstack([targets[v] for v in dev_vids])
+        enc = y_train
         weights = None
-        task = "regression"
     best_c, dev_score = select_c(
         x_train,
         enc,
@@ -817,9 +748,10 @@ def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> N
         weights=weights,
     )
     model = train_kelm(
-        x_train, enc, best_c, kernel=config.kernel_spec, weights=weights, task=task
+        x_train, enc, best_c, kernel=config.kernel_spec, weights=weights,
+        task=_KELM_TASKS[config.task],
     )
-    save_kelm_model(model, run_dir / "kelm_model.txt")
+    np.save(run_dir / "kelm_beta.npy", model.beta)
     products["kelm_model"] = model
     with (run_dir / "selection.csv").open("w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -864,20 +796,52 @@ def _spread_window_scores(
     return out
 
 
+def _rebuild_kelm(
+    config: PipelineConfig, run_dir: Path, index: dict[str, list[int]], feats: np.ndarray
+) -> KelmModel:
+    """The model train-kelm solved, from the features it trained on and its beta."""
+    d_mat = feats[~_dev_rows(config, index)]
+    beta = _load_rows(
+        run_dir / "kelm_beta.npy", "train-kelm", np.float64, (len(d_mat), config.n_outputs)
+    )
+    kernel = config.kernel_spec.resolve(d_mat.shape[1])
+    return KelmModel(D=d_mat, beta=beta, C=_selected_c(run_dir), kernel=kernel,
+                     task=_KELM_TASKS[config.task])
+
+
+def _selected_c(run_dir: Path) -> float:
+    """The regularizer train-kelm wrote to selection.csv."""
+    path = _require_file(run_dir / "selection.csv", "train-kelm stage output")
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    try:
+        header, (c, _) = rows
+        if header == ["c", "dev_score"]:
+            return float(c)
+    except ValueError:
+        pass
+    raise DataFormatError(f"{path}: expected the header c,dev_score and one row")
+
+
 def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Score every window and lay the scores onto the working timeline."""
-    model = products.pop("kelm_model", None) or load_kelm_model(
-        _require_file(run_dir / "kelm_model.txt", "train-kelm stage output")
-    )
-    meta, feats, starts = products.pop("features", None) or _read_features_csv(
-        _require_file(run_dir / "features.csv", "features stage output")
-    )
-    vids = sorted(feats)
+    index, feats = _windows_and_features(run_dir, products.pop)
+    model = products.pop("kelm_model", None) or _rebuild_kelm(config, run_dir, index, feats)
+    # the window stage checked each video's labels against its windows'
+    # frame count, so the labels give the timeline the windows were cut from
+    truth = _truth_at_working_rate(config, products)
+    vids = list(index)
+    missing = [v for v in vids if v not in truth]
+    if missing:
+        raise AlignmentError(f"predict-kelm stage: no labels for video(s) {missing}")
+    spec = config.window_spec
+    offsets = np.cumsum([len(index[vid]) for vid in vids])
+    rows = dict(zip(vids, np.split(feats, offsets[:-1])))
 
     def one(vid: str) -> FrameTrack:
-        scores = predict_kelm(model, feats[vid])
+        scores = predict_kelm(model, rows[vid])
         frame_scores = _spread_window_scores(
-            starts[vid], scores, meta["frames"][vid], meta["window"], meta["hop"]
+            index[vid], scores, truth[vid].n_frames, spec.window_frames, spec.hop_frames
         )
         if config.task == "va":
             frame_scores = np.clip(frame_scores, -1.0, 1.0)

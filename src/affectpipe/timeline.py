@@ -267,7 +267,8 @@ def read_track_csv(
     """Read the shared track CSV into one FrameTrack per video.
 
     Frames must be strictly increasing and contiguous within each
-    video; the first frame index becomes the track's origin.
+    video; the first frame index becomes the track's origin. Values a
+    FrameTrack of `kind` rejects raise DataFormatError naming the video.
     """
     path = Path(path)
     per_video: dict[str, list[list[float]]] = {}
@@ -294,15 +295,7 @@ def read_track_csv(
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             if vid in last_frame:
-                if frame <= last_frame[vid]:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: frames not strictly increasing for {vid!r}"
-                    )
-                if frame != last_frame[vid] + 1:
-                    raise AlignmentError(
-                        f"{path}:{lineno}: gap in frames for {vid!r} "
-                        f"({last_frame[vid]} -> {frame}); tracks must be contiguous"
-                    )
+                check_next_frame(path, lineno, vid, last_frame[vid], frame)
             else:
                 origins[vid] = frame
                 per_video[vid] = []
@@ -310,13 +303,25 @@ def read_track_csv(
             per_video[vid].append(values)
     if not per_video:
         raise DataFormatError(f"{path}: no data rows")
-    return {
-        vid: FrameTrack(
-            video_id=vid,
-            fps=fps,
-            values=np.array(rows, dtype=np.float64),
-            kind=kind,
-            frame_index_origin=origins[vid],
+    tracks = {}
+    for vid, rows in per_video.items():
+        try:
+            tracks[vid] = FrameTrack(
+                vid, fps, np.array(rows), kind=kind, frame_index_origin=origins[vid]
+            )
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: video {vid!r}: {exc}") from None
+    return tracks
+
+
+def check_next_frame(path: Path, lineno: int, vid: str, last: int, frame: int) -> None:
+    """A video's frames must be strictly increasing and contiguous."""
+    if frame <= last:
+        raise DataFormatError(
+            f"{path}:{lineno}: frames not strictly increasing for {vid!r}"
         )
-        for vid, rows in per_video.items()
-    }
+    if frame != last + 1:
+        raise AlignmentError(
+            f"{path}:{lineno}: gap in frames for {vid!r} "
+            f"({last} -> {frame}); tracks must be contiguous"
+        )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataFormatError
-from .timeline import N_EXPR_CLASSES, FrameTrack, csv_row_format
+from .timeline import N_EXPR_CLASSES, FrameTrack, check_next_frame, csv_row_format
 
 log = logging.getLogger(__name__)
 
@@ -299,8 +299,10 @@ def write_vad_csv(path: str | Path, masks: list[VadMask]) -> None:
 
 
 def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
+    """One mask per video; its frames follow read_track_csv's rule."""
     path = Path(path)
     per_video: dict[str, list[bool]] = {}
+    last_frame: dict[str, int] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -309,9 +311,18 @@ def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
         for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num
             if len(row) != 3 or row[2] not in ("0", "1"):
-                raise DataFormatError(f"{path}:{reader.line_num}: voiced must be 0 or 1")
-            per_video.setdefault(row[0], []).append(row[2] == "1")
+                raise DataFormatError(f"{path}:{lineno}: voiced must be 0 or 1")
+            vid = row[0]
+            try:
+                frame = int(row[1])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if vid in last_frame:
+                check_next_frame(path, lineno, vid, last_frame[vid], frame)
+            last_frame[vid] = frame
+            per_video.setdefault(vid, []).append(row[2] == "1")
     if not per_video:
         raise DataFormatError(f"{path}: no data rows")
     return {vid: VadMask(vid, np.array(v, dtype=bool)) for vid, v in per_video.items()}

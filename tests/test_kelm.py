@@ -1,20 +1,18 @@
-"""Kernel ELM: closed-form solve, weighting, selection, persistence."""
+"""Kernel ELM: closed-form solve, weighting, selection."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from affectpipe.errors import DataFormatError, SolverError
+from affectpipe.errors import SolverError
 from affectpipe.kelm import (
     KernelSpec,
     class_weights,
     encode_classification_targets,
     kernel_matrix,
-    load_kelm_model,
     predict_kelm,
     predict_kelm_labels,
-    save_kelm_model,
     select_c,
     train_kelm,
 )
@@ -214,34 +212,3 @@ class TestSelectC:
         with pytest.raises(ValueError):
             select_c(np.eye(2), np.ones((2, 1)), [1.0], np.eye(2), [0, 1], "auc")
 
-
-class TestPersistence:
-    def test_round_trip_reproduces_predictions_exactly(self, tmp_path):
-        rng = np.random.default_rng(16)
-        x = rng.normal(size=(20, 5))
-        t = rng.normal(size=(20, 2))
-        model = train_kelm(x, t, c=7.0)
-        path = tmp_path / "model.txt"
-        save_kelm_model(model, path)
-        clone = load_kelm_model(path)
-        z = rng.normal(size=(10, 5))
-        np.testing.assert_allclose(
-            predict_kelm(clone, z), predict_kelm(model, z), rtol=0, atol=1e-12
-        )
-        assert clone.kernel == model.kernel
-        assert clone.task == model.task
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a model\n")
-        with pytest.raises(DataFormatError):
-            load_kelm_model(path)
-
-    def test_rejects_truncated_files(self, tmp_path):
-        model = train_kelm(np.eye(3), np.ones((3, 1)), c=1.0)
-        path = tmp_path / "model.txt"
-        save_kelm_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(DataFormatError):
-            load_kelm_model(path)

@@ -130,6 +130,43 @@ def _file_digests(run_dir):
             for p in sorted(run_dir.rglob("*")) if p.is_file()}
 
 
+def _truncate_features(run_dir):
+    path = run_dir / "features.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _float32_features(run_dir):
+    path = run_dir / "features.npy"
+    np.save(path, np.load(path).astype(np.float32))
+
+
+def _object_beta(run_dir):
+    path = run_dir / "kelm_beta.npy"
+    np.save(path, np.load(path).astype(object), allow_pickle=True)
+
+
+def _set_first_row_field(path, j, value):
+    """Replace field j of the first data row of a CSV file."""
+    lines = Path(path).read_text().split("\n")
+    row = lines[1].split(",")
+    row[j] = value
+    lines[1] = ",".join(row)
+    Path(path).write_text("\n".join(lines))
+
+
+def _windows_start_x(run_dir):
+    _set_first_row_field(run_dir / "windows.csv", 2, "x")
+
+
+def _targets_one_row_short(run_dir):
+    path = run_dir / "window_targets.npy"
+    np.save(path, np.load(path)[:-1])
+
+
+def _no_features(run_dir):
+    (run_dir / "features.npy").unlink()
+
+
 def _dwf_search_loop(pool, dev_preds, dev_truth, metric):
     """dwf_search as a plain loop that scores every pool matrix."""
     stacked = np.stack(dev_preds)
@@ -515,7 +552,7 @@ class TestRunPipeline:
         _write_base_predictions(config)
         calls = {}
         for name in ("read_label_csv", "read_track_csv", "read_vad_csv",
-                     "_read_features_csv", "_read_window_targets", "load_kelm_model"):
+                     "_read_windows_csv", "_load_rows", "_selected_c"):
             def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -695,8 +732,8 @@ class TestCli:
         assert main(["synth", "--config", str(path)]) == 0
         _write_base_predictions(load_config(path))
         outputs = self._staged_equals_single_shot(tmp_path, path)
-        assert {"windows.csv", "window_targets.csv", "features.csv", "selection.csv",
-                "kelm_model.txt", "models/kelm.csv", "fused.csv", "predictions.csv",
+        assert {"windows.csv", "window_targets.npy", "features.npy", "selection.csv",
+                "kelm_beta.npy", "models/kelm.csv", "fused.csv", "predictions.csv",
                 "report.csv"} <= set(outputs)
 
     def test_any_video_id_survives_the_staged_run(self, tmp_path):
@@ -704,21 +741,32 @@ class TestCli:
         # v003 stays: it is the dev video the config names
         _rename_videos(load_config(path), {"v000": "a b", "v001": 'q"u,o', "v002": "l\nf"})
         outputs = self._staged_equals_single_shot(tmp_path, path)
-        assert "features.csv" in outputs
+        assert "features.npy" in outputs
 
-    @pytest.mark.parametrize("line", ["# frames v000", '# frames "v000 320',
-                                      "# frames v000 many", "# window=40 hop=x"])
-    def test_malformed_features_header_exits_6(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize(
+        "command, damage, code, message",
+        [
+            ("train-kelm", _truncate_features, 6, "not a loadable .npy array"),
+            ("train-kelm", _float32_features, 6, "expected float64"),
+            ("predict-kelm", _object_beta, 6, "not a loadable .npy array"),
+            ("train-kelm", _windows_start_x, 6, "windows.csv:2: "),
+            ("train-kelm", _targets_one_row_short, 4, "rerun the window stage"),
+            ("train-kelm", _no_features, 3, "features stage output not found"),
+        ],
+        ids=["truncated-features", "float32-features", "object-beta", "windows-start-x",
+             "targets-one-row-short", "no-features"],
+    )
+    def test_damaged_intermediate_exits_with_its_family(
+        self, tmp_path, capsys, command, damage, code, message
+    ):
         path = self._prepare(tmp_path)
-        assert main(["window", "--config", str(path)]) == 0
-        assert main(["features", "--config", str(path)]) == 0
-        features = load_config(path).run_dir() / "features.csv"
-        lines = features.read_text().split("\n")
-        i = next(i for i, text in enumerate(lines) if text.startswith(line[:8]))
-        lines[i] = line
-        features.write_text("\n".join(lines))
-        assert main(["train-kelm", "--config", str(path)]) == 6
-        assert f"{features}:" in capsys.readouterr().err
+        for cmd in ("window", "features", "train-kelm"):
+            assert main([cmd, "--config", str(path)]) == 0
+        run_dir = load_config(path).run_dir()
+        damage(run_dir)
+        assert main([command, "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert str(run_dir) in err and message in err
 
     def test_features_exits_4_when_the_vad_changed_since_the_window_stage(self, tmp_path):
         path = self._prepare(tmp_path)
@@ -774,6 +822,7 @@ class TestCli:
             ("labels", "v000,seven,1"),  # non-integer label frame
             ("embeddings", "v000,1.5" + ",0.0" * 6),  # non-integer track frame
             ("embeddings", "v000,320" + ",abc" * 6),  # non-numeric track value
+            ("embeddings", "v000,320" + ",nan" * 6),  # a value FrameTrack rejects
         ],
     )
     def test_malformed_rows_exit_6(self, tmp_path, capsys, which, row):
@@ -782,6 +831,14 @@ class TestCli:
         data.write_text(data.read_text() + row + "\n")
         assert main(["run", "--config", str(path)]) == 6
         assert f"{data}:" in capsys.readouterr().err
+
+    def test_va_base_prediction_outside_the_range_exits_6(self, tmp_path, capsys):
+        bases = _base_paths(tmp_path, 1)
+        path = self._prepare(tmp_path, paths={"base_predictions": bases}, **self._VA)
+        _write_base_predictions(load_config(path))
+        _set_first_row_field(bases[0], 2, "1.5")
+        assert main(["run", "--config", str(path)]) == 6
+        assert f"{bases[0]}: video 'v000'" in capsys.readouterr().err
 
     def test_fuse_with_another_method_leaves_the_config_run_alone(self, tmp_path):
         path = self._prepare(tmp_path)

@@ -268,6 +268,29 @@ class TestVadCsv:
         with pytest.raises(DataFormatError, match=r"vad\.csv:4: "):
             read_vad_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, error, line",
+        [
+            ("v0,1,0\nv0,0,1\n", DataFormatError, 3),  # frame goes back
+            ("v0,0,0\nv0,0,1\n", DataFormatError, 3),  # frame repeats
+            ("v0,0,0\nv0,1,1\nv0,7,1\n", AlignmentError, 4),  # gap
+            ("v0,0,0\nv0,banana,0\n", DataFormatError, 3),  # not an integer
+        ],
+        ids=["decreasing", "repeated", "gap", "non-integer"],
+    )
+    def test_frames_must_be_contiguous_and_increasing(self, tmp_path, rows, error, line):
+        path = tmp_path / "vad.csv"
+        path.write_text("video_id,frame,voiced\n" + rows)
+        with pytest.raises(error, match=rf"vad\.csv:{line}: "):
+            read_vad_csv(path)
+
+    def test_each_video_numbers_its_own_frames(self, tmp_path):
+        path = tmp_path / "vad.csv"
+        path.write_text("video_id,frame,voiced\na,0,1\nb,0,0\na,1,0\nb,1,1\n")
+        loaded = read_vad_csv(path)
+        assert loaded["a"].voiced.tolist() == [True, False]
+        assert loaded["b"].voiced.tolist() == [False, True]
+
 
 class TestLabelCsv:
     def test_expr_round_trip(self, tmp_path):
