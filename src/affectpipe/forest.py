@@ -14,8 +14,9 @@ reads every grid score off that curve and returns the chosen prefix as
 the trained model.
 
 A tree is five preorder node arrays (feature, threshold, left, right,
-value), as in scikit-learn's `Tree`; prediction descends all rows one
-level at a time.
+value), as in scikit-learn's `Tree`. Growth keeps the nodes in Python
+lists and each leaf's rows, and fills the leaf values once the tree is
+grown; prediction descends all rows one level at a time.
 """
 
 from __future__ import annotations
@@ -111,27 +112,26 @@ class ForestModel:
         return (~self.in_bag).mean(axis=1)
 
 
-def _best_for_feature(col, onehot_src, y_float, min_leaf, task):
+def _best_for_feature(col, src, min_leaf, task):
     """Best (score, threshold) for one feature, or None if unsplittable.
 
-    Scores are comparable across features of the same node: larger is
-    better, and the first position of the maximum (ascending threshold
-    order) wins within the feature.
+    src is the node's one-hot classes or targets. Scores are comparable
+    across features of the same node: larger is better, and the first
+    position of the maximum (ascending threshold order) wins within the
+    feature.
     """
-    order = np.argsort(col, kind="stable")
+    order = col.argsort(kind="stable")
     xs = col[order]
-    boundary = np.nonzero(xs[1:] != xs[:-1])[0]
+    n, m = xs.shape[0], min_leaf
+    # boundary b splits after sorted row b; both sides keep min_leaf rows
+    boundary = (xs[m : n - m + 1] != xs[m - 1 : n - m]).nonzero()[0]
     if boundary.size == 0:
         return None
-    n = xs.shape[0]
-    keep = (boundary + 1 >= min_leaf) & (n - boundary - 1 >= min_leaf)
-    boundary = boundary[keep]
-    if boundary.size == 0:
-        return None
+    boundary += m - 1
     n_left = boundary + 1.0
     n_right = n - n_left
     if task == "classification":
-        cum = np.cumsum(onehot_src[order], axis=0)
+        cum = src[order].cumsum(axis=0)
         left = cum[boundary]
         right = cum[-1] - left
         # maximizing sum(counts^2)/size over both children is equivalent
@@ -140,29 +140,27 @@ def _best_for_feature(col, onehot_src, y_float, min_leaf, task):
             axis=1
         ) / n_right
     else:
-        ys = y_float[order]
-        cy = np.cumsum(ys)
-        cy2 = np.cumsum(ys * ys)
+        ys = src[order]
+        cy = ys.cumsum()
+        cy2 = (ys * ys).cumsum()
         sum_l, sq_l = cy[boundary], cy2[boundary]
         sum_r, sq_r = cy[-1] - sum_l, cy2[-1] - sq_l
         sse = (sq_l - sum_l * sum_l / n_left) + (sq_r - sum_r * sum_r / n_right)
         score = -sse  # minimizing child SSE maximizes variance reduction
-    j = int(np.argmax(score))
+    j = score.argmax()
     b = boundary[j]
-    return float(score[j]), float(0.5 * (xs[b] + xs[b + 1]))
-
-
-def _leaf_value(y_int, y_float, idx, task, n_outputs) -> np.ndarray:
-    if task == "classification":
-        return np.bincount(y_int[idx], minlength=n_outputs) / idx.size
-    return np.array([float(y_float[idx].mean())])
+    return float(score[j]), 0.5 * (float(xs[b]) + float(xs[b + 1]))
 
 
 def _grow_tree(x, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outputs) -> Tree:
     """Grow one tree iteratively in preorder (stack-based, no recursion)."""
     d = x.shape[1]
     mtry = spec.resolve_mtry(d, task)
-    nodes = []  # [feature, threshold, left, right, value] in preorder
+    max_depth = np.inf if spec.max_depth is None else spec.max_depth
+    y = y_float if onehot is None else y_int
+    cols = list(x.T.copy())  # one contiguous array per feature
+    nodes = []  # [feature, threshold, left, right] in preorder
+    leaves = {}  # leaf node -> its rows
     # (rows, depth, node whose right child this is, or -1)
     stack = [(boot_idx, 0, -1)]
     while stack:
@@ -170,51 +168,49 @@ def _grow_tree(x, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outputs) 
         node = len(nodes)
         if parent >= 0:
             nodes[parent][3] = node
-        pure = (
-            np.all(y_int[idx] == y_int[idx[0]])
-            if task == "classification"
-            else np.all(y_float[idx] == y_float[idx[0]])
-        )
         candidates = []
-        if not (
-            pure
-            or idx.size < 2 * spec.min_leaf
-            or (spec.max_depth is not None and depth >= spec.max_depth)
-        ):
-            # random feature subset: walk a permutation until mtry features
-            # produced a usable boundary (constant features do not count)
-            for f in rng.permutation(d):
-                found = _best_for_feature(
-                    x[idx, f],
-                    None if onehot is None else onehot[idx],
-                    None if y_float is None else y_float[idx],
-                    spec.min_leaf,
-                    task,
-                )
-                if found is None:
-                    continue
-                candidates.append((found[0], int(f), found[1]))
-                if len(candidates) >= mtry:
-                    break
+        if idx.size >= 2 * spec.min_leaf and depth < max_depth:
+            yi = y[idx]
+            if not (yi == yi[0]).all():
+                src = yi if onehot is None else onehot[idx]
+                # random feature subset: walk a permutation until mtry features
+                # produced a usable boundary (constant features do not count)
+                for f in rng.permutation(d).tolist():
+                    col = cols[f][idx]
+                    found = _best_for_feature(col, src, spec.min_leaf, task)
+                    if found is None:
+                        continue
+                    candidates.append((found[0], f, found[1], col))
+                    if len(candidates) >= mtry:
+                        break
         if not candidates:
-            nodes.append([-1, 0.0, -1, -1, _leaf_value(y_int, y_float, idx, task, n_outputs)])
+            leaves[node] = idx
+            nodes.append([-1, 0.0, -1, -1])
             continue
         # zero-gain splits are accepted while the node is impure: a split
         # never increases weighted impurity, and always shrinks both
         # sides, so growth terminates and distinct rows separate fully
-        _, feat, thr = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
+        _, feat, thr, col = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
         # the right child index is filled in when that child is popped
-        nodes.append([feat, thr, node + 1, -1, np.zeros(n_outputs)])
-        mask = x[idx, feat] <= thr
+        nodes.append([feat, thr, node + 1, -1])
+        mask = col <= thr
         stack.append((idx[~mask], depth + 1, node))
         stack.append((idx[mask], depth + 1, -1))
-    feature, threshold, left, right, value = zip(*nodes)
+    value = np.zeros((len(nodes), n_outputs))
+    for node, rows in leaves.items():
+        if onehot is not None:
+            value[node] = np.bincount(y[rows], minlength=n_outputs) / rows.size
+        elif rows.size > 1:
+            value[node, 0] = y[rows].mean()
+        else:  # what mean() gives: its sum starts at 0.0, so -0.0 becomes 0.0
+            value[node, 0] = y[rows[0]] + 0.0
+    feature, threshold, left, right = zip(*nodes)
     return Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.int64),
         right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=np.float64),
+        value=value,
     )
 
 
@@ -276,8 +272,8 @@ def train_forest(
     Retraining with the same spec and data reproduces the model exactly.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("training data must be a 2-d matrix with n >= 2 rows")
+    if x.ndim != 2 or x.shape[0] < 2 or not np.isfinite(x).all():
+        raise ValueError("training data must be a finite 2-d matrix with n >= 2 rows")
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
     if task == "classification":
@@ -329,8 +325,8 @@ def train_forest(
 def predict_forest(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Averaged leaf frequencies (q, n_classes) or mean tree output (q,)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("prediction input must be a 2-d matrix")
+    if x.ndim != 2 or not np.isfinite(x).all():
+        raise ValueError("prediction input must be a finite 2-d matrix")
     total = np.zeros((x.shape[0], model.n_outputs))
     for tree in model.trees:
         total += _tree_apply(tree, x)
@@ -354,8 +350,8 @@ def predict_oob(model: ForestModel, x: np.ndarray) -> np.ndarray:
     if model.in_bag is None:
         raise ValueError("out-of-bag predictions need the bootstrap membership")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != model.in_bag.shape[1]:
-        raise ValueError("x must be the matrix the forest was trained on")
+    if x.ndim != 2 or x.shape[0] != model.in_bag.shape[1] or not np.isfinite(x).all():
+        raise ValueError("x must be the finite matrix the forest was trained on")
     total = np.zeros((x.shape[0], model.n_outputs))
     hits = np.zeros(x.shape[0], dtype=np.int64)
     for tree, bag in zip(model.trees, model.in_bag):

@@ -10,6 +10,9 @@ import pytest
 from affectpipe.forest import (
     ForestModel,
     ForestSpec,
+    Tree,
+    _add_oob,
+    _oob_score,
     _tree_apply,
     predict_forest,
     predict_forest_labels,
@@ -314,6 +317,30 @@ class TestPredictOob:
         assert model.oob_score == (predict_oob(model, x)[seen].argmax(axis=1) == y[seen]).mean()
 
 
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_train_forest_rejects_them(self, bad, task):
+        x, y = _noisy_stack(np.random.default_rng(26), 40)
+        x[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            train_forest(x, y, ForestSpec(n_trees=2, seed=1), task=task)
+
+    def test_predict_forest_rejects_them(self):
+        x, y = _noisy_stack(np.random.default_rng(27), 40)
+        model = train_forest(x, y, ForestSpec(n_trees=2, seed=1))
+        x[3, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            predict_forest(model, x)
+
+    def test_predict_oob_rejects_them(self):
+        x, y = _noisy_stack(np.random.default_rng(28), 40)
+        model = train_forest(x, y, ForestSpec(n_trees=2, seed=1))
+        x[3, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            predict_oob(model, x)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ForestSpec(n_trees=0)
@@ -321,3 +348,181 @@ def test_spec_validation():
         ForestSpec(n_trees=1, min_leaf=0)
     with pytest.raises(ValueError):
         ForestSpec(n_trees=1, features_per_split="half")
+
+
+# Reference grower: a plain per-node version (leaf values computed as
+# each leaf is reached) that _grow_tree must reproduce byte for byte.
+# It is compared in-process rather than against stored hashes, because
+# the numpy build is not pinned.
+
+
+def _ref_best_for_feature(col, onehot_src, y_float, min_leaf, task):
+    """Best (score, threshold) for one feature, or None if unsplittable.
+
+    Scores are comparable across features of the same node: larger is
+    better, and the first position of the maximum (ascending threshold
+    order) wins within the feature.
+    """
+    order = np.argsort(col, kind="stable")
+    xs = col[order]
+    boundary = np.nonzero(xs[1:] != xs[:-1])[0]
+    if boundary.size == 0:
+        return None
+    n = xs.shape[0]
+    keep = (boundary + 1 >= min_leaf) & (n - boundary - 1 >= min_leaf)
+    boundary = boundary[keep]
+    if boundary.size == 0:
+        return None
+    n_left = boundary + 1.0
+    n_right = n - n_left
+    if task == "classification":
+        cum = np.cumsum(onehot_src[order], axis=0)
+        left = cum[boundary]
+        right = cum[-1] - left
+        # maximizing sum(counts^2)/size over both children is equivalent
+        # to maximizing the Gini decrease for a fixed parent
+        score = (left * left).sum(axis=1) / n_left + (right * right).sum(
+            axis=1
+        ) / n_right
+    else:
+        ys = y_float[order]
+        cy = np.cumsum(ys)
+        cy2 = np.cumsum(ys * ys)
+        sum_l, sq_l = cy[boundary], cy2[boundary]
+        sum_r, sq_r = cy[-1] - sum_l, cy2[-1] - sq_l
+        sse = (sq_l - sum_l * sum_l / n_left) + (sq_r - sum_r * sum_r / n_right)
+        score = -sse  # minimizing child SSE maximizes variance reduction
+    j = int(np.argmax(score))
+    b = boundary[j]
+    return float(score[j]), float(0.5 * (xs[b] + xs[b + 1]))
+
+
+def _ref_leaf_value(y_int, y_float, idx, task, n_outputs) -> np.ndarray:
+    if task == "classification":
+        return np.bincount(y_int[idx], minlength=n_outputs) / idx.size
+    return np.array([float(y_float[idx].mean())])
+
+
+def _ref_grow_tree(x, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outputs) -> Tree:
+    """Grow one tree iteratively in preorder (stack-based, no recursion)."""
+    d = x.shape[1]
+    mtry = spec.resolve_mtry(d, task)
+    nodes = []  # [feature, threshold, left, right, value] in preorder
+    # (rows, depth, node whose right child this is, or -1)
+    stack = [(boot_idx, 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = node
+        pure = (
+            np.all(y_int[idx] == y_int[idx[0]])
+            if task == "classification"
+            else np.all(y_float[idx] == y_float[idx[0]])
+        )
+        candidates = []
+        if not (
+            pure
+            or idx.size < 2 * spec.min_leaf
+            or (spec.max_depth is not None and depth >= spec.max_depth)
+        ):
+            # random feature subset: walk a permutation until mtry features
+            # produced a usable boundary (constant features do not count)
+            for f in rng.permutation(d):
+                found = _ref_best_for_feature(
+                    x[idx, f],
+                    None if onehot is None else onehot[idx],
+                    None if y_float is None else y_float[idx],
+                    spec.min_leaf,
+                    task,
+                )
+                if found is None:
+                    continue
+                candidates.append((found[0], int(f), found[1]))
+                if len(candidates) >= mtry:
+                    break
+        if not candidates:
+            nodes.append([-1, 0.0, -1, -1, _ref_leaf_value(y_int, y_float, idx, task, n_outputs)])
+            continue
+        # zero-gain splits are accepted while the node is impure: a split
+        # never increases weighted impurity, and always shrinks both
+        # sides, so growth terminates and distinct rows separate fully
+        _, feat, thr = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
+        # the right child index is filled in when that child is popped
+        nodes.append([feat, thr, node + 1, -1, np.zeros(n_outputs)])
+        mask = x[idx, feat] <= thr
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, -1))
+    feature, threshold, left, right, value = zip(*nodes)
+    return Tree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value, dtype=np.float64),
+    )
+
+
+def _ref_forest(x, y, spec, task):
+    """train_forest's bootstrap and OOB loop around the reference grower."""
+    n = x.shape[0]
+    if task == "classification":
+        y_int, y_float = y, None
+        n_outputs = int(y.max()) + 1
+        onehot = np.eye(n_outputs)[y]
+    else:
+        y_int, y_float, onehot, n_outputs = None, y, None, 1
+    trees, curve = [], []
+    in_bag = np.zeros((spec.n_trees, n), dtype=bool)
+    total = np.zeros((n, n_outputs))
+    hits = np.zeros(n, dtype=np.int64)
+    for t in range(spec.n_trees):
+        rng = np.random.default_rng([spec.seed, t])
+        boot = rng.integers(0, n, size=n)
+        in_bag[t] = np.bincount(boot, minlength=n) > 0
+        trees.append(
+            _ref_grow_tree(x, y_int, onehot, y_float, boot, rng, spec, task, n_outputs)
+        )
+        _add_oob(total, hits, trees[-1], in_bag[t], x)
+        curve.append(_oob_score(total, hits, y_int, y_float, task))
+    return trees, in_bag, np.array(curve)
+
+
+def _reference_case(task, seed):
+    """Ties (x on a 0.1 grid), one constant column, and for regression
+    targets rounded to 0.1, so that -0.0 is among them and sums depend
+    on their order."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(90, 5)).round(1)
+    x[:, 3] = 0.5
+    if task == "classification":
+        y = (x[:, 0] > 0).astype(np.int64) + rng.integers(0, 3, size=90)
+    else:
+        y = np.round(0.5 * (x[:, 1] + 0.3 * rng.normal(size=90)), 1)
+        assert np.any((y == 0) & np.signbit(y))
+    return x, y
+
+
+class TestMatchesReferenceGrower:
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("max_depth", [None, 4])
+    @pytest.mark.parametrize("features_per_split", [None, "all", "sqrt"])
+    def test_trees_and_oob_curve_are_byte_equal(
+        self, task, min_leaf, max_depth, features_per_split
+    ):
+        x, y = _reference_case(task, seed=min_leaf)
+        spec = ForestSpec(
+            n_trees=6, max_depth=max_depth, min_leaf=min_leaf,
+            features_per_split=features_per_split, seed=7,
+        )
+        model = train_forest(x, y, spec, task=task)
+        trees, in_bag, curve = _ref_forest(x, y, spec, task)
+        assert len(model.trees) == len(trees)
+        for got, want in zip(model.trees, trees):
+            for name in Tree._fields:
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+        assert model.in_bag.tobytes() == in_bag.tobytes()
+        assert model.oob_curve.tobytes() == curve.tobytes()
