@@ -123,8 +123,8 @@ def sample_pool(
     )
 
 
-def _stack_tracks(preds) -> tuple[np.ndarray, FrameTrack | None]:
-    """Validate alignment and stack M tracks into one (M, q, K) array."""
+def _aligned_arrays(preds) -> tuple[list, FrameTrack | None]:
+    """Validate that M tracks align; return their (q, K) arrays."""
     if not preds:
         raise ValueError("need at least one prediction track")
     arrays = []
@@ -156,6 +156,12 @@ def _stack_tracks(preds) -> tuple[np.ndarray, FrameTrack | None]:
             raise AlignmentError(
                 f"model {i} track has shape {arr.shape}, expected {shape}"
             )
+    return arrays, template
+
+
+def _stack_tracks(preds) -> tuple[np.ndarray, FrameTrack | None]:
+    """Validate alignment and stack M tracks into one (M, q, K) array."""
+    arrays, template = _aligned_arrays(preds)
     return np.stack(arrays), template
 
 
@@ -201,17 +207,38 @@ def mean_fusion(preds, task: str | None = None):
     )
 
 
-def _dev_score(fused: np.ndarray, truth: np.ndarray, metric: str) -> float:
-    if metric == "macro_f1":
-        labels = fused.argmax(axis=1)
-        report = metrics.classification_report(
-            truth, labels, n_classes=fused.shape[1]
-        )
-        return report.macro_f1
-    values = [
-        metrics.ccc(truth[:, j], fused[:, j]).ccc for j in range(fused.shape[1])
-    ]
+def _mean_ccc(truth: np.ndarray, outputs) -> float:
+    """Mean over outputs of metrics.ccc; outputs[j] is output j's series."""
+    values = [metrics.ccc(truth[:, j], p).ccc for j, p in enumerate(outputs)]
     return sum(values) / len(values)
+
+
+def _pool_scores(planes: np.ndarray, truth: np.ndarray, metric: str, matrices):
+    """Every matrix's dev score from the (M, K, q) class planes."""
+    if metric == "mean_ccc":
+        return np.array([
+            _mean_ccc(truth, np.einsum("mkq,mk->kq", planes, m.weights))
+            for m in matrices
+        ])
+    n_classes, q = planes.shape[1:]
+    tp = np.empty((len(matrices), n_classes), dtype=np.int64)
+    predicted = np.empty_like(tp)
+    labels = np.empty(q, dtype=np.int64)
+    cells = truth * n_classes
+    diagonal = np.arange(n_classes) * (n_classes + 1)
+    for i, matrix in enumerate(matrices):
+        fused = np.einsum("mkq,mk->kq", planes, matrix.weights)
+        top = fused.max(axis=0)
+        # walking down to class 0 leaves each frame on its first maximum
+        labels.fill(n_classes - 1)
+        for c in range(n_classes - 2, -1, -1):
+            labels[fused[c] == top] = c
+        confusion = np.bincount(cells + labels, minlength=n_classes * n_classes)
+        tp[i] = confusion[diagonal]
+        predicted[i] = confusion.reshape(n_classes, n_classes).sum(axis=0)
+    support = np.bincount(truth, minlength=n_classes)
+    _, _, f1 = metrics.precision_recall_f1(tp, predicted, support)
+    return f1.mean(axis=1)
 
 
 def dwf_search(
@@ -219,44 +246,62 @@ def dwf_search(
 ) -> tuple[FusionMatrix, float, np.ndarray]:
     """Score every pool matrix on the development set; return the best.
 
-    metric='macro_f1' expects integer dev labels; 'mean_ccc' expects a
-    q x K target matrix. Ties go to the earliest matrix in pool order.
-    Also returns the full score table aligned with the pool.
+    metric='macro_f1' expects integer dev labels in [0, K); 'mean_ccc'
+    expects a q x K target matrix. Predictions and truth must be finite.
+
+    The M dev tracks are held once as (M, K, q) class planes, and each
+    matrix fuses them into K planes. For macro_f1 a frame's label is its
+    first maximal class, as argmax picks it; one bincount per matrix
+    gives the true positives and predicted totals per class, and all
+    matrices are then scored at once with the arithmetic of
+    metrics.classification_report, so every score equals that report's
+    macro_f1. mean_ccc averages metrics.ccc over the K outputs. The
+    winner is the first matrix with the highest score, so ties go to the
+    earliest in pool order. Also returns the full score table aligned
+    with the pool.
     """
     if metric not in ("macro_f1", "mean_ccc"):
         raise ValueError(f"unknown metric {metric!r}")
-    stacked, _ = _stack_tracks(dev_preds)
+    arrays, _ = _aligned_arrays(dev_preds)
+    planes = np.array([arr.T for arr in arrays])
+    n_models, n_outputs, q = planes.shape
     if metric == "macro_f1":
         truth = np.asarray(
-            dev_truth.labels() if isinstance(dev_truth, FrameTrack) else dev_truth,
-            dtype=np.int64,
+            dev_truth.labels() if isinstance(dev_truth, FrameTrack) else dev_truth
         ).ravel()
     else:
         truth = np.asarray(
             dev_truth.values if isinstance(dev_truth, FrameTrack) else dev_truth,
             dtype=np.float64,
         )
-        if truth.ndim != 2 or truth.shape[1] != stacked.shape[2]:
+        if truth.ndim != 2 or truth.shape[1] != n_outputs:
             raise ValueError("mean_ccc truth must be a q x K matrix")
-    if truth.shape[0] != stacked.shape[1]:
+    if truth.shape[0] != q:
         raise AlignmentError(
-            f"dev truth has {truth.shape[0]} frames but predictions have "
-            f"{stacked.shape[1]}"
+            f"dev truth has {truth.shape[0]} frames but predictions have {q}"
         )
-    if stacked.shape[0] == 1 and all((m.weights == 1.0).all() for m in pool.matrices):
+    if not np.isfinite(planes).all():
+        raise ValueError("dev predictions contain non-finite values")
+    if not np.isfinite(truth).all():
+        raise ValueError("dev truth contains non-finite values")
+    if metric == "macro_f1":
+        truth = truth.astype(np.int64, copy=False)
+        if truth.min() < 0 or truth.max() >= n_outputs:
+            raise ValueError(f"y_true contains labels outside [0, {n_outputs})")
+    for matrix in pool.matrices:
+        if matrix.weights.shape != (n_models, n_outputs):
+            raise ValueError(
+                f"matrix is {matrix.n_models}x{matrix.n_outputs} but tracks are "
+                f"{n_models} models x {n_outputs} outputs"
+            )
+    if n_models == 1 and all((m.weights == 1.0).all() for m in pool.matrices):
         # one model: every simplex column is [1.0], so every matrix is the
         # selector, all score alike and the first one wins
-        first = pool.matrices[0]
-        score = _dev_score(np.einsum("mqk,mk->qk", stacked, first.weights), truth, metric)
-        return first, float(score), np.full(len(pool), score)
-    scores = np.empty(len(pool))
-    best_idx = 0
-    for i, matrix in enumerate(pool.matrices):
-        fused = np.einsum("mqk,mk->qk", stacked, matrix.weights)
-        scores[i] = _dev_score(fused, truth, metric)
-        if scores[i] > scores[best_idx]:
-            best_idx = i
-    return pool.matrices[best_idx], float(scores[best_idx]), scores
+        score = _pool_scores(planes, truth, metric, pool.matrices[:1])[0]
+        return pool.matrices[0], float(score), np.full(len(pool), score)
+    scores = _pool_scores(planes, truth, metric, pool.matrices)
+    best = int(np.argmax(scores))
+    return pool.matrices[best], float(scores[best]), scores
 
 
 @dataclass(frozen=True)
@@ -376,8 +421,7 @@ def stack_and_fuse_rf(
         oob_sum += model.oob_score
         grid_table.append(tuple(grid_scores))
     fused = np.column_stack(fused_cols)
-    dev_pred = np.column_stack(dev_cols)
-    dev_score = _dev_score(dev_pred, truth, "mean_ccc")
+    dev_score = _mean_ccc(truth, dev_cols)
     info = RfFusionInfo(
         n_trees=max(chosen),
         oob_score=oob_sum / n_dims,

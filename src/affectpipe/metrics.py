@@ -134,6 +134,22 @@ def format_score(value: float, decimals: int = 3) -> str:
     return f"{truncated:.{decimals}f}"
 
 
+def precision_recall_f1(tp, predicted, support):
+    """Per-class precision, recall and F1 from counts.
+
+    tp, predicted and support hold the true positives, the predicted
+    totals and the truth totals per class, with K last in shapes that
+    broadcast together. An empty denominator gives 0.
+    """
+    tp = np.asarray(tp, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        precision = np.where(predicted > 0, tp / np.maximum(predicted, 1), 0.0)
+        recall = np.where(support > 0, tp / np.maximum(support, 1), 0.0)
+        pr = precision + recall
+        f1 = np.where(pr > 0, 2 * precision * recall / np.maximum(pr, 1e-300), 0.0)
+    return precision, recall, f1
+
+
 def classification_report(
     y_true, y_pred, n_classes: int, exclude_absent: bool = False
 ) -> EvalReport:
@@ -156,15 +172,10 @@ def classification_report(
     confusion = np.bincount(
         y_true * n_classes + y_pred, minlength=n_classes * n_classes
     ).reshape(n_classes, n_classes)
-    tp = np.diag(confusion).astype(np.float64)
-    fp = confusion.sum(axis=0) - tp
-    fn = confusion.sum(axis=1) - tp
     support = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
-        recall = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2 * precision * recall / np.maximum(pr, 1e-300), 0.0)
+    precision, recall, f1 = precision_recall_f1(
+        np.diag(confusion), confusion.sum(axis=0), support
+    )
     per_class = tuple(
         ClassScores(float(precision[k]), float(recall[k]), float(f1[k]), int(support[k]))
         for k in range(n_classes)

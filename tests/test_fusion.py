@@ -283,6 +283,117 @@ class TestDwfSearch:
         with pytest.raises(ValueError):
             dwf_search(pool, [np.zeros((5, 2))], np.zeros(5), "auc")
 
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_truth_labels_outside_classes_rejected(self, bad):
+        rng = np.random.default_rng(41)
+        preds = _random_scores(rng, 2, 20, 3)
+        truth = rng.integers(0, 3, size=20)
+        truth[7] = bad
+        pool = sample_pool(2, 3, pool_size=5, seed=42)
+        with pytest.raises(ValueError, match=r"y_true contains labels outside \[0, 3\)"):
+            dwf_search(pool, preds, truth, "macro_f1")
+
+    @pytest.mark.parametrize("metric", ["macro_f1", "mean_ccc"])
+    def test_matrix_shape_must_match_predictions(self, metric):
+        rng = np.random.default_rng(43)
+        preds = _random_scores(rng, 3, 20, 3)
+        truth = (rng.integers(0, 3, size=20) if metric == "macro_f1"
+                 else rng.uniform(-1, 1, size=(20, 3)))
+        pool = sample_pool(2, 3, pool_size=5, seed=44)
+        with pytest.raises(ValueError, match="2x3 but tracks are 3 models x 3 outputs"):
+            dwf_search(pool, preds, truth, metric)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", ["macro_f1", "mean_ccc"])
+    def test_non_finite_predictions_rejected(self, metric, value):
+        rng = np.random.default_rng(45)
+        preds = _random_scores(rng, 2, 30, 2)
+        preds[1][4, 1] = value
+        truth = (rng.integers(0, 2, size=30) if metric == "macro_f1"
+                 else rng.uniform(-1, 1, size=(30, 2)))
+        pool = sample_pool(2, 2, pool_size=50, seed=46)
+        with pytest.raises(ValueError, match="non-finite"):
+            dwf_search(pool, preds, truth, metric)
+
+    @pytest.mark.parametrize("metric", ["macro_f1", "mean_ccc"])
+    def test_non_finite_truth_rejected(self, metric):
+        rng = np.random.default_rng(47)
+        preds = _random_scores(rng, 2, 30, 2)
+        truth = (rng.integers(0, 2, size=30).astype(np.float64) if metric == "macro_f1"
+                 else rng.uniform(-1, 1, size=(30, 2)))
+        truth[9] = np.nan
+        pool = sample_pool(2, 2, pool_size=50, seed=48)
+        with pytest.raises(ValueError, match="non-finite"):
+            dwf_search(pool, preds, truth, metric)
+
+
+def _reference_dev_score(fused, truth, metric):
+    if metric == "macro_f1":
+        labels = fused.argmax(axis=1)
+        report = metrics.classification_report(
+            truth, labels, n_classes=fused.shape[1]
+        )
+        return report.macro_f1
+    values = [
+        metrics.ccc(truth[:, j], fused[:, j]).ccc for j in range(fused.shape[1])
+    ]
+    return sum(values) / len(values)
+
+
+def reference_dwf_search(pool, dev_preds, dev_truth, metric):
+    """The DWF search as a per-matrix loop: fuse, argmax, report, keep the
+    first strict maximum. dwf_search must reproduce its score table byte
+    for byte and pick the same matrix object."""
+    stacked = np.stack(dev_preds)
+    scores = np.empty(len(pool))
+    best = 0
+    for i, matrix in enumerate(pool.matrices):
+        fused = np.einsum("mqk,mk->qk", stacked, matrix.weights)
+        scores[i] = _reference_dev_score(fused, dev_truth, metric)
+        if scores[i] > scores[best]:
+            best = i
+    return pool.matrices[best], float(scores[best]), scores
+
+
+class TestDwfSearchMatchesReferenceLoop:
+    # (models, classes, frames)
+    CASES = [
+        (1, 8, 200), (1, 13, 50), (2, 1, 5), (2, 2, 37), (2, 13, 130),
+        (3, 3, 500), (3, 8, 4000), (4, 2, 1000), (4, 8, 9), (4, 13, 300),
+    ]
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "continuous"])
+    @pytest.mark.parametrize("alpha", [1.0, 1e-3])
+    @pytest.mark.parametrize("metric", ["macro_f1", "mean_ccc"])
+    @pytest.mark.parametrize("m, k, q", CASES)
+    def test_score_table_and_winner(self, m, k, q, metric, alpha, grid):
+        rng = np.random.default_rng([m, k, q, metric == "macro_f1", alpha == 1.0, grid])
+        if grid:
+            # a 0.25 grid makes fused classes and pool scores tie exactly
+            preds = [rng.integers(-4, 5, size=(q, k)) * 0.25 for _ in range(m)]
+        else:
+            preds = [rng.normal(size=(q, k)) for _ in range(m)]
+        if metric == "macro_f1":
+            truth = rng.integers(0, k, size=q)
+        elif grid:
+            truth = rng.integers(-4, 5, size=(q, k)) * 0.25
+        else:
+            truth = rng.uniform(-1, 1, size=(q, k))
+        sampled = sample_pool(m, k, pool_size=40, alpha=alpha, seed=q)
+        # equal copies of earlier matrices tie with them; the first must win
+        copies = tuple(FusionMatrix(w.weights.copy()) for w in sampled.matrices[::5])
+        pool = FusionPool(matrices=sampled.matrices + copies, alpha=alpha, seed=q,
+                          includes_selectors=True)
+
+        matrix, score, table = dwf_search(pool, preds, truth, metric)
+        ref_matrix, ref_score, ref_table = reference_dwf_search(
+            pool, preds, truth, metric
+        )
+        assert table.dtype == ref_table.dtype and table.shape == ref_table.shape
+        assert table.tobytes() == ref_table.tobytes()
+        assert matrix is ref_matrix
+        assert np.float64(score).tobytes() == np.float64(ref_score).tobytes()
+
 
 class TestRfStacking:
     def test_stacked_width_is_models_times_outputs(self):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from affectpipe import fusion, pipeline
+from affectpipe import pipeline
 from affectpipe.cli import main
 from affectpipe.errors import (
     AffectPipeError,
@@ -51,6 +51,7 @@ from affectpipe.windowing import (
     write_label_csv,
     write_vad_csv,
 )
+from test_fusion import reference_dwf_search
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,20 +166,6 @@ def _targets_one_row_short(run_dir):
 
 def _no_features(run_dir):
     (run_dir / "features.npy").unlink()
-
-
-def _dwf_search_loop(pool, dev_preds, dev_truth, metric):
-    """dwf_search as a plain loop that scores every pool matrix."""
-    stacked = np.stack(dev_preds)
-    scores = np.array([
-        fusion._dev_score(np.einsum("mqk,mk->qk", stacked, m.weights), dev_truth, metric)
-        for m in pool.matrices
-    ])
-    best = 0
-    for i, score in enumerate(scores):
-        if score > scores[best]:
-            best = i
-    return pool.matrices[best], float(scores[best]), scores
 
 
 class TestSyntheticData:
@@ -575,7 +562,7 @@ class TestRunPipeline:
         config = load_config(path)
         _synth_from(config)
         shortcut = run_pipeline(config).run_dir
-        monkeypatch.setattr(pipeline, "dwf_search", _dwf_search_loop)
+        monkeypatch.setattr(pipeline, "dwf_search", reference_dwf_search)
         loop = run_pipeline(load_config(path, out_dir=str(tmp_path / "loop"))).run_dir
         for rel in ("pool_scores.csv", "fusion_matrix.csv", "fused.csv"):
             assert (shortcut / rel).read_bytes() == (loop / rel).read_bytes()
