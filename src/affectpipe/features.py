@@ -1,4 +1,7 @@
-"""Functional statistics over windows and MinMax normalization."""
+"""Functional statistics over windows and MinMax normalization.
+
+Every function takes and returns plain (rows x dims) arrays.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +11,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .timeline import FrameTrack
 
 FUNCTIONAL_ORDER = ("mean", "max", "min")
 
@@ -110,22 +111,17 @@ class MinMaxScaler:
         object.__setattr__(self, "hi", hi)
 
 
-def _as_matrix(data: FrameTrack | np.ndarray) -> np.ndarray:
-    values = data.values if isinstance(data, FrameTrack) else np.asarray(data)
-    return np.asarray(values, dtype=np.float64)
+def fit_minmax(train_data: Sequence[np.ndarray]) -> MinMaxScaler:
+    """Per-dimension extrema over all rows of all (n, d) training matrices.
 
-
-def fit_minmax(train_data: Sequence[FrameTrack | np.ndarray]) -> MinMaxScaler:
-    """Per-dimension extrema over all frames of all training inputs.
-
-    Accepts FrameTracks or plain (n, d) matrices; the reduction merges
-    per-input extrema, so it parallelizes per track if needed.
+    The reduction merges per-input extrema, so it parallelizes per input
+    if needed.
     """
     if not train_data:
-        raise ValueError("fit_minmax needs at least one track")
+        raise ValueError("fit_minmax needs at least one input")
     lo = hi = None
     for item in train_data:
-        values = _as_matrix(item)
+        values = np.asarray(item, dtype=np.float64)
         if values.size == 0:
             continue
         item_lo, item_hi = values.min(axis=0), values.max(axis=0)
@@ -140,16 +136,13 @@ def fit_minmax(train_data: Sequence[FrameTrack | np.ndarray]) -> MinMaxScaler:
     return MinMaxScaler(lo=lo, hi=hi, scope="global")
 
 
-def apply_minmax(
-    data: FrameTrack | np.ndarray, scaler: MinMaxScaler
-) -> FrameTrack | np.ndarray:
-    """Scale into [0, 1] per dimension.
+def apply_minmax(data: np.ndarray, scaler: MinMaxScaler) -> np.ndarray:
+    """Scale an (n, d) matrix into [0, 1] per dimension.
 
     Constant fitted dimensions map to 0.0; values outside the fitted
     range are clipped so downstream kernel distances stay bounded.
-    Returns the same container type as the input.
     """
-    values = _as_matrix(data)
+    values = np.asarray(data, dtype=np.float64)
     if values.shape[1] != scaler.lo.shape[0]:
         raise ValueError(
             f"width {values.shape[1]} does not match scaler width {scaler.lo.shape[0]}"
@@ -158,18 +151,10 @@ def apply_minmax(
     safe = np.where(span > 0, span, 1.0)
     out = np.clip((values - scaler.lo) / safe, 0.0, 1.0)
     out[:, span == 0] = 0.0
-    if isinstance(data, FrameTrack):
-        return FrameTrack(
-            video_id=data.video_id,
-            fps=data.fps,
-            values=out,
-            kind=data.kind,
-            frame_index_origin=data.frame_index_origin,
-        )
     return out
 
 
-def per_video_minmax(data: FrameTrack | np.ndarray) -> FrameTrack | np.ndarray:
+def per_video_minmax(data: np.ndarray) -> np.ndarray:
     """MinMax scaling with extrema from this input alone."""
     return apply_minmax(data, fit_minmax([data]))
 

@@ -1,7 +1,8 @@
-"""Late fusion of aligned base-model score tracks.
+"""Late fusion of aligned base-model scores.
 
-Three strategies over M models producing q×K score tracks (K = 8 class
-scores or 2 valence/arousal dimensions):
+Three strategies over M models, each giving a (q, K) score array (q
+frames; K = 8 class scores or 2 valence/arousal dimensions); every
+function takes and returns plain arrays:
 
 * random weighted fusion — a large pool of per-model-per-output weight
   matrices with simplex columns is sampled from a Dirichlet
@@ -28,7 +29,6 @@ import numpy as np
 from . import metrics
 from .errors import AlignmentError
 from .forest import ForestSpec, predict_forest, predict_oob, select_n_trees
-from .timeline import FrameTrack
 
 SIMPLEX_ATOL = 1e-9
 
@@ -123,87 +123,46 @@ def sample_pool(
     )
 
 
-def _aligned_arrays(preds) -> tuple[list, FrameTrack | None]:
-    """Validate that M tracks align; return their (q, K) arrays."""
+def _aligned_arrays(preds) -> list[np.ndarray]:
+    """Validate that M (frames x outputs) score arrays share one shape."""
     if not preds:
         raise ValueError("need at least one prediction track")
-    arrays = []
-    template: FrameTrack | None = None
-    for i, pred in enumerate(preds):
-        if isinstance(pred, FrameTrack):
-            if template is None:
-                template = pred
-            elif (
-                pred.video_id != template.video_id
-                or pred.fps != template.fps
-                or pred.n_frames != template.n_frames
-            ):
-                raise AlignmentError(
-                    f"model {i} track (video={pred.video_id!r}, fps={pred.fps}, "
-                    f"frames={pred.n_frames}) does not match model 0 "
-                    f"(video={template.video_id!r}, fps={template.fps}, "
-                    f"frames={template.n_frames})"
-                )
-            arrays.append(pred.values)
-        else:
-            arr = np.asarray(pred, dtype=np.float64)
-            if arr.ndim != 2:
-                raise ValueError("prediction tracks must be 2-d (frames x outputs)")
-            arrays.append(arr)
+    arrays = [np.asarray(pred, dtype=np.float64) for pred in preds]
     shape = arrays[0].shape
     for i, arr in enumerate(arrays):
+        if arr.ndim != 2:
+            raise ValueError("prediction tracks must be 2-d (frames x outputs)")
         if arr.shape != shape:
             raise AlignmentError(
                 f"model {i} track has shape {arr.shape}, expected {shape}"
             )
-    return arrays, template
+    return arrays
 
 
-def _stack_tracks(preds) -> tuple[np.ndarray, FrameTrack | None]:
-    """Validate alignment and stack M tracks into one (M, q, K) array."""
-    arrays, template = _aligned_arrays(preds)
-    return np.stack(arrays), template
-
-
-def _rewrap(fused: np.ndarray, template: FrameTrack | None, kind: str | None):
-    if template is None:
-        return fused
-    return FrameTrack(
-        video_id=template.video_id,
-        fps=template.fps,
-        values=fused,
-        kind=kind or template.kind,
-        frame_index_origin=template.frame_index_origin,
-    )
-
-
-def apply_fusion(preds, matrix: FusionMatrix, task: str | None = None):
+def apply_fusion(preds, matrix: FusionMatrix, task: str = "expr") -> np.ndarray:
     """fused[t, k] = sum_m weights[m, k] * preds_m[t, k].
 
-    Class scores are left unnormalized (the argmax is unchanged either
-    way); valence/arousal outputs are clipped to [-1, 1]. FrameTrack
-    inputs come back as a FrameTrack, arrays as an array.
+    Class scores (task 'expr') are left unnormalized, since the argmax
+    is unchanged either way; valence/arousal outputs (task 'va') are
+    clipped to [-1, 1].
     """
-    stacked, template = _stack_tracks(preds)
+    if task not in ("expr", "va"):
+        raise ValueError(f"unknown task {task!r}")
+    stacked = np.stack(_aligned_arrays(preds))
     if stacked.shape[0] != matrix.n_models or stacked.shape[2] != matrix.n_outputs:
         raise ValueError(
             f"matrix is {matrix.n_models}x{matrix.n_outputs} but tracks are "
             f"{stacked.shape[0]} models x {stacked.shape[2]} outputs"
         )
     fused = np.einsum("mqk,mk->qk", stacked, matrix.weights)
-    if task is None and template is not None:
-        task = "va" if template.kind == "va" else "expr"
-    if task == "va":
-        fused = np.clip(fused, -1.0, 1.0)
-        return _rewrap(fused, template, "va")
-    return _rewrap(fused, template, "class_scores")
+    return np.clip(fused, -1.0, 1.0) if task == "va" else fused
 
 
-def mean_fusion(preds, task: str | None = None):
+def mean_fusion(preds, task: str = "expr") -> np.ndarray:
     """Unweighted mean of all models, as fusion with uniform weights."""
-    stacked, _ = _stack_tracks(preds)
+    arrays = _aligned_arrays(preds)
     return apply_fusion(
-        preds, uniform_matrix(stacked.shape[0], stacked.shape[2]), task=task
+        arrays, uniform_matrix(len(arrays), arrays[0].shape[1]), task=task
     )
 
 
@@ -262,18 +221,12 @@ def dwf_search(
     """
     if metric not in ("macro_f1", "mean_ccc"):
         raise ValueError(f"unknown metric {metric!r}")
-    arrays, _ = _aligned_arrays(dev_preds)
-    planes = np.array([arr.T for arr in arrays])
+    planes = np.array([arr.T for arr in _aligned_arrays(dev_preds)])
     n_models, n_outputs, q = planes.shape
     if metric == "macro_f1":
-        truth = np.asarray(
-            dev_truth.labels() if isinstance(dev_truth, FrameTrack) else dev_truth
-        ).ravel()
+        truth = np.asarray(dev_truth).ravel()
     else:
-        truth = np.asarray(
-            dev_truth.values if isinstance(dev_truth, FrameTrack) else dev_truth,
-            dtype=np.float64,
-        )
+        truth = np.asarray(dev_truth, dtype=np.float64)
         if truth.ndim != 2 or truth.shape[1] != n_outputs:
             raise ValueError("mean_ccc truth must be a q x K matrix")
     if truth.shape[0] != q:
@@ -329,9 +282,8 @@ class RfFusionInfo:
 
 
 def _stack_features(preds) -> np.ndarray:
-    stacked, _ = _stack_tracks(preds)
-    m, q, k = stacked.shape
-    return stacked.transpose(1, 0, 2).reshape(q, m * k)
+    """Row t holds every model's scores for frame t, model after model."""
+    return np.hstack(_aligned_arrays(preds))
 
 
 def stack_and_fuse_rf(
@@ -345,7 +297,7 @@ def stack_and_fuse_rf(
     """Forest stacking: concatenate model scores, fit on the dev split.
 
     The tree count is chosen by out-of-bag score on the dev features;
-    the returned track holds forest predictions for the target split
+    the returned (q, K) array holds forest predictions for the target split
     (class-frequency scores for expr, per-dimension regression for va).
     """
     if task not in ("expr", "va"):
@@ -353,19 +305,14 @@ def stack_and_fuse_rf(
     if base_spec is None:
         base_spec = ForestSpec(n_trees=10)
     x_dev = _stack_features(dev_preds)
-    _, target_template = _stack_tracks(target_preds)
     x_target = _stack_features(target_preds)
     if x_target.shape[1] != x_dev.shape[1]:
         raise AlignmentError(
             f"target width {x_target.shape[1]} != dev width {x_dev.shape[1]}"
         )
     if task == "expr":
-        truth = np.asarray(
-            dev_truth.labels() if isinstance(dev_truth, FrameTrack) else dev_truth,
-            dtype=np.int64,
-        ).ravel()
-        n_classes = int(dev_preds[0].width if isinstance(dev_preds[0], FrameTrack)
-                        else np.asarray(dev_preds[0]).shape[1])
+        truth = np.asarray(dev_truth, dtype=np.int64).ravel()
+        n_classes = x_dev.shape[1] // len(dev_preds)
         best_n, grid_scores, model = select_n_trees(
             x_dev, truth, grid, base_spec, task="classification", n_classes=n_classes
         )
@@ -386,12 +333,9 @@ def stack_and_fuse_rf(
         info = RfFusionInfo(
             best_n, model.oob_score, tuple(grid_scores), dev_score, "macro_f1", oob_f1
         )
-        return _rewrap(fused, target_template, "class_scores"), info
+        return fused, info
 
-    truth = np.asarray(
-        dev_truth.values if isinstance(dev_truth, FrameTrack) else dev_truth,
-        dtype=np.float64,
-    )
+    truth = np.asarray(dev_truth, dtype=np.float64)
     if truth.ndim != 2:
         raise ValueError("va truth must be a q x 2 matrix")
     n_dims = truth.shape[1]
@@ -430,7 +374,7 @@ def stack_and_fuse_rf(
         metric="mean_ccc",
         oob_metric_score=sum(oob_cccs) / n_dims,
     )
-    return _rewrap(fused, target_template, "va"), info
+    return fused, info
 
 
 # ---------------------------------------------------------------------------

@@ -880,12 +880,19 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Combine model score tracks with the configured fusion method."""
     names, models = _load_model_tracks(config, run_dir, products)
     vids = sorted(models[0])
-    for name, model in zip(names, models):
+    # every fusion method needs each video's model tracks on model 0's frames
+    for name, model in zip(names[1:], models[1:]):
         if sorted(model) != vids:
             raise AlignmentError(
                 f"fuse stage: model {name!r} covers videos {sorted(model)}, "
                 f"expected {vids}"
             )
+        for v in vids:
+            if model[v].n_frames != models[0][v].n_frames:
+                raise AlignmentError(
+                    f"fuse stage: model {name!r} has {model[v].n_frames} frames "
+                    f"for {v!r}, model {names[0]!r} has {models[0][v].n_frames}"
+                )
     _dev_split(config, vids)
     eval_vids = _evaluated_videos(config, vids)
     n_outputs = config.n_outputs
@@ -916,7 +923,7 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
 
     if method == "mean":
         fused = [
-            mean_fusion([model[vid] for model in models], task=config.task)
+            mean_fusion([model[vid].values for model in models], task=config.task)
             for vid in eval_vids
         ]
         matrix = uniform_matrix(len(models), n_outputs)
@@ -935,7 +942,9 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
         log.info("dwf: best of %d matrices scores %.4f on the dev split",
                  len(pool), best_score)
         fused = [
-            apply_fusion([model[vid] for model in models], matrix, task=config.task)
+            apply_fusion(
+                [model[vid].values for model in models], matrix, task=config.task
+            )
             for vid in eval_vids
         ]
     else:  # rf
@@ -964,19 +973,8 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
             writer.writerow([f"oob_{info.metric}", FLOAT_FMT % info.oob_metric_score])
             writer.writerow(["dev_score", FLOAT_FMT % info.dev_score])
             writer.writerow(["overfit_gap", FLOAT_FMT % info.overfit_gap])
-        fused = []
-        offset = 0
-        for vid in eval_vids:
-            n = models[0][vid].n_frames
-            fused.append(
-                FrameTrack(
-                    vid,
-                    config.fps_target,
-                    fused_arr[offset : offset + n],
-                    kind=config.track_kind,
-                )
-            )
-            offset += n
+        ends = np.cumsum([models[0][vid].n_frames for vid in eval_vids])
+        fused = np.split(fused_arr, ends[:-1])
     if matrix is not None:
         write_fusion_matrix(
             run_dir / "fusion_matrix.csv",
@@ -984,10 +982,15 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
             model_names=names,
             output_names=[f"c{k}" for k in range(n_outputs)],
         )
-    write_track_csv(run_dir / "fused.csv", fused)
-    # every model track is at the working rate and of the task's kind,
-    # so the fused tracks are too, as postprocess reads fused.csv
-    products["fused"] = {track.video_id: track for track in fused}
+    # at the working rate and of the task's kind, as postprocess reads
+    # fused.csv, and numbered from model 0's first frame
+    tracks = [
+        FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
+                   frame_index_origin=models[0][vid].frame_index_origin)
+        for vid, values in zip(eval_vids, fused)
+    ]
+    write_track_csv(run_dir / "fused.csv", tracks)
+    products["fused"] = dict(zip(eval_vids, tracks))
 
 
 def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> None:

@@ -16,7 +16,6 @@ from affectpipe.features import (
     per_video_minmax,
     write_scaler_csv,
 )
-from affectpipe.timeline import FrameTrack
 
 
 class TestFunctionalSet:
@@ -94,8 +93,8 @@ class TestFunctionals:
 
 class TestMinMax:
     def test_fit_extrema_across_tracks(self):
-        a = FrameTrack("a", 5.0, np.array([[0.0, 10.0], [2.0, 3.0]]))
-        b = FrameTrack("b", 5.0, np.array([[-5.0, 4.0]]))
+        a = np.array([[0.0, 10.0], [2.0, 3.0]])
+        b = np.array([[-5.0, 4.0]])
         scaler = fit_minmax([a, b])
         np.testing.assert_array_equal(scaler.lo, [-5.0, 3.0])
         np.testing.assert_array_equal(scaler.hi, [2.0, 10.0])
@@ -125,12 +124,6 @@ class TestMinMax:
         scaler = MinMaxScaler(lo=np.array([0.0]), hi=np.array([10.0]))
         out = apply_minmax(np.array([[12.0], [-3.0]]), scaler)
         np.testing.assert_array_equal(out[:, 0], [1.0, 0.0])
-
-    def test_track_container_round_trips(self):
-        track = FrameTrack("v", 5.0, np.array([[1.0], [2.0]]), frame_index_origin=7)
-        out = apply_minmax(track, fit_minmax([track]))
-        assert isinstance(out, FrameTrack)
-        assert out.video_id == "v" and out.frame_index_origin == 7
 
     def test_width_mismatch_rejected(self):
         scaler = MinMaxScaler(lo=np.zeros(2), hi=np.ones(2))

@@ -30,7 +30,6 @@ from affectpipe.fusion import (
     write_score_table,
     _stack_features,
 )
-from affectpipe.timeline import FrameTrack
 
 
 def _random_scores(rng, n_models, q, k):
@@ -128,25 +127,20 @@ class TestApplyFusion:
         fused = apply_fusion([p1], selector_matrix(0, 1, 2), task="va")
         np.testing.assert_array_equal(fused, [[1.0, -1.0]])
 
-    def test_frame_tracks_round_trip_alignment(self):
-        rng = np.random.default_rng(17)
-        tracks = [
-            FrameTrack("vid", 5.0, rng.dirichlet(np.ones(8), size=20),
-                       kind="class_scores")
-            for _ in range(2)
-        ]
-        fused = apply_fusion(tracks, uniform_matrix(2, 8))
-        assert isinstance(fused, FrameTrack)
-        assert fused.kind == "class_scores" and fused.video_id == "vid"
+    @pytest.mark.parametrize("task", ["VA", "valence", None])
+    def test_unknown_task_rejected(self, task):
+        preds = [np.full((3, 2), 2.0)]
+        with pytest.raises(ValueError, match="unknown task"):
+            apply_fusion(preds, selector_matrix(0, 1, 2), task=task)
+        with pytest.raises(ValueError, match="unknown task"):
+            mean_fusion(preds, task=task)
 
-    def test_misaligned_tracks_name_the_video(self):
-        rng = np.random.default_rng(18)
-        a = FrameTrack("vidA", 5.0, rng.dirichlet(np.ones(3), size=10),
-                       kind="class_scores")
-        b = FrameTrack("vidB", 5.0, rng.dirichlet(np.ones(3), size=10),
-                       kind="class_scores")
-        with pytest.raises(AlignmentError, match="vidB"):
-            apply_fusion([a, b], uniform_matrix(2, 3))
+    def test_task_defaults_to_expr(self):
+        preds = [np.full((3, 2), 2.0)]
+        np.testing.assert_array_equal(
+            apply_fusion(preds, selector_matrix(0, 1, 2)), preds[0]
+        )
+        np.testing.assert_array_equal(mean_fusion(preds), preds[0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(AlignmentError):

@@ -113,6 +113,39 @@ def _write_base_predictions(config, seed=0):
         ])
 
 
+def _write_va_fusion_only(tmp_path, method, b_frames=None, a_origin=0):
+    """A fusion-only va config over bases a.csv and b.csv, dev v001 and v002.
+
+    Videos v000-v002 have 200 labelled frames. Base b has b_frames[vid]
+    frames where given, 200 elsewhere; base a numbers its frames from
+    a_origin.
+    """
+    rng = np.random.default_rng(9)
+    vids, n = ["v000", "v001", "v002"], 200
+    labels = {vid: dict(enumerate(np.clip(rng.normal(scale=0.5, size=(n, 2)), -1, 1)))
+              for vid in vids}
+    write_label_csv(tmp_path / "labels.csv", labels, task="va")
+    for name, origin, frames in (("a", a_origin, {}), ("b", 0, b_frames or {})):
+        write_track_csv(tmp_path / f"{name}.csv", [
+            FrameTrack(vid, 5.0,
+                       np.clip(rng.normal(scale=0.5, size=(frames.get(vid, n), 2)), -1, 1),
+                       kind="va", frame_index_origin=origin)
+            for vid in vids
+        ])
+    cfg = {
+        "task": "va",
+        "paths": {"labels": str(tmp_path / "labels.csv"),
+                  "base_predictions": [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]},
+        "kelm": {"enabled": False},
+        "split": {"dev_videos": ["v001", "v002"]},
+        "fusion": {"method": method, "pool_size": 50, "tree_grid": [2, 3]},
+        "output": {"dir": str(tmp_path / "runs")},
+    }
+    path = tmp_path / f"{method}.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
 def _rename_videos(config, names):
     """Rewrite the synthetic inputs with the videos renamed by `names`."""
     paths = config.paths
@@ -826,6 +859,24 @@ class TestCli:
         _set_first_row_field(bases[0], 2, "1.5")
         assert main(["run", "--config", str(path)]) == 6
         assert f"{bases[0]}: video 'v000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
+    def test_fuse_exits_4_on_a_base_off_model_0s_frames(self, tmp_path, capsys, method):
+        path = _write_va_fusion_only(tmp_path, method, b_frames={"v001": 203, "v002": 197})
+        assert main(["run", "--config", str(path)]) == 4
+        assert ("fuse stage: model 'b' has 203 frames for 'v001', model 'a' has 200"
+                in capsys.readouterr().err)
+        run_dir = load_config(path).run_dir()
+        for name in ("pool_scores.csv", "rf_info.csv", "fused.csv"):
+            assert not (run_dir / name).exists()
+
+    @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
+    def test_fused_frames_are_numbered_from_model_0s_first_frame(self, tmp_path, method):
+        path = _write_va_fusion_only(tmp_path, method, a_origin=4)
+        assert main(["run", "--config", str(path)]) == 0
+        fused = read_track_csv(load_config(path).run_dir() / "fused.csv", fps=5.0, kind="va")
+        assert sorted(fused) == ["v001", "v002"]
+        assert all(track.frame_index_origin == 4 for track in fused.values())
 
     def test_fuse_with_another_method_leaves_the_config_run_alone(self, tmp_path):
         path = self._prepare(tmp_path)
