@@ -96,7 +96,6 @@ class MinMaxScaler:
 
     lo: np.ndarray
     hi: np.ndarray
-    scope: str = "global"  # "global" | "per_video"
 
     def __post_init__(self) -> None:
         lo = np.asarray(self.lo, dtype=np.float64)
@@ -105,8 +104,6 @@ class MinMaxScaler:
             raise ValueError("lo and hi must be 1-d vectors of equal length")
         if np.any(lo > hi):
             raise ValueError("lo must not exceed hi")
-        if self.scope not in ("global", "per_video"):
-            raise ValueError(f"unknown scaler scope {self.scope!r}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -133,7 +130,7 @@ def fit_minmax(train_data: Sequence[np.ndarray]) -> MinMaxScaler:
             lo, hi = np.minimum(lo, item_lo), np.maximum(hi, item_hi)
     if lo is None:
         raise ValueError("fit_minmax needs at least one frame")
-    return MinMaxScaler(lo=lo, hi=hi, scope="global")
+    return MinMaxScaler(lo=lo, hi=hi)
 
 
 def apply_minmax(data: np.ndarray, scaler: MinMaxScaler) -> np.ndarray:
@@ -160,14 +157,14 @@ def per_video_minmax(data: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scaler CSV: a `# scope=...` comment line, then dim,lo,hi rows.
+# Scaler CSV: a `# scope=global` comment line, then dim,lo,hi rows.
 # ---------------------------------------------------------------------------
 
 
 def write_scaler_csv(path: str | Path, scaler: MinMaxScaler) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# scope={scaler.scope}\n")
+        fh.write("# scope=global\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["dim", "lo", "hi"])
         for j in range(scaler.lo.shape[0]):

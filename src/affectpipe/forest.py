@@ -104,13 +104,6 @@ class ForestModel:
     def n_trees(self) -> int:
         return len(self.trees)
 
-    @property
-    def oob_fractions(self) -> np.ndarray | None:
-        """Per-tree fraction of training rows left out of the bootstrap."""
-        if self.in_bag is None:
-            return None
-        return (~self.in_bag).mean(axis=1)
-
 
 def _best_for_feature(col, src, min_leaf, task):
     """Best (score, threshold) for one feature, or None if unsplittable.

@@ -33,6 +33,20 @@ from .forest import ForestSpec, predict_forest, predict_oob, select_n_trees
 SIMPLEX_ATOL = 1e-9
 
 
+def _simplex_weights(weights, ndim: int, shape: str) -> np.ndarray:
+    """A read-only float64 copy of weights whose columns (axis -2) lie on
+    the simplex, checked for all of them at once."""
+    w = np.array(weights, dtype=np.float64)
+    if w.ndim != ndim or w.size == 0:
+        raise ValueError(f"weights must be a nonempty {shape} array")
+    if np.any(w < -SIMPLEX_ATOL):
+        raise ValueError("weights must be nonnegative")
+    if np.any(np.abs(w.sum(axis=-2) - 1.0) > SIMPLEX_ATOL):
+        raise ValueError("every weight column must sum to 1")
+    w.flags.writeable = False
+    return w
+
+
 @dataclass(frozen=True)
 class FusionMatrix:
     """Per-model, per-output weights; every column lives on the simplex."""
@@ -40,16 +54,7 @@ class FusionMatrix:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError("weights must be an M x K matrix")
-        if np.any(w < -SIMPLEX_ATOL):
-            raise ValueError("weights must be nonnegative")
-        sums = w.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > SIMPLEX_ATOL):
-            raise ValueError("every weight column must sum to 1")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _simplex_weights(self.weights, 2, "M x K"))
 
     @property
     def n_models(self) -> int:
@@ -75,17 +80,20 @@ def uniform_matrix(n_models: int, n_outputs: int) -> FusionMatrix:
 
 @dataclass(frozen=True)
 class FusionPool:
-    matrices: tuple
-    alpha: float
-    seed: int
-    includes_selectors: bool
+    """P fusion matrices as one read-only (P, M, K) weight array."""
+
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.matrices:
-            raise ValueError("pool must be nonempty")
+        object.__setattr__(self, "weights", _simplex_weights(self.weights, 3, "P x M x K"))
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return self.weights.shape[0]
+
+    @property
+    def matrices(self) -> tuple:
+        """The pool's rows as FusionMatrix objects, built on each access."""
+        return tuple(FusionMatrix(w) for w in self.weights)
 
 
 def sample_pool(
@@ -116,11 +124,8 @@ def sample_pool(
         g = np.where(np.broadcast_to(degenerate, g.shape), 1.0, g)
         sums = g.sum(axis=1, keepdims=True)
     g /= sums
-    matrices = [FusionMatrix(g[i]) for i in range(pool_size)]
-    matrices += [selector_matrix(m, n_models, n_outputs) for m in range(n_models)]
-    return FusionPool(
-        matrices=tuple(matrices), alpha=alpha, seed=seed, includes_selectors=True
-    )
+    selectors = np.repeat(np.eye(n_models)[:, :, None], n_outputs, axis=2)
+    return FusionPool(np.concatenate([g, selectors]))
 
 
 def _aligned_arrays(preds) -> list[np.ndarray]:
@@ -172,21 +177,20 @@ def _mean_ccc(truth: np.ndarray, outputs) -> float:
     return sum(values) / len(values)
 
 
-def _pool_scores(planes: np.ndarray, truth: np.ndarray, metric: str, matrices):
-    """Every matrix's dev score from the (M, K, q) class planes."""
+def _pool_scores(planes: np.ndarray, truth: np.ndarray, metric: str, weights):
+    """The dev score of every (M, K) weight row from the (M, K, q) class planes."""
     if metric == "mean_ccc":
         return np.array([
-            _mean_ccc(truth, np.einsum("mkq,mk->kq", planes, m.weights))
-            for m in matrices
+            _mean_ccc(truth, np.einsum("mkq,mk->kq", planes, w)) for w in weights
         ])
     n_classes, q = planes.shape[1:]
-    tp = np.empty((len(matrices), n_classes), dtype=np.int64)
+    tp = np.empty((len(weights), n_classes), dtype=np.int64)
     predicted = np.empty_like(tp)
     labels = np.empty(q, dtype=np.int64)
     cells = truth * n_classes
     diagonal = np.arange(n_classes) * (n_classes + 1)
-    for i, matrix in enumerate(matrices):
-        fused = np.einsum("mkq,mk->kq", planes, matrix.weights)
+    for i, w in enumerate(weights):
+        fused = np.einsum("mkq,mk->kq", planes, w)
         top = fused.max(axis=0)
         # walking down to class 0 leaves each frame on its first maximum
         labels.fill(n_classes - 1)
@@ -241,20 +245,20 @@ def dwf_search(
         truth = truth.astype(np.int64, copy=False)
         if truth.min() < 0 or truth.max() >= n_outputs:
             raise ValueError(f"y_true contains labels outside [0, {n_outputs})")
-    for matrix in pool.matrices:
-        if matrix.weights.shape != (n_models, n_outputs):
-            raise ValueError(
-                f"matrix is {matrix.n_models}x{matrix.n_outputs} but tracks are "
-                f"{n_models} models x {n_outputs} outputs"
-            )
-    if n_models == 1 and all((m.weights == 1.0).all() for m in pool.matrices):
+    pool_models, pool_outputs = pool.weights.shape[1:]
+    if (pool_models, pool_outputs) != (n_models, n_outputs):
+        raise ValueError(
+            f"matrix is {pool_models}x{pool_outputs} but tracks are "
+            f"{n_models} models x {n_outputs} outputs"
+        )
+    if n_models == 1 and (pool.weights == 1.0).all():
         # one model: every simplex column is [1.0], so every matrix is the
         # selector, all score alike and the first one wins
-        score = _pool_scores(planes, truth, metric, pool.matrices[:1])[0]
-        return pool.matrices[0], float(score), np.full(len(pool), score)
-    scores = _pool_scores(planes, truth, metric, pool.matrices)
+        score = _pool_scores(planes, truth, metric, pool.weights[:1])[0]
+        return FusionMatrix(pool.weights[0]), float(score), np.full(len(pool), score)
+    scores = _pool_scores(planes, truth, metric, pool.weights)
     best = int(np.argmax(scores))
-    return pool.matrices[best], float(scores[best]), scores
+    return FusionMatrix(pool.weights[best]), float(scores[best]), scores
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,8 @@ class KelmModel:
 
     D: np.ndarray
     beta: np.ndarray
-    C: float
     kernel: KernelSpec
     task: str  # "classification" | "regression"
-    class_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.task not in ("classification", "regression"):
@@ -158,9 +156,7 @@ def train_kelm(
         raise SolverError(
             f"solver produced non-finite coefficients (cond={np.linalg.cond(a):.3e})"
         )
-    return KelmModel(
-        D=x, beta=beta, C=float(c), kernel=spec, task=task, class_weights=weights
-    )
+    return KelmModel(D=x, beta=beta, kernel=spec, task=task)
 
 
 def predict_kelm(model: KelmModel, x_test: np.ndarray) -> np.ndarray:

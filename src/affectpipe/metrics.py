@@ -150,15 +150,12 @@ def precision_recall_f1(tp, predicted, support):
     return precision, recall, f1
 
 
-def classification_report(
-    y_true, y_pred, n_classes: int, exclude_absent: bool = False
-) -> EvalReport:
+def classification_report(y_true, y_pred, n_classes: int) -> EvalReport:
     """Per-class precision/recall/F1 plus macro averages and accuracy.
 
     Undefined precision, recall, or F1 (empty denominators) count as 0.
-    Macro averages run over all n_classes including classes absent from
-    the data; pass exclude_absent=True to average only over classes
-    with truth support.
+    Macro averages run over all n_classes, including classes absent
+    from the data.
     """
     y_true = np.asarray(y_true, dtype=np.int64).ravel()
     y_pred = np.asarray(y_pred, dtype=np.int64).ravel()
@@ -180,16 +177,12 @@ def classification_report(
         ClassScores(float(precision[k]), float(recall[k]), float(f1[k]), int(support[k]))
         for k in range(n_classes)
     )
-    if exclude_absent:
-        keep = support > 0
-    else:
-        keep = np.ones(n_classes, dtype=bool)
     return EvalReport(
         task="expr",
         per_class=per_class,
-        macro_f1=float(f1[keep].mean()),
-        macro_precision=float(precision[keep].mean()),
-        macro_recall=float(recall[keep].mean()),
+        macro_f1=float(f1.mean()),
+        macro_precision=float(precision.mean()),
+        macro_recall=float(recall.mean()),
         accuracy=float((y_true == y_pred).mean()),
     )
 

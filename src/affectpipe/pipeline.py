@@ -805,22 +805,7 @@ def _rebuild_kelm(
         run_dir / "kelm_beta.npy", "train-kelm", np.float64, (len(d_mat), config.n_outputs)
     )
     kernel = config.kernel_spec.resolve(d_mat.shape[1])
-    return KelmModel(D=d_mat, beta=beta, C=_selected_c(run_dir), kernel=kernel,
-                     task=_KELM_TASKS[config.task])
-
-
-def _selected_c(run_dir: Path) -> float:
-    """The regularizer train-kelm wrote to selection.csv."""
-    path = _require_file(run_dir / "selection.csv", "train-kelm stage output")
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    try:
-        header, (c, _) = rows
-        if header == ["c", "dev_score"]:
-            return float(c)
-    except ValueError:
-        pass
-    raise DataFormatError(f"{path}: expected the header c,dev_score and one row")
+    return KelmModel(D=d_mat, beta=beta, kernel=kernel, task=_KELM_TASKS[config.task])
 
 
 def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:

@@ -98,8 +98,10 @@ def _va_video(rng, spec: SyntheticSpec, mapping: np.ndarray):
     n = spec.frames_per_video
     traj = np.empty((n, 2))
     cur = rng.uniform(-0.5, 0.5, size=2)
+    # one draw of n steps yields the same numbers as n draws of one step
+    steps = rng.normal(scale=VA_STEP_SCALE, size=(n, 2))
     for t in range(n):
-        cur = np.clip(cur + rng.normal(scale=VA_STEP_SCALE, size=2), -1.0, 1.0)
+        cur = np.clip(cur + steps[t], -1.0, 1.0)
         traj[t] = cur
     emb = traj @ mapping
     if spec.noise > 0:

@@ -107,13 +107,10 @@ class SmoothingSpec:
     """Hamming smoothing settings; window length defaults to 0.5 s."""
 
     window_seconds: float = 0.5
-    edge_policy: str = "replicate"
 
     def __post_init__(self) -> None:
         if self.window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        if self.edge_policy != "replicate":
-            raise ValueError(f"unsupported edge policy {self.edge_policy!r}")
 
     def window_frames(self, fps: float) -> int:
         """Window length in frames: round(seconds * fps), forced odd, >= 1."""

@@ -421,8 +421,10 @@ def labels_to_track(
     """Build a contiguous FrameTrack from keyed label rows."""
     keys = sorted(frames)
     if keys != list(range(keys[0], keys[0] + len(keys))):
+        a, b = next((a, b) for a, b in zip(keys, keys[1:]) if b != a + 1)
         raise AlignmentError(
-            f"labels for {video_id!r} are not contiguous; cannot form a track"
+            f"labels for {video_id!r} are not contiguous (first gap {a} -> {b}; "
+            "invalid label rows are dropped on read); cannot form a track"
         )
     values = np.stack([frames[k] for k in keys])
     kind = "label" if task == "expr" else "va"

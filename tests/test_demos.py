@@ -14,9 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def test_demo_runs(demo, tmp_path, pytestconfig):
     env = dict(os.environ)
     env["TMPDIR"] = str(tmp_path)  # demos that write files put them here
+    # the pytest warning filters do not reach a subprocess; pass them on
+    env["PYTHONWARNINGS"] = ",".join(pytestconfig.getini("filterwarnings"))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )

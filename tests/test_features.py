@@ -162,9 +162,3 @@ class TestScalerCsv:
         rows = [line.split(",") for line in expected.splitlines()[2:]]
         np.testing.assert_array_equal([float(r[1]) for r in rows], scaler.lo)
         np.testing.assert_array_equal([float(r[2]) for r in rows], scaler.hi)
-
-    def test_scope_comment_preserved(self, tmp_path):
-        scaler = MinMaxScaler(lo=np.zeros(1), hi=np.ones(1), scope="per_video")
-        path = tmp_path / "scaler.csv"
-        write_scaler_csv(path, scaler)
-        assert path.read_text().splitlines()[0] == "# scope=per_video"

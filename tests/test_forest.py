@@ -194,7 +194,7 @@ class TestDeterminismAndOob:
         rng = np.random.default_rng(11)
         x, y = _noisy_stack(rng, 400)
         model = train_forest(x, y, ForestSpec(n_trees=10, seed=31), n_classes=4)
-        fracs = model.oob_fractions
+        fracs = (~model.in_bag).mean(axis=1)
         assert fracs.shape == (10,)
         assert np.all(fracs > 0.30) and np.all(fracs < 0.44)
 

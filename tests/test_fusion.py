@@ -49,6 +49,18 @@ class TestFusionMatrix:
         m = selector_matrix(1, 3, 2)
         np.testing.assert_array_equal(m.weights, [[0, 0], [1, 1], [0, 0]])
 
+    @pytest.mark.parametrize("cls, w", [
+        (FusionMatrix, np.array([[0.5, 1.0], [0.5, 0.0]])),
+        (FusionPool, np.array([[[0.5, 1.0], [0.5, 0.0]], [[0.0, 0.25], [1.0, 0.75]]])),
+    ])
+    def test_copies_and_leaves_the_callers_array_writeable(self, cls, w):
+        original = w.copy()
+        held = cls(w).weights
+        assert w.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(w, held)
+        w[...] = 0.0
+        np.testing.assert_array_equal(held, original)
+
 
 class TestSamplePool:
     def test_single_model_columns_are_exactly_one(self):
@@ -75,11 +87,53 @@ class TestSamplePool:
 
     def test_selectors_appended_at_end(self):
         pool = sample_pool(3, 2, pool_size=10, seed=1)
-        assert len(pool) == 13 and pool.includes_selectors
+        assert len(pool) == 13
         for m in range(3):
             np.testing.assert_array_equal(
                 pool.matrices[10 + m].weights, selector_matrix(m, 3, 2).weights
             )
+
+    @pytest.mark.parametrize("m, k, alpha", [(3, 8, 1.0), (1, 4, 0.5), (4, 2, 1e-3)])
+    def test_weights_are_normalised_gamma_draws_then_selectors(self, m, k, alpha):
+        pool = sample_pool(m, k, pool_size=30, alpha=alpha, seed=9)
+        g = np.random.default_rng(9).gamma(shape=alpha, scale=1.0, size=(30, m, k))
+        sums = g.sum(axis=1, keepdims=True)
+        g = np.where(sums == 0.0, 1.0, g)
+        expected = [w / w.sum(axis=0) for w in g]
+        expected += [selector_matrix(i, m, k).weights for i in range(m)]
+        assert pool.weights.shape == (30 + m, m, k) and pool.weights.dtype == np.float64
+        assert pool.weights.tobytes() == np.array(expected).tobytes()
+        assert not pool.weights.flags.writeable
+
+
+class TestFusionPool:
+    @pytest.mark.parametrize("weights", [
+        np.ones((2, 3)),  # one matrix, not a pool
+        np.ones((1, 1, 2, 2)),
+        np.empty((0, 2, 3)),
+        np.empty((2, 2, 0)),
+    ], ids=["2-d", "4-d", "no-matrices", "no-outputs"])
+    def test_rejects_shapes_that_are_not_a_nonempty_pool(self, weights):
+        with pytest.raises(ValueError, match="nonempty P x M x K"):
+            FusionPool(weights)
+
+    def test_rejects_a_negative_weight(self):
+        w = np.full((3, 2, 2), 0.5)
+        w[2] = [[1.5, 0.5], [-0.5, 0.5]]
+        with pytest.raises(ValueError, match="nonnegative"):
+            FusionPool(w)
+
+    def test_rejects_a_column_off_the_simplex(self):
+        w = np.full((3, 2, 2), 0.5)
+        w[1, 0, 1] = 0.4
+        with pytest.raises(ValueError, match="sum to 1"):
+            FusionPool(w)
+
+    def test_matrices_are_the_weight_rows(self):
+        pool = sample_pool(2, 3, pool_size=4, seed=5)
+        assert len(pool.matrices) == len(pool) == 6
+        for matrix, w in zip(pool.matrices, pool.weights):
+            assert matrix.weights.tobytes() == w.tobytes()
 
 
 class TestApplyFusion:
@@ -177,10 +231,7 @@ class TestDwfSearch:
         rng = np.random.default_rng(30)
         preds = _random_scores(rng, 1, 40, 4)
         truth = rng.integers(0, 4, size=40)
-        pool = FusionPool(
-            matrices=(selector_matrix(0, 1, 4),), alpha=1.0, seed=0,
-            includes_selectors=True,
-        )
+        pool = FusionPool(selector_matrix(0, 1, 4).weights[None])
         matrix, score, table = dwf_search(pool, preds, truth, "macro_f1")
         solo = metrics.classification_report(
             truth, preds[0].argmax(axis=1), n_classes=4
@@ -248,7 +299,7 @@ class TestDwfSearch:
         solo = metrics.classification_report(
             truth, preds[0].argmax(axis=1), n_classes=4
         ).macro_f1
-        assert matrix is pool.matrices[0] and score == solo
+        assert matrix.weights.tobytes() == pool.weights[0].tobytes() and score == solo
         np.testing.assert_array_equal(table, np.full(len(pool), solo))
 
     def test_one_model_weights_off_one_are_each_scored(self):
@@ -256,10 +307,7 @@ class TestDwfSearch:
         truth = np.clip(rng.normal(scale=0.4, size=(50, 2)), -1, 1)
         pred = np.clip(truth + rng.normal(scale=0.2, size=(50, 2)), -1, 1)
         w = 1.0 - 1e-9
-        pool = FusionPool(
-            matrices=(FusionMatrix(np.ones((1, 2))), FusionMatrix(np.array([[w, 1.0]]))),
-            alpha=1.0, seed=0, includes_selectors=True,
-        )
+        pool = FusionPool(np.array([[[1.0, 1.0]], [[w, 1.0]]]))
         _, _, table = dwf_search(pool, [pred], truth, "mean_ccc")
         scaled = (
             metrics.ccc(truth[:, 0], w * pred[:, 0]).ccc
@@ -337,7 +385,7 @@ def _reference_dev_score(fused, truth, metric):
 def reference_dwf_search(pool, dev_preds, dev_truth, metric):
     """The DWF search as a per-matrix loop: fuse, argmax, report, keep the
     first strict maximum. dwf_search must reproduce its score table byte
-    for byte and pick the same matrix object."""
+    for byte and pick the same matrix."""
     stacked = np.stack(dev_preds)
     scores = np.empty(len(pool))
     best = 0
@@ -375,9 +423,7 @@ class TestDwfSearchMatchesReferenceLoop:
             truth = rng.uniform(-1, 1, size=(q, k))
         sampled = sample_pool(m, k, pool_size=40, alpha=alpha, seed=q)
         # equal copies of earlier matrices tie with them; the first must win
-        copies = tuple(FusionMatrix(w.weights.copy()) for w in sampled.matrices[::5])
-        pool = FusionPool(matrices=sampled.matrices + copies, alpha=alpha, seed=q,
-                          includes_selectors=True)
+        pool = FusionPool(np.concatenate([sampled.weights, sampled.weights[::5]]))
 
         matrix, score, table = dwf_search(pool, preds, truth, metric)
         ref_matrix, ref_score, ref_table = reference_dwf_search(
@@ -385,7 +431,7 @@ class TestDwfSearchMatchesReferenceLoop:
         )
         assert table.dtype == ref_table.dtype and table.shape == ref_table.shape
         assert table.tobytes() == ref_table.tobytes()
-        assert matrix is ref_matrix
+        assert matrix.weights.tobytes() == ref_matrix.weights.tobytes()
         assert np.float64(score).tobytes() == np.float64(ref_score).tobytes()
 
 

@@ -572,7 +572,7 @@ class TestRunPipeline:
         _write_base_predictions(config)
         calls = {}
         for name in ("read_label_csv", "read_track_csv", "read_vad_csv",
-                     "_read_windows_csv", "_load_rows", "_selected_c"):
+                     "_read_windows_csv", "_load_rows"):
             def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -788,6 +788,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(run_dir) in err and message in err
 
+    def test_staged_predict_kelm_needs_no_selection_csv(self, tmp_path):
+        path = self._prepare(tmp_path)
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "single")]) == 0
+        staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
+        for cmd in ("window", "features", "train-kelm"):
+            assert main([cmd, *staged]) == 0
+        run_b = next((tmp_path / "staged").iterdir())
+        (run_b / "selection.csv").unlink()
+        assert main(["predict-kelm", *staged]) == 0
+        run_a = next((tmp_path / "single").iterdir())
+        kelm_csv = Path("models", "kelm.csv")
+        assert (run_b / kelm_csv).read_bytes() == (run_a / kelm_csv).read_bytes()
+
     def test_features_exits_4_when_the_vad_changed_since_the_window_stage(self, tmp_path):
         path = self._prepare(tmp_path)
         assert main(["window", "--config", str(path)]) == 0
@@ -851,6 +865,24 @@ class TestCli:
         data.write_text(data.read_text() + row + "\n")
         assert main(["run", "--config", str(path)]) == 6
         assert f"{data}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, field, value",
+                             [({}, 2, "-1"), (_VA, 2, "-5")], ids=["expr", "va"])
+    def test_invalid_label_row_inside_a_video_exits_4_naming_the_gap(
+        self, tmp_path, capsys, overrides, field, value
+    ):
+        path = self._prepare(tmp_path, **overrides)
+        labels = Path(load_config(path).paths.labels)
+        lines = labels.read_text().split("\n")
+        i = next(i for i, line in enumerate(lines) if line.startswith("v001,50,"))
+        row = lines[i].split(",")
+        row[field] = value
+        lines[i] = ",".join(row)
+        labels.write_text("\n".join(lines))
+        assert main(["run", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "labels for 'v001' are not contiguous (first gap 49 -> 51" in err
+        assert "invalid label rows are dropped on read" in err
 
     def test_va_base_prediction_outside_the_range_exits_6(self, tmp_path, capsys):
         bases = _base_paths(tmp_path, 1)

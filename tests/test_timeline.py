@@ -71,8 +71,6 @@ class TestSmoothingSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             SmoothingSpec(window_seconds=0.0)
-        with pytest.raises(ValueError):
-            SmoothingSpec(edge_policy="zeros")
 
 
 class TestResample:
