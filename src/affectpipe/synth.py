@@ -96,13 +96,16 @@ def _expr_video(rng, spec: SyntheticSpec, means: np.ndarray):
 
 def _va_video(rng, spec: SyntheticSpec, mapping: np.ndarray):
     n = spec.frames_per_video
-    traj = np.empty((n, 2))
-    cur = rng.uniform(-0.5, 0.5, size=2)
+    v, a = rng.uniform(-0.5, 0.5, size=2).tolist()
     # one draw of n steps yields the same numbers as n draws of one step
-    steps = rng.normal(scale=VA_STEP_SCALE, size=(n, 2))
-    for t in range(n):
-        cur = np.clip(cur + steps[t], -1.0, 1.0)
-        traj[t] = cur
+    steps = rng.normal(scale=VA_STEP_SCALE, size=(n, 2)).tolist()
+    walk = []
+    for dv, da in steps:
+        # min/max clamp like np.clip, -0.0 included
+        v = min(max(v + dv, -1.0), 1.0)
+        a = min(max(a + da, -1.0), 1.0)
+        walk.append((v, a))
+    traj = np.array(walk)
     emb = traj @ mapping
     if spec.noise > 0:
         emb = emb + spec.noise * rng.normal(size=(n, spec.embedding_dim))

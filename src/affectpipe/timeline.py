@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -268,47 +272,55 @@ def read_track_csv(
     FrameTrack of `kind` rejects raise DataFormatError naming the video.
     """
     path = Path(path)
-    per_video: dict[str, list[list[float]]] = {}
-    origins: dict[str, int] = {}
-    last_frame: dict[str, int] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header or header[:2] != ["video_id", "frame"]:
             raise DataFormatError(f"{path}: expected header video_id,frame,c0,...")
         width = len(header) - 2
         if width < 1:
             raise DataFormatError(f"{path}: no value columns")
-        for row in reader:
-            if not row:
-                continue
-            lineno = reader.line_num
-            if len(row) != width + 2:
-                raise DataFormatError(f"{path}:{lineno}: expected {width + 2} fields")
-            vid = row[0]
-            try:
-                frame = int(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            if vid in last_frame:
-                check_next_frame(path, lineno, vid, last_frame[vid], frame)
-            else:
-                origins[vid] = frame
-                per_video[vid] = []
-            last_frame[vid] = frame
-            per_video[vid].append(values)
-    if not per_video:
-        raise DataFormatError(f"{path}: no data rows")
+        check = row_check(path, _track_fields(width))
+        ids, frames, values = parse_rows(path, fh, (np.float64, (width,)), check)
     tracks = {}
-    for vid, rows in per_video.items():
+    for vid, rows in video_rows(path, ids, frames, check).items():
         try:
             tracks[vid] = FrameTrack(
-                vid, fps, np.array(rows), kind=kind, frame_index_origin=origins[vid]
+                vid, fps, values[rows], kind=kind, frame_index_origin=int(frames[rows[0]])
             )
         except ValueError as exc:
             raise DataFormatError(f"{path}: video {vid!r}: {exc}") from None
     return tracks
+
+
+def _track_fields(width: int):
+    def check_fields(row: list[str]) -> None:
+        if len(row) != width + 2:
+            raise ValueError(f"expected {width + 2} fields")
+        [float(v) for v in row[2:]]
+
+    return check_fields
+
+
+def row_check(path: Path, check_fields):
+    """The per-row check of a reader whose videos' frames step by one.
+
+    check_fields(row) raises ValueError, with the message the row's
+    error gets, for a fault in the fields other than the frame.
+    """
+    last_frame: dict[str, int] = {}
+
+    def check(row: list[str], lineno: int) -> None:
+        try:
+            check_fields(row)
+            frame = int(row[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        vid = row[0]
+        if vid in last_frame:
+            check_next_frame(path, lineno, vid, last_frame[vid], frame)
+        last_frame[vid] = frame
+
+    return check
 
 
 def check_next_frame(path: Path, lineno: int, vid: str, last: int, frame: int) -> None:
@@ -322,3 +334,118 @@ def check_next_frame(path: Path, lineno: int, vid: str, last: int, frame: int) -
             f"{path}:{lineno}: gap in frames for {vid!r} "
             f"({last} -> {frame}); tracks must be contiguous"
         )
+
+
+# ---------------------------------------------------------------------------
+# The row parser the track, VAD and label readers share. One np.loadtxt call
+# parses the data rows; only when it or a frame check finds a fault does a
+# per-row csv pass run, to raise the error of the first faulty row with its
+# file line. csv and numpy split fields alike (quotes, blank lines, \r\n).
+# ---------------------------------------------------------------------------
+
+# str.isspace() counts U+001C..U+001F as whitespace, and numpy strips them
+# around a numeral where int() and float() reject it.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def parse_rows(
+    path: Path, fh, value_dtype, check_row
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse the data rows of an open per-frame CSV positioned past its header.
+
+    `value_dtype` is the dtype of the fields after video_id and frame,
+    and check_row(row, lineno) raises the error a faulty row gets. Returns
+    the video ids (object array of str), the frames (int64) and the
+    values, in file order, skipping blank lines. A file without data
+    rows raises DataFormatError, and so do numerals that int() or
+    float() read but numpy does not: `1_0`, non-ASCII digits, frames
+    beyond int64.
+    """
+    # loadtxt warns on input without data, so find the first data line here
+    for line in fh:
+        if line not in ("\n", "\r\n", "\r"):
+            break
+    else:
+        raise DataFormatError(f"{path}: no data rows")
+    is_ascii, separators = _scan(path)
+    # numpy's int64 parser misreads some non-ASCII characters as digits
+    frame_dtype = np.int64 if is_ascii else object
+    dtype = [("id", object), ("frame", frame_dtype), ("v", value_dtype)]
+    try:
+        with warnings.catch_warnings():
+            # older numpy reads `4.0` or `1e3` into an int64 field with only
+            # this warning; as an error, the parse fails
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            table = np.loadtxt(
+                itertools.chain([line], fh), delimiter=",", quotechar='"',
+                comments=None, ndmin=1, dtype=dtype,
+            )
+        frames = table["frame"]
+        if not is_ascii:
+            frames = np.fromiter(map(_ascii_int, frames), np.int64, count=len(frames))
+    except (ValueError, OverflowError, DeprecationWarning) as exc:
+        reject(path, check_row, exc)
+    if separators:
+        check_rows(path, check_row)
+    return table["id"], frames, table["v"]
+
+
+def _scan(path: Path) -> tuple[bool, bool]:
+    """Whether the file is ASCII, and whether it holds U+001C..U+001F."""
+    is_ascii, separators = True, False
+    with path.open("rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 16), b""):
+            is_ascii = is_ascii and chunk.isascii()
+            separators = separators or any(c in chunk for c in _SEPARATORS)
+    return is_ascii, separators
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) for the numerals numpy's int64 parser takes from ASCII text."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string {text!r} to int64")
+    return int(text)
+
+
+def check_rows(path: Path, check_row) -> None:
+    """Run check_row over the file's data rows with their csv line numbers."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if row:
+                check_row(row, reader.line_num)
+
+
+def reject(path: Path, check_row, reason) -> NoReturn:
+    """Raise the error of the first faulty row, or DataFormatError(reason)."""
+    check_rows(path, check_row)
+    raise DataFormatError(f"{path}: {reason}")
+
+
+def id_runs(ids: np.ndarray) -> list[tuple[str, int, int]]:
+    """(video id, start, end) of each run of consecutive rows of one video."""
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    return [(ids[a], a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def video_rows(
+    path: Path, ids: np.ndarray, frames: np.ndarray, check_row
+) -> dict[str, np.ndarray]:
+    """Row indices of each video in order of first appearance.
+
+    A video's frames must step by one; otherwise the first faulty row
+    raises through check_row.
+    """
+    runs: dict[str, list[np.ndarray]] = {}
+    for vid, start, end in id_runs(ids):
+        runs.setdefault(vid, []).append(np.arange(start, end))
+    out = {}
+    for vid, parts in runs.items():
+        rows = np.concatenate(parts)
+        f = frames[rows]
+        # the first test catches a difference that wraps around int64
+        if (f[1:] <= f[:-1]).any() or (np.diff(f) != 1).any():
+            reject(path, check_row, f"frames of {vid!r} are not contiguous")
+        out[vid] = rows
+    return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -18,7 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataFormatError
-from .timeline import N_EXPR_CLASSES, FrameTrack, check_next_frame, csv_row_format
+from .timeline import (
+    N_EXPR_CLASSES,
+    FrameTrack,
+    csv_row_format,
+    id_runs,
+    parse_rows,
+    reject,
+    row_check,
+    video_rows,
+)
 
 log = logging.getLogger(__name__)
 
@@ -301,31 +309,24 @@ def write_vad_csv(path: str | Path, masks: list[VadMask]) -> None:
 def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
     """One mask per video; its frames follow read_track_csv's rule."""
     path = Path(path)
-    per_video: dict[str, list[bool]] = {}
-    last_frame: dict[str, int] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != ["video_id", "frame", "voiced"]:
             raise DataFormatError(f"{path}: expected header video_id,frame,voiced")
-        for row in reader:
-            if not row:
-                continue
-            lineno = reader.line_num
-            if len(row) != 3 or row[2] not in ("0", "1"):
-                raise DataFormatError(f"{path}:{lineno}: voiced must be 0 or 1")
-            vid = row[0]
-            try:
-                frame = int(row[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            if vid in last_frame:
-                check_next_frame(path, lineno, vid, last_frame[vid], frame)
-            last_frame[vid] = frame
-            per_video.setdefault(vid, []).append(row[2] == "1")
-    if not per_video:
-        raise DataFormatError(f"{path}: no data rows")
-    return {vid: VadMask(vid, np.array(v, dtype=bool)) for vid, v in per_video.items()}
+        check = row_check(path, _vad_fields)
+        ids, frames, flags = parse_rows(path, fh, object, check)
+    voiced = flags == "1"
+    if not (voiced | (flags == "0")).all():
+        reject(path, check, "voiced must be 0 or 1")
+    return {
+        vid: VadMask(vid, voiced[rows])
+        for vid, rows in video_rows(path, ids, frames, check).items()
+    }
+
+
+def _vad_fields(row: list[str]) -> None:
+    if len(row) != 3 or row[2] not in ("0", "1"):
+        raise ValueError("voiced must be 0 or 1")
 
 
 def _label_header(task: str) -> list[str]:
@@ -364,45 +365,24 @@ def read_label_csv(path: str | Path, task: str) -> dict[str, dict[int, np.ndarra
     """
     path = Path(path)
     expected = _label_header(task)
-    n_fields = len(expected)
-    va = task == "va"
-    # One pass keeps the frames, the values as raw doubles and, for each
-    # run of consecutive rows of one video, (video id, first row index).
-    runs: list[tuple[str, int]] = []
-    frames: list[int] = []
-    flat = array("d")
-    add_frame, add_value = frames.append, flat.append
-    vid = None
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != expected:
             raise DataFormatError(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
-            if len(row) != n_fields:
-                if not row:
-                    continue
-                raise DataFormatError(
-                    f"{path}:{reader.line_num}: expected {n_fields} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                add_value(float(row[2]))
-                if va:
-                    add_value(float(row[3]))
-                add_frame(int(row[1]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-            if row[0] != vid:
-                vid = row[0]
-                runs.append((vid, len(frames) - 1))
-    values = np.frombuffer(flat, dtype=np.float64).reshape(len(frames), n_fields - 2)
+        check = _label_row_check(path, len(expected))
+        ids, frames, values = parse_rows(
+            path, fh, (np.float64, (len(expected) - 2,)), check
+        )
+    runs = id_runs(ids)
+    # the parsed table and its id strings go before the row dicts are built
+    values = values.copy()
     values.setflags(write=False)
+    del ids
+    frames = frames.tolist()
     valid = valid_label_rows(values, task)
     keep = valid.tolist()
     out: dict[str, dict[int, np.ndarray]] = {}
-    ends = [start for _, start in runs[1:]] + [len(frames)]
-    for (vid, start), end in zip(runs, ends):
+    for vid, start, end in runs:
         rows = zip(frames[start:end], values[start:end])
         kept = dict(compress(rows, keep[start:end]))
         if kept:
@@ -413,6 +393,21 @@ def read_label_csv(path: str | Path, task: str) -> dict[str, dict[int, np.ndarra
     if not out:
         raise DataFormatError(f"{path}: no valid data rows")
     return out
+
+
+def _label_row_check(path: Path, n_fields: int):
+    def check(row: list[str], lineno: int) -> None:
+        if len(row) != n_fields:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}"
+            )
+        try:
+            [float(v) for v in row[2:]]
+            int(row[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+
+    return check
 
 
 def labels_to_track(

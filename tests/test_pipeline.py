@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from affectpipe import pipeline
+from affectpipe import pipeline, synth
 from affectpipe.cli import main
 from affectpipe.errors import (
     AffectPipeError,
@@ -256,6 +256,85 @@ class TestSyntheticData:
         voiced = np.asarray(masks[0].voiced)
         assert voiced.any() and not voiced.all()
         assert voiced[0]  # runs start voiced
+
+
+def _reference_va_video(rng, spec, mapping):
+    """The np.clip walk synth._va_video replaced, kept verbatim."""
+    n = spec.frames_per_video
+    traj = np.empty((n, 2))
+    cur = rng.uniform(-0.5, 0.5, size=2)
+    steps = rng.normal(scale=synth.VA_STEP_SCALE, size=(n, 2))
+    for t in range(n):
+        cur = np.clip(cur + steps[t], -1.0, 1.0)
+        traj[t] = cur
+    emb = traj @ mapping
+    if spec.noise > 0:
+        emb = emb + spec.noise * rng.normal(size=(n, spec.embedding_dim))
+    return emb, traj
+
+
+class _GivenWalk:
+    """Stands in for a Generator whose walk start and steps are given."""
+
+    def __init__(self, start, steps, seed):
+        self.start, self.steps = start, steps
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high, size):
+        return np.array(self.start)
+
+    def normal(self, scale=1.0, size=None):
+        if scale == synth.VA_STEP_SCALE:
+            return np.array(self.steps)
+        return self.rng.normal(scale=scale, size=size)
+
+
+class TestVaWalk:
+    @pytest.mark.parametrize(
+        "n_videos, frames, dim, voiced_fraction, noise",
+        [(1, 1, 1, 1.0, 1.0), (3, 200, 4, 0.7, 0.0), (2, 57, 3, 1.0, 0.5),
+         (5, 120, 8, 0.7, 1.0)],
+    )
+    def test_synth_matches_the_np_clip_walk(
+        self, monkeypatch, n_videos, frames, dim, voiced_fraction, noise
+    ):
+        spec = SyntheticSpec(n_videos=n_videos, frames_per_video=frames,
+                             embedding_dim=dim, task="va", noise=noise,
+                             voiced_fraction=voiced_fraction, seed=frames)
+        # long steps, so the walk is clamped at -1 and 1 often
+        monkeypatch.setattr(synth, "VA_STEP_SCALE", 0.6)
+        tracks, labels, masks = synth_tracks(spec)
+        monkeypatch.setattr(synth, "_va_video", _reference_va_video)
+        ref_tracks, ref_labels, ref_masks = synth_tracks(spec)
+        for got, ref in zip(tracks, ref_tracks, strict=True):
+            assert got.video_id == ref.video_id
+            assert got.values.tobytes() == ref.values.tobytes()
+        assert list(labels) == list(ref_labels)
+        for vid in labels:
+            assert list(labels[vid]) == list(ref_labels[vid])
+            for frame, row in labels[vid].items():
+                assert row.tobytes() == ref_labels[vid][frame].tobytes()
+        for got, ref in zip(masks, ref_masks, strict=True):
+            assert got.voiced.tobytes() == ref.voiced.tobytes()
+        if frames > 1:
+            walk = np.concatenate([np.array(list(v.values())) for v in labels.values()])
+            assert (walk == 1.0).any() and (walk == -1.0).any()
+
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_clamps_and_negative_zero_match_np_clip(self, noise):
+        start = [-0.0, 0.5]
+        steps = [[-0.0, 0.5], [-0.0, 0.25], [1.5, -0.0], [-3.0, -2.0], [0.0, 2.0],
+                 [-0.0, -0.0], [1.0, -1.0], [-0.5, 0.75], [-0.5, 0.25]]
+        spec = SyntheticSpec(frames_per_video=len(steps), embedding_dim=3,
+                             task="va", noise=noise)
+        mapping = np.random.default_rng(0).normal(size=(2, 3))
+        emb, traj = synth._va_video(_GivenWalk(start, steps, 1), spec, mapping)
+        ref_emb, ref_traj = _reference_va_video(_GivenWalk(start, steps, 1), spec,
+                                                mapping)
+        assert traj.tobytes() == ref_traj.tobytes()
+        assert emb.tobytes() == ref_emb.tobytes()
+        assert np.signbit(traj[:2, 0]).all()  # -0.0 carried through
+        assert traj[1, 1] == 1.0 and traj[3, 0] == -1.0
 
 
 class TestConfig:
@@ -865,6 +944,22 @@ class TestCli:
         data.write_text(data.read_text() + row + "\n")
         assert main(["run", "--config", str(path)]) == 6
         assert f"{data}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "which, row",
+        [
+            ("embeddings", "v000,320,1_0" + ",0.0" * 5),  # an underscore
+            ("embeddings", "v000,320,\u0661" + ",0.0" * 5),  # a non-ASCII digit
+            ("labels", "v000,9223372036854775808,1"),  # a frame beyond int64
+        ],
+        ids=["underscore", "non-ascii-digit", "frame-beyond-int64"],
+    )
+    def test_numerals_numpy_does_not_read_exit_6(self, tmp_path, capsys, which, row):
+        path = self._prepare(tmp_path)
+        data = Path(getattr(load_config(path).paths, which))
+        data.write_text(data.read_text() + row + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 6
+        assert f"{data}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, field, value",
                              [({}, 2, "-1"), (_VA, 2, "-5")], ids=["expr", "va"])

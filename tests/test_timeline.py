@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +306,208 @@ def test_track_writer_matches_the_per_row_reference(tmp_path, seed):
     write_track_csv(tmp_path / "new.csv", tracks)
     _reference_write_track_csv(tmp_path / "ref.csv", tracks)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference equality: the per-row reader read_track_csv replaced, kept
+# verbatim, and its frame check.
+# ---------------------------------------------------------------------------
+
+
+def reference_check_next_frame(path, lineno, vid, last, frame):
+    if frame <= last:
+        raise DataFormatError(
+            f"{path}:{lineno}: frames not strictly increasing for {vid!r}"
+        )
+    if frame != last + 1:
+        raise AlignmentError(
+            f"{path}:{lineno}: gap in frames for {vid!r} "
+            f"({last} -> {frame}); tracks must be contiguous"
+        )
+
+
+def _reference_read_track_csv(path, fps, kind="embedding"):
+    path = Path(path)
+    per_video = {}
+    origins = {}
+    last_frame = {}
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[:2] != ["video_id", "frame"]:
+            raise DataFormatError(f"{path}: expected header video_id,frame,c0,...")
+        width = len(header) - 2
+        if width < 1:
+            raise DataFormatError(f"{path}: no value columns")
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != width + 2:
+                raise DataFormatError(f"{path}:{lineno}: expected {width + 2} fields")
+            vid = row[0]
+            try:
+                frame = int(row[1])
+                values = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if vid in last_frame:
+                reference_check_next_frame(path, lineno, vid, last_frame[vid], frame)
+            else:
+                origins[vid] = frame
+                per_video[vid] = []
+            last_frame[vid] = frame
+            per_video[vid].append(values)
+    if not per_video:
+        raise DataFormatError(f"{path}: no data rows")
+    tracks = {}
+    for vid, rows in per_video.items():
+        try:
+            tracks[vid] = FrameTrack(
+                vid, fps, np.array(rows), kind=kind, frame_index_origin=origins[vid]
+            )
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: video {vid!r}: {exc}") from None
+    return tracks
+
+
+# ids csv must quote, ids numpy's comment and whitespace rules could touch,
+# a non-ASCII id and one holding a separator str.isspace() counts as space
+READER_IDS = ["v0", "v1", "b,c", 'q"d', "l\nf", "c\rr", "#x", " lead", "", "é", "u\x1fs"]
+
+
+def random_rows(rng, fields):
+    """Data rows of contiguous videos with odd ids, interleaved or in runs.
+
+    fields(rng) gives the fields after video_id and frame of one row.
+    """
+    vids = rng.permutation(READER_IDS)[: int(rng.integers(1, len(READER_IDS) + 1))]
+    videos = []
+    for vid in vids.tolist():
+        origin = int(rng.integers(0, 60))
+        frames = range(origin, origin + int(rng.integers(1, 25)))
+        spell = ["{}", " {}", "+{}", "00{}"] if rng.random() < 0.3 else ["{}"]
+        videos.append([[vid, str(rng.choice(spell)).format(f), *fields(rng)]
+                       for f in frames])
+    if rng.random() < 0.5:  # interleave, keeping each video's frame order
+        order = rng.permutation(np.repeat(np.arange(len(videos)),
+                                          [len(v) for v in videos]))
+        queues = [iter(v) for v in videos]
+        return [next(queues[i]) for i in order]
+    return [row for video in videos for row in video]
+
+
+def write_rows(rng, path, header, rows):
+    """Write rows with LF or CRLF endings and blank lines between some.
+
+    csv.writer quotes a field holding \\r only when \\r is part of its line
+    terminator, so rows are formatted with CRLF and the ending swapped.
+    """
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        for i, row in enumerate([header, *rows]):
+            if i and rng.random() < 0.05:
+                fh.write(end)
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(row)
+            fh.write(buf.getvalue()[:-2] + end)
+
+
+def _track_fields(width):
+    def fields(rng):
+        values = rng.normal(size=width)
+        values[rng.random(width) < 0.1] *= 1e300
+        values[rng.random(width) < 0.1] *= 1e-310
+        values[rng.random(width) < 0.05] = -0.0
+        spell = rng.choice(["%.17g", "%r", "%.3e", " %.17g ", "%.17G"], size=width)
+        return [("%r" % float(v)) if s == "%r" else s % v for s, v in zip(spell, values)]
+    return fields
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_track_reader_matches_the_per_row_reference(tmp_path, seed):
+    rng = np.random.default_rng([seed, 4])
+    width = int(rng.integers(1, 5))
+    rows = random_rows(rng, _track_fields(width))
+    if seed == 0:
+        rows = rows[:1]  # a single data row
+    path = tmp_path / "tracks.csv"
+    write_rows(rng, path, ["video_id", "frame"] + [f"c{j}" for j in range(width)], rows)
+    expected = _reference_read_track_csv(path, fps=5.0)
+    got = read_track_csv(path, fps=5.0)
+    assert list(got) == list(expected)
+    for vid, track in expected.items():
+        new = got[vid]
+        assert new.video_id == track.video_id and new.fps == track.fps
+        assert new.kind == track.kind
+        assert new.frame_index_origin == track.frame_index_origin
+        assert type(new.frame_index_origin) is int
+        assert new.values.dtype == track.values.dtype
+        assert new.values.shape == track.values.shape
+        assert new.values.tobytes() == track.values.tobytes()
+        assert not new.values.flags.writeable
+
+
+def outcome(read, path):
+    """A reader's exception as (class, message), or None if it read the file."""
+    try:
+        read(path)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+TRACK_FAULTS = {
+    "short row": "a,4,1.0",
+    "long row": "a,4,1.0,2.0,3.0",
+    "non-integer frame": "a,4.0,1.0,2.0",
+    "non-numeric value": "a,4,1.0,abc",
+    "repeated frame": "a,3,1.0,2.0",
+    "backwards frame": "a,1,1.0,2.0",
+    "gap": "a,6,1.0,2.0",
+    "frame wrapping around int64": "w,9223372036854775807,1,2\nw,-9223372036854775808,1,2",
+    "separator around a value": "a,4,1.0\x1f,2.0",
+    "whitespace line": "  ",
+    "non-finite value": "a,4,nan,2.0",
+}
+
+
+@pytest.mark.parametrize("later_fault", [False, True], ids=["alone", "then-a-gap"])
+@pytest.mark.parametrize("multiline_id", [False, True], ids=["plain", "two-line-id"])
+@pytest.mark.parametrize("fault", TRACK_FAULTS.values(), ids=TRACK_FAULTS.keys())
+def test_track_reader_faults_match_the_reference(tmp_path, fault, multiline_id,
+                                                 later_fault):
+    lines = ["video_id,frame,c0,c1"]
+    if multiline_id:
+        lines += ['"l\nf",0,0.5,0.5', '"l\nf",1,0.5,0.5']
+    lines += [f"{vid},{f},0.25,-0.25" for f in range(4) for vid in "ab"]
+    lines += [fault, *(["b,9,1.0,2.0"] if later_fault else []), "b,4,0.0,0.0"]
+    path = tmp_path / "tracks.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = outcome(lambda p: _reference_read_track_csv(p, fps=5.0), path)
+    assert expected is not None
+    assert outcome(lambda p: read_track_csv(p, fps=5.0), path) == expected
+
+
+@pytest.mark.parametrize(
+    "frame, value",
+    [
+        ("4", "1_0"),  # float() reads underscores, numpy does not
+        ("4", "١"),  # nor non-ASCII digits
+        ("4_0", "1.0"),
+        ("٤", "1.0"),
+        ("᧒", "1.0"),  # numpy's int64 parser has read this as 6562
+        ("9223372036854775808", "1.0"),  # beyond int64
+    ],
+    ids=["value-underscore", "value-arabic-indic", "frame-underscore",
+         "frame-arabic-indic", "frame-new-tai-lue", "frame-beyond-int64"],
+)
+def test_numerals_numpy_does_not_read_are_rejected(tmp_path, frame, value):
+    path = tmp_path / "tracks.csv"
+    path.write_text(f"video_id,frame,c0\nv,{frame},{value}\n", encoding="utf-8")
+    _reference_read_track_csv(path, fps=5.0)  # the per-row reader took them
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: ")):
+        read_track_csv(path, fps=5.0)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import logging
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affectpipe.errors import AlignmentError, DataFormatError
-from affectpipe.timeline import N_EXPR_CLASSES, FrameTrack
+from affectpipe.timeline import N_EXPR_CLASSES, FrameTrack, read_track_csv
 from affectpipe.windowing import (
     VadMask,
     WindowSpec,
@@ -26,6 +28,7 @@ from affectpipe.windowing import (
     write_label_csv,
     write_vad_csv,
 )
+from test_timeline import outcome, random_rows, reference_check_next_frame, write_rows
 
 
 def _track(n, d=3, fps=5.0, vid="v0", seed=0):
@@ -520,3 +523,147 @@ def test_writer_matches_the_per_row_reference(tmp_path, task, seed):
     write_label_csv(tmp_path / "new.csv", rows, task)
     _reference_write_label_csv(tmp_path / "ref.csv", rows, task)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _reference_read_vad_csv(path):
+    """The per-row reader read_vad_csv replaced, kept verbatim."""
+    path = Path(path)
+    per_video = {}
+    last_frame = {}
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["video_id", "frame", "voiced"]:
+            raise DataFormatError(f"{path}: expected header video_id,frame,voiced")
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != 3 or row[2] not in ("0", "1"):
+                raise DataFormatError(f"{path}:{lineno}: voiced must be 0 or 1")
+            vid = row[0]
+            try:
+                frame = int(row[1])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if vid in last_frame:
+                reference_check_next_frame(path, lineno, vid, last_frame[vid], frame)
+            last_frame[vid] = frame
+            per_video.setdefault(vid, []).append(row[2] == "1")
+    if not per_video:
+        raise DataFormatError(f"{path}: no data rows")
+    return {vid: VadMask(vid, np.array(v, dtype=bool)) for vid, v in per_video.items()}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vad_reader_matches_the_per_row_reference(tmp_path, seed):
+    rng = np.random.default_rng([seed, 5])
+    rows = random_rows(rng, lambda rng: [str(rng.integers(0, 2))])
+    if seed == 0:
+        rows = rows[:1]  # a single data row
+    path = tmp_path / "vad.csv"
+    write_rows(rng, path, ["video_id", "frame", "voiced"], rows)
+    expected = _reference_read_vad_csv(path)
+    got = read_vad_csv(path)
+    assert list(got) == list(expected)
+    for vid, mask in expected.items():
+        assert got[vid].video_id == mask.video_id
+        assert got[vid].voiced.dtype == mask.voiced.dtype
+        assert got[vid].voiced.tobytes() == mask.voiced.tobytes()
+        assert not got[vid].voiced.flags.writeable
+
+
+VAD_FAULTS = {
+    "short row": "a,4",
+    "long row": "a,4,1,1",
+    "non-integer frame": "a,x,1",
+    "voiced 2": "a,4,2",
+    "voiced with a leading space": "a,4, 1",
+    "voiced with a trailing space": "a,4,1 ",
+    "empty voiced": "a,4,",
+    "repeated frame": "a,3,1",
+    "backwards frame": "a,1,0",
+    "gap": "a,6,1",
+    "separator around a frame": "a,\x1f4,1",
+    "whitespace line": " ",
+}
+
+
+@pytest.mark.parametrize("later_fault", [False, True], ids=["alone", "then-a-gap"])
+@pytest.mark.parametrize("multiline_id", [False, True], ids=["plain", "two-line-id"])
+@pytest.mark.parametrize("fault", VAD_FAULTS.values(), ids=VAD_FAULTS.keys())
+def test_vad_reader_faults_match_the_reference(tmp_path, fault, multiline_id,
+                                               later_fault):
+    lines = ["video_id,frame,voiced"]
+    if multiline_id:
+        lines += ['"l\nf",0,1', '"l\nf",1,0']
+    lines += [f"{vid},{f},{f % 2}" for f in range(4) for vid in "ab"]
+    lines += [fault, *(["b,9,1"] if later_fault else []), "b,4,0"]
+    path = tmp_path / "vad.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = outcome(_reference_read_vad_csv, path)
+    assert expected is not None
+    assert outcome(read_vad_csv, path) == expected
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n\r\n"], ids=["none", "blank", "blanks"])
+@pytest.mark.parametrize("which", ["track", "vad", "expr", "va"])
+def test_header_only_file_has_no_data_rows(tmp_path, which, body):
+    header, read = {
+        "track": ("video_id,frame,c0", lambda p: read_track_csv(p, fps=5.0)),
+        "vad": ("video_id,frame,voiced", read_vad_csv),
+        "expr": ("video_id,frame,label", lambda p: read_label_csv(p, "expr")),
+        "va": ("video_id,frame,valence,arousal", lambda p: read_label_csv(p, "va")),
+    }[which]
+    path = tmp_path / "data.csv"
+    path.write_text(header + "\n" + body, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on empty input
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: no data rows")):
+            read(path)
+
+
+FRAME_READERS = {
+    "track": ("video_id,frame,c0", "0.5", lambda p: read_track_csv(p, fps=5.0)),
+    "vad": ("video_id,frame,voiced", "1", read_vad_csv),
+    "expr": ("video_id,frame,label", "3", lambda p: read_label_csv(p, "expr")),
+    "va": ("video_id,frame,valence,arousal", "0.5,0.5", lambda p: read_label_csv(p, "va")),
+}
+
+
+def _older_numpy_loadtxt(real):
+    """np.loadtxt as older numpy ran it: an int64 field written as a float
+    is read through float(), with only a DeprecationWarning."""
+
+    def loadtxt(lines, **kwargs):
+        rows = []
+        for line in lines:
+            vid, frame, rest = line.split(",", 2)
+            try:
+                int(frame)
+            except ValueError:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                frame = str(int(float(frame)))
+            rows.append(f"{vid},{frame},{rest}")
+        return real(rows, **kwargs)
+
+    return loadtxt
+
+
+@pytest.mark.parametrize("older_numpy", [False, True], ids=["numpy", "older-numpy"])
+@pytest.mark.parametrize("frame", ["4.0", "4.5", "1e3"])
+@pytest.mark.parametrize("which", FRAME_READERS)
+def test_float_frame_is_rejected_whatever_the_warning_filter(
+    monkeypatch, tmp_path, which, frame, older_numpy
+):
+    header, value, read = FRAME_READERS[which]
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\nv,3,{value}\nv,{frame},{value}\n", encoding="utf-8")
+    if older_numpy:
+        monkeypatch.setattr(np, "loadtxt", _older_numpy_loadtxt(np.loadtxt))
+    message = f"{path}:3: invalid literal for int() with base 10: {frame!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # as in a run outside the tests
+        with pytest.raises(DataFormatError, match=re.escape(message) + "$"):
+            read(path)
