@@ -83,6 +83,7 @@ from .timeline import (
     resample_track,
 )
 from .windowing import (
+    LabelRows,
     VadMask,
     WindowBatch,
     WindowSpec,
@@ -156,6 +157,7 @@ __all__ = [
     "hamming_smooth",
     "interpolate_to",
     "resample_track",
+    "LabelRows",
     "VadMask",
     "WindowBatch",
     "WindowSpec",

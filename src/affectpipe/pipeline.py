@@ -29,7 +29,6 @@ import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
@@ -88,6 +87,7 @@ from .timeline import (
     write_track_csv,
 )
 from .windowing import (
+    LabelRows,
     WindowBatch,
     WindowSpec,
     labels_to_track,
@@ -457,7 +457,7 @@ def _map_ordered(fn: Callable, items: Iterable, workers: int) -> list:
 _OTHER_TASK = {"expr": "va", "va": "expr"}
 
 
-def _read_labels_checked(path: Path, task: str) -> dict[str, dict[int, np.ndarray]]:
+def _read_labels_checked(path: Path, task: str) -> dict[str, LabelRows]:
     """read_label_csv, upgrading a wrong-task header to TaskMismatchError."""
     try:
         return read_label_csv(path, task)
@@ -475,20 +475,18 @@ def _load_truth_tracks(config: PipelineConfig, products: dict) -> dict[str, Fram
     """Ground-truth tracks on their native (per-video) timelines.
 
     The first stage of a run that needs them parses the labels. The run
-    keeps the tracks rather than the rows: they hold the same values in
-    one array per video, where a dict of rows costs a few hundred bytes
-    per frame.
+    keeps the tracks, which share their values with the label rows.
     """
     if "truth" not in products:
         path = _require_file(config.paths.labels, "labels file")
         products["truth"] = {
             vid: labels_to_track(
                 vid,
-                frames,
+                rows,
                 fps=config.postprocess.fps_for(vid, config.fps_target),
                 task=config.task,
             )
-            for vid, frames in _read_labels_checked(path, config.task).items()
+            for vid, rows in _read_labels_checked(path, config.task).items()
         }
     return products["truth"]
 
@@ -992,37 +990,41 @@ def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> 
     if missing:
         raise AlignmentError(f"postprocess stage: no labels for video(s) {missing}")
 
-    def one(vid: str) -> tuple[str, dict[int, np.ndarray]]:
+    def one(vid: str) -> tuple[str, LabelRows]:
         target = truth[vid]
-        track = interpolate_to(fused[vid], target.fps, target.n_frames)
-        track = hamming_smooth(track, smoothing)
-        origin = target.frame_index_origin
+        values = hamming_smooth(
+            interpolate_to(fused[vid], target.fps, target.n_frames), smoothing
+        ).values
         if config.task == "expr":
-            labels = track.values.argmax(axis=1)
-            rows = {origin + t: np.array([float(labels[t])]) for t in range(len(labels))}
-        else:
-            rows = {origin + t: track.values[t] for t in range(track.n_frames)}
-        return vid, rows
+            values = values.argmax(axis=1)[:, None]
+        return vid, _track_rows(target, values)
 
     predictions = dict(_map_ordered(one, vids, config.workers))
     write_label_csv(run_dir / "predictions.csv", predictions, task=config.task)
     products["predictions"] = predictions
 
 
+def _track_rows(track: FrameTrack, values: np.ndarray) -> LabelRows:
+    """`values` as the label rows of the track's frames."""
+    origin = track.frame_index_origin
+    return LabelRows(np.arange(origin, origin + track.n_frames), values)
+
+
 def evaluate_files(
     pred_csv: str | Path,
     truth_csv: str | Path,
     task: str,
-    pred: dict[str, dict[int, np.ndarray]] | None = None,
-    truth: dict[str, dict[int, np.ndarray]] | None = None,
+    pred: dict[str, LabelRows] | None = None,
+    truth: dict[str, LabelRows] | None = None,
 ) -> EvalReport:
     """Join predictions with truth on (video_id, frame) and score them.
 
     Rows invalid for the task are dropped on read (so truth frames with
     out-of-range annotations are ignored); the join keeps only keys
-    present on both sides and pools all frames before computing the
-    task's metric suite. `pred` and `truth`, when given, are the rows
-    of those files held in memory and are not read again; invalid
+    present on both sides and pools all frames, in video and frame
+    order, before computing the task's metric suite. `pred` and `truth`,
+    when given, are the label rows of those files held in memory, as
+    read_label_csv returns them, and are not read again; invalid
     prediction rows are dropped from them as the read would drop them.
     """
     if task not in ("expr", "va"):
@@ -1033,17 +1035,19 @@ def evaluate_files(
         pred = _valid_rows(pred, task)
     if truth is None:
         truth = _read_labels_checked(_require_file(truth_csv, "truth file"), task)
-    t_rows, p_rows = [], []
+    t_parts, p_parts = [], []
     for vid in sorted(set(pred) & set(truth)):
-        for frame in sorted(set(pred[vid]) & set(truth[vid])):
-            t_rows.append(truth[vid][frame])
-            p_rows.append(pred[vid][frame])
-    if not t_rows:
+        _, t_rows, p_rows = np.intersect1d(
+            truth[vid].frames, pred[vid].frames, assume_unique=True, return_indices=True
+        )
+        t_parts.append(truth[vid].values[t_rows])
+        p_parts.append(pred[vid].values[p_rows])
+    if not sum(map(len, t_parts)):
         raise AlignmentError(
             "evaluate stage: predictions and truth share no (video_id, frame) keys"
         )
-    t = np.array(t_rows)
-    p = np.array(p_rows)
+    t = np.concatenate(t_parts)
+    p = np.concatenate(p_parts)
     if task == "expr":
         return classification_report(
             t[:, 0].astype(np.int64), p[:, 0].astype(np.int64), n_classes=N_EXPR_CLASSES
@@ -1051,18 +1055,14 @@ def evaluate_files(
     return va_report(t, p)
 
 
-def _valid_rows(
-    rows: dict[str, dict[int, np.ndarray]], task: str
-) -> dict[str, dict[int, np.ndarray]]:
+def _valid_rows(rows: dict[str, LabelRows], task: str) -> dict[str, LabelRows]:
     """The rows read_label_csv keeps of a label file holding `rows`."""
     out = {}
-    for vid, frames in rows.items():
-        if not frames:
-            continue
-        keep = valid_label_rows(np.array(list(frames.values())), task).tolist()
-        kept = frames if all(keep) else dict(compress(frames.items(), keep))
-        if kept:
-            out[vid] = kept
+    for vid, video in rows.items():
+        keep = valid_label_rows(video.values, task)
+        if keep.any():
+            out[vid] = video if keep.all() else LabelRows(video.frames[keep],
+                                                          video.values[keep])
     return out
 
 
@@ -1070,11 +1070,7 @@ def stage_evaluate(config: PipelineConfig, run_dir: Path, products: dict) -> Eva
     truth = products.pop("truth", None)
     if truth is not None:
         # every video's rows became a track, so the tracks hold all of them
-        truth = {
-            vid: dict(zip(range(t.frame_index_origin, t.frame_index_origin + t.n_frames),
-                          t.values))
-            for vid, t in truth.items()
-        }
+        truth = {vid: _track_rows(t, t.values) for vid, t in truth.items()}
     report = evaluate_files(
         _require_file(run_dir / "predictions.csv", "postprocess stage output"),
         _require_file(config.paths.labels, "labels file"),

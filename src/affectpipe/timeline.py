@@ -232,12 +232,13 @@ FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 def csv_row_format(video_id: str, tail: str) -> str:
     """%-format for one video's rows: the id as csv.writer quotes it, then `tail`.
 
-    Writers that format whole rows at once quote the id once per video,
-    so their bytes match csv.writer's.
+    Writers that format whole rows at once quote the id once per video.
+    An id holding a line break of either kind is quoted, so the readers,
+    which split lines at \r as well as \n, read it back whole.
     """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([video_id, ""])
-    return buf.getvalue()[: -len(",\n")].replace("%", "%%") + tail
+    csv.writer(buf, lineterminator="\r\n").writerow([video_id, ""])
+    return buf.getvalue()[: -len(",\r\n")].replace("%", "%%") + tail
 
 
 def write_track_csv(path: str | Path, tracks: list[FrameTrack]) -> None:
@@ -423,10 +424,13 @@ def reject(path: Path, check_row, reason) -> NoReturn:
     raise DataFormatError(f"{path}: {reason}")
 
 
-def id_runs(ids: np.ndarray) -> list[tuple[str, int, int]]:
-    """(video id, start, end) of each run of consecutive rows of one video."""
+def group_rows(ids: np.ndarray) -> dict[str, np.ndarray]:
+    """Row indices of each video in file order, videos in order of first appearance."""
     bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
-    return [(ids[a], a, b) for a, b in zip(bounds, bounds[1:])]
+    runs: dict[str, list[np.ndarray]] = {}
+    for a, b in zip(bounds, bounds[1:]):
+        runs.setdefault(ids[a], []).append(np.arange(a, b))
+    return {vid: np.concatenate(parts) for vid, parts in runs.items()}
 
 
 def video_rows(
@@ -437,15 +441,10 @@ def video_rows(
     A video's frames must step by one; otherwise the first faulty row
     raises through check_row.
     """
-    runs: dict[str, list[np.ndarray]] = {}
-    for vid, start, end in id_runs(ids):
-        runs.setdefault(vid, []).append(np.arange(start, end))
-    out = {}
-    for vid, parts in runs.items():
-        rows = np.concatenate(parts)
+    out = group_rows(ids)
+    for vid, rows in out.items():
         f = frames[rows]
         # the first test catches a difference that wraps around int64
         if (f[1:] <= f[:-1]).any() or (np.diff(f) != 1).any():
             reject(path, check_row, f"frames of {vid!r} are not contiguous")
-        out[vid] = rows
     return out

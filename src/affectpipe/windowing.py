@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .timeline import (
     N_EXPR_CLASSES,
     FrameTrack,
     csv_row_format,
-    id_runs,
+    group_rows,
     parse_rows,
     reject,
     row_check,
@@ -299,11 +299,10 @@ def _check_aligned(track: FrameTrack, batch: WindowBatch) -> None:
 def write_vad_csv(path: str | Path, masks: list[VadMask]) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", "frame", "voiced"])
+        fh.write("video_id,frame,voiced\n")
         for mask in sorted(masks, key=lambda m: m.video_id):
-            for i, flag in enumerate(mask.voiced):
-                writer.writerow([mask.video_id, str(i), "1" if flag else "0"])
+            fmt = csv_row_format(mask.video_id, ",%d,%d\n")
+            fh.write("".join([fmt % row for row in enumerate(mask.voiced.tolist())]))
 
 
 def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
@@ -350,18 +349,54 @@ def valid_label_rows(values: np.ndarray, task: str) -> np.ndarray:
     return in_range & (label == np.floor(label))
 
 
-def read_label_csv(path: str | Path, task: str) -> dict[str, dict[int, np.ndarray]]:
-    """Read ground-truth labels keyed by video and frame.
+@dataclass(frozen=True, eq=False)
+class LabelRows:
+    """One video's label or prediction rows, held as two arrays.
+
+    `frames` are strictly increasing int64 frame numbers, not necessarily
+    contiguous; `values` is the float64 `(len(frames), width)` array of
+    their rows. Both are frozen read-only, like FrameTrack's values.
+    """
+
+    frames: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        frames = np.asarray(self.frames, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if frames.ndim != 1 or values.ndim != 2 or values.shape[0] != frames.shape[0]:
+            raise ValueError("frames must be 1-d and values (len(frames), width)")
+        if (frames[1:] <= frames[:-1]).any():
+            raise ValueError("frames must be strictly increasing")
+        frames.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return self.frames.shape[0]
+
+    @classmethod
+    def from_dict(cls, rows: Mapping[int, np.ndarray]) -> LabelRows:
+        """The rows of a {frame: row} dict, sorted by frame."""
+        frames = sorted(rows)
+        values = np.array([rows[f] for f in frames], dtype=np.float64)
+        width = -1 if frames else 0
+        return cls(np.array(frames, dtype=np.int64), values.reshape(len(frames), width))
+
+
+def read_label_csv(path: str | Path, task: str) -> dict[str, LabelRows]:
+    """Read ground-truth labels as one LabelRows per video.
 
     task='expr' expects a `label` column holding an integer in 0..7;
     task='va' expects `valence,arousal` in [-1, 1]. Rows outside those
     ranges, non-finite values included, are dropped and counted in one
-    log line. Videos and frames keep their order of first appearance; a
-    repeated (video, frame) takes the values of its last valid row.
-    Frames need not be contiguous; use :func:`labels_to_track` to build
-    an aligned FrameTrack. The returned rows are read-only views of one
-    array. A row with the wrong field count or a non-numeric frame or
-    value raises DataFormatError naming its line.
+    log line. Videos keep the order of their first valid rows, and a
+    video without a valid row is left out; a repeated (video, frame)
+    takes the values of its last valid row. Frames need not be
+    contiguous; use :func:`labels_to_track` to build an aligned
+    FrameTrack. A row with the wrong field count or a non-numeric frame
+    or value raises DataFormatError naming its line.
     """
     path = Path(path)
     expected = _label_header(task)
@@ -373,20 +408,17 @@ def read_label_csv(path: str | Path, task: str) -> dict[str, dict[int, np.ndarra
         ids, frames, values = parse_rows(
             path, fh, (np.float64, (len(expected) - 2,)), check
         )
-    runs = id_runs(ids)
-    # the parsed table and its id strings go before the row dicts are built
-    values = values.copy()
-    values.setflags(write=False)
-    del ids
-    frames = frames.tolist()
     valid = valid_label_rows(values, task)
-    keep = valid.tolist()
-    out: dict[str, dict[int, np.ndarray]] = {}
-    for vid, start, end in runs:
-        rows = zip(frames[start:end], values[start:end])
-        kept = dict(compress(rows, keep[start:end]))
-        if kept:
-            out.setdefault(vid, {}).update(kept)
+    videos = []
+    for vid, rows in group_rows(ids).items():
+        rows = rows[valid[rows]][::-1]
+        if rows.size:
+            videos.append((rows[-1], vid, rows))
+    out = {}
+    for _, vid, rows in sorted(videos, key=lambda video: video[0]):
+        # the rows are reversed, so a repeated frame's last valid row comes first
+        video_frames, first = np.unique(frames[rows], return_index=True)
+        out[vid] = LabelRows(video_frames, values[rows[first]])
     dropped = len(frames) - int(valid.sum())
     if dropped:
         log.info("dropped %d invalid rows while reading %s", dropped, path)
@@ -411,32 +443,35 @@ def _label_row_check(path: Path, n_fields: int):
 
 
 def labels_to_track(
-    video_id: str, frames: dict[int, np.ndarray], fps: float, task: str
+    video_id: str, rows: LabelRows | Mapping[int, np.ndarray], fps: float, task: str
 ) -> FrameTrack:
-    """Build a contiguous FrameTrack from keyed label rows."""
-    keys = sorted(frames)
-    if keys != list(range(keys[0], keys[0] + len(keys))):
-        a, b = next((a, b) for a, b in zip(keys, keys[1:]) if b != a + 1)
+    """Build a contiguous FrameTrack from a video's LabelRows or {frame: row} dict."""
+    rows = rows if isinstance(rows, LabelRows) else LabelRows.from_dict(rows)
+    gaps = np.flatnonzero(np.diff(rows.frames) != 1)
+    if gaps.size:
+        a, b = rows.frames[gaps[0] : gaps[0] + 2].tolist()
         raise AlignmentError(
             f"labels for {video_id!r} are not contiguous (first gap {a} -> {b}; "
             "invalid label rows are dropped on read); cannot form a track"
         )
-    values = np.stack([frames[k] for k in keys])
     kind = "label" if task == "expr" else "va"
     return FrameTrack(
         video_id=video_id,
         fps=fps,
-        values=values,
+        values=rows.values,
         kind=kind,
-        frame_index_origin=keys[0],
+        frame_index_origin=int(rows.frames[0]),
     )
 
 
 def write_label_csv(
-    path: str | Path, rows: dict[str, dict[int, np.ndarray]], task: str
+    path: str | Path,
+    rows: Mapping[str, LabelRows | Mapping[int, np.ndarray]],
+    task: str,
 ) -> None:
-    """Write keyed label/prediction rows in the ground-truth format.
+    """Write label or prediction rows in the ground-truth format.
 
+    `rows` maps each video to its LabelRows or to a {frame: row} dict.
     Rows go out sorted by video and frame; valence/arousal as "%.17g",
     which round-trips float64, and labels truncated to int.
     """
@@ -447,10 +482,11 @@ def write_label_csv(
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for vid in sorted(rows):
-            frames = rows[vid]
-            keys = sorted(frames)
-            if not keys:
-                continue
-            table = np.array([frames[k] for k in keys])[:, :n_values].tolist()
-            fmt = csv_row_format(vid, row_fmt)
-            fh.write("".join([fmt % (k, *v) for k, v in zip(keys, table)]))
+            video = rows[vid]
+            video = video if isinstance(video, LabelRows) else LabelRows.from_dict(video)
+            # one %-format per video over its fields, frame first in each row
+            fields = [None] * (len(video) * (n_values + 1))
+            fields[:: n_values + 1] = video.frames.tolist()
+            for j, column in enumerate(video.values.T[:n_values].tolist()):
+                fields[j + 1 :: n_values + 1] = column
+            fh.write(csv_row_format(vid, row_fmt) * len(video) % tuple(fields))

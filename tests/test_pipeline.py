@@ -27,6 +27,7 @@ from affectpipe.errors import (
     SolverError,
     TaskMismatchError,
 )
+from affectpipe.metrics import classification_report, va_report
 from affectpipe.pipeline import (
     config_hash,
     evaluate_files,
@@ -36,6 +37,7 @@ from affectpipe.pipeline import (
 )
 from affectpipe.synth import SyntheticSpec, synth_generate, synth_tracks
 from affectpipe.timeline import (
+    N_EXPR_CLASSES,
     FrameTrack,
     SmoothingSpec,
     hamming_smooth,
@@ -43,6 +45,7 @@ from affectpipe.timeline import (
     write_track_csv,
 )
 from affectpipe.windowing import (
+    LabelRows,
     VadMask,
     read_label_csv,
     read_vad_csv,
@@ -52,6 +55,7 @@ from affectpipe.windowing import (
     write_vad_csv,
 )
 from test_fusion import reference_dwf_search
+from test_windowing import dict_read_label_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -599,17 +603,70 @@ class TestEvaluateFiles:
         truth_file = self._labels(tmp_path, "truth.csv", truth, task="va")
         pred_file = self._labels(tmp_path, "pred.csv", pred, task="va")
         from_files = evaluate_files(pred_file, truth_file, "va")
-        in_memory = evaluate_files(pred_file, truth_file, "va", pred=pred,
+        in_memory = evaluate_files(pred_file, truth_file, "va",
+                                   pred={"a": LabelRows.from_dict(pred["a"])},
                                    truth=read_label_csv(truth_file, "va"))
-        without_row = {"a": {t: v for t, v in pred["a"].items() if t != 5}}
+        without_row = {"a": LabelRows.from_dict(
+            {t: v for t, v in pred["a"].items() if t != 5})}
         assert in_memory == from_files
         assert from_files == evaluate_files(pred_file, truth_file, "va", pred=without_row)
+
+    @pytest.mark.parametrize("task", ["expr", "va"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_join_matches_the_per_frame_join_it_replaced(self, tmp_path, task, seed):
+        rng = np.random.default_rng([seed, 8])
+        truth, pred = _random_label_rows(rng, task), _random_label_rows(rng, task)
+        truth_file = self._labels(tmp_path, "truth.csv", truth, task=task)
+        pred_file = self._labels(tmp_path, "pred.csv", pred, task=task)
+        expected = _per_frame_join(dict_read_label_csv(pred_file, task)[0],
+                                   dict_read_label_csv(truth_file, task)[0], task)
+        assert evaluate_files(pred_file, truth_file, task) == expected
+        in_memory = {vid: LabelRows.from_dict(rows) for vid, rows in pred.items()}
+        assert evaluate_files(pred_file, truth_file, task, pred=in_memory,
+                              truth=read_label_csv(truth_file, task)) == expected
 
     def test_wrong_task_file_is_a_task_mismatch(self, tmp_path):
         rows = {"a": {0: np.array([0.1, 0.2]), 1: np.array([0.0, 0.0])}}
         va_file = self._labels(tmp_path, "va.csv", rows, task="va")
         with pytest.raises(TaskMismatchError):
             evaluate_files(va_file, va_file, "expr")
+
+
+def _random_label_rows(rng, task):
+    """{video: {frame: row}} over shared and own videos and frames: each side
+    misses frames of the other and adds frames the other lacks, and about
+    one row in twenty is invalid."""
+    rows = {}
+    for vid in ["v0", "v1", "v2", f"only{rng.integers(2)}"]:
+        frames = np.flatnonzero(rng.random(60) < 0.7) + int(rng.integers(0, 3))
+        if task == "expr":
+            values = rng.integers(0, N_EXPR_CLASSES, size=(len(frames), 1)).astype(float)
+            values[rng.random(len(frames)) < 0.05] = 9.0
+        else:
+            values = rng.uniform(-1, 1, size=(len(frames), 2))
+            values[rng.random(len(frames)) < 0.05] = 1.5
+        rows[vid] = dict(zip(frames.tolist(), values))
+    return rows
+
+
+def _per_frame_join(pred, truth, task):
+    """The frame-by-frame join evaluate_files replaced, kept verbatim."""
+    t_rows, p_rows = [], []
+    for vid in sorted(set(pred) & set(truth)):
+        for frame in sorted(set(pred[vid]) & set(truth[vid])):
+            t_rows.append(truth[vid][frame])
+            p_rows.append(pred[vid][frame])
+    if not t_rows:
+        raise AlignmentError(
+            "evaluate stage: predictions and truth share no (video_id, frame) keys"
+        )
+    t = np.array(t_rows)
+    p = np.array(p_rows)
+    if task == "expr":
+        return classification_report(
+            t[:, 0].astype(np.int64), p[:, 0].astype(np.int64), n_classes=N_EXPR_CLASSES
+        )
+    return va_report(t, p)
 
 
 class TestRunPipeline:
@@ -834,6 +891,36 @@ class TestCli:
         assert {"windows.csv", "window_targets.npy", "features.npy", "selection.csv",
                 "kelm_beta.npy", "models/kelm.csv", "fused.csv", "predictions.csv",
                 "report.csv"} <= set(outputs)
+
+    @pytest.mark.parametrize("overrides", [{}, _VA], ids=["expr", "va"])
+    def test_repeated_and_invalid_label_rows_stage_like_the_single_shot(
+        self, tmp_path, overrides
+    ):
+        path = self._prepare(tmp_path, **overrides)
+        labels = Path(load_config(path).paths.labels)
+        lines = labels.read_text().splitlines()
+        n_frames = load_config(path).synth.frames_per_video
+        dev = load_config(path).split.dev_videos[0]
+        first = next(line for line in lines if line.startswith(f"{dev},7,"))
+        if "task" in overrides:
+            repeated, invalid = f"{dev},7,0.5,-0.25", "1.5,0"
+        else:
+            repeated, invalid = f"{dev},7,{(int(first.split(',')[2]) + 1) % 4}", "9"
+        lines += [
+            repeated,  # the last valid row of a repeated frame wins
+            f"{dev},8,{invalid}",  # an invalid repeat keeps the earlier row
+            f"{dev},{n_frames},{invalid}",  # an out-of-range row past the end
+        ]
+        labels.write_text("\n".join(lines) + "\n")
+        outputs = self._staged_equals_single_shot(tmp_path, path)
+        assert {"predictions.csv", "report.csv"} <= set(outputs)
+        task = load_config(path).task
+        truth, dropped = dict_read_label_csv(labels, task)
+        assert dropped == 2
+        run_dir = next((tmp_path / "single").iterdir())
+        pred, _ = dict_read_label_csv(run_dir / "predictions.csv", task)
+        expected = _per_frame_join(pred, truth, task)
+        assert evaluate_files(run_dir / "predictions.csv", labels, task) == expected
 
     def test_any_video_id_survives_the_staged_run(self, tmp_path):
         path = self._prepare(tmp_path)

@@ -275,6 +275,10 @@ class TestTrackCsv:
         with path.open("w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow([text, "1"])
         expected = path.read_bytes().decode("utf-8")
+        if "\r" in text:
+            # csv.writer quotes only the characters of its own line terminator;
+            # the readers split lines at a bare \r, so the id is quoted
+            expected = '"%s",1\n' % text.replace('"', '""')
         assert csv_row_format(text, ",%d\n") % 1 == expected
 
 

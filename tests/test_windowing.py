@@ -6,22 +6,32 @@ import csv
 import logging
 import re
 import warnings
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affectpipe.errors import AlignmentError, DataFormatError
-from affectpipe.timeline import N_EXPR_CLASSES, FrameTrack, read_track_csv
+from affectpipe.timeline import (
+    N_EXPR_CLASSES,
+    FrameTrack,
+    parse_rows,
+    read_track_csv,
+    write_track_csv,
+)
 from affectpipe.windowing import (
+    LabelRows,
     VadMask,
     WindowSpec,
+    _label_row_check,
     labels_to_track,
     read_label_csv,
     read_vad_csv,
     reduce_expr_targets,
     reduce_va_targets,
     slice_windows,
+    valid_label_rows,
     voiced_segments,
     window_labels,
     window_va_means,
@@ -301,14 +311,15 @@ class TestLabelCsv:
         path = tmp_path / "labels.csv"
         write_label_csv(path, rows, task="expr")
         loaded = read_label_csv(path, task="expr")
-        assert loaded["a"][0][0] == 3.0 and loaded["a"][1][0] == 0.0
+        assert loaded["a"].frames.tolist() == [0, 1]
+        assert loaded["a"].values.tolist() == [[3.0], [0.0]]
 
     def test_va_round_trip_exact(self, tmp_path):
         rows = {"a": {0: np.array([0.123456789012345678, -1.0])}}
         path = tmp_path / "labels.csv"
         write_label_csv(path, rows, task="va")
         loaded = read_label_csv(path, task="va")
-        np.testing.assert_array_equal(loaded["a"][0], rows["a"][0])
+        np.testing.assert_array_equal(loaded["a"].values, [rows["a"][0]])
 
     def test_invalid_rows_dropped_and_logged(self, tmp_path, caplog):
         path = tmp_path / "labels.csv"
@@ -317,7 +328,7 @@ class TestLabelCsv:
         )
         with caplog.at_level("INFO"):
             loaded = read_label_csv(path, task="expr")
-        assert sorted(loaded["v"]) == [0, 4]
+        assert loaded["v"].frames.tolist() == [0, 4]
         assert "3" in caplog.text  # three dropped rows reported
 
     def test_va_out_of_range_dropped(self, tmp_path):
@@ -326,7 +337,7 @@ class TestLabelCsv:
             "video_id,frame,valence,arousal\nv,0,0.5,0.5\nv,1,1.5,0.0\n"
         )
         loaded = read_label_csv(path, task="va")
-        assert list(loaded["v"]) == [0]
+        assert loaded["v"].frames.tolist() == [0]
 
     def test_all_invalid_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -342,7 +353,7 @@ class TestLabelCsv:
         )
         with caplog.at_level("INFO"):
             loaded = read_label_csv(path, task="va")
-        assert list(loaded["v"]) == [0, 4]
+        assert loaded["v"].frames.tolist() == [0, 4]
         assert "dropped 3 invalid rows" in caplog.text
 
     def test_repeated_frame_takes_the_last_valid_row(self, tmp_path):
@@ -352,8 +363,8 @@ class TestLabelCsv:
         )
         loaded = read_label_csv(path, task="expr")
         assert list(loaded) == ["v", "w"]
-        assert list(loaded["v"]) == [1, 0]
-        assert loaded["v"][1][0] == 5.0
+        assert loaded["v"].frames.tolist() == [0, 1]  # sorted by frame
+        assert loaded["v"].values.tolist() == [[1.0], [5.0]]
 
     @pytest.mark.parametrize(
         "body, line",
@@ -374,9 +385,12 @@ class TestLabelCsv:
     def test_rows_are_read_only(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("video_id,frame,valence,arousal\nv,0,0.5,0.5\n")
-        row = read_label_csv(path, task="va")["v"][0]
+        rows = read_label_csv(path, task="va")["v"]
+        assert len(rows) == 1
         with pytest.raises(ValueError):
-            row[0] = 0.0
+            rows.values[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rows.frames[0] = 1
 
     def test_labels_to_track_requires_contiguous_frames(self):
         frames = {0: np.array([1.0]), 2: np.array([2.0])}
@@ -388,6 +402,26 @@ class TestLabelCsv:
         track = labels_to_track("v", frames, fps=5.0, task="expr")
         assert track.frame_index_origin == 5
         np.testing.assert_array_equal(track.labels(), [1, 2])
+
+    def test_labels_to_track_takes_label_rows_alike(self):
+        rows = {6: np.array([2.0]), 5: np.array([1.0])}
+        track = labels_to_track("v", LabelRows.from_dict(rows), fps=5.0, task="expr")
+        from_dict = labels_to_track("v", rows, fps=5.0, task="expr")
+        assert track.frame_index_origin == from_dict.frame_index_origin == 5
+        assert track.values.tobytes() == from_dict.values.tobytes()
+        gap = LabelRows(np.array([3, 4, 7, 9]), np.zeros((4, 1)))
+        with pytest.raises(AlignmentError, match="first gap 4 -> 7;"):
+            labels_to_track("v", gap, fps=5.0, task="expr")
+
+    @pytest.mark.parametrize(
+        "frames, values",
+        [([1, 0], [[0.0], [1.0]]), ([0, 0], [[0.0], [1.0]]), ([0], [[0.0], [1.0]]),
+         ([0, 1], [0.0, 1.0])],
+        ids=["decreasing", "repeated", "one-frame-two-rows", "1-d-values"],
+    )
+    def test_label_rows_reject_unsorted_frames_and_misshapen_values(self, frames, values):
+        with pytest.raises(ValueError):
+            LabelRows(np.array(frames), np.array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +530,96 @@ def test_reader_matches_the_per_row_reference(tmp_path, caplog, task, seed):
         got = read_label_csv(path, task)
     found = re.findall(r"dropped (\d+) invalid rows", caplog.text)
     assert [int(n) for n in found] == ([expected_dropped] if expected_dropped else [])
+    assert_rows_equal(got, expected)
+
+
+def assert_rows_equal(got, expected):
+    """LabelRows per video hold a {video: {frame: row}} dict's rows: the same
+    videos in the same order, each video's frames sorted."""
     assert list(got) == list(expected)
-    for vid in expected:
-        assert list(got[vid]) == list(expected[vid])
-        for frame, value in expected[vid].items():
-            assert got[vid][frame].dtype == value.dtype
-            assert got[vid][frame].shape == value.shape
-            assert got[vid][frame].tobytes() == value.tobytes()
+    for vid, rows in expected.items():
+        frames = sorted(rows)
+        want = np.array([rows[f] for f in frames])
+        assert len(got[vid]) == len(frames)
+        assert got[vid].frames.tolist() == frames
+        assert got[vid].frames.dtype == np.int64
+        assert got[vid].values.dtype == want.dtype
+        assert got[vid].values.shape == want.shape
+        assert got[vid].values.tobytes() == want.tobytes()
+        assert not got[vid].frames.flags.writeable
+        assert not got[vid].values.flags.writeable
+
+
+def dict_read_label_csv(path, task):
+    """The dict-based read_label_csv that LabelRows replaced, kept verbatim
+    apart from inlining its run split and returning the dropped count."""
+    path = Path(path)
+    expected = ["video_id", "frame", "label"] if task == "expr" else [
+        "video_id", "frame", "valence", "arousal"]
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+        assert header == expected
+        check = _label_row_check(path, len(expected))
+        ids, frames, values = parse_rows(
+            path, fh, (np.float64, (len(expected) - 2,)), check
+        )
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    runs = [(ids[a], a, b) for a, b in zip(bounds, bounds[1:])]
+    values = values.copy()
+    values.setflags(write=False)
+    del ids
+    frames = frames.tolist()
+    valid = valid_label_rows(values, task)
+    keep = valid.tolist()
+    out = {}
+    for vid, start, end in runs:
+        rows = zip(frames[start:end], values[start:end])
+        kept = dict(compress(rows, keep[start:end]))
+        if kept:
+            out.setdefault(vid, {}).update(kept)
+    return out, len(frames) - int(valid.sum())
+
+
+LABEL_CASES = {
+    "repeated-frame-last-row-valid": ("expr", ["v,1,3", "v,0,1", "v,1,5", "v,2,0"]),
+    "repeated-frame-last-row-invalid": ("expr", ["v,0,1", "v,1,3", "v,2,4", "v,1,9"]),
+    "repeated-va-frame-last-row-invalid": (
+        "va", ["v,0,0.5,0.5", "v,1,0.25,-0.25", "v,1,1.5,0", "v,1,nan,0"]),
+    "interleaved-videos": (
+        "va", ["a,0,0.5,0.5", "b,3,0.1,0.2", "a,1,-0.5,0.25", "b,4,1,-1", "a,2,0,0",
+               "c,0,0.5,0.5", "b,5,-0.0,0.75"]),
+    "all-invalid-video": ("expr", ["a,0,1", "b,0,9", "a,1,2", "b,1,-1", "b,2,2.5"]),
+    "video-whose-first-row-is-invalid": ("expr", ["a,0,9", "b,0,1", "a,1,2"]),
+    "non-contiguous-frames": ("expr", ["v,0,1", "v,5,2", "v,2,3", "v,9,4", "w,7,0"]),
+    "videos-in-several-runs": ("expr", ["a,2,1", "b,0,2", "a,0,3", "b,0,4", "a,2,5"]),
+}
+
+
+@pytest.mark.parametrize("case", LABEL_CASES.values(), ids=LABEL_CASES.keys())
+def test_reader_matches_the_dict_reader_it_replaced(tmp_path, caplog, case):
+    task, lines = case
+    header = "video_id,frame,label" if task == "expr" else "video_id,frame,valence,arousal"
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    expected, dropped = dict_read_label_csv(path, task)
+    with caplog.at_level(logging.INFO, logger="affectpipe.windowing"):
+        got = read_label_csv(path, task)
+    found = re.findall(r"dropped (\d+) invalid rows", caplog.text)
+    assert [int(n) for n in found] == ([dropped] if dropped else [])
+    assert_rows_equal(got, expected)
+
+
+@pytest.mark.parametrize("task", ["expr", "va"])
+@pytest.mark.parametrize("seed", range(6))
+def test_reader_matches_the_dict_reader_on_random_files(tmp_path, task, seed):
+    rng = np.random.default_rng([seed, 6 if task == "expr" else 7])
+    path = tmp_path / "labels.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["video_id", "frame", "label"] if task == "expr" else [
+            "video_id", "frame", "valence", "arousal"])
+        writer.writerows(_random_label_lines(rng, task))
+    assert_rows_equal(read_label_csv(path, task), dict_read_label_csv(path, task)[0])
 
 
 @pytest.mark.parametrize("task", ["expr", "va"])
@@ -523,6 +640,39 @@ def test_writer_matches_the_per_row_reference(tmp_path, task, seed):
     write_label_csv(tmp_path / "new.csv", rows, task)
     _reference_write_label_csv(tmp_path / "ref.csv", rows, task)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_writers_round_trip_ids_that_need_quoting(tmp_path, newline):
+    ids = ["c\rr", "l\nf", "cr\r\nlf", "\r", "b,c", 'q"d', '"', "plain"]
+    rng = np.random.default_rng(0)
+    tracks = [FrameTrack(vid, 5.0, rng.normal(size=(3, 2)), frame_index_origin=i)
+              for i, vid in enumerate(ids)]
+    masks = [VadMask(vid, rng.random(4) < 0.5) for vid in ids]
+    labels = {vid: LabelRows(np.arange(i, i + 3), rng.uniform(-1, 1, size=(3, 2)))
+              for i, vid in enumerate(ids)}
+    write_track_csv(tmp_path / "tracks.csv", tracks)
+    write_vad_csv(tmp_path / "vad.csv", masks)
+    write_label_csv(tmp_path / "labels.csv", labels, task="va")
+    if newline != "\n":  # the readers take CRLF files alike
+        for name in ("tracks.csv", "vad.csv", "labels.csv"):
+            path = tmp_path / name
+            rows = list(csv.reader(path.open(encoding="utf-8", newline="")))
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator=newline).writerows(rows)
+    got = read_track_csv(tmp_path / "tracks.csv", fps=5.0)
+    assert sorted(got) == sorted(ids)
+    for t in tracks:
+        assert got[t.video_id].frame_index_origin == t.frame_index_origin
+        assert got[t.video_id].values.tobytes() == t.values.tobytes()
+    vad = read_vad_csv(tmp_path / "vad.csv")
+    assert {vid: m.voiced.tolist() for vid, m in vad.items()} == {
+        m.video_id: m.voiced.tolist() for m in masks}
+    read = read_label_csv(tmp_path / "labels.csv", task="va")
+    assert sorted(read) == sorted(ids)
+    for vid, rows in labels.items():
+        assert read[vid].frames.tolist() == rows.frames.tolist()
+        assert read[vid].values.tobytes() == rows.values.tobytes()
 
 
 def _reference_read_vad_csv(path):
