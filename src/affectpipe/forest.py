@@ -14,19 +14,40 @@ reads every grid score off that curve and returns the chosen prefix as
 the trained model.
 
 A tree is five preorder node arrays (feature, threshold, left, right,
-value), as in scikit-learn's `Tree`. Growth keeps the nodes in Python
-lists and each leaf's rows, and fills the leaf values once the tree is
-grown; prediction descends all rows one level at a time.
+value), as in scikit-learn's `Tree`. Growth keeps the nodes and the
+leaf values in Python lists and a dict, and fills the arrays once the
+tree is grown; prediction descends all rows one level at a time.
+
+Regression nodes grow on one of two paths, chosen by size. A node of
+more than SMALL_NODE rows holds them as an index array and scores its
+features with a few numpy calls each. A smaller node copies its own
+rows of the columns and targets into Python lists, and it and the rest
+of its subtree grow on those: there numpy's per-call overhead outweighs
+the arithmetic. The copies hold at most SMALL_NODE rows, so they stay
+small whatever the training set's size. Both paths give the same bytes.
+The list path sorts with the stable `sorted`, as
+`argsort(kind="stable")` is stable; builds cumulative sums with
+`itertools.accumulate`, which adds in order from the first element as
+`np.cumsum` does; and scores each boundary with the same operations in
+the same order, the first maximum winning.
+A leaf of fewer than 8 rows sums its targets in order from +0.0, which
+is what `mean()` does below its 8-element pairwise block; larger leaves
+take `mean()`. The random stream is untouched: each splittable node
+draws one feature permutation, in preorder, on either path.
+Classification nodes always take the numpy path: their Gini row sums
+over 8 or more classes use numpy's pairwise sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_TREE_GRID = (10, 20, 50, 100, 200)
+SMALL_NODE = 64  # regression nodes of at most this many rows grow on lists
 
 
 @dataclass(frozen=True)
@@ -145,58 +166,129 @@ def _best_for_feature(col, src, min_leaf, task):
     return float(score[j]), 0.5 * (float(xs[b]) + float(xs[b + 1]))
 
 
-def _grow_tree(x, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outputs) -> Tree:
-    """Grow one tree iteratively in preorder (stack-based, no recursion)."""
-    d = x.shape[1]
+def _short_mean(values):
+    """mean() of fewer than 8 floats, to the bit.
+
+    Below its 8-element pairwise block numpy adds the values in order,
+    starting at +0.0 (so a lone -0.0 gives 0.0). Python's sum() is not
+    that sum: since 3.12 it compensates rounding.
+    """
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc / len(values)
+
+
+def _best_for_small_node(xf, rows, y, y2, min_leaf):
+    """_best_for_feature for a regression node held as a list of rows.
+
+    xf, y and y2 are the feature column, the targets and the squared
+    targets as Python lists. Sort, sums and scores take the numpy
+    version's operations in its order, so the result has its bytes.
+    """
+    rows = sorted(rows, key=xf.__getitem__)
+    xs = [xf[i] for i in rows]
+    cy = list(accumulate([y[i] for i in rows]))
+    cy2 = list(accumulate([y2[i] for i in rows]))
+    n, m = len(rows), min_leaf
+    total, total2 = cy[-1], cy2[-1]
+    best, at = None, -1
+    for b in range(m - 1, n - m):
+        if xs[b] == xs[b + 1]:
+            continue
+        n_left = b + 1.0
+        sum_l, sq_l = cy[b], cy2[b]
+        sum_r, sq_r = total - sum_l, total2 - sq_l
+        score = -((sq_l - sum_l * sum_l / n_left) + (sq_r - sum_r * sum_r / (n - n_left)))
+        if best is None or score > best:
+            best, at = score, b
+    if best is None:
+        return None
+    return best, 0.5 * (xs[at] + xs[at + 1])
+
+
+def _grow_tree(
+    x, cols, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outputs
+) -> Tree:
+    """Grow one tree iteratively in preorder (stack-based, no recursion).
+
+    x is the training matrix and cols holds one contiguous array per
+    feature. A regression node of at most SMALL_NODE rows copies its rows
+    of x and y into Python lists; it and its subtree grow on those, with
+    row ids local to the copy.
+    """
+    d = len(cols)
     mtry = spec.resolve_mtry(d, task)
     max_depth = np.inf if spec.max_depth is None else spec.max_depth
     y = y_float if onehot is None else y_int
-    cols = list(x.T.copy())  # one contiguous array per feature
+    small = SMALL_NODE if onehot is None else -1
     nodes = []  # [feature, threshold, left, right] in preorder
-    leaves = {}  # leaf node -> its rows
-    # (rows, depth, node whose right child this is, or -1)
-    stack = [(boot_idx, 0, -1)]
+    values = {}  # leaf node -> its value
+    # (rows, depth, node whose right child this is or -1, the subtree's lists or None)
+    stack = [(boot_idx, 0, -1, None)]
     while stack:
-        idx, depth, parent = stack.pop()
+        idx, depth, parent, lists = stack.pop()
         node = len(nodes)
         if parent >= 0:
             nodes[parent][3] = node
-        candidates = []
-        if idx.size >= 2 * spec.min_leaf and depth < max_depth:
+        if lists is None and len(idx) <= small:
             yi = y[idx]
-            if not (yi == yi[0]).all():
-                src = yi if onehot is None else onehot[idx]
+            lists = (x[idx].T.tolist(), yi.tolist(), (yi * yi).tolist())
+            idx = list(range(len(idx)))
+        if lists is not None:
+            x_lists, y_list, y2_list = lists
+            ys = [y_list[i] for i in idx]
+        else:
+            ys = y[idx]
+        candidates = []
+        if len(idx) >= 2 * spec.min_leaf and depth < max_depth:
+            if lists is not None:
+                impure = min(ys) != max(ys)
+            else:
+                impure = not (ys == ys[0]).all()
+                src = ys if onehot is None else onehot[idx]
+            if impure:
                 # random feature subset: walk a permutation until mtry features
                 # produced a usable boundary (constant features do not count)
                 for f in rng.permutation(d).tolist():
-                    col = cols[f][idx]
-                    found = _best_for_feature(col, src, spec.min_leaf, task)
+                    if lists is not None:
+                        found = _best_for_small_node(
+                            x_lists[f], idx, y_list, y2_list, spec.min_leaf
+                        )
+                    else:
+                        found = _best_for_feature(cols[f][idx], src, spec.min_leaf, task)
                     if found is None:
                         continue
-                    candidates.append((found[0], f, found[1], col))
+                    candidates.append((found[0], f, found[1]))
                     if len(candidates) >= mtry:
                         break
         if not candidates:
-            leaves[node] = idx
             nodes.append([-1, 0.0, -1, -1])
+            if onehot is not None:
+                values[node] = np.bincount(ys, minlength=n_outputs) / len(ys)
+            elif len(ys) < 8:
+                values[node] = _short_mean(ys)
+            else:
+                values[node] = np.mean(ys)
             continue
         # zero-gain splits are accepted while the node is impure: a split
         # never increases weighted impurity, and always shrinks both
         # sides, so growth terminates and distinct rows separate fully
-        _, feat, thr, col = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
+        _, feat, thr = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
         # the right child index is filled in when that child is popped
         nodes.append([feat, thr, node + 1, -1])
-        mask = col <= thr
-        stack.append((idx[~mask], depth + 1, node))
-        stack.append((idx[mask], depth + 1, -1))
+        if lists is not None:
+            xf = x_lists[feat]
+            left = [i for i in idx if xf[i] <= thr]
+            right = [i for i in idx if xf[i] > thr]
+        else:
+            mask = cols[feat][idx] <= thr
+            left, right = idx[mask], idx[~mask]
+        stack.append((right, depth + 1, node, lists))
+        stack.append((left, depth + 1, -1, lists))
     value = np.zeros((len(nodes), n_outputs))
-    for node, rows in leaves.items():
-        if onehot is not None:
-            value[node] = np.bincount(y[rows], minlength=n_outputs) / rows.size
-        elif rows.size > 1:
-            value[node, 0] = y[rows].mean()
-        else:  # what mean() gives: its sum starts at 0.0, so -0.0 becomes 0.0
-            value[node, 0] = y[rows[0]] + 0.0
+    for node, v in values.items():
+        value[node] = v
     feature, threshold, left, right = zip(*nodes)
     return Tree(
         feature=np.array(feature, dtype=np.int64),
@@ -287,10 +379,17 @@ def train_forest(
             raise ValueError("y must have one entry per row")
         if not np.all(np.isfinite(y_float)):
             raise ValueError("regression targets must be finite")
+        # a node's sum of y over the bootstrap, which repeats rows, is at
+        # most n * max|y|; with that doubled and squared finite, no split
+        # score meets inf - inf (a NaN numpy's argmax would pick)
+        bound = 2.0 * x.shape[0] * float(np.abs(y_float).max())
+        if not np.isfinite(bound * bound):
+            raise ValueError("regression targets too large for finite split scores")
         y_int = None
         onehot = None
         n_outputs = 1
     n = x.shape[0]
+    cols = list(x.T.copy())  # one contiguous array per feature
     trees = []
     in_bag = np.zeros((spec.n_trees, n), dtype=bool)
     total = np.zeros((n, n_outputs))
@@ -300,7 +399,9 @@ def train_forest(
         rng = np.random.default_rng([spec.seed, t])
         boot = rng.integers(0, n, size=n)
         in_bag[t] = np.bincount(boot, minlength=n) > 0
-        tree = _grow_tree(x, y_int, onehot, y_float, boot, rng, spec, task, n_outputs)
+        tree = _grow_tree(
+            x, cols, y_int, onehot, y_float, boot, rng, spec, task, n_outputs
+        )
         trees.append(tree)
         _add_oob(total, hits, tree, in_bag[t], x)
         curve[t] = _oob_score(total, hits, y_int, y_float, task)

@@ -828,8 +828,10 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
         )
         if config.task == "va":
             frame_scores = np.clip(frame_scores, -1.0, 1.0)
-        # at the working rate, as the fuse stage reads models/kelm.csv
-        return FrameTrack(vid, config.fps_target, frame_scores, kind=config.track_kind)
+        # at the working rate, as the fuse stage reads models/kelm.csv, and
+        # numbered from the labels' first frame, as base tracks are
+        return FrameTrack(vid, config.fps_target, frame_scores, kind=config.track_kind,
+                          frame_index_origin=truth[vid].frame_index_origin)
 
     tracks = _map_ordered(one, vids, config.workers)
     (run_dir / "models").mkdir(exist_ok=True)
@@ -876,6 +878,12 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
                     f"fuse stage: model {name!r} has {model[v].n_frames} frames "
                     f"for {v!r}, model {names[0]!r} has {models[0][v].n_frames}"
                 )
+            if model[v].frame_index_origin != models[0][v].frame_index_origin:
+                raise AlignmentError(
+                    f"fuse stage: model {name!r} starts {v!r} at frame "
+                    f"{model[v].frame_index_origin}, model {names[0]!r} at frame "
+                    f"{models[0][v].frame_index_origin}"
+                )
     _dev_split(config, vids)
     eval_vids = _evaluated_videos(config, vids)
     n_outputs = config.n_outputs
@@ -898,6 +906,12 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
                 raise AlignmentError(
                     f"fuse stage: labels for {v!r} have {truth[v].n_frames} frames, "
                     f"predictions have {models[0][v].n_frames}"
+                )
+            if truth[v].frame_index_origin != models[0][v].frame_index_origin:
+                raise AlignmentError(
+                    f"fuse stage: labels for {v!r} start at frame "
+                    f"{truth[v].frame_index_origin}, predictions at frame "
+                    f"{models[0][v].frame_index_origin}"
                 )
         if config.task == "expr":
             dev_truth = np.concatenate([truth[v].labels() for v in dev_vids])

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from affectpipe.forest import (
+    SMALL_NODE,
     ForestModel,
     ForestSpec,
     Tree,
     _add_oob,
+    _best_for_feature,
+    _best_for_small_node,
     _oob_score,
+    _short_mean,
     _tree_apply,
     predict_forest,
     predict_forest_labels,
@@ -102,6 +106,24 @@ class TestTrainForest:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             train_forest(np.ones((1, 2)), [0], ForestSpec(n_trees=1))
+
+    @pytest.mark.parametrize("big", [1e160, -1e160])
+    def test_overflowing_targets_rejected(self, big):
+        # squared sums would be inf and scores inf - inf = NaN
+        x, _ = _noisy_stack(np.random.default_rng(29), 40)
+        y = np.linspace(-1, 1, 40)
+        y[5] = big
+        with pytest.raises(ValueError, match="too large"):
+            train_forest(x, y, ForestSpec(n_trees=2, seed=1), task="regression")
+
+    def test_bootstrap_repeats_count_towards_the_target_bound(self):
+        # (sum |y|)^2 is 1e308 and finite, but a bootstrap that draws
+        # row 0 twice sums 2e154, whose square overflows
+        x = np.arange(40.0)[:, None]
+        y = np.zeros(40)
+        y[0] = 1e154
+        with pytest.raises(ValueError, match="too large"):
+            train_forest(x, y, ForestSpec(n_trees=2, seed=1), task="regression")
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(4)
@@ -503,6 +525,32 @@ def _reference_case(task, seed):
     return x, y
 
 
+def _large_regression_case(seed):
+    """More rows than SMALL_NODE, so trees start on the numpy path and
+    finish on the list path: x on a 0.1 grid, a third of the rows
+    duplicated, targets rounded to 0.1 with -0.0 among them."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(200, 4)).round(1)
+    y = np.round(0.5 * (x[:, 0] - x[:, 2] + 0.3 * rng.normal(size=200)), 1)
+    dup = rng.integers(0, 200, size=100)
+    x, y = np.vstack([x, x[dup]]), np.concatenate([y, y[dup]])
+    assert x.shape[0] > 4 * SMALL_NODE and np.any((y == 0) & np.signbit(y))
+    return x, y
+
+
+def _assert_matches_reference(x, y, spec, task):
+    model = train_forest(x, y, spec, task=task)
+    trees, in_bag, curve = _ref_forest(x, y, spec, task)
+    assert len(model.trees) == len(trees)
+    for got, want in zip(model.trees, trees):
+        for name in Tree._fields:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+    assert model.in_bag.tobytes() == in_bag.tobytes()
+    assert model.oob_curve.tobytes() == curve.tobytes()
+
+
 class TestMatchesReferenceGrower:
     @pytest.mark.parametrize("task", ["classification", "regression"])
     @pytest.mark.parametrize("min_leaf", [1, 2, 3])
@@ -516,13 +564,43 @@ class TestMatchesReferenceGrower:
             n_trees=6, max_depth=max_depth, min_leaf=min_leaf,
             features_per_split=features_per_split, seed=7,
         )
-        model = train_forest(x, y, spec, task=task)
-        trees, in_bag, curve = _ref_forest(x, y, spec, task)
-        assert len(model.trees) == len(trees)
-        for got, want in zip(model.trees, trees):
-            for name in Tree._fields:
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-                assert a.tobytes() == b.tobytes(), name
-        assert model.in_bag.tobytes() == in_bag.tobytes()
-        assert model.oob_curve.tobytes() == curve.tobytes()
+        _assert_matches_reference(x, y, spec, task)
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("max_depth", [None, 4])
+    def test_regression_through_both_node_paths(self, min_leaf, max_depth):
+        x, y = _large_regression_case(seed=min_leaf)
+        spec = ForestSpec(n_trees=3, max_depth=max_depth, min_leaf=min_leaf, seed=8)
+        _assert_matches_reference(x, y, spec, "regression")
+
+    def test_regression_with_tied_split_scores(self):
+        # 0/1 targets and x on a small grid: sums are exact, so different
+        # boundaries of one node often score exactly the same
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 6, size=(150, 3)).astype(float)
+        y = rng.integers(0, 2, size=150).astype(float)
+        y[y == 0] = -0.0
+        _assert_matches_reference(
+            x, y, ForestSpec(n_trees=4, features_per_split="all", seed=9), "regression"
+        )
+
+    def test_first_of_two_tied_boundaries_wins_on_both_paths(self):
+        # after row 0 and after row 1 both leave SSE 0.5
+        col, y = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0])
+        want = _ref_best_for_feature(col, None, y, 1, "regression")
+        assert want == (-0.5, 1.5)
+        assert _best_for_feature(col, y, 1, "regression") == want
+        rows = [2, 0, 1]  # the list path takes the node's rows in any order
+        got = _best_for_small_node(col.tolist(), rows, y.tolist(), (y * y).tolist(), 1)
+        assert got == want
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_short_leaf_mean_is_numpy_mean_to_the_bit(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(500):
+            y = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
+            y = y.round(int(rng.integers(0, 4)))
+            if rng.random() < 0.3:
+                y[rng.random(size) < 0.5] = -0.0
+            want = np.float64(y.mean()).tobytes()
+            assert np.float64(_short_mean(y.tolist())).tobytes() == want

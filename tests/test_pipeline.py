@@ -100,8 +100,9 @@ def _base_paths(tmp_path, n):
     return [str(tmp_path / "data" / f"base_{m}.csv") for m in range(n)]
 
 
-def _write_base_predictions(config, seed=0):
-    """Random score tracks over the synthetic videos at the working rate."""
+def _write_base_predictions(config, seed=0, origin=0):
+    """Random score tracks over the synthetic videos at the working rate,
+    each numbered from frame `origin`."""
     rng = np.random.default_rng(seed)
     spec = config.synth
     vids = [f"v{i:03d}" for i in range(spec.n_videos)]
@@ -112,24 +113,27 @@ def _write_base_predictions(config, seed=0):
             FrameTrack(vid, config.fps_target,
                        np.clip(rng.normal(scale=0.5, size=(spec.frames_per_video, width)),
                                -1, 1),
-                       kind=config.track_kind)
+                       kind=config.track_kind, frame_index_origin=origin)
             for vid in vids
         ])
 
 
-def _write_va_fusion_only(tmp_path, method, b_frames=None, a_origin=0):
+def _write_va_fusion_only(
+    tmp_path, method, b_frames=None, a_origin=0, b_origin=0, label_origin=0
+):
     """A fusion-only va config over bases a.csv and b.csv, dev v001 and v002.
 
-    Videos v000-v002 have 200 labelled frames. Base b has b_frames[vid]
-    frames where given, 200 elsewhere; base a numbers its frames from
-    a_origin.
+    Videos v000-v002 have 200 labelled frames, numbered from label_origin.
+    Base b has b_frames[vid] frames where given, 200 elsewhere; bases a
+    and b number their frames from a_origin and b_origin.
     """
     rng = np.random.default_rng(9)
     vids, n = ["v000", "v001", "v002"], 200
-    labels = {vid: dict(enumerate(np.clip(rng.normal(scale=0.5, size=(n, 2)), -1, 1)))
+    labels = {vid: dict(enumerate(np.clip(rng.normal(scale=0.5, size=(n, 2)), -1, 1),
+                                  start=label_origin))
               for vid in vids}
     write_label_csv(tmp_path / "labels.csv", labels, task="va")
-    for name, origin, frames in (("a", a_origin, {}), ("b", 0, b_frames or {})):
+    for name, origin, frames in (("a", a_origin, {}), ("b", b_origin, b_frames or {})):
         write_track_csv(tmp_path / f"{name}.csv", [
             FrameTrack(vid, 5.0,
                        np.clip(rng.normal(scale=0.5, size=(frames.get(vid, n), 2)), -1, 1),
@@ -1085,12 +1089,59 @@ class TestCli:
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
-    def test_fused_frames_are_numbered_from_model_0s_first_frame(self, tmp_path, method):
+    def test_fuse_exits_4_on_a_base_starting_at_another_frame(self, tmp_path, capsys, method):
         path = _write_va_fusion_only(tmp_path, method, a_origin=4)
+        assert main(["run", "--config", str(path)]) == 4
+        assert ("fuse stage: model 'b' starts 'v000' at frame 0, model 'a' at frame 4"
+                in capsys.readouterr().err)
+        run_dir = load_config(path).run_dir()
+        for name in ("pool_scores.csv", "rf_info.csv", "fused.csv"):
+            assert not (run_dir / name).exists()
+
+    @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
+    def test_fused_frames_are_numbered_from_model_0s_first_frame(self, tmp_path, method):
+        path = _write_va_fusion_only(tmp_path, method, a_origin=4, b_origin=4,
+                                     label_origin=4)
         assert main(["run", "--config", str(path)]) == 0
         fused = read_track_csv(load_config(path).run_dir() / "fused.csv", fps=5.0, kind="va")
         assert sorted(fused) == ["v001", "v002"]
         assert all(track.frame_index_origin == 4 for track in fused.values())
+
+    @pytest.mark.parametrize("method", ["dwf", "rf"])
+    def test_fuse_exits_4_on_dev_labels_starting_at_another_frame(
+        self, tmp_path, capsys, method
+    ):
+        path = _write_va_fusion_only(tmp_path, method, a_origin=4, b_origin=4)
+        assert main(["run", "--config", str(path)]) == 4
+        assert ("fuse stage: labels for 'v001' start at frame 0, predictions at frame 4"
+                in capsys.readouterr().err)
+        run_dir = load_config(path).run_dir()
+        for name in ("pool_scores.csv", "rf_info.csv", "fused.csv"):
+            assert not (run_dir / name).exists()
+
+    @pytest.mark.parametrize("base_origin, code", [(4, 0), (0, 4)])
+    def test_kelm_track_starts_at_the_labels_first_frame(
+        self, tmp_path, capsys, base_origin, code
+    ):
+        bases = _base_paths(tmp_path, 1)
+        path = self._prepare(tmp_path, paths={"base_predictions": bases}, **self._VA)
+        config = load_config(path)
+        labels = read_label_csv(config.paths.labels, "va")
+        write_label_csv(config.paths.labels, {
+            vid: LabelRows(rows.frames + 4, rows.values) for vid, rows in labels.items()
+        }, task="va")
+        _write_base_predictions(config, origin=base_origin)
+        assert main(["run", "--config", str(path)]) == code
+        run_dir = config.run_dir()
+        kelm = read_track_csv(run_dir / "models" / "kelm.csv", fps=5.0, kind="va")
+        assert all(track.frame_index_origin == 4 for track in kelm.values())
+        if code == 0:
+            fused = read_track_csv(run_dir / "fused.csv", fps=5.0, kind="va")
+            assert all(track.frame_index_origin == 4 for track in fused.values())
+        else:
+            assert ("fuse stage: model 'base_0' starts 'v000' at frame 0, model 'kelm' "
+                    "at frame 4" in capsys.readouterr().err)
+            assert not (run_dir / "fused.csv").exists()
 
     def test_fuse_with_another_method_leaves_the_config_run_alone(self, tmp_path):
         path = self._prepare(tmp_path)
