@@ -186,17 +186,25 @@ def _pool_scores(planes: np.ndarray, truth: np.ndarray, metric: str, weights):
     n_classes, q = planes.shape[1:]
     tp = np.empty((len(weights), n_classes), dtype=np.int64)
     predicted = np.empty_like(tp)
-    labels = np.empty(q, dtype=np.int64)
-    cells = truth * n_classes
+    # class c marks a maximal frame with K - c, so the highest mark is the
+    # first maximum, as argmax picks it; the dtype must hold K
+    mark_type = np.min_scalar_type(n_classes)
+    rank = np.arange(n_classes, 0, -1, dtype=mark_type)[:, None]
+    fused = np.empty((n_classes, q))
+    top = np.empty(q)
+    hit = np.empty((n_classes, q), dtype=bool)
+    marks = np.empty((n_classes, q), dtype=mark_type)
+    first = np.empty(q, dtype=mark_type)
+    # truth * K + label, with label = K - first
+    cells = truth * n_classes + n_classes
     diagonal = np.arange(n_classes) * (n_classes + 1)
     for i, w in enumerate(weights):
-        fused = np.einsum("mkq,mk->kq", planes, w)
-        top = fused.max(axis=0)
-        # walking down to class 0 leaves each frame on its first maximum
-        labels.fill(n_classes - 1)
-        for c in range(n_classes - 2, -1, -1):
-            labels[fused[c] == top] = c
-        confusion = np.bincount(cells + labels, minlength=n_classes * n_classes)
+        np.einsum("mkq,mk->kq", planes, w, out=fused)
+        np.max(fused, axis=0, out=top)
+        np.equal(fused, top, out=hit)
+        np.multiply(hit, rank, out=marks)
+        np.max(marks, axis=0, out=first)
+        confusion = np.bincount(cells - first, minlength=n_classes * n_classes)
         tp[i] = confusion[diagonal]
         predicted[i] = confusion.reshape(n_classes, n_classes).sum(axis=0)
     support = np.bincount(truth, minlength=n_classes)

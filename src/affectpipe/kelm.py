@@ -57,13 +57,14 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.kind == "linear":
         return x @ y.T
     spec = spec.resolve(x.shape[1])
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(y * y, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
+    # the operations of exp(-gamma * (sx + sy - 2 x y')) in two n x m buffers
+    sq = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :]
+    g = x @ y.T
+    g *= 2.0
+    sq -= g
     np.maximum(sq, 0.0, out=sq)  # rounding can leave tiny negatives
-    return np.exp(-spec.gamma * sq)
+    sq *= -spec.gamma
+    return np.exp(sq, out=sq)
 
 
 def class_weights(labels) -> np.ndarray:
@@ -107,6 +108,57 @@ class KelmModel:
         return self.beta.shape[1]
 
 
+def _weighted_system(x, targets, kernel: KernelSpec, weights):
+    """Validate the training inputs and build the system W K in place.
+
+    Returns the float64 inputs, the resolved kernel, the system matrix,
+    its diagonal and the right-hand side W T (T when unweighted). Adding
+    1/C to the diagonal then gives the matrix I/C + W K.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim == 1:
+        targets = targets[:, None]
+    n = x.shape[0]
+    if n < 1 or targets.shape[0] != n:
+        raise ValueError("targets must have one row per training instance")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64).ravel()
+        if weights.shape[0] != n:
+            raise ValueError("weights must have one entry per instance")
+        if np.any(weights <= 0):
+            raise ValueError("weights must be positive")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(targets))):
+        raise SolverError("non-finite values in features or targets")
+    spec = kernel.resolve(x.shape[1])
+    a = kernel_matrix(x, x, spec)
+    rhs = targets
+    if weights is not None:
+        a *= weights[:, None]
+        rhs = weights[:, None] * targets
+    if spec.kind == "linear":
+        # I/C + W K turns an off-diagonal -0.0 into +0.0; exp never gives one
+        a += 0.0
+    return x, spec, a, a.diagonal().copy(), rhs
+
+
+def _solve(a: np.ndarray, diag: np.ndarray, rhs: np.ndarray, c: float) -> np.ndarray:
+    """beta of (I/C + W K) beta = W T, with 1/C + diag written into a."""
+    np.fill_diagonal(a, 1.0 / c + diag)
+    try:
+        beta = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"regularized kernel system is singular (cond={np.linalg.cond(a):.3e}); "
+            "check for non-finite features or a degenerate kernel"
+        ) from exc
+    if not np.all(np.isfinite(beta)):
+        raise SolverError(
+            f"solver produced non-finite coefficients (cond={np.linalg.cond(a):.3e})"
+        )
+    return beta
+
+
 def train_kelm(
     x: np.ndarray,
     targets: np.ndarray,
@@ -120,43 +172,10 @@ def train_kelm(
     The solution comes from a dense LU solve of the regularized system;
     the model keeps the training inputs for later kernel evaluation.
     """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    n = x.shape[0]
-    if n < 1 or targets.shape[0] != n:
-        raise ValueError("targets must have one row per training instance")
     if c <= 0:
         raise ValueError("regularizer C must be positive")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(targets))):
-        raise SolverError("non-finite values in features or targets")
-    spec = kernel.resolve(x.shape[1])
-    k = kernel_matrix(x, x, spec)
-    a = np.eye(n) / c
-    if weights is None:
-        a += k
-        rhs = targets
-    else:
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if weights.shape[0] != n:
-            raise ValueError("weights must have one entry per instance")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        a += weights[:, None] * k
-        rhs = weights[:, None] * targets
-    try:
-        beta = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"regularized kernel system is singular (cond={np.linalg.cond(a):.3e}); "
-            "check for non-finite features or a degenerate kernel"
-        ) from exc
-    if not np.all(np.isfinite(beta)):
-        raise SolverError(
-            f"solver produced non-finite coefficients (cond={np.linalg.cond(a):.3e})"
-        )
-    return KelmModel(D=x, beta=beta, kernel=spec, task=task)
+    x, spec, a, diag, rhs = _weighted_system(x, targets, kernel, weights)
+    return KelmModel(D=x, beta=_solve(a, diag, rhs, c), kernel=spec, task=task)
 
 
 def predict_kelm(model: KelmModel, x_test: np.ndarray) -> np.ndarray:
@@ -194,17 +213,23 @@ def select_c(
     metric='macro_f1' treats dev_targets as integer labels and targets
     as a +/-1 matrix; metric='mean_ccc' scores mean CCC over target
     columns. Ties resolve to the smallest C.
+
+    The train and dev kernels are built once; each C rewrites the
+    system's diagonal and solves, so every score equals that of a model
+    train_kelm fits at that C.
     """
     candidates = [float(c) for c in candidates]
     if not candidates:
         raise ValueError("candidate list must be nonempty")
     if metric not in ("macro_f1", "mean_ccc"):
         raise ValueError(f"unknown metric {metric!r}")
-    task = "classification" if metric == "macro_f1" else "regression"
+    if min(candidates) <= 0:
+        raise ValueError("regularizer C must be positive")
+    x, spec, a, diag, rhs = _weighted_system(x, targets, kernel, weights)
+    dev_kernel = kernel_matrix(dev_x, x, spec)
     best_c = best_score = None
     for c in candidates:
-        model = train_kelm(x, targets, c, kernel=kernel, weights=weights, task=task)
-        score = score_predictions(model, dev_x, dev_targets, metric)
+        score = _dev_score(dev_kernel @ _solve(a, diag, rhs, c), dev_targets, metric)
         if (
             best_score is None
             or score > best_score
@@ -214,17 +239,15 @@ def select_c(
     return best_c, best_score
 
 
-def score_predictions(
-    model: KelmModel, dev_x: np.ndarray, dev_targets: np.ndarray, metric: str
-) -> float:
-    """Challenge metric of a model's predictions on a development split."""
+def _dev_score(scores: np.ndarray, dev_targets, metric: str) -> float:
+    """Challenge metric of raw dev scores: macro-F1 of their argmax, or
+    mean CCC of the scores clipped to [-1, 1] as predict_kelm clips them."""
     if metric == "macro_f1":
-        pred = predict_kelm_labels(model, dev_x)
         report = metrics.classification_report(
-            dev_targets, pred, n_classes=model.n_outputs
+            dev_targets, scores.argmax(axis=1), n_classes=scores.shape[1]
         )
         return report.macro_f1
-    scores = predict_kelm(model, dev_x)
+    scores = np.clip(scores, -1.0, 1.0)
     dev_targets = np.asarray(dev_targets, dtype=np.float64)
     if dev_targets.ndim == 1:
         dev_targets = dev_targets[:, None]
@@ -233,4 +256,3 @@ def score_predictions(
         for j in range(dev_targets.shape[1])
     ]
     return float(np.mean(per_dim))
-

@@ -402,6 +402,7 @@ class TestDwfSearchMatchesReferenceLoop:
     CASES = [
         (1, 8, 200), (1, 13, 50), (2, 1, 5), (2, 2, 37), (2, 13, 130),
         (3, 3, 500), (3, 8, 4000), (4, 2, 1000), (4, 8, 9), (4, 13, 300),
+        (2, 130, 50),  # K > 127: the first-maximum marks outgrow int8
     ]
 
     @pytest.mark.parametrize("grid", [True, False], ids=["grid", "continuous"])

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from affectpipe import metrics
 from affectpipe.errors import SolverError
 from affectpipe.kelm import (
     KernelSpec,
@@ -212,3 +216,149 @@ class TestSelectC:
         with pytest.raises(ValueError):
             select_c(np.eye(2), np.ones((2, 1)), [1.0], np.eye(2), [0, 1], "auc")
 
+    def test_non_finite_coefficients_quote_the_system_condition(self):
+        # a rank-1 kernel with C = 1e10 puts a 1e10 gain on targets of
+        # 1e300 in its null space, so beta overflows
+        x = np.ones((3, 1))
+        t = np.array([[1e300], [-1e300], [0.0]])
+        spec = KernelSpec(kind="linear")
+        with pytest.raises(SolverError, match=r"non-finite coefficients \(cond=") as got:
+            select_c(x, t, [1e10], x, t, "mean_ccc", kernel=spec)
+        with pytest.raises(SolverError) as want:
+            train_kelm(x, t, 1e10, kernel=spec)
+        assert str(got.value) == str(want.value)
+        cond = np.linalg.cond(np.eye(3) / 1e10 + x @ x.T)
+        assert f"(cond={cond:.3e})" in str(got.value)
+
+
+def reference_kernel(x, y, spec):
+    """kernel_matrix as one expression with temporaries."""
+    if spec.kind == "linear":
+        return x @ y.T
+    sq = (
+        np.sum(x * x, axis=1)[:, None]
+        + np.sum(y * y, axis=1)[None, :]
+        - 2.0 * (x @ y.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-spec.gamma * sq)
+
+
+def reference_beta(x, targets, c, spec, weights):
+    """The solution of eye/C + W K, with the system built afresh for one C."""
+    k = reference_kernel(x, x, spec)
+    a = np.eye(len(x)) / c
+    if weights is None:
+        a += k
+        rhs = targets
+    else:
+        a += weights[:, None] * k
+        rhs = weights[:, None] * targets
+    return np.linalg.solve(a, rhs)
+
+
+def reference_score(model, dev_x, dev_targets, metric):
+    """The dev score of a trained model through the public predictors."""
+    if metric == "macro_f1":
+        pred = predict_kelm_labels(model, dev_x)
+        return metrics.classification_report(
+            dev_targets, pred, n_classes=model.n_outputs
+        ).macro_f1
+    scores = predict_kelm(model, dev_x)
+    per_dim = [
+        metrics.ccc(dev_targets[:, j], scores[:, j]).ccc
+        for j in range(dev_targets.shape[1])
+    ]
+    return float(np.mean(per_dim))
+
+
+def reference_select_c(x, targets, candidates, dev_x, dev_targets, metric,
+                       kernel, weights):
+    """The C search as a loop that trains and scores one model per C and
+    keeps the best score, ties going to the smallest C. select_c must give
+    the same C and score bytes."""
+    task = "classification" if metric == "macro_f1" else "regression"
+    scores = []
+    for c in candidates:
+        model = train_kelm(x, targets, c, kernel=kernel, weights=weights, task=task)
+        scores.append(reference_score(model, dev_x, dev_targets, metric))
+    best = max(range(len(candidates)), key=lambda i: (scores[i], -candidates[i]))
+    return candidates[best], scores[best], scores
+
+
+def _select_c_case(kind, weighted, metric, seed, n=60, dev=25, d=5, n_classes=4):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n + dev, d))
+    labels = rng.integers(0, n_classes, size=n + dev)
+    labels[:n_classes] = np.arange(n_classes)  # every class trains
+    x[:, 0] += labels  # the first feature carries the class
+    if metric == "macro_f1":
+        targets = encode_classification_targets(labels[:n], n_classes)
+        dev_targets = labels[n:]
+    else:
+        y = np.tanh(x[:, :2] * 0.5 + rng.normal(scale=0.3, size=(n + dev, 2)))
+        targets, dev_targets = y[:n], y[n:]
+    weights = class_weights(labels[:n]) if weighted else None
+    return x[:n], targets, x[n:], dev_targets, KernelSpec(kind=kind), weights
+
+
+class TestSelectCMatchesReferenceLoop:
+    GRID = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+    def check(self, x, targets, dev_x, dev_targets, metric, spec, weights, grid):
+        got = select_c(x, targets, grid, dev_x, dev_targets, metric,
+                       kernel=spec, weights=weights)
+        want_c, want_score, scores = reference_select_c(
+            x, targets, grid, dev_x, dev_targets, metric, spec, weights
+        )
+        assert got[0] == want_c
+        assert np.float64(got[1]).tobytes() == np.float64(want_score).tobytes()
+        resolved = spec.resolve(x.shape[1])
+        for a, b in ((x, x), (dev_x, x)):
+            assert (kernel_matrix(a, b, spec).tobytes()
+                    == reference_kernel(a, b, resolved).tobytes())
+        for c in grid:
+            beta = train_kelm(x, targets, c, kernel=spec, weights=weights).beta
+            assert beta.tobytes() == reference_beta(
+                x, targets, c, resolved, weights).tobytes(), f"C={c}"
+        return scores
+
+    @pytest.mark.parametrize("metric", ["macro_f1", "mean_ccc"])
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "plain"])
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_grid(self, kind, weighted, metric):
+        seed = [kind == "rbf", weighted, metric == "macro_f1"]
+        x, t, dev_x, dev_t, spec, w = _select_c_case(kind, weighted, metric, seed)
+        self.check(x, t, dev_x, dev_t, metric, spec, w, self.GRID)
+
+    def test_tied_scores_go_to_the_smallest_c(self):
+        # well-separated classes: several C score a perfect dev macro-F1
+        rng = np.random.default_rng(17)
+        labels = np.tile(np.arange(3), 20)
+        x = np.eye(3)[labels] * 4.0 + rng.normal(scale=0.1, size=(60, 3))
+        t = encode_classification_targets(labels, 3)
+        grid = self.GRID[::-1]
+        scores = self.check(x, t, x, labels, "macro_f1", KernelSpec("rbf"),
+                            class_weights(labels), grid)
+        assert scores.count(max(scores)) >= 2
+
+    def test_linear_negative_zero_products(self):
+        # w * K underflows to -0.0 off the diagonal, where eye/C + W K has
+        # +0.0; with a -0.0 target the sign reaches beta
+        x = np.array([[-1.0], [5e-324]])
+        t = np.array([[1.0], [-0.0]])
+        w = np.array([0.125, 0.5])
+        spec = KernelSpec("linear")
+        wk = w[:, None] * kernel_matrix(x, x, spec)
+        assert np.signbit(wk[0, 1]) and wk[0, 1] == 0.0
+        self.check(x, t, x, t, "mean_ccc", spec, w, self.GRID)
+
+
+class TestKelmAbTool:
+    def test_self_comparison_is_byte_equal(self, capsys):
+        path = Path(__file__).resolve().parent.parent / "tools" / "kelm_ab.py"
+        spec = importlib.util.spec_from_file_location("kelm_ab", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.compare(tool.ROOT, train=60, dev=20, features=6, pairs=1) == 0
+        assert "equal: True" in capsys.readouterr().out
