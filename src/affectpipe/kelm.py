@@ -9,6 +9,7 @@ factorization, never an explicit inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,6 +143,11 @@ def _weighted_system(x, targets, kernel: KernelSpec, weights):
     return x, spec, a, a.diagonal().copy(), rhs
 
 
+def regularizer_ok(c: float) -> bool:
+    """Whether C > 0 and 1/C, the shift of the system's diagonal, is finite."""
+    return c > 0 and math.isfinite(1.0 / float(c))
+
+
 def _solve(a: np.ndarray, diag: np.ndarray, rhs: np.ndarray, c: float) -> np.ndarray:
     """beta of (I/C + W K) beta = W T, with 1/C + diag written into a."""
     np.fill_diagonal(a, 1.0 / c + diag)
@@ -149,14 +155,19 @@ def _solve(a: np.ndarray, diag: np.ndarray, rhs: np.ndarray, c: float) -> np.nda
         beta = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
-            f"regularized kernel system is singular (cond={np.linalg.cond(a):.3e}); "
+            f"regularized kernel system is singular ({_condition(a)}); "
             "check for non-finite features or a degenerate kernel"
         ) from exc
     if not np.all(np.isfinite(beta)):
-        raise SolverError(
-            f"solver produced non-finite coefficients (cond={np.linalg.cond(a):.3e})"
-        )
+        raise SolverError(f"solver produced non-finite coefficients ({_condition(a)})")
     return beta
+
+
+def _condition(a: np.ndarray) -> str:
+    """`a`'s condition number for an error message; cond needs a finite `a`."""
+    if np.all(np.isfinite(a)):
+        return f"cond={np.linalg.cond(a):.3e}"
+    return "non-finite entries in the system, as from features too large for the kernel"
 
 
 def train_kelm(
@@ -172,8 +183,8 @@ def train_kelm(
     The solution comes from a dense LU solve of the regularized system;
     the model keeps the training inputs for later kernel evaluation.
     """
-    if c <= 0:
-        raise ValueError("regularizer C must be positive")
+    if not regularizer_ok(c):
+        raise ValueError(f"regularizer C must be positive with a finite 1/C, got {c!r}")
     x, spec, a, diag, rhs = _weighted_system(x, targets, kernel, weights)
     return KelmModel(D=x, beta=_solve(a, diag, rhs, c), kernel=spec, task=task)
 
@@ -223,8 +234,9 @@ def select_c(
         raise ValueError("candidate list must be nonempty")
     if metric not in ("macro_f1", "mean_ccc"):
         raise ValueError(f"unknown metric {metric!r}")
-    if min(candidates) <= 0:
-        raise ValueError("regularizer C must be positive")
+    bad = [c for c in candidates if not regularizer_ok(c)]
+    if bad:
+        raise ValueError(f"regularizer C must be positive with a finite 1/C, got {bad}")
     x, spec, a, diag, rhs = _weighted_system(x, targets, kernel, weights)
     dev_kernel = kernel_matrix(dev_x, x, spec)
     best_c = best_score = None

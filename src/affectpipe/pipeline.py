@@ -13,10 +13,10 @@ parse from the files, equal to what that parse gives. Both ways write
 bit-identical artifacts.
 
 Determinism contract: CSV floats are written with 17 significant
-digits and the window-level arrays as .npy, so both read back exactly;
-per-video work merges in sorted video-id order regardless of the worker
-count, and the manifest's output hash depends only on the config, the
-seed, and the input files.
+digits and the window-level arrays and KELM scores as .npy, so both
+read back exactly; per-video work merges in sorted video-id order
+regardless of the worker count, and the manifest's output hash depends
+only on the config, the seed, and the input files.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +70,7 @@ from .kelm import (
     class_weights,
     encode_classification_targets,
     predict_kelm,
+    regularizer_ok,
     select_c,
     train_kelm,
 )
@@ -310,9 +312,10 @@ _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str, int)}
 def _coerce(annotation, value, where: str, **given):
     """`value` read from YAML, checked against one field annotation.
 
-    A float field also takes an int and stores a float; a str field
-    also takes an int (numeric video ids); a tuple field takes a list;
-    null is accepted only where the annotation is `X | None`.
+    A float field also takes an int and stores a float, and refuses NaN
+    and infinities; a str field also takes an int (numeric video ids); a
+    tuple field takes a list; null is accepted only where the annotation
+    is `X | None`.
     """
     if isinstance(annotation, types.UnionType):  # X | None
         if value is None:
@@ -341,9 +344,12 @@ def _coerce(annotation, value, where: str, **given):
     ):
         raise ConfigError(f"{where} must be {annotation.__name__}, got {value!r}")
     try:
-        return annotation(value)
+        value = annotation(value)
     except OverflowError as exc:  # an int too large for a float
         raise ConfigError(f"{where}: {exc}") from exc
+    if annotation is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return value
 
 
 def _validate(config: PipelineConfig) -> None:
@@ -378,8 +384,11 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("fusion pool_size must be >= 1 and alpha positive")
     if not config.fusion.tree_grid or min(config.fusion.tree_grid) < 1:
         raise ConfigError("fusion tree_grid must be a nonempty list of positive counts")
-    if not config.kelm.c_grid or min(config.kelm.c_grid) <= 0:
-        raise ConfigError("kelm c_grid must be a nonempty list of positive values")
+    if not config.kelm.c_grid or not all(map(regularizer_ok, config.kelm.c_grid)):
+        raise ConfigError(
+            "kelm c_grid must be a nonempty list of positive values with a finite "
+            f"reciprocal, got {list(config.kelm.c_grid)}"
+        )
     if config.postprocess.smooth_seconds <= 0:
         raise ConfigError("postprocess smooth_seconds must be positive")
     if not config.kelm.enabled and not paths.base_predictions:
@@ -491,9 +500,17 @@ def _load_truth_tracks(config: PipelineConfig, products: dict) -> dict[str, Fram
     return products["truth"]
 
 
-def _truth_at_working_rate(config: PipelineConfig, products: dict) -> dict[str, FrameTrack]:
+def _truth_at_working_rate(
+    config: PipelineConfig, products: dict, vids: Sequence[str], stage: str
+) -> dict[str, FrameTrack]:
+    """The ground-truth tracks of `vids` at the working rate, for `stage`."""
+    truth = _load_truth_tracks(config, products)
+    missing = [v for v in vids if v not in truth]
+    if missing:
+        raise AlignmentError(f"{stage} stage: no labels for video(s) {missing}")
     out = {}
-    for vid, track in _load_truth_tracks(config, products).items():
+    for vid in vids:
+        track = truth[vid]
         if abs(track.fps - config.fps_target) < 1e-9:
             out[vid] = track
         elif track.fps > config.fps_target:
@@ -535,7 +552,8 @@ def _sha256_file(path: Path) -> str:
 
 # windows.csv indexes the windows, one row per window, sorted by video.
 # features.npy and window_targets.npy hold one row per windows.csv row;
-# kelm_beta.npy holds one row per window of the training videos.
+# kelm_beta.npy holds one row per window of the training videos, and
+# kelm_scores.npy one per working-rate label frame, video by video.
 _WINDOWS_HEADER = "video_id,window_index,start,n_real"
 
 
@@ -663,11 +681,8 @@ def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
 def stage_window(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Index the windows and reduce the labels to one target per window."""
     batches = _window_batches(config)
-    truth = _truth_at_working_rate(config, products)
     vids = sorted(batches)
-    missing = [v for v in vids if v not in truth]
-    if missing:
-        raise AlignmentError(f"window stage: no labels for video(s) {missing}")
+    truth = _truth_at_working_rate(config, products, vids, "window")
     reduce = window_labels if config.task == "expr" else window_va_means
     targets = np.concatenate(_map_ordered(lambda vid: reduce(truth[vid], batches[vid]),
                                           vids, config.workers))
@@ -812,11 +827,8 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
     model = products.pop("kelm_model", None) or _rebuild_kelm(config, run_dir, index, feats)
     # the window stage checked each video's labels against its windows'
     # frame count, so the labels give the timeline the windows were cut from
-    truth = _truth_at_working_rate(config, products)
     vids = list(index)
-    missing = [v for v in vids if v not in truth]
-    if missing:
-        raise AlignmentError(f"predict-kelm stage: no labels for video(s) {missing}")
+    truth = _truth_at_working_rate(config, products, vids, "predict-kelm")
     spec = config.window_spec
     offsets = np.cumsum([len(index[vid]) for vid in vids])
     rows = dict(zip(vids, np.split(feats, offsets[:-1])))
@@ -828,15 +840,30 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
         )
         if config.task == "va":
             frame_scores = np.clip(frame_scores, -1.0, 1.0)
-        # at the working rate, as the fuse stage reads models/kelm.csv, and
         # numbered from the labels' first frame, as base tracks are
         return FrameTrack(vid, config.fps_target, frame_scores, kind=config.track_kind,
                           frame_index_origin=truth[vid].frame_index_origin)
 
     tracks = _map_ordered(one, vids, config.workers)
-    (run_dir / "models").mkdir(exist_ok=True)
-    write_track_csv(run_dir / "models" / "kelm.csv", tracks)
+    np.save(run_dir / "kelm_scores.npy", np.concatenate([t.values for t in tracks]))
     products["kelm_tracks"] = dict(zip(vids, tracks))
+
+
+def _read_kelm_tracks(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+    """The tracks predict-kelm made, from kelm_scores.npy and the labels."""
+    vids = list(_read_windows_csv(run_dir))
+    truth = _truth_at_working_rate(config, products, vids, "fuse")
+    ends = np.cumsum([truth[vid].n_frames for vid in vids])
+    path = run_dir / "kelm_scores.npy"
+    scores = _load_rows(path, "predict-kelm", np.float64, (int(ends[-1]), config.n_outputs))
+    tracks = {}
+    for vid, values in zip(vids, np.split(scores, ends[:-1])):
+        try:
+            tracks[vid] = FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
+                                     frame_index_origin=truth[vid].frame_index_origin)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: video {vid!r}: {exc}") from None
+    return tracks
 
 
 def _load_model_tracks(
@@ -847,10 +874,8 @@ def _load_model_tracks(
     models: list[dict[str, FrameTrack]] = []
     if config.kelm.enabled:
         names.append("kelm")
-        models.append(products.pop("kelm_tracks", None) or read_track_csv(
-            _require_file(run_dir / "models" / "kelm.csv", "predict-kelm stage output"),
-            fps=config.fps_target, kind=config.track_kind,
-        ))
+        models.append(products.pop("kelm_tracks", None)
+                      or _read_kelm_tracks(config, run_dir, products))
     for pred in config.paths.base_predictions:
         path = _require_file(pred, "base predictions file")
         name = path.stem
@@ -894,10 +919,7 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
 
     if method in ("dwf", "rf"):
         dev_vids = sorted(config.split.dev_videos)
-        truth = _truth_at_working_rate(config, products)
-        missing = [v for v in dev_vids if v not in truth]
-        if missing:
-            raise AlignmentError(f"fuse stage: no labels for dev video(s) {missing}")
+        truth = _truth_at_working_rate(config, products, dev_vids, "fuse")
         dev_preds = [
             np.vstack([model[v].values for v in dev_vids]) for model in models
         ]

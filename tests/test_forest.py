@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -604,3 +606,13 @@ class TestMatchesReferenceGrower:
                 y[rng.random(size) < 0.5] = -0.0
             want = np.float64(y.mean()).tobytes()
             assert np.float64(_short_mean(y.tolist())).tobytes() == want
+
+
+class TestForestAbTool:
+    def test_self_comparison_is_byte_equal(self, capsys):
+        path = Path(__file__).resolve().parent.parent / "tools" / "forest_ab.py"
+        spec = importlib.util.spec_from_file_location("forest_ab", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.compare(tool.ROOT, rows=200, features=3, trees=2, pairs=1) == 0
+        assert "bytes equal: True" in capsys.readouterr().out

@@ -17,6 +17,7 @@ from affectpipe.kelm import (
     kernel_matrix,
     predict_kelm,
     predict_kelm_labels,
+    regularizer_ok,
     select_c,
     train_kelm,
 )
@@ -162,6 +163,38 @@ class TestTrainKelm:
     def test_bad_c_rejected(self):
         with pytest.raises(ValueError):
             train_kelm(np.eye(2), np.ones((2, 1)), c=0.0)
+
+    @pytest.mark.parametrize("c", [1e-310, 5e-324, float("nan"), -1.0])
+    def test_c_without_a_finite_reciprocal_rejected(self, c):
+        # at C = 1e-310, 1/C overflows: the diagonal is inf and beta all 0
+        assert not regularizer_ok(c)
+        x, t = np.eye(3), np.ones((3, 1))
+        with pytest.raises(ValueError, match="finite 1/C"):
+            train_kelm(x, t, c)
+        with pytest.raises(ValueError, match="finite 1/C"):
+            select_c(x, t, [1.0, c], x, t, "mean_ccc")
+
+    def test_tiny_c_with_a_finite_reciprocal_trains(self):
+        assert regularizer_ok(1e-300) and regularizer_ok(float("inf"))
+        model = train_kelm(np.eye(3), np.ones((3, 1)), 1e-300)
+        assert np.all(np.isfinite(model.beta)) and np.any(model.beta != 0.0)
+
+    def test_non_finite_system_is_named_without_a_condition_number(self, monkeypatch):
+        # finite features of 1e200 overflow the rbf kernel's squared
+        # distances, and inf - inf leaves NaN in the system, on which
+        # np.linalg.cond raises LinAlgError
+        x = np.random.default_rng(3).random((6, 2)) * 1e200
+        t = np.ones((6, 1))
+
+        def cond(a):
+            raise AssertionError("cond of a non-finite system")
+
+        monkeypatch.setattr(np.linalg, "cond", cond)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="non-finite entries in the system"):
+                train_kelm(x, t, 1.0)
+            with pytest.raises(SolverError, match="non-finite entries in the system"):
+                select_c(x, t, [1.0], x, t, "mean_ccc")
 
 
 class TestPredict:

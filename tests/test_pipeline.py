@@ -209,6 +209,27 @@ def _no_features(run_dir):
     (run_dir / "features.npy").unlink()
 
 
+def _truncate_kelm_scores(run_dir):
+    path = run_dir / "kelm_scores.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _kelm_scores_one_row_short(run_dir):
+    path = run_dir / "kelm_scores.npy"
+    np.save(path, np.load(path)[:-1])
+
+
+def _nan_kelm_score(run_dir):
+    path = run_dir / "kelm_scores.npy"
+    scores = np.load(path)
+    scores[0, 0] = np.nan
+    np.save(path, scores)
+
+
+def _no_kelm_scores(run_dir):
+    (run_dir / "kelm_scores.npy").unlink()
+
+
 class TestSyntheticData:
     def test_noise_zero_collapses_each_class_to_its_mean(self):
         spec = SyntheticSpec(n_videos=2, frames_per_video=100, embedding_dim=4,
@@ -426,6 +447,34 @@ class TestConfig:
     def test_wrong_type_names_its_key(self, tmp_path, overrides, key):
         path = _write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"fps_target": float("inf")}, "config.fps_target"),
+            ({"paths": {"source_fps": float("nan")}}, "config.paths.source_fps"),
+            ({"window": {"hop_seconds": float("-inf")}}, "config.window.hop_seconds"),
+            ({"kelm": {"gamma": float("nan")}}, "config.kelm.gamma"),
+            ({"kelm": {"c_grid": [1.0, float("nan")]}}, "config.kelm.c_grid[1]"),
+            ({"fusion": {"alpha": float("inf")}}, "config.fusion.alpha"),
+            ({"postprocess": {"smooth_seconds": float("nan")}},
+             "config.postprocess.smooth_seconds"),
+            ({"postprocess": {"video_fps": {"v001": float("inf")}}},
+             "config.postprocess.video_fps.v001"),
+            ({"synth": {"noise": float("nan")}}, "config.synth.noise"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_non_finite_float_names_its_key(self, tmp_path, overrides, key):
+        path = _write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=re.escape(key) + " must be finite"):
+            load_config(path)
+
+    @pytest.mark.parametrize("c", [1e-310, 5e-324])
+    def test_c_whose_reciprocal_overflows_rejected(self, tmp_path, c):
+        path = _write_config(tmp_path, kelm={"c_grid": [1.0, c]})
+        with pytest.raises(ConfigError, match="finite reciprocal"):
             load_config(path)
 
     def test_yaml_values_coerce_to_the_field_types(self, tmp_path):
@@ -893,8 +942,9 @@ class TestCli:
         _write_base_predictions(load_config(path))
         outputs = self._staged_equals_single_shot(tmp_path, path)
         assert {"windows.csv", "window_targets.npy", "features.npy", "selection.csv",
-                "kelm_beta.npy", "models/kelm.csv", "fused.csv", "predictions.csv",
+                "kelm_beta.npy", "kelm_scores.npy", "fused.csv", "predictions.csv",
                 "report.csv"} <= set(outputs)
+        assert "models/kelm.csv" not in outputs
 
     @pytest.mark.parametrize("overrides", [{}, _VA], ids=["expr", "va"])
     def test_repeated_and_invalid_label_rows_stage_like_the_single_shot(
@@ -942,15 +992,20 @@ class TestCli:
             ("train-kelm", _windows_start_x, 6, "windows.csv:2: "),
             ("train-kelm", _targets_one_row_short, 4, "rerun the window stage"),
             ("train-kelm", _no_features, 3, "features stage output not found"),
+            ("fuse-dwf", _truncate_kelm_scores, 6, "not a loadable .npy array"),
+            ("fuse-dwf", _kelm_scores_one_row_short, 4, "rerun the predict-kelm stage"),
+            ("fuse-dwf", _nan_kelm_score, 6, "kelm_scores.npy: video 'v000': "),
+            ("fuse-dwf", _no_kelm_scores, 3, "predict-kelm stage output not found"),
         ],
         ids=["truncated-features", "float32-features", "object-beta", "windows-start-x",
-             "targets-one-row-short", "no-features"],
+             "targets-one-row-short", "no-features", "truncated-kelm-scores",
+             "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores"],
     )
     def test_damaged_intermediate_exits_with_its_family(
         self, tmp_path, capsys, command, damage, code, message
     ):
-        path = self._prepare(tmp_path)
-        for cmd in ("window", "features", "train-kelm"):
+        path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
+        for cmd in ("window", "features", "train-kelm", "predict-kelm"):
             assert main([cmd, "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
         damage(run_dir)
@@ -969,8 +1024,8 @@ class TestCli:
         (run_b / "selection.csv").unlink()
         assert main(["predict-kelm", *staged]) == 0
         run_a = next((tmp_path / "single").iterdir())
-        kelm_csv = Path("models", "kelm.csv")
-        assert (run_b / kelm_csv).read_bytes() == (run_a / kelm_csv).read_bytes()
+        scores = "kelm_scores.npy"
+        assert (run_b / scores).read_bytes() == (run_a / scores).read_bytes()
 
     def test_features_exits_4_when_the_vad_changed_since_the_window_stage(self, tmp_path):
         path = self._prepare(tmp_path)
@@ -1018,6 +1073,25 @@ class TestCli:
         with open(emb, "w") as fh:
             fh.write("not,a,track\n1,2,3\n")
         assert main(["run", "--config", str(path)]) == 6
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"kelm": {"c_grid": [1.0e-310]}}, {"kelm": {"c_grid": [float("nan")]}},
+         {"postprocess": {"smooth_seconds": float("nan")}}],
+        ids=["c-underflows", "c-nan", "smooth-nan"],
+    )
+    def test_non_finite_or_underflowing_config_float_exits_2(self, tmp_path, overrides):
+        assert main(["run", "--config", str(_write_config(tmp_path, **overrides))]) == 2
+
+    def test_features_too_large_for_the_kernel_exit_7(self, tmp_path, capsys):
+        path = self._prepare(tmp_path, normalization="none")
+        emb = load_config(path).paths.embeddings
+        tracks = read_track_csv(emb, fps=5.0)
+        write_track_csv(emb, [replace(t, values=t.values * 1e200) for t in tracks.values()])
+        # the rbf kernel's squared distances overflow, and inf - inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(path)]) == 7
+        assert "non-finite entries in the system" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "which, row",
@@ -1131,17 +1205,22 @@ class TestCli:
             vid: LabelRows(rows.frames + 4, rows.values) for vid, rows in labels.items()
         }, task="va")
         _write_base_predictions(config, origin=base_origin)
-        assert main(["run", "--config", str(path)]) == code
         run_dir = config.run_dir()
-        kelm = read_track_csv(run_dir / "models" / "kelm.csv", fps=5.0, kind="va")
-        assert all(track.frame_index_origin == 4 for track in kelm.values())
+        fused = run_dir / "fused.csv"
+        assert main(["run", "--config", str(path)]) == code
+        single = fused.read_bytes() if code == 0 else None
+        # a staged fuse numbers the KELM track it reads back from the labels too
+        assert main(["fuse-mean", "--config", str(path)]) == code
+        # the fused track is numbered from model 0's, the KELM track's, first frame
         if code == 0:
-            fused = read_track_csv(run_dir / "fused.csv", fps=5.0, kind="va")
-            assert all(track.frame_index_origin == 4 for track in fused.values())
+            assert fused.read_bytes() == single
+            tracks = read_track_csv(fused, fps=5.0, kind="va")
+            assert all(track.frame_index_origin == 4 for track in tracks.values())
         else:
-            assert ("fuse stage: model 'base_0' starts 'v000' at frame 0, model 'kelm' "
-                    "at frame 4" in capsys.readouterr().err)
-            assert not (run_dir / "fused.csv").exists()
+            err = capsys.readouterr().err
+            assert err.count("fuse stage: model 'base_0' starts 'v000' at frame 0, "
+                             "model 'kelm' at frame 4") == 2
+            assert not fused.exists()
 
     def test_fuse_with_another_method_leaves_the_config_run_alone(self, tmp_path):
         path = self._prepare(tmp_path)

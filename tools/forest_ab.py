@@ -50,20 +50,18 @@ def model_bytes(model) -> list[bytes]:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("other", type=Path, help="checkout to compare against")
-    args = parser.parse_args(argv)
+def compare(other: Path, rows: int = ROWS, features: int = FEATURES,
+            trees: int = TREES, pairs: int = PAIRS) -> int:
     forests = {
-        "other": load_forest(args.other.resolve(), "forest_other"),
+        "other": load_forest(other.resolve(), "forest_other"),
         "this": load_forest(ROOT, "forest_this"),
     }
-    x, y = dataset(ROWS, FEATURES)
+    x, y = dataset(rows, features)
     times = {name: [] for name in forests}
     models = {}
-    for pair in range(PAIRS):
+    for pair in range(pairs):
         for name, forest in forests.items():
-            spec = forest.ForestSpec(n_trees=TREES, seed=pair)
+            spec = forest.ForestSpec(n_trees=trees, seed=pair)
             start = time.perf_counter()
             model = forest.train_forest(x, y, spec, task="regression")
             times[name].append(time.perf_counter() - start)
@@ -73,10 +71,16 @@ def main(argv=None) -> int:
               f"this {times['this'][-1]:.3f} s, bytes equal: {equal}")
         if not equal:
             return 1
-    print(f"{ROWS} x {FEATURES}, {TREES} trees: median other "
+    print(f"{rows} x {features}, {trees} trees: median other "
           f"{statistics.median(times['other']):.3f} s, "
           f"this {statistics.median(times['this']):.3f} s")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="checkout to compare against")
+    return compare(parser.parse_args(argv).other)
 
 
 if __name__ == "__main__":
