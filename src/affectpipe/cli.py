@@ -1,7 +1,8 @@
 """Command-line interface: staged stages and single-shot pipeline runs.
 
-Every subcommand reads the same YAML config; stage subcommands share a
-run directory derived from the config hash, so running them in order
+Every subcommand reads the same YAML config. The stage subcommands are
+the rows of `pipeline.stages()` and share a run directory derived from
+the config hash, so running a config's planned stages in order
 reproduces exactly what `run` does in one shot. Exit codes follow the
 error families: 0 success, 2 config, 3 missing input, 4 alignment,
 5 task mismatch, 6 data format, 7 solver, 1 anything else.
@@ -12,30 +13,17 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import AffectPipeError, ConfigError, MissingInputError
 from .metrics import report_to_text
-from .pipeline import (
-    PipelineConfig,
-    load_config,
-    run_pipeline,
-    stage_evaluate,
-    stage_features,
-    stage_fuse,
-    stage_postprocess,
-    stage_predict_kelm,
-    stage_train_kelm,
-    stage_window,
-)
+from .pipeline import PipelineConfig, load_config, planned_stages, run_pipeline, stages
 from .synth import synth_generate
 
 
-def _load(args) -> PipelineConfig:
-    return load_config(
-        args.config, seed=args.seed, workers=args.workers, out_dir=args.out_dir
-    )
+def _load(args, fusion_method: str | None = None) -> PipelineConfig:
+    return load_config(args.config, seed=args.seed, workers=args.workers,
+                       out_dir=args.out_dir, fusion_method=fusion_method)
 
 
 def _cmd_synth(args) -> int:
@@ -56,13 +44,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run_stage(args, stage, method: str | None = None) -> int:
-    config = _load(args)
-    if method is not None and config.fusion.method != method:
-        config = replace(config, fusion=replace(config.fusion, method=method))
+def _run_stage(args) -> int:
+    stage = {s.name: s for s in stages()}[args.command]
+    config = _load(args, stage.method)
+    if stage not in planned_stages(config):
+        raise ConfigError(f"{stage.name}: this config has kelm.enabled: false, so its "
+                          f"run has no {stage.name} stage")
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    result = stage(config, run_dir, {})
+    result = stage.run(config, run_dir, {})
     if result is not None:
         print(report_to_text(result))
     print(f"run directory: {run_dir}")
@@ -70,8 +60,7 @@ def _run_stage(args, stage, method: str | None = None) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
-    result = run_pipeline(config)
+    result = run_pipeline(_load(args))
     print(report_to_text(result.report))
     print(f"run directory: {result.run_dir}")
     return 0
@@ -84,30 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands: list[tuple[str, str, object]] = [
+    commands = [
         ("synth", "generate a seeded synthetic dataset", _cmd_synth),
-        ("window", "resample, gate by VAD, and slice windows", None),
-        ("features", "compute window functionals and normalize", None),
-        ("train-kelm", "select C on the dev split and train", None),
-        ("predict-kelm", "score windows onto the working timeline", None),
-        ("fuse-dwf", "searched Dirichlet-weighted fusion", None),
-        ("fuse-rf", "random-forest stacking fusion", None),
-        ("fuse-mean", "unweighted mean fusion", None),
-        ("postprocess", "interpolate, smooth, and emit predictions", None),
-        ("evaluate", "score predictions against the labels", None),
+        *((s.name, s.help, _run_stage) for s in stages()),
         ("run", "execute the full pipeline in one shot", _cmd_run),
     ]
-    stage_handlers = {
-        "window": lambda a: _run_stage(a, stage_window),
-        "features": lambda a: _run_stage(a, stage_features),
-        "train-kelm": lambda a: _run_stage(a, stage_train_kelm),
-        "predict-kelm": lambda a: _run_stage(a, stage_predict_kelm),
-        "fuse-dwf": lambda a: _run_stage(a, stage_fuse, method="dwf"),
-        "fuse-rf": lambda a: _run_stage(a, stage_fuse, method="rf"),
-        "fuse-mean": lambda a: _run_stage(a, stage_fuse, method="mean"),
-        "postprocess": lambda a: _run_stage(a, stage_postprocess),
-        "evaluate": lambda a: _run_stage(a, stage_evaluate),
-    }
     for name, help_text, handler in commands:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="YAML pipeline config")
@@ -120,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override output.dir (synth: where the dataset files go)",
         )
-        cmd.set_defaults(handler=handler or stage_handlers[name])
+        cmd.set_defaults(handler=handler)
     return parser
 
 

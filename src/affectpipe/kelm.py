@@ -48,6 +48,7 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
     linear: inner products. rbf: exp(-gamma * ||x_i - y_j||^2), with
     gamma defaulting to 1/d. Symmetric positive semidefinite for x = y.
+    Inputs too large for the kernel give inf or NaN, which the solve refuses.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -55,17 +56,18 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise ValueError("kernel inputs must be 2-d matrices")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"width mismatch: {x.shape[1]} vs {y.shape[1]}")
-    if spec.kind == "linear":
-        return x @ y.T
-    spec = spec.resolve(x.shape[1])
-    # the operations of exp(-gamma * (sx + sy - 2 x y')) in two n x m buffers
-    sq = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :]
-    g = x @ y.T
-    g *= 2.0
-    sq -= g
-    np.maximum(sq, 0.0, out=sq)  # rounding can leave tiny negatives
-    sq *= -spec.gamma
-    return np.exp(sq, out=sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "linear":
+            return x @ y.T
+        spec = spec.resolve(x.shape[1])
+        # the operations of exp(-gamma * (sx + sy - 2 x y')) in two n x m buffers
+        sq = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :]
+        g = x @ y.T
+        g *= 2.0
+        sq -= g
+        np.maximum(sq, 0.0, out=sq)  # rounding can leave tiny negatives
+        sq *= -spec.gamma
+        return np.exp(sq, out=sq)
 
 
 def class_weights(labels) -> np.ndarray:

@@ -3,14 +3,14 @@
 A run executes resample -> VAD gate -> window -> reduce targets ->
 functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
-smoothing -> evaluation. Every stage writes its outputs to files in
-the run directory. Run stage by stage (the CLI), each stage reads its
-inputs from those files; the features stage re-slices the embedding
-track instead, and checks its windows against the `windows.csv` index.
-A single-shot run hands each stage's products to the later stages in
-memory, in one `products` dict: the values a stage would otherwise
-parse from the files, equal to what that parse gives. Both ways write
-bit-identical artifacts.
+smoothing -> evaluation. One table, `stages()`, lists the stage
+commands; a config's run is the four KELM stages when `kelm.enabled`,
+then `fuse-<method>`, `postprocess` and `evaluate`. `run_pipeline`
+walks that plan, handing each stage's products on in memory. A stage
+command of the CLI runs one stage alone, and its inputs come from the
+files in the run directory; the features stage re-slices the
+embedding track instead, and checks its windows against `windows.csv`.
+Both ways write bit-identical artifacts.
 
 Determinism contract: CSV floats are written with 17 significant
 digits and the window-level arrays and KELM scores as .npy, so both
@@ -237,10 +237,12 @@ def load_config(
     seed: int | None = None,
     workers: int | None = None,
     out_dir: str | None = None,
+    fusion_method: str | None = None,
 ) -> PipelineConfig:
     """Build a validated config from defaults, a YAML file, and overrides.
 
-    Precedence: CLI flag overrides > file values > defaults. Structural
+    Precedence: CLI flag overrides > file values > defaults. A fuse-<method>
+    command passes its `fusion_method`, which must validate too. Structural
     problems raise ConfigError; a missing config file raises
     MissingInputError. Referenced data files are checked by the stages
     that read them, so a config may be loaded before `synth` has
@@ -263,6 +265,9 @@ def load_config(
     if out_dir is not None:
         config = replace(config, output=OutputSettings(dir=out_dir))
     _validate(config)
+    if fusion_method is not None:
+        config = replace(config, fusion=replace(config.fusion, method=fusion_method))
+        _validate(config)
     return config
 
 
@@ -480,31 +485,11 @@ def _read_labels_checked(path: Path, task: str) -> dict[str, LabelRows]:
         ) from exc
 
 
-def _load_truth_tracks(config: PipelineConfig, products: dict) -> dict[str, FrameTrack]:
-    """Ground-truth tracks on their native (per-video) timelines.
-
-    The first stage of a run that needs them parses the labels. The run
-    keeps the tracks, which share their values with the label rows.
-    """
-    if "truth" not in products:
-        path = _require_file(config.paths.labels, "labels file")
-        products["truth"] = {
-            vid: labels_to_track(
-                vid,
-                rows,
-                fps=config.postprocess.fps_for(vid, config.fps_target),
-                task=config.task,
-            )
-            for vid, rows in _read_labels_checked(path, config.task).items()
-        }
-    return products["truth"]
-
-
 def _truth_at_working_rate(
-    config: PipelineConfig, products: dict, vids: Sequence[str], stage: str
+    config: PipelineConfig, run_dir: Path, products: dict, vids: Sequence[str], stage: str
 ) -> dict[str, FrameTrack]:
     """The ground-truth tracks of `vids` at the working rate, for `stage`."""
-    truth = _load_truth_tracks(config, products)
+    [truth] = _take(config, run_dir, products, "truth")
     missing = [v for v in vids if v not in truth]
     if missing:
         raise AlignmentError(f"{stage} stage: no labels for video(s) {missing}")
@@ -533,8 +518,14 @@ def _dev_split(config: PipelineConfig, vids: Sequence[str]) -> tuple[list[str], 
     return train, dev
 
 
-def _evaluated_videos(config: PipelineConfig, vids: Sequence[str]) -> list[str]:
-    return sorted(config.split.dev_videos) if config.split.dev_videos else sorted(vids)
+def _write_csv(path: Path, rows: Iterable[list[str]]) -> None:
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _write_json(path: Path, value: dict, sort_keys: bool = True) -> None:
+    path.write_text(json.dumps(value, sort_keys=sort_keys, indent=2) + "\n",
+                    encoding="utf-8")
 
 
 def _sha256_file(path: Path) -> str:
@@ -614,16 +605,6 @@ def _load_rows(path: Path, stage: str, dtype, shape: tuple) -> np.ndarray:
     return array
 
 
-def _windows_and_features(run_dir: Path, take: Callable) -> tuple[dict, np.ndarray]:
-    """The window index and features; `take` is products.get, or pop for the last user."""
-    index = take("windows", None) or _read_windows_csv(run_dir)
-    feats = take("features", None)
-    if feats is None:
-        n = sum(map(len, index.values()))
-        feats = _load_rows(run_dir / "features.npy", "features", np.float64, (n, None))
-    return index, feats
-
-
 def _dev_rows(config: PipelineConfig, index: dict[str, list[int]]) -> np.ndarray:
     """Which rows of a window-level array belong to a dev video."""
     dev = set(_dev_split(config, list(index))[1])
@@ -671,18 +652,23 @@ def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
     return dict(zip(vids, _map_ordered(one, vids, config.workers)))
 
 
-# Every stage takes `products`, the dict a single-shot run hands from
-# stage to stage: a stage takes an input from it when the stage that
-# made the input ran in the same process, and parses the file otherwise
-# (always so for the CLI, which passes an empty dict). It stores what
-# it wrote and pops what it is the last to use.
+def _read_truth(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+    """Ground-truth tracks on their native (per-video) timelines."""
+    path = _require_file(config.paths.labels, "labels file")
+    return {
+        vid: labels_to_track(
+            vid, rows, fps=config.postprocess.fps_for(vid, config.fps_target),
+            task=config.task,
+        )
+        for vid, rows in _read_labels_checked(path, config.task).items()
+    }
 
 
 def stage_window(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Index the windows and reduce the labels to one target per window."""
     batches = _window_batches(config)
     vids = sorted(batches)
-    truth = _truth_at_working_rate(config, products, vids, "window")
+    truth = _truth_at_working_rate(config, run_dir, products, vids, "window")
     reduce = window_labels if config.task == "expr" else window_va_means
     targets = np.concatenate(_map_ordered(lambda vid: reduce(truth[vid], batches[vid]),
                                           vids, config.workers))
@@ -694,17 +680,21 @@ def stage_window(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     products["targets"] = targets
 
 
+def _read_batches(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+    """The windows of the current inputs, which must be those windows.csv indexes."""
+    index = _require_file(run_dir / "windows.csv", "window stage output")
+    batches = _window_batches(config)
+    if index.read_bytes() != _windows_index(batches):
+        raise AlignmentError(
+            f"features stage: {index} does not match the windows of the current "
+            "inputs; rerun the window stage"
+        )
+    return batches
+
+
 def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Functionals over the windows, plus the configured normalization."""
-    batches = products.pop("batches", None)
-    if batches is None:
-        index = _require_file(run_dir / "windows.csv", "window stage output")
-        batches = _window_batches(config)
-        if index.read_bytes() != _windows_index(batches):
-            raise AlignmentError(
-                f"features stage: {index} does not match the windows of the current "
-                "inputs; rerun the window stage"
-            )
+    [batches] = _take(config, run_dir, products, "batches")
     fset = config.functional_set
     vids = sorted(batches)
 
@@ -729,16 +719,8 @@ def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> Non
 
 def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Select the regularizer on the dev split and train on the rest."""
-    if not config.kelm.enabled:
-        raise ConfigError("kelm stage is disabled in this config")
-    index, feats = _windows_and_features(run_dir, products.get)
-    targets = products.pop("targets", None)
-    if targets is None:
-        targets = _load_rows(
-            run_dir / "window_targets.npy", "window",
-            *((np.int64, (len(feats),)) if config.task == "expr"
-              else (np.float64, (len(feats), 2))),
-        )
+    index, feats, targets = _take(config, run_dir, products,
+                                  "windows", "features", "targets")
     dev = _dev_rows(config, index)
     if dev.all():
         raise ConfigError("kelm training needs at least one non-dev video")
@@ -766,10 +748,8 @@ def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> N
     )
     np.save(run_dir / "kelm_beta.npy", model.beta)
     products["kelm_model"] = model
-    with (run_dir / "selection.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["c", "dev_score"])
-        writer.writerow([FLOAT_FMT % best_c, FLOAT_FMT % dev_score])
+    _write_csv(run_dir / "selection.csv",
+               [["c", "dev_score"], [FLOAT_FMT % best_c, FLOAT_FMT % dev_score]])
     log.info("kelm: C=%g scores %.4f (%s) on the dev split", best_c, dev_score,
              config.metric)
 
@@ -809,10 +789,28 @@ def _spread_window_scores(
     return out
 
 
-def _rebuild_kelm(
-    config: PipelineConfig, run_dir: Path, index: dict[str, list[int]], feats: np.ndarray
-) -> KelmModel:
+def _read_windows(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+    return _read_windows_csv(run_dir)
+
+
+def _read_features(config: PipelineConfig, run_dir: Path, products: dict) -> np.ndarray:
+    [index] = _take(config, run_dir, products, "windows")
+    n = sum(map(len, index.values()))
+    return _load_rows(run_dir / "features.npy", "features", np.float64, (n, None))
+
+
+def _read_targets(config: PipelineConfig, run_dir: Path, products: dict) -> np.ndarray:
+    [index] = _take(config, run_dir, products, "windows")
+    n = sum(map(len, index.values()))
+    return _load_rows(
+        run_dir / "window_targets.npy", "window",
+        *((np.int64, (n,)) if config.task == "expr" else (np.float64, (n, 2))),
+    )
+
+
+def _read_kelm_model(config: PipelineConfig, run_dir: Path, products: dict) -> KelmModel:
     """The model train-kelm solved, from the features it trained on and its beta."""
+    index, feats = _take(config, run_dir, products, "windows", "features")
     d_mat = feats[~_dev_rows(config, index)]
     beta = _load_rows(
         run_dir / "kelm_beta.npy", "train-kelm", np.float64, (len(d_mat), config.n_outputs)
@@ -823,12 +821,12 @@ def _rebuild_kelm(
 
 def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Score every window and lay the scores onto the working timeline."""
-    index, feats = _windows_and_features(run_dir, products.pop)
-    model = products.pop("kelm_model", None) or _rebuild_kelm(config, run_dir, index, feats)
+    index, feats, model = _take(config, run_dir, products,
+                                "windows", "features", "kelm_model")
     # the window stage checked each video's labels against its windows'
     # frame count, so the labels give the timeline the windows were cut from
     vids = list(index)
-    truth = _truth_at_working_rate(config, products, vids, "predict-kelm")
+    truth = _truth_at_working_rate(config, run_dir, products, vids, "predict-kelm")
     spec = config.window_spec
     offsets = np.cumsum([len(index[vid]) for vid in vids])
     rows = dict(zip(vids, np.split(feats, offsets[:-1])))
@@ -851,8 +849,8 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
 
 def _read_kelm_tracks(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
     """The tracks predict-kelm made, from kelm_scores.npy and the labels."""
-    vids = list(_read_windows_csv(run_dir))
-    truth = _truth_at_working_rate(config, products, vids, "fuse")
+    vids = list(_take(config, run_dir, products, "windows")[0])
+    truth = _truth_at_working_rate(config, run_dir, products, vids, "fuse")
     ends = np.cumsum([truth[vid].n_frames for vid in vids])
     path = run_dir / "kelm_scores.npy"
     scores = _load_rows(path, "predict-kelm", np.float64, (int(ends[-1]), config.n_outputs))
@@ -866,16 +864,13 @@ def _read_kelm_tracks(config: PipelineConfig, run_dir: Path, products: dict) -> 
     return tracks
 
 
-def _load_model_tracks(
-    config: PipelineConfig, run_dir: Path, products: dict
-) -> tuple[list[str], list[dict[str, FrameTrack]]]:
-    """All fusion inputs: this run's KELM track plus configured bases."""
+def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
+    """Combine this run's KELM track and the configured bases by the fusion method."""
     names: list[str] = []
     models: list[dict[str, FrameTrack]] = []
     if config.kelm.enabled:
         names.append("kelm")
-        models.append(products.pop("kelm_tracks", None)
-                      or _read_kelm_tracks(config, run_dir, products))
+        models += _take(config, run_dir, products, "kelm_tracks")
     for pred in config.paths.base_predictions:
         path = _require_file(pred, "base predictions file")
         name = path.stem
@@ -883,12 +878,6 @@ def _load_model_tracks(
             name += "+"
         names.append(name)
         models.append(read_track_csv(path, fps=config.fps_target, kind=config.track_kind))
-    return names, models
-
-
-def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
-    """Combine model score tracks with the configured fusion method."""
-    names, models = _load_model_tracks(config, run_dir, products)
     vids = sorted(models[0])
     # every fusion method needs each video's model tracks on model 0's frames
     for name, model in zip(names[1:], models[1:]):
@@ -910,16 +899,13 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
                     f"{models[0][v].frame_index_origin}"
                 )
     _dev_split(config, vids)
-    eval_vids = _evaluated_videos(config, vids)
+    eval_vids = sorted(config.split.dev_videos or vids)  # all videos without a dev split
     n_outputs = config.n_outputs
     matrix: FusionMatrix | None = None
     method = config.fusion.method
-    if method in ("dwf", "rf") and not config.split.dev_videos:
-        raise ConfigError(f"{method} fusion needs a nonempty split.dev_videos")
-
-    if method in ("dwf", "rf"):
+    if method in ("dwf", "rf"):  # _validate checked that a dev split is given
         dev_vids = sorted(config.split.dev_videos)
-        truth = _truth_at_working_rate(config, products, dev_vids, "fuse")
+        truth = _truth_at_working_rate(config, run_dir, products, dev_vids, "fuse")
         dev_preds = [
             np.vstack([model[v].values for v in dev_vids]) for model in models
         ]
@@ -984,14 +970,13 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
                 "by %.4f; treat dev gains as optimistic",
                 info.metric, info.dev_score, info.oob_metric_score, info.overfit_gap,
             )
-        with (run_dir / "rf_info.csv").open("w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "value"])
-            writer.writerow(["n_trees", str(info.n_trees)])
-            writer.writerow(["oob_score", FLOAT_FMT % info.oob_score])
-            writer.writerow([f"oob_{info.metric}", FLOAT_FMT % info.oob_metric_score])
-            writer.writerow(["dev_score", FLOAT_FMT % info.dev_score])
-            writer.writerow(["overfit_gap", FLOAT_FMT % info.overfit_gap])
+        _write_csv(run_dir / "rf_info.csv", [
+            ["metric", "value"], ["n_trees", str(info.n_trees)],
+            ["oob_score", FLOAT_FMT % info.oob_score],
+            [f"oob_{info.metric}", FLOAT_FMT % info.oob_metric_score],
+            ["dev_score", FLOAT_FMT % info.dev_score],
+            ["overfit_gap", FLOAT_FMT % info.overfit_gap],
+        ])
         ends = np.cumsum([models[0][vid].n_frames for vid in eval_vids])
         fused = np.split(fused_arr, ends[:-1])
     if matrix is not None:
@@ -1012,14 +997,14 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     products["fused"] = dict(zip(eval_vids, tracks))
 
 
+def _read_fused(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+    return read_track_csv(_require_file(run_dir / "fused.csv", "fuse stage output"),
+                          fps=config.fps_target, kind=config.track_kind)
+
+
 def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Interpolate fused scores to the truth timeline, smooth, and emit labels."""
-    fused = products.pop("fused", None) or read_track_csv(
-        _require_file(run_dir / "fused.csv", "fuse stage output"),
-        fps=config.fps_target,
-        kind=config.track_kind,
-    )
-    truth = _load_truth_tracks(config, products)
+    fused, truth = _take(config, run_dir, products, "fused", "truth")
     smoothing = SmoothingSpec(window_seconds=config.postprocess.smooth_seconds)
     vids = sorted(fused)
     missing = [v for v in vids if v not in truth]
@@ -1102,20 +1087,77 @@ def _valid_rows(rows: dict[str, LabelRows], task: str) -> dict[str, LabelRows]:
     return out
 
 
+def _read_predictions(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+    path = _require_file(run_dir / "predictions.csv", "postprocess stage output")
+    return _read_labels_checked(path, config.task)
+
+
 def stage_evaluate(config: PipelineConfig, run_dir: Path, products: dict) -> EvalReport:
-    truth = products.pop("truth", None)
-    if truth is not None:
-        # every video's rows became a track, so the tracks hold all of them
-        truth = {vid: _track_rows(t, t.values) for vid, t in truth.items()}
+    """Score the predictions against the labels and write the report."""
+    pred, truth = _take(config, run_dir, products, "predictions", "truth")
     report = evaluate_files(
-        _require_file(run_dir / "predictions.csv", "postprocess stage output"),
-        _require_file(config.paths.labels, "labels file"),
+        run_dir / "predictions.csv",
+        config.paths.labels,
         config.task,
-        pred=products.pop("predictions", None),
-        truth=truth,
+        pred=pred,
+        # every video's rows became a track, so the tracks hold all of them
+        truth={vid: _track_rows(t, t.values) for vid, t in truth.items()},
     )
     write_report(report, run_dir / "report.txt", run_dir / "report.csv")
     return report
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A stage command and the products its function takes. The `kelm`
+    stages run only when kelm.enabled; a fuse stage runs fusion `method`."""
+
+    name: str
+    help: str
+    run: Callable[[PipelineConfig, Path, dict], EvalReport | None]
+    needs: tuple[str, ...]
+    kelm: bool = False
+    method: str | None = None
+
+
+def stages() -> list[Stage]:
+    """Every stage command, in run order. Built when called, so a wrapper
+    set on a stage function of this module is the one that runs."""
+    fuse_help = {"dwf": "searched Dirichlet-weighted fusion",
+                 "rf": "random-forest stacking fusion", "mean": "unweighted mean fusion"}
+    return [
+        Stage("window", "resample, gate by VAD, and slice windows", stage_window,
+              ("truth",), kelm=True),
+        Stage("features", "compute window functionals and normalize", stage_features,
+              ("batches",), kelm=True),
+        Stage("train-kelm", "select C on the dev split and train", stage_train_kelm,
+              ("windows", "features", "targets"), kelm=True),
+        Stage("predict-kelm", "score windows onto the working timeline",
+              stage_predict_kelm, ("windows", "features", "kelm_model", "truth"), kelm=True),
+        *(Stage(f"fuse-{m}", fuse_help[m], stage_fuse, ("kelm_tracks", "truth"), method=m)
+          for m in FUSION_METHODS),
+        Stage("postprocess", "interpolate, smooth, and emit predictions", stage_postprocess,
+              ("fused", "truth")),
+        Stage("evaluate", "score predictions against the labels", stage_evaluate,
+              ("predictions", "truth")),
+    ]
+
+
+def planned_stages(config: PipelineConfig) -> list[Stage]:
+    """The stages of a run of `config`; a fusion-only run starts at fuse."""
+    return [s for s in stages() if (config.kelm.enabled or not s.kelm)
+            and s.method in (None, config.fusion.method)]
+
+
+def _take(config: PipelineConfig, run_dir: Path, products: dict, *names: str) -> list:
+    """The products `names`, each from `products`, what earlier stages of
+    this process made, or else from `_read_<name>`, which parses the files.
+    Readers are looked up when called, as stages are; what one returns is
+    kept in `products` for the stage's later takes."""
+    for name in names:
+        if name not in products:
+            products[name] = globals()[f"_read_{name}"](config, run_dir, products)
+    return [products[name] for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -1160,42 +1202,23 @@ def _build_manifest(config: PipelineConfig, run_dir: Path) -> dict:
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
-    """Execute every stage in order and write the run manifest."""
+    """Execute the config's planned stages in order and write the run manifest.
+    Each product stays in memory until the last stage that needs it."""
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(config_to_dict(config), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    stages: list[tuple[str, Callable]] = []
-    if config.kelm.enabled:
-        # the windowing/feature stages exist to feed the KELM; a
-        # fusion-only run starts straight from the base prediction files
-        stages += [
-            ("window", stage_window),
-            ("features", stage_features),
-            ("train-kelm", stage_train_kelm),
-            ("predict-kelm", stage_predict_kelm),
-        ]
-    stages += [
-        (f"fuse-{config.fusion.method}", stage_fuse),
-        ("postprocess", stage_postprocess),
-    ]
+    _write_json(run_dir / "config.json", config_to_dict(config))
+    plan = planned_stages(config)
+    last_use = {product: stage.name for stage in plan for product in stage.needs}
     timings: dict[str, float] = {}
     products: dict = {}
-    for name, fn in stages:
+    for stage in plan:
         t0 = time.perf_counter()
-        fn(config, run_dir, products)
-        timings[name] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    report = stage_evaluate(config, run_dir, products)
-    timings["evaluate"] = time.perf_counter() - t0
+        report = stage.run(config, run_dir, products)  # evaluate, the last, returns one
+        for product in [p for p in products if last_use.get(p) == stage.name]:
+            del products[product]
+        timings[stage.name] = time.perf_counter() - t0
     manifest = _build_manifest(config, run_dir)
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (run_dir / "timings.json").write_text(
-        json.dumps({k: round(v, 3) for k, v in timings.items()}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(run_dir / "manifest.json", manifest)
+    _write_json(run_dir / "timings.json", {k: round(v, 3) for k, v in timings.items()},
+                sort_keys=False)
     return RunResult(report=report, run_dir=run_dir, manifest=manifest)

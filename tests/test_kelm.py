@@ -196,6 +196,14 @@ class TestTrainKelm:
             with pytest.raises(SolverError, match="non-finite entries in the system"):
                 select_c(x, t, [1.0], x, t, "mean_ccc")
 
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_features_too_large_for_the_kernel_raise_without_a_warning(self, kind):
+        # the kernel overflows; under this suite's warnings-as-errors filter
+        # a numpy RuntimeWarning would escape before the solver's check
+        x = np.random.default_rng(3).random((6, 2)) * 1e200
+        with pytest.raises(SolverError, match="non-finite entries in the system"):
+            train_kelm(x, np.ones((6, 1)), 1.0, kernel=KernelSpec(kind))
+
 
 class TestPredict:
     def test_regression_scores_clipped(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -904,13 +905,15 @@ class TestCli:
         "split": {"dev_videos": ["v002"]},
     }
 
-    def _staged_equals_single_shot(self, tmp_path, path):
-        """Run `path` in one shot and stage by stage; compare every output."""
+    def _staged_equals_single_shot(self, tmp_path, path, stage_cmds=None):
+        """Run `path` in one shot and by `stage_cmds`, by default the KELM
+        config's stage commands; compare every output."""
         method = load_config(path).fusion.method
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
-        stage_cmds = ["window", "features", "train-kelm", "predict-kelm",
-                      f"fuse-{method}", "postprocess", "evaluate"]
+        if stage_cmds is None:
+            stage_cmds = ["window", "features", "train-kelm", "predict-kelm",
+                          f"fuse-{method}", "postprocess", "evaluate"]
         for cmd in stage_cmds:
             assert main([cmd, "--config", str(path),
                          "--out-dir", str(tmp_path / "staged")]) == 0
@@ -945,6 +948,14 @@ class TestCli:
                 "kelm_beta.npy", "kelm_scores.npy", "fused.csv", "predictions.csv",
                 "report.csv"} <= set(outputs)
         assert "models/kelm.csv" not in outputs
+
+    @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
+    def test_staged_fusion_only_run_reproduces_the_single_shot_run(self, tmp_path, method):
+        path = _write_va_fusion_only(tmp_path, method)
+        outputs = self._staged_equals_single_shot(
+            tmp_path, path, [f"fuse-{method}", "postprocess", "evaluate"])
+        assert {"fused.csv", "predictions.csv", "report.csv"} <= set(outputs)
+        assert "windows.csv" not in outputs
 
     @pytest.mark.parametrize("overrides", [{}, _VA], ids=["expr", "va"])
     def test_repeated_and_invalid_label_rows_stage_like_the_single_shot(
@@ -1089,8 +1100,7 @@ class TestCli:
         tracks = read_track_csv(emb, fps=5.0)
         write_track_csv(emb, [replace(t, values=t.values * 1e200) for t in tracks.values()])
         # the rbf kernel's squared distances overflow, and inf - inf is NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", str(path)]) == 7
+        assert main(["run", "--config", str(path)]) == 7
         assert "non-finite entries in the system" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -1235,6 +1245,51 @@ class TestCli:
         after = json.loads((run_dir / "manifest.json").read_text())["outputs_hash"]
         assert after == before
 
+    def _fusion_only_without_dev(self, tmp_path, monkeypatch):
+        """A va fusion-only mean config with one base and no dev split, and
+        a list that records every file the pipeline reads."""
+        cfg = yaml.safe_load(_write_va_fusion_only(tmp_path, "mean").read_text())
+        cfg["paths"]["base_predictions"] = [str(tmp_path / "a.csv")]
+        del cfg["split"]
+        path = tmp_path / "no-dev.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        reads = []
+        for name in ("read_label_csv", "read_track_csv", "read_vad_csv"):
+            def counted(path, *args, _fn=getattr(pipeline, name), **kwargs):
+                reads.append(path)
+                return _fn(path, *args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        return path, reads
+
+    def test_fuse_override_is_validated_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path, reads = self._fusion_only_without_dev(tmp_path, monkeypatch)
+        assert main(["fuse-dwf", "--config", str(path)]) == 2
+        assert "dwf fusion needs a nonempty split.dev_videos" in capsys.readouterr().err
+        assert reads == []
+        assert not (tmp_path / "runs").exists()
+        assert main(["fuse-mean", "--config", str(path)]) == 0
+        assert reads
+
+    @pytest.mark.parametrize("command", ["window", "features", "train-kelm", "predict-kelm"])
+    def test_kelm_stage_of_a_fusion_only_config_exits_2(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        path, reads = self._fusion_only_without_dev(tmp_path, monkeypatch)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {command}: " in err and "kelm.enabled: false" in err
+        assert reads == []
+        assert not (tmp_path / "runs").exists()
+
+    def test_subcommands_are_synth_run_and_the_stage_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert ("{synth,window,features,train-kelm,predict-kelm,fuse-dwf,fuse-rf,"
+                "fuse-mean,postprocess,evaluate,run}") in capsys.readouterr().out
+
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         path = self._prepare(tmp_path)
         assert main(["run", "--config", str(path)]) == 0
@@ -1274,3 +1329,15 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         for cmd in ("synth", "train-kelm", "fuse-dwf", "postprocess", "run"):
             assert cmd in proc.stdout
+
+
+class TestArtifactsAbTool:
+    def test_self_comparison_is_byte_equal(self, capsys):
+        path = ROOT / "tools" / "artifacts_ab.py"
+        spec = importlib.util.spec_from_file_location("artifacts_ab", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        only = ("expr-dwf", "va-fusion-only-dwf")
+        assert tool.compare(tool.ROOT, videos=3, frames=60, only=only) == 0
+        out = capsys.readouterr().out
+        assert out.count("equal: True") == 4 and "every file equal" in out
