@@ -39,9 +39,9 @@ spec = WindowSpec(window_seconds=4.0, hop_seconds=2.0, fps=fps)
 batch = slice_windows(track, spec, segments=segments)
 print(f"{batch.n_windows} windows of {spec.window_frames} frames,",
       "starting at frames", list(batch.starts))
-# the short tail of a segment is padded by repeating its last real frame;
-# pad_mask tells the functionals which rows to ignore
-print("padded rows per window:", [int((~m).sum()) for m in batch.pad_mask])
+# a window is its first frame and its count of real frames; a segment
+# shorter than a window gives one window of just its real frames
+print("real frames per window:", batch.n_real.tolist())
 
 # one majority expression label per window makes the training target
 labels = {t: np.array([float(t // 20 % 3)]) for t in range(80)}
@@ -50,7 +50,7 @@ print("window labels:", window_labels(label_track, batch).tolist())
 
 # mean/max/min per dimension -> 18 features from 6-dim embeddings
 functionals = FunctionalSet(("mean", "max", "min"))
-features = batch_functionals(batch.payload, functionals, pad_mask=batch.pad_mask)
+features = batch_functionals(track.values, batch.starts, batch.n_real, functionals)
 print("feature matrix:", features.shape)
 
 # global min-max scaling is fit once (on training videos) and reused

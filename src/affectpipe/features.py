@@ -1,6 +1,7 @@
 """Functional statistics over windows and MinMax normalization.
 
-Every function takes and returns plain (rows x dims) arrays.
+Every function takes and returns plain (rows x dims) arrays. A window's
+functionals are those of its real rows, so padding never reaches them.
 """
 
 from __future__ import annotations
@@ -40,53 +41,48 @@ class FunctionalSet:
         return len(self.names)
 
 
-def functionals(
-    window_payload: np.ndarray,
-    functional_set: FunctionalSet,
-    pad_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Column-wise statistics of one window, concatenated in set order.
+def functionals(rows: np.ndarray, functional_set: FunctionalSet) -> np.ndarray:
+    """Column-wise statistics of one window's rows, concatenated in set order.
 
-    Returns a vector of length len(set) * d. When a pad mask is given,
-    padded rows are excluded from every statistic.
+    Returns a vector of length len(set) * d. The rows are summed as one
+    C-contiguous block, so a window's bytes do not depend on the layout
+    of the track it was sliced from.
     """
-    payload = np.asarray(window_payload, dtype=np.float64)
-    if payload.ndim != 2 or payload.shape[0] < 1:
-        raise ValueError("window payload must be a non-empty (W, d) matrix")
-    if pad_mask is not None:
-        pad_mask = np.asarray(pad_mask, dtype=bool)
-        if pad_mask.shape != (payload.shape[0],):
-            raise ValueError("pad_mask must have one flag per window row")
-        payload = payload[pad_mask]
-        if payload.shape[0] == 0:
-            raise ValueError("window has no real frames")
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 1:
+        raise ValueError("a window must be a non-empty (rows, d) matrix")
     parts = []
     for name in functional_set.names:
         if name == "mean":
-            parts.append(payload.mean(axis=0))
+            parts.append(rows.mean(axis=0))
         elif name == "max":
-            parts.append(payload.max(axis=0))
+            parts.append(rows.max(axis=0))
         else:
-            parts.append(payload.min(axis=0))
+            parts.append(rows.min(axis=0))
     return np.concatenate(parts)
 
 
 def batch_functionals(
-    payload: np.ndarray,
+    values: np.ndarray,
+    starts: Sequence[int],
+    n_real: Sequence[int],
     functional_set: FunctionalSet,
-    pad_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Functionals for a whole (n_windows, W, d) payload at once."""
-    payload = np.asarray(payload, dtype=np.float64)
-    if payload.ndim != 3:
-        raise ValueError("payload must have shape (n_windows, W, d)")
+    """Functionals of every window `values[start:start + n]` of a (frames, d) track.
+
+    Returns one row per window, (n_windows, len(set) * d).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    starts, n_real = np.asarray(starts, dtype=np.int64), np.asarray(n_real, dtype=np.int64)
+    if values.ndim != 2 or starts.ndim != 1 or starts.shape != n_real.shape:
+        raise ValueError("values must be (frames, d), and starts and n_real one 1-d length")
+    if (starts < 0).any() or (starts + n_real > values.shape[0]).any():
+        raise ValueError("every window must lie inside values")
     rows = [
-        functionals(
-            payload[i], functional_set, None if pad_mask is None else pad_mask[i]
-        )
-        for i in range(payload.shape[0])
+        functionals(values[start : start + n], functional_set)
+        for start, n in zip(starts.tolist(), n_real.tolist())
     ]
-    width = len(functional_set) * payload.shape[2]
+    width = len(functional_set) * values.shape[1]
     return np.array(rows).reshape(len(rows), width) if rows else np.empty((0, width))
 
 

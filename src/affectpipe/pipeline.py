@@ -394,8 +394,17 @@ def _validate(config: PipelineConfig) -> None:
             "kelm c_grid must be a nonempty list of positive values with a finite "
             f"reciprocal, got {list(config.kelm.c_grid)}"
         )
-    if config.postprocess.smooth_seconds <= 0:
+    post = config.postprocess
+    if post.smooth_seconds <= 0:
         raise ConfigError("postprocess smooth_seconds must be positive")
+    if post.target_fps is not None and post.target_fps <= 0:
+        raise ConfigError(f"postprocess.target_fps must be positive, got {post.target_fps}")
+    bad_fps = {vid: fps for vid, fps in post.video_fps.items() if fps <= 0}
+    if bad_fps:
+        raise ConfigError(f"postprocess.video_fps must be positive, got {bad_fps}")
+    repeated = sorted({vid for vid in dev_videos if dev_videos.count(vid) > 1})
+    if repeated:
+        raise ConfigError(f"split.dev_videos lists {repeated} more than once")
     if not config.kelm.enabled and not paths.base_predictions:
         raise ConfigError(
             "nothing to run: kelm is disabled and no base predictions are configured"
@@ -554,7 +563,7 @@ def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
     for vid in sorted(batches):
         batch = batches[vid]
         fmt = csv_row_format(vid, ",%d,%d,%d\n")
-        n_real = batch.pad_mask.sum(axis=1).tolist()
+        n_real = batch.n_real.tolist()
         rows += [fmt % row for row in zip(range(batch.n_windows), batch.starts, n_real)]
     return "".join(rows).encode("utf-8")
 
@@ -700,7 +709,7 @@ def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> Non
 
     def one(vid: str) -> np.ndarray:
         batch = batches[vid]
-        return batch_functionals(batch.payload, fset, batch.pad_mask)
+        return batch_functionals(batch.track.values, batch.starts, batch.n_real, fset)
 
     feats = dict(zip(vids, _map_ordered(one, vids, config.workers)))
     if config.normalization == "global_minmax":

@@ -1,9 +1,11 @@
 """Fixed-length windows over tracks and window-level target reduction.
 
 Windows are sliced either over the whole track or within voiced
-segments taken from an externally supplied VAD mask. Expression labels
-reduce to one majority label per whole second; valence/arousal targets
-keep every frame of the window.
+segments taken from an externally supplied VAD mask. A window is its
+first frame and its count of real frames over the track it was cut
+from; only the `WindowBatch.payload` view pads it to full length.
+Expression labels reduce to one majority label per whole second;
+valence/arousal targets keep every frame of the window.
 """
 
 from __future__ import annotations
@@ -74,40 +76,56 @@ class VadMask:
 
 @dataclass
 class WindowBatch:
-    """Windows sliced from one video's track.
+    """Windows cut from one video's track, held as an index into it.
 
-    payload has shape (n_windows, W, d); pad_mask is True where the row
-    is a real frame and False where the segment's last frame was
-    replicated to fill the window.
+    Window i covers the real frames `track.values[starts[i]:starts[i] +
+    n_real[i]]`; n_real[i] falls short of `window_frames` only for a
+    segment shorter than one window.
     """
 
-    video_id: str
+    track: FrameTrack
     starts: list[int]
-    payload: np.ndarray
-    pad_mask: np.ndarray
+    n_real: np.ndarray
     window_frames: int
     hop_frames: int
-    fps: float
-    n_source_frames: int
     expr_targets: list[list[int]] | None = None
     va_targets: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.payload.ndim != 3:
-            raise ValueError("payload must have shape (n_windows, W, d)")
-        if self.payload.shape[1] != self.window_frames:
-            raise ValueError("every payload window must have exactly W rows")
-        if self.pad_mask.shape != self.payload.shape[:2]:
-            raise ValueError("pad_mask must have shape (n_windows, W)")
-        if list(self.starts) != sorted(set(self.starts)):
+        starts = np.array(self.starts, dtype=np.int64)
+        n_real = np.array(self.n_real, dtype=np.int64)
+        if starts.ndim != 1 or starts.shape != n_real.shape:
+            raise ValueError("starts and n_real must be 1-d and of one length")
+        if ((n_real < 1) | (n_real > self.window_frames)).any():
+            raise ValueError(f"every n_real must be in 1..{self.window_frames}")
+        if (starts < 0).any() or (starts + n_real > self.track.n_frames).any():
+            raise ValueError(
+                f"every window must lie inside the track of {self.track.n_frames} frames"
+            )
+        if (starts[1:] <= starts[:-1]).any():
             raise ValueError("window starts must be strictly increasing")
+        n_real.setflags(write=False)
+        self.starts = starts.tolist()
+        self.n_real = n_real
 
     @property
     def n_windows(self) -> int:
-        return self.payload.shape[0]
+        return len(self.starts)
 
-    def n_real_frames(self, i: int) -> int:
-        return int(self.pad_mask[i].sum())
+    @property
+    def pad_mask(self) -> np.ndarray:
+        """(n_windows, W) flags: True for a real frame, False for padding."""
+        return np.arange(self.window_frames) < self.n_real[:, None]
+
+    @property
+    def payload(self) -> np.ndarray:
+        """A padded (n_windows, W, d) copy of the windows, built on access."""
+        return self.track.values[self._padded_frames()]
+
+    def _padded_frames(self) -> np.ndarray:
+        """(n_windows, W) track frames; a short window repeats its last real frame."""
+        rows = np.minimum(np.arange(self.window_frames), self.n_real[:, None] - 1)
+        return np.array(self.starts, dtype=np.int64)[:, None] + rows
 
 
 def voiced_segments(mask: VadMask) -> list[tuple[int, int]]:
@@ -130,9 +148,9 @@ def slice_windows(
     """Slice a track into fixed-length windows.
 
     Within each segment, windows start at segment_start + k*H while the
-    full window fits. A segment shorter than W still yields one window,
-    padded by replicating its last frame, so no voiced frame is left
-    without coverage. Zero-length segments are skipped.
+    full window fits. A segment shorter than W still yields one window
+    of its real frames, so no voiced frame is left without coverage.
+    Zero-length segments are skipped.
     """
     if abs(spec.fps - track.fps) > 1e-9:
         raise AlignmentError(
@@ -143,41 +161,17 @@ def slice_windows(
     if segments is None:
         segments = [(0, n)]
     starts: list[int] = []
-    windows: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
+    n_real: list[int] = []
     for seg_start, seg_end in segments:
         if not (0 <= seg_start <= seg_end <= n):
             raise ValueError(f"segment ({seg_start}, {seg_end}) outside track of {n} frames")
-        seg_len = seg_end - seg_start
-        if seg_len == 0:
-            continue
-        if seg_len < w:
-            rows = track.values[seg_start:seg_end]
-            pad = np.repeat(rows[-1:], w - seg_len, axis=0)
-            windows.append(np.concatenate([rows, pad], axis=0))
-            mask = np.zeros(w, dtype=bool)
-            mask[:seg_len] = True
-            masks.append(mask)
+        full = range(seg_start, seg_end - w + 1, h)
+        if not full and seg_end > seg_start:
             starts.append(seg_start)
-            continue
-        for start in range(seg_start, seg_end - w + 1, h):
-            windows.append(track.values[start : start + w])
-            masks.append(np.ones(w, dtype=bool))
-            starts.append(start)
-    payload = (
-        np.stack(windows) if windows else np.empty((0, w, track.width), dtype=np.float64)
-    )
-    pad_mask = np.stack(masks) if masks else np.empty((0, w), dtype=bool)
-    return WindowBatch(
-        video_id=track.video_id,
-        starts=starts,
-        payload=payload,
-        pad_mask=pad_mask,
-        window_frames=w,
-        hop_frames=h,
-        fps=track.fps,
-        n_source_frames=n,
-    )
+            n_real.append(seg_end - seg_start)
+        starts += full
+        n_real += [w] * len(full)
+    return WindowBatch(track, starts, np.array(n_real, dtype=np.int64), w, h)
 
 
 def _second_groups(w: int, fps: float) -> list[np.ndarray]:
@@ -205,13 +199,12 @@ def reduce_expr_targets(label_track: FrameTrack, batch: WindowBatch) -> WindowBa
     """
     _check_aligned(label_track, batch)
     labels = label_track.labels()
-    groups = _second_groups(batch.window_frames, batch.fps)
+    groups = _second_groups(batch.window_frames, batch.track.fps)
     targets: list[list[int]] = []
-    for i, start in enumerate(batch.starts):
-        real = batch.pad_mask[i]
+    for start, n_real in zip(batch.starts, batch.n_real.tolist()):
         per_second: list[int] = []
         for rows in groups:
-            rows_real = rows[real[rows]]
+            rows_real = rows[rows < n_real]
             if rows_real.size == 0:
                 # Tail second fully padded: padding replicates trailing
                 # frames, so the previous second's label carries over.
@@ -233,15 +226,7 @@ def reduce_va_targets(va_track: FrameTrack, batch: WindowBatch) -> WindowBatch:
     _check_aligned(va_track, batch)
     if va_track.kind != "va":
         raise ValueError(f"expected a va track, got kind={va_track.kind!r}")
-    w = batch.window_frames
-    targets = np.empty((batch.n_windows, w, 2), dtype=np.float64)
-    for i, start in enumerate(batch.starts):
-        n_real = batch.n_real_frames(i)
-        rows = va_track.values[start : start + n_real]
-        if n_real < w:
-            rows = np.concatenate([rows, np.repeat(rows[-1:], w - n_real, axis=0)])
-        targets[i] = rows
-    batch.va_targets = targets
+    batch.va_targets = va_track.values[batch._padded_frames()]
     return batch
 
 
@@ -255,8 +240,7 @@ def window_labels(label_track: FrameTrack, batch: WindowBatch) -> np.ndarray:
     _check_aligned(label_track, batch)
     labels = label_track.labels()
     out = np.empty(batch.n_windows, dtype=np.int64)
-    for i, start in enumerate(batch.starts):
-        n_real = batch.n_real_frames(i)
+    for i, (start, n_real) in enumerate(zip(batch.starts, batch.n_real.tolist())):
         out[i] = _majority_label(labels[start : start + n_real])
     return out
 
@@ -265,27 +249,27 @@ def window_va_means(va_track: FrameTrack, batch: WindowBatch) -> np.ndarray:
     """Mean valence/arousal per window over its real frames."""
     _check_aligned(va_track, batch)
     out = np.empty((batch.n_windows, 2), dtype=np.float64)
-    for i, start in enumerate(batch.starts):
-        n_real = batch.n_real_frames(i)
+    for i, (start, n_real) in enumerate(zip(batch.starts, batch.n_real.tolist())):
         out[i] = va_track.values[start : start + n_real].mean(axis=0)
     return out
 
 
 def _check_aligned(track: FrameTrack, batch: WindowBatch) -> None:
-    if abs(track.fps - batch.fps) > 1e-9:
+    source = batch.track
+    if abs(track.fps - source.fps) > 1e-9:
         raise AlignmentError(
-            f"target track fps {track.fps} does not match batch fps {batch.fps} "
-            f"for video {batch.video_id!r}"
+            f"target track fps {track.fps} does not match batch fps {source.fps} "
+            f"for video {source.video_id!r}"
         )
-    if track.video_id != batch.video_id:
+    if track.video_id != source.video_id:
         raise AlignmentError(
             f"target track video {track.video_id!r} does not match batch video "
-            f"{batch.video_id!r}"
+            f"{source.video_id!r}"
         )
-    if track.n_frames != batch.n_source_frames:
+    if track.n_frames != source.n_frames:
         raise AlignmentError(
-            f"target track for {batch.video_id!r} has {track.n_frames} frames, "
-            f"but windows were cut from {batch.n_source_frames}"
+            f"target track for {source.video_id!r} has {track.n_frames} frames, "
+            f"but windows were cut from {source.n_frames}"
         )
 
 

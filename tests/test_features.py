@@ -50,15 +50,24 @@ class TestFunctionals:
         out = functionals(np.array([[-1.0], [1.0]]), FunctionalSet(("mean",)))
         np.testing.assert_array_equal(out, [0.0])
 
-    def test_pad_mask_excludes_rows(self):
-        payload = np.array([[1.0], [2.0], [100.0]])
-        mask = np.array([True, True, False])
-        out = functionals(payload, FunctionalSet(), pad_mask=mask)
-        np.testing.assert_array_equal(out, [1.5, 2.0, 1.0])
+    def test_short_window_is_the_functionals_of_its_real_rows(self):
+        values = np.array([[1.0], [2.0], [100.0]])
+        out = batch_functionals(values, [0, 1], [2, 2], FunctionalSet())
+        np.testing.assert_array_equal(out, [[1.5, 2.0, 1.0], [51.0, 100.0, 2.0]])
 
-    def test_all_padded_rejected(self):
-        with pytest.raises(ValueError, match="no real frames"):
-            functionals(np.ones((3, 2)), FunctionalSet(), np.zeros(3, dtype=bool))
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            functionals(np.ones((0, 2)), FunctionalSet())
+        with pytest.raises(ValueError, match="non-empty"):
+            batch_functionals(np.ones((3, 2)), [0], [0], FunctionalSet())
+
+    @pytest.mark.parametrize(
+        "starts, n_real", [([0, 1], [2]), ([2], [2]), ([-1], [1])],
+        ids=["lengths-differ", "past-the-end", "negative-start"],
+    )
+    def test_window_outside_the_track_rejected(self, starts, n_real):
+        with pytest.raises(ValueError):
+            batch_functionals(np.ones((3, 2)), starts, n_real, FunctionalSet())
 
     def test_output_length(self):
         rng = np.random.default_rng(0)
@@ -74,20 +83,28 @@ class TestFunctionals:
             out = functionals(payload, FunctionalSet()).reshape(3, 4)
             assert np.all(out[2] <= out[0]) and np.all(out[0] <= out[1])
 
-    def test_batch_matches_loop(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_batch_matches_the_padded_payload_arithmetic(self, order, d):
         rng = np.random.default_rng(2)
-        payload = rng.normal(size=(6, 10, 3))
-        mask = rng.random((6, 10)) < 0.8
-        mask[:, 0] = True  # keep every window non-empty
+        values = np.asarray(rng.normal(size=(90, d)), order=order)
+        starts, n_real, w = [0, 10, 20, 41, 55, 70], [20, 20, 20, 13, 1, 20], 20
         fset = FunctionalSet()
-        batch = batch_functionals(payload, fset, mask)
-        for i in range(6):
-            np.testing.assert_array_equal(
-                batch[i], functionals(payload[i], fset, mask[i])
-            )
+        batch = batch_functionals(values, starts, n_real, fset)
+        # the stacked (n, W, d) payload, padded by the last real row, and
+        # its pad mask: the functionals of each window's unmasked rows
+        payload = np.stack([
+            np.concatenate([values[s : s + n], np.repeat(values[s + n - 1 : s + n], w - n, 0)])
+            for s, n in zip(starts, n_real)
+        ])
+        pad_mask = np.arange(w) < np.array(n_real)[:, None]
+        for i in range(len(starts)):
+            rows = payload[i][pad_mask[i]]
+            expected = np.concatenate([rows.mean(axis=0), rows.max(axis=0), rows.min(axis=0)])
+            assert batch[i].tobytes() == expected.tobytes()
 
     def test_batch_empty(self):
-        out = batch_functionals(np.empty((0, 5, 3)), FunctionalSet())
+        out = batch_functionals(np.empty((4, 3)), [], [], FunctionalSet())
         assert out.shape == (0, 9)
 
 

@@ -48,6 +48,7 @@ from affectpipe.timeline import (
 from affectpipe.windowing import (
     LabelRows,
     VadMask,
+    WindowBatch,
     read_label_csv,
     read_vad_csv,
     slice_windows,
@@ -753,6 +754,21 @@ class TestRunPipeline:
         assert padded > 0
         assert (run_dir / "windows.csv").read_text().splitlines() == expected
 
+    def test_run_never_stacks_a_window_payload(self, tmp_path, monkeypatch):
+        path = _write_config(tmp_path, synth={"voiced_fraction": 0.7},
+                             window={"window_seconds": 4.0, "hop_seconds": 2.0})
+        _synth_from(load_config(path))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "a")]) == 0
+
+        def stacked(batch):
+            raise AssertionError("the pipeline built a padded window view")
+
+        monkeypatch.setattr(WindowBatch, "payload", property(stacked))
+        monkeypatch.setattr(WindowBatch, "pad_mask", property(stacked))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "b")]) == 0
+        [a], [b] = ((tmp_path / side).glob("run-*/manifest.json") for side in "ab")
+        assert a.read_bytes() == b.read_bytes()
+
     def test_run_parses_each_input_file_once(self, tmp_path, monkeypatch):
         bases = _base_paths(tmp_path, 2)
         config = load_config(_write_config(
@@ -1093,6 +1109,29 @@ class TestCli:
     )
     def test_non_finite_or_underflowing_config_float_exits_2(self, tmp_path, overrides):
         assert main(["run", "--config", str(_write_config(tmp_path, **overrides))]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"target_fps": 0}, "postprocess.target_fps must be positive, got 0.0"),
+         ({"target_fps": -5.0}, "postprocess.target_fps must be positive, got -5.0"),
+         ({"video_fps": {"v001": -1}}, "postprocess.video_fps must be positive, "
+                                       "got {'v001': -1.0}")],
+        ids=["target-zero", "target-negative", "video-negative"],
+    )
+    def test_non_positive_postprocess_rate_exits_2(self, tmp_path, capsys, overrides,
+                                                   message):
+        self._prepare(tmp_path)
+        path = _write_config(tmp_path, "bad.yaml", postprocess=overrides)
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_repeated_dev_video_exits_2_before_any_run_directory(self, tmp_path, capsys):
+        self._prepare(tmp_path)
+        path = _write_config(tmp_path, "bad.yaml",
+                             split={"dev_videos": ["v001", "v003", "v001"]})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "split.dev_videos lists ['v001'] more than once" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_features_too_large_for_the_kernel_exit_7(self, tmp_path, capsys):
         path = self._prepare(tmp_path, normalization="none")

@@ -23,6 +23,7 @@ from affectpipe.timeline import (
 from affectpipe.windowing import (
     LabelRows,
     VadMask,
+    WindowBatch,
     WindowSpec,
     _label_row_check,
     labels_to_track,
@@ -111,7 +112,7 @@ class TestSliceWindows:
         spec = WindowSpec(window_seconds=2.0, hop_seconds=1.0, fps=5.0)
         batch = slice_windows(track, spec)
         for i, start in enumerate(batch.starts):
-            n_real = batch.n_real_frames(i)
+            n_real = batch.n_real[i]
             np.testing.assert_array_equal(
                 batch.payload[i, :n_real], track.values[start : start + n_real]
             )
@@ -144,6 +145,42 @@ class TestSliceWindows:
         spec = WindowSpec(window_seconds=1.0, hop_seconds=1.0, fps=5.0)
         with pytest.raises(ValueError):
             slice_windows(track, spec, segments=[(5, 12)])
+
+    def test_short_window_is_its_real_frames_over_the_track(self):
+        track = _track(50, fps=5.0)
+        spec = WindowSpec(window_seconds=4.0, hop_seconds=2.0, fps=5.0)
+        batch = slice_windows(track, spec, segments=[(3, 10), (12, 42)])
+        assert batch.track is track
+        assert batch.starts == [3, 12, 22]
+        np.testing.assert_array_equal(batch.n_real, [7, 20, 20])
+        assert not batch.n_real.flags.writeable
+
+
+class TestWindowBatchValidation:
+    @pytest.mark.parametrize(
+        "starts, n_real, match",
+        [
+            ([0, 10], [20], "one length"),
+            ([0], [0], r"in 1\.\.20"),
+            ([0], [21], r"in 1\.\.20"),
+            ([35], [20], "inside the track"),
+            ([-1], [5], "inside the track"),
+            ([10, 10], [5, 5], "strictly increasing"),
+            ([10, 0], [5, 5], "strictly increasing"),
+        ],
+        ids=["lengths-differ", "n-real-zero", "n-real-over-w", "past-the-end",
+             "negative-start", "repeated-start", "decreasing-start"],
+    )
+    def test_bad_windows_are_refused(self, starts, n_real, match):
+        with pytest.raises(ValueError, match=match):
+            WindowBatch(_track(50), starts, np.array(n_real), window_frames=20,
+                        hop_frames=10)
+
+    def test_no_windows_is_a_valid_batch(self):
+        batch = WindowBatch(_track(5), [], np.array([], dtype=np.int64), 20, 10)
+        assert batch.n_windows == 0
+        assert batch.pad_mask.shape == (0, 20)
+        assert batch.payload.shape == (0, 20, 3)
 
 
 class TestReduceExprTargets:

@@ -4,14 +4,16 @@
 
 Synthesises one small dataset per task once (expr and va embeddings,
 labels and VAD, and a noisy base prediction track per task), then runs
-{expr, va} x {dwf, rf, mean} with the KELM, and one fusion-only va dwf
-config over two base tracks, in each checkout. Each config runs twice:
-single-shot (`run`) and stage by stage (the stage commands of its run,
-written out here), each of the two in a fresh process that imports that
-checkout's `src/affectpipe`. Both checkouts read the same input paths,
-so `manifest.json` does not depend on where a checkout lives. Every
-file of the run directories but `timings.json` is compared byte for
-byte; a differing, missing or extra file, or a command that fails in
+{expr, va} x {dwf, rf, mean} with the KELM over 2 s windows that do not
+overlap, expr dwf again over the default 4 s / 2 s windows, which do,
+and one fusion-only va dwf config over two base tracks, in each
+checkout. Every KELM case gates its windows by the VAD. Each config runs
+twice: single-shot (`run`) and stage by stage (the stage commands of its
+run, written out here), each of the two in a fresh process that imports
+that checkout's `src/affectpipe`. Both checkouts read the same input
+paths, so `manifest.json` does not depend on where a checkout lives.
+Every file of the run directories but `timings.json` is compared byte
+for byte; a differing, missing or extra file, or a command that fails in
 either checkout, exits 1.
 """
 
@@ -87,6 +89,9 @@ def cases(paths: dict, videos: int) -> dict:
                 "fusion": {"method": method, **extra},
             }
             out[f"{task}-{method}"] = (config, KELM_STAGES + [f"fuse-{method}"])
+    # the default 4 s / 2 s windows overlap, and short voiced segments give short windows
+    overlap = {k: v for k, v in out["expr-dwf"][0].items() if k != "window"}
+    out["expr-dwf-overlap"] = (overlap, KELM_STAGES + ["fuse-dwf"])
     config = {
         "task": "va", "seed": 3, "split": {"dev_videos": dev},
         "paths": {"labels": paths["va"]["labels"],
