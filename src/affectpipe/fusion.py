@@ -9,13 +9,15 @@ function takes and returns plain arrays:
   distribution, every matrix is scored on a development set, and the
   best one wins;
 * random-forest stacking — the concatenated score vectors become
-  features for a forest fit on the development split, with the tree
-  count chosen by out-of-bag score;
+  features for forest heads fit on the development split (one
+  classification forest for expr, one regression forest per va
+  dimension), each with its tree count chosen by out-of-bag score;
 * an unweighted mean baseline.
 
 Pure single-model selector matrices are always appended to sampled
 pools, so the searched fusion can never score below the best single
-model on the development set.
+model on the development set. Every development-set score is
+metrics.challenge_score, or for DWF macro-F1 its batched equal.
 """
 
 from __future__ import annotations
@@ -171,17 +173,12 @@ def mean_fusion(preds, task: str = "expr") -> np.ndarray:
     )
 
 
-def _mean_ccc(truth: np.ndarray, outputs) -> float:
-    """Mean over outputs of metrics.ccc; outputs[j] is output j's series."""
-    values = [metrics.ccc(truth[:, j], p).ccc for j, p in enumerate(outputs)]
-    return sum(values) / len(values)
-
-
 def _pool_scores(planes: np.ndarray, truth: np.ndarray, metric: str, weights):
     """The dev score of every (M, K) weight row from the (M, K, q) class planes."""
     if metric == "mean_ccc":
         return np.array([
-            _mean_ccc(truth, np.einsum("mkq,mk->kq", planes, w)) for w in weights
+            metrics.challenge_score(truth, np.einsum("mkq,mk->kq", planes, w).T, metric)
+            for w in weights
         ])
     n_classes, q = planes.shape[1:]
     tp = np.empty((len(weights), n_classes), dtype=np.int64)
@@ -225,13 +222,13 @@ def dwf_search(
     first maximal class, as argmax picks it; one bincount per matrix
     gives the true positives and predicted totals per class, and all
     matrices are then scored at once with the arithmetic of
-    metrics.classification_report, so every score equals that report's
-    macro_f1. mean_ccc averages metrics.ccc over the K outputs. The
-    winner is the first matrix with the highest score, so ties go to the
-    earliest in pool order. Also returns the full score table aligned
-    with the pool.
+    metrics.classification_report, so every score equals
+    metrics.challenge_score's. mean_ccc scores each matrix's fused
+    planes with metrics.challenge_score, unclipped. The winner is the
+    first matrix with the highest score, so ties go to the earliest in
+    pool order. Also returns the full score table aligned with the pool.
     """
-    if metric not in ("macro_f1", "mean_ccc"):
+    if metric not in metrics.METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     planes = np.array([arr.T for arr in _aligned_arrays(dev_preds)])
     n_models, n_outputs, q = planes.shape
@@ -273,17 +270,16 @@ def dwf_search(
 class RfFusionInfo:
     """Diagnostics from forest stacking.
 
-    oob_score is the forest's own out-of-bag estimate (accuracy or
+    oob_score is the forests' own out-of-bag estimate (accuracy or
     negative MSE, averaged over va dimensions). oob_metric_score scores
     the out-of-bag predictions with the challenge metric `metric`
     (macro_f1 or mean_ccc), on the rows some tree left out; dev_score is
-    that metric on the split the forest was fit on, so a large
+    that metric on the split the forests were fit on, so a large
     dev-minus-OOB gap signals overfitting.
     """
 
     n_trees: int
     oob_score: float
-    grid_scores: tuple
     dev_score: float
     metric: str
     oob_metric_score: float
@@ -308,9 +304,15 @@ def stack_and_fuse_rf(
 ):
     """Forest stacking: concatenate model scores, fit on the dev split.
 
-    The tree count is chosen by out-of-bag score on the dev features;
-    the returned (q, K) array holds forest predictions for the target split
-    (class-frequency scores for expr, per-dimension regression for va).
+    The heads are one classification forest for expr and one regression
+    forest per va dimension, seeded from base_spec.seed and its index.
+    Each head picks its tree count by out-of-bag score on the dev
+    features, then predicts the target split, the dev split and its OOB
+    rows. The dev and OOB scores average metrics.challenge_score over
+    the heads; a head's OOB score is NaN when too few rows were left out
+    to score. The returned (q, K) array holds the heads' target
+    predictions side by side (class-frequency scores for expr,
+    regression clipped to [-1, 1] for va).
     """
     if task not in ("expr", "va"):
         raise ValueError(f"unknown task {task!r}")
@@ -323,70 +325,47 @@ def stack_and_fuse_rf(
             f"target width {x_target.shape[1]} != dev width {x_dev.shape[1]}"
         )
     if task == "expr":
-        truth = np.asarray(dev_truth, dtype=np.int64).ravel()
+        metric, forest_task, min_rows = "macro_f1", "classification", 1
         n_classes = x_dev.shape[1] // len(dev_preds)
-        best_n, grid_scores, model = select_n_trees(
-            x_dev, truth, grid, base_spec, task="classification", n_classes=n_classes
-        )
-        fused = predict_forest(model, x_target)
-        dev_labels = predict_forest(model, x_dev).argmax(axis=1)
-        dev_score = metrics.classification_report(
-            truth, dev_labels, n_classes=n_classes
-        ).macro_f1
-        oob = predict_oob(model, x_dev)
-        seen = ~np.isnan(oob[:, 0])
-        oob_f1 = (
-            metrics.classification_report(
-                truth[seen], oob[seen].argmax(axis=1), n_classes=n_classes
-            ).macro_f1
-            if seen.any()
-            else float("nan")
-        )
-        info = RfFusionInfo(
-            best_n, model.oob_score, tuple(grid_scores), dev_score, "macro_f1", oob_f1
-        )
-        return fused, info
-
-    truth = np.asarray(dev_truth, dtype=np.float64)
-    if truth.ndim != 2:
-        raise ValueError("va truth must be a q x 2 matrix")
-    n_dims = truth.shape[1]
-    fused_cols = []
-    dev_cols = []
-    chosen = []
-    oob_sum = 0.0
-    oob_cccs = []
-    grid_table = []
-    for j in range(n_dims):
+        heads = [(np.asarray(dev_truth, dtype=np.int64).ravel(), base_spec)]
+    else:
+        metric, forest_task, min_rows, n_classes = "mean_ccc", "regression", 2, None
+        truth = np.asarray(dev_truth, dtype=np.float64)
+        if truth.ndim != 2:
+            raise ValueError("va truth must be a q x 2 matrix")
         # each output dimension gets its own forest and derived seed
-        dim_seed = int(np.random.SeedSequence([base_spec.seed, j]).generate_state(1)[0])
-        dim_spec = replace(base_spec, seed=dim_seed)
-        best_n, grid_scores, model = select_n_trees(
-            x_dev, truth[:, j], grid, dim_spec, task="regression"
+        heads = [
+            (truth[:, j], replace(base_spec, seed=int(
+                np.random.SeedSequence([base_spec.seed, j]).generate_state(1)[0])))
+            for j in range(truth.shape[1])
+        ]
+
+    def scores(p):  # a head's output as (rows, outputs), clipped to [-1, 1] for va
+        p = p.reshape(len(p), -1)
+        return np.clip(p, -1.0, 1.0) if task == "va" else p
+
+    fused, chosen, oob_scores, dev_scores, oob_metric_scores = [], [], [], [], []
+    for y, spec in heads:
+        n_trees, _, model = select_n_trees(
+            x_dev, y, grid, spec, task=forest_task, n_classes=n_classes
         )
-        fused_cols.append(np.clip(predict_forest(model, x_target), -1.0, 1.0))
-        dev_cols.append(np.clip(predict_forest(model, x_dev), -1.0, 1.0))
-        oob = predict_oob(model, x_dev)
-        seen = ~np.isnan(oob)
-        oob_cccs.append(
-            metrics.ccc(truth[seen, j], np.clip(oob[seen], -1.0, 1.0)).ccc
-            if seen.sum() >= 2
+        chosen.append(n_trees)
+        oob_scores.append(model.oob_score)
+        fused.append(scores(predict_forest(model, x_target)))
+        dev_scores.append(
+            metrics.challenge_score(y, scores(predict_forest(model, x_dev)), metric)
+        )
+        oob = scores(predict_oob(model, x_dev))
+        seen = ~np.isnan(oob[:, 0])
+        oob_metric_scores.append(
+            metrics.challenge_score(y[seen], oob[seen], metric)
+            if seen.sum() >= min_rows
             else float("nan")
         )
-        chosen.append(best_n)
-        oob_sum += model.oob_score
-        grid_table.append(tuple(grid_scores))
-    fused = np.column_stack(fused_cols)
-    dev_score = _mean_ccc(truth, dev_cols)
-    info = RfFusionInfo(
-        n_trees=max(chosen),
-        oob_score=oob_sum / n_dims,
-        grid_scores=tuple(grid_table),
-        dev_score=dev_score,
-        metric="mean_ccc",
-        oob_metric_score=sum(oob_cccs) / n_dims,
-    )
-    return fused, info
+    n = len(heads)
+    info = RfFusionInfo(max(chosen), sum(oob_scores) / n, sum(dev_scores) / n, metric,
+                        sum(oob_metric_scores) / n)
+    return np.hstack(fused), info
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,9 @@ def select_c(
 
     metric='macro_f1' treats dev_targets as integer labels and targets
     as a +/-1 matrix; metric='mean_ccc' scores mean CCC over target
-    columns. Ties resolve to the smallest C.
+    columns, of dev scores clipped to [-1, 1] as predict_kelm clips
+    them. Each C scores with metrics.challenge_score; ties resolve to
+    the smallest C.
 
     The train and dev kernels are built once; each C rewrites the
     system's diagonal and solves, so every score equals that of a model
@@ -234,7 +236,7 @@ def select_c(
     candidates = [float(c) for c in candidates]
     if not candidates:
         raise ValueError("candidate list must be nonempty")
-    if metric not in ("macro_f1", "mean_ccc"):
+    if metric not in metrics.METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     bad = [c for c in candidates if not regularizer_ok(c)]
     if bad:
@@ -243,7 +245,10 @@ def select_c(
     dev_kernel = kernel_matrix(dev_x, x, spec)
     best_c = best_score = None
     for c in candidates:
-        score = _dev_score(dev_kernel @ _solve(a, diag, rhs, c), dev_targets, metric)
+        scores = dev_kernel @ _solve(a, diag, rhs, c)
+        if metric == "mean_ccc":
+            scores = np.clip(scores, -1.0, 1.0)  # as predict_kelm clips them
+        score = metrics.challenge_score(dev_targets, scores, metric)
         if (
             best_score is None
             or score > best_score
@@ -251,22 +256,3 @@ def select_c(
         ):
             best_c, best_score = c, score
     return best_c, best_score
-
-
-def _dev_score(scores: np.ndarray, dev_targets, metric: str) -> float:
-    """Challenge metric of raw dev scores: macro-F1 of their argmax, or
-    mean CCC of the scores clipped to [-1, 1] as predict_kelm clips them."""
-    if metric == "macro_f1":
-        report = metrics.classification_report(
-            dev_targets, scores.argmax(axis=1), n_classes=scores.shape[1]
-        )
-        return report.macro_f1
-    scores = np.clip(scores, -1.0, 1.0)
-    dev_targets = np.asarray(dev_targets, dtype=np.float64)
-    if dev_targets.ndim == 1:
-        dev_targets = dev_targets[:, None]
-    per_dim = [
-        metrics.ccc(dev_targets[:, j], scores[:, j]).ccc
-        for j in range(dev_targets.shape[1])
-    ]
-    return float(np.mean(per_dim))

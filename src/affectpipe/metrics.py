@@ -187,6 +187,30 @@ def classification_report(y_true, y_pred, n_classes: int) -> EvalReport:
     )
 
 
+METRICS = ("macro_f1", "mean_ccc")
+
+
+def challenge_score(truth, scores, metric: str) -> float:
+    """The challenge metric of (n, K) scores, as every dev-set choice scores.
+
+    metric='macro_f1' takes n integer labels and scores each row's
+    argmax, its first maximum, over K classes. 'mean_ccc' takes n target
+    rows of K values (a 1-d truth is one column) and averages the K
+    columns' CCC as sum / len, which equals np.mean bit for bit.
+    """
+    if metric == "macro_f1":
+        return classification_report(
+            truth, scores.argmax(axis=1), n_classes=scores.shape[1]
+        ).macro_f1
+    if metric != "mean_ccc":
+        raise ValueError(f"unknown metric {metric!r}")
+    truth = np.asarray(truth, dtype=np.float64)
+    if truth.ndim == 1:
+        truth = truth[:, None]
+    values = [ccc(truth[:, j], scores[:, j]).ccc for j in range(scores.shape[1])]
+    return sum(values) / len(values)
+
+
 def va_report(truth: np.ndarray, pred: np.ndarray) -> EvalReport:
     """CCC per dimension plus the challenge mean, over pooled frames."""
     truth = np.asarray(truth, dtype=np.float64)

@@ -733,6 +733,9 @@ def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> N
     dev = _dev_rows(config, index)
     if dev.all():
         raise ConfigError("kelm training needs at least one non-dev video")
+    if config.metric == "mean_ccc" and dev.sum() < 2:  # a dev video has a window
+        raise ConfigError(f"train-kelm stage: split.dev_videos give {dev.sum()} dev "
+                          "window(s); scoring mean_ccc needs at least 2")
     x_train, x_dev = feats[~dev], feats[dev]
     y_train, y_dev = targets[~dev], targets[dev]
     if config.task == "expr":
@@ -934,6 +937,9 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
             dev_truth = np.concatenate([truth[v].labels() for v in dev_vids])
         else:
             dev_truth = np.vstack([truth[v].values for v in dev_vids])
+        if len(dev_truth) < 2 and (method == "rf" or config.task == "va"):
+            raise ConfigError(f"fuse stage: split.dev_videos give {len(dev_truth)} dev "
+                              f"frame(s); {method} fusion on {config.task} needs at least 2")
 
     if method == "mean":
         fused = [

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from affectpipe.metrics import (
+    METRICS,
     ccc,
+    challenge_score,
     challenge_score_va,
     classification_report,
     format_score,
@@ -116,6 +118,46 @@ class TestChallengeScore:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             challenge_score_va(1.5, 0.0)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestChallengeScoreOfScores:
+    @pytest.mark.parametrize("seed, n, k", [(0, 40, 8), (1, 7, 3), (2, 200, 2), (3, 1, 5)])
+    def test_macro_f1_equals_the_report_of_the_argmax(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        truth = rng.integers(0, k, size=n)
+        # a 0.5 grid makes rows tie, where the first maximum is the label
+        scores = rng.integers(-2, 3, size=(n, k)) * 0.5
+        want = classification_report(truth, scores.argmax(axis=1), n_classes=k).macro_f1
+        assert _bits(challenge_score(truth, scores, "macro_f1")) == _bits(want)
+
+    @pytest.mark.parametrize("seed, n, k", [(4, 50, 2), (5, 9, 1), (6, 300, 3)])
+    def test_mean_ccc_is_the_sum_over_len_of_the_column_cccs(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        truth = rng.uniform(-1, 1, size=(n, k))
+        planes = truth.T + rng.normal(scale=0.4, size=(k, n))
+        scores = planes.T  # strided columns, as the DWF search passes them
+        assert not scores.flags.c_contiguous or k == 1
+        values = [ccc(truth[:, j], planes[j]).ccc for j in range(k)]
+        got = challenge_score(truth, scores, "mean_ccc")
+        assert _bits(got) == _bits(sum(values) / len(values))
+        assert _bits(got) == _bits(np.mean(values))
+        contiguous = challenge_score(truth, np.ascontiguousarray(scores), "mean_ccc")
+        assert _bits(contiguous) == _bits(got)
+
+    def test_one_dimensional_truth_is_one_column(self):
+        rng = np.random.default_rng(7)
+        truth = rng.uniform(-1, 1, size=30)
+        scores = (truth + rng.normal(scale=0.3, size=30))[:, None]
+        assert challenge_score(truth, scores, "mean_ccc") == ccc(truth, scores[:, 0]).ccc
+
+    def test_unknown_metric_rejected(self):
+        assert METRICS == ("macro_f1", "mean_ccc")
+        with pytest.raises(ValueError, match="unknown metric 'auc'"):
+            challenge_score([0, 1], np.eye(2), "auc")
 
 
 class TestFormatScore:

@@ -121,24 +121,28 @@ def _write_base_predictions(config, seed=0, origin=0):
 
 
 def _write_va_fusion_only(
-    tmp_path, method, b_frames=None, a_origin=0, b_origin=0, label_origin=0
+    tmp_path, method, b_frames=None, a_origin=0, b_origin=0, label_origin=0,
+    frames=None, dev_videos=("v001", "v002"),
 ):
-    """A fusion-only va config over bases a.csv and b.csv, dev v001 and v002.
+    """A fusion-only va config over bases a.csv and b.csv.
 
-    Videos v000-v002 have 200 labelled frames, numbered from label_origin.
-    Base b has b_frames[vid] frames where given, 200 elsewhere; bases a
-    and b number their frames from a_origin and b_origin.
+    Videos v000-v002 have frames[vid] labelled frames where given, 200
+    elsewhere, numbered from label_origin. Base a has as many; base b
+    has b_frames[vid] where given. Bases a and b number their frames
+    from a_origin and b_origin.
     """
     rng = np.random.default_rng(9)
-    vids, n = ["v000", "v001", "v002"], 200
-    labels = {vid: dict(enumerate(np.clip(rng.normal(scale=0.5, size=(n, 2)), -1, 1),
-                                  start=label_origin))
+    vids = ["v000", "v001", "v002"]
+    counts = {vid: 200 for vid in vids} | (frames or {})
+    labels = {vid: dict(enumerate(np.clip(rng.normal(scale=0.5, size=(counts[vid], 2)),
+                                          -1, 1), start=label_origin))
               for vid in vids}
     write_label_csv(tmp_path / "labels.csv", labels, task="va")
-    for name, origin, frames in (("a", a_origin, {}), ("b", b_origin, b_frames or {})):
+    for name, origin, sizes in (("a", a_origin, counts),
+                                ("b", b_origin, counts | (b_frames or {}))):
         write_track_csv(tmp_path / f"{name}.csv", [
             FrameTrack(vid, 5.0,
-                       np.clip(rng.normal(scale=0.5, size=(frames.get(vid, n), 2)), -1, 1),
+                       np.clip(rng.normal(scale=0.5, size=(sizes[vid], 2)), -1, 1),
                        kind="va", frame_index_origin=origin)
             for vid in vids
         ])
@@ -147,13 +151,30 @@ def _write_va_fusion_only(
         "paths": {"labels": str(tmp_path / "labels.csv"),
                   "base_predictions": [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]},
         "kelm": {"enabled": False},
-        "split": {"dev_videos": ["v001", "v002"]},
+        "split": {"dev_videos": list(dev_videos)},
         "fusion": {"method": method, "pool_size": 50, "tree_grid": [2, 3]},
         "output": {"dir": str(tmp_path / "runs")},
     }
     path = tmp_path / f"{method}.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def _shorten_video(config, vid, n):
+    """Keep the first n frames of `vid` in the synthetic inputs, all
+    voiced, so the window stage gives it exactly one window when n is
+    below the window length plus one hop."""
+    paths = config.paths
+    tracks = read_track_csv(paths.embeddings, fps=config.fps_target)
+    tracks[vid] = replace(tracks[vid], values=tracks[vid].values[:n])
+    write_track_csv(paths.embeddings, list(tracks.values()))
+    labels = read_label_csv(paths.labels, config.task)
+    keep = labels[vid].frames < n
+    labels[vid] = LabelRows(labels[vid].frames[keep], labels[vid].values[keep])
+    write_label_csv(paths.labels, labels, task=config.task)
+    vad = read_vad_csv(paths.vad)
+    vad[vid] = VadMask(vid, np.ones(n, dtype=bool))
+    write_vad_csv(paths.vad, list(vad.values()))
 
 
 def _rename_videos(config, names):
@@ -1132,6 +1153,54 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         assert "split.dev_videos lists ['v001'] more than once" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
+    def test_va_dev_split_of_one_window_exits_2_before_the_c_search(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        path = self._prepare(tmp_path, fusion={"method": method}, **self._VA)
+        config = load_config(path)
+        _shorten_video(config, "v002", 22)
+        monkeypatch.setattr(pipeline, "select_c", None)  # never reached
+        assert main(["run", "--config", str(path)]) == 2
+        assert ("train-kelm stage: split.dev_videos give 1 dev window(s); "
+                "scoring mean_ccc needs at least 2") in capsys.readouterr().err
+        assert not (config.run_dir() / "selection.csv").exists()
+
+    @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
+    def test_expr_dev_split_of_one_window_runs(self, tmp_path, method):
+        path = self._prepare(tmp_path, fusion={"method": method, "tree_grid": [2, 3]})
+        config = load_config(path)
+        _shorten_video(config, "v003", 12)
+        assert main(["run", "--config", str(path)]) == 0
+        windows = (config.run_dir() / "windows.csv").read_text().splitlines()
+        assert sum(row.startswith("v003,") for row in windows) == 1
+
+    @pytest.mark.parametrize("method", ["dwf", "rf"])
+    def test_va_fusion_on_a_one_frame_dev_split_exits_2(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        path = _write_va_fusion_only(tmp_path, method, frames={"v002": 1},
+                                     dev_videos=["v002"])
+        monkeypatch.setattr(pipeline, "dwf_search", None)  # never reached
+        monkeypatch.setattr(pipeline, "stack_and_fuse_rf", None)
+        assert main(["run", "--config", str(path)]) == 2
+        assert (f"fuse stage: split.dev_videos give 1 dev frame(s); {method} fusion "
+                "on va needs at least 2") in capsys.readouterr().err
+        run_dir = load_config(path).run_dir()
+        for name in ("pool_scores.csv", "rf_info.csv", "fused.csv"):
+            assert not (run_dir / name).exists()
+
+    def test_expr_rf_on_a_one_frame_dev_split_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = self._prepare(tmp_path, fusion={"method": "rf", "tree_grid": [2, 3]})
+        config = load_config(path)
+        _shorten_video(config, "v003", 1)
+        monkeypatch.setattr(pipeline, "stack_and_fuse_rf", None)  # never reached
+        assert main(["run", "--config", str(path)]) == 2
+        assert ("fuse stage: split.dev_videos give 1 dev frame(s); rf fusion "
+                "on expr needs at least 2") in capsys.readouterr().err
+        assert (config.run_dir() / "selection.csv").exists()
+        assert not (config.run_dir() / "rf_info.csv").exists()
 
     def test_features_too_large_for_the_kernel_exit_7(self, tmp_path, capsys):
         path = self._prepare(tmp_path, normalization="none")
