@@ -307,12 +307,14 @@ def stack_and_fuse_rf(
     The heads are one classification forest for expr and one regression
     forest per va dimension, seeded from base_spec.seed and its index.
     Each head picks its tree count by out-of-bag score on the dev
-    features, then predicts the target split, the dev split and its OOB
-    rows. The dev and OOB scores average metrics.challenge_score over
-    the heads; a head's OOB score is NaN when too few rows were left out
-    to score. The returned (q, K) array holds the heads' target
-    predictions side by side (class-frequency scores for expr,
-    regression clipped to [-1, 1] for va).
+    features, then predicts the dev split, the target split (the dev
+    prediction again when the target rows equal the dev rows, as in a
+    pipeline run) and the dev split's OOB rows. The dev and OOB scores
+    average metrics.challenge_score over the heads; a head's OOB score
+    is NaN when too few rows were left out to score. The returned (q, K)
+    array holds the heads' target predictions side by side
+    (class-frequency scores for expr, regression clipped to [-1, 1] for
+    va).
     """
     if task not in ("expr", "va"):
         raise ValueError(f"unknown task {task!r}")
@@ -324,6 +326,7 @@ def stack_and_fuse_rf(
         raise AlignmentError(
             f"target width {x_target.shape[1]} != dev width {x_dev.shape[1]}"
         )
+    target_is_dev = np.array_equal(x_target, x_dev)
     if task == "expr":
         metric, forest_task, min_rows = "macro_f1", "classification", 1
         n_classes = x_dev.shape[1] // len(dev_preds)
@@ -351,10 +354,9 @@ def stack_and_fuse_rf(
         )
         chosen.append(n_trees)
         oob_scores.append(model.oob_score)
-        fused.append(scores(predict_forest(model, x_target)))
-        dev_scores.append(
-            metrics.challenge_score(y, scores(predict_forest(model, x_dev)), metric)
-        )
+        dev_out = scores(predict_forest(model, x_dev))
+        fused.append(dev_out if target_is_dev else scores(predict_forest(model, x_target)))
+        dev_scores.append(metrics.challenge_score(y, dev_out, metric))
         oob = scores(predict_oob(model, x_dev))
         seen = ~np.isnan(oob[:, 0])
         oob_metric_scores.append(

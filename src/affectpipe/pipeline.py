@@ -553,7 +553,8 @@ def _sha256_file(path: Path) -> str:
 # windows.csv indexes the windows, one row per window, sorted by video.
 # features.npy and window_targets.npy hold one row per windows.csv row;
 # kelm_beta.npy holds one row per window of the training videos, and
-# kelm_scores.npy one per working-rate label frame, video by video.
+# kelm_scores.npy one per working-rate label frame of the dev videos,
+# video by video in windows.csv order.
 _WINDOWS_HEADER = "video_id,window_index,start,n_real"
 
 
@@ -616,8 +617,14 @@ def _load_rows(path: Path, stage: str, dtype, shape: tuple) -> np.ndarray:
 
 def _dev_rows(config: PipelineConfig, index: dict[str, list[int]]) -> np.ndarray:
     """Which rows of a window-level array belong to a dev video."""
-    dev = set(_dev_split(config, list(index))[1])
+    dev = set(_dev_videos(config, index))
     return np.repeat([vid in dev for vid in index], [len(s) for s in index.values()])
+
+
+def _dev_videos(config: PipelineConfig, index: dict[str, list[int]]) -> list[str]:
+    """The dev videos in windows.csv order: the videos kelm_scores.npy holds."""
+    dev = _dev_split(config, list(index))[1]
+    return [vid for vid in index if vid in dev]
 
 
 # ---------------------------------------------------------------------------
@@ -832,16 +839,20 @@ def _read_kelm_model(config: PipelineConfig, run_dir: Path, products: dict) -> K
 
 
 def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
-    """Score every window and lay the scores onto the working timeline."""
+    """Score the dev videos' windows and lay the scores onto the working timeline.
+
+    Fusion reads the KELM track of the dev videos alone (a KELM run
+    always has a dev split), so the training videos are not scored.
+    """
     index, feats, model = _take(config, run_dir, products,
                                 "windows", "features", "kelm_model")
     # the window stage checked each video's labels against its windows'
     # frame count, so the labels give the timeline the windows were cut from
-    vids = list(index)
+    vids = _dev_videos(config, index)
     truth = _truth_at_working_rate(config, run_dir, products, vids, "predict-kelm")
     spec = config.window_spec
-    offsets = np.cumsum([len(index[vid]) for vid in vids])
-    rows = dict(zip(vids, np.split(feats, offsets[:-1])))
+    offsets = np.cumsum([len(starts) for starts in index.values()])
+    rows = dict(zip(index, np.split(feats, offsets[:-1])))
 
     def one(vid: str) -> FrameTrack:
         scores = predict_kelm(model, rows[vid])
@@ -860,8 +871,11 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
 
 
 def _read_kelm_tracks(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
-    """The tracks predict-kelm made, from kelm_scores.npy and the labels."""
-    vids = list(_take(config, run_dir, products, "windows")[0])
+    """The dev videos' tracks predict-kelm made, from kelm_scores.npy and
+    the labels: each video's frame count and first frame are its labels'
+    at the working rate."""
+    [index] = _take(config, run_dir, products, "windows")
+    vids = _dev_videos(config, index)
     truth = _truth_at_working_rate(config, run_dir, products, vids, "fuse")
     ends = np.cumsum([truth[vid].n_frames for vid in vids])
     path = run_dir / "kelm_scores.npy"
@@ -882,7 +896,11 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     models: list[dict[str, FrameTrack]] = []
     if config.kelm.enabled:
         names.append("kelm")
-        models += _take(config, run_dir, products, "kelm_tracks")
+        index, kelm_tracks = _take(config, run_dir, products, "windows", "kelm_tracks")
+        models.append(kelm_tracks)
+        # the KELM track holds the dev videos alone; every windowed video's
+        # labels at the working rate are the frames it would have
+        timeline = _truth_at_working_rate(config, run_dir, products, list(index), "fuse")
     for pred in config.paths.base_predictions:
         path = _require_file(pred, "base predictions file")
         name = path.stem
@@ -890,7 +908,9 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
             name += "+"
         names.append(name)
         models.append(read_track_csv(path, fps=config.fps_target, kind=config.track_kind))
-    vids = sorted(models[0])
+    if not config.kelm.enabled:
+        timeline = models[0]
+    vids = sorted(timeline)
     # every fusion method needs each video's model tracks on model 0's frames
     for name, model in zip(names[1:], models[1:]):
         if sorted(model) != vids:
@@ -899,16 +919,16 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
                 f"expected {vids}"
             )
         for v in vids:
-            if model[v].n_frames != models[0][v].n_frames:
+            if model[v].n_frames != timeline[v].n_frames:
                 raise AlignmentError(
                     f"fuse stage: model {name!r} has {model[v].n_frames} frames "
-                    f"for {v!r}, model {names[0]!r} has {models[0][v].n_frames}"
+                    f"for {v!r}, model {names[0]!r} has {timeline[v].n_frames}"
                 )
-            if model[v].frame_index_origin != models[0][v].frame_index_origin:
+            if model[v].frame_index_origin != timeline[v].frame_index_origin:
                 raise AlignmentError(
                     f"fuse stage: model {name!r} starts {v!r} at frame "
                     f"{model[v].frame_index_origin}, model {names[0]!r} at frame "
-                    f"{models[0][v].frame_index_origin}"
+                    f"{timeline[v].frame_index_origin}"
                 )
     _dev_split(config, vids)
     eval_vids = sorted(config.split.dev_videos or vids)  # all videos without a dev split
@@ -1147,10 +1167,10 @@ def stages() -> list[Stage]:
               ("batches",), kelm=True),
         Stage("train-kelm", "select C on the dev split and train", stage_train_kelm,
               ("windows", "features", "targets"), kelm=True),
-        Stage("predict-kelm", "score windows onto the working timeline",
+        Stage("predict-kelm", "score the dev windows onto the working timeline",
               stage_predict_kelm, ("windows", "features", "kelm_model", "truth"), kelm=True),
-        *(Stage(f"fuse-{m}", fuse_help[m], stage_fuse, ("kelm_tracks", "truth"), method=m)
-          for m in FUSION_METHODS),
+        *(Stage(f"fuse-{m}", fuse_help[m], stage_fuse,
+                ("windows", "kelm_tracks", "truth"), method=m) for m in FUSION_METHODS),
         Stage("postprocess", "interpolate, smooth, and emit predictions", stage_postprocess,
               ("fused", "truth")),
         Stage("evaluate", "score predictions against the labels", stage_evaluate,

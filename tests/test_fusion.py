@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from affectpipe import metrics
+from affectpipe import fusion, metrics
 from affectpipe.errors import AlignmentError
 from affectpipe.forest import (
     ForestSpec,
@@ -535,6 +535,30 @@ class TestRfStacking:
         )
         np.testing.assert_array_equal(fused, expected)
         assert info.n_trees == max(chosen)
+
+    @pytest.mark.parametrize("task", ["expr", "va"])
+    def test_target_rows_equal_to_the_dev_rows_are_predicted_once(self, task, monkeypatch):
+        truth, preds, va_truth, va_preds = self._noise_case()
+        if task == "va":
+            truth, preds = va_truth, va_preds
+        spec, grid = ForestSpec(n_trees=2, seed=61), [2, 6]
+        expected, chosen = self._retrain_path(preds, truth, preds, task, spec, grid)
+        calls = []
+
+        def counted(model, x, _fn=fusion.predict_forest):
+            calls.append(x.shape)
+            return _fn(model, x)
+
+        monkeypatch.setattr(fusion, "predict_forest", counted)
+        target = [p.copy() for p in preds]  # equal rows, other arrays
+        fused, _ = stack_and_fuse_rf(preds, truth, target, task=task, base_spec=spec,
+                                     grid=grid)
+        np.testing.assert_array_equal(fused, expected)
+        assert len(calls) == len(chosen)  # one prediction per head
+        calls.clear()
+        stack_and_fuse_rf(preds, truth, [p[::-1] for p in preds], task=task,
+                          base_spec=spec, grid=grid)
+        assert len(calls) == 2 * len(chosen)
 
     def test_expr_overfit_gap_uses_oob_macro_f1(self):
         truth, preds, _, _ = self._noise_case()

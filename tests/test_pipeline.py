@@ -28,6 +28,7 @@ from affectpipe.errors import (
     SolverError,
     TaskMismatchError,
 )
+from affectpipe.kelm import KelmModel, predict_kelm
 from affectpipe.metrics import classification_report, va_report
 from affectpipe.pipeline import (
     config_hash,
@@ -251,6 +252,13 @@ def _nan_kelm_score(run_dir):
 
 def _no_kelm_scores(run_dir):
     (run_dir / "kelm_scores.npy").unlink()
+
+
+def _kelm_scores_of_every_video(run_dir):
+    """kelm_scores.npy as predict-kelm wrote it when it scored every video:
+    one row per label frame of all four equally long synthetic videos."""
+    path = run_dir / "kelm_scores.npy"
+    np.save(path, np.tile(np.load(path), (4, 1)))
 
 
 class TestSyntheticData:
@@ -1042,12 +1050,15 @@ class TestCli:
             ("train-kelm", _no_features, 3, "features stage output not found"),
             ("fuse-dwf", _truncate_kelm_scores, 6, "not a loadable .npy array"),
             ("fuse-dwf", _kelm_scores_one_row_short, 4, "rerun the predict-kelm stage"),
-            ("fuse-dwf", _nan_kelm_score, 6, "kelm_scores.npy: video 'v000': "),
+            ("fuse-dwf", _nan_kelm_score, 6, "kelm_scores.npy: video 'v003': "),
             ("fuse-dwf", _no_kelm_scores, 3, "predict-kelm stage output not found"),
+            ("fuse-dwf", _kelm_scores_of_every_video, 4,
+             "has 1280 rows, expected 320; rerun the predict-kelm stage"),
         ],
         ids=["truncated-features", "float32-features", "object-beta", "windows-start-x",
              "targets-one-row-short", "no-features", "truncated-kelm-scores",
-             "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores"],
+             "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores",
+             "kelm-scores-of-every-video"],
     )
     def test_damaged_intermediate_exits_with_its_family(
         self, tmp_path, capsys, command, damage, code, message
@@ -1074,6 +1085,78 @@ class TestCli:
         run_a = next((tmp_path / "single").iterdir())
         scores = "kelm_scores.npy"
         assert (run_b / scores).read_bytes() == (run_a / scores).read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"split": {"dev_videos": ["v003", "v001"]}}, _VA],
+        ids=["expr-two-dev-videos", "va"],
+    )
+    def test_kelm_scores_hold_the_dev_videos_rows(self, tmp_path, overrides):
+        path = self._prepare(tmp_path, **overrides)
+        config = load_config(path)
+        staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
+        for cmd in ("window", "features", "train-kelm", "predict-kelm"):
+            assert main([cmd, *staged]) == 0
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "single")]) == 0
+        run_dir = next((tmp_path / "single").iterdir())
+        got = run_dir / "kelm_scores.npy"
+        assert got.read_bytes() == (
+            next((tmp_path / "staged").iterdir()) / "kelm_scores.npy").read_bytes()
+        # each dev video's windows, scored and spread as for every video before
+        windows = np.loadtxt(run_dir / "windows.csv", delimiter=",", skiprows=1,
+                             dtype=str)
+        feats = np.load(run_dir / "features.npy")
+        dev = np.isin(windows[:, 0], config.split.dev_videos)
+        model = KelmModel(D=feats[~dev], beta=np.load(run_dir / "kelm_beta.npy"),
+                          kernel=config.kernel_spec.resolve(feats.shape[1]),
+                          task="classification" if config.task == "expr" else "regression")
+        labels = read_label_csv(config.paths.labels, config.task)
+        spec = config.window_spec
+        rows = []
+        for vid in sorted(config.split.dev_videos):
+            mine = windows[:, 0] == vid
+            video = pipeline._spread_window_scores(
+                windows[mine, 2].astype(int), predict_kelm(model, feats[mine]),
+                len(labels[vid].frames), spec.window_frames, spec.hop_frames)
+            rows.append(np.clip(video, -1.0, 1.0) if config.task == "va" else video)
+        expected = np.concatenate(rows)
+        n_dev_frames = sum(len(labels[vid].frames) for vid in config.split.dev_videos)
+        assert expected.shape == (n_dev_frames, config.n_outputs)
+        assert np.load(got).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "field_name, change, message",
+        [
+            ("values", lambda v: np.vstack([v, v[-1:]]),
+             "fuse stage: model 'base_0' has 321 frames for 'v000', model 'kelm' has 320"),
+            ("frame_index_origin", lambda origin: origin + 4,
+             "fuse stage: model 'base_0' starts 'v000' at frame 4, model 'kelm' at frame 0"),
+        ],
+        ids=["one-frame-more", "later-first-frame"],
+    )
+    def test_fuse_checks_the_bases_on_a_training_video(
+        self, tmp_path, capsys, field_name, change, message
+    ):
+        # v000 is a training video, so the KELM track has no rows for it;
+        # its labels at the working rate give the frames the base must have
+        bases = _base_paths(tmp_path, 1)
+        path = self._prepare(tmp_path, paths={"base_predictions": bases},
+                             fusion={"method": "dwf", "pool_size": 50})
+        config = load_config(path)
+        _write_base_predictions(config)
+        tracks = read_track_csv(bases[0], fps=config.fps_target, kind=config.track_kind)
+        tracks["v000"] = replace(tracks["v000"], **{
+            field_name: change(getattr(tracks["v000"], field_name))})
+        write_track_csv(bases[0], list(tracks.values()))
+        assert main(["run", "--config", str(path)]) == 4
+        assert message in capsys.readouterr().err
+        staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
+        for cmd in ("window", "features", "train-kelm", "predict-kelm"):
+            assert main([cmd, *staged]) == 0
+        assert main(["fuse-dwf", *staged]) == 4
+        assert message in capsys.readouterr().err
+        assert not any((tmp_path / "staged").glob("*/pool_scores.csv"))
 
     def test_features_exits_4_when_the_vad_changed_since_the_window_stage(self, tmp_path):
         path = self._prepare(tmp_path)
