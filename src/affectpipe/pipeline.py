@@ -13,10 +13,10 @@ embedding track instead, and checks its windows against `windows.csv`.
 Both ways write bit-identical artifacts.
 
 Determinism contract: CSV floats are written with 17 significant
-digits and the window-level arrays and KELM scores as .npy, so both
-read back exactly; per-video work merges in sorted video-id order
-regardless of the worker count, and the manifest's output hash depends
-only on the config, the seed, and the input files.
+digits and the window-level arrays and the KELM and fused scores as
+.npy, so both read back exactly; per-video work merges in sorted
+video-id order regardless of the worker count, and the manifest's
+output hash depends only on the config, the seed, and the input files.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import (
+    Callable, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 import yaml
@@ -86,7 +88,6 @@ from .timeline import (
     interpolate_to,
     read_track_csv,
     resample_track,
-    write_track_csv,
 )
 from .windowing import (
     LabelRows,
@@ -554,8 +555,11 @@ def _sha256_file(path: Path) -> str:
 # features.npy and window_targets.npy hold one row per windows.csv row;
 # kelm_beta.npy holds one row per window of the training videos, and
 # kelm_scores.npy one per working-rate label frame of the dev videos,
-# video by video in windows.csv order.
+# video by video in windows.csv order. fused.npy holds one row per
+# working-rate frame of the fused videos, video by video in the order of
+# fused_index.csv, which gives each video's first frame and frame count.
 _WINDOWS_HEADER = "video_id,window_index,start,n_real"
+_FUSED_INDEX_HEADER = "video_id,first_frame,n_frames"
 
 
 def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
@@ -569,33 +573,58 @@ def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
     return "".join(rows).encode("utf-8")
 
 
-def _read_windows_csv(run_dir: Path) -> dict[str, list[int]]:
+def _index_rows(path: Path, header: str) -> Iterator[tuple[str, str, list[int]]]:
+    """Each row of an index csv under `header`: its `path:line`, its video
+    id and its integer fields. A malformed row raises DataFormatError."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header.split(","):
+            raise DataFormatError(f"{path}: expected header {header}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            try:
+                if len(row) != header.count(",") + 1:
+                    raise ValueError(f"expected {header.count(',') + 1} fields")
+                ints = [int(field) for field in row[1:]]
+            except ValueError as exc:
+                raise DataFormatError(f"{where}: {exc}") from None
+            yield where, row[0], ints
+
+
+def _read_windows(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
     """Each video's window starts, in the order of the windows.csv rows."""
     path = _require_file(run_dir / "windows.csv", "window stage output")
     index: dict[str, list[int]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _WINDOWS_HEADER.split(","):
-            raise DataFormatError(f"{path}: expected header {_WINDOWS_HEADER}")
-        for row in reader:
-            try:
-                vid, *ints = row
-                i, start, _ = map(int, ints)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-            starts = index.setdefault(vid, [])
-            if i != len(starts):
-                raise DataFormatError(
-                    f"{path}:{reader.line_num}: window_index {i} of {vid!r} out of sequence"
-                )
-            starts.append(start)
+    for where, vid, (i, start, _) in _index_rows(path, _WINDOWS_HEADER):
+        starts = index.setdefault(vid, [])
+        if i != len(starts):
+            raise DataFormatError(f"{where}: window_index {i} of {vid!r} out of sequence")
+        starts.append(start)
     if not index:
         raise DataFormatError(f"{path}: no windows")
     return index
 
 
+def _read_score_tracks(
+    config: PipelineConfig, path: Path, stage: str,
+    vids: Sequence[str], origins: Sequence[int], counts: Sequence[int],
+) -> dict[str, FrameTrack]:
+    """The float64 scores `stage` saved at `path`, cut into one working-rate
+    track of the task's kind per video; a value a FrameTrack rejects is a
+    DataFormatError naming `path` and the video."""
+    scores = _load_rows(path, stage, np.float64, (sum(counts), config.n_outputs))
+    tracks = {}
+    for vid, origin, values in zip(vids, origins, np.split(scores, np.cumsum(counts)[:-1])):
+        try:
+            tracks[vid] = FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
+                                     frame_index_origin=origin)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: video {vid!r}: {exc}") from None
+    return tracks
+
+
 def _load_rows(path: Path, stage: str, dtype, shape: tuple) -> np.ndarray:
-    """A window-level .npy array of `dtype` and `shape`; None is any width."""
+    """A .npy array of `dtype` and `shape` from `stage`; None is any width."""
     path = _require_file(path, f"{stage} stage output")
     try:
         array = np.load(path, allow_pickle=False)
@@ -808,10 +837,6 @@ def _spread_window_scores(
     return out
 
 
-def _read_windows(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
-    return _read_windows_csv(run_dir)
-
-
 def _read_features(config: PipelineConfig, run_dir: Path, products: dict) -> np.ndarray:
     [index] = _take(config, run_dir, products, "windows")
     n = sum(map(len, index.values()))
@@ -877,17 +902,9 @@ def _read_kelm_tracks(config: PipelineConfig, run_dir: Path, products: dict) -> 
     [index] = _take(config, run_dir, products, "windows")
     vids = _dev_videos(config, index)
     truth = _truth_at_working_rate(config, run_dir, products, vids, "fuse")
-    ends = np.cumsum([truth[vid].n_frames for vid in vids])
-    path = run_dir / "kelm_scores.npy"
-    scores = _load_rows(path, "predict-kelm", np.float64, (int(ends[-1]), config.n_outputs))
-    tracks = {}
-    for vid, values in zip(vids, np.split(scores, ends[:-1])):
-        try:
-            tracks[vid] = FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
-                                     frame_index_origin=truth[vid].frame_index_origin)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: video {vid!r}: {exc}") from None
-    return tracks
+    return _read_score_tracks(config, run_dir / "kelm_scores.npy", "predict-kelm", vids,
+                              [truth[vid].frame_index_origin for vid in vids],
+                              [truth[vid].n_frames for vid in vids])
 
 
 def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
@@ -1022,19 +1039,34 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
             output_names=[f"c{k}" for k in range(n_outputs)],
         )
     # at the working rate and of the task's kind, as postprocess reads
-    # fused.csv, and numbered from model 0's first frame
+    # fused.npy, and numbered from model 0's first frame
     tracks = [
         FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
                    frame_index_origin=models[0][vid].frame_index_origin)
         for vid, values in zip(eval_vids, fused)
     ]
-    write_track_csv(run_dir / "fused.csv", tracks)
+    np.save(run_dir / "fused.npy", np.concatenate([t.values for t in tracks]))
+    (run_dir / "fused_index.csv").write_text(_FUSED_INDEX_HEADER + "\n" + "".join(
+        csv_row_format(t.video_id, ",%d,%d\n") % (t.frame_index_origin, t.n_frames)
+        for t in tracks
+    ), encoding="utf-8", newline="\n")
     products["fused"] = dict(zip(eval_vids, tracks))
 
 
 def _read_fused(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
-    return read_track_csv(_require_file(run_dir / "fused.csv", "fuse stage output"),
-                          fps=config.fps_target, kind=config.track_kind)
+    """The fused tracks, from fused.npy and each video's first frame and
+    frame count in fused_index.csv."""
+    index = _require_file(run_dir / "fused_index.csv", "fuse stage output")
+    rows: dict[str, tuple[int, int]] = {}
+    for where, vid, (origin, n) in _index_rows(index, _FUSED_INDEX_HEADER):
+        if n < 1 or vid in rows:
+            raise DataFormatError(f"{where}: video {vid!r} needs one row of 1 or more frames")
+        rows[vid] = origin, n
+    if not rows:
+        raise DataFormatError(f"{index}: no videos")
+    origins, counts = zip(*rows.values())
+    return _read_score_tracks(config, run_dir / "fused.npy", "fuse", list(rows),
+                              origins, counts)
 
 
 def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> None:

@@ -261,6 +261,39 @@ def _kelm_scores_of_every_video(run_dir):
     np.save(path, np.tile(np.load(path), (4, 1)))
 
 
+def _truncate_fused(run_dir):
+    path = run_dir / "fused.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _fused_one_row_short(run_dir):
+    path = run_dir / "fused.npy"
+    np.save(path, np.load(path)[:-1])
+
+
+def _nan_fused(run_dir):
+    path = run_dir / "fused.npy"
+    scores = np.load(path)
+    scores[0, 0] = np.nan
+    np.save(path, scores)
+
+
+def _no_fused(run_dir):
+    (run_dir / "fused.npy").unlink()
+
+
+def _no_fused_index(run_dir):
+    (run_dir / "fused_index.csv").unlink()
+
+
+def _fused_index_frames_x(run_dir):
+    _set_first_row_field(run_dir / "fused_index.csv", 2, "x")
+
+
+def _fused_index_no_frames(run_dir):
+    _set_first_row_field(run_dir / "fused_index.csv", 2, "0")
+
+
 class TestSyntheticData:
     def test_noise_zero_collapses_each_class_to_its_mean(self):
         spec = SyntheticSpec(n_videos=2, frames_per_video=100, embedding_dim=4,
@@ -807,7 +840,7 @@ class TestRunPipeline:
         _write_base_predictions(config)
         calls = {}
         for name in ("read_label_csv", "read_track_csv", "read_vad_csv",
-                     "_read_windows_csv", "_load_rows"):
+                     "_index_rows", "_load_rows"):
             def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -832,8 +865,48 @@ class TestRunPipeline:
         shortcut = run_pipeline(config).run_dir
         monkeypatch.setattr(pipeline, "dwf_search", reference_dwf_search)
         loop = run_pipeline(load_config(path, out_dir=str(tmp_path / "loop"))).run_dir
-        for rel in ("pool_scores.csv", "fusion_matrix.csv", "fused.csv"):
+        for rel in ("pool_scores.csv", "fusion_matrix.csv", "fused.npy", "fused_index.csv"):
             assert (shortcut / rel).read_bytes() == (loop / rel).read_bytes()
+
+    @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
+    @pytest.mark.parametrize("task", ["expr", "va"])
+    def test_fused_npy_holds_the_values_fused_csv_held(
+        self, tmp_path, monkeypatch, task, method
+    ):
+        overrides = {"task": task,
+                     "fusion": {"method": method, "pool_size": 50, "tree_grid": [2, 3]}}
+        if task == "va":
+            overrides.update(synth={"n_videos": 3, "frames_per_video": 200,
+                                    "noise": 0.05},
+                             split={"dev_videos": ["v002"]})
+        path = _write_config(
+            tmp_path, paths={"base_predictions": _base_paths(tmp_path, 1)}, **overrides
+        )
+        config = load_config(path)
+        _synth_from(config)
+        _write_base_predictions(config)
+        made = {}
+        real_fuse = pipeline.stage_fuse
+
+        def fuse(config, run_dir, products):
+            real_fuse(config, run_dir, products)
+            made.update(products["fused"])
+
+        monkeypatch.setattr(pipeline, "stage_fuse", fuse)
+        run_dir = run_pipeline(config).run_dir
+        # the values a csv of the same tracks reads back as
+        write_track_csv(tmp_path / "fused.csv", list(made.values()))
+        parsed = read_track_csv(tmp_path / "fused.csv", fps=config.fps_target,
+                                kind=config.track_kind)
+        expected = np.concatenate([track.values for track in parsed.values()])
+        got = np.load(run_dir / "fused.npy")
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        back = pipeline._read_fused(config, run_dir, {})
+        assert list(back) == list(parsed) == sorted(config.split.dev_videos)
+        for vid, track in parsed.items():
+            assert back[vid].frame_index_origin == track.frame_index_origin
+            assert back[vid].values.tobytes() == track.values.tobytes()
 
     def test_separable_run_is_perfect_on_held_out_video(self, tmp_path):
         # 640 frames at 5 fps with 16 s blocks = 8 blocks; every class shows
@@ -990,17 +1063,18 @@ class TestCli:
         _write_base_predictions(load_config(path))
         outputs = self._staged_equals_single_shot(tmp_path, path)
         assert {"windows.csv", "window_targets.npy", "features.npy", "selection.csv",
-                "kelm_beta.npy", "kelm_scores.npy", "fused.csv", "predictions.csv",
-                "report.csv"} <= set(outputs)
-        assert "models/kelm.csv" not in outputs
+                "kelm_beta.npy", "kelm_scores.npy", "fused.npy", "fused_index.csv",
+                "predictions.csv", "report.csv"} <= set(outputs)
+        assert not {"models/kelm.csv", "fused.csv"} & set(outputs)
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
     def test_staged_fusion_only_run_reproduces_the_single_shot_run(self, tmp_path, method):
         path = _write_va_fusion_only(tmp_path, method)
         outputs = self._staged_equals_single_shot(
             tmp_path, path, [f"fuse-{method}", "postprocess", "evaluate"])
-        assert {"fused.csv", "predictions.csv", "report.csv"} <= set(outputs)
-        assert "windows.csv" not in outputs
+        assert {"fused.npy", "fused_index.csv", "predictions.csv",
+                "report.csv"} <= set(outputs)
+        assert not {"windows.csv", "fused.csv"} & set(outputs)
 
     @pytest.mark.parametrize("overrides", [{}, _VA], ids=["expr", "va"])
     def test_repeated_and_invalid_label_rows_stage_like_the_single_shot(
@@ -1054,17 +1128,28 @@ class TestCli:
             ("fuse-dwf", _no_kelm_scores, 3, "predict-kelm stage output not found"),
             ("fuse-dwf", _kelm_scores_of_every_video, 4,
              "has 1280 rows, expected 320; rerun the predict-kelm stage"),
+            ("postprocess", _truncate_fused, 6, "not a loadable .npy array"),
+            ("postprocess", _fused_one_row_short, 4,
+             "has 319 rows, expected 320; rerun the fuse stage"),
+            ("postprocess", _nan_fused, 6, "fused.npy: video 'v003': "),
+            ("postprocess", _no_fused, 3, "fuse stage output not found"),
+            ("postprocess", _no_fused_index, 3, "fuse stage output not found"),
+            ("postprocess", _fused_index_frames_x, 6, "fused_index.csv:2: "),
+            ("postprocess", _fused_index_no_frames, 6,
+             "fused_index.csv:2: video 'v003' needs one row of 1 or more frames"),
         ],
         ids=["truncated-features", "float32-features", "object-beta", "windows-start-x",
              "targets-one-row-short", "no-features", "truncated-kelm-scores",
              "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores",
-             "kelm-scores-of-every-video"],
+             "kelm-scores-of-every-video", "truncated-fused", "fused-one-row-short",
+             "nan-fused", "no-fused", "no-fused-index", "fused-index-frames-x",
+             "fused-index-no-frames"],
     )
     def test_damaged_intermediate_exits_with_its_family(
         self, tmp_path, capsys, command, damage, code, message
     ):
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
-        for cmd in ("window", "features", "train-kelm", "predict-kelm"):
+        for cmd in ("window", "features", "train-kelm", "predict-kelm", "fuse-dwf"):
             assert main([cmd, "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
         damage(run_dir)
@@ -1271,7 +1356,7 @@ class TestCli:
         assert (f"fuse stage: split.dev_videos give 1 dev frame(s); {method} fusion "
                 "on va needs at least 2") in capsys.readouterr().err
         run_dir = load_config(path).run_dir()
-        for name in ("pool_scores.csv", "rf_info.csv", "fused.csv"):
+        for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
     def test_expr_rf_on_a_one_frame_dev_split_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -1360,7 +1445,7 @@ class TestCli:
         assert ("fuse stage: model 'b' has 203 frames for 'v001', model 'a' has 200"
                 in capsys.readouterr().err)
         run_dir = load_config(path).run_dir()
-        for name in ("pool_scores.csv", "rf_info.csv", "fused.csv"):
+        for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
@@ -1370,7 +1455,7 @@ class TestCli:
         assert ("fuse stage: model 'b' starts 'v000' at frame 0, model 'a' at frame 4"
                 in capsys.readouterr().err)
         run_dir = load_config(path).run_dir()
-        for name in ("pool_scores.csv", "rf_info.csv", "fused.csv"):
+        for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
@@ -1378,9 +1463,9 @@ class TestCli:
         path = _write_va_fusion_only(tmp_path, method, a_origin=4, b_origin=4,
                                      label_origin=4)
         assert main(["run", "--config", str(path)]) == 0
-        fused = read_track_csv(load_config(path).run_dir() / "fused.csv", fps=5.0, kind="va")
-        assert sorted(fused) == ["v001", "v002"]
-        assert all(track.frame_index_origin == 4 for track in fused.values())
+        run_dir = load_config(path).run_dir()
+        assert (run_dir / "fused_index.csv").read_text() == (
+            "video_id,first_frame,n_frames\nv001,4,200\nv002,4,200\n")
 
     @pytest.mark.parametrize("method", ["dwf", "rf"])
     def test_fuse_exits_4_on_dev_labels_starting_at_another_frame(
@@ -1391,7 +1476,7 @@ class TestCli:
         assert ("fuse stage: labels for 'v001' start at frame 0, predictions at frame 4"
                 in capsys.readouterr().err)
         run_dir = load_config(path).run_dir()
-        for name in ("pool_scores.csv", "rf_info.csv", "fused.csv"):
+        for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("base_origin, code", [(4, 0), (0, 4)])
@@ -1407,21 +1492,22 @@ class TestCli:
         }, task="va")
         _write_base_predictions(config, origin=base_origin)
         run_dir = config.run_dir()
-        fused = run_dir / "fused.csv"
+        fused = [run_dir / "fused.npy", run_dir / "fused_index.csv"]
         assert main(["run", "--config", str(path)]) == code
-        single = fused.read_bytes() if code == 0 else None
+        single = [f.read_bytes() for f in fused] if code == 0 else None
         # a staged fuse numbers the KELM track it reads back from the labels too
         assert main(["fuse-mean", "--config", str(path)]) == code
         # the fused track is numbered from model 0's, the KELM track's, first frame
         if code == 0:
-            assert fused.read_bytes() == single
-            tracks = read_track_csv(fused, fps=5.0, kind="va")
-            assert all(track.frame_index_origin == 4 for track in tracks.values())
+            assert [f.read_bytes() for f in fused] == single
+            tracks = pipeline._read_fused(config, run_dir, {})
+            assert list(tracks) == ["v002"]
+            assert tracks["v002"].frame_index_origin == 4
         else:
             err = capsys.readouterr().err
             assert err.count("fuse stage: model 'base_0' starts 'v000' at frame 0, "
                              "model 'kelm' at frame 4") == 2
-            assert not fused.exists()
+            assert not any(f.exists() for f in fused)
 
     def test_fuse_with_another_method_leaves_the_config_run_alone(self, tmp_path):
         path = self._prepare(tmp_path)
@@ -1523,11 +1609,24 @@ class TestCli:
 
 
 class TestArtifactsAbTool:
-    def test_self_comparison_is_byte_equal(self, capsys):
+    @staticmethod
+    def _tool():
         path = ROOT / "tools" / "artifacts_ab.py"
         spec = importlib.util.spec_from_file_location("artifacts_ab", path)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
+        return tool
+
+    def test_diff_names_the_side_that_holds_a_one_sided_file(self):
+        other = {"fused.csv": b"a", "manifest.json": b"1", "report.csv": b"r"}
+        this = {"fused.npy": b"b", "manifest.json": b"2", "report.csv": b"r"}
+        diff = self._tool().diff
+        assert diff(other, this) == [
+            "only in other: fused.csv", "only in this: fused.npy", "differs: manifest.json"]
+        assert diff(this, this) == []
+
+    def test_self_comparison_is_byte_equal(self, capsys):
+        tool = self._tool()
         only = ("expr-dwf", "va-fusion-only-dwf")
         assert tool.compare(tool.ROOT, videos=3, frames=60, only=only) == 0
         out = capsys.readouterr().out

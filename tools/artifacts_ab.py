@@ -13,8 +13,10 @@ run, written out here), each of the two in a fresh process that imports
 that checkout's `src/affectpipe`. Both checkouts read the same input
 paths, so `manifest.json` does not depend on where a checkout lives.
 Every file of the run directories but `timings.json` is compared byte
-for byte; a differing, missing or extra file, or a command that fails in
-either checkout, exits 1.
+for byte, and each file that is not equal prints as `differs: REL`, or
+as `only in other: REL` / `only in this: REL` when one checkout alone
+wrote it; such a file, or a command that fails in either checkout,
+exits 1.
 """
 
 from __future__ import annotations
@@ -117,6 +119,19 @@ def files(out_dir: Path) -> dict[str, bytes]:
             for p in sorted(out_dir.rglob("*")) if p.is_file() and p.name != "timings.json"}
 
 
+def diff(other: dict[str, bytes], this: dict[str, bytes]) -> list[str]:
+    """One line per file that the two maps of run-directory files do not share byte for byte."""
+    lines = []
+    for rel in sorted(set(other) | set(this)):
+        if rel not in this:
+            lines.append(f"only in other: {rel}")
+        elif rel not in other:
+            lines.append(f"only in this: {rel}")
+        elif other[rel] != this[rel]:
+            lines.append(f"differs: {rel}")
+    return lines
+
+
 def compare(other: Path, videos: int = 4, frames: int = 200, only=None) -> int:
     """Run every case, or the ones named in `only`, in both checkouts; 1 on a difference."""
     checkouts = {"other": other.resolve(), "this": ROOT}
@@ -138,11 +153,11 @@ def compare(other: Path, videos: int = 4, frames: int = 200, only=None) -> int:
                     got[side] = (codes, files(out) if out.exists() else {})
                 (codes_a, a), (codes_b, b) = got["other"], got["this"]
                 ok = set(codes_a) == set(codes_b) == {0}
-                bad = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+                bad = diff(a, b)
                 print(f"{name} {mode}: {len(b)} files, exit codes other {codes_a} "
                       f"this {codes_b}, equal: {ok and not bad}")
-                for rel in bad:
-                    print(f"  differs: {rel}")
+                for line in bad:
+                    print(f"  {line}")
                 differ += not ok or bool(bad)
     print("every file equal" if not differ else f"{differ} run(s) differ")
     return 1 if differ else 0
