@@ -4,13 +4,14 @@ A run executes resample -> VAD gate -> window -> reduce targets ->
 functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
 smoothing -> evaluation. One table, `stages()`, lists the stage
-commands; a config's run is the four KELM stages when `kelm.enabled`,
-then `fuse-<method>`, `postprocess` and `evaluate`. `run_pipeline`
-walks that plan, handing each stage's products on in memory. A stage
-command of the CLI runs one stage alone, and its inputs come from the
-files in the run directory; the features stage re-slices the
-embedding track instead, and checks its windows against `windows.csv`.
-Both ways write bit-identical artifacts.
+commands; a config's run is `window` and `train-kelm` when
+`kelm.enabled`, then `fuse-<method>`, `postprocess` and `evaluate`.
+A command runs its stage functions in order on one dict of products:
+`window` slices and computes the features, and `train-kelm` trains and
+scores the dev windows. `run_pipeline` walks that plan, handing each
+command's products on in memory. A stage command of the CLI runs one
+command alone, and the inputs its functions do not make come from the
+files in the run directory. Both ways write bit-identical artifacts.
 
 Determinism contract: CSV floats are written with 17 significant
 digits and the window-level arrays and the KELM and fused scores as
@@ -67,7 +68,6 @@ from .fusion import (
 )
 from .kelm import (
     DEFAULT_C_GRID,
-    KelmModel,
     KernelSpec,
     class_weights,
     encode_classification_targets,
@@ -664,8 +664,8 @@ def _dev_videos(config: PipelineConfig, index: dict[str, list[int]]) -> list[str
 def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
     """Resample each embedding track, gate it by VAD and slice its windows.
 
-    The window stage writes the index of these windows and the features
-    stage recomputes them, so no copy of the track passes between them.
+    The window command computes the features from them in memory and
+    writes only their index, so no copy of the track is written.
     """
     emb_path = _require_file(config.paths.embeddings, "embeddings file")
     source_fps = config.paths.source_fps or config.fps_target
@@ -725,21 +725,10 @@ def stage_window(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     products["targets"] = targets
 
 
-def _read_batches(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
-    """The windows of the current inputs, which must be those windows.csv indexes."""
-    index = _require_file(run_dir / "windows.csv", "window stage output")
-    batches = _window_batches(config)
-    if index.read_bytes() != _windows_index(batches):
-        raise AlignmentError(
-            f"features stage: {index} does not match the windows of the current "
-            "inputs; rerun the window stage"
-        )
-    return batches
-
-
 def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> None:
-    """Functionals over the windows, plus the configured normalization."""
-    [batches] = _take(config, run_dir, products, "batches")
+    """Functionals over the windows stage_window sliced, plus the configured
+    normalization."""
+    batches = products["batches"]
     fset = config.functional_set
     vids = sorted(batches)
 
@@ -840,7 +829,7 @@ def _spread_window_scores(
 def _read_features(config: PipelineConfig, run_dir: Path, products: dict) -> np.ndarray:
     [index] = _take(config, run_dir, products, "windows")
     n = sum(map(len, index.values()))
-    return _load_rows(run_dir / "features.npy", "features", np.float64, (n, None))
+    return _load_rows(run_dir / "features.npy", "window", np.float64, (n, None))
 
 
 def _read_targets(config: PipelineConfig, run_dir: Path, products: dict) -> np.ndarray:
@@ -852,29 +841,19 @@ def _read_targets(config: PipelineConfig, run_dir: Path, products: dict) -> np.n
     )
 
 
-def _read_kelm_model(config: PipelineConfig, run_dir: Path, products: dict) -> KelmModel:
-    """The model train-kelm solved, from the features it trained on and its beta."""
-    index, feats = _take(config, run_dir, products, "windows", "features")
-    d_mat = feats[~_dev_rows(config, index)]
-    beta = _load_rows(
-        run_dir / "kelm_beta.npy", "train-kelm", np.float64, (len(d_mat), config.n_outputs)
-    )
-    kernel = config.kernel_spec.resolve(d_mat.shape[1])
-    return KelmModel(D=d_mat, beta=beta, kernel=kernel, task=_KELM_TASKS[config.task])
-
-
 def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
-    """Score the dev videos' windows and lay the scores onto the working timeline.
+    """Score the dev videos' windows with the model stage_train_kelm left in
+    `products`, and lay the scores onto the working timeline.
 
     Fusion reads the KELM track of the dev videos alone (a KELM run
     always has a dev split), so the training videos are not scored.
     """
-    index, feats, model = _take(config, run_dir, products,
-                                "windows", "features", "kelm_model")
+    index, feats = _take(config, run_dir, products, "windows", "features")
+    model = products["kelm_model"]
     # the window stage checked each video's labels against its windows'
     # frame count, so the labels give the timeline the windows were cut from
     vids = _dev_videos(config, index)
-    truth = _truth_at_working_rate(config, run_dir, products, vids, "predict-kelm")
+    truth = _truth_at_working_rate(config, run_dir, products, vids, "train-kelm")
     spec = config.window_spec
     offsets = np.cumsum([len(starts) for starts in index.values()])
     rows = dict(zip(index, np.split(feats, offsets[:-1])))
@@ -896,13 +875,13 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
 
 
 def _read_kelm_tracks(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
-    """The dev videos' tracks predict-kelm made, from kelm_scores.npy and
+    """The dev videos' tracks train-kelm scored, from kelm_scores.npy and
     the labels: each video's frame count and first frame are its labels'
     at the working rate."""
     [index] = _take(config, run_dir, products, "windows")
     vids = _dev_videos(config, index)
     truth = _truth_at_working_rate(config, run_dir, products, vids, "fuse")
-    return _read_score_tracks(config, run_dir / "kelm_scores.npy", "predict-kelm", vids,
+    return _read_score_tracks(config, run_dir / "kelm_scores.npy", "train-kelm", vids,
                               [truth[vid].frame_index_origin for vid in vids],
                               [truth[vid].n_frames for vid in vids])
 
@@ -1176,15 +1155,22 @@ def stage_evaluate(config: PipelineConfig, run_dir: Path, products: dict) -> Eva
 
 @dataclass(frozen=True)
 class Stage:
-    """A stage command and the products its function takes. The `kelm`
-    stages run only when kelm.enabled; a fuse stage runs fusion `method`."""
+    """A stage command, its stage functions and the products they take
+    that they do not make. The `kelm` stages run only when kelm.enabled;
+    a fuse stage runs fusion `method`."""
 
     name: str
     help: str
-    run: Callable[[PipelineConfig, Path, dict], EvalReport | None]
+    steps: tuple[Callable[[PipelineConfig, Path, dict], EvalReport | None], ...]
     needs: tuple[str, ...]
     kelm: bool = False
     method: str | None = None
+
+    def run(self, config: PipelineConfig, run_dir: Path, products: dict) -> EvalReport | None:
+        """Run the stage functions in order on one `products`; the last one's result."""
+        for step in self.steps:
+            result = step(config, run_dir, products)
+        return result
 
 
 def stages() -> list[Stage]:
@@ -1193,19 +1179,17 @@ def stages() -> list[Stage]:
     fuse_help = {"dwf": "searched Dirichlet-weighted fusion",
                  "rf": "random-forest stacking fusion", "mean": "unweighted mean fusion"}
     return [
-        Stage("window", "resample, gate by VAD, and slice windows", stage_window,
-              ("truth",), kelm=True),
-        Stage("features", "compute window functionals and normalize", stage_features,
-              ("batches",), kelm=True),
-        Stage("train-kelm", "select C on the dev split and train", stage_train_kelm,
-              ("windows", "features", "targets"), kelm=True),
-        Stage("predict-kelm", "score the dev windows onto the working timeline",
-              stage_predict_kelm, ("windows", "features", "kelm_model", "truth"), kelm=True),
-        *(Stage(f"fuse-{m}", fuse_help[m], stage_fuse,
+        Stage("window", "resample, gate by VAD, slice windows, and compute their "
+              "normalized functionals", (stage_window, stage_features), ("truth",),
+              kelm=True),
+        Stage("train-kelm", "select C on the dev split, train, and score the dev "
+              "windows onto the working timeline", (stage_train_kelm, stage_predict_kelm),
+              ("windows", "features", "targets", "truth"), kelm=True),
+        *(Stage(f"fuse-{m}", fuse_help[m], (stage_fuse,),
                 ("windows", "kelm_tracks", "truth"), method=m) for m in FUSION_METHODS),
-        Stage("postprocess", "interpolate, smooth, and emit predictions", stage_postprocess,
-              ("fused", "truth")),
-        Stage("evaluate", "score predictions against the labels", stage_evaluate,
+        Stage("postprocess", "interpolate, smooth, and emit predictions",
+              (stage_postprocess,), ("fused", "truth")),
+        Stage("evaluate", "score predictions against the labels", (stage_evaluate,),
               ("predictions", "truth")),
     ]
 
@@ -1270,18 +1254,18 @@ def _build_manifest(config: PipelineConfig, run_dir: Path) -> dict:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute the config's planned stages in order and write the run manifest.
-    Each product stays in memory until the last stage that needs it."""
+    After each stage, the products that no later stage needs are dropped."""
     run_dir = config.run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_json(run_dir / "config.json", config_to_dict(config))
     plan = planned_stages(config)
-    last_use = {product: stage.name for stage in plan for product in stage.needs}
     timings: dict[str, float] = {}
     products: dict = {}
-    for stage in plan:
+    for i, stage in enumerate(plan):
         t0 = time.perf_counter()
         report = stage.run(config, run_dir, products)  # evaluate, the last, returns one
-        for product in [p for p in products if last_use.get(p) == stage.name]:
+        later = {product for s in plan[i + 1:] for product in s.needs}
+        for product in [p for p in products if p not in later]:
             del products[product]
         timings[stage.name] = time.perf_counter() - t0
     manifest = _build_manifest(config, run_dir)

@@ -34,6 +34,7 @@ from affectpipe.pipeline import (
     config_hash,
     evaluate_files,
     load_config,
+    planned_stages,
     run_pipeline,
     stage_window,
 )
@@ -206,11 +207,6 @@ def _float32_features(run_dir):
     np.save(path, np.load(path).astype(np.float32))
 
 
-def _object_beta(run_dir):
-    path = run_dir / "kelm_beta.npy"
-    np.save(path, np.load(path).astype(object), allow_pickle=True)
-
-
 def _set_first_row_field(path, j, value):
     """Replace field j of the first data row of a CSV file."""
     lines = Path(path).read_text().split("\n")
@@ -231,6 +227,11 @@ def _targets_one_row_short(run_dir):
 
 def _no_features(run_dir):
     (run_dir / "features.npy").unlink()
+
+
+def _object_kelm_scores(run_dir):
+    path = run_dir / "kelm_scores.npy"
+    np.save(path, np.load(path).astype(object), allow_pickle=True)
 
 
 def _truncate_kelm_scores(run_dir):
@@ -255,7 +256,7 @@ def _no_kelm_scores(run_dir):
 
 
 def _kelm_scores_of_every_video(run_dir):
-    """kelm_scores.npy as predict-kelm wrote it when it scored every video:
+    """kelm_scores.npy as the KELM stage wrote it when it scored every video:
     one row per label frame of all four equally long synthetic videos."""
     path = run_dir / "kelm_scores.npy"
     np.save(path, np.tile(np.load(path), (4, 1)))
@@ -850,6 +851,77 @@ class TestRunPipeline:
         assert calls == {"read_label_csv": 1, "read_track_csv": 1 + len(bases),
                          "read_vad_csv": 1}
 
+    def test_staged_run_parses_the_embeddings_once(self, tmp_path, monkeypatch):
+        bases = _base_paths(tmp_path, 2)
+        path = _write_config(tmp_path, fusion={"method": "dwf", "pool_size": 200},
+                             paths={"base_predictions": bases})
+        config = load_config(path)
+        _synth_from(config)
+        _write_base_predictions(config)
+        reads = []
+
+        def counted(file, *args, _fn=pipeline.read_track_csv, **kwargs):
+            reads.append(Path(file))
+            return _fn(file, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_track_csv", counted)
+        for stage in planned_stages(config):
+            assert main([stage.name, "--config", str(path)]) == 0
+        assert sorted(reads) == sorted(map(Path, [config.paths.embeddings, *bases]))
+
+    def test_run_drops_each_product_after_the_last_stage_that_takes_it(
+        self, tmp_path, monkeypatch
+    ):
+        config = load_config(_write_config(tmp_path, fusion={"method": "dwf",
+                                                             "pool_size": 200}))
+        _synth_from(config)
+        seen = {}
+        for name in ("stage_window", "stage_features", "stage_train_kelm",
+                     "stage_predict_kelm", "stage_fuse", "stage_postprocess",
+                     "stage_evaluate"):
+            def recorded(config, run_dir, products, _name=name, _fn=getattr(pipeline, name)):
+                seen[_name] = set(products)
+                return _fn(config, run_dir, products)
+
+            monkeypatch.setattr(pipeline, name, recorded)
+        run_pipeline(config)
+        # the product keys each stage function finds when it starts
+        assert seen == {
+            "stage_window": set(),
+            "stage_features": {"truth", "batches", "windows", "targets"},
+            "stage_train_kelm": {"truth", "windows", "targets", "features"},
+            "stage_predict_kelm": {"truth", "windows", "targets", "features", "kelm_model"},
+            "stage_fuse": {"truth", "windows", "kelm_tracks"},
+            "stage_postprocess": {"truth", "fused"},
+            "stage_evaluate": {"truth", "predictions"},
+        }
+
+    def test_stage_runs_its_steps_in_order_on_one_products_dict(self):
+        calls = []
+
+        def step(name):
+            def run(config, run_dir, products):
+                calls.append((name, dict(products)))
+                products[name] = len(calls)
+                return name
+            return run
+
+        stage = pipeline.Stage("both", "two steps", (step("a"), step("b")), ())
+        products = {"x": 0}
+        assert stage.run(None, Path("."), products) == "b"
+        assert calls == [("a", {"x": 0}), ("b", {"x": 0, "a": 1})]
+        assert products == {"x": 0, "a": 1, "b": 2}
+
+    def test_timings_are_keyed_by_the_command_names(self, tmp_path):
+        config = load_config(_write_config(tmp_path, fusion={"method": "dwf",
+                                                             "pool_size": 200}))
+        _synth_from(config)
+        result = run_pipeline(config)
+        timings = json.loads((result.run_dir / "timings.json").read_text())
+        assert list(timings) == ["window", "train-kelm", "fuse-dwf", "postprocess",
+                                 "evaluate"]
+        assert [stage.name for stage in planned_stages(config)] == list(timings)
+
     @pytest.mark.parametrize("task", ["expr", "va"])
     def test_one_model_dwf_writes_what_the_full_search_writes(
         self, tmp_path, monkeypatch, task
@@ -1030,8 +1102,8 @@ class TestCli:
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         if stage_cmds is None:
-            stage_cmds = ["window", "features", "train-kelm", "predict-kelm",
-                          f"fuse-{method}", "postprocess", "evaluate"]
+            stage_cmds = ["window", "train-kelm", f"fuse-{method}", "postprocess",
+                          "evaluate"]
         for cmd in stage_cmds:
             assert main([cmd, "--config", str(path),
                          "--out-dir", str(tmp_path / "staged")]) == 0
@@ -1118,16 +1190,16 @@ class TestCli:
         [
             ("train-kelm", _truncate_features, 6, "not a loadable .npy array"),
             ("train-kelm", _float32_features, 6, "expected float64"),
-            ("predict-kelm", _object_beta, 6, "not a loadable .npy array"),
             ("train-kelm", _windows_start_x, 6, "windows.csv:2: "),
             ("train-kelm", _targets_one_row_short, 4, "rerun the window stage"),
-            ("train-kelm", _no_features, 3, "features stage output not found"),
+            ("train-kelm", _no_features, 3, "window stage output not found"),
             ("fuse-dwf", _truncate_kelm_scores, 6, "not a loadable .npy array"),
-            ("fuse-dwf", _kelm_scores_one_row_short, 4, "rerun the predict-kelm stage"),
+            ("fuse-dwf", _object_kelm_scores, 6, "not a loadable .npy array"),
+            ("fuse-dwf", _kelm_scores_one_row_short, 4, "rerun the train-kelm stage"),
             ("fuse-dwf", _nan_kelm_score, 6, "kelm_scores.npy: video 'v003': "),
-            ("fuse-dwf", _no_kelm_scores, 3, "predict-kelm stage output not found"),
+            ("fuse-dwf", _no_kelm_scores, 3, "train-kelm stage output not found"),
             ("fuse-dwf", _kelm_scores_of_every_video, 4,
-             "has 1280 rows, expected 320; rerun the predict-kelm stage"),
+             "has 1280 rows, expected 320; rerun the train-kelm stage"),
             ("postprocess", _truncate_fused, 6, "not a loadable .npy array"),
             ("postprocess", _fused_one_row_short, 4,
              "has 319 rows, expected 320; rerun the fuse stage"),
@@ -1138,10 +1210,11 @@ class TestCli:
             ("postprocess", _fused_index_no_frames, 6,
              "fused_index.csv:2: video 'v003' needs one row of 1 or more frames"),
         ],
-        ids=["truncated-features", "float32-features", "object-beta", "windows-start-x",
+        ids=["truncated-features", "float32-features", "windows-start-x",
              "targets-one-row-short", "no-features", "truncated-kelm-scores",
-             "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores",
-             "kelm-scores-of-every-video", "truncated-fused", "fused-one-row-short",
+             "object-kelm-scores", "kelm-scores-one-row-short", "nan-kelm-score",
+             "no-kelm-scores", "kelm-scores-of-every-video", "truncated-fused",
+             "fused-one-row-short",
              "nan-fused", "no-fused", "no-fused-index", "fused-index-frames-x",
              "fused-index-no-frames"],
     )
@@ -1149,7 +1222,7 @@ class TestCli:
         self, tmp_path, capsys, command, damage, code, message
     ):
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
-        for cmd in ("window", "features", "train-kelm", "predict-kelm", "fuse-dwf"):
+        for cmd in ("window", "train-kelm", "fuse-dwf"):
             assert main([cmd, "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
         damage(run_dir)
@@ -1157,19 +1230,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(run_dir) in err and message in err
 
-    def test_staged_predict_kelm_needs_no_selection_csv(self, tmp_path):
-        path = self._prepare(tmp_path)
+    def test_staged_fuse_needs_no_selection_csv_or_kelm_beta(self, tmp_path):
+        # train-kelm writes both as a record of the model; no command reads them
+        path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
-        for cmd in ("window", "features", "train-kelm"):
+        for cmd in ("window", "train-kelm"):
             assert main([cmd, *staged]) == 0
         run_b = next((tmp_path / "staged").iterdir())
         (run_b / "selection.csv").unlink()
-        assert main(["predict-kelm", *staged]) == 0
+        (run_b / "kelm_beta.npy").unlink()
+        assert main(["fuse-dwf", *staged]) == 0
         run_a = next((tmp_path / "single").iterdir())
-        scores = "kelm_scores.npy"
-        assert (run_b / scores).read_bytes() == (run_a / scores).read_bytes()
+        for name in ("fused.npy", "fused_index.csv"):
+            assert (run_b / name).read_bytes() == (run_a / name).read_bytes()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1180,7 +1255,7 @@ class TestCli:
         path = self._prepare(tmp_path, **overrides)
         config = load_config(path)
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
-        for cmd in ("window", "features", "train-kelm", "predict-kelm"):
+        for cmd in ("window", "train-kelm"):
             assert main([cmd, *staged]) == 0
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
@@ -1237,27 +1312,17 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 4
         assert message in capsys.readouterr().err
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
-        for cmd in ("window", "features", "train-kelm", "predict-kelm"):
+        for cmd in ("window", "train-kelm"):
             assert main([cmd, *staged]) == 0
         assert main(["fuse-dwf", *staged]) == 4
         assert message in capsys.readouterr().err
         assert not any((tmp_path / "staged").glob("*/pool_scores.csv"))
 
-    def test_features_exits_4_when_the_vad_changed_since_the_window_stage(self, tmp_path):
+    def test_window_exits_3_without_the_embeddings(self, tmp_path, capsys):
         path = self._prepare(tmp_path)
-        assert main(["window", "--config", str(path)]) == 0
-        vad_path = load_config(path).paths.vad
-        write_vad_csv(vad_path, [
-            VadMask(vid, np.concatenate([[False], mask.voiced[1:]]))
-            for vid, mask in read_vad_csv(vad_path).items()
-        ])
-        assert main(["features", "--config", str(path)]) == 4
-
-    def test_features_exits_3_without_the_embeddings(self, tmp_path):
-        path = self._prepare(tmp_path)
-        assert main(["window", "--config", str(path)]) == 0
         Path(load_config(path).paths.embeddings).unlink()
-        assert main(["features", "--config", str(path)]) == 3
+        assert main(["window", "--config", str(path)]) == 3
+        assert "embeddings file not found" in capsys.readouterr().err
 
     def test_exit_codes_by_error_family(self, tmp_path):
         # 3: missing config file
@@ -1515,7 +1580,7 @@ class TestCli:
         run_dir = load_config(path).run_dir()
         before = json.loads((run_dir / "manifest.json").read_text())["outputs_hash"]
         # fuse-dwf on this mean config works in the dwf config's run
-        # directory, which has no predict-kelm output yet
+        # directory, which has no train-kelm output yet
         assert main(["fuse-dwf", "--config", str(path)]) == 3
         assert not (run_dir / "pool_scores.csv").exists()
         assert main(["run", "--config", str(path)]) == 0
@@ -1550,7 +1615,7 @@ class TestCli:
         assert main(["fuse-mean", "--config", str(path)]) == 0
         assert reads
 
-    @pytest.mark.parametrize("command", ["window", "features", "train-kelm", "predict-kelm"])
+    @pytest.mark.parametrize("command", ["window", "train-kelm"])
     def test_kelm_stage_of_a_fusion_only_config_exits_2(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -1564,8 +1629,8 @@ class TestCli:
     def test_subcommands_are_synth_run_and_the_stage_commands(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert ("{synth,window,features,train-kelm,predict-kelm,fuse-dwf,fuse-rf,"
-                "fuse-mean,postprocess,evaluate,run}") in capsys.readouterr().out
+        assert ("{synth,window,train-kelm,fuse-dwf,fuse-rf,fuse-mean,postprocess,"
+                "evaluate,run}") in capsys.readouterr().out
 
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         path = self._prepare(tmp_path)

@@ -9,9 +9,10 @@ overlap, expr dwf again over the default 4 s / 2 s windows, which do,
 and one fusion-only va dwf config over two base tracks, in each
 checkout. Every KELM case gates its windows by the VAD. Each config runs
 twice: single-shot (`run`) and stage by stage (the stage commands of its
-run, written out here), each of the two in a fresh process that imports
-that checkout's `src/affectpipe`. Both checkouts read the same input
-paths, so `manifest.json` does not depend on where a checkout lives.
+run, as that checkout's `planned_stages` lists them), each of the two in
+a fresh process that imports that checkout's `src/affectpipe`. Both
+checkouts read the same input paths, so `manifest.json` does not depend
+on where a checkout lives.
 Every file of the run directories but `timings.json` is compared byte
 for byte, and each file that is not equal prints as `differs: REL`, or
 as `only in other: REL` / `only in this: REL` when one checkout alone
@@ -32,15 +33,17 @@ import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
-KELM_STAGES = ["window", "features", "train-kelm", "predict-kelm"]
 FUSION = {"dwf": {"pool_size": 100}, "rf": {"tree_grid": [3, 5]}, "mean": {}}
 
 CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from affectpipe.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[2])]
-print(json.dumps(codes))
+from affectpipe.pipeline import load_config, planned_stages
+config, out, mode = sys.argv[2:]
+commands = (["run"] if mode == "single"
+            else [stage.name for stage in planned_stages(load_config(config))])
+print(json.dumps([main([cmd, "--config", config, "--out-dir", out]) for cmd in commands]))
 """
 
 
@@ -79,36 +82,33 @@ def write_inputs(data: Path, videos: int, frames: int) -> dict:
 
 
 def cases(paths: dict, videos: int) -> dict:
-    """Each case's config and its stage commands."""
+    """Each case's config."""
     dev = [f"v{videos - 1:03d}"]
     out = {}
     for task in ("expr", "va"):
         for method, extra in FUSION.items():
-            config = {
+            out[f"{task}-{method}"] = {
                 "task": task, "seed": 3, "split": {"dev_videos": dev},
                 "paths": {**paths[task], "base_predictions": paths[task]["base_predictions"][:1]},
                 "window": {"window_seconds": 2.0, "hop_seconds": 2.0},
                 "fusion": {"method": method, **extra},
             }
-            out[f"{task}-{method}"] = (config, KELM_STAGES + [f"fuse-{method}"])
     # the default 4 s / 2 s windows overlap, and short voiced segments give short windows
-    overlap = {k: v for k, v in out["expr-dwf"][0].items() if k != "window"}
-    out["expr-dwf-overlap"] = (overlap, KELM_STAGES + ["fuse-dwf"])
-    config = {
+    out["expr-dwf-overlap"] = {k: v for k, v in out["expr-dwf"].items() if k != "window"}
+    out["va-fusion-only-dwf"] = {
         "task": "va", "seed": 3, "split": {"dev_videos": dev},
         "paths": {"labels": paths["va"]["labels"],
                   "base_predictions": paths["va"]["base_predictions"]},
         "kelm": {"enabled": False},
         "fusion": {"method": "dwf", **FUSION["dwf"]},
     }
-    out["va-fusion-only-dwf"] = (config, ["fuse-dwf"])
-    return {name: (config, stages + ["postprocess", "evaluate"])
-            for name, (config, stages) in out.items()}
+    return out
 
 
-def run_child(checkout: Path, commands: list[list[str]]) -> list:
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(checkout / "src"),
-                           json.dumps(commands)], capture_output=True, text=True)
+def run_child(checkout: Path, config: Path, out: Path, mode: str) -> list:
+    """The exit codes of the checkout's commands for `mode` ("single" or "staged")."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(checkout / "src"), str(config),
+                           str(out), mode], capture_output=True, text=True)
     if proc.returncode != 0:
         return [f"crashed: {proc.stderr.strip().splitlines()[-1:]}"]
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -139,17 +139,16 @@ def compare(other: Path, videos: int = 4, frames: int = 200, only=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = write_inputs(tmp / "data", videos, frames)
-        for name, (config, stages) in cases(paths, videos).items():
+        for name, config in cases(paths, videos).items():
             if only is not None and name not in only:
                 continue
             config_path = tmp / f"{name}.yaml"
             config_path.write_text(yaml.safe_dump(config))
-            for mode, commands in (("single", ["run"]), ("staged", stages)):
+            for mode in ("single", "staged"):
                 got = {}
                 for side, checkout in checkouts.items():
                     out = tmp / side / name / mode
-                    codes = run_child(checkout, [[cmd, "--config", str(config_path),
-                                                  "--out-dir", str(out)] for cmd in commands])
+                    codes = run_child(checkout, config_path, out, mode)
                     got[side] = (codes, files(out) if out.exists() else {})
                 (codes_a, a), (codes_b, b) = got["other"], got["this"]
                 ok = set(codes_a) == set(codes_b) == {0}
