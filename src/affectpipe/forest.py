@@ -46,6 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .metrics import first_best
+
 DEFAULT_TREE_GRID = (10, 20, 50, 100, 200)
 SMALL_NODE = 64  # regression nodes of at most this many rows grow on lists
 
@@ -467,10 +469,10 @@ def select_n_trees(
 
     Each grid point's score is the forest's OOB curve at that length,
     identical to training k trees from scratch by the per-tree seed
-    derivation. Returns the count with the best OOB score (ties going
-    to the fewest trees), the grid scores, and the first that-many
-    trees as the trained model, equal to train_forest with
-    n_trees=count.
+    derivation. Returns the count metrics.first_best picks over the
+    sorted distinct grid (ties go to the fewest trees), the grid scores,
+    and the first that-many trees as the trained model, equal to
+    train_forest with n_trees=count.
     """
     grid = [int(k) for k in grid]
     if not grid or min(grid) < 1:
@@ -479,15 +481,11 @@ def select_n_trees(
         x, y, replace(base_spec, n_trees=max(grid)), task=task, n_classes=n_classes
     )
     scores = {k: float(full.oob_curve[k - 1]) for k in grid}
-    best_k = None
-    best_score = None
-    for k in sorted(scores):
-        s = scores[k]
-        if best_k is None or (not np.isnan(s) and (np.isnan(best_score) or s > best_score)):
-            best_k, best_score = k, s
+    counts = sorted(scores)
+    best_k = counts[first_best([scores[k] for k in counts])]
     model = ForestModel(
         trees=full.trees[:best_k],
-        oob_score=best_score,
+        oob_score=scores[best_k],
         task=full.task,
         n_outputs=full.n_outputs,
         spec=replace(base_spec, n_trees=best_k),

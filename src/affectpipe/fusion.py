@@ -224,9 +224,9 @@ def dwf_search(
     matrices are then scored at once with the arithmetic of
     metrics.classification_report, so every score equals
     metrics.challenge_score's. mean_ccc scores each matrix's fused
-    planes with metrics.challenge_score, unclipped. The winner is the
-    first matrix with the highest score, so ties go to the earliest in
-    pool order. Also returns the full score table aligned with the pool.
+    planes with metrics.challenge_score, unclipped. metrics.first_best
+    picks the winner in pool order, so ties go to the earliest matrix.
+    Also returns the full score table aligned with the pool.
     """
     if metric not in metrics.METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -262,7 +262,7 @@ def dwf_search(
         score = _pool_scores(planes, truth, metric, pool.weights[:1])[0]
         return FusionMatrix(pool.weights[0]), float(score), np.full(len(pool), score)
     scores = _pool_scores(planes, truth, metric, pool.weights)
-    best = int(np.argmax(scores))
+    best = metrics.first_best(scores)
     return FusionMatrix(pool.weights[best]), float(scores[best]), scores
 
 

@@ -226,14 +226,14 @@ def select_c(
     metric='macro_f1' treats dev_targets as integer labels and targets
     as a +/-1 matrix; metric='mean_ccc' scores mean CCC over target
     columns, of dev scores clipped to [-1, 1] as predict_kelm clips
-    them. Each C scores with metrics.challenge_score; ties resolve to
-    the smallest C.
+    them. Each C scores with metrics.challenge_score; ties go to the
+    smallest C (metrics.first_best over the sorted candidates).
 
     The train and dev kernels are built once; each C rewrites the
     system's diagonal and solves, so every score equals that of a model
     train_kelm fits at that C.
     """
-    candidates = [float(c) for c in candidates]
+    candidates = sorted(float(c) for c in candidates)
     if not candidates:
         raise ValueError("candidate list must be nonempty")
     if metric not in metrics.METRICS:
@@ -243,16 +243,11 @@ def select_c(
         raise ValueError(f"regularizer C must be positive with a finite 1/C, got {bad}")
     x, spec, a, diag, rhs = _weighted_system(x, targets, kernel, weights)
     dev_kernel = kernel_matrix(dev_x, x, spec)
-    best_c = best_score = None
+    dev_scores = []
     for c in candidates:
         scores = dev_kernel @ _solve(a, diag, rhs, c)
         if metric == "mean_ccc":
             scores = np.clip(scores, -1.0, 1.0)  # as predict_kelm clips them
-        score = metrics.challenge_score(dev_targets, scores, metric)
-        if (
-            best_score is None
-            or score > best_score
-            or (score == best_score and c < best_c)
-        ):
-            best_c, best_score = c, score
-    return best_c, best_score
+        dev_scores.append(metrics.challenge_score(dev_targets, scores, metric))
+    best = metrics.first_best(dev_scores)
+    return candidates[best], dev_scores[best]

@@ -190,6 +190,13 @@ def classification_report(y_true, y_pred, n_classes: int) -> EvalReport:
 METRICS = ("macro_f1", "mean_ccc")
 
 
+def first_best(scores) -> int:
+    """The index of the first highest score; NaN loses even to -inf, and all-NaN gives 0."""
+    scores = np.asarray(scores, dtype=np.float64)
+    numbers = np.flatnonzero(~np.isnan(scores))
+    return int(numbers[np.argmax(scores[numbers])]) if numbers.size else 0
+
+
 def challenge_score(truth, scores, metric: str) -> float:
     """The challenge metric of (n, K) scores, as every dev-set choice scores.
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +273,20 @@ class TestSelectNTrees:
         for k, s in zip(grid, scores):
             if s == max(scores):
                 assert best <= k
+
+    def test_nan_oob_score_loses_to_any_number(self):
+        # two rows: seed 2's first two trees each bag both rows, so their
+        # OOB scores are NaN, and the third leaves a row out
+        x, y = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+        best, scores, _ = select_n_trees(
+            x, y, [3, 1, 2], ForestSpec(n_trees=1, seed=2), task="regression"
+        )
+        assert np.isnan(scores[1:]).all() and best == 3
+        # seed 1 bags both rows in all three: every score is NaN, the fewest trees win
+        best, scores, _ = select_n_trees(
+            x, y, [3, 1], ForestSpec(n_trees=1, seed=1), task="regression"
+        )
+        assert np.isnan(scores).all() and best == 1
 
     def test_regression_selection_uses_negative_mse(self):
         rng = np.random.default_rng(18)
@@ -606,13 +618,3 @@ class TestMatchesReferenceGrower:
                 y[rng.random(size) < 0.5] = -0.0
             want = np.float64(y.mean()).tobytes()
             assert np.float64(_short_mean(y.tolist())).tobytes() == want
-
-
-class TestForestAbTool:
-    def test_self_comparison_is_byte_equal(self, capsys):
-        path = Path(__file__).resolve().parent.parent / "tools" / "forest_ab.py"
-        spec = importlib.util.spec_from_file_location("forest_ab", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        assert tool.compare(tool.ROOT, rows=200, features=3, trees=2, pairs=1) == 0
-        assert "bytes equal: True" in capsys.readouterr().out

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -393,13 +390,3 @@ class TestSelectCMatchesReferenceLoop:
         wk = w[:, None] * kernel_matrix(x, x, spec)
         assert np.signbit(wk[0, 1]) and wk[0, 1] == 0.0
         self.check(x, t, x, t, "mean_ccc", spec, w, self.GRID)
-
-
-class TestKelmAbTool:
-    def test_self_comparison_is_byte_equal(self, capsys):
-        path = Path(__file__).resolve().parent.parent / "tools" / "kelm_ab.py"
-        spec = importlib.util.spec_from_file_location("kelm_ab", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        assert tool.compare(tool.ROOT, train=60, dev=20, features=6, pairs=1) == 0
-        assert "equal: True" in capsys.readouterr().out

@@ -13,6 +13,7 @@ from affectpipe.metrics import (
     challenge_score,
     challenge_score_va,
     classification_report,
+    first_best,
     format_score,
     pearson,
     report_to_csv_rows,
@@ -158,6 +159,21 @@ class TestChallengeScoreOfScores:
         assert METRICS == ("macro_f1", "mean_ccc")
         with pytest.raises(ValueError, match="unknown metric 'auc'"):
             challenge_score([0, 1], np.eye(2), "auc")
+
+
+class TestFirstBest:
+    def test_first_of_tied_scores_wins(self):
+        assert first_best([0.2, 0.7, 0.1, 0.7]) == 1
+        assert first_best(np.array([3.0, 3.0])) == 0
+
+    def test_nan_loses_to_any_number(self):
+        nan = float("nan")
+        assert first_best([nan, 0.5, nan]) == 1
+        assert first_best([nan, -np.inf]) == 1
+        assert first_best([-1.0, nan, -1.0]) == 0
+
+    def test_all_nan_gives_zero(self):
+        assert first_best([float("nan")] * 3) == 0
 
 
 class TestFormatScore:

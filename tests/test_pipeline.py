@@ -1692,7 +1692,30 @@ class TestArtifactsAbTool:
 
     def test_self_comparison_is_byte_equal(self, capsys):
         tool = self._tool()
-        only = ("expr-dwf", "va-fusion-only-dwf")
-        assert tool.compare(tool.ROOT, videos=3, frames=60, only=only) == 0
+        only = ("expr-dwf", "forest", "kelm")
+        assert tool.compare(tool.ROOT, only=only, videos=3, frames=60, forest=(200, 3, 2),
+                            kelm=(60, 20, 6), pairs=1) == 0
         out = capsys.readouterr().out
-        assert out.count("equal: True") == 4 and "every file equal" in out
+        assert out.count("equal: True") == 4 and "everything equal" in out
+        # forest: the bootstrap, the OOB curve and 5 arrays per tree; kelm: C, dev score, beta
+        assert re.search(r"^forest pair 0: .*, 12 made, equal: True$", out, re.M)
+        assert re.search(r"^kelm pair 0: .*, 3 made, equal: True$", out, re.M)
+
+    def test_a_failed_run_prints_its_last_stderr_line_and_differs(self, tmp_path, capsys):
+        tool = self._tool()
+        package = tmp_path / "src" / "affectpipe"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("raise ImportError('broken checkout')\n")
+        assert tool.compare(tmp_path, only=("kelm",), kelm=(60, 20, 6), pairs=1) == 1
+        out = capsys.readouterr().out
+        assert "equal: False" in out and "1 pair(s) differ" in out
+        assert "  other failed: ImportError: broken checkout" in out
+
+    def test_unknown_case_or_checkout_exits_2(self, tmp_path, capsys):
+        tool = self._tool()
+        assert tool.main([str(tool.ROOT), "expr_dwf", "kelm"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown case(s) expr_dwf;" in err
+        assert all(name in err for name in tool.CASES)
+        assert tool.main([str(tmp_path), "kelm"]) == 2
+        assert "holds no src/affectpipe" in capsys.readouterr().err

@@ -1,29 +1,49 @@
-"""Compare every file this checkout's pipeline writes with another checkout's.
+"""Compare what this checkout makes with another checkout's: bytes, time and peak RSS.
 
-    python3 tools/artifacts_ab.py OTHER_CHECKOUT
+    python3 tools/artifacts_ab.py OTHER_CHECKOUT [CASE ...]
 
-Synthesises one small dataset per task once (expr and va embeddings,
-labels and VAD, and a noisy base prediction track per task), then runs
-{expr, va} x {dwf, rf, mean} with the KELM over 2 s windows that do not
-overlap, expr dwf again over the default 4 s / 2 s windows, which do,
-and one fusion-only va dwf config over two base tracks, in each
-checkout. Every KELM case gates its windows by the VAD. Each config runs
-twice: single-shot (`run`) and stage by stage (the stage commands of its
-run, as that checkout's `planned_stages` lists them), each of the two in
-a fresh process that imports that checkout's `src/affectpipe`. Both
-checkouts read the same input paths, so `manifest.json` does not depend
-on where a checkout lives.
-Every file of the run directories but `timings.json` is compared byte
-for byte, and each file that is not equal prints as `differs: REL`, or
-as `only in other: REL` / `only in this: REL` when one checkout alone
-wrote it; such a file, or a command that fails in either checkout,
-exits 1.
+CASE is one of the names in CASES; with none given, every case runs.
+The pipeline cases synthesise one small dataset per task once (expr and
+va embeddings, labels and VAD, and two noisy base prediction tracks per
+task) and run {expr, va} x {dwf, rf, mean} with the KELM over 2 s
+windows that do not overlap, expr dwf again over the default 4 s / 2 s
+windows, which do (`expr-dwf-overlap`), and one fusion-only va dwf
+config over both base tracks (`va-fusion-only-dwf`). Every KELM case
+gates its windows by the VAD. Each runs twice: single-shot (`run`) and
+stage by stage (the stage commands of its run, as that checkout's
+`planned_stages` lists them). Both checkouts read the same input paths,
+so `manifest.json` does not depend on where a checkout lives; every
+file of the run directory but `timings.json` is compared.
+`forest` trains a regression forest of 6 trees on one seeded 9,000 x 4
+set whose features and targets lie on a 0.01 grid, so there are ties
+and -0.0 targets, and compares every tree array, the bootstrap
+membership and the OOB curve. `kelm` runs what the train-kelm stage
+runs at the bench shape, `select_c` over the default C grid on 3,887
+weighted 8-class training rows and 897 dev rows of 192 min-max scaled
+columns, then `train_kelm` at the chosen C, and compares C, its dev
+score and beta.
+
+Each run is a fresh process per checkout that imports that checkout's
+`src/affectpipe`, in pairs that alternate which checkout runs first.
+Each pair prints both processes' time and peak RSS and
+whether the sha256 of everything they made is equal; a thing that is
+not prints as `differs: NAME`, or as `only in other: NAME` /
+`only in this: NAME` when one checkout alone made it, and a process that
+fails prints its last stderr line. A case of more than one pair ends
+with the medians. Any difference or failure exits 1; an unknown case,
+or an OTHER without `src/affectpipe`, exits 2. The processes inherit the environment, so
+`OPENBLAS_NUM_THREADS=1` compares the two at one BLAS thread.
+
+Peak RSS is the process's `VmHWM` where Linux has one: `ru_maxrss`
+survives fork and exec, so it would read at least this tool's own RSS.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,16 +54,60 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 FUSION = {"dwf": {"pool_size": 100}, "rf": {"tree_grid": [3, 5]}, "mean": {}}
+PIPELINE = ([f"{task}-{method}" for task in ("expr", "va") for method in FUSION]
+            + ["expr-dwf-overlap", "va-fusion-only-dwf"])
+# each case's child modes and pairs of runs
+CASES = {**{name: (("single", "staged"), 1) for name in PIPELINE},
+         "forest": (("forest",), 5), "kelm": (("kelm",), 5)}
+CLASSES = 8
 
 CHILD = """
-import json, sys
+import hashlib, json, resource, sys, time
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-from affectpipe.cli import main
-from affectpipe.pipeline import load_config, planned_stages
-config, out, mode = sys.argv[2:]
-commands = (["run"] if mode == "single"
-            else [stage.name for stage in planned_stages(load_config(config))])
-print(json.dumps([main([cmd, "--config", config, "--out-dir", out]) for cmd in commands]))
+import numpy as np
+mode, data, out, pair = sys.argv[2], sys.argv[3], Path(sys.argv[4]), int(sys.argv[5])
+if mode == "forest":
+    from affectpipe.forest import ForestSpec, train_forest
+    d = np.load(data)
+    start = time.perf_counter()
+    model = train_forest(d["x"], d["y"], ForestSpec(n_trees=int(d["trees"]), seed=pair),
+                         task="regression")
+    made = {"in_bag": model.in_bag, "oob_curve": model.oob_curve}
+    made.update((f"tree {t} {field}", array) for t, tree in enumerate(model.trees)
+                for field, array in zip(tree._fields, tree))
+elif mode == "kelm":
+    from affectpipe.kelm import (DEFAULT_C_GRID, KernelSpec, class_weights,
+                                 encode_classification_targets, select_c, train_kelm)
+    d = np.load(data)
+    enc = encode_classification_targets(d["y"], int(d["y"].max()) + 1)
+    weights, spec = class_weights(d["y"]), KernelSpec("rbf")
+    start = time.perf_counter()
+    c, score = select_c(d["x"], enc, DEFAULT_C_GRID, d["dev_x"], d["dev_y"], "macro_f1",
+                        kernel=spec, weights=weights)
+    model = train_kelm(d["x"], enc, c, kernel=spec, weights=weights, task="classification")
+    made = {"c": np.float64(c), "dev score": np.float64(score), "beta": model.beta}
+else:
+    from affectpipe.cli import main
+    from affectpipe.pipeline import load_config, planned_stages
+    commands = (["run"] if mode == "single"
+                else [stage.name for stage in planned_stages(load_config(data))])
+    start = time.perf_counter()
+    codes = [main([cmd, "--config", data, "--out-dir", str(out)]) for cmd in commands]
+    if any(codes):
+        sys.exit(f"exit codes {codes}")
+    made = {str(p.relative_to(out)): p for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "timings.json"}
+seconds = time.perf_counter() - start
+status = Path("/proc/self/status")
+hwm = [line.split()[1] for line in (status.read_text().splitlines() if status.exists() else ())
+       if line.startswith("VmHWM:")]
+print(json.dumps({
+    "s": seconds,
+    "rss_mb": int(hwm[0] if hwm else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) / 1024,
+    "made": {k: hashlib.sha256(v.read_bytes() if isinstance(v, Path) else np.asarray(v).tobytes())
+             .hexdigest() for k, v in made.items()},
+}))
 """
 
 
@@ -81,8 +145,8 @@ def write_inputs(data: Path, videos: int, frames: int) -> dict:
     return paths
 
 
-def cases(paths: dict, videos: int) -> dict:
-    """Each case's config."""
+def pipeline_configs(paths: dict, videos: int) -> dict:
+    """Each pipeline case's config."""
     dev = [f"v{videos - 1:03d}"]
     out = {}
     for task in ("expr", "va"):
@@ -105,22 +169,53 @@ def cases(paths: dict, videos: int) -> dict:
     return out
 
 
-def run_child(checkout: Path, config: Path, out: Path, mode: str) -> list:
-    """The exit codes of the checkout's commands for `mode` ("single" or "staged")."""
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(checkout / "src"), str(config),
-                           str(out), mode], capture_output=True, text=True)
+def forest_data(rows: int, columns: int, trees: int) -> dict:
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(rows, columns)).round(2)
+    y = np.sin(2 * x[:, 0]) + x[:, 1] * x[:, -1] + 0.3 * rng.normal(size=rows)
+    return {"x": x, "y": np.clip(y, -1, 1).round(2), "trees": trees}
+
+
+def kelm_data(train: int, dev: int, columns: int) -> dict:
+    """Labelled features in [0, 1] whose classes overlap, unequal in size."""
+    rng = np.random.default_rng(0)
+    n = train + dev
+    y = rng.choice(CLASSES, size=n, p=np.arange(1, CLASSES + 1) / 36)
+    y[:CLASSES] = np.arange(CLASSES)  # every class trains
+    # class means a fifth of the noise apart per column: at the bench shape
+    # the dev macro-F1 is about 0.8 and moves with C
+    x = rng.normal(size=(n, columns)) + 0.2 * rng.normal(size=(CLASSES, columns))[y]
+    x = (x - x.min(axis=0)) / (x.max(axis=0) - x.min(axis=0))
+    return {"x": x[:train], "y": y[:train], "dev_x": x[train:], "dev_y": y[train:]}
+
+
+def write_cases(names, tmp: Path, videos: int, frames: int, forest, kelm) -> dict[str, Path]:
+    """Each named case's input: a pipeline config, or the forest or KELM arrays."""
+    inputs = {}
+    pipeline = [name for name in names if name in PIPELINE]
+    if pipeline:
+        configs = pipeline_configs(write_inputs(tmp / "data", videos, frames), videos)
+        for name in pipeline:
+            inputs[name] = tmp / f"{name}.yaml"
+            inputs[name].write_text(yaml.safe_dump(configs[name]))
+    for name, make, sizes in (("forest", forest_data, forest), ("kelm", kelm_data, kelm)):
+        if name in names:
+            inputs[name] = tmp / f"{name}.npz"
+            np.savez(inputs[name], **make(*sizes))
+    return inputs
+
+
+def run_child(checkout: Path, mode: str, data: Path, out: Path, pair: int) -> dict | str:
+    """The run's time, peak RSS and hashes, or the last stderr line of a failed run."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(checkout / "src"), mode,
+                           str(data), str(out), str(pair)], capture_output=True, text=True)
     if proc.returncode != 0:
-        return [f"crashed: {proc.stderr.strip().splitlines()[-1:]}"]
+        return (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def files(out_dir: Path) -> dict[str, bytes]:
-    return {str(p.relative_to(out_dir)): p.read_bytes()
-            for p in sorted(out_dir.rglob("*")) if p.is_file() and p.name != "timings.json"}
-
-
-def diff(other: dict[str, bytes], this: dict[str, bytes]) -> list[str]:
-    """One line per file that the two maps of run-directory files do not share byte for byte."""
+def diff(other: dict, this: dict) -> list[str]:
+    """One line per name that the two maps of made things do not share equal."""
     lines = []
     for rel in sorted(set(other) | set(this)):
         if rel not in this:
@@ -132,40 +227,70 @@ def diff(other: dict[str, bytes], this: dict[str, bytes]) -> list[str]:
     return lines
 
 
-def compare(other: Path, videos: int = 4, frames: int = 200, only=None) -> int:
-    """Run every case, or the ones named in `only`, in both checkouts; 1 on a difference."""
-    checkouts = {"other": other.resolve(), "this": ROOT}
+def usage(run: dict | str) -> str:
+    return "failed" if isinstance(run, str) else f"{run['s']:.3f} s {run['rss_mb']:.1f} MB"
+
+
+def run_pairs(label: str, mode: str, data: Path, checkouts, pairs: int, out: Path) -> int:
+    """Print one case's pairs of runs, their medians if all are equal; the count that differ."""
+    runs = {"other": [], "this": []}
+    differ = 0
+    for pair in range(pairs):
+        for side, checkout in checkouts[::-1] if pair % 2 else checkouts:
+            runs[side].append(run_child(checkout, mode, data, out / f"{side}-{pair}", pair))
+        a, b = runs["other"][-1], runs["this"][-1]
+        bad = [f"{side} failed: {run}" for side, run in (("other", a), ("this", b))
+               if isinstance(run, str)] or diff(a["made"], b["made"])
+        made = "" if isinstance(b, str) else f", {len(b['made'])} made"
+        print(f"{label} pair {pair}: other {usage(a)}, this {usage(b)}{made}, equal: {not bad}")
+        for line in bad:
+            print(f"  {line}")
+        differ += bool(bad)
+    if pairs > 1 and not differ:
+        med = {side: {k: statistics.median(r[k] for r in rs) for k in ("s", "rss_mb")}
+               for side, rs in runs.items()}
+        print(f"{label}: median other {usage(med['other'])}, this {usage(med['this'])}")
+    return differ
+
+
+def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
+            forest=(9000, 4, 6), kelm=(3887, 897, 192), pairs: int | None = None) -> int:
+    """Run every case, or the ones named in `only`, in both checkouts; 1 on a difference.
+
+    `pairs` overrides each case's own count of pairs.
+    """
+    names = [name for name in CASES if not only or name in only]
+    unknown = sorted(set(only or ()) - set(CASES))
+    if unknown:
+        print(f"unknown case(s) {' '.join(unknown)}; known: {' '.join(CASES)}",
+              file=sys.stderr)
+        return 2
+    if not (other / "src" / "affectpipe").is_dir():  # else PYTHONPATH could stand in for it
+        print(f"{other} holds no src/affectpipe", file=sys.stderr)
+        return 2
+    checkouts = [("other", other.resolve()), ("this", ROOT)]
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        paths = write_inputs(tmp / "data", videos, frames)
-        for name, config in cases(paths, videos).items():
-            if only is not None and name not in only:
-                continue
-            config_path = tmp / f"{name}.yaml"
-            config_path.write_text(yaml.safe_dump(config))
-            for mode in ("single", "staged"):
-                got = {}
-                for side, checkout in checkouts.items():
-                    out = tmp / side / name / mode
-                    codes = run_child(checkout, config_path, out, mode)
-                    got[side] = (codes, files(out) if out.exists() else {})
-                (codes_a, a), (codes_b, b) = got["other"], got["this"]
-                ok = set(codes_a) == set(codes_b) == {0}
-                bad = diff(a, b)
-                print(f"{name} {mode}: {len(b)} files, exit codes other {codes_a} "
-                      f"this {codes_b}, equal: {ok and not bad}")
-                for line in bad:
-                    print(f"  {line}")
-                differ += not ok or bool(bad)
-    print("every file equal" if not differ else f"{differ} run(s) differ")
+        inputs = write_cases(names, tmp, videos, frames, forest, kelm)
+        for name in names:
+            modes, case_pairs = CASES[name]
+            for mode in modes:
+                label = name if mode == name else f"{name} {mode}"
+                differ += run_pairs(label, mode, inputs[name], checkouts, pairs or case_pairs,
+                                    tmp / name / mode)
+    print("everything equal" if not differ else f"{differ} pair(s) differ")
     return 1 if differ else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="checkout to compare against")
-    return compare(parser.parse_args(argv).other)
+    parser.add_argument("cases", nargs="*", metavar="CASE",
+                        help=f"cases to run (default all): {' '.join(CASES)}")
+    args = parser.parse_args(argv)
+    return compare(args.other, only=args.cases)
 
 
 if __name__ == "__main__":
