@@ -1,11 +1,12 @@
 """Command-line interface: staged stages and single-shot pipeline runs.
 
 Every subcommand reads the same YAML config. The stage subcommands are
-the rows of `pipeline.stages()` and share a run directory derived from
-the config hash, so running a config's planned stages in order
-reproduces exactly what `run` does in one shot. Exit codes follow the
-error families: 0 success, 2 config, 3 missing input, 4 alignment,
-5 task mismatch, 6 data format, 7 solver, 1 anything else.
+the rows of `pipeline.stages()` (`window`, `train-kelm`, `fuse` and
+`postprocess`) and share a run directory derived from the config hash,
+so running a config's planned stages in order reproduces exactly what
+`run` does in one shot; `fuse` runs the config's `fusion.method`. Exit
+codes follow the error families: 0 success, 2 config, 3 missing input,
+4 alignment, 5 task mismatch, 6 data format, 7 solver, 1 anything else.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .pipeline import PipelineConfig, load_config, planned_stages, run_pipeline,
 from .synth import synth_generate
 
 
-def _load(args, fusion_method: str | None = None) -> PipelineConfig:
+def _load(args) -> PipelineConfig:
     return load_config(args.config, seed=args.seed, workers=args.workers,
-                       out_dir=args.out_dir, fusion_method=fusion_method)
+                       out_dir=args.out_dir)
 
 
 def _cmd_synth(args) -> int:
@@ -46,7 +47,7 @@ def _cmd_synth(args) -> int:
 
 def _run_stage(args) -> int:
     stage = {s.name: s for s in stages()}[args.command]
-    config = _load(args, stage.method)
+    config = _load(args)
     if stage not in planned_stages(config):
         raise ConfigError(f"{stage.name}: this config has kelm.enabled: false, so its "
                           f"run has no {stage.name} stage")

@@ -5,10 +5,11 @@ functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
 smoothing -> evaluation. One table, `stages()`, lists the stage
 commands; a config's run is `window` and `train-kelm` when
-`kelm.enabled`, then `fuse-<method>`, `postprocess` and `evaluate`.
+`kelm.enabled`, then `fuse` by `fusion.method` and `postprocess`.
 A command runs its stage functions in order on one dict of products:
-`window` slices and computes the features, and `train-kelm` trains and
-scores the dev windows. `run_pipeline` walks that plan, handing each
+`window` slices and computes the features, `train-kelm` trains and
+scores the dev windows, and `postprocess` emits and scores the
+predictions. `run_pipeline` walks that plan, handing each
 command's products on in memory. A stage command of the CLI runs one
 command alone, and the inputs its functions do not make come from the
 files in the run directory. Both ways write bit-identical artifacts.
@@ -238,12 +239,10 @@ def load_config(
     seed: int | None = None,
     workers: int | None = None,
     out_dir: str | None = None,
-    fusion_method: str | None = None,
 ) -> PipelineConfig:
     """Build a validated config from defaults, a YAML file, and overrides.
 
-    Precedence: CLI flag overrides > file values > defaults. A fuse-<method>
-    command passes its `fusion_method`, which must validate too. Structural
+    Precedence: CLI flag overrides > file values > defaults. Structural
     problems raise ConfigError; a missing config file raises
     MissingInputError. Referenced data files are checked by the stages
     that read them, so a config may be loaded before `synth` has
@@ -266,9 +265,6 @@ def load_config(
     if out_dir is not None:
         config = replace(config, output=OutputSettings(dir=out_dir))
     _validate(config)
-    if fusion_method is not None:
-        config = replace(config, fusion=replace(config.fusion, method=fusion_method))
-        _validate(config)
     return config
 
 
@@ -673,7 +669,8 @@ def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
     vad_path = config.paths.vad
     vad = read_vad_csv(_require_file(vad_path, "vad file")) if vad_path else None
     vids = sorted(embeddings)
-    _dev_split(config, vids)
+    if not _dev_split(config, vids)[0]:
+        raise ConfigError("kelm training needs at least one non-dev video")
 
     def one(vid: str) -> WindowBatch:
         track = embeddings[vid]
@@ -739,8 +736,6 @@ def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> Non
     feats = dict(zip(vids, _map_ordered(one, vids, config.workers)))
     if config.normalization == "global_minmax":
         train_vids, _ = _dev_split(config, vids)
-        if not train_vids:
-            raise ConfigError("global_minmax needs at least one non-dev video")
         scaler = fit_minmax([feats[v] for v in train_vids])
         feats = {vid: apply_minmax(feats[vid], scaler) for vid in vids}
         write_scaler_csv(run_dir / "scaler.csv", scaler)
@@ -907,25 +902,15 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     if not config.kelm.enabled:
         timeline = models[0]
     vids = sorted(timeline)
-    # every fusion method needs each video's model tracks on model 0's frames
+    # every fusion method needs each video's model tracks on model 0's
+    # frames; model 0 is built on the timeline or is the timeline
     for name, model in zip(names[1:], models[1:]):
         if sorted(model) != vids:
             raise AlignmentError(
                 f"fuse stage: model {name!r} covers videos {sorted(model)}, "
                 f"expected {vids}"
             )
-        for v in vids:
-            if model[v].n_frames != timeline[v].n_frames:
-                raise AlignmentError(
-                    f"fuse stage: model {name!r} has {model[v].n_frames} frames "
-                    f"for {v!r}, model {names[0]!r} has {timeline[v].n_frames}"
-                )
-            if model[v].frame_index_origin != timeline[v].frame_index_origin:
-                raise AlignmentError(
-                    f"fuse stage: model {name!r} starts {v!r} at frame "
-                    f"{model[v].frame_index_origin}, model {names[0]!r} at frame "
-                    f"{timeline[v].frame_index_origin}"
-                )
+        _check_frames(f"model {name!r}", model, f"model {names[0]!r}", timeline, vids)
     _dev_split(config, vids)
     eval_vids = sorted(config.split.dev_videos or vids)  # all videos without a dev split
     n_outputs = config.n_outputs
@@ -937,18 +922,7 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
         dev_preds = [
             np.vstack([model[v].values for v in dev_vids]) for model in models
         ]
-        for v in dev_vids:
-            if truth[v].n_frames != models[0][v].n_frames:
-                raise AlignmentError(
-                    f"fuse stage: labels for {v!r} have {truth[v].n_frames} frames, "
-                    f"predictions have {models[0][v].n_frames}"
-                )
-            if truth[v].frame_index_origin != models[0][v].frame_index_origin:
-                raise AlignmentError(
-                    f"fuse stage: labels for {v!r} start at frame "
-                    f"{truth[v].frame_index_origin}, predictions at frame "
-                    f"{models[0][v].frame_index_origin}"
-                )
+        _check_frames("the label track", truth, f"model {names[0]!r}", timeline, dev_vids)
         if config.task == "expr":
             dev_truth = np.concatenate([truth[v].labels() for v in dev_vids])
         else:
@@ -1030,6 +1004,26 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
         for t in tracks
     ), encoding="utf-8", newline="\n")
     products["fused"] = dict(zip(eval_vids, tracks))
+
+
+def _check_frames(
+    what: str, tracks: dict[str, FrameTrack], ref: str,
+    timeline: dict[str, FrameTrack], vids: Sequence[str],
+) -> None:
+    """AlignmentError unless each of `vids` in `tracks`, named `what`, has
+    the frame count and first frame of `timeline`, named `ref`."""
+    for v in vids:
+        if tracks[v].n_frames != timeline[v].n_frames:
+            raise AlignmentError(
+                f"fuse stage: {what} has {tracks[v].n_frames} frames "
+                f"for {v!r}, {ref} has {timeline[v].n_frames}"
+            )
+        if tracks[v].frame_index_origin != timeline[v].frame_index_origin:
+            raise AlignmentError(
+                f"fuse stage: {what} starts {v!r} at frame "
+                f"{tracks[v].frame_index_origin}, {ref} at frame "
+                f"{timeline[v].frame_index_origin}"
+            )
 
 
 def _read_fused(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
@@ -1133,19 +1127,15 @@ def _valid_rows(rows: dict[str, LabelRows], task: str) -> dict[str, LabelRows]:
     return out
 
 
-def _read_predictions(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
-    path = _require_file(run_dir / "predictions.csv", "postprocess stage output")
-    return _read_labels_checked(path, config.task)
-
-
 def stage_evaluate(config: PipelineConfig, run_dir: Path, products: dict) -> EvalReport:
-    """Score the predictions against the labels and write the report."""
-    pred, truth = _take(config, run_dir, products, "predictions", "truth")
+    """Score the predictions stage_postprocess made against the labels and
+    write the report."""
+    [truth] = _take(config, run_dir, products, "truth")
     report = evaluate_files(
         run_dir / "predictions.csv",
         config.paths.labels,
         config.task,
-        pred=pred,
+        pred=products["predictions"],
         # every video's rows became a track, so the tracks hold all of them
         truth={vid: _track_rows(t, t.values) for vid, t in truth.items()},
     )
@@ -1156,15 +1146,13 @@ def stage_evaluate(config: PipelineConfig, run_dir: Path, products: dict) -> Eva
 @dataclass(frozen=True)
 class Stage:
     """A stage command, its stage functions and the products they take
-    that they do not make. The `kelm` stages run only when kelm.enabled;
-    a fuse stage runs fusion `method`."""
+    that they do not make. The `kelm` stages run only when kelm.enabled."""
 
     name: str
     help: str
     steps: tuple[Callable[[PipelineConfig, Path, dict], EvalReport | None], ...]
     needs: tuple[str, ...]
     kelm: bool = False
-    method: str | None = None
 
     def run(self, config: PipelineConfig, run_dir: Path, products: dict) -> EvalReport | None:
         """Run the stage functions in order on one `products`; the last one's result."""
@@ -1176,8 +1164,6 @@ class Stage:
 def stages() -> list[Stage]:
     """Every stage command, in run order. Built when called, so a wrapper
     set on a stage function of this module is the one that runs."""
-    fuse_help = {"dwf": "searched Dirichlet-weighted fusion",
-                 "rf": "random-forest stacking fusion", "mean": "unweighted mean fusion"}
     return [
         Stage("window", "resample, gate by VAD, slice windows, and compute their "
               "normalized functionals", (stage_window, stage_features), ("truth",),
@@ -1185,19 +1171,17 @@ def stages() -> list[Stage]:
         Stage("train-kelm", "select C on the dev split, train, and score the dev "
               "windows onto the working timeline", (stage_train_kelm, stage_predict_kelm),
               ("windows", "features", "targets", "truth"), kelm=True),
-        *(Stage(f"fuse-{m}", fuse_help[m], (stage_fuse,),
-                ("windows", "kelm_tracks", "truth"), method=m) for m in FUSION_METHODS),
-        Stage("postprocess", "interpolate, smooth, and emit predictions",
-              (stage_postprocess,), ("fused", "truth")),
-        Stage("evaluate", "score predictions against the labels", (stage_evaluate,),
-              ("predictions", "truth")),
+        Stage("fuse", "combine the KELM track and the base predictions by "
+              "fusion.method", (stage_fuse,), ("windows", "kelm_tracks", "truth")),
+        Stage("postprocess", "interpolate, smooth, emit the predictions, and score "
+              "them against the labels", (stage_postprocess, stage_evaluate),
+              ("fused", "truth")),
     ]
 
 
 def planned_stages(config: PipelineConfig) -> list[Stage]:
     """The stages of a run of `config`; a fusion-only run starts at fuse."""
-    return [s for s in stages() if (config.kelm.enabled or not s.kelm)
-            and s.method in (None, config.fusion.method)]
+    return [s for s in stages() if config.kelm.enabled or not s.kelm]
 
 
 def _take(config: PipelineConfig, run_dir: Path, products: dict, *names: str) -> list:
@@ -1263,7 +1247,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     products: dict = {}
     for i, stage in enumerate(plan):
         t0 = time.perf_counter()
-        report = stage.run(config, run_dir, products)  # evaluate, the last, returns one
+        report = stage.run(config, run_dir, products)  # postprocess, the last, returns one
         later = {product for s in plan[i + 1:] for product in s.needs}
         for product in [p for p in products if p not in later]:
             del products[product]

@@ -893,7 +893,7 @@ class TestRunPipeline:
             "stage_predict_kelm": {"truth", "windows", "targets", "features", "kelm_model"},
             "stage_fuse": {"truth", "windows", "kelm_tracks"},
             "stage_postprocess": {"truth", "fused"},
-            "stage_evaluate": {"truth", "predictions"},
+            "stage_evaluate": {"truth", "fused", "predictions"},
         }
 
     def test_stage_runs_its_steps_in_order_on_one_products_dict(self):
@@ -918,8 +918,7 @@ class TestRunPipeline:
         _synth_from(config)
         result = run_pipeline(config)
         timings = json.loads((result.run_dir / "timings.json").read_text())
-        assert list(timings) == ["window", "train-kelm", "fuse-dwf", "postprocess",
-                                 "evaluate"]
+        assert list(timings) == ["window", "train-kelm", "fuse", "postprocess"]
         assert [stage.name for stage in planned_stages(config)] == list(timings)
 
     @pytest.mark.parametrize("task", ["expr", "va"])
@@ -1082,6 +1081,15 @@ class TestRunPipeline:
                                 "dev_score", "overfit_gap"]
 
 
+def _script_entry_point(pyproject: Path) -> str:
+    """The `module:attr` of the `affectpipe` line of [project.scripts],
+    read without tomllib, which Python 3.10 lacks."""
+    text = pyproject.read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    [spec] = re.findall(r'^affectpipe\s*=\s*"([^"]+)"\s*$', section, re.M)
+    return spec
+
+
 class TestCli:
     def _prepare(self, tmp_path, **overrides):
         path = _write_config(tmp_path, **overrides)
@@ -1098,13 +1106,9 @@ class TestCli:
     def _staged_equals_single_shot(self, tmp_path, path, stage_cmds=None):
         """Run `path` in one shot and by `stage_cmds`, by default the KELM
         config's stage commands; compare every output."""
-        method = load_config(path).fusion.method
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
-        if stage_cmds is None:
-            stage_cmds = ["window", "train-kelm", f"fuse-{method}", "postprocess",
-                          "evaluate"]
-        for cmd in stage_cmds:
+        for cmd in stage_cmds or ["window", "train-kelm", "fuse", "postprocess"]:
             assert main([cmd, "--config", str(path),
                          "--out-dir", str(tmp_path / "staged")]) == 0
         run_a = next((tmp_path / "single").iterdir())
@@ -1143,7 +1147,7 @@ class TestCli:
     def test_staged_fusion_only_run_reproduces_the_single_shot_run(self, tmp_path, method):
         path = _write_va_fusion_only(tmp_path, method)
         outputs = self._staged_equals_single_shot(
-            tmp_path, path, [f"fuse-{method}", "postprocess", "evaluate"])
+            tmp_path, path, ["fuse", "postprocess"])
         assert {"fused.npy", "fused_index.csv", "predictions.csv",
                 "report.csv"} <= set(outputs)
         assert not {"windows.csv", "fused.csv"} & set(outputs)
@@ -1193,12 +1197,12 @@ class TestCli:
             ("train-kelm", _windows_start_x, 6, "windows.csv:2: "),
             ("train-kelm", _targets_one_row_short, 4, "rerun the window stage"),
             ("train-kelm", _no_features, 3, "window stage output not found"),
-            ("fuse-dwf", _truncate_kelm_scores, 6, "not a loadable .npy array"),
-            ("fuse-dwf", _object_kelm_scores, 6, "not a loadable .npy array"),
-            ("fuse-dwf", _kelm_scores_one_row_short, 4, "rerun the train-kelm stage"),
-            ("fuse-dwf", _nan_kelm_score, 6, "kelm_scores.npy: video 'v003': "),
-            ("fuse-dwf", _no_kelm_scores, 3, "train-kelm stage output not found"),
-            ("fuse-dwf", _kelm_scores_of_every_video, 4,
+            ("fuse", _truncate_kelm_scores, 6, "not a loadable .npy array"),
+            ("fuse", _object_kelm_scores, 6, "not a loadable .npy array"),
+            ("fuse", _kelm_scores_one_row_short, 4, "rerun the train-kelm stage"),
+            ("fuse", _nan_kelm_score, 6, "kelm_scores.npy: video 'v003': "),
+            ("fuse", _no_kelm_scores, 3, "train-kelm stage output not found"),
+            ("fuse", _kelm_scores_of_every_video, 4,
              "has 1280 rows, expected 320; rerun the train-kelm stage"),
             ("postprocess", _truncate_fused, 6, "not a loadable .npy array"),
             ("postprocess", _fused_one_row_short, 4,
@@ -1222,7 +1226,7 @@ class TestCli:
         self, tmp_path, capsys, command, damage, code, message
     ):
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
-        for cmd in ("window", "train-kelm", "fuse-dwf"):
+        for cmd in ("window", "train-kelm", "fuse"):
             assert main([cmd, "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
         damage(run_dir)
@@ -1241,7 +1245,7 @@ class TestCli:
         run_b = next((tmp_path / "staged").iterdir())
         (run_b / "selection.csv").unlink()
         (run_b / "kelm_beta.npy").unlink()
-        assert main(["fuse-dwf", *staged]) == 0
+        assert main(["fuse", *staged]) == 0
         run_a = next((tmp_path / "single").iterdir())
         for name in ("fused.npy", "fused_index.csv"):
             assert (run_b / name).read_bytes() == (run_a / name).read_bytes()
@@ -1314,7 +1318,7 @@ class TestCli:
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
         for cmd in ("window", "train-kelm"):
             assert main([cmd, *staged]) == 0
-        assert main(["fuse-dwf", *staged]) == 4
+        assert main(["fuse", *staged]) == 4
         assert message in capsys.readouterr().err
         assert not any((tmp_path / "staged").glob("*/pool_scores.csv"))
 
@@ -1386,6 +1390,20 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         assert "split.dev_videos lists ['v001'] more than once" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("normalization", ["global_minmax", "none"])
+    @pytest.mark.parametrize("command", ["run", "window"])
+    def test_all_dev_split_exits_2_before_the_window_stage_writes(
+        self, tmp_path, capsys, command, normalization
+    ):
+        self._prepare(tmp_path)
+        path = _write_config(tmp_path, "all-dev.yaml", normalization=normalization,
+                             split={"dev_videos": ["v000", "v001", "v002", "v003"]})
+        assert main([command, "--config", str(path)]) == 2
+        assert "kelm training needs at least one non-dev video" in capsys.readouterr().err
+        run_dir = load_config(path).run_dir()
+        for name in ("windows.csv", "window_targets.npy", "features.npy"):
+            assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
     def test_va_dev_split_of_one_window_exits_2_before_the_c_search(
@@ -1538,8 +1556,8 @@ class TestCli:
     ):
         path = _write_va_fusion_only(tmp_path, method, a_origin=4, b_origin=4)
         assert main(["run", "--config", str(path)]) == 4
-        assert ("fuse stage: labels for 'v001' start at frame 0, predictions at frame 4"
-                in capsys.readouterr().err)
+        assert ("fuse stage: the label track starts 'v001' at frame 0, model 'a' at "
+                "frame 4") in capsys.readouterr().err
         run_dir = load_config(path).run_dir()
         for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
@@ -1561,7 +1579,7 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == code
         single = [f.read_bytes() for f in fused] if code == 0 else None
         # a staged fuse numbers the KELM track it reads back from the labels too
-        assert main(["fuse-mean", "--config", str(path)]) == code
+        assert main(["fuse", "--config", str(path)]) == code
         # the fused track is numbered from model 0's, the KELM track's, first frame
         if code == 0:
             assert [f.read_bytes() for f in fused] == single
@@ -1574,23 +1592,10 @@ class TestCli:
                              "model 'kelm' at frame 4") == 2
             assert not any(f.exists() for f in fused)
 
-    def test_fuse_with_another_method_leaves_the_config_run_alone(self, tmp_path):
-        path = self._prepare(tmp_path)
-        assert main(["run", "--config", str(path)]) == 0
-        run_dir = load_config(path).run_dir()
-        before = json.loads((run_dir / "manifest.json").read_text())["outputs_hash"]
-        # fuse-dwf on this mean config works in the dwf config's run
-        # directory, which has no train-kelm output yet
-        assert main(["fuse-dwf", "--config", str(path)]) == 3
-        assert not (run_dir / "pool_scores.csv").exists()
-        assert main(["run", "--config", str(path)]) == 0
-        after = json.loads((run_dir / "manifest.json").read_text())["outputs_hash"]
-        assert after == before
-
-    def _fusion_only_without_dev(self, tmp_path, monkeypatch):
-        """A va fusion-only mean config with one base and no dev split, and
-        a list that records every file the pipeline reads."""
-        cfg = yaml.safe_load(_write_va_fusion_only(tmp_path, "mean").read_text())
+    def _fusion_only_without_dev(self, tmp_path, monkeypatch, method="mean"):
+        """A va fusion-only config of `method` with one base and no dev
+        split, and a list that records every file the pipeline reads."""
+        cfg = yaml.safe_load(_write_va_fusion_only(tmp_path, method).read_text())
         cfg["paths"]["base_predictions"] = [str(tmp_path / "a.csv")]
         del cfg["split"]
         path = tmp_path / "no-dev.yaml"
@@ -1604,16 +1609,14 @@ class TestCli:
             monkeypatch.setattr(pipeline, name, counted)
         return path, reads
 
-    def test_fuse_override_is_validated_before_any_input_is_read(
+    def test_dwf_fuse_without_a_dev_split_exits_2_before_any_input_is_read(
         self, tmp_path, capsys, monkeypatch
     ):
-        path, reads = self._fusion_only_without_dev(tmp_path, monkeypatch)
-        assert main(["fuse-dwf", "--config", str(path)]) == 2
+        path, reads = self._fusion_only_without_dev(tmp_path, monkeypatch, "dwf")
+        assert main(["fuse", "--config", str(path)]) == 2
         assert "dwf fusion needs a nonempty split.dev_videos" in capsys.readouterr().err
         assert reads == []
         assert not (tmp_path / "runs").exists()
-        assert main(["fuse-mean", "--config", str(path)]) == 0
-        assert reads
 
     @pytest.mark.parametrize("command", ["window", "train-kelm"])
     def test_kelm_stage_of_a_fusion_only_config_exits_2(
@@ -1629,8 +1632,7 @@ class TestCli:
     def test_subcommands_are_synth_run_and_the_stage_commands(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert ("{synth,window,train-kelm,fuse-dwf,fuse-rf,fuse-mean,postprocess,"
-                "evaluate,run}") in capsys.readouterr().out
+        assert "{synth,window,train-kelm,fuse,postprocess,run}" in capsys.readouterr().out
 
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         path = self._prepare(tmp_path)
@@ -1654,10 +1656,7 @@ class TestCli:
         else:
             # Running from source, nothing installed: run what an installer's
             # wrapper script runs for the declared `affectpipe` entry point.
-            tomllib = pytest.importorskip("tomllib")
-            with open(ROOT / "pyproject.toml", "rb") as fh:
-                spec = tomllib.load(fh)["project"]["scripts"]["affectpipe"]
-            module, attr = spec.split(":")
+            module, attr = _script_entry_point(ROOT / "pyproject.toml").split(":")
             code = (
                 f"import sys; from {module} import {attr} as entry; "
                 "sys.argv[0] = 'affectpipe'; sys.exit(entry())"
@@ -1669,8 +1668,20 @@ class TestCli:
             )
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        for cmd in ("synth", "train-kelm", "fuse-dwf", "postprocess", "run"):
-            assert cmd in proc.stdout
+        assert "{synth,window,train-kelm,fuse,postprocess,run}" in proc.stdout
+
+    def test_entry_point_line_reads_as_tomllib_reads_it(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            spec = tomllib.load(fh)["project"]["scripts"]["affectpipe"]
+        assert _script_entry_point(ROOT / "pyproject.toml") == spec
+
+    def test_readme_command_block_names_every_command(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        named = set(re.findall(r"^affectpipe (\S+)", block, re.M))
+        assert named == {"synth", "run", *(stage.name for stage in pipeline.stages())}
 
 
 class TestArtifactsAbTool:
