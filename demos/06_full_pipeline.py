@@ -5,9 +5,10 @@ The whole pipeline on synthetic data
 A config file names the inputs, the split, and the model settings; the
 pipeline then windows the embeddings, trains the kernel classifier,
 spreads window scores back to frames, fuses, smooths, and evaluates —
-all deterministically. The same stages are exposed one by one on the
-command line (`affectpipe window`, `affectpipe train-kelm`, ...) and
-produce bit-identical artifacts.
+all deterministically. The same stages are exposed on the command line
+as three commands (`affectpipe kelm`, `affectpipe fuse` and `affectpipe
+postprocess`), which produce bit-identical artifacts; the window
+features stay in the `kelm` command's memory and are not written.
 """
 
 import tempfile

@@ -1,12 +1,12 @@
 """Command-line interface: staged stages and single-shot pipeline runs.
 
 Every subcommand reads the same YAML config. The stage subcommands are
-the rows of `pipeline.stages()` (`window`, `train-kelm`, `fuse` and
-`postprocess`) and share a run directory derived from the config hash,
-so running a config's planned stages in order reproduces exactly what
-`run` does in one shot; `fuse` runs the config's `fusion.method`. Exit
-codes follow the error families: 0 success, 2 config, 3 missing input,
-4 alignment, 5 task mismatch, 6 data format, 7 solver, 1 anything else.
+the rows of `pipeline.stages()` (`kelm`, `fuse` and `postprocess`) and
+share a run directory derived from the config hash, which a failed
+command removes if it made it. Running a config's planned stages in
+order reproduces exactly what `run` does in one shot. Exit codes follow
+the error families: 0 success, 2 config, 3 missing input, 4 alignment,
+5 task mismatch, 6 data format, 7 solver, 1 anything else.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .errors import AffectPipeError, ConfigError, MissingInputError
 from .metrics import report_to_text
-from .pipeline import PipelineConfig, load_config, planned_stages, run_pipeline, stages
+from .pipeline import (PipelineConfig, load_config, planned_stages, run_directory,
+                       run_pipeline, stages)
 from .synth import synth_generate
 
 
@@ -51,9 +52,8 @@ def _run_stage(args) -> int:
     if stage not in planned_stages(config):
         raise ConfigError(f"{stage.name}: this config has kelm.enabled: false, so its "
                           f"run has no {stage.name} stage")
-    run_dir = config.run_dir()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    result = stage.run(config, run_dir, {})
+    with run_directory(config) as run_dir:
+        result = stage.run(config, run_dir, {})
     if result is not None:
         print(report_to_text(result))
     print(f"run directory: {run_dir}")

@@ -4,21 +4,21 @@ A run executes resample -> VAD gate -> window -> reduce targets ->
 functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
 smoothing -> evaluation. One table, `stages()`, lists the stage
-commands; a config's run is `window` and `train-kelm` when
-`kelm.enabled`, then `fuse` by `fusion.method` and `postprocess`.
-A command runs its stage functions in order on one dict of products:
-`window` slices and computes the features, `train-kelm` trains and
-scores the dev windows, and `postprocess` emits and scores the
-predictions. `run_pipeline` walks that plan, handing each
-command's products on in memory. A stage command of the CLI runs one
-command alone, and the inputs its functions do not make come from the
-files in the run directory. Both ways write bit-identical artifacts.
+commands; a config's run is `kelm` when `kelm.enabled`, then `fuse` by
+`fusion.method` and `postprocess`. A command runs its stage functions
+in order on one dict of products: `kelm` slices the windows, computes
+their features, trains and scores the dev windows, and `postprocess`
+emits and scores the predictions. `run_pipeline` walks that plan,
+handing each command's products on in memory. A stage command of the
+CLI runs one command alone, and the inputs its functions do not make
+come from the files in the run directory. Both ways write bit-identical
+artifacts, and a failed command removes a run directory it made.
 
 Determinism contract: CSV floats are written with 17 significant
-digits and the window-level arrays and the KELM and fused scores as
-.npy, so both read back exactly; per-video work merges in sorted
-video-id order regardless of the worker count, and the manifest's
-output hash depends only on the config, the seed, and the input files.
+digits and the KELM and fused scores as .npy, so both read back
+exactly; per-video work merges in sorted video-id order regardless of
+the worker count, and the manifest's output hash depends only on the
+config, the seed, and the input files.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ import hashlib
 import json
 import logging
 import math
+import shutil
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import (
@@ -505,7 +507,11 @@ def _truth_at_working_rate(
         if abs(track.fps - config.fps_target) < 1e-9:
             out[vid] = track
         elif track.fps > config.fps_target:
-            out[vid] = resample_track(track, config.fps_target)
+            # numbered from the working-rate frame nearest the first frame's time;
+            # postprocess refuses a fused track that then starts off that time
+            start = track.frame_index_origin * config.fps_target / track.fps
+            out[vid] = replace(resample_track(track, config.fps_target),
+                               frame_index_origin=round(start))
         else:
             raise AlignmentError(
                 f"labels for {vid!r} are at {track.fps} FPS, below the "
@@ -547,9 +553,9 @@ def _sha256_file(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-# windows.csv indexes the windows, one row per window, sorted by video.
-# features.npy and window_targets.npy hold one row per windows.csv row;
-# kelm_beta.npy holds one row per window of the training videos, and
+# windows.csv indexes the windows, one row per window, sorted by video;
+# the features and targets of those rows stay in memory. kelm_beta.npy
+# holds one row per window of the training videos, and
 # kelm_scores.npy one per working-rate label frame of the dev videos,
 # video by video in windows.csv order. fused.npy holds one row per
 # working-rate frame of the fused videos, video by video in the order of
@@ -589,7 +595,7 @@ def _index_rows(path: Path, header: str) -> Iterator[tuple[str, str, list[int]]]
 
 def _read_windows(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
     """Each video's window starts, in the order of the windows.csv rows."""
-    path = _require_file(run_dir / "windows.csv", "window stage output")
+    path = _require_file(run_dir / "windows.csv", "kelm stage output")
     index: dict[str, list[int]] = {}
     for where, vid, (i, start, _) in _index_rows(path, _WINDOWS_HEADER):
         starts = index.setdefault(vid, [])
@@ -605,10 +611,23 @@ def _read_score_tracks(
     config: PipelineConfig, path: Path, stage: str,
     vids: Sequence[str], origins: Sequence[int], counts: Sequence[int],
 ) -> dict[str, FrameTrack]:
-    """The float64 scores `stage` saved at `path`, cut into one working-rate
-    track of the task's kind per video; a value a FrameTrack rejects is a
-    DataFormatError naming `path` and the video."""
-    scores = _load_rows(path, stage, np.float64, (sum(counts), config.n_outputs))
+    """The float64 scores `stage` saved at `path`, one row per frame of
+    `counts`, cut into one working-rate track of the task's kind per video;
+    a value a FrameTrack rejects is a DataFormatError naming `path` and the
+    video."""
+    path = _require_file(path, f"{stage} stage output")
+    try:
+        scores = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataFormatError(f"{path}: not a loadable .npy array: {exc}") from None
+    shape = (sum(counts), config.n_outputs)
+    if scores.dtype != np.float64 or scores.shape[1:] != shape[1:]:
+        raise DataFormatError(f"{path}: expected float64 of shape {shape}, "
+                              f"got {scores.dtype} of shape {scores.shape}")
+    if len(scores) != shape[0]:
+        raise AlignmentError(
+            f"{path} has {len(scores)} rows, expected {shape[0]}; rerun the {stage} stage"
+        )
     tracks = {}
     for vid, origin, values in zip(vids, origins, np.split(scores, np.cumsum(counts)[:-1])):
         try:
@@ -617,33 +636,6 @@ def _read_score_tracks(
         except ValueError as exc:
             raise DataFormatError(f"{path}: video {vid!r}: {exc}") from None
     return tracks
-
-
-def _load_rows(path: Path, stage: str, dtype, shape: tuple) -> np.ndarray:
-    """A .npy array of `dtype` and `shape` from `stage`; None is any width."""
-    path = _require_file(path, f"{stage} stage output")
-    try:
-        array = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise DataFormatError(f"{path}: not a loadable .npy array: {exc}") from None
-    if array.dtype != dtype or array.ndim != len(shape) or any(
-        want not in (None, got) for got, want in zip(array.shape[1:], shape[1:])
-    ):
-        raise DataFormatError(
-            f"{path}: expected {np.dtype(dtype)} of shape {shape}, "
-            f"got {array.dtype} of shape {array.shape}"
-        )
-    if len(array) != shape[0]:
-        raise AlignmentError(
-            f"{path} has {len(array)} rows, expected {shape[0]}; rerun the {stage} stage"
-        )
-    return array
-
-
-def _dev_rows(config: PipelineConfig, index: dict[str, list[int]]) -> np.ndarray:
-    """Which rows of a window-level array belong to a dev video."""
-    dev = set(_dev_videos(config, index))
-    return np.repeat([vid in dev for vid in index], [len(s) for s in index.values()])
 
 
 def _dev_videos(config: PipelineConfig, index: dict[str, list[int]]) -> list[str]:
@@ -657,10 +649,11 @@ def _dev_videos(config: PipelineConfig, index: dict[str, list[int]]) -> list[str
 # ---------------------------------------------------------------------------
 
 
-def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
-    """Resample each embedding track, gate it by VAD and slice its windows.
+def _window_batches(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+    """Check each embedding track's first frame against its labels', then
+    resample the track, gate it by VAD and slice its windows.
 
-    The window command computes the features from them in memory and
+    The kelm command computes the features from them in memory and
     writes only their index, so no copy of the track is written.
     """
     emb_path = _require_file(config.paths.embeddings, "embeddings file")
@@ -671,6 +664,10 @@ def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
     vids = sorted(embeddings)
     if not _dev_split(config, vids)[0]:
         raise ConfigError("kelm training needs at least one non-dev video")
+    [truth] = _take(config, run_dir, products, "truth")
+    # a video without labels is refused once it is windowed
+    _check_frames("kelm", "the embedding track", embeddings, "the label track", truth,
+                  [v for v in vids if v in truth], counts=False)
 
     def one(vid: str) -> WindowBatch:
         track = embeddings[vid]
@@ -679,16 +676,16 @@ def _window_batches(config: PipelineConfig) -> dict[str, WindowBatch]:
         segments = None
         if vad is not None:
             if vid not in vad:
-                raise AlignmentError(f"window stage: no VAD rows for video {vid!r}")
+                raise AlignmentError(f"kelm stage: no VAD rows for video {vid!r}")
             mask = vad[vid]
             if len(mask) != track.n_frames:
                 raise AlignmentError(
-                    f"window stage: VAD for {vid!r} has {len(mask)} frames, "
+                    f"kelm stage: VAD for {vid!r} has {len(mask)} frames, "
                     f"track has {track.n_frames}"
                 )
             segments = voiced_segments(mask)
             if not segments:
-                raise AlignmentError(f"window stage: video {vid!r} has no voiced frames")
+                raise AlignmentError(f"kelm stage: video {vid!r} has no voiced frames")
         return slice_windows(track, config.window_spec, segments=segments)
 
     return dict(zip(vids, _map_ordered(one, vids, config.workers)))
@@ -708,24 +705,23 @@ def _read_truth(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
 
 def stage_window(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Index the windows and reduce the labels to one target per window."""
-    batches = _window_batches(config)
+    batches = _window_batches(config, run_dir, products)
     vids = sorted(batches)
-    truth = _truth_at_working_rate(config, run_dir, products, vids, "window")
+    truth = _truth_at_working_rate(config, run_dir, products, vids, "kelm")
     reduce = window_labels if config.task == "expr" else window_va_means
-    targets = np.concatenate(_map_ordered(lambda vid: reduce(truth[vid], batches[vid]),
-                                          vids, config.workers))
+    targets = _map_ordered(lambda vid: reduce(truth[vid], batches[vid]), vids,
+                           config.workers)
     (run_dir / "windows.csv").write_bytes(_windows_index(batches))
-    np.save(run_dir / "window_targets.npy", targets)
-    log.info("window stage: %d windows over %d videos", len(targets), len(vids))
+    log.info("kelm stage: %d windows over %d videos", sum(map(len, targets)), len(vids))
     products["batches"] = batches
     products["windows"] = {vid: batches[vid].starts for vid in vids}
-    products["targets"] = targets
+    products["targets"] = dict(zip(vids, targets))
 
 
 def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Functionals over the windows stage_window sliced, plus the configured
-    normalization."""
-    batches = products["batches"]
+    normalization; the batches, which hold the tracks, go with their use."""
+    batches = products.pop("batches")
     fset = config.functional_set
     vids = sorted(batches)
 
@@ -741,23 +737,18 @@ def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> Non
         write_scaler_csv(run_dir / "scaler.csv", scaler)
     elif config.normalization == "per_video_minmax":
         feats = {vid: per_video_minmax(feats[vid]) for vid in vids}
-    features = np.concatenate([feats[vid] for vid in vids])
-    np.save(run_dir / "features.npy", features)
-    products["features"] = features
+    products["features"] = feats
 
 
 def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Select the regularizer on the dev split and train on the rest."""
-    index, feats, targets = _take(config, run_dir, products,
-                                  "windows", "features", "targets")
-    dev = _dev_rows(config, index)
-    if dev.all():
-        raise ConfigError("kelm training needs at least one non-dev video")
-    if config.metric == "mean_ccc" and dev.sum() < 2:  # a dev video has a window
-        raise ConfigError(f"train-kelm stage: split.dev_videos give {dev.sum()} dev "
+    feats, targets = products["features"], products["targets"]
+    train, dev = _dev_split(config, list(feats))  # _window_batches refused an empty train
+    x_train, x_dev = (np.concatenate([feats[v] for v in vids]) for vids in (train, dev))
+    y_train, y_dev = (np.concatenate([targets[v] for v in vids]) for vids in (train, dev))
+    if config.metric == "mean_ccc" and len(y_dev) < 2:  # a dev video has a window
+        raise ConfigError(f"kelm stage: split.dev_videos give {len(y_dev)} dev "
                           "window(s); scoring mean_ccc needs at least 2")
-    x_train, x_dev = feats[~dev], feats[dev]
-    y_train, y_dev = targets[~dev], targets[dev]
     if config.task == "expr":
         enc = encode_classification_targets(y_train, N_EXPR_CLASSES)
         weights = class_weights(y_train) if config.kelm.weighted else None
@@ -821,21 +812,6 @@ def _spread_window_scores(
     return out
 
 
-def _read_features(config: PipelineConfig, run_dir: Path, products: dict) -> np.ndarray:
-    [index] = _take(config, run_dir, products, "windows")
-    n = sum(map(len, index.values()))
-    return _load_rows(run_dir / "features.npy", "window", np.float64, (n, None))
-
-
-def _read_targets(config: PipelineConfig, run_dir: Path, products: dict) -> np.ndarray:
-    [index] = _take(config, run_dir, products, "windows")
-    n = sum(map(len, index.values()))
-    return _load_rows(
-        run_dir / "window_targets.npy", "window",
-        *((np.int64, (n,)) if config.task == "expr" else (np.float64, (n, 2))),
-    )
-
-
 def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     """Score the dev videos' windows with the model stage_train_kelm left in
     `products`, and lay the scores onto the working timeline.
@@ -843,18 +819,15 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
     Fusion reads the KELM track of the dev videos alone (a KELM run
     always has a dev split), so the training videos are not scored.
     """
-    index, feats = _take(config, run_dir, products, "windows", "features")
-    model = products["kelm_model"]
+    index, feats, model = (products[k] for k in ("windows", "features", "kelm_model"))
     # the window stage checked each video's labels against its windows'
     # frame count, so the labels give the timeline the windows were cut from
     vids = _dev_videos(config, index)
-    truth = _truth_at_working_rate(config, run_dir, products, vids, "train-kelm")
+    truth = _truth_at_working_rate(config, run_dir, products, vids, "kelm")
     spec = config.window_spec
-    offsets = np.cumsum([len(starts) for starts in index.values()])
-    rows = dict(zip(index, np.split(feats, offsets[:-1])))
 
     def one(vid: str) -> FrameTrack:
-        scores = predict_kelm(model, rows[vid])
+        scores = predict_kelm(model, feats[vid])
         frame_scores = _spread_window_scores(
             index[vid], scores, truth[vid].n_frames, spec.window_frames, spec.hop_frames
         )
@@ -870,13 +843,13 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
 
 
 def _read_kelm_tracks(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
-    """The dev videos' tracks train-kelm scored, from kelm_scores.npy and
+    """The dev videos' tracks the kelm stage scored, from kelm_scores.npy and
     the labels: each video's frame count and first frame are its labels'
     at the working rate."""
     [index] = _take(config, run_dir, products, "windows")
     vids = _dev_videos(config, index)
     truth = _truth_at_working_rate(config, run_dir, products, vids, "fuse")
-    return _read_score_tracks(config, run_dir / "kelm_scores.npy", "train-kelm", vids,
+    return _read_score_tracks(config, run_dir / "kelm_scores.npy", "kelm", vids,
                               [truth[vid].frame_index_origin for vid in vids],
                               [truth[vid].n_frames for vid in vids])
 
@@ -910,7 +883,8 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
                 f"fuse stage: model {name!r} covers videos {sorted(model)}, "
                 f"expected {vids}"
             )
-        _check_frames(f"model {name!r}", model, f"model {names[0]!r}", timeline, vids)
+        _check_frames("fuse", f"model {name!r}", model, f"model {names[0]!r}", timeline,
+                      vids)
     _dev_split(config, vids)
     eval_vids = sorted(config.split.dev_videos or vids)  # all videos without a dev split
     n_outputs = config.n_outputs
@@ -922,7 +896,8 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
         dev_preds = [
             np.vstack([model[v].values for v in dev_vids]) for model in models
         ]
-        _check_frames("the label track", truth, f"model {names[0]!r}", timeline, dev_vids)
+        _check_frames("fuse", "the label track", truth, f"model {names[0]!r}", timeline,
+                      dev_vids)
         if config.task == "expr":
             dev_truth = np.concatenate([truth[v].labels() for v in dev_vids])
         else:
@@ -1007,23 +982,25 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
 
 
 def _check_frames(
-    what: str, tracks: dict[str, FrameTrack], ref: str,
-    timeline: dict[str, FrameTrack], vids: Sequence[str],
+    stage: str, what: str, tracks: dict[str, FrameTrack], ref: str,
+    timeline: dict[str, FrameTrack], vids: Sequence[str], counts: bool = True,
 ) -> None:
-    """AlignmentError unless each of `vids` in `tracks`, named `what`, has
-    the frame count and first frame of `timeline`, named `ref`."""
+    """AlignmentError unless each of `vids` in `tracks`, named `what`,
+    starts at the time its track in `timeline`, named `ref`, does, and
+    with `counts` has its frame count. A first frame's time is its index
+    over the track's rate, as tracks of two rates pair from it."""
     for v in vids:
-        if tracks[v].n_frames != timeline[v].n_frames:
-            raise AlignmentError(
-                f"fuse stage: {what} has {tracks[v].n_frames} frames "
-                f"for {v!r}, {ref} has {timeline[v].n_frames}"
-            )
-        if tracks[v].frame_index_origin != timeline[v].frame_index_origin:
-            raise AlignmentError(
-                f"fuse stage: {what} starts {v!r} at frame "
-                f"{tracks[v].frame_index_origin}, {ref} at frame "
-                f"{timeline[v].frame_index_origin}"
-            )
+        a, b = tracks[v], timeline[v]
+        if counts and a.n_frames != b.n_frames:
+            raise AlignmentError(f"{stage} stage: {what} has {a.n_frames} frames "
+                                 f"for {v!r}, {ref} has {b.n_frames}")
+        if not math.isclose(a.frame_index_origin / a.fps, b.frame_index_origin / b.fps,
+                            abs_tol=1e-9):
+            at = [f"frame {t.frame_index_origin}" + ("" if a.fps == b.fps else
+                  f" ({t.frame_index_origin / t.fps:g} s at {t.fps:g} fps)")
+                  for t in (a, b)]
+            raise AlignmentError(f"{stage} stage: {what} starts {v!r} at {at[0]}, "
+                                 f"{ref} at {at[1]}")
 
 
 def _read_fused(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
@@ -1050,6 +1027,9 @@ def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> 
     missing = [v for v in vids if v not in truth]
     if missing:
         raise AlignmentError(f"postprocess stage: no labels for video(s) {missing}")
+    # interpolate_to pairs the two tracks from their first frames
+    _check_frames("postprocess", "the fused track", fused, "the label track", truth, vids,
+                  counts=False)
 
     def one(vid: str) -> tuple[str, LabelRows]:
         target = truth[vid]
@@ -1165,12 +1145,11 @@ def stages() -> list[Stage]:
     """Every stage command, in run order. Built when called, so a wrapper
     set on a stage function of this module is the one that runs."""
     return [
-        Stage("window", "resample, gate by VAD, slice windows, and compute their "
-              "normalized functionals", (stage_window, stage_features), ("truth",),
-              kelm=True),
-        Stage("train-kelm", "select C on the dev split, train, and score the dev "
-              "windows onto the working timeline", (stage_train_kelm, stage_predict_kelm),
-              ("windows", "features", "targets", "truth"), kelm=True),
+        Stage("kelm", "slice the VAD-gated windows, compute their normalized "
+              "functionals, select C on the dev split, train, and score the dev windows "
+              "onto the working timeline",
+              (stage_window, stage_features, stage_train_kelm, stage_predict_kelm),
+              ("truth",), kelm=True),
         Stage("fuse", "combine the KELM track and the base predictions by "
               "fusion.method", (stage_fuse,), ("windows", "kelm_tracks", "truth")),
         Stage("postprocess", "interpolate, smooth, emit the predictions, and score "
@@ -1236,24 +1215,38 @@ def _build_manifest(config: PipelineConfig, run_dir: Path) -> dict:
     }
 
 
+@contextmanager
+def run_directory(config: PipelineConfig) -> Iterator[Path]:
+    """The config's run directory, made if absent. A command that raises
+    removes the directory if it made it, and leaves one it found."""
+    run_dir = config.run_dir()
+    made = not run_dir.exists()
+    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield run_dir
+    except BaseException:
+        if made:
+            shutil.rmtree(run_dir, ignore_errors=True)
+        raise
+
+
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute the config's planned stages in order and write the run manifest.
     After each stage, the products that no later stage needs are dropped."""
-    run_dir = config.run_dir()
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(run_dir / "config.json", config_to_dict(config))
     plan = planned_stages(config)
     timings: dict[str, float] = {}
     products: dict = {}
-    for i, stage in enumerate(plan):
-        t0 = time.perf_counter()
-        report = stage.run(config, run_dir, products)  # postprocess, the last, returns one
-        later = {product for s in plan[i + 1:] for product in s.needs}
-        for product in [p for p in products if p not in later]:
-            del products[product]
-        timings[stage.name] = time.perf_counter() - t0
-    manifest = _build_manifest(config, run_dir)
-    _write_json(run_dir / "manifest.json", manifest)
-    _write_json(run_dir / "timings.json", {k: round(v, 3) for k, v in timings.items()},
-                sort_keys=False)
+    with run_directory(config) as run_dir:
+        _write_json(run_dir / "config.json", config_to_dict(config))
+        for i, stage in enumerate(plan):
+            t0 = time.perf_counter()
+            report = stage.run(config, run_dir, products)  # postprocess returns one
+            later = {product for s in plan[i + 1:] for product in s.needs}
+            for product in [p for p in products if p not in later]:
+                del products[product]
+            timings[stage.name] = time.perf_counter() - t0
+        manifest = _build_manifest(config, run_dir)
+        _write_json(run_dir / "manifest.json", manifest)
+        _write_json(run_dir / "timings.json", {k: round(v, 3) for k, v in timings.items()},
+                    sort_keys=False)
     return RunResult(report=report, run_dir=run_dir, manifest=manifest)

@@ -179,6 +179,13 @@ def _shorten_video(config, vid, n):
     write_vad_csv(paths.vad, list(vad.values()))
 
 
+def _shift_embeddings(config, origin):
+    """Number every embedding track of the synthetic inputs from `origin`."""
+    tracks = read_track_csv(config.paths.embeddings, fps=config.fps_target)
+    write_track_csv(config.paths.embeddings, [replace(t, frame_index_origin=origin)
+                                              for t in tracks.values()])
+
+
 def _rename_videos(config, names):
     """Rewrite the synthetic inputs with the videos renamed by `names`."""
     paths = config.paths
@@ -197,16 +204,6 @@ def _file_digests(run_dir):
             for p in sorted(run_dir.rglob("*")) if p.is_file()}
 
 
-def _truncate_features(run_dir):
-    path = run_dir / "features.npy"
-    path.write_bytes(path.read_bytes()[:-8])
-
-
-def _float32_features(run_dir):
-    path = run_dir / "features.npy"
-    np.save(path, np.load(path).astype(np.float32))
-
-
 def _set_first_row_field(path, j, value):
     """Replace field j of the first data row of a CSV file."""
     lines = Path(path).read_text().split("\n")
@@ -218,15 +215,6 @@ def _set_first_row_field(path, j, value):
 
 def _windows_start_x(run_dir):
     _set_first_row_field(run_dir / "windows.csv", 2, "x")
-
-
-def _targets_one_row_short(run_dir):
-    path = run_dir / "window_targets.npy"
-    np.save(path, np.load(path)[:-1])
-
-
-def _no_features(run_dir):
-    (run_dir / "features.npy").unlink()
 
 
 def _object_kelm_scores(run_dir):
@@ -841,7 +829,7 @@ class TestRunPipeline:
         _write_base_predictions(config)
         calls = {}
         for name in ("read_label_csv", "read_track_csv", "read_vad_csv",
-                     "_index_rows", "_load_rows"):
+                     "_index_rows", "_read_score_tracks"):
             def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -865,8 +853,11 @@ class TestRunPipeline:
             return _fn(file, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "read_track_csv", counted)
-        for stage in planned_stages(config):
-            assert main([stage.name, "--config", str(path)]) == 0
+        commands = [stage.name for stage in planned_stages(config)]
+        assert commands == ["kelm", "fuse", "postprocess"]
+        for command in commands:
+            assert main([command, "--config", str(path)]) == 0
+        assert reads.count(Path(config.paths.embeddings)) == 1
         assert sorted(reads) == sorted(map(Path, [config.paths.embeddings, *bases]))
 
     def test_run_drops_each_product_after_the_last_stage_that_takes_it(
@@ -918,7 +909,7 @@ class TestRunPipeline:
         _synth_from(config)
         result = run_pipeline(config)
         timings = json.loads((result.run_dir / "timings.json").read_text())
-        assert list(timings) == ["window", "train-kelm", "fuse", "postprocess"]
+        assert list(timings) == ["kelm", "fuse", "postprocess"]
         assert [stage.name for stage in planned_stages(config)] == list(timings)
 
     @pytest.mark.parametrize("task", ["expr", "va"])
@@ -1104,11 +1095,11 @@ class TestCli:
     }
 
     def _staged_equals_single_shot(self, tmp_path, path, stage_cmds=None):
-        """Run `path` in one shot and by `stage_cmds`, by default the KELM
-        config's stage commands; compare every output."""
+        """Run `path` in one shot and by `stage_cmds`, by default the
+        config's planned stage commands; compare every output."""
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
-        for cmd in stage_cmds or ["window", "train-kelm", "fuse", "postprocess"]:
+        for cmd in stage_cmds or [s.name for s in planned_stages(load_config(path))]:
             assert main([cmd, "--config", str(path),
                          "--out-dir", str(tmp_path / "staged")]) == 0
         run_a = next((tmp_path / "single").iterdir())
@@ -1138,10 +1129,11 @@ class TestCli:
         assert main(["synth", "--config", str(path)]) == 0
         _write_base_predictions(load_config(path))
         outputs = self._staged_equals_single_shot(tmp_path, path)
-        assert {"windows.csv", "window_targets.npy", "features.npy", "selection.csv",
-                "kelm_beta.npy", "kelm_scores.npy", "fused.npy", "fused_index.csv",
-                "predictions.csv", "report.csv"} <= set(outputs)
-        assert not {"models/kelm.csv", "fused.csv"} & set(outputs)
+        assert {"windows.csv", "selection.csv", "kelm_beta.npy", "kelm_scores.npy", "fused.npy",
+                "fused_index.csv", "predictions.csv", "report.csv"} <= set(outputs)
+        # the window-level arrays stay in the kelm command's memory
+        assert not {"features.npy", "window_targets.npy", "models/kelm.csv",
+                    "fused.csv"} & set(outputs)
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
     def test_staged_fusion_only_run_reproduces_the_single_shot_run(self, tmp_path, method):
@@ -1187,23 +1179,19 @@ class TestCli:
         # v003 stays: it is the dev video the config names
         _rename_videos(load_config(path), {"v000": "a b", "v001": 'q"u,o', "v002": "l\nf"})
         outputs = self._staged_equals_single_shot(tmp_path, path)
-        assert "features.npy" in outputs
+        assert "windows.csv" in outputs
 
     @pytest.mark.parametrize(
         "command, damage, code, message",
         [
-            ("train-kelm", _truncate_features, 6, "not a loadable .npy array"),
-            ("train-kelm", _float32_features, 6, "expected float64"),
-            ("train-kelm", _windows_start_x, 6, "windows.csv:2: "),
-            ("train-kelm", _targets_one_row_short, 4, "rerun the window stage"),
-            ("train-kelm", _no_features, 3, "window stage output not found"),
+            ("fuse", _windows_start_x, 6, "windows.csv:2: "),
             ("fuse", _truncate_kelm_scores, 6, "not a loadable .npy array"),
             ("fuse", _object_kelm_scores, 6, "not a loadable .npy array"),
-            ("fuse", _kelm_scores_one_row_short, 4, "rerun the train-kelm stage"),
+            ("fuse", _kelm_scores_one_row_short, 4, "rerun the kelm stage"),
             ("fuse", _nan_kelm_score, 6, "kelm_scores.npy: video 'v003': "),
-            ("fuse", _no_kelm_scores, 3, "train-kelm stage output not found"),
+            ("fuse", _no_kelm_scores, 3, "kelm stage output not found"),
             ("fuse", _kelm_scores_of_every_video, 4,
-             "has 1280 rows, expected 320; rerun the train-kelm stage"),
+             "has 1280 rows, expected 320; rerun the kelm stage"),
             ("postprocess", _truncate_fused, 6, "not a loadable .npy array"),
             ("postprocess", _fused_one_row_short, 4,
              "has 319 rows, expected 320; rerun the fuse stage"),
@@ -1214,11 +1202,9 @@ class TestCli:
             ("postprocess", _fused_index_no_frames, 6,
              "fused_index.csv:2: video 'v003' needs one row of 1 or more frames"),
         ],
-        ids=["truncated-features", "float32-features", "windows-start-x",
-             "targets-one-row-short", "no-features", "truncated-kelm-scores",
-             "object-kelm-scores", "kelm-scores-one-row-short", "nan-kelm-score",
-             "no-kelm-scores", "kelm-scores-of-every-video", "truncated-fused",
-             "fused-one-row-short",
+        ids=["windows-start-x", "truncated-kelm-scores", "object-kelm-scores",
+             "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores",
+             "kelm-scores-of-every-video", "truncated-fused", "fused-one-row-short",
              "nan-fused", "no-fused", "no-fused-index", "fused-index-frames-x",
              "fused-index-no-frames"],
     )
@@ -1226,7 +1212,7 @@ class TestCli:
         self, tmp_path, capsys, command, damage, code, message
     ):
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
-        for cmd in ("window", "train-kelm", "fuse"):
+        for cmd in ("kelm", "fuse"):
             assert main([cmd, "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
         damage(run_dir)
@@ -1235,13 +1221,12 @@ class TestCli:
         assert str(run_dir) in err and message in err
 
     def test_staged_fuse_needs_no_selection_csv_or_kelm_beta(self, tmp_path):
-        # train-kelm writes both as a record of the model; no command reads them
+        # kelm writes both as a record of the model; no command reads them
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
-        for cmd in ("window", "train-kelm"):
-            assert main([cmd, *staged]) == 0
+        assert main(["kelm", *staged]) == 0
         run_b = next((tmp_path / "staged").iterdir())
         (run_b / "selection.csv").unlink()
         (run_b / "kelm_beta.npy").unlink()
@@ -1259,8 +1244,7 @@ class TestCli:
         path = self._prepare(tmp_path, **overrides)
         config = load_config(path)
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
-        for cmd in ("window", "train-kelm"):
-            assert main([cmd, *staged]) == 0
+        assert main(["kelm", *staged]) == 0
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         run_dir = next((tmp_path / "single").iterdir())
@@ -1270,7 +1254,12 @@ class TestCli:
         # each dev video's windows, scored and spread as for every video before
         windows = np.loadtxt(run_dir / "windows.csv", delimiter=",", skiprows=1,
                              dtype=str)
-        feats = np.load(run_dir / "features.npy")
+        # the features the kelm command keeps in memory
+        products = {}
+        (tmp_path / "steps").mkdir()
+        for step in (pipeline.stage_window, pipeline.stage_features):
+            step(config, tmp_path / "steps", products)
+        feats = np.concatenate(list(products["features"].values()))  # in video order
         dev = np.isin(windows[:, 0], config.split.dev_videos)
         model = KelmModel(D=feats[~dev], beta=np.load(run_dir / "kelm_beta.npy"),
                           kernel=config.kernel_spec.resolve(feats.shape[1]),
@@ -1316,16 +1305,15 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 4
         assert message in capsys.readouterr().err
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
-        for cmd in ("window", "train-kelm"):
-            assert main([cmd, *staged]) == 0
+        assert main(["kelm", *staged]) == 0
         assert main(["fuse", *staged]) == 4
         assert message in capsys.readouterr().err
         assert not any((tmp_path / "staged").glob("*/pool_scores.csv"))
 
-    def test_window_exits_3_without_the_embeddings(self, tmp_path, capsys):
+    def test_kelm_exits_3_without_the_embeddings(self, tmp_path, capsys):
         path = self._prepare(tmp_path)
         Path(load_config(path).paths.embeddings).unlink()
-        assert main(["window", "--config", str(path)]) == 3
+        assert main(["kelm", "--config", str(path)]) == 3
         assert "embeddings file not found" in capsys.readouterr().err
 
     def test_exit_codes_by_error_family(self, tmp_path):
@@ -1392,7 +1380,7 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("normalization", ["global_minmax", "none"])
-    @pytest.mark.parametrize("command", ["run", "window"])
+    @pytest.mark.parametrize("command", ["run", "kelm"])
     def test_all_dev_split_exits_2_before_the_window_stage_writes(
         self, tmp_path, capsys, command, normalization
     ):
@@ -1401,9 +1389,8 @@ class TestCli:
                              split={"dev_videos": ["v000", "v001", "v002", "v003"]})
         assert main([command, "--config", str(path)]) == 2
         assert "kelm training needs at least one non-dev video" in capsys.readouterr().err
-        run_dir = load_config(path).run_dir()
-        for name in ("windows.csv", "window_targets.npy", "features.npy"):
-            assert not (run_dir / name).exists()
+        # the command made the run directory, so it removes it
+        assert not load_config(path).run_dir().exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
     def test_va_dev_split_of_one_window_exits_2_before_the_c_search(
@@ -1414,7 +1401,7 @@ class TestCli:
         _shorten_video(config, "v002", 22)
         monkeypatch.setattr(pipeline, "select_c", None)  # never reached
         assert main(["run", "--config", str(path)]) == 2
-        assert ("train-kelm stage: split.dev_videos give 1 dev window(s); "
+        assert ("kelm stage: split.dev_videos give 1 dev window(s); "
                 "scoring mean_ccc needs at least 2") in capsys.readouterr().err
         assert not (config.run_dir() / "selection.csv").exists()
 
@@ -1447,9 +1434,14 @@ class TestCli:
         config = load_config(path)
         _shorten_video(config, "v003", 1)
         monkeypatch.setattr(pipeline, "stack_and_fuse_rf", None)  # never reached
+        message = "fuse stage: split.dev_videos give 1 dev frame(s); rf fusion on expr"
         assert main(["run", "--config", str(path)]) == 2
-        assert ("fuse stage: split.dev_videos give 1 dev frame(s); rf fusion "
-                "on expr needs at least 2") in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not config.run_dir().exists()
+        # staged, the KELM trains on the one-window dev split and fuse refuses it
+        assert main(["kelm", "--config", str(path)]) == 0
+        assert main(["fuse", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
         assert (config.run_dir() / "selection.csv").exists()
         assert not (config.run_dir() / "rf_info.csv").exists()
 
@@ -1562,6 +1554,69 @@ class TestCli:
         for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
+    @pytest.mark.parametrize("label_origin, code", [(4, 0), (0, 4)])
+    def test_kelm_pairs_embeddings_and_labels_by_their_first_frame(
+        self, tmp_path, capsys, label_origin, code
+    ):
+        path = self._prepare(tmp_path)
+        config = load_config(path)
+        labels = read_label_csv(config.paths.labels, "expr")
+        write_label_csv(config.paths.labels, {
+            vid: LabelRows(rows.frames + label_origin, rows.values)
+            for vid, rows in labels.items()
+        }, task="expr")
+        _shift_embeddings(config, 4)
+        for command in ("run", "kelm"):
+            assert main([command, "--config", str(path)]) == code
+            if code:
+                assert ("kelm stage: the embedding track starts 'v000' at frame 4, the "
+                        "label track at frame 0") in capsys.readouterr().err
+                assert not config.run_dir().exists()
+
+    @pytest.mark.parametrize("label_origin, code", [(20, 0), (0, 4)])
+    def test_kelm_pairs_tracks_of_two_rates_by_their_first_frames_time(
+        self, tmp_path, capsys, label_origin, code
+    ):
+        # labels at 25 fps, each working-rate frame repeated 5 times
+        path = self._prepare(tmp_path, postprocess={"target_fps": 25.0})
+        config = load_config(path)
+        labels = read_label_csv(config.paths.labels, "expr")
+        write_label_csv(config.paths.labels, {
+            vid: LabelRows(label_origin + np.arange(5 * len(rows.frames)),
+                           np.repeat(rows.values, 5, axis=0))
+            for vid, rows in labels.items()
+        }, task="expr")
+        _shift_embeddings(config, 4)
+        assert main(["run", "--config", str(path)]) == code
+        if code:
+            assert ("kelm stage: the embedding track starts 'v000' at frame 4 (0.8 s at 5 "
+                    "fps), the label track at frame 0 (0 s at 25 fps)"
+                    ) in capsys.readouterr().err
+        else:  # 0.8 s is working-rate frame 4
+            assert (config.run_dir() / "fused_index.csv").read_text().endswith(
+                "\nv003,4,320\n")
+
+    def test_labels_above_the_working_rate_keep_their_first_frames_time(self, tmp_path):
+        # resampled to 5 fps, labels at 25 fps start at the nearest working-rate frame
+        config = load_config(_write_config(tmp_path))
+        starts = []
+        for origin in (20, 2, 3):
+            track = FrameTrack("v", 25.0, np.zeros((50, 1)), kind="label",
+                               frame_index_origin=origin)
+            [got] = pipeline._truth_at_working_rate(
+                config, tmp_path, {"truth": {"v": track}}, ["v"], "kelm").values()
+            starts.append(got.frame_index_origin)
+        assert starts == [4, 0, 1]
+
+    def test_postprocess_exits_4_on_a_fused_track_off_the_labels_first_frame(
+        self, tmp_path, capsys
+    ):
+        path = _write_va_fusion_only(tmp_path, "mean", a_origin=4, b_origin=4)
+        assert main(["run", "--config", str(path)]) == 4
+        assert ("postprocess stage: the fused track starts 'v001' at frame 4, the label "
+                "track at frame 0") in capsys.readouterr().err
+        assert not load_config(path).run_dir().exists()
+
     @pytest.mark.parametrize("base_origin, code", [(4, 0), (0, 4)])
     def test_kelm_track_starts_at_the_labels_first_frame(
         self, tmp_path, capsys, base_origin, code
@@ -1573,12 +1628,15 @@ class TestCli:
         write_label_csv(config.paths.labels, {
             vid: LabelRows(rows.frames + 4, rows.values) for vid, rows in labels.items()
         }, task="va")
+        _shift_embeddings(config, 4)
         _write_base_predictions(config, origin=base_origin)
         run_dir = config.run_dir()
         fused = [run_dir / "fused.npy", run_dir / "fused_index.csv"]
         assert main(["run", "--config", str(path)]) == code
         single = [f.read_bytes() for f in fused] if code == 0 else None
-        # a staged fuse numbers the KELM track it reads back from the labels too
+        # a staged fuse numbers the KELM track it reads back from the labels too;
+        # the failed run removed the run directory it made
+        assert main(["kelm", "--config", str(path)]) == 0
         assert main(["fuse", "--config", str(path)]) == code
         # the fused track is numbered from model 0's, the KELM track's, first frame
         if code == 0:
@@ -1618,21 +1676,29 @@ class TestCli:
         assert reads == []
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("command", ["window", "train-kelm"])
     def test_kelm_stage_of_a_fusion_only_config_exits_2(
-        self, tmp_path, capsys, monkeypatch, command
+        self, tmp_path, capsys, monkeypatch
     ):
         path, reads = self._fusion_only_without_dev(tmp_path, monkeypatch)
-        assert main([command, "--config", str(path)]) == 2
+        assert main(["kelm", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"error: {command}: " in err and "kelm.enabled: false" in err
+        assert "error: kelm: " in err and "kelm.enabled: false" in err
         assert reads == []
         assert not (tmp_path / "runs").exists()
 
     def test_subcommands_are_synth_run_and_the_stage_commands(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert "{synth,window,train-kelm,fuse,postprocess,run}" in capsys.readouterr().out
+        assert "{synth,kelm,fuse,postprocess,run}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["window", "train-kelm"])
+    def test_the_folded_kelm_commands_exit_2(self, tmp_path, capsys, command):
+        path = self._prepare(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         path = self._prepare(tmp_path)
@@ -1668,7 +1734,7 @@ class TestCli:
             )
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert "{synth,window,train-kelm,fuse,postprocess,run}" in proc.stdout
+        assert "{synth,kelm,fuse,postprocess,run}" in proc.stdout
 
     def test_entry_point_line_reads_as_tomllib_reads_it(self):
         tomllib = pytest.importorskip("tomllib")

@@ -17,11 +17,11 @@ file of the run directory but `timings.json` is compared.
 `forest` trains a regression forest of 6 trees on one seeded 9,000 x 4
 set whose features and targets lie on a 0.01 grid, so there are ties
 and -0.0 targets, and compares every tree array, the bootstrap
-membership and the OOB curve. `kelm` runs what the train-kelm stage
-runs at the bench shape, `select_c` over the default C grid on 3,887
-weighted 8-class training rows and 897 dev rows of 192 min-max scaled
-columns, then `train_kelm` at the chosen C, and compares C, its dev
-score and beta.
+membership and the OOB curve. `kelm` runs the C search and training
+of the kelm command at the bench shape, `select_c` over the default C
+grid on 3,887 weighted 8-class training rows and 897 dev rows of 192
+min-max scaled columns, then `train_kelm` at the chosen C, and compares
+C, its dev score and beta.
 
 Each run is a fresh process per checkout that imports that checkout's
 `src/affectpipe`, in pairs that alternate which checkout runs first.
