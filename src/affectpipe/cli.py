@@ -3,7 +3,7 @@
 Every subcommand reads the same YAML config. The stage subcommands are
 the rows of `pipeline.stages()` (`kelm`, `fuse` and `postprocess`) and
 share a run directory derived from the config hash, which a failed
-command removes if it made it. Running a config's planned stages in
+command leaves as it found it. Running a config's planned stages in
 order reproduces exactly what `run` does in one shot. Exit codes follow
 the error families: 0 success, 2 config, 3 missing input, 4 alignment,
 5 task mismatch, 6 data format, 7 solver, 1 anything else.
@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .errors import AffectPipeError, ConfigError, MissingInputError
 from .metrics import report_to_text
-from .pipeline import (PipelineConfig, load_config, planned_stages, run_directory,
-                       run_pipeline, stages)
+from .pipeline import (PipelineConfig, load_config, planned_stages, run_pipeline,
+                       staged_writes, stages)
 from .synth import synth_generate
 
 
@@ -52,11 +52,11 @@ def _run_stage(args) -> int:
     if stage not in planned_stages(config):
         raise ConfigError(f"{stage.name}: this config has kelm.enabled: false, so its "
                           f"run has no {stage.name} stage")
-    with run_directory(config) as run_dir:
-        result = stage.run(config, run_dir, {})
+    with staged_writes(config) as out_dir:
+        result = stage.run(config, out_dir, {})
     if result is not None:
         print(report_to_text(result))
-    print(f"run directory: {run_dir}")
+    print(f"run directory: {config.run_dir()}")
     return 0
 
 

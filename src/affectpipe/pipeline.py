@@ -12,7 +12,7 @@ emits and scores the predictions. `run_pipeline` walks that plan,
 handing each command's products on in memory. A stage command of the
 CLI runs one command alone, and the inputs its functions do not make
 come from the files in the run directory. Both ways write bit-identical
-artifacts, and a failed command removes a run directory it made.
+artifacts, and a failed command leaves the run directory as it found it.
 
 Determinism contract: CSV floats are written with 17 significant
 digits and the KELM and fused scores as .npy, so both read back
@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import shutil
+import tempfile
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -494,10 +495,10 @@ def _read_labels_checked(path: Path, task: str) -> dict[str, LabelRows]:
 
 
 def _truth_at_working_rate(
-    config: PipelineConfig, run_dir: Path, products: dict, vids: Sequence[str], stage: str
+    config: PipelineConfig, products: dict, vids: Sequence[str], stage: str
 ) -> dict[str, FrameTrack]:
     """The ground-truth tracks of `vids` at the working rate, for `stage`."""
-    [truth] = _take(config, run_dir, products, "truth")
+    [truth] = _take(config, products, "truth")
     missing = [v for v in vids if v not in truth]
     if missing:
         raise AlignmentError(f"{stage} stage: no labels for video(s) {missing}")
@@ -593,9 +594,9 @@ def _index_rows(path: Path, header: str) -> Iterator[tuple[str, str, list[int]]]
             yield where, row[0], ints
 
 
-def _read_windows(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+def _read_windows(config: PipelineConfig, products: dict) -> dict:
     """Each video's window starts, in the order of the windows.csv rows."""
-    path = _require_file(run_dir / "windows.csv", "kelm stage output")
+    path = _require_file(config.run_dir() / "windows.csv", "kelm stage output")
     index: dict[str, list[int]] = {}
     for where, vid, (i, start, _) in _index_rows(path, _WINDOWS_HEADER):
         starts = index.setdefault(vid, [])
@@ -649,7 +650,7 @@ def _dev_videos(config: PipelineConfig, index: dict[str, list[int]]) -> list[str
 # ---------------------------------------------------------------------------
 
 
-def _window_batches(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+def _window_batches(config: PipelineConfig, products: dict) -> dict:
     """Check each embedding track's first frame against its labels', then
     resample the track, gate it by VAD and slice its windows.
 
@@ -664,10 +665,16 @@ def _window_batches(config: PipelineConfig, run_dir: Path, products: dict) -> di
     vids = sorted(embeddings)
     if not _dev_split(config, vids)[0]:
         raise ConfigError("kelm training needs at least one non-dev video")
-    [truth] = _take(config, run_dir, products, "truth")
+    [truth] = _take(config, products, "truth")
     # a video without labels is refused once it is windowed
     _check_frames("kelm", "the embedding track", embeddings, "the label track", truth,
                   [v for v in vids if v in truth], counts=False)
+    if vad is not None:  # at the working rate; a video without one is refused below
+        vad_at = {v: types.SimpleNamespace(fps=config.fps_target,
+                                           frame_index_origin=m.frame_index_origin)
+                  for v, m in vad.items()}
+        _check_frames("kelm", "the VAD", vad_at, "the embedding track", embeddings,
+                      [v for v in vids if v in vad], counts=False)
 
     def one(vid: str) -> WindowBatch:
         track = embeddings[vid]
@@ -691,7 +698,7 @@ def _window_batches(config: PipelineConfig, run_dir: Path, products: dict) -> di
     return dict(zip(vids, _map_ordered(one, vids, config.workers)))
 
 
-def _read_truth(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+def _read_truth(config: PipelineConfig, products: dict) -> dict:
     """Ground-truth tracks on their native (per-video) timelines."""
     path = _require_file(config.paths.labels, "labels file")
     return {
@@ -703,22 +710,22 @@ def _read_truth(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
     }
 
 
-def stage_window(config: PipelineConfig, run_dir: Path, products: dict) -> None:
+def stage_window(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Index the windows and reduce the labels to one target per window."""
-    batches = _window_batches(config, run_dir, products)
+    batches = _window_batches(config, products)
     vids = sorted(batches)
-    truth = _truth_at_working_rate(config, run_dir, products, vids, "kelm")
+    truth = _truth_at_working_rate(config, products, vids, "kelm")
     reduce = window_labels if config.task == "expr" else window_va_means
     targets = _map_ordered(lambda vid: reduce(truth[vid], batches[vid]), vids,
                            config.workers)
-    (run_dir / "windows.csv").write_bytes(_windows_index(batches))
+    (out_dir / "windows.csv").write_bytes(_windows_index(batches))
     log.info("kelm stage: %d windows over %d videos", sum(map(len, targets)), len(vids))
     products["batches"] = batches
     products["windows"] = {vid: batches[vid].starts for vid in vids}
     products["targets"] = dict(zip(vids, targets))
 
 
-def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> None:
+def stage_features(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Functionals over the windows stage_window sliced, plus the configured
     normalization; the batches, which hold the tracks, go with their use."""
     batches = products.pop("batches")
@@ -734,13 +741,13 @@ def stage_features(config: PipelineConfig, run_dir: Path, products: dict) -> Non
         train_vids, _ = _dev_split(config, vids)
         scaler = fit_minmax([feats[v] for v in train_vids])
         feats = {vid: apply_minmax(feats[vid], scaler) for vid in vids}
-        write_scaler_csv(run_dir / "scaler.csv", scaler)
+        write_scaler_csv(out_dir / "scaler.csv", scaler)
     elif config.normalization == "per_video_minmax":
         feats = {vid: per_video_minmax(feats[vid]) for vid in vids}
     products["features"] = feats
 
 
-def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
+def stage_train_kelm(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Select the regularizer on the dev split and train on the rest."""
     feats, targets = products["features"], products["targets"]
     train, dev = _dev_split(config, list(feats))  # _window_batches refused an empty train
@@ -769,9 +776,9 @@ def stage_train_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> N
         x_train, enc, best_c, kernel=config.kernel_spec, weights=weights,
         task=_KELM_TASKS[config.task],
     )
-    np.save(run_dir / "kelm_beta.npy", model.beta)
+    np.save(out_dir / "kelm_beta.npy", model.beta)
     products["kelm_model"] = model
-    _write_csv(run_dir / "selection.csv",
+    _write_csv(out_dir / "selection.csv",
                [["c", "dev_score"], [FLOAT_FMT % best_c, FLOAT_FMT % dev_score]])
     log.info("kelm: C=%g scores %.4f (%s) on the dev split", best_c, dev_score,
              config.metric)
@@ -812,7 +819,7 @@ def _spread_window_scores(
     return out
 
 
-def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) -> None:
+def stage_predict_kelm(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Score the dev videos' windows with the model stage_train_kelm left in
     `products`, and lay the scores onto the working timeline.
 
@@ -823,7 +830,7 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
     # the window stage checked each video's labels against its windows'
     # frame count, so the labels give the timeline the windows were cut from
     vids = _dev_videos(config, index)
-    truth = _truth_at_working_rate(config, run_dir, products, vids, "kelm")
+    truth = _truth_at_working_rate(config, products, vids, "kelm")
     spec = config.window_spec
 
     def one(vid: str) -> FrameTrack:
@@ -838,33 +845,33 @@ def stage_predict_kelm(config: PipelineConfig, run_dir: Path, products: dict) ->
                           frame_index_origin=truth[vid].frame_index_origin)
 
     tracks = _map_ordered(one, vids, config.workers)
-    np.save(run_dir / "kelm_scores.npy", np.concatenate([t.values for t in tracks]))
+    np.save(out_dir / "kelm_scores.npy", np.concatenate([t.values for t in tracks]))
     products["kelm_tracks"] = dict(zip(vids, tracks))
 
 
-def _read_kelm_tracks(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+def _read_kelm_tracks(config: PipelineConfig, products: dict) -> dict:
     """The dev videos' tracks the kelm stage scored, from kelm_scores.npy and
     the labels: each video's frame count and first frame are its labels'
     at the working rate."""
-    [index] = _take(config, run_dir, products, "windows")
+    [index] = _take(config, products, "windows")
     vids = _dev_videos(config, index)
-    truth = _truth_at_working_rate(config, run_dir, products, vids, "fuse")
-    return _read_score_tracks(config, run_dir / "kelm_scores.npy", "kelm", vids,
+    truth = _truth_at_working_rate(config, products, vids, "fuse")
+    return _read_score_tracks(config, config.run_dir() / "kelm_scores.npy", "kelm", vids,
                               [truth[vid].frame_index_origin for vid in vids],
                               [truth[vid].n_frames for vid in vids])
 
 
-def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
+def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Combine this run's KELM track and the configured bases by the fusion method."""
     names: list[str] = []
     models: list[dict[str, FrameTrack]] = []
     if config.kelm.enabled:
         names.append("kelm")
-        index, kelm_tracks = _take(config, run_dir, products, "windows", "kelm_tracks")
+        index, kelm_tracks = _take(config, products, "windows", "kelm_tracks")
         models.append(kelm_tracks)
         # the KELM track holds the dev videos alone; every windowed video's
         # labels at the working rate are the frames it would have
-        timeline = _truth_at_working_rate(config, run_dir, products, list(index), "fuse")
+        timeline = _truth_at_working_rate(config, products, list(index), "fuse")
     for pred in config.paths.base_predictions:
         path = _require_file(pred, "base predictions file")
         name = path.stem
@@ -892,7 +899,7 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
     method = config.fusion.method
     if method in ("dwf", "rf"):  # _validate checked that a dev split is given
         dev_vids = sorted(config.split.dev_videos)
-        truth = _truth_at_working_rate(config, run_dir, products, dev_vids, "fuse")
+        truth = _truth_at_working_rate(config, products, dev_vids, "fuse")
         dev_preds = [
             np.vstack([model[v].values for v in dev_vids]) for model in models
         ]
@@ -923,7 +930,7 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
         matrix, best_score, scores = dwf_search(
             pool, dev_preds, dev_truth, metric=config.metric
         )
-        write_score_table(run_dir / "pool_scores.csv", scores)
+        write_score_table(out_dir / "pool_scores.csv", scores)
         log.info("dwf: best of %d matrices scores %.4f on the dev split",
                  len(pool), best_score)
         fused = [
@@ -950,7 +957,7 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
                 "by %.4f; treat dev gains as optimistic",
                 info.metric, info.dev_score, info.oob_metric_score, info.overfit_gap,
             )
-        _write_csv(run_dir / "rf_info.csv", [
+        _write_csv(out_dir / "rf_info.csv", [
             ["metric", "value"], ["n_trees", str(info.n_trees)],
             ["oob_score", FLOAT_FMT % info.oob_score],
             [f"oob_{info.metric}", FLOAT_FMT % info.oob_metric_score],
@@ -961,7 +968,7 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
         fused = np.split(fused_arr, ends[:-1])
     if matrix is not None:
         write_fusion_matrix(
-            run_dir / "fusion_matrix.csv",
+            out_dir / "fusion_matrix.csv",
             matrix,
             model_names=names,
             output_names=[f"c{k}" for k in range(n_outputs)],
@@ -973,8 +980,8 @@ def stage_fuse(config: PipelineConfig, run_dir: Path, products: dict) -> None:
                    frame_index_origin=models[0][vid].frame_index_origin)
         for vid, values in zip(eval_vids, fused)
     ]
-    np.save(run_dir / "fused.npy", np.concatenate([t.values for t in tracks]))
-    (run_dir / "fused_index.csv").write_text(_FUSED_INDEX_HEADER + "\n" + "".join(
+    np.save(out_dir / "fused.npy", np.concatenate([t.values for t in tracks]))
+    (out_dir / "fused_index.csv").write_text(_FUSED_INDEX_HEADER + "\n" + "".join(
         csv_row_format(t.video_id, ",%d,%d\n") % (t.frame_index_origin, t.n_frames)
         for t in tracks
     ), encoding="utf-8", newline="\n")
@@ -1003,10 +1010,10 @@ def _check_frames(
                                  f"{ref} at {at[1]}")
 
 
-def _read_fused(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
+def _read_fused(config: PipelineConfig, products: dict) -> dict:
     """The fused tracks, from fused.npy and each video's first frame and
     frame count in fused_index.csv."""
-    index = _require_file(run_dir / "fused_index.csv", "fuse stage output")
+    index = _require_file(config.run_dir() / "fused_index.csv", "fuse stage output")
     rows: dict[str, tuple[int, int]] = {}
     for where, vid, (origin, n) in _index_rows(index, _FUSED_INDEX_HEADER):
         if n < 1 or vid in rows:
@@ -1015,13 +1022,13 @@ def _read_fused(config: PipelineConfig, run_dir: Path, products: dict) -> dict:
     if not rows:
         raise DataFormatError(f"{index}: no videos")
     origins, counts = zip(*rows.values())
-    return _read_score_tracks(config, run_dir / "fused.npy", "fuse", list(rows),
+    return _read_score_tracks(config, config.run_dir() / "fused.npy", "fuse", list(rows),
                               origins, counts)
 
 
-def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> None:
+def stage_postprocess(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Interpolate fused scores to the truth timeline, smooth, and emit labels."""
-    fused, truth = _take(config, run_dir, products, "fused", "truth")
+    fused, truth = _take(config, products, "fused", "truth")
     smoothing = SmoothingSpec(window_seconds=config.postprocess.smooth_seconds)
     vids = sorted(fused)
     missing = [v for v in vids if v not in truth]
@@ -1030,6 +1037,12 @@ def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> 
     # interpolate_to pairs the two tracks from their first frames
     _check_frames("postprocess", "the fused track", fused, "the label track", truth, vids,
                   counts=False)
+    for v in vids:  # interpolate_to would hold a short track's last value
+        end, label_end = ((t.frame_index_origin + t.n_frames - 1) / t.fps
+                          for t in (fused[v], truth[v]))
+        if label_end - end > 1 / fused[v].fps + 1e-9:
+            raise AlignmentError(f"postprocess stage: the fused track ends {v!r} at "
+                                 f"{end:g} s, the label track at {label_end:g} s")
 
     def one(vid: str) -> tuple[str, LabelRows]:
         target = truth[vid]
@@ -1041,7 +1054,7 @@ def stage_postprocess(config: PipelineConfig, run_dir: Path, products: dict) -> 
         return vid, _track_rows(target, values)
 
     predictions = dict(_map_ordered(one, vids, config.workers))
-    write_label_csv(run_dir / "predictions.csv", predictions, task=config.task)
+    write_label_csv(out_dir / "predictions.csv", predictions, task=config.task)
     products["predictions"] = predictions
 
 
@@ -1107,19 +1120,19 @@ def _valid_rows(rows: dict[str, LabelRows], task: str) -> dict[str, LabelRows]:
     return out
 
 
-def stage_evaluate(config: PipelineConfig, run_dir: Path, products: dict) -> EvalReport:
+def stage_evaluate(config: PipelineConfig, out_dir: Path, products: dict) -> EvalReport:
     """Score the predictions stage_postprocess made against the labels and
     write the report."""
-    [truth] = _take(config, run_dir, products, "truth")
+    [truth] = _take(config, products, "truth")
     report = evaluate_files(
-        run_dir / "predictions.csv",
+        out_dir / "predictions.csv",
         config.paths.labels,
         config.task,
         pred=products["predictions"],
         # every video's rows became a track, so the tracks hold all of them
         truth={vid: _track_rows(t, t.values) for vid, t in truth.items()},
     )
-    write_report(report, run_dir / "report.txt", run_dir / "report.csv")
+    write_report(report, out_dir / "report.txt", out_dir / "report.csv")
     return report
 
 
@@ -1134,10 +1147,10 @@ class Stage:
     needs: tuple[str, ...]
     kelm: bool = False
 
-    def run(self, config: PipelineConfig, run_dir: Path, products: dict) -> EvalReport | None:
+    def run(self, config: PipelineConfig, out_dir: Path, products: dict) -> EvalReport | None:
         """Run the stage functions in order on one `products`; the last one's result."""
         for step in self.steps:
-            result = step(config, run_dir, products)
+            result = step(config, out_dir, products)
         return result
 
 
@@ -1163,14 +1176,14 @@ def planned_stages(config: PipelineConfig) -> list[Stage]:
     return [s for s in stages() if config.kelm.enabled or not s.kelm]
 
 
-def _take(config: PipelineConfig, run_dir: Path, products: dict, *names: str) -> list:
+def _take(config: PipelineConfig, products: dict, *names: str) -> list:
     """The products `names`, each from `products`, what earlier stages of
     this process made, or else from `_read_<name>`, which parses the files.
     Readers are looked up when called, as stages are; what one returns is
     kept in `products` for the stage's later takes."""
     for name in names:
         if name not in products:
-            products[name] = globals()[f"_read_{name}"](config, run_dir, products)
+            products[name] = globals()[f"_read_{name}"](config, products)
     return [products[name] for name in names]
 
 
@@ -1186,10 +1199,8 @@ class RunResult:
     manifest: dict
 
 
-_MANIFEST_EXCLUDED = ("manifest.json", "timings.json")
-
-
-def _build_manifest(config: PipelineConfig, run_dir: Path) -> dict:
+def _build_manifest(config: PipelineConfig, out_dir: Path) -> dict:
+    """The manifest of the files in `out_dir`, which holds this run's alone."""
     inputs = {}
     for path_s in (
         config.paths.embeddings,
@@ -1199,11 +1210,7 @@ def _build_manifest(config: PipelineConfig, run_dir: Path) -> dict:
     ):
         if path_s and Path(path_s).exists():
             inputs[str(path_s)] = _sha256_file(Path(path_s))
-    outputs = {
-        str(p.relative_to(run_dir)): _sha256_file(p)
-        for p in sorted(run_dir.rglob("*"))
-        if p.is_file() and p.name not in _MANIFEST_EXCLUDED
-    }
+    outputs = {p.name: _sha256_file(p) for p in sorted(out_dir.iterdir())}
     listing = "\n".join(f"{rel}:{digest}" for rel, digest in sorted(outputs.items()))
     return {
         "config_hash": config_hash(config),
@@ -1216,18 +1223,21 @@ def _build_manifest(config: PipelineConfig, run_dir: Path) -> dict:
 
 
 @contextmanager
-def run_directory(config: PipelineConfig) -> Iterator[Path]:
-    """The config's run directory, made if absent. A command that raises
-    removes the directory if it made it, and leaves one it found."""
+def staged_writes(config: PipelineConfig) -> Iterator[Path]:
+    """A fresh staging directory beside the config's run directory for one
+    command to write into. Once the command returns, its files move into
+    the run directory, made if absent; the staging directory goes either
+    way, so a command that raises leaves the run directory as it was."""
     run_dir = config.run_dir()
-    made = not run_dir.exists()
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}.", dir=run_dir.parent))
     try:
-        yield run_dir
-    except BaseException:
-        if made:
-            shutil.rmtree(run_dir, ignore_errors=True)
-        raise
+        yield staging
+        run_dir.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            path.replace(run_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
@@ -1236,17 +1246,17 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     plan = planned_stages(config)
     timings: dict[str, float] = {}
     products: dict = {}
-    with run_directory(config) as run_dir:
-        _write_json(run_dir / "config.json", config_to_dict(config))
+    with staged_writes(config) as out_dir:
+        _write_json(out_dir / "config.json", config_to_dict(config))
         for i, stage in enumerate(plan):
             t0 = time.perf_counter()
-            report = stage.run(config, run_dir, products)  # postprocess returns one
+            report = stage.run(config, out_dir, products)  # postprocess returns one
             later = {product for s in plan[i + 1:] for product in s.needs}
             for product in [p for p in products if p not in later]:
                 del products[product]
             timings[stage.name] = time.perf_counter() - t0
-        manifest = _build_manifest(config, run_dir)
-        _write_json(run_dir / "manifest.json", manifest)
-        _write_json(run_dir / "timings.json", {k: round(v, 3) for k, v in timings.items()},
+        manifest = _build_manifest(config, out_dir)
+        _write_json(out_dir / "manifest.json", manifest)
+        _write_json(out_dir / "timings.json", {k: round(v, 3) for k, v in timings.items()},
                     sort_keys=False)
-    return RunResult(report=report, run_dir=run_dir, manifest=manifest)
+    return RunResult(report=report, run_dir=config.run_dir(), manifest=manifest)

@@ -58,10 +58,12 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class VadMask:
-    """Per-frame voiced flags for one video, aligned with its track."""
+    """Per-frame voiced flags for one video at the working rate, from its
+    first frame on, aligned with its track."""
 
     video_id: str
     voiced: np.ndarray
+    frame_index_origin: int = 0
 
     def __post_init__(self) -> None:
         voiced = np.asarray(self.voiced, dtype=bool)
@@ -286,7 +288,8 @@ def write_vad_csv(path: str | Path, masks: list[VadMask]) -> None:
         fh.write("video_id,frame,voiced\n")
         for mask in sorted(masks, key=lambda m: m.video_id):
             fmt = csv_row_format(mask.video_id, ",%d,%d\n")
-            fh.write("".join([fmt % row for row in enumerate(mask.voiced.tolist())]))
+            rows = enumerate(mask.voiced.tolist(), mask.frame_index_origin)
+            fh.write("".join([fmt % row for row in rows]))
 
 
 def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
@@ -302,7 +305,7 @@ def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
     if not (voiced | (flags == "0")).all():
         reject(path, check, "voiced must be 0 or 1")
     return {
-        vid: VadMask(vid, voiced[rows])
+        vid: VadMask(vid, voiced[rows], int(frames[rows[0]]))
         for vid, rows in video_rows(path, ids, frames, check).items()
     }
 

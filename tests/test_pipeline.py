@@ -180,10 +180,18 @@ def _shorten_video(config, vid, n):
 
 
 def _shift_embeddings(config, origin):
-    """Number every embedding track of the synthetic inputs from `origin`."""
+    """Number every embedding track of the synthetic inputs, and its VAD,
+    from `origin`."""
     tracks = read_track_csv(config.paths.embeddings, fps=config.fps_target)
     write_track_csv(config.paths.embeddings, [replace(t, frame_index_origin=origin)
                                               for t in tracks.values()])
+    _shift_vad(config, origin)
+
+
+def _shift_vad(config, origin):
+    """Number every VAD mask of the synthetic inputs from `origin`."""
+    write_vad_csv(config.paths.vad, [replace(m, frame_index_origin=origin)
+                                     for m in read_vad_csv(config.paths.vad).values()])
 
 
 def _rename_videos(config, names):
@@ -195,7 +203,7 @@ def _rename_videos(config, names):
     labels = read_label_csv(paths.labels, config.task)
     write_label_csv(paths.labels, {names.get(vid, vid): rows
                                    for vid, rows in labels.items()}, task=config.task)
-    write_vad_csv(paths.vad, [VadMask(names.get(vid, vid), mask.voiced)
+    write_vad_csv(paths.vad, [replace(mask, video_id=names.get(vid, vid))
                               for vid, mask in read_vad_csv(paths.vad).items()])
 
 
@@ -964,7 +972,7 @@ class TestRunPipeline:
         got = np.load(run_dir / "fused.npy")
         assert got.dtype == np.float64 and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-        back = pipeline._read_fused(config, run_dir, {})
+        back = pipeline._read_fused(config, {})
         assert list(back) == list(parsed) == sorted(config.split.dev_videos)
         for vid, track in parsed.items():
             assert back[vid].frame_index_origin == track.frame_index_origin
@@ -1389,7 +1397,7 @@ class TestCli:
                              split={"dev_videos": ["v000", "v001", "v002", "v003"]})
         assert main([command, "--config", str(path)]) == 2
         assert "kelm training needs at least one non-dev video" in capsys.readouterr().err
-        # the command made the run directory, so it removes it
+        # a failed command's files never reach the run directory
         assert not load_config(path).run_dir().exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
@@ -1604,7 +1612,7 @@ class TestCli:
             track = FrameTrack("v", 25.0, np.zeros((50, 1)), kind="label",
                                frame_index_origin=origin)
             [got] = pipeline._truth_at_working_rate(
-                config, tmp_path, {"truth": {"v": track}}, ["v"], "kelm").values()
+                config, {"truth": {"v": track}}, ["v"], "kelm").values()
             starts.append(got.frame_index_origin)
         assert starts == [4, 0, 1]
 
@@ -1616,6 +1624,123 @@ class TestCli:
         assert ("postprocess stage: the fused track starts 'v001' at frame 4, the label "
                 "track at frame 0") in capsys.readouterr().err
         assert not load_config(path).run_dir().exists()
+
+    @pytest.mark.parametrize("n_frames, code", [(199, 0), (198, 4), (100, 4)])
+    def test_postprocess_exits_4_on_a_fused_track_a_frame_short_of_the_labels(
+        self, tmp_path, capsys, n_frames, code
+    ):
+        # one base of n_frames at 5 fps against 200 labelled frames per video
+        cfg = yaml.safe_load(_write_va_fusion_only(tmp_path, "mean").read_text())
+        cfg["paths"]["base_predictions"] = [str(tmp_path / "a.csv")]
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        base = read_track_csv(tmp_path / "a.csv", fps=5.0, kind="va")
+        write_track_csv(tmp_path / "a.csv", [replace(t, values=t.values[:n_frames])
+                                             for t in base.values()])
+        assert main(["run", "--config", str(path)]) == code
+        if code:
+            end = (n_frames - 1) / 5
+            assert (f"postprocess stage: the fused track ends 'v001' at {end:g} s, the "
+                    "label track at 39.8 s") in capsys.readouterr().err
+            assert not load_config(path).run_dir().exists()
+
+    def test_kelm_exits_4_on_a_vad_off_the_embeddings_first_frame(self, tmp_path, capsys):
+        # test_kelm_pairs_embeddings_and_labels_by_their_first_frame runs the
+        # VAD, the embeddings and the labels all from frame 4
+        path = self._prepare(tmp_path)
+        config = load_config(path)
+        _shift_vad(config, 4)
+        for command in ("run", "kelm"):
+            assert main([command, "--config", str(path)]) == 4
+            assert ("kelm stage: the VAD starts 'v000' at frame 4, the embedding track at "
+                    "frame 0") in capsys.readouterr().err
+            assert not config.run_dir().exists()
+
+    def _kelm_config_with_a_base(self, tmp_path):
+        """An expr KELM config with one base track, its inputs written."""
+        bases = _base_paths(tmp_path, 1)
+        path = self._prepare(tmp_path, paths={"base_predictions": bases},
+                             fusion={"method": "dwf", "pool_size": 50})
+        _write_base_predictions(load_config(path))
+        return path
+
+    _LAST_STEPS = {"run": "stage_evaluate", "kelm": "stage_predict_kelm",
+                   "fuse": "stage_fuse", "postprocess": "stage_evaluate"}
+
+    def _fail_after(self, monkeypatch, command):
+        """Make `command`'s last step raise once it has written its files;
+        the digests of what it had staged by then."""
+        staged = {}
+        name = self._LAST_STEPS[command]
+
+        def failing(config, out_dir, products, _real=getattr(pipeline, name)):
+            _real(config, out_dir, products)
+            staged.update(_file_digests(out_dir))
+            raise SolverError("the last step failed")
+
+        monkeypatch.setattr(pipeline, name, failing)
+        return staged
+
+    @pytest.mark.parametrize("command", ["run", "kelm", "fuse"])
+    def test_a_failed_command_leaves_nothing_under_a_fresh_output_dir(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        if command == "fuse":  # the first command of a fusion-only run
+            path = _write_va_fusion_only(tmp_path, "dwf")
+        else:
+            path = self._kelm_config_with_a_base(tmp_path)
+        staged = self._fail_after(monkeypatch, command)
+        assert main([command, "--config", str(path)]) == 7
+        assert "the last step failed" in capsys.readouterr().err
+        assert staged  # the command had written its files
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "kelm", "fuse", "postprocess"])
+    def test_a_failed_command_leaves_an_existing_run_directory_as_it_found_it(
+        self, tmp_path, monkeypatch, command
+    ):
+        path = self._kelm_config_with_a_base(tmp_path)
+        config = load_config(path)
+        assert main(["run", "--config", str(path)]) == 0
+        before = _file_digests(config.run_dir())
+        # new inputs under the same config, so every command writes other bytes
+        _synth_from(replace(config, synth=replace(config.synth, seed=config.seed + 1)))
+        _write_base_predictions(config, seed=1)
+        staged = self._fail_after(monkeypatch, command)
+        assert main([command, "--config", str(path)]) == 7
+        assert any(before.get(name) != digest for name, digest in staged.items())
+        assert _file_digests(config.run_dir()) == before
+        assert list((tmp_path / "runs").iterdir()) == [config.run_dir()]
+
+    def test_a_refused_rerun_keeps_the_manifest_true_to_the_files(self, tmp_path, capsys):
+        path = self._kelm_config_with_a_base(tmp_path)
+        config = load_config(path)
+        assert main(["run", "--config", str(path)]) == 0
+        before = _file_digests(config.run_dir())
+        # the kelm command runs on new embeddings; fuse then refuses the base
+        _synth_from(replace(config, synth=replace(config.synth, seed=config.seed + 1)))
+        base = read_track_csv(config.paths.base_predictions[0], fps=5.0,
+                              kind="class_scores")
+        write_track_csv(config.paths.base_predictions[0],
+                        [t for vid, t in base.items() if vid != "v001"])
+        assert main(["run", "--config", str(path)]) == 4
+        assert "fuse stage: model 'base_0' covers videos" in capsys.readouterr().err
+        after = _file_digests(config.run_dir())
+        assert after == before
+        manifest = json.loads((config.run_dir() / "manifest.json").read_text())
+        assert {name: after[name] for name in manifest["outputs"]} == manifest["outputs"]
+
+    def test_a_stray_file_stays_out_of_the_manifest(self, tmp_path):
+        path = self._kelm_config_with_a_base(tmp_path)
+        config = load_config(path)
+        first = run_pipeline(config).manifest
+        # a file no command of this version writes, as earlier versions did
+        np.save(config.run_dir() / "features.npy", np.zeros((3, 4)))
+        second = run_pipeline(config).manifest
+        assert second == first
+        assert "features.npy" not in second["outputs"]
+        assert (config.run_dir() / "features.npy").exists()
+        assert list((tmp_path / "runs").iterdir()) == [config.run_dir()]
 
     @pytest.mark.parametrize("base_origin, code", [(4, 0), (0, 4)])
     def test_kelm_track_starts_at_the_labels_first_frame(
@@ -1635,13 +1760,13 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == code
         single = [f.read_bytes() for f in fused] if code == 0 else None
         # a staged fuse numbers the KELM track it reads back from the labels too;
-        # the failed run removed the run directory it made
+        # the failed run left no run directory
         assert main(["kelm", "--config", str(path)]) == 0
         assert main(["fuse", "--config", str(path)]) == code
         # the fused track is numbered from model 0's, the KELM track's, first frame
         if code == 0:
             assert [f.read_bytes() for f in fused] == single
-            tracks = pipeline._read_fused(config, run_dir, {})
+            tracks = pipeline._read_fused(config, {})
             assert list(tracks) == ["v002"]
             assert tracks["v002"].frame_index_origin == 4
         else:

@@ -306,6 +306,13 @@ class TestVadCsv:
         np.testing.assert_array_equal(loaded["a"].voiced, masks[0].voiced)
         np.testing.assert_array_equal(loaded["b"].voiced, masks[1].voiced)
 
+    def test_round_trip_keeps_each_videos_first_frame(self, tmp_path):
+        path = tmp_path / "vad.csv"
+        write_vad_csv(path, [VadMask("a", [True, False], 4), VadMask("b", [False])])
+        assert path.read_text() == "video_id,frame,voiced\na,4,1\na,5,0\nb,0,0\n"
+        assert {vid: m.frame_index_origin for vid, m in read_vad_csv(path).items()} == {
+            "a": 4, "b": 0}
+
     def test_bad_flag_rejected(self, tmp_path):
         path = tmp_path / "vad.csv"
         path.write_text("video_id,frame,voiced\nv,0,2\n")
