@@ -6,8 +6,8 @@ A config file names the inputs, the split, and the model settings; the
 pipeline then windows the embeddings, trains the kernel classifier,
 spreads window scores back to frames, fuses, smooths, and evaluates —
 all deterministically. The same stages are exposed on the command line
-as three commands (`affectpipe kelm`, `affectpipe fuse` and `affectpipe
-postprocess`), which produce bit-identical artifacts; the window
+as two commands, `affectpipe kelm` and `affectpipe fuse` (which also
+smooths and evaluates), that produce bit-identical artifacts; the window
 features stay in the `kelm` command's memory and are not written.
 """
 

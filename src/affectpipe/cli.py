@@ -1,12 +1,12 @@
 """Command-line interface: staged stages and single-shot pipeline runs.
 
 Every subcommand reads the same YAML config. The stage subcommands are
-the rows of `pipeline.stages()` (`kelm`, `fuse` and `postprocess`) and
-share a run directory derived from the config hash, which a failed
-command leaves as it found it. Running a config's planned stages in
-order reproduces exactly what `run` does in one shot. Exit codes follow
-the error families: 0 success, 2 config, 3 missing input, 4 alignment,
-5 task mismatch, 6 data format, 7 solver, 1 anything else.
+the rows of `pipeline.stages()` (`kelm` and `fuse`, which also prints
+the report) and share a run directory derived from the config hash,
+which a failed command leaves as it found it. Running a config's planned
+stages in order reproduces exactly what `run` does in one shot. Exit
+codes follow the error families: 0 success, 2 config, 3 missing input,
+4 alignment, 5 task mismatch, 6 data format, 7 solver, 1 anything else.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import metrics
 from .errors import AlignmentError
-from .forest import ForestSpec, predict_forest, predict_oob, select_n_trees
+from .forest import (DEFAULT_TREE_GRID, ForestSpec, predict_forest, predict_oob,
+                     select_n_trees)
 
 SIMPLEX_ATOL = 1e-9
 
@@ -300,7 +301,7 @@ def stack_and_fuse_rf(
     target_preds,
     task: str,
     base_spec: ForestSpec | None = None,
-    grid=(10, 20, 50, 100, 200),
+    grid=DEFAULT_TREE_GRID,
 ):
     """Forest stacking: concatenate model scores, fit on the dev split.
 

@@ -4,11 +4,11 @@ A run executes resample -> VAD gate -> window -> reduce targets ->
 functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
 smoothing -> evaluation. One table, `stages()`, lists the stage
-commands; a config's run is `kelm` when `kelm.enabled`, then `fuse` by
-`fusion.method` and `postprocess`. A command runs its stage functions
-in order on one dict of products: `kelm` slices the windows, computes
-their features, trains and scores the dev windows, and `postprocess`
-emits and scores the predictions. `run_pipeline` walks that plan,
+commands; a config's run is `kelm` when `kelm.enabled`, then `fuse`. A
+command runs its stage functions in order on one dict of products:
+`kelm` slices the windows, computes their features, trains and scores
+the dev windows, and `fuse` combines the tracks by `fusion.method`,
+then emits and scores the predictions. `run_pipeline` walks that plan,
 handing each command's products on in memory. A stage command of the
 CLI runs one command alone, and the inputs its functions do not make
 come from the files in the run directory. Both ways write bit-identical
@@ -58,7 +58,7 @@ from .features import (
     per_video_minmax,
     write_scaler_csv,
 )
-from .forest import ForestSpec
+from .forest import DEFAULT_TREE_GRID, ForestSpec
 from .fusion import (
     FusionMatrix,
     apply_fusion,
@@ -154,7 +154,7 @@ class FusionSettings:
     method: str = "mean"
     pool_size: int = 10_000
     alpha: float = 1.0
-    tree_grid: tuple[int, ...] = (10, 20, 50, 100, 200)
+    tree_grid: tuple[int, ...] = DEFAULT_TREE_GRID
 
 
 @dataclass(frozen=True)
@@ -595,7 +595,8 @@ def _index_rows(path: Path, header: str) -> Iterator[tuple[str, str, list[int]]]
 
 
 def _read_windows(config: PipelineConfig, products: dict) -> dict:
-    """Each video's window starts, in the order of the windows.csv rows."""
+    """Each video's window starts, in the order of the windows.csv rows;
+    the kelm command windowed every dev video, so each one has a row."""
     path = _require_file(config.run_dir() / "windows.csv", "kelm stage output")
     index: dict[str, list[int]] = {}
     for where, vid, (i, start, _) in _index_rows(path, _WINDOWS_HEADER):
@@ -603,8 +604,10 @@ def _read_windows(config: PipelineConfig, products: dict) -> dict:
         if i != len(starts):
             raise DataFormatError(f"{where}: window_index {i} of {vid!r} out of sequence")
         starts.append(start)
-    if not index:
-        raise DataFormatError(f"{path}: no windows")
+    missing = sorted(set(config.split.dev_videos) - set(index))
+    if missing:
+        raise DataFormatError(f"{path}: no windows of dev video(s) {missing}; "
+                              "rerun the kelm stage")
     return index
 
 
@@ -641,8 +644,7 @@ def _read_score_tracks(
 
 def _dev_videos(config: PipelineConfig, index: dict[str, list[int]]) -> list[str]:
     """The dev videos in windows.csv order: the videos kelm_scores.npy holds."""
-    dev = _dev_split(config, list(index))[1]
-    return [vid for vid in index if vid in dev]
+    return [vid for vid in index if vid in config.split.dev_videos]
 
 
 # ---------------------------------------------------------------------------
@@ -973,8 +975,8 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
             model_names=names,
             output_names=[f"c{k}" for k in range(n_outputs)],
         )
-    # at the working rate and of the task's kind, as postprocess reads
-    # fused.npy, and numbered from model 0's first frame
+    # at the working rate and of the task's kind, numbered from model 0's
+    # first frame; fused.npy and fused_index.csv record them
     tracks = [
         FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
                    frame_index_origin=models[0][vid].frame_index_origin)
@@ -1010,25 +1012,10 @@ def _check_frames(
                                  f"{ref} at {at[1]}")
 
 
-def _read_fused(config: PipelineConfig, products: dict) -> dict:
-    """The fused tracks, from fused.npy and each video's first frame and
-    frame count in fused_index.csv."""
-    index = _require_file(config.run_dir() / "fused_index.csv", "fuse stage output")
-    rows: dict[str, tuple[int, int]] = {}
-    for where, vid, (origin, n) in _index_rows(index, _FUSED_INDEX_HEADER):
-        if n < 1 or vid in rows:
-            raise DataFormatError(f"{where}: video {vid!r} needs one row of 1 or more frames")
-        rows[vid] = origin, n
-    if not rows:
-        raise DataFormatError(f"{index}: no videos")
-    origins, counts = zip(*rows.values())
-    return _read_score_tracks(config, config.run_dir() / "fused.npy", "fuse", list(rows),
-                              origins, counts)
-
-
 def stage_postprocess(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Interpolate fused scores to the truth timeline, smooth, and emit labels."""
-    fused, truth = _take(config, products, "fused", "truth")
+    fused = products["fused"]
+    [truth] = _take(config, products, "truth")
     smoothing = SmoothingSpec(window_seconds=config.postprocess.smooth_seconds)
     vids = sorted(fused)
     missing = [v for v in vids if v not in truth]
@@ -1164,10 +1151,9 @@ def stages() -> list[Stage]:
               (stage_window, stage_features, stage_train_kelm, stage_predict_kelm),
               ("truth",), kelm=True),
         Stage("fuse", "combine the KELM track and the base predictions by "
-              "fusion.method", (stage_fuse,), ("windows", "kelm_tracks", "truth")),
-        Stage("postprocess", "interpolate, smooth, emit the predictions, and score "
-              "them against the labels", (stage_postprocess, stage_evaluate),
-              ("fused", "truth")),
+              "fusion.method, interpolate, smooth, emit the predictions, and score "
+              "them against the labels", (stage_fuse, stage_postprocess, stage_evaluate),
+              ("windows", "kelm_tracks", "truth")),
     ]
 
 
@@ -1250,7 +1236,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         _write_json(out_dir / "config.json", config_to_dict(config))
         for i, stage in enumerate(plan):
             t0 = time.perf_counter()
-            report = stage.run(config, out_dir, products)  # postprocess returns one
+            report = stage.run(config, out_dir, products)  # fuse returns one
             later = {product for s in plan[i + 1:] for product in s.needs}
             for product in [p for p in products if p not in later]:
                 del products[product]

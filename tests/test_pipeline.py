@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -212,6 +213,20 @@ def _file_digests(run_dir):
             for p in sorted(run_dir.rglob("*")) if p.is_file()}
 
 
+def _fused_record(run_dir):
+    """fused.npy and the (video, first frame, frame count) rows of
+    fused_index.csv, read as their format promises, without the pipeline."""
+    scores = np.load(run_dir / "fused.npy", allow_pickle=False)
+    with (run_dir / "fused_index.csv").open(encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["video_id", "first_frame", "n_frames"]
+    rows = [(vid, int(first), int(n)) for vid, first, n in rows]
+    assert scores.dtype == np.float64 and scores.ndim == 2
+    assert len(scores) == sum(n for _, _, n in rows)
+    assert [vid for vid, _, _ in rows] == sorted(vid for vid, _, _ in rows)
+    return scores, rows
+
+
 def _set_first_row_field(path, j, value):
     """Replace field j of the first data row of a CSV file."""
     lines = Path(path).read_text().split("\n")
@@ -223,6 +238,25 @@ def _set_first_row_field(path, j, value):
 
 def _windows_start_x(run_dir):
     _set_first_row_field(run_dir / "windows.csv", 2, "x")
+
+
+def _no_windows(run_dir):
+    (run_dir / "windows.csv").unlink()
+
+
+def _windows_header_renamed(run_dir):
+    path = run_dir / "windows.csv"
+    path.write_text(path.read_text().replace("window_index", "index", 1))
+
+
+def _windows_row_short_a_field(run_dir):
+    lines = (run_dir / "windows.csv").read_text().split("\n")
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    (run_dir / "windows.csv").write_text("\n".join(lines))
+
+
+def _windows_index_out_of_sequence(run_dir):
+    _set_first_row_field(run_dir / "windows.csv", 1, "1")
 
 
 def _object_kelm_scores(run_dir):
@@ -258,37 +292,10 @@ def _kelm_scores_of_every_video(run_dir):
     np.save(path, np.tile(np.load(path), (4, 1)))
 
 
-def _truncate_fused(run_dir):
-    path = run_dir / "fused.npy"
-    path.write_bytes(path.read_bytes()[:-8])
-
-
-def _fused_one_row_short(run_dir):
-    path = run_dir / "fused.npy"
-    np.save(path, np.load(path)[:-1])
-
-
-def _nan_fused(run_dir):
-    path = run_dir / "fused.npy"
-    scores = np.load(path)
-    scores[0, 0] = np.nan
-    np.save(path, scores)
-
-
-def _no_fused(run_dir):
-    (run_dir / "fused.npy").unlink()
-
-
-def _no_fused_index(run_dir):
-    (run_dir / "fused_index.csv").unlink()
-
-
-def _fused_index_frames_x(run_dir):
-    _set_first_row_field(run_dir / "fused_index.csv", 2, "x")
-
-
-def _fused_index_no_frames(run_dir):
-    _set_first_row_field(run_dir / "fused_index.csv", 2, "0")
+def _windows_without_the_dev_video(run_dir):
+    path = run_dir / "windows.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("v003,")))
 
 
 class TestSyntheticData:
@@ -862,7 +869,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline, "read_track_csv", counted)
         commands = [stage.name for stage in planned_stages(config)]
-        assert commands == ["kelm", "fuse", "postprocess"]
+        assert commands == ["kelm", "fuse"]
         for command in commands:
             assert main([command, "--config", str(path)]) == 0
         assert reads.count(Path(config.paths.embeddings)) == 1
@@ -891,8 +898,8 @@ class TestRunPipeline:
             "stage_train_kelm": {"truth", "windows", "targets", "features"},
             "stage_predict_kelm": {"truth", "windows", "targets", "features", "kelm_model"},
             "stage_fuse": {"truth", "windows", "kelm_tracks"},
-            "stage_postprocess": {"truth", "fused"},
-            "stage_evaluate": {"truth", "fused", "predictions"},
+            "stage_postprocess": {"truth", "windows", "kelm_tracks", "fused"},
+            "stage_evaluate": {"truth", "windows", "kelm_tracks", "fused", "predictions"},
         }
 
     def test_stage_runs_its_steps_in_order_on_one_products_dict(self):
@@ -917,7 +924,7 @@ class TestRunPipeline:
         _synth_from(config)
         result = run_pipeline(config)
         timings = json.loads((result.run_dir / "timings.json").read_text())
-        assert list(timings) == ["kelm", "fuse", "postprocess"]
+        assert list(timings) == ["kelm", "fuse"]
         assert [stage.name for stage in planned_stages(config)] == list(timings)
 
     @pytest.mark.parametrize("task", ["expr", "va"])
@@ -969,14 +976,12 @@ class TestRunPipeline:
         parsed = read_track_csv(tmp_path / "fused.csv", fps=config.fps_target,
                                 kind=config.track_kind)
         expected = np.concatenate([track.values for track in parsed.values()])
-        got = np.load(run_dir / "fused.npy")
-        assert got.dtype == np.float64 and got.shape == expected.shape
+        got, rows = _fused_record(run_dir)
+        assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-        back = pipeline._read_fused(config, {})
-        assert list(back) == list(parsed) == sorted(config.split.dev_videos)
-        for vid, track in parsed.items():
-            assert back[vid].frame_index_origin == track.frame_index_origin
-            assert back[vid].values.tobytes() == track.values.tobytes()
+        assert [vid for vid, _, _ in rows] == list(parsed) == sorted(config.split.dev_videos)
+        for vid, first, n in rows:
+            assert (first, n) == (parsed[vid].frame_index_origin, parsed[vid].n_frames)
 
     def test_separable_run_is_perfect_on_held_out_video(self, tmp_path):
         # 640 frames at 5 fps with 16 s blocks = 8 blocks; every class shows
@@ -1146,8 +1151,7 @@ class TestCli:
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
     def test_staged_fusion_only_run_reproduces_the_single_shot_run(self, tmp_path, method):
         path = _write_va_fusion_only(tmp_path, method)
-        outputs = self._staged_equals_single_shot(
-            tmp_path, path, ["fuse", "postprocess"])
+        outputs = self._staged_equals_single_shot(tmp_path, path, ["fuse"])
         assert {"fused.npy", "fused_index.csv", "predictions.csv",
                 "report.csv"} <= set(outputs)
         assert not {"windows.csv", "fused.csv"} & set(outputs)
@@ -1193,6 +1197,12 @@ class TestCli:
         "command, damage, code, message",
         [
             ("fuse", _windows_start_x, 6, "windows.csv:2: "),
+            ("fuse", _no_windows, 3, "kelm stage output not found"),
+            ("fuse", _windows_header_renamed, 6,
+             "windows.csv: expected header video_id,window_index,start,n_real"),
+            ("fuse", _windows_row_short_a_field, 6, "windows.csv:2: expected 4 fields"),
+            ("fuse", _windows_index_out_of_sequence, 6,
+             "windows.csv:2: window_index 1 of 'v000' out of sequence"),
             ("fuse", _truncate_kelm_scores, 6, "not a loadable .npy array"),
             ("fuse", _object_kelm_scores, 6, "not a loadable .npy array"),
             ("fuse", _kelm_scores_one_row_short, 4, "rerun the kelm stage"),
@@ -1200,28 +1210,20 @@ class TestCli:
             ("fuse", _no_kelm_scores, 3, "kelm stage output not found"),
             ("fuse", _kelm_scores_of_every_video, 4,
              "has 1280 rows, expected 320; rerun the kelm stage"),
-            ("postprocess", _truncate_fused, 6, "not a loadable .npy array"),
-            ("postprocess", _fused_one_row_short, 4,
-             "has 319 rows, expected 320; rerun the fuse stage"),
-            ("postprocess", _nan_fused, 6, "fused.npy: video 'v003': "),
-            ("postprocess", _no_fused, 3, "fuse stage output not found"),
-            ("postprocess", _no_fused_index, 3, "fuse stage output not found"),
-            ("postprocess", _fused_index_frames_x, 6, "fused_index.csv:2: "),
-            ("postprocess", _fused_index_no_frames, 6,
-             "fused_index.csv:2: video 'v003' needs one row of 1 or more frames"),
+            ("fuse", _windows_without_the_dev_video, 6,
+             "windows.csv: no windows of dev video(s) ['v003']; rerun the kelm stage"),
         ],
-        ids=["windows-start-x", "truncated-kelm-scores", "object-kelm-scores",
+        ids=["windows-start-x", "no-windows", "windows-header-renamed",
+             "windows-row-short-a-field", "windows-index-out-of-sequence",
+             "truncated-kelm-scores", "object-kelm-scores",
              "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores",
-             "kelm-scores-of-every-video", "truncated-fused", "fused-one-row-short",
-             "nan-fused", "no-fused", "no-fused-index", "fused-index-frames-x",
-             "fused-index-no-frames"],
+             "kelm-scores-of-every-video", "windows-without-the-dev-video"],
     )
     def test_damaged_intermediate_exits_with_its_family(
         self, tmp_path, capsys, command, damage, code, message
     ):
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
-        for cmd in ("kelm", "fuse"):
-            assert main([cmd, "--config", str(path)]) == 0
+        assert main(["kelm", "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
         damage(run_dir)
         assert main([command, "--config", str(path)]) == code
@@ -1665,7 +1667,7 @@ class TestCli:
         return path
 
     _LAST_STEPS = {"run": "stage_evaluate", "kelm": "stage_predict_kelm",
-                   "fuse": "stage_fuse", "postprocess": "stage_evaluate"}
+                   "fuse": "stage_evaluate"}
 
     def _fail_after(self, monkeypatch, command):
         """Make `command`'s last step raise once it has written its files;
@@ -1695,7 +1697,7 @@ class TestCli:
         assert staged  # the command had written its files
         assert list((tmp_path / "runs").iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["run", "kelm", "fuse", "postprocess"])
+    @pytest.mark.parametrize("command", ["run", "kelm", "fuse"])
     def test_a_failed_command_leaves_an_existing_run_directory_as_it_found_it(
         self, tmp_path, monkeypatch, command
     ):
@@ -1766,9 +1768,8 @@ class TestCli:
         # the fused track is numbered from model 0's, the KELM track's, first frame
         if code == 0:
             assert [f.read_bytes() for f in fused] == single
-            tracks = pipeline._read_fused(config, {})
-            assert list(tracks) == ["v002"]
-            assert tracks["v002"].frame_index_origin == 4
+            _, rows = _fused_record(run_dir)
+            assert [(vid, first) for vid, first, _ in rows] == [("v002", 4)]
         else:
             err = capsys.readouterr().err
             assert err.count("fuse stage: model 'base_0' starts 'v000' at frame 0, "
@@ -1814,16 +1815,26 @@ class TestCli:
     def test_subcommands_are_synth_run_and_the_stage_commands(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert "{synth,kelm,fuse,postprocess,run}" in capsys.readouterr().out
+        assert "{synth,kelm,fuse,run}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["window", "train-kelm"])
-    def test_the_folded_kelm_commands_exit_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["window", "train-kelm", "postprocess"])
+    def test_the_folded_commands_exit_2(self, tmp_path, capsys, command):
         path = self._prepare(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(path)])
         assert exc.value.code == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_fuse_prints_the_report_as_run_does(self, tmp_path, capsys):
+        # a fusion-only config's whole run is the one command fuse
+        path = _write_va_fusion_only(tmp_path, "mean")
+        printed = []
+        for command, out in (("run", "single"), ("fuse", "staged")):
+            assert main([command, "--config", str(path),
+                         "--out-dir", str(tmp_path / out)]) == 0
+            printed.append(capsys.readouterr().out.split("run directory:")[0])
+        assert printed[0] == printed[1] and printed[0].startswith("task: va\nccc_mean:")
 
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         path = self._prepare(tmp_path)
@@ -1859,7 +1870,7 @@ class TestCli:
             )
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert "{synth,kelm,fuse,postprocess,run}" in proc.stdout
+        assert "{synth,kelm,fuse,run}" in proc.stdout
 
     def test_entry_point_line_reads_as_tomllib_reads_it(self):
         tomllib = pytest.importorskip("tomllib")
@@ -1899,9 +1910,32 @@ class TestArtifactsAbTool:
                             kelm=(60, 20, 6), pairs=1) == 0
         out = capsys.readouterr().out
         assert out.count("equal: True") == 4 and "everything equal" in out
+        assert "expr-dwf pair 0: staged equals single-shot in this checkout: True" in out
         # forest: the bootstrap, the OOB curve and 5 arrays per tree; kelm: C, dev score, beta
         assert re.search(r"^forest pair 0: .*, 12 made, equal: True$", out, re.M)
         assert re.search(r"^kelm pair 0: .*, 3 made, equal: True$", out, re.M)
+
+    def test_staged_files_that_differ_from_single_shot_count_as_a_difference(
+        self, monkeypatch, capsys
+    ):
+        # both checkouts stage alike, so only the staged-against-single-shot
+        # comparison within one checkout can see the changed predictions
+        tool = self._tool()
+        single = {f"run-x/{name}": name[0] for name in
+                  ("config.json", "manifest.json", "predictions.csv", "report.csv")}
+        staged = {"run-x/predictions.csv": "q", "run-x/report.csv": "r", "run-x/stray.csv": "s"}
+
+        def run_child(checkout, mode, data, out, pair):
+            return {"s": 0.0, "rss_mb": 0.0, "made": single if mode == "single" else staged}
+
+        monkeypatch.setattr(tool, "run_child", run_child)
+        assert tool.compare(tool.ROOT, only=("expr-dwf",), videos=3, frames=60) == 1
+        out = capsys.readouterr().out
+        assert out.count("equal: True") == 2
+        assert "expr-dwf pair 0: staged equals single-shot in this checkout: False" in out
+        assert re.findall(r"^  staged differs: (.*)$", out, re.M) == [
+            "run-x/predictions.csv", "run-x/stray.csv"]
+        assert "1 pair(s) differ" in out
 
     def test_a_failed_run_prints_its_last_stderr_line_and_differs(self, tmp_path, capsys):
         tool = self._tool()

@@ -13,7 +13,10 @@ gates its windows by the VAD. Each runs twice: single-shot (`run`) and
 stage by stage (the stage commands of its run, as that checkout's
 `planned_stages` lists them). Both checkouts read the same input paths,
 so `manifest.json` does not depend on where a checkout lives; every
-file of the run directory but `timings.json` is compared.
+file of the run directory but `timings.json` is compared. Each pair of a
+pipeline case also compares this checkout's staged files with its
+single-shot files, leaving out `config.json` and `manifest.json`, which
+only `run` writes; a file that differs prints as `staged differs: NAME`.
 `forest` trains a regression forest of 6 trees on one seeded 9,000 x 4
 set whose features and targets lie on a 0.01 grid, so there are ties
 and -0.0 targets, and compares every tree array, the bootstrap
@@ -231,8 +234,10 @@ def usage(run: dict | str) -> str:
     return "failed" if isinstance(run, str) else f"{run['s']:.3f} s {run['rss_mb']:.1f} MB"
 
 
-def run_pairs(label: str, mode: str, data: Path, checkouts, pairs: int, out: Path) -> int:
-    """Print one case's pairs of runs, their medians if all are equal; the count that differ."""
+def run_pairs(label: str, mode: str, data: Path, checkouts, pairs: int,
+              out: Path) -> tuple[int, list]:
+    """Print one case's pairs of runs, their medians if all are equal; the
+    count that differ, and this checkout's runs."""
     runs = {"other": [], "this": []}
     differ = 0
     for pair in range(pairs):
@@ -250,6 +255,24 @@ def run_pairs(label: str, mode: str, data: Path, checkouts, pairs: int, out: Pat
         med = {side: {k: statistics.median(r[k] for r in rs) for k in ("s", "rss_mb")}
                for side, rs in runs.items()}
         print(f"{label}: median other {usage(med['other'])}, this {usage(med['this'])}")
+    return differ, runs["this"]
+
+
+def staged_vs_single(name: str, single: list, staged: list) -> int:
+    """Print whether each pair's staged run of this checkout made the files
+    its single-shot run did, apart from the two only `run` writes; the
+    count of pairs that differ. A failed run was counted where it failed."""
+    differ = 0
+    for pair, (a, b) in enumerate(zip(single, staged)):
+        if isinstance(a, str) or isinstance(b, str):
+            continue
+        names = sorted(rel for rel in set(a["made"]) | set(b["made"])
+                       if Path(rel).name not in ("config.json", "manifest.json"))
+        bad = [rel for rel in names if a["made"].get(rel) != b["made"].get(rel)]
+        print(f"{name} pair {pair}: staged equals single-shot in this checkout: {not bad}")
+        for rel in bad:
+            print(f"  staged differs: {rel}")
+        differ += bool(bad)
     return differ
 
 
@@ -276,10 +299,14 @@ def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
         inputs = write_cases(names, tmp, videos, frames, forest, kelm)
         for name in names:
             modes, case_pairs = CASES[name]
+            made = {}
             for mode in modes:
                 label = name if mode == name else f"{name} {mode}"
-                differ += run_pairs(label, mode, inputs[name], checkouts, pairs or case_pairs,
-                                    tmp / name / mode)
+                case_differ, made[mode] = run_pairs(label, mode, inputs[name], checkouts,
+                                                    pairs or case_pairs, tmp / name / mode)
+                differ += case_differ
+            if name in PIPELINE:
+                differ += staged_vs_single(name, made["single"], made["staged"])
     print("everything equal" if not differ else f"{differ} pair(s) differ")
     return 1 if differ else 0
 
