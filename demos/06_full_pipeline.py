@@ -6,9 +6,10 @@ A config file names the inputs, the split, and the model settings; the
 pipeline then windows the embeddings, trains the kernel classifier,
 spreads window scores back to frames, fuses, smooths, and evaluates —
 all deterministically. The same stages are exposed on the command line
-as two commands, `affectpipe kelm` and `affectpipe fuse` (which also
-smooths and evaluates), that produce bit-identical artifacts; the window
-features stay in the `kelm` command's memory and are not written.
+as two commands that produce bit-identical artifacts: `affectpipe kelm`
+scores the dev windows and saves one row per window, and `affectpipe
+fuse` spreads those rows onto frames, fuses, smooths and evaluates. The
+window features stay in the `kelm` command's memory and are not written.
 """
 
 import tempfile

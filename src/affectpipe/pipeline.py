@@ -557,10 +557,11 @@ def _sha256_file(path: Path) -> str:
 # windows.csv indexes the windows, one row per window, sorted by video;
 # the features and targets of those rows stay in memory. kelm_beta.npy
 # holds one row per window of the training videos, and
-# kelm_scores.npy one per working-rate label frame of the dev videos,
-# video by video in windows.csv order. fused.npy holds one row per
-# working-rate frame of the fused videos, video by video in the order of
-# fused_index.csv, which gives each video's first frame and frame count.
+# kelm_scores.npy one per window of the dev videos, video by video in
+# windows.csv order; fuse spreads them onto frames. fused.npy holds one
+# row per working-rate frame of the fused videos, video by video in the
+# order of fused_index.csv, which gives each video's first frame and
+# frame count.
 _WINDOWS_HEADER = "video_id,window_index,start,n_real"
 _FUSED_INDEX_HEADER = "video_id,first_frame,n_frames"
 
@@ -611,15 +612,15 @@ def _read_windows(config: PipelineConfig, products: dict) -> dict:
     return index
 
 
-def _read_score_tracks(
-    config: PipelineConfig, path: Path, stage: str,
-    vids: Sequence[str], origins: Sequence[int], counts: Sequence[int],
-) -> dict[str, FrameTrack]:
-    """The float64 scores `stage` saved at `path`, one row per frame of
-    `counts`, cut into one working-rate track of the task's kind per video;
-    a value a FrameTrack rejects is a DataFormatError naming `path` and the
-    video."""
-    path = _require_file(path, f"{stage} stage output")
+def _read_kelm_scores(config: PipelineConfig, products: dict) -> dict:
+    """Each dev video's window scores from kelm_scores.npy, which holds
+    float64 rows of the task's width for the dev videos' windows of
+    windows.csv, in its order; a score that is not finite is a
+    DataFormatError naming the file and the video."""
+    [index] = _take(config, products, "windows")
+    vids = _dev_videos(config, index)
+    counts = [len(index[vid]) for vid in vids]
+    path = _require_file(config.run_dir() / "kelm_scores.npy", "kelm stage output")
     try:
         scores = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
@@ -629,21 +630,18 @@ def _read_score_tracks(
         raise DataFormatError(f"{path}: expected float64 of shape {shape}, "
                               f"got {scores.dtype} of shape {scores.shape}")
     if len(scores) != shape[0]:
-        raise AlignmentError(
-            f"{path} has {len(scores)} rows, expected {shape[0]}; rerun the {stage} stage"
-        )
-    tracks = {}
-    for vid, origin, values in zip(vids, origins, np.split(scores, np.cumsum(counts)[:-1])):
-        try:
-            tracks[vid] = FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
-                                     frame_index_origin=origin)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: video {vid!r}: {exc}") from None
-    return tracks
+        raise AlignmentError(f"{path} has {len(scores)} rows, expected {shape[0]} dev "
+                             "windows; rerun the kelm stage")
+    per_video = dict(zip(vids, np.split(scores, np.cumsum(counts)[:-1])))
+    for vid, values in per_video.items():
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}: video {vid!r}: a window score is not finite")
+    return per_video
 
 
 def _dev_videos(config: PipelineConfig, index: dict[str, list[int]]) -> list[str]:
-    """The dev videos in windows.csv order: the videos kelm_scores.npy holds."""
+    """The dev videos in windows.csv order: the videos whose window scores
+    kelm_scores.npy holds."""
     return [vid for vid in index if vid in config.split.dev_videos]
 
 
@@ -805,13 +803,14 @@ def _spread_window_scores(
             f"{scores.shape[0]} score rows for {len(starts)} windows"
         )
     width = scores.shape[1]
-    out = np.full((n_frames, width), np.nan)
+    out = np.zeros((n_frames, width))
+    covered = np.zeros(n_frames, dtype=bool)
     lead = (window_frames - hop_frames) // 2
     for start, row in zip(starts, scores):
         a = min(max(start + lead, 0), n_frames)
         b = min(a + hop_frames, n_frames)
         out[a:b] = row
-    covered = ~np.isnan(out[:, 0])
+        covered[a:b] = True
     if not covered.any():
         raise AlignmentError("no window span lands inside the frame range")
     if not covered.all():
@@ -823,57 +822,42 @@ def _spread_window_scores(
 
 def stage_predict_kelm(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Score the dev videos' windows with the model stage_train_kelm left in
-    `products`, and lay the scores onto the working timeline.
+    `products`; stage_fuse spreads the scores onto the working timeline.
 
     Fusion reads the KELM track of the dev videos alone (a KELM run
     always has a dev split), so the training videos are not scored.
     """
     index, feats, model = (products[k] for k in ("windows", "features", "kelm_model"))
-    # the window stage checked each video's labels against its windows'
-    # frame count, so the labels give the timeline the windows were cut from
     vids = _dev_videos(config, index)
-    truth = _truth_at_working_rate(config, products, vids, "kelm")
-    spec = config.window_spec
-
-    def one(vid: str) -> FrameTrack:
-        scores = predict_kelm(model, feats[vid])
-        frame_scores = _spread_window_scores(
-            index[vid], scores, truth[vid].n_frames, spec.window_frames, spec.hop_frames
-        )
-        if config.task == "va":
-            frame_scores = np.clip(frame_scores, -1.0, 1.0)
-        # numbered from the labels' first frame, as base tracks are
-        return FrameTrack(vid, config.fps_target, frame_scores, kind=config.track_kind,
-                          frame_index_origin=truth[vid].frame_index_origin)
-
-    tracks = _map_ordered(one, vids, config.workers)
-    np.save(out_dir / "kelm_scores.npy", np.concatenate([t.values for t in tracks]))
-    products["kelm_tracks"] = dict(zip(vids, tracks))
-
-
-def _read_kelm_tracks(config: PipelineConfig, products: dict) -> dict:
-    """The dev videos' tracks the kelm stage scored, from kelm_scores.npy and
-    the labels: each video's frame count and first frame are its labels'
-    at the working rate."""
-    [index] = _take(config, products, "windows")
-    vids = _dev_videos(config, index)
-    truth = _truth_at_working_rate(config, products, vids, "fuse")
-    return _read_score_tracks(config, config.run_dir() / "kelm_scores.npy", "kelm", vids,
-                              [truth[vid].frame_index_origin for vid in vids],
-                              [truth[vid].n_frames for vid in vids])
+    scores = _map_ordered(lambda vid: predict_kelm(model, feats[vid]), vids, config.workers)
+    np.save(out_dir / "kelm_scores.npy", np.concatenate(scores))
+    products["kelm_scores"] = dict(zip(vids, scores))
 
 
 def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
-    """Combine this run's KELM track and the configured bases by the fusion method."""
+    """Spread the KELM's dev window scores onto the working timeline, then
+    combine that track and the configured bases by the fusion method."""
     names: list[str] = []
     models: list[dict[str, FrameTrack]] = []
     if config.kelm.enabled:
         names.append("kelm")
-        index, kelm_tracks = _take(config, products, "windows", "kelm_tracks")
-        models.append(kelm_tracks)
-        # the KELM track holds the dev videos alone; every windowed video's
-        # labels at the working rate are the frames it would have
+        index, kelm_scores = _take(config, products, "windows", "kelm_scores")
+        # the kelm command checked each video's labels against its windows'
+        # frame count, so every windowed video's labels at the working rate
+        # give the frames its track has; the KELM track holds the dev videos
         timeline = _truth_at_working_rate(config, products, list(index), "fuse")
+        spec = config.window_spec
+        kelm_tracks = {}
+        for vid, scores in kelm_scores.items():
+            frame_scores = _spread_window_scores(index[vid], scores, timeline[vid].n_frames,
+                                                 spec.window_frames, spec.hop_frames)
+            if config.task == "va":
+                frame_scores = np.clip(frame_scores, -1.0, 1.0)
+            # numbered from the labels' first frame, as base tracks are
+            kelm_tracks[vid] = FrameTrack(vid, config.fps_target, frame_scores,
+                                          kind=config.track_kind,
+                                          frame_index_origin=timeline[vid].frame_index_origin)
+        models.append(kelm_tracks)
     for pred in config.paths.base_predictions:
         path = _require_file(pred, "base predictions file")
         name = path.stem
@@ -1146,14 +1130,14 @@ def stages() -> list[Stage]:
     set on a stage function of this module is the one that runs."""
     return [
         Stage("kelm", "slice the VAD-gated windows, compute their normalized "
-              "functionals, select C on the dev split, train, and score the dev windows "
-              "onto the working timeline",
+              "functionals, select C on the dev split, train, and score the dev windows",
               (stage_window, stage_features, stage_train_kelm, stage_predict_kelm),
               ("truth",), kelm=True),
-        Stage("fuse", "combine the KELM track and the base predictions by "
-              "fusion.method, interpolate, smooth, emit the predictions, and score "
-              "them against the labels", (stage_fuse, stage_postprocess, stage_evaluate),
-              ("windows", "kelm_tracks", "truth")),
+        Stage("fuse", "spread the KELM's dev window scores onto the working timeline, "
+              "combine that track and the base predictions by fusion.method, "
+              "interpolate, smooth, emit the predictions, and score them against the "
+              "labels", (stage_fuse, stage_postprocess, stage_evaluate),
+              ("windows", "kelm_scores", "truth")),
     ]
 
 

@@ -286,10 +286,20 @@ def _no_kelm_scores(run_dir):
 
 
 def _kelm_scores_of_every_video(run_dir):
-    """kelm_scores.npy as the KELM stage wrote it when it scored every video:
-    one row per label frame of all four equally long synthetic videos."""
+    """kelm_scores.npy as it would be had the KELM stage scored every video:
+    one row per window of windows.csv."""
     path = run_dir / "kelm_scores.npy"
-    np.save(path, np.tile(np.load(path), (4, 1)))
+    n_windows = len((run_dir / "windows.csv").read_text().splitlines()) - 1
+    np.save(path, np.resize(np.load(path), (n_windows, N_EXPR_CLASSES)))
+
+
+def _frame_level_kelm_scores(run_dir):
+    """kelm_scores.npy as an older version wrote it: the dev video's window
+    scores spread onto its 320 label frames (2 s windows at a 2 s hop)."""
+    path = run_dir / "kelm_scores.npy"
+    rows = (run_dir / "windows.csv").read_text().splitlines()[1:]
+    starts = [int(row.split(",")[2]) for row in rows if row.startswith("v003,")]
+    np.save(path, pipeline._spread_window_scores(starts, np.load(path), 320, 10, 10))
 
 
 def _windows_without_the_dev_video(run_dir):
@@ -790,6 +800,46 @@ def _per_frame_join(pred, truth, task):
     return va_report(t, p)
 
 
+class TestSpreadWindowScores:
+    """Windows of 4 frames at a hop of 2: the row of the window that starts
+    at frame s covers frames s + 1 and s + 2."""
+
+    @staticmethod
+    def _spread(starts, scores, n_frames):
+        return pipeline._spread_window_scores(
+            starts, np.array(scores, dtype=np.float64), n_frames, 4, 2)
+
+    def test_frames_before_the_first_span_and_after_the_last_hold_its_row(self):
+        out = self._spread([2, 4], [[1.0, -1.0], [3.0, 5.0]], 10)
+        np.testing.assert_array_equal(out, [[1.0, -1.0]] * 5 + [[3.0, 5.0]] * 5)
+
+    def test_an_unvoiced_gap_is_interpolated_linearly(self):
+        # spans 1-2 and 7-8; frames 3-6 lie between frames 2 and 7
+        out = self._spread([0, 6], [[0.0, 10.0], [5.0, 0.0]], 10)
+        np.testing.assert_allclose(out[:, 0], [0, 0, 0, 1, 2, 3, 4, 5, 5, 5])
+        np.testing.assert_allclose(out[:, 1], [10, 10, 10, 8, 6, 4, 2, 0, 0, 0])
+
+    def test_spans_are_clamped_at_n_frames(self):
+        # the span of the window at 6 is cut to frame 7; the one at 8 is empty
+        out = self._spread([0, 6, 8], [[0.0], [5.0], [9.0]], 8)
+        np.testing.assert_allclose(out[:, 0], [0, 0, 0, 1, 2, 3, 4, 5])
+
+    def test_no_span_inside_the_frame_range_raises(self):
+        with pytest.raises(AlignmentError, match="no window span lands inside"):
+            self._spread([5, 10], [[1.0], [2.0]], 6)
+
+    def test_a_row_count_other_than_the_window_count_raises(self):
+        with pytest.raises(AlignmentError, match="1 score rows for 2 windows"):
+            self._spread([0, 2], [[1.0]], 6)
+
+    def test_a_nan_in_column_0_is_a_score_not_a_gap(self):
+        out = self._spread([0, 2, 4], [[0.0, 0.0], [np.nan, 7.0], [4.0, 8.0]], 7)
+        assert np.isnan(out[3:5, 0]).all()
+        np.testing.assert_array_equal(out[3:5, 1], [7.0, 7.0])
+        np.testing.assert_array_equal(out[[0, 1, 2, 5, 6]],
+                                      [[0, 0]] * 3 + [[4, 8]] * 2)
+
+
 class TestRunPipeline:
     def test_expr_run_reports_in_range_and_writes_manifest(self, tmp_path):
         config = load_config(_write_config(tmp_path, synth={"noise": 1.0}))
@@ -844,7 +894,7 @@ class TestRunPipeline:
         _write_base_predictions(config)
         calls = {}
         for name in ("read_label_csv", "read_track_csv", "read_vad_csv",
-                     "_index_rows", "_read_score_tracks"):
+                     "_index_rows", "_read_kelm_scores"):
             def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -897,9 +947,9 @@ class TestRunPipeline:
             "stage_features": {"truth", "batches", "windows", "targets"},
             "stage_train_kelm": {"truth", "windows", "targets", "features"},
             "stage_predict_kelm": {"truth", "windows", "targets", "features", "kelm_model"},
-            "stage_fuse": {"truth", "windows", "kelm_tracks"},
-            "stage_postprocess": {"truth", "windows", "kelm_tracks", "fused"},
-            "stage_evaluate": {"truth", "windows", "kelm_tracks", "fused", "predictions"},
+            "stage_fuse": {"truth", "windows", "kelm_scores"},
+            "stage_postprocess": {"truth", "windows", "kelm_scores", "fused"},
+            "stage_evaluate": {"truth", "windows", "kelm_scores", "fused", "predictions"},
         }
 
     def test_stage_runs_its_steps_in_order_on_one_products_dict(self):
@@ -1209,7 +1259,9 @@ class TestCli:
             ("fuse", _nan_kelm_score, 6, "kelm_scores.npy: video 'v003': "),
             ("fuse", _no_kelm_scores, 3, "kelm stage output not found"),
             ("fuse", _kelm_scores_of_every_video, 4,
-             "has 1280 rows, expected 320; rerun the kelm stage"),
+             "has 128 rows, expected 32 dev windows; rerun the kelm stage"),
+            ("fuse", _frame_level_kelm_scores, 4,
+             "has 320 rows, expected 32 dev windows; rerun the kelm stage"),
             ("fuse", _windows_without_the_dev_video, 6,
              "windows.csv: no windows of dev video(s) ['v003']; rerun the kelm stage"),
         ],
@@ -1217,7 +1269,8 @@ class TestCli:
              "windows-row-short-a-field", "windows-index-out-of-sequence",
              "truncated-kelm-scores", "object-kelm-scores",
              "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores",
-             "kelm-scores-of-every-video", "windows-without-the-dev-video"],
+             "kelm-scores-of-every-video", "frame-level-kelm-scores",
+             "windows-without-the-dev-video"],
     )
     def test_damaged_intermediate_exits_with_its_family(
         self, tmp_path, capsys, command, damage, code, message
@@ -1261,7 +1314,7 @@ class TestCli:
         got = run_dir / "kelm_scores.npy"
         assert got.read_bytes() == (
             next((tmp_path / "staged").iterdir()) / "kelm_scores.npy").read_bytes()
-        # each dev video's windows, scored and spread as for every video before
+        # each dev video's window scores, in windows.csv order
         windows = np.loadtxt(run_dir / "windows.csv", delimiter=",", skiprows=1,
                              dtype=str)
         # the features the kelm command keeps in memory
@@ -1274,19 +1327,24 @@ class TestCli:
         model = KelmModel(D=feats[~dev], beta=np.load(run_dir / "kelm_beta.npy"),
                           kernel=config.kernel_spec.resolve(feats.shape[1]),
                           task="classification" if config.task == "expr" else "regression")
-        labels = read_label_csv(config.paths.labels, config.task)
-        spec = config.window_spec
-        rows = []
-        for vid in sorted(config.split.dev_videos):
-            mine = windows[:, 0] == vid
-            video = pipeline._spread_window_scores(
-                windows[mine, 2].astype(int), predict_kelm(model, feats[mine]),
-                len(labels[vid].frames), spec.window_frames, spec.hop_frames)
-            rows.append(np.clip(video, -1.0, 1.0) if config.task == "va" else video)
-        expected = np.concatenate(rows)
-        n_dev_frames = sum(len(labels[vid].frames) for vid in config.split.dev_videos)
-        assert expected.shape == (n_dev_frames, config.n_outputs)
+        expected = np.concatenate([predict_kelm(model, feats[windows[:, 0] == vid])
+                                   for vid in dict.fromkeys(windows[dev, 0])])
+        assert expected.shape == (dev.sum(), config.n_outputs)
         assert np.load(got).tobytes() == expected.tobytes()
+
+    def test_non_finite_window_score_names_its_dev_video(self, tmp_path, capsys):
+        path = self._prepare(tmp_path, split={"dev_videos": ["v003", "v001"]},
+                             fusion={"method": "dwf", "pool_size": 50})
+        assert main(["kelm", "--config", str(path)]) == 0
+        run_dir = load_config(path).run_dir()
+        windows = (run_dir / "windows.csv").read_text().splitlines()[1:]
+        first_of_v003 = sum(line.startswith("v001,") for line in windows)
+        scores = np.load(run_dir / "kelm_scores.npy")
+        scores[first_of_v003, 3] = np.inf
+        np.save(run_dir / "kelm_scores.npy", scores)
+        assert main(["fuse", "--config", str(path)]) == 6
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'kelm_scores.npy'}: video 'v003': " in err
 
     @pytest.mark.parametrize(
         "field_name, change, message",
