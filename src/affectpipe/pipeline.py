@@ -558,10 +558,10 @@ def _sha256_file(path: Path) -> str:
 # the features and targets of those rows stay in memory. kelm_beta.npy
 # holds one row per window of the training videos, and
 # kelm_scores.npy one per window of the dev videos, video by video in
-# windows.csv order; fuse spreads them onto frames. fused.npy holds one
-# row per working-rate frame of the fused videos, video by video in the
-# order of fused_index.csv, which gives each video's first frame and
-# frame count.
+# sorted order, which is windows.csv's; fuse spreads them onto frames.
+# fused.npy holds the fused table: one row per working-rate frame of the
+# fused videos, video by video in the order of fused_index.csv, which
+# gives each video's first frame and frame count on the timeline.
 _WINDOWS_HEADER = "video_id,window_index,start,n_real"
 _FUSED_INDEX_HEADER = "video_id,first_frame,n_frames"
 
@@ -577,34 +577,30 @@ def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
     return "".join(rows).encode("utf-8")
 
 
-def _index_rows(path: Path, header: str) -> Iterator[tuple[str, str, list[int]]]:
-    """Each row of an index csv under `header`: its `path:line`, its video
-    id and its integer fields. A malformed row raises DataFormatError."""
+def _read_windows(config: PipelineConfig, products: dict) -> dict:
+    """Each video's window starts, in the order of the windows.csv rows;
+    the kelm command windowed every dev video, so each one has a row. A
+    malformed row is a DataFormatError naming its `path:line`."""
+    path = _require_file(config.run_dir() / "windows.csv", "kelm stage output")
+    n_fields = _WINDOWS_HEADER.count(",") + 1
+    index: dict[str, list[int]] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != header.split(","):
-            raise DataFormatError(f"{path}: expected header {header}")
+        if next(reader, None) != _WINDOWS_HEADER.split(","):
+            raise DataFormatError(f"{path}: expected header {_WINDOWS_HEADER}")
         for row in reader:
             where = f"{path}:{reader.line_num}"
             try:
-                if len(row) != header.count(",") + 1:
-                    raise ValueError(f"expected {header.count(',') + 1} fields")
-                ints = [int(field) for field in row[1:]]
+                if len(row) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields")
+                i, start, _ = (int(field) for field in row[1:])
             except ValueError as exc:
                 raise DataFormatError(f"{where}: {exc}") from None
-            yield where, row[0], ints
-
-
-def _read_windows(config: PipelineConfig, products: dict) -> dict:
-    """Each video's window starts, in the order of the windows.csv rows;
-    the kelm command windowed every dev video, so each one has a row."""
-    path = _require_file(config.run_dir() / "windows.csv", "kelm stage output")
-    index: dict[str, list[int]] = {}
-    for where, vid, (i, start, _) in _index_rows(path, _WINDOWS_HEADER):
-        starts = index.setdefault(vid, [])
-        if i != len(starts):
-            raise DataFormatError(f"{where}: window_index {i} of {vid!r} out of sequence")
-        starts.append(start)
+            starts = index.setdefault(row[0], [])
+            if i != len(starts):
+                raise DataFormatError(
+                    f"{where}: window_index {i} of {row[0]!r} out of sequence")
+            starts.append(start)
     missing = sorted(set(config.split.dev_videos) - set(index))
     if missing:
         raise DataFormatError(f"{path}: no windows of dev video(s) {missing}; "
@@ -615,10 +611,10 @@ def _read_windows(config: PipelineConfig, products: dict) -> dict:
 def _read_kelm_scores(config: PipelineConfig, products: dict) -> dict:
     """Each dev video's window scores from kelm_scores.npy, which holds
     float64 rows of the task's width for the dev videos' windows of
-    windows.csv, in its order; a score that is not finite is a
+    windows.csv, in sorted video order; a score that is not finite is a
     DataFormatError naming the file and the video."""
     [index] = _take(config, products, "windows")
-    vids = _dev_videos(config, index)
+    vids = sorted(config.split.dev_videos)
     counts = [len(index[vid]) for vid in vids]
     path = _require_file(config.run_dir() / "kelm_scores.npy", "kelm stage output")
     try:
@@ -637,12 +633,6 @@ def _read_kelm_scores(config: PipelineConfig, products: dict) -> dict:
         if not np.isfinite(values).all():
             raise DataFormatError(f"{path}: video {vid!r}: a window score is not finite")
     return per_video
-
-
-def _dev_videos(config: PipelineConfig, index: dict[str, list[int]]) -> list[str]:
-    """The dev videos in windows.csv order: the videos whose window scores
-    kelm_scores.npy holds."""
-    return [vid for vid in index if vid in config.split.dev_videos]
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +818,7 @@ def stage_predict_kelm(config: PipelineConfig, out_dir: Path, products: dict) ->
     always has a dev split), so the training videos are not scored.
     """
     index, feats, model = (products[k] for k in ("windows", "features", "kelm_model"))
-    vids = _dev_videos(config, index)
+    vids = sorted(config.split.dev_videos)
     scores = _map_ordered(lambda vid: predict_kelm(model, feats[vid]), vids, config.workers)
     np.save(out_dir / "kelm_scores.npy", np.concatenate(scores))
     products["kelm_scores"] = dict(zip(vids, scores))
@@ -838,7 +828,7 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Spread the KELM's dev window scores onto the working timeline, then
     combine that track and the configured bases by the fusion method."""
     names: list[str] = []
-    models: list[dict[str, FrameTrack]] = []
+    models: list[dict[str, np.ndarray]] = []  # each model's frame scores per video
     if config.kelm.enabled:
         names.append("kelm")
         index, kelm_scores = _take(config, products, "windows", "kelm_scores")
@@ -847,63 +837,59 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
         # give the frames its track has; the KELM track holds the dev videos
         timeline = _truth_at_working_rate(config, products, list(index), "fuse")
         spec = config.window_spec
-        kelm_tracks = {}
+        kelm = {}
         for vid, scores in kelm_scores.items():
-            frame_scores = _spread_window_scores(index[vid], scores, timeline[vid].n_frames,
-                                                 spec.window_frames, spec.hop_frames)
+            kelm[vid] = _spread_window_scores(index[vid], scores, timeline[vid].n_frames,
+                                              spec.window_frames, spec.hop_frames)
             if config.task == "va":
-                frame_scores = np.clip(frame_scores, -1.0, 1.0)
-            # numbered from the labels' first frame, as base tracks are
-            kelm_tracks[vid] = FrameTrack(vid, config.fps_target, frame_scores,
-                                          kind=config.track_kind,
-                                          frame_index_origin=timeline[vid].frame_index_origin)
-        models.append(kelm_tracks)
+                kelm[vid] = np.clip(kelm[vid], -1.0, 1.0)
+        models.append(kelm)
+    bases: list[dict[str, FrameTrack]] = []
     for pred in config.paths.base_predictions:
         path = _require_file(pred, "base predictions file")
         name = path.stem
         while name in names:
             name += "+"
         names.append(name)
-        models.append(read_track_csv(path, fps=config.fps_target, kind=config.track_kind))
+        bases.append(read_track_csv(path, fps=config.fps_target, kind=config.track_kind))
     if not config.kelm.enabled:
-        timeline = models[0]
+        timeline = bases[0]
     vids = sorted(timeline)
-    # every fusion method needs each video's model tracks on model 0's
-    # frames; model 0 is built on the timeline or is the timeline
-    for name, model in zip(names[1:], models[1:]):
-        if sorted(model) != vids:
+    # every model needs each video's frames on the timeline: the labels at
+    # the working rate, which the KELM track is built on, or else base 0
+    for name, base in zip(names[len(models):], bases):
+        if sorted(base) != vids:
             raise AlignmentError(
-                f"fuse stage: model {name!r} covers videos {sorted(model)}, "
+                f"fuse stage: model {name!r} covers videos {sorted(base)}, "
                 f"expected {vids}"
             )
-        _check_frames("fuse", f"model {name!r}", model, f"model {names[0]!r}", timeline,
+        _check_frames("fuse", f"model {name!r}", base, f"model {names[0]!r}", timeline,
                       vids)
+        models.append({vid: track.values for vid, track in base.items()})
     _dev_split(config, vids)
-    eval_vids = sorted(config.split.dev_videos or vids)  # all videos without a dev split
+    # the dev videos, or every video without a dev split; dwf and rf have one
+    fused_vids = sorted(config.split.dev_videos or vids)
+    preds = [np.concatenate([model[vid] for vid in fused_vids]) for model in models]
     n_outputs = config.n_outputs
     matrix: FusionMatrix | None = None
     method = config.fusion.method
     if method in ("dwf", "rf"):  # _validate checked that a dev split is given
-        dev_vids = sorted(config.split.dev_videos)
-        truth = _truth_at_working_rate(config, products, dev_vids, "fuse")
-        dev_preds = [
-            np.vstack([model[v].values for v in dev_vids]) for model in models
-        ]
-        _check_frames("fuse", "the label track", truth, f"model {names[0]!r}", timeline,
-                      dev_vids)
-        if config.task == "expr":
-            dev_truth = np.concatenate([truth[v].labels() for v in dev_vids])
+        if config.kelm.enabled:
+            truth = timeline  # the labels at the working rate
         else:
-            dev_truth = np.vstack([truth[v].values for v in dev_vids])
+            truth = _truth_at_working_rate(config, products, fused_vids, "fuse")
+            _check_frames("fuse", "the label track", truth, f"model {names[0]!r}",
+                          timeline, fused_vids)
+        if config.task == "expr":
+            dev_truth = np.concatenate([truth[v].labels() for v in fused_vids])
+        else:
+            dev_truth = np.vstack([truth[v].values for v in fused_vids])
         if len(dev_truth) < 2 and (method == "rf" or config.task == "va"):
             raise ConfigError(f"fuse stage: split.dev_videos give {len(dev_truth)} dev "
                               f"frame(s); {method} fusion on {config.task} needs at least 2")
 
     if method == "mean":
-        fused = [
-            mean_fusion([model[vid].values for model in models], task=config.task)
-            for vid in eval_vids
-        ]
+        fused = mean_fusion(preds, task=config.task)
         matrix = uniform_matrix(len(models), n_outputs)
     elif method == "dwf":
         pool = sample_pool(
@@ -913,26 +899,16 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
             alpha=config.fusion.alpha,
             seed=config.seed,
         )
-        matrix, best_score, scores = dwf_search(
-            pool, dev_preds, dev_truth, metric=config.metric
-        )
+        matrix, best_score, scores = dwf_search(pool, preds, dev_truth, metric=config.metric)
         write_score_table(out_dir / "pool_scores.csv", scores)
         log.info("dwf: best of %d matrices scores %.4f on the dev split",
                  len(pool), best_score)
-        fused = [
-            apply_fusion(
-                [model[vid].values for model in models], matrix, task=config.task
-            )
-            for vid in eval_vids
-        ]
+        fused = apply_fusion(preds, matrix, task=config.task)
     else:  # rf
-        target_preds = [
-            np.vstack([model[v].values for v in eval_vids]) for model in models
-        ]
-        fused_arr, info = stack_and_fuse_rf(
-            dev_preds,
+        fused, info = stack_and_fuse_rf(
+            preds,
             dev_truth,
-            target_preds,
+            preds,
             task=config.task,
             base_spec=ForestSpec(n_trees=config.fusion.tree_grid[0], seed=config.seed),
             grid=config.fusion.tree_grid,
@@ -950,8 +926,6 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
             ["dev_score", FLOAT_FMT % info.dev_score],
             ["overfit_gap", FLOAT_FMT % info.overfit_gap],
         ])
-        ends = np.cumsum([models[0][vid].n_frames for vid in eval_vids])
-        fused = np.split(fused_arr, ends[:-1])
     if matrix is not None:
         write_fusion_matrix(
             out_dir / "fusion_matrix.csv",
@@ -959,19 +933,20 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
             model_names=names,
             output_names=[f"c{k}" for k in range(n_outputs)],
         )
-    # at the working rate and of the task's kind, numbered from model 0's
-    # first frame; fused.npy and fused_index.csv record them
+    # at the working rate and of the task's kind, numbered from the
+    # timeline's first frames; fused.npy and fused_index.csv record them
+    ends = np.cumsum([timeline[vid].n_frames for vid in fused_vids])
     tracks = [
         FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
-                   frame_index_origin=models[0][vid].frame_index_origin)
-        for vid, values in zip(eval_vids, fused)
+                   frame_index_origin=timeline[vid].frame_index_origin)
+        for vid, values in zip(fused_vids, np.split(fused, ends[:-1]))
     ]
-    np.save(out_dir / "fused.npy", np.concatenate([t.values for t in tracks]))
+    np.save(out_dir / "fused.npy", fused)
     (out_dir / "fused_index.csv").write_text(_FUSED_INDEX_HEADER + "\n" + "".join(
         csv_row_format(t.video_id, ",%d,%d\n") % (t.frame_index_origin, t.n_frames)
         for t in tracks
     ), encoding="utf-8", newline="\n")
-    products["fused"] = dict(zip(eval_vids, tracks))
+    products["fused"] = dict(zip(fused_vids, tracks))
 
 
 def _check_frames(

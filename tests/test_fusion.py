@@ -226,6 +226,30 @@ class TestMeanFusion:
         np.testing.assert_array_equal(fused, [[0.5]])
 
 
+class TestFusionOverConcatenatedVideos:
+    """The fuse stage fuses the rows of all its videos in one call, so
+    that call must give each video's own fusion byte for byte."""
+
+    @pytest.mark.parametrize("task", ["expr", "va"])
+    @pytest.mark.parametrize("n_models", [1, 2, 3, 4])
+    def test_equals_the_per_video_fusions_concatenated(self, task, n_models):
+        rng = np.random.default_rng(n_models)
+        k = 8 if task == "expr" else 2
+        for _ in range(25):
+            lengths = rng.integers(1, 300, size=rng.integers(2, 6))
+            videos = [[rng.uniform(-1.2, 1.2, size=(n, k)) for _ in range(n_models)]
+                      for n in lengths]
+            matrix = FusionMatrix(rng.dirichlet(np.ones(n_models), size=k).T)
+            whole = [np.concatenate([video[m] for video in videos])
+                     for m in range(n_models)]
+            for fuse in (lambda preds: apply_fusion(preds, matrix, task=task),
+                         lambda preds: mean_fusion(preds, task=task)):
+                once = fuse(whole)
+                per_video = np.concatenate([fuse(video) for video in videos])
+                assert once.shape == per_video.shape == (lengths.sum(), k)
+                assert once.tobytes() == per_video.tobytes()
+
+
 class TestDwfSearch:
     def test_single_selector_pool_returns_solo_score(self):
         rng = np.random.default_rng(30)

@@ -894,7 +894,7 @@ class TestRunPipeline:
         _write_base_predictions(config)
         calls = {}
         for name in ("read_label_csv", "read_track_csv", "read_vad_csv",
-                     "_index_rows", "_read_kelm_scores"):
+                     "_read_windows", "_read_kelm_scores"):
             def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
@@ -903,6 +903,26 @@ class TestRunPipeline:
         run_pipeline(config)
         assert calls == {"read_label_csv": 1, "read_track_csv": 1 + len(bases),
                          "read_vad_csv": 1}
+
+    @pytest.mark.parametrize("method, fuser, dev_videos", [
+        ("mean", "mean_fusion", ()),
+        ("dwf", "apply_fusion", ("v001", "v002")),
+        ("rf", "stack_and_fuse_rf", ("v001", "v002")),
+    ])
+    def test_run_fuses_every_video_in_one_call(self, tmp_path, monkeypatch, method, fuser,
+                                               dev_videos):
+        path = _write_va_fusion_only(tmp_path, method, dev_videos=dev_videos)
+        rows = []
+
+        def counted(preds, *args, _fn=getattr(pipeline, fuser), **kwargs):
+            rows.append(len(preds[0]))
+            return _fn(preds, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, fuser, counted)
+        result = run_pipeline(load_config(path))
+        _, index = _fused_record(result.run_dir)
+        assert len(index) == len(dev_videos or ["v000", "v001", "v002"])
+        assert rows == [sum(n for _, _, n in index)]
 
     def test_staged_run_parses_the_embeddings_once(self, tmp_path, monkeypatch):
         bases = _base_paths(tmp_path, 2)
@@ -1331,6 +1351,25 @@ class TestCli:
                                    for vid in dict.fromkeys(windows[dev, 0])])
         assert expected.shape == (dev.sum(), config.n_outputs)
         assert np.load(got).tobytes() == expected.tobytes()
+
+    def test_staged_fuse_pairs_each_dev_video_with_its_own_kelm_scores(self, tmp_path):
+        # kelm_scores.npy holds the dev videos in sorted order, whatever
+        # order windows.csv lists them in
+        path = self._prepare(tmp_path, split={"dev_videos": ["v002", "v003"]})
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "single")]) == 0
+        staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
+        assert main(["kelm", *staged]) == 0
+        run_a, run_b = (next((tmp_path / side).iterdir()) for side in ("single", "staged"))
+        windows = run_b / "windows.csv"
+        header, *rows = windows.read_text().splitlines()
+        v002, v003 = ([row for row in rows if row.startswith(f"{vid},")]
+                      for vid in ("v002", "v003"))
+        rest = [row for row in rows if row not in v002 + v003]
+        windows.write_text("\n".join([header, *rest, *v003, *v002]) + "\n")
+        assert main(["fuse", *staged]) == 0
+        for name in ("kelm_scores.npy", "fused.npy", "predictions.csv", "report.csv"):
+            assert (run_b / name).read_bytes() == (run_a / name).read_bytes()
 
     def test_non_finite_window_score_names_its_dev_video(self, tmp_path, capsys):
         path = self._prepare(tmp_path, split={"dev_videos": ["v003", "v001"]},

@@ -7,8 +7,10 @@ The pipeline cases synthesise one small dataset per task once (expr and
 va embeddings, labels and VAD, and two noisy base prediction tracks per
 task) and run {expr, va} x {dwf, rf, mean} with the KELM over 2 s
 windows that do not overlap, expr dwf again over the default 4 s / 2 s
-windows, which do (`expr-dwf-overlap`), and one fusion-only va dwf
-config over both base tracks (`va-fusion-only-dwf`). Every KELM case
+windows, which do (`expr-dwf-overlap`), and two fusion-only va
+configs over both base tracks: dwf (`va-fusion-only-dwf`), and mean
+with no dev split (`va-fusion-only-mean`), the one case that fuses
+every video rather than a single dev video. Every KELM case
 gates its windows by the VAD. Each runs twice: single-shot (`run`) and
 stage by stage (the stage commands of its run, as that checkout's
 `planned_stages` lists them). Both checkouts read the same input paths,
@@ -58,7 +60,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 FUSION = {"dwf": {"pool_size": 100}, "rf": {"tree_grid": [3, 5]}, "mean": {}}
 PIPELINE = ([f"{task}-{method}" for task in ("expr", "va") for method in FUSION]
-            + ["expr-dwf-overlap", "va-fusion-only-dwf"])
+            + ["expr-dwf-overlap", "va-fusion-only-dwf", "va-fusion-only-mean"])
 # each case's child modes and pairs of runs
 CASES = {**{name: (("single", "staged"), 1) for name in PIPELINE},
          "forest": (("forest",), 5), "kelm": (("kelm",), 5)}
@@ -162,13 +164,14 @@ def pipeline_configs(paths: dict, videos: int) -> dict:
             }
     # the default 4 s / 2 s windows overlap, and short voiced segments give short windows
     out["expr-dwf-overlap"] = {k: v for k, v in out["expr-dwf"].items() if k != "window"}
-    out["va-fusion-only-dwf"] = {
-        "task": "va", "seed": 3, "split": {"dev_videos": dev},
+    fusion_only = {
+        "task": "va", "seed": 3, "kelm": {"enabled": False},
         "paths": {"labels": paths["va"]["labels"],
                   "base_predictions": paths["va"]["base_predictions"]},
-        "kelm": {"enabled": False},
-        "fusion": {"method": "dwf", **FUSION["dwf"]},
     }
+    out["va-fusion-only-dwf"] = {**fusion_only, "split": {"dev_videos": dev},
+                                 "fusion": {"method": "dwf", **FUSION["dwf"]}}
+    out["va-fusion-only-mean"] = {**fusion_only, "fusion": {"method": "mean"}}
     return out
 
 
