@@ -43,7 +43,6 @@ from .fusion import (
     dwf_search,
     mean_fusion,
     sample_pool,
-    selector_matrix,
     stack_and_fuse_rf,
     uniform_matrix,
 )
@@ -54,7 +53,6 @@ from .kelm import (
     encode_classification_targets,
     kernel_matrix,
     predict_kelm,
-    predict_kelm_labels,
     select_c,
     train_kelm,
 )
@@ -64,7 +62,6 @@ from .metrics import (
     challenge_score_va,
     classification_report,
     format_score,
-    pearson,
     va_report,
 )
 from .pipeline import (
@@ -125,7 +122,6 @@ __all__ = [
     "dwf_search",
     "mean_fusion",
     "sample_pool",
-    "selector_matrix",
     "stack_and_fuse_rf",
     "uniform_matrix",
     "KelmModel",
@@ -134,7 +130,6 @@ __all__ = [
     "encode_classification_targets",
     "kernel_matrix",
     "predict_kelm",
-    "predict_kelm_labels",
     "select_c",
     "train_kelm",
     "EvalReport",
@@ -142,7 +137,6 @@ __all__ = [
     "challenge_score_va",
     "classification_report",
     "format_score",
-    "pearson",
     "va_report",
     "PipelineConfig",
     "RunResult",

@@ -68,15 +68,6 @@ class FusionMatrix:
         return self.weights.shape[1]
 
 
-def selector_matrix(model_index: int, n_models: int, n_outputs: int) -> FusionMatrix:
-    """The matrix that copies one model's scores through unchanged."""
-    if not 0 <= model_index < n_models:
-        raise ValueError("model_index out of range")
-    w = np.zeros((n_models, n_outputs))
-    w[model_index] = 1.0
-    return FusionMatrix(w)
-
-
 def uniform_matrix(n_models: int, n_outputs: int) -> FusionMatrix:
     return FusionMatrix(np.full((n_models, n_outputs), 1.0 / n_models))
 
@@ -274,9 +265,11 @@ class RfFusionInfo:
     oob_score is the forests' own out-of-bag estimate (accuracy or
     negative MSE, averaged over va dimensions). oob_metric_score scores
     the out-of-bag predictions with the challenge metric `metric`
-    (macro_f1 or mean_ccc), on the rows some tree left out; dev_score is
-    that metric on the split the forests were fit on, so a large
-    dev-minus-OOB gap signals overfitting.
+    (macro_f1 or mean_ccc), on the rows some tree left out; dev_score
+    scores the forests' full predictions of those same rows, which they
+    were fit on, so a large dev-minus-OOB gap signals overfitting. Both
+    average over the heads, and a head with too few such rows to score
+    gives NaN for both.
     """
 
     n_trees: int
@@ -311,8 +304,9 @@ def stack_and_fuse_rf(
     features, then predicts the dev split, the target split (the dev
     prediction again when the target rows equal the dev rows, as in a
     pipeline run) and the dev split's OOB rows. The dev and OOB scores
-    average metrics.challenge_score over the heads; a head's OOB score
-    is NaN when too few rows were left out to score. The returned (q, K)
+    average metrics.challenge_score over the heads, both on the rows some
+    tree left out; a head's two scores are NaN when too few rows were
+    left out to score. The returned (q, K)
     array holds the heads' target predictions side by side
     (class-frequency scores for expr, regression clipped to [-1, 1] for
     va).
@@ -357,14 +351,12 @@ def stack_and_fuse_rf(
         oob_scores.append(model.oob_score)
         dev_out = scores(predict_forest(model, x_dev))
         fused.append(dev_out if target_is_dev else scores(predict_forest(model, x_target)))
-        dev_scores.append(metrics.challenge_score(y, dev_out, metric))
         oob = scores(predict_oob(model, x_dev))
         seen = ~np.isnan(oob[:, 0])
-        oob_metric_scores.append(
-            metrics.challenge_score(y[seen], oob[seen], metric)
-            if seen.sum() >= min_rows
-            else float("nan")
-        )
+        enough = seen.sum() >= min_rows
+        for out, into in ((dev_out, dev_scores), (oob, oob_metric_scores)):
+            into.append(metrics.challenge_score(y[seen], out[seen], metric) if enough
+                        else float("nan"))
     n = len(heads)
     info = RfFusionInfo(max(chosen), sum(oob_scores) / n, sum(dev_scores) / n, metric,
                         sum(oob_metric_scores) / n)
@@ -391,11 +383,3 @@ def write_fusion_matrix(
         writer.writerow(["model", *output_names])
         for name, row in zip(model_names, matrix.weights):
             writer.writerow([name, *("%.17g" % v for v in row)])
-
-
-def write_score_table(path: str | Path, scores: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pool_index", "score"])
-        for i, s in enumerate(np.asarray(scores)):
-            writer.writerow([i, "%.17g" % s])

@@ -204,13 +204,6 @@ def predict_kelm(model: KelmModel, x_test: np.ndarray) -> np.ndarray:
     return scores
 
 
-def predict_kelm_labels(model: KelmModel, x_test: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the smallest index."""
-    if model.task != "classification":
-        raise ValueError("labels are only defined for classification models")
-    return predict_kelm(model, x_test).argmax(axis=1)
-
-
 def select_c(
     x: np.ndarray,
     targets: np.ndarray,

@@ -98,23 +98,6 @@ def ccc(t, p) -> CccBreakdown:
     )
 
 
-def pearson(t, p) -> float:
-    """Centered correlation; undefined (raises) for constant series."""
-    t, p = _as_series(t, "t"), _as_series(p, "p")
-    if t.shape != p.shape:
-        raise ValueError(f"length mismatch: {t.shape[0]} vs {p.shape[0]}")
-    if t.shape[0] < 2:
-        raise ValueError("pearson needs at least 2 samples")
-    dt, dp = t - t.mean(), p - p.mean()
-    var_t = (dt * dt).mean()
-    var_p = (dp * dp).mean()
-    if var_t == 0.0 or var_p == 0.0:
-        raise ValueError("pearson is undefined for constant series")
-    # sqrt of the product (not the product of sqrts) keeps the
-    # self-correlation exactly 1.0
-    return float(np.clip((dt * dp).mean() / np.sqrt(var_t * var_p), -1.0, 1.0))
-
-
 def challenge_score_va(ccc_valence: float, ccc_arousal: float) -> float:
     """Challenge aggregate for dimensional emotion: the arithmetic mean."""
     if not (-1.0 <= ccc_valence <= 1.0 and -1.0 <= ccc_arousal <= 1.0):

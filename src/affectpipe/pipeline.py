@@ -68,7 +68,6 @@ from .fusion import (
     stack_and_fuse_rf,
     uniform_matrix,
     write_fusion_matrix,
-    write_score_table,
 )
 from .kelm import (
     DEFAULT_C_GRID,
@@ -80,7 +79,13 @@ from .kelm import (
     select_c,
     train_kelm,
 )
-from .metrics import EvalReport, classification_report, va_report, write_report
+from .metrics import (
+    EvalReport,
+    classification_report,
+    first_best,
+    va_report,
+    write_report,
+)
 from .synth import SyntheticSpec
 from .timeline import (
     FLOAT_FMT,
@@ -555,10 +560,10 @@ def _sha256_file(path: Path) -> str:
 
 
 # windows.csv indexes the windows, one row per window, sorted by video;
-# the features and targets of those rows stay in memory. kelm_beta.npy
-# holds one row per window of the training videos, and
-# kelm_scores.npy one per window of the dev videos, video by video in
-# sorted order, which is windows.csv's; fuse spreads them onto frames.
+# the features and targets of those rows and the KELM model stay in
+# memory. kelm_scores.npy holds one row per window of the dev videos,
+# video by video in sorted order, which is windows.csv's; fuse spreads
+# them onto frames.
 # fused.npy holds the fused table: one row per working-rate frame of the
 # fused videos, video by video in the order of fused_index.csv, which
 # gives each video's first frame and frame count on the timeline.
@@ -766,7 +771,6 @@ def stage_train_kelm(config: PipelineConfig, out_dir: Path, products: dict) -> N
         x_train, enc, best_c, kernel=config.kernel_spec, weights=weights,
         task=_KELM_TASKS[config.task],
     )
-    np.save(out_dir / "kelm_beta.npy", model.beta)
     products["kelm_model"] = model
     _write_csv(out_dir / "selection.csv",
                [["c", "dev_score"], [FLOAT_FMT % best_c, FLOAT_FMT % dev_score]])
@@ -822,6 +826,22 @@ def stage_predict_kelm(config: PipelineConfig, out_dir: Path, products: dict) ->
     scores = _map_ordered(lambda vid: predict_kelm(model, feats[vid]), vids, config.workers)
     np.save(out_dir / "kelm_scores.npy", np.concatenate(scores))
     products["kelm_scores"] = dict(zip(vids, scores))
+
+
+def _dwf_info(scores: np.ndarray, matrix: FusionMatrix, names: list[str]) -> list:
+    """The rows of dwf_info.csv: the pool's size, the winner's index and
+    score, the best score of any other matrix, how many matrices score
+    exactly the winner's score, and the model whose scores the winner
+    copies through unchanged, or '' when it mixes them."""
+    best = first_best(scores)
+    others = np.delete(scores, best)  # sample_pool gives at least two matrices
+    selector = next((name for name, w in zip(names, matrix.weights) if (w == 1.0).all()), "")
+    return [
+        ["metric", "value"], ["pool_size", str(len(scores))],
+        ["winner_index", str(best)], ["winner_score", FLOAT_FMT % scores[best]],
+        ["runner_up_score", FLOAT_FMT % others[first_best(others)]],
+        ["n_tied", str(int((scores == scores[best]).sum()))], ["selector", selector],
+    ]
 
 
 def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
@@ -900,7 +920,7 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
             seed=config.seed,
         )
         matrix, best_score, scores = dwf_search(pool, preds, dev_truth, metric=config.metric)
-        write_score_table(out_dir / "pool_scores.csv", scores)
+        _write_csv(out_dir / "dwf_info.csv", _dwf_info(scores, matrix, names))
         log.info("dwf: best of %d matrices scores %.4f on the dev split",
                  len(pool), best_score)
         fused = apply_fusion(preds, matrix, task=config.task)

@@ -23,11 +23,9 @@ from affectpipe.fusion import (
     dwf_search,
     mean_fusion,
     sample_pool,
-    selector_matrix,
     stack_and_fuse_rf,
     uniform_matrix,
     write_fusion_matrix,
-    write_score_table,
     _stack_features,
 )
 
@@ -44,10 +42,6 @@ class TestFusionMatrix:
     def test_rejects_bad_column_sums(self):
         with pytest.raises(ValueError):
             FusionMatrix(np.array([[0.5], [0.4]]))
-
-    def test_selector_is_one_hot(self):
-        m = selector_matrix(1, 3, 2)
-        np.testing.assert_array_equal(m.weights, [[0, 0], [1, 1], [0, 0]])
 
     @pytest.mark.parametrize("cls, w", [
         (FusionMatrix, np.array([[0.5, 1.0], [0.5, 0.0]])),
@@ -88,10 +82,11 @@ class TestSamplePool:
     def test_selectors_appended_at_end(self):
         pool = sample_pool(3, 2, pool_size=10, seed=1)
         assert len(pool) == 13
-        for m in range(3):
-            np.testing.assert_array_equal(
-                pool.matrices[10 + m].weights, selector_matrix(m, 3, 2).weights
-            )
+        np.testing.assert_array_equal(pool.weights[10:], [
+            [[1, 1], [0, 0], [0, 0]],
+            [[0, 0], [1, 1], [0, 0]],
+            [[0, 0], [0, 0], [1, 1]],
+        ])
 
     @pytest.mark.parametrize("m, k, alpha", [(3, 8, 1.0), (1, 4, 0.5), (4, 2, 1e-3)])
     def test_weights_are_normalised_gamma_draws_then_selectors(self, m, k, alpha):
@@ -100,7 +95,7 @@ class TestSamplePool:
         sums = g.sum(axis=1, keepdims=True)
         g = np.where(sums == 0.0, 1.0, g)
         expected = [w / w.sum(axis=0) for w in g]
-        expected += [selector_matrix(i, m, k).weights for i in range(m)]
+        expected += [np.outer(np.eye(m)[i], np.ones(k)) for i in range(m)]  # selectors
         assert pool.weights.shape == (30 + m, m, k) and pool.weights.dtype == np.float64
         assert pool.weights.tobytes() == np.array(expected).tobytes()
         assert not pool.weights.flags.writeable
@@ -155,7 +150,8 @@ class TestApplyFusion:
     def test_selector_copies_one_model_exactly(self):
         rng = np.random.default_rng(12)
         preds = _random_scores(rng, 3, 25, 8)
-        fused = apply_fusion(preds, selector_matrix(2, 3, 8), task="expr")
+        fused = apply_fusion(preds, FusionMatrix([[0.0] * 8, [0.0] * 8, [1.0] * 8]),
+                             task="expr")
         np.testing.assert_array_equal(fused, preds[2])
 
     def test_output_bounded_by_model_envelope(self):
@@ -178,21 +174,21 @@ class TestApplyFusion:
 
     def test_va_outputs_clipped(self):
         p1 = np.array([[2.0, -3.0]])  # raw scores outside the va range
-        fused = apply_fusion([p1], selector_matrix(0, 1, 2), task="va")
+        fused = apply_fusion([p1], FusionMatrix(np.ones((1, 2))), task="va")
         np.testing.assert_array_equal(fused, [[1.0, -1.0]])
 
     @pytest.mark.parametrize("task", ["VA", "valence", None])
     def test_unknown_task_rejected(self, task):
         preds = [np.full((3, 2), 2.0)]
         with pytest.raises(ValueError, match="unknown task"):
-            apply_fusion(preds, selector_matrix(0, 1, 2), task=task)
+            apply_fusion(preds, FusionMatrix(np.ones((1, 2))), task=task)
         with pytest.raises(ValueError, match="unknown task"):
             mean_fusion(preds, task=task)
 
     def test_task_defaults_to_expr(self):
         preds = [np.full((3, 2), 2.0)]
         np.testing.assert_array_equal(
-            apply_fusion(preds, selector_matrix(0, 1, 2)), preds[0]
+            apply_fusion(preds, FusionMatrix(np.ones((1, 2)))), preds[0]
         )
         np.testing.assert_array_equal(mean_fusion(preds), preds[0])
 
@@ -255,7 +251,7 @@ class TestDwfSearch:
         rng = np.random.default_rng(30)
         preds = _random_scores(rng, 1, 40, 4)
         truth = rng.integers(0, 4, size=40)
-        pool = FusionPool(selector_matrix(0, 1, 4).weights[None])
+        pool = FusionPool(np.ones((1, 1, 4)))
         matrix, score, table = dwf_search(pool, preds, truth, "macro_f1")
         solo = metrics.classification_report(
             truth, preds[0].argmax(axis=1), n_classes=4
@@ -601,6 +597,46 @@ class TestRfStacking:
         assert info.oob_score == model.oob_score  # accuracy stays reported
         assert info.overfit_gap == info.dev_score - expected
 
+    @pytest.mark.parametrize("task", ["expr", "va"])
+    def test_dev_score_is_taken_on_the_rows_the_oob_score_sees(self, task):
+        # with two trees about 40% of the rows are in both bootstraps, unseen by OOB
+        truth, preds, va_truth, va_preds = self._noise_case()
+        if task == "va":
+            truth, preds = va_truth, va_preds
+        spec, grid = ForestSpec(n_trees=2, seed=61), (2,)
+        _, info = stack_and_fuse_rf(preds, truth, preds, task=task,
+                                    base_spec=spec, grid=grid)
+        x = _stack_features(preds)
+        heads = ([(truth, spec, "classification")] if task == "expr" else
+                 [(truth[:, j], replace(spec, seed=int(
+                     np.random.SeedSequence([61, j]).generate_state(1)[0])), "regression")
+                  for j in range(2)])
+        scores = []
+        for y, head_spec, forest_task in heads:
+            _, _, model = select_n_trees(x, y, grid, head_spec, task=forest_task,
+                                         n_classes=3 if task == "expr" else None)
+            dev_out = predict_forest(model, x).reshape(len(y), -1)
+            seen = ~np.isnan(predict_oob(model, x).reshape(len(y), -1)[:, 0])
+            assert 0 < seen.sum() < len(y)
+            if task == "va":
+                dev_out = np.clip(dev_out, -1.0, 1.0)
+            scores.append(metrics.challenge_score(y[seen], dev_out[seen], info.metric))
+        assert info.dev_score == sum(scores) / len(scores)
+        assert info.overfit_gap == info.dev_score - info.oob_metric_score
+
+    def test_a_head_with_too_few_oob_rows_has_no_dev_or_oob_score(self):
+        truth = np.array([[0.5, -0.5], [-0.5, 0.5], [0.25, 0.0]])
+        preds = [truth.copy()]
+        for seed in range(50):
+            _, info = stack_and_fuse_rf(preds, truth, preds, task="va",
+                                        base_spec=ForestSpec(n_trees=1, seed=seed),
+                                        grid=(1,))
+            if np.isnan(info.dev_score):
+                break
+        else:
+            pytest.fail("no seed left a head with fewer than two OOB rows")
+        assert np.isnan(info.oob_metric_score) and np.isnan(info.overfit_gap)
+
     def test_va_overfit_gap_uses_oob_mean_ccc(self):
         _, _, truth, preds = self._noise_case()
         spec, grid = ForestSpec(n_trees=2, seed=61), [2, 6]
@@ -633,10 +669,3 @@ class TestPersistence:
         assert path.read_bytes() == expected.encode()
         rows = [line.split(",")[1:] for line in path.read_text().splitlines()[1:]]
         np.testing.assert_array_equal(np.array(rows, dtype=float), weights)
-
-    def test_score_table_format(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        write_score_table(path, np.array([0.25, 0.5]))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "pool_index,score"
-        assert lines[1].startswith("0,") and lines[2].startswith("1,")

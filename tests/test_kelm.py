@@ -13,7 +13,6 @@ from affectpipe.kelm import (
     encode_classification_targets,
     kernel_matrix,
     predict_kelm,
-    predict_kelm_labels,
     regularizer_ok,
     select_c,
     train_kelm,
@@ -217,13 +216,8 @@ class TestPredict:
         x = centers[labels] + rng.normal(scale=0.3, size=(90, 2))
         t = encode_classification_targets(labels, 3)
         model = train_kelm(x, t, c=100.0, task="classification")
-        pred = predict_kelm_labels(model, x)
+        pred = predict_kelm(model, x).argmax(axis=1)
         assert (pred == labels).mean() > 0.95
-
-    def test_labels_require_classification_task(self):
-        model = train_kelm(np.eye(2), np.ones((2, 1)), c=1.0)
-        with pytest.raises(ValueError):
-            predict_kelm_labels(model, np.eye(2))
 
 
 class TestSelectC:
@@ -298,7 +292,7 @@ def reference_beta(x, targets, c, spec, weights):
 def reference_score(model, dev_x, dev_targets, metric):
     """The dev score of a trained model through the public predictors."""
     if metric == "macro_f1":
-        pred = predict_kelm_labels(model, dev_x)
+        pred = predict_kelm(model, dev_x).argmax(axis=1)
         return metrics.classification_report(
             dev_targets, pred, n_classes=model.n_outputs
         ).macro_f1

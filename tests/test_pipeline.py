@@ -29,7 +29,12 @@ from affectpipe.errors import (
     SolverError,
     TaskMismatchError,
 )
-from affectpipe.kelm import KelmModel, predict_kelm
+from affectpipe.kelm import (
+    class_weights,
+    encode_classification_targets,
+    predict_kelm,
+    train_kelm,
+)
 from affectpipe.metrics import classification_report, va_report
 from affectpipe.pipeline import (
     config_hash,
@@ -1012,7 +1017,7 @@ class TestRunPipeline:
         shortcut = run_pipeline(config).run_dir
         monkeypatch.setattr(pipeline, "dwf_search", reference_dwf_search)
         loop = run_pipeline(load_config(path, out_dir=str(tmp_path / "loop"))).run_dir
-        for rel in ("pool_scores.csv", "fusion_matrix.csv", "fused.npy", "fused_index.csv"):
+        for rel in ("dwf_info.csv", "fusion_matrix.csv", "fused.npy", "fused_index.csv"):
             assert (shortcut / rel).read_bytes() == (loop / rel).read_bytes()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
@@ -1146,13 +1151,13 @@ class TestRunPipeline:
             )
             result = run_pipeline(load_config(path))
             assert 0.0 <= result.report.macro_f1 <= 1.0
-            if method == "dwf":
-                assert (result.run_dir / "pool_scores.csv").exists()
-            else:
-                rows = (result.run_dir / "rf_info.csv").read_text().splitlines()
-                keys = [row.partition(",")[0] for row in rows]
-                assert keys == ["metric", "n_trees", "oob_score", "oob_macro_f1",
-                                "dev_score", "overfit_gap"]
+            info = "dwf_info.csv" if method == "dwf" else "rf_info.csv"
+            rows = (result.run_dir / info).read_text().splitlines()
+            keys = [row.partition(",")[0] for row in rows]
+            assert keys == (["metric", "pool_size", "winner_index", "winner_score",
+                             "runner_up_score", "n_tied", "selector"] if method == "dwf"
+                            else ["metric", "n_trees", "oob_score", "oob_macro_f1",
+                                  "dev_score", "overfit_gap"])
 
 
 def _script_entry_point(pyproject: Path) -> str:
@@ -1212,7 +1217,7 @@ class TestCli:
         assert main(["synth", "--config", str(path)]) == 0
         _write_base_predictions(load_config(path))
         outputs = self._staged_equals_single_shot(tmp_path, path)
-        assert {"windows.csv", "selection.csv", "kelm_beta.npy", "kelm_scores.npy", "fused.npy",
+        assert {"windows.csv", "selection.csv", "kelm_scores.npy", "fused.npy",
                 "fused_index.csv", "predictions.csv", "report.csv"} <= set(outputs)
         # the window-level arrays stay in the kelm command's memory
         assert not {"features.npy", "window_targets.npy", "models/kelm.csv",
@@ -1303,8 +1308,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(run_dir) in err and message in err
 
-    def test_staged_fuse_needs_no_selection_csv_or_kelm_beta(self, tmp_path):
-        # kelm writes both as a record of the model; no command reads them
+    def test_staged_fuse_needs_no_selection_csv(self, tmp_path):
+        # kelm writes it as the record of the chosen C; no command reads it
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
@@ -1312,11 +1317,69 @@ class TestCli:
         assert main(["kelm", *staged]) == 0
         run_b = next((tmp_path / "staged").iterdir())
         (run_b / "selection.csv").unlink()
-        (run_b / "kelm_beta.npy").unlink()
         assert main(["fuse", *staged]) == 0
         run_a = next((tmp_path / "single").iterdir())
         for name in ("fused.npy", "fused_index.csv"):
             assert (run_b / name).read_bytes() == (run_a / name).read_bytes()
+
+    # every run writes these; a KELM run adds _KELM_FILES
+    _RUN_FILES = {"config.json", "manifest.json", "timings.json", "fused.npy",
+                  "fused_index.csv", "predictions.csv", "report.csv", "report.txt"}
+    _KELM_FILES = {"windows.csv", "scaler.csv", "selection.csv", "kelm_scores.npy"}
+
+    @staticmethod
+    def _run_files(path):
+        assert main(["run", "--config", str(path)]) == 0
+        run_dir = load_config(path).run_dir()
+        return {str(p.relative_to(run_dir)) for p in run_dir.rglob("*")}
+
+    @pytest.mark.parametrize("method, files", [
+        ("dwf", {"dwf_info.csv", "fusion_matrix.csv"}),
+        ("rf", {"rf_info.csv"}),
+        ("mean", {"fusion_matrix.csv"}),
+    ])
+    def test_a_kelm_run_directory_holds_exactly_these_files(self, tmp_path, method, files):
+        path = self._prepare(tmp_path, fusion={"method": method, "pool_size": 50,
+                                               "tree_grid": [2, 3]})
+        assert self._run_files(path) == self._RUN_FILES | self._KELM_FILES | files
+
+    def test_a_fusion_only_dwf_run_directory_holds_exactly_these_files(self, tmp_path):
+        path = _write_va_fusion_only(tmp_path, "dwf")
+        assert self._run_files(path) == self._RUN_FILES | {"dwf_info.csv",
+                                                            "fusion_matrix.csv"}
+
+    @pytest.mark.parametrize("fusion_only", [False, True], ids=["kelm", "fusion-only"])
+    def test_dwf_info_records_the_search(self, tmp_path, monkeypatch, fusion_only):
+        searches = []
+
+        def recorded(pool, *args, _search=pipeline.dwf_search, **kwargs):
+            searches.append((pool, *_search(pool, *args, **kwargs)))
+            return searches[-1][1:]
+
+        monkeypatch.setattr(pipeline, "dwf_search", recorded)
+        if fusion_only:
+            path, names = _write_va_fusion_only(tmp_path, "dwf"), ["a", "b"]
+        else:
+            path, names = self._prepare(tmp_path, fusion={"method": "dwf",
+                                                          "pool_size": 50}), ["kelm"]
+        assert main(["run", "--config", str(path)]) == 0
+        [(pool, matrix, score, scores)] = searches
+        with (load_config(path).run_dir() / "dwf_info.csv").open(newline="") as fh:
+            rows = dict(csv.reader(fh))
+        assert list(rows) == ["metric", "pool_size", "winner_index", "winner_score",
+                              "runner_up_score", "n_tied", "selector"]
+        i = int(rows["winner_index"])
+        assert int(rows["pool_size"]) == len(pool) == len(scores)
+        assert float(rows["winner_score"]) == score == scores[i]
+        assert pool.weights[i].tobytes() == matrix.weights.tobytes()
+        assert float(rows["runner_up_score"]) == np.delete(scores, i).max()
+        assert int(rows["n_tied"]) == (scores == score).sum()
+        copied = [name for name, w in zip(names, matrix.weights) if (w == 1.0).all()]
+        assert rows["selector"] == "".join(copied)
+        if not fusion_only:  # one model: every matrix is the KELM's selector
+            assert rows["n_tied"] == rows["pool_size"] == "51"
+            assert rows["selector"] == "kelm"
+            assert rows["runner_up_score"] == rows["winner_score"]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1337,16 +1400,23 @@ class TestCli:
         # each dev video's window scores, in windows.csv order
         windows = np.loadtxt(run_dir / "windows.csv", delimiter=",", skiprows=1,
                              dtype=str)
-        # the features the kelm command keeps in memory
+        # the features and targets the kelm command keeps in memory, and
+        # the model it fits at the C of selection.csv
         products = {}
         (tmp_path / "steps").mkdir()
         for step in (pipeline.stage_window, pipeline.stage_features):
             step(config, tmp_path / "steps", products)
         feats = np.concatenate(list(products["features"].values()))  # in video order
+        targets = np.concatenate(list(products["targets"].values()))
         dev = np.isin(windows[:, 0], config.split.dev_videos)
-        model = KelmModel(D=feats[~dev], beta=np.load(run_dir / "kelm_beta.npy"),
-                          kernel=config.kernel_spec.resolve(feats.shape[1]),
-                          task="classification" if config.task == "expr" else "regression")
+        [c] = np.loadtxt(run_dir / "selection.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
+        if config.task == "expr":
+            enc = encode_classification_targets(targets[~dev], N_EXPR_CLASSES)
+            weights = class_weights(targets[~dev])
+        else:
+            enc, weights = targets[~dev], None
+        model = train_kelm(feats[~dev], enc, c, kernel=config.kernel_spec, weights=weights,
+                           task="classification" if config.task == "expr" else "regression")
         expected = np.concatenate([predict_kelm(model, feats[windows[:, 0] == vid])
                                    for vid in dict.fromkeys(windows[dev, 0])])
         assert expected.shape == (dev.sum(), config.n_outputs)
@@ -1415,7 +1485,7 @@ class TestCli:
         assert main(["kelm", *staged]) == 0
         assert main(["fuse", *staged]) == 4
         assert message in capsys.readouterr().err
-        assert not any((tmp_path / "staged").glob("*/pool_scores.csv"))
+        assert not any((tmp_path / "staged").glob("*/dwf_info.csv"))
 
     def test_kelm_exits_3_without_the_embeddings(self, tmp_path, capsys):
         path = self._prepare(tmp_path)
@@ -1533,7 +1603,7 @@ class TestCli:
         assert (f"fuse stage: split.dev_videos give 1 dev frame(s); {method} fusion "
                 "on va needs at least 2") in capsys.readouterr().err
         run_dir = load_config(path).run_dir()
-        for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
+        for name in ("dwf_info.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
     def test_expr_rf_on_a_one_frame_dev_split_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -1627,7 +1697,7 @@ class TestCli:
         assert ("fuse stage: model 'b' has 203 frames for 'v001', model 'a' has 200"
                 in capsys.readouterr().err)
         run_dir = load_config(path).run_dir()
-        for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
+        for name in ("dwf_info.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
@@ -1637,7 +1707,7 @@ class TestCli:
         assert ("fuse stage: model 'b' starts 'v000' at frame 0, model 'a' at frame 4"
                 in capsys.readouterr().err)
         run_dir = load_config(path).run_dir()
-        for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
+        for name in ("dwf_info.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
@@ -1658,7 +1728,7 @@ class TestCli:
         assert ("fuse stage: the label track starts 'v001' at frame 0, model 'a' at "
                 "frame 4") in capsys.readouterr().err
         run_dir = load_config(path).run_dir()
-        for name in ("pool_scores.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
+        for name in ("dwf_info.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("label_origin, code", [(4, 0), (0, 4)])
@@ -2008,6 +2078,12 @@ class TestArtifactsAbTool:
         out = capsys.readouterr().out
         assert out.count("equal: True") == 4 and "everything equal" in out
         assert "expr-dwf pair 0: staged equals single-shot in this checkout: True" in out
+        # a pipeline pair prints each side's bytes; single-shot adds config and manifest
+        sizes = re.findall(r"^expr-dwf (single|staged) pair 0: other .* MB ([\d,]+) B, "
+                           r"this .* MB ([\d,]+) B, \d+ made, equal: True$", out, re.M)
+        [(_, single, same), (_, staged, same_staged)] = sizes
+        assert single == same and staged == same_staged
+        assert int(single.replace(",", "")) > int(staged.replace(",", "")) > 0
         # forest: the bootstrap, the OOB curve and 5 arrays per tree; kelm: C, dev score, beta
         assert re.search(r"^forest pair 0: .*, 12 made, equal: True$", out, re.M)
         assert re.search(r"^kelm pair 0: .*, 3 made, equal: True$", out, re.M)

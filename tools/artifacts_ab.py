@@ -30,7 +30,9 @@ C, its dev score and beta.
 
 Each run is a fresh process per checkout that imports that checkout's
 `src/affectpipe`, in pairs that alternate which checkout runs first.
-Each pair prints both processes' time and peak RSS and
+Each pair prints both processes' time and peak RSS, for a pipeline case
+the bytes of the files it compares (the run directory without
+`timings.json`, so a change in size shows without the benchmark), and
 whether the sha256 of everything they made is equal; a thing that is
 not prints as `differs: NAME`, or as `only in other: NAME` /
 `only in this: NAME` when one checkout alone made it, and a process that
@@ -104,12 +106,14 @@ else:
     made = {str(p.relative_to(out)): p for p in sorted(out.rglob("*"))
             if p.is_file() and p.name != "timings.json"}
 seconds = time.perf_counter() - start
+files = [v for v in made.values() if isinstance(v, Path)]  # a pipeline run's files
 status = Path("/proc/self/status")
 hwm = [line.split()[1] for line in (status.read_text().splitlines() if status.exists() else ())
        if line.startswith("VmHWM:")]
 print(json.dumps({
     "s": seconds,
     "rss_mb": int(hwm[0] if hwm else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) / 1024,
+    "bytes": sum(f.stat().st_size for f in files) if files else None,
     "made": {k: hashlib.sha256(v.read_bytes() if isinstance(v, Path) else np.asarray(v).tobytes())
              .hexdigest() for k, v in made.items()},
 }))
@@ -234,7 +238,10 @@ def diff(other: dict, this: dict) -> list[str]:
 
 
 def usage(run: dict | str) -> str:
-    return "failed" if isinstance(run, str) else f"{run['s']:.3f} s {run['rss_mb']:.1f} MB"
+    if isinstance(run, str):
+        return "failed"
+    size = "" if run.get("bytes") is None else f" {run['bytes']:,} B"
+    return f"{run['s']:.3f} s {run['rss_mb']:.1f} MB{size}"
 
 
 def run_pairs(label: str, mode: str, data: Path, checkouts, pairs: int,
