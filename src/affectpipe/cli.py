@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .errors import AffectPipeError, ConfigError, MissingInputError
 from .metrics import report_to_text
-from .pipeline import (PipelineConfig, load_config, planned_stages, run_pipeline,
-                       staged_writes, stages)
+from .pipeline import (PipelineConfig, _read_truth, load_config, planned_stages,
+                       run_pipeline, staged_writes, stages)
 from .synth import synth_generate
 
 
@@ -53,7 +53,7 @@ def _run_stage(args) -> int:
         raise ConfigError(f"{stage.name}: this config has kelm.enabled: false, so its "
                           f"run has no {stage.name} stage")
     with staged_writes(config) as out_dir:
-        result = stage.run(config, out_dir, {})
+        result = stage.run(config, out_dir, _read_truth(config))
     if result is not None:
         print(report_to_text(result))
     print(f"run directory: {config.run_dir()}")

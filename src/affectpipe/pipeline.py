@@ -5,13 +5,13 @@ functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
 smoothing -> evaluation. One table, `stages()`, lists the stage
 commands; a config's run is `kelm` when `kelm.enabled`, then `fuse`. A
-command runs its stage functions in order on one dict of products:
-`kelm` slices the windows, computes their features, trains and scores
-the dev windows, and `fuse` combines the tracks by `fusion.method`,
-then emits and scores the predictions. `run_pipeline` walks that plan,
-handing each command's products on in memory. A stage command of the
-CLI runs one command alone, and the inputs its functions do not make
-come from the files in the run directory. Both ways write bit-identical
+command runs its stage functions in order on one dict of products that
+starts with the parsed labels alone: `kelm` slices, featurizes, trains
+and scores the dev windows, and `fuse` reads the windows and scores
+`kelm` wrote, combines the tracks by `fusion.method`, then emits and
+scores the predictions. `run_pipeline` walks that plan, parsing the
+labels once for both commands; a stage command of the CLI runs one
+alone. Both ways read the same files, so they write bit-identical
 artifacts, and a failed command leaves the run directory as it found it.
 
 Determinism contract: CSV floats are written with 17 significant
@@ -503,7 +503,7 @@ def _truth_at_working_rate(
     config: PipelineConfig, products: dict, vids: Sequence[str], stage: str
 ) -> dict[str, FrameTrack]:
     """The ground-truth tracks of `vids` at the working rate, for `stage`."""
-    [truth] = _take(config, products, "truth")
+    truth = products["truth"]
     missing = [v for v in vids if v not in truth]
     if missing:
         raise AlignmentError(f"{stage} stage: no labels for video(s) {missing}")
@@ -582,30 +582,37 @@ def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
     return "".join(rows).encode("utf-8")
 
 
-def _read_windows(config: PipelineConfig, products: dict) -> dict:
-    """Each video's window starts, in the order of the windows.csv rows;
-    the kelm command windowed every dev video, so each one has a row. A
-    malformed row is a DataFormatError naming its `path:line`."""
-    path = _require_file(config.run_dir() / "windows.csv", "kelm stage output")
+def _read_windows(config: PipelineConfig, kelm_dir: Path) -> dict:
+    """Each video's window starts and the frame its windows' real frames
+    end at, from `kelm_dir`'s windows.csv, where every dev video has rows.
+    A malformed row, or one slicing cannot give (a start that is negative
+    or not above the video's previous one, or real frames outside
+    1..window_frames), is a DataFormatError naming its `path:line`."""
+    path = _require_file(kelm_dir / "windows.csv", "kelm stage output")
     n_fields = _WINDOWS_HEADER.count(",") + 1
-    index: dict[str, list[int]] = {}
+    window_frames = config.window_spec.window_frames
+    index: dict[str, tuple[list[int], int]] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != _WINDOWS_HEADER.split(","):
             raise DataFormatError(f"{path}: expected header {_WINDOWS_HEADER}")
         for row in reader:
-            where = f"{path}:{reader.line_num}"
             try:
                 if len(row) != n_fields:
                     raise ValueError(f"expected {n_fields} fields")
-                i, start, _ = (int(field) for field in row[1:])
+                i, start, n_real = (int(field) for field in row[1:])
+                starts, end = index.get(row[0], ([], 0))
+                if i != len(starts):
+                    raise ValueError(f"window_index {i} of {row[0]!r} out of sequence")
+                if start < 0 or starts and start <= starts[-1]:
+                    raise ValueError(f"start {start} of {row[0]!r} is negative or "
+                                     "not above the previous start")
+                if not 1 <= n_real <= window_frames:
+                    raise ValueError(f"n_real {n_real} outside 1..{window_frames}")
             except ValueError as exc:
-                raise DataFormatError(f"{where}: {exc}") from None
-            starts = index.setdefault(row[0], [])
-            if i != len(starts):
-                raise DataFormatError(
-                    f"{where}: window_index {i} of {row[0]!r} out of sequence")
+                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
             starts.append(start)
+            index[row[0]] = starts, max(end, start + n_real)
     missing = sorted(set(config.split.dev_videos) - set(index))
     if missing:
         raise DataFormatError(f"{path}: no windows of dev video(s) {missing}; "
@@ -613,15 +620,14 @@ def _read_windows(config: PipelineConfig, products: dict) -> dict:
     return index
 
 
-def _read_kelm_scores(config: PipelineConfig, products: dict) -> dict:
-    """Each dev video's window scores from kelm_scores.npy, which holds
-    float64 rows of the task's width for the dev videos' windows of
-    windows.csv, in sorted video order; a score that is not finite is a
-    DataFormatError naming the file and the video."""
-    [index] = _take(config, products, "windows")
+def _read_kelm_scores(config: PipelineConfig, kelm_dir: Path, index: dict) -> dict:
+    """Each dev video's window scores from the kelm_scores.npy in
+    `kelm_dir`, which holds float64 rows of the task's width for the dev
+    videos' windows of `index`, in sorted video order; a score that is
+    not finite is a DataFormatError naming the file and the video."""
     vids = sorted(config.split.dev_videos)
-    counts = [len(index[vid]) for vid in vids]
-    path = _require_file(config.run_dir() / "kelm_scores.npy", "kelm stage output")
+    counts = [len(index[vid][0]) for vid in vids]
+    path = _require_file(kelm_dir / "kelm_scores.npy", "kelm stage output")
     try:
         scores = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
@@ -660,7 +666,7 @@ def _window_batches(config: PipelineConfig, products: dict) -> dict:
     vids = sorted(embeddings)
     if not _dev_split(config, vids)[0]:
         raise ConfigError("kelm training needs at least one non-dev video")
-    [truth] = _take(config, products, "truth")
+    truth = products["truth"]
     # a video without labels is refused once it is windowed
     _check_frames("kelm", "the embedding track", embeddings, "the label track", truth,
                   [v for v in vids if v in truth], counts=False)
@@ -693,7 +699,7 @@ def _window_batches(config: PipelineConfig, products: dict) -> dict:
     return dict(zip(vids, _map_ordered(one, vids, config.workers)))
 
 
-def _read_truth(config: PipelineConfig, products: dict) -> dict:
+def _read_truth(config: PipelineConfig) -> dict:
     """Ground-truth tracks on their native (per-video) timelines."""
     path = _require_file(config.paths.labels, "labels file")
     return {
@@ -716,7 +722,6 @@ def stage_window(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     (out_dir / "windows.csv").write_bytes(_windows_index(batches))
     log.info("kelm stage: %d windows over %d videos", sum(map(len, targets)), len(vids))
     products["batches"] = batches
-    products["windows"] = {vid: batches[vid].starts for vid in vids}
     products["targets"] = dict(zip(vids, targets))
 
 
@@ -816,16 +821,15 @@ def _spread_window_scores(
 
 def stage_predict_kelm(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Score the dev videos' windows with the model stage_train_kelm left in
-    `products`; stage_fuse spreads the scores onto the working timeline.
+    `products`; stage_fuse reads the scores back and spreads them.
 
     Fusion reads the KELM track of the dev videos alone (a KELM run
     always has a dev split), so the training videos are not scored.
     """
-    index, feats, model = (products[k] for k in ("windows", "features", "kelm_model"))
+    feats, model = products["features"], products["kelm_model"]
     vids = sorted(config.split.dev_videos)
     scores = _map_ordered(lambda vid: predict_kelm(model, feats[vid]), vids, config.workers)
     np.save(out_dir / "kelm_scores.npy", np.concatenate(scores))
-    products["kelm_scores"] = dict(zip(vids, scores))
 
 
 def _dwf_info(scores: np.ndarray, matrix: FusionMatrix, names: list[str]) -> list:
@@ -851,15 +855,24 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     models: list[dict[str, np.ndarray]] = []  # each model's frame scores per video
     if config.kelm.enabled:
         names.append("kelm")
-        index, kelm_scores = _take(config, products, "windows", "kelm_scores")
+        # where kelm wrote: `run`'s one staging directory, or else the run
+        # directory, as a staged fuse's fresh staging directory holds no windows
+        kelm_dir = out_dir if (out_dir / "windows.csv").exists() else config.run_dir()
+        index = _read_windows(config, kelm_dir)
+        kelm_scores = _read_kelm_scores(config, kelm_dir, index)
         # the kelm command checked each video's labels against its windows'
         # frame count, so every windowed video's labels at the working rate
         # give the frames its track has; the KELM track holds the dev videos
         timeline = _truth_at_working_rate(config, products, list(index), "fuse")
+        for vid, (_, end) in index.items():
+            if end > timeline[vid].n_frames:
+                raise AlignmentError(f"fuse stage: {kelm_dir / 'windows.csv'}: the windows "
+                                     f"of {vid!r} end at frame {end}, past its "
+                                     f"{timeline[vid].n_frames} frames")
         spec = config.window_spec
         kelm = {}
         for vid, scores in kelm_scores.items():
-            kelm[vid] = _spread_window_scores(index[vid], scores, timeline[vid].n_frames,
+            kelm[vid] = _spread_window_scores(index[vid][0], scores, timeline[vid].n_frames,
                                               spec.window_frames, spec.hop_frames)
             if config.task == "va":
                 kelm[vid] = np.clip(kelm[vid], -1.0, 1.0)
@@ -993,8 +1006,7 @@ def _check_frames(
 
 def stage_postprocess(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     """Interpolate fused scores to the truth timeline, smooth, and emit labels."""
-    fused = products["fused"]
-    [truth] = _take(config, products, "truth")
+    fused, truth = products["fused"], products["truth"]
     smoothing = SmoothingSpec(window_seconds=config.postprocess.smooth_seconds)
     vids = sorted(fused)
     missing = [v for v in vids if v not in truth]
@@ -1089,7 +1101,7 @@ def _valid_rows(rows: dict[str, LabelRows], task: str) -> dict[str, LabelRows]:
 def stage_evaluate(config: PipelineConfig, out_dir: Path, products: dict) -> EvalReport:
     """Score the predictions stage_postprocess made against the labels and
     write the report."""
-    [truth] = _take(config, products, "truth")
+    truth = products["truth"]
     report = evaluate_files(
         out_dir / "predictions.csv",
         config.paths.labels,
@@ -1104,17 +1116,18 @@ def stage_evaluate(config: PipelineConfig, out_dir: Path, products: dict) -> Eva
 
 @dataclass(frozen=True)
 class Stage:
-    """A stage command, its stage functions and the products they take
-    that they do not make. The `kelm` stages run only when kelm.enabled."""
+    """A stage command and its stage functions. The `kelm` stages run only
+    when kelm.enabled."""
 
     name: str
     help: str
     steps: tuple[Callable[[PipelineConfig, Path, dict], EvalReport | None], ...]
-    needs: tuple[str, ...]
     kelm: bool = False
 
-    def run(self, config: PipelineConfig, out_dir: Path, products: dict) -> EvalReport | None:
-        """Run the stage functions in order on one `products`; the last one's result."""
+    def run(self, config: PipelineConfig, out_dir: Path, truth: dict) -> EvalReport | None:
+        """Run the stage functions in order on one products dict that starts
+        with the parsed labels, `truth`, alone; the last one's result."""
+        products = {"truth": truth}
         for step in self.steps:
             result = step(config, out_dir, products)
         return result
@@ -1127,29 +1140,17 @@ def stages() -> list[Stage]:
         Stage("kelm", "slice the VAD-gated windows, compute their normalized "
               "functionals, select C on the dev split, train, and score the dev windows",
               (stage_window, stage_features, stage_train_kelm, stage_predict_kelm),
-              ("truth",), kelm=True),
+              kelm=True),
         Stage("fuse", "spread the KELM's dev window scores onto the working timeline, "
               "combine that track and the base predictions by fusion.method, "
               "interpolate, smooth, emit the predictions, and score them against the "
-              "labels", (stage_fuse, stage_postprocess, stage_evaluate),
-              ("windows", "kelm_scores", "truth")),
+              "labels", (stage_fuse, stage_postprocess, stage_evaluate)),
     ]
 
 
 def planned_stages(config: PipelineConfig) -> list[Stage]:
     """The stages of a run of `config`; a fusion-only run starts at fuse."""
     return [s for s in stages() if config.kelm.enabled or not s.kelm]
-
-
-def _take(config: PipelineConfig, products: dict, *names: str) -> list:
-    """The products `names`, each from `products`, what earlier stages of
-    this process made, or else from `_read_<name>`, which parses the files.
-    Readers are looked up when called, as stages are; what one returns is
-    kept in `products` for the stage's later takes."""
-    for name in names:
-        if name not in products:
-            products[name] = globals()[f"_read_{name}"](config, products)
-    return [products[name] for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -1207,19 +1208,17 @@ def staged_writes(config: PipelineConfig) -> Iterator[Path]:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute the config's planned stages in order and write the run manifest.
-    After each stage, the products that no later stage needs are dropped."""
-    plan = planned_stages(config)
+    The labels are parsed once; each command starts from them alone and
+    reads what an earlier one wrote from the files, as a stage command does."""
     timings: dict[str, float] = {}
-    products: dict = {}
     with staged_writes(config) as out_dir:
         _write_json(out_dir / "config.json", config_to_dict(config))
-        for i, stage in enumerate(plan):
-            t0 = time.perf_counter()
-            report = stage.run(config, out_dir, products)  # fuse returns one
-            later = {product for s in plan[i + 1:] for product in s.needs}
-            for product in [p for p in products if p not in later]:
-                del products[product]
-            timings[stage.name] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        truth = _read_truth(config)  # in the first command's seconds, so timings.json has it
+        for stage in planned_stages(config):
+            report = stage.run(config, out_dir, truth)  # fuse returns one
+            now = time.perf_counter()
+            timings[stage.name], t0 = now - t0, now
         manifest = _build_manifest(config, out_dir)
         _write_json(out_dir / "manifest.json", manifest)
         _write_json(out_dir / "timings.json", {k: round(v, 3) for k, v in timings.items()},

@@ -232,17 +232,19 @@ def _fused_record(run_dir):
     return scores, rows
 
 
-def _set_first_row_field(path, j, value):
-    """Replace field j of the first data row of a CSV file."""
+def _set_row_field(path, j, value, line=1):
+    """Replace field j of a CSV file's line `line`, counted from 0 (the
+    header); 1 is the first data row, -2 the last of a file that ends in
+    a newline."""
     lines = Path(path).read_text().split("\n")
-    row = lines[1].split(",")
+    row = lines[line].split(",")
     row[j] = value
-    lines[1] = ",".join(row)
+    lines[line] = ",".join(row)
     Path(path).write_text("\n".join(lines))
 
 
 def _windows_start_x(run_dir):
-    _set_first_row_field(run_dir / "windows.csv", 2, "x")
+    _set_row_field(run_dir / "windows.csv", 2, "x")
 
 
 def _no_windows(run_dir):
@@ -261,7 +263,30 @@ def _windows_row_short_a_field(run_dir):
 
 
 def _windows_index_out_of_sequence(run_dir):
-    _set_first_row_field(run_dir / "windows.csv", 1, "1")
+    _set_row_field(run_dir / "windows.csv", 1, "1")
+
+
+def _windows_start_negative(run_dir):
+    _set_row_field(run_dir / "windows.csv", 2, "-50")
+
+
+def _windows_start_repeated(run_dir):
+    """The second window of v000 starts where its first does."""
+    path = run_dir / "windows.csv"
+    _set_row_field(path, 2, path.read_text().split("\n")[1].split(",")[2], line=2)
+
+
+def _windows_no_real_frame(run_dir):
+    _set_row_field(run_dir / "windows.csv", 3, "0")
+
+
+def _windows_more_real_frames_than_a_window(run_dir):
+    _set_row_field(run_dir / "windows.csv", 3, "11")  # 2 s windows at 5 fps
+
+
+def _windows_end_past_the_labels(run_dir):
+    """The last window of v003, the last video, starts past its 320 frames."""
+    _set_row_field(run_dir / "windows.csv", 2, "999999", line=-2)
 
 
 def _object_kelm_scores(run_dir):
@@ -860,7 +885,7 @@ class TestRunPipeline:
         _synth_from(config)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        stage_window(config, run_dir, {})
+        stage_window(config, run_dir, {"truth": pipeline._read_truth(config)})
         tracks = read_track_csv(config.paths.embeddings, fps=config.fps_target,
                                 kind="embedding")
         vad = read_vad_csv(config.paths.vad)
@@ -906,8 +931,9 @@ class TestRunPipeline:
 
             monkeypatch.setattr(pipeline, name, counted)
         run_pipeline(config)
+        # fuse reads what kelm wrote, as a staged fuse does
         assert calls == {"read_label_csv": 1, "read_track_csv": 1 + len(bases),
-                         "read_vad_csv": 1}
+                         "read_vad_csv": 1, "_read_windows": 1, "_read_kelm_scores": 1}
 
     @pytest.mark.parametrize("method, fuser, dev_videos", [
         ("mean", "mean_fusion", ()),
@@ -950,9 +976,7 @@ class TestRunPipeline:
         assert reads.count(Path(config.paths.embeddings)) == 1
         assert sorted(reads) == sorted(map(Path, [config.paths.embeddings, *bases]))
 
-    def test_run_drops_each_product_after_the_last_stage_that_takes_it(
-        self, tmp_path, monkeypatch
-    ):
+    def test_each_command_starts_from_the_labels_alone(self, tmp_path, monkeypatch):
         config = load_config(_write_config(tmp_path, fusion={"method": "dwf",
                                                              "pool_size": 200}))
         _synth_from(config)
@@ -968,13 +992,13 @@ class TestRunPipeline:
         run_pipeline(config)
         # the product keys each stage function finds when it starts
         assert seen == {
-            "stage_window": set(),
-            "stage_features": {"truth", "batches", "windows", "targets"},
-            "stage_train_kelm": {"truth", "windows", "targets", "features"},
-            "stage_predict_kelm": {"truth", "windows", "targets", "features", "kelm_model"},
-            "stage_fuse": {"truth", "windows", "kelm_scores"},
-            "stage_postprocess": {"truth", "windows", "kelm_scores", "fused"},
-            "stage_evaluate": {"truth", "windows", "kelm_scores", "fused", "predictions"},
+            "stage_window": {"truth"},
+            "stage_features": {"truth", "batches", "targets"},
+            "stage_train_kelm": {"truth", "targets", "features"},
+            "stage_predict_kelm": {"truth", "targets", "features", "kelm_model"},
+            "stage_fuse": {"truth"},
+            "stage_postprocess": {"truth", "fused"},
+            "stage_evaluate": {"truth", "fused", "predictions"},
         }
 
     def test_stage_runs_its_steps_in_order_on_one_products_dict(self):
@@ -987,11 +1011,13 @@ class TestRunPipeline:
                 return name
             return run
 
-        stage = pipeline.Stage("both", "two steps", (step("a"), step("b")), ())
-        products = {"x": 0}
-        assert stage.run(None, Path("."), products) == "b"
-        assert calls == [("a", {"x": 0}), ("b", {"x": 0, "a": 1})]
-        assert products == {"x": 0, "a": 1, "b": 2}
+        stage = pipeline.Stage("both", "two steps", (step("a"), step("b")))
+        truth = {"v000": None}
+        assert stage.run(None, Path("."), truth) == "b"
+        assert calls == [("a", {"truth": truth}), ("b", {"truth": truth, "a": 1})]
+        # a second run starts from the labels alone again
+        assert stage.run(None, Path("."), truth) == "b"
+        assert calls[2] == ("a", {"truth": truth})
 
     def test_timings_are_keyed_by_the_command_names(self, tmp_path):
         config = load_config(_write_config(tmp_path, fusion={"method": "dwf",
@@ -1289,13 +1315,27 @@ class TestCli:
              "has 320 rows, expected 32 dev windows; rerun the kelm stage"),
             ("fuse", _windows_without_the_dev_video, 6,
              "windows.csv: no windows of dev video(s) ['v003']; rerun the kelm stage"),
+            ("fuse", _windows_start_negative, 6,
+             "windows.csv:2: start -50 of 'v000' is negative or not above the "
+             "previous start"),
+            ("fuse", _windows_start_repeated, 6,
+             "windows.csv:3: start 0 of 'v000' is negative or not above the "
+             "previous start"),
+            ("fuse", _windows_no_real_frame, 6, "windows.csv:2: n_real 0 outside 1..10"),
+            ("fuse", _windows_more_real_frames_than_a_window, 6,
+             "windows.csv:2: n_real 11 outside 1..10"),
+            ("fuse", _windows_end_past_the_labels, 4,
+             "windows.csv: the windows of 'v003' end at frame 1000009, past its 320 "
+             "frames"),
         ],
         ids=["windows-start-x", "no-windows", "windows-header-renamed",
              "windows-row-short-a-field", "windows-index-out-of-sequence",
              "truncated-kelm-scores", "object-kelm-scores",
              "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores",
              "kelm-scores-of-every-video", "frame-level-kelm-scores",
-             "windows-without-the-dev-video"],
+             "windows-without-the-dev-video", "windows-start-negative",
+             "windows-start-repeated", "windows-no-real-frame",
+             "windows-more-real-frames-than-a-window", "windows-end-past-the-labels"],
     )
     def test_damaged_intermediate_exits_with_its_family(
         self, tmp_path, capsys, command, damage, code, message
@@ -1402,7 +1442,7 @@ class TestCli:
                              dtype=str)
         # the features and targets the kelm command keeps in memory, and
         # the model it fits at the C of selection.csv
-        products = {}
+        products = {"truth": pipeline._read_truth(config)}
         (tmp_path / "steps").mkdir()
         for step in (pipeline.stage_window, pipeline.stage_features):
             step(config, tmp_path / "steps", products)
@@ -1440,6 +1480,28 @@ class TestCli:
         assert main(["fuse", *staged]) == 0
         for name in ("kelm_scores.npy", "fused.npy", "predictions.csv", "report.csv"):
             assert (run_b / name).read_bytes() == (run_a / name).read_bytes()
+
+    def test_run_spreads_each_dev_video_its_own_kelm_scores(self, tmp_path):
+        # a single-shot fuse reads windows.csv and kelm_scores.npy back as a
+        # staged one does, so a fault in either reader shows in a run too
+        # gaps in the VAD give each video its own window starts
+        path = self._prepare(tmp_path, split={"dev_videos": ["v003", "v001"]},
+                             fusion={"method": "mean"}, synth={"voiced_fraction": 0.7})
+        assert main(["run", "--config", str(path)]) == 0
+        run_dir = load_config(path).run_dir()
+        windows = np.loadtxt(run_dir / "windows.csv", delimiter=",", skiprows=1,
+                             dtype=str)
+        fused, rows = _fused_record(run_dir)
+        assert [vid for vid, _, _ in rows] == ["v001", "v003"]
+        # kelm_scores.npy holds the dev videos' window rows in sorted order
+        counts = [(windows[:, 0] == vid).sum() for vid, _, _ in rows]
+        scores = np.split(np.load(run_dir / "kelm_scores.npy"), np.cumsum(counts)[:-1])
+        tracks = np.split(fused, np.cumsum([n for _, _, n in rows])[:-1])
+        for (vid, _, n), own, got in zip(rows, scores, tracks):
+            starts = windows[windows[:, 0] == vid, 2].astype(int).tolist()
+            # one model: the mean is the KELM track; 2 s windows at a 2 s hop
+            expected = pipeline._spread_window_scores(starts, own, n, 10, 10)
+            assert got.tobytes() == expected.tobytes(), vid
 
     def test_non_finite_window_score_names_its_dev_video(self, tmp_path, capsys):
         path = self._prepare(tmp_path, split={"dev_videos": ["v003", "v001"]},
@@ -1686,7 +1748,7 @@ class TestCli:
         bases = _base_paths(tmp_path, 1)
         path = self._prepare(tmp_path, paths={"base_predictions": bases}, **self._VA)
         _write_base_predictions(load_config(path))
-        _set_first_row_field(bases[0], 2, "1.5")
+        _set_row_field(bases[0], 2, "1.5")
         assert main(["run", "--config", str(path)]) == 6
         assert f"{bases[0]}: video 'v000'" in capsys.readouterr().err
 

@@ -7,10 +7,12 @@ The pipeline cases synthesise one small dataset per task once (expr and
 va embeddings, labels and VAD, and two noisy base prediction tracks per
 task) and run {expr, va} x {dwf, rf, mean} with the KELM over 2 s
 windows that do not overlap, expr dwf again over the default 4 s / 2 s
-windows, which do (`expr-dwf-overlap`), and two fusion-only va
+windows, which do (`expr-dwf-overlap`), and with two dev videos listed
+out of sorted order (`expr-dwf-two-dev`), the one case whose
+`kelm_scores.npy` holds more than one video, and two fusion-only va
 configs over both base tracks: dwf (`va-fusion-only-dwf`), and mean
 with no dev split (`va-fusion-only-mean`), the one case that fuses
-every video rather than a single dev video. Every KELM case
+every video rather than the dev videos alone. Every KELM case
 gates its windows by the VAD. Each runs twice: single-shot (`run`) and
 stage by stage (the stage commands of its run, as that checkout's
 `planned_stages` lists them). Both checkouts read the same input paths,
@@ -62,7 +64,8 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 FUSION = {"dwf": {"pool_size": 100}, "rf": {"tree_grid": [3, 5]}, "mean": {}}
 PIPELINE = ([f"{task}-{method}" for task in ("expr", "va") for method in FUSION]
-            + ["expr-dwf-overlap", "va-fusion-only-dwf", "va-fusion-only-mean"])
+            + ["expr-dwf-overlap", "expr-dwf-two-dev", "va-fusion-only-dwf",
+               "va-fusion-only-mean"])
 # each case's child modes and pairs of runs
 CASES = {**{name: (("single", "staged"), 1) for name in PIPELINE},
          "forest": (("forest",), 5), "kelm": (("kelm",), 5)}
@@ -168,6 +171,8 @@ def pipeline_configs(paths: dict, videos: int) -> dict:
             }
     # the default 4 s / 2 s windows overlap, and short voiced segments give short windows
     out["expr-dwf-overlap"] = {k: v for k, v in out["expr-dwf"].items() if k != "window"}
+    # kelm_scores.npy holds the dev videos in sorted order, whatever order the config lists
+    out["expr-dwf-two-dev"] = {**out["expr-dwf"], "split": {"dev_videos": [*dev, "v001"]}}
     fusion_only = {
         "task": "va", "seed": 3, "kelm": {"enabled": False},
         "paths": {"labels": paths["va"]["labels"],
