@@ -6,9 +6,7 @@ functionals are those of its real rows, so padding never reaches them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -151,17 +149,3 @@ def per_video_minmax(data: np.ndarray) -> np.ndarray:
     """MinMax scaling with extrema from this input alone."""
     return apply_minmax(data, fit_minmax([data]))
 
-
-# ---------------------------------------------------------------------------
-# Scaler CSV: a `# scope=global` comment line, then dim,lo,hi rows.
-# ---------------------------------------------------------------------------
-
-
-def write_scaler_csv(path: str | Path, scaler: MinMaxScaler) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# scope=global\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dim", "lo", "hi"])
-        for j in range(scaler.lo.shape[0]):
-            writer.writerow([str(j), "%.17g" % scaler.lo[j], "%.17g" % scaler.hi[j]])

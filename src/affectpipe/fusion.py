@@ -269,14 +269,25 @@ class RfFusionInfo:
     scores the forests' full predictions of those same rows, which they
     were fit on, so a large dev-minus-OOB gap signals overfitting. Both
     average over the heads, and a head with too few such rows to score
-    gives NaN for both.
+    gives NaN for both. Per head, in head order: head_trees is its chosen
+    tree count, head_rows_seen how many of the n_rows dev rows some of
+    those trees left out, and head_grid_scores its forest's own OOB
+    estimate at each grid count.
     """
 
-    n_trees: int
     oob_score: float
     dev_score: float
     metric: str
     oob_metric_score: float
+    n_rows: int
+    head_trees: tuple[int, ...]
+    head_rows_seen: tuple[int, ...]
+    head_grid_scores: tuple[dict[int, float], ...]
+
+    @property
+    def n_trees(self) -> int:
+        """The largest head's tree count."""
+        return max(self.head_trees)
 
     @property
     def overfit_gap(self) -> float:
@@ -343,23 +354,27 @@ def stack_and_fuse_rf(
         return np.clip(p, -1.0, 1.0) if task == "va" else p
 
     fused, chosen, oob_scores, dev_scores, oob_metric_scores = [], [], [], [], []
+    rows_seen, grid_scores = [], []
     for y, spec in heads:
-        n_trees, _, model = select_n_trees(
+        n_trees, curve, model = select_n_trees(
             x_dev, y, grid, spec, task=forest_task, n_classes=n_classes
         )
         chosen.append(n_trees)
+        grid_scores.append(dict(zip(map(int, grid), curve)))
         oob_scores.append(model.oob_score)
         dev_out = scores(predict_forest(model, x_dev))
         fused.append(dev_out if target_is_dev else scores(predict_forest(model, x_target)))
         oob = scores(predict_oob(model, x_dev))
         seen = ~np.isnan(oob[:, 0])
-        enough = seen.sum() >= min_rows
+        rows_seen.append(int(seen.sum()))
+        enough = rows_seen[-1] >= min_rows
         for out, into in ((dev_out, dev_scores), (oob, oob_metric_scores)):
             into.append(metrics.challenge_score(y[seen], out[seen], metric) if enough
                         else float("nan"))
     n = len(heads)
-    info = RfFusionInfo(max(chosen), sum(oob_scores) / n, sum(dev_scores) / n, metric,
-                        sum(oob_metric_scores) / n)
+    info = RfFusionInfo(sum(oob_scores) / n, sum(dev_scores) / n, metric,
+                        sum(oob_metric_scores) / n, len(x_dev), tuple(chosen),
+                        tuple(rows_seen), tuple(grid_scores))
     return np.hstack(fused), info
 
 

@@ -15,9 +15,9 @@ alone. Both ways read the same files, so they write bit-identical
 artifacts, and a failed command leaves the run directory as it found it.
 
 Determinism contract: CSV floats are written with 17 significant
-digits and the KELM and fused scores as .npy, so both read back
-exactly; per-video work merges in sorted video-id order regardless of
-the worker count, and the manifest's output hash depends only on the
+digits and the KELM scores as .npy, so both read back exactly;
+per-video work merges in sorted video-id order regardless of the
+worker count, and the manifest's output hash depends only on the
 config, the seed, and the input files.
 """
 
@@ -56,7 +56,6 @@ from .features import (
     batch_functionals,
     fit_minmax,
     per_video_minmax,
-    write_scaler_csv,
 )
 from .forest import DEFAULT_TREE_GRID, ForestSpec
 from .fusion import (
@@ -564,11 +563,7 @@ def _sha256_file(path: Path) -> str:
 # memory. kelm_scores.npy holds one row per window of the dev videos,
 # video by video in sorted order, which is windows.csv's; fuse spreads
 # them onto frames.
-# fused.npy holds the fused table: one row per working-rate frame of the
-# fused videos, video by video in the order of fused_index.csv, which
-# gives each video's first frame and frame count on the timeline.
 _WINDOWS_HEADER = "video_id,window_index,start,n_real"
-_FUSED_INDEX_HEADER = "video_id,first_frame,n_frames"
 
 
 def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
@@ -741,7 +736,6 @@ def stage_features(config: PipelineConfig, out_dir: Path, products: dict) -> Non
         train_vids, _ = _dev_split(config, vids)
         scaler = fit_minmax([feats[v] for v in train_vids])
         feats = {vid: apply_minmax(feats[vid], scaler) for vid in vids}
-        write_scaler_csv(out_dir / "scaler.csv", scaler)
     elif config.normalization == "per_video_minmax":
         feats = {vid: per_video_minmax(feats[vid]) for vid in vids}
     products["features"] = feats
@@ -948,17 +942,29 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
         )
         if info.overfit_gap > 0:
             log.warning(
-                "rf fusion: dev %s %.4f exceeds its out-of-bag estimate %.4f "
-                "by %.4f; treat dev gains as optimistic",
-                info.metric, info.dev_score, info.oob_metric_score, info.overfit_gap,
+                "rf fusion: dev %s %.4f exceeds its out-of-bag estimate %.4f by %.4f "
+                "on the dev rows some tree left out (%s of %d); treat dev gains as "
+                "optimistic", info.metric, info.dev_score, info.oob_metric_score,
+                info.overfit_gap, " and ".join(map(str, info.head_rows_seen)), info.n_rows,
             )
-        _write_csv(out_dir / "rf_info.csv", [
+        rows = [
             ["metric", "value"], ["n_trees", str(info.n_trees)],
             ["oob_score", FLOAT_FMT % info.oob_score],
             [f"oob_{info.metric}", FLOAT_FMT % info.oob_metric_score],
             ["dev_score", FLOAT_FMT % info.dev_score],
             ["overfit_gap", FLOAT_FMT % info.overfit_gap],
-        ])
+        ]
+        # then each head's tree count, the share of dev rows its OOB and dev
+        # scores are taken on, and its forest's OOB score at each grid count
+        heads = ("expr",) if config.task == "expr" else ("valence", "arousal")
+        for head, trees, seen, grid_scores in zip(
+            heads, info.head_trees, info.head_rows_seen, info.head_grid_scores
+        ):
+            rows += [[f"{head}_n_trees", str(trees)],
+                     [f"{head}_oob_rows_fraction", FLOAT_FMT % (seen / info.n_rows)],
+                     *([f"{head}_oob_score_at_{k}", FLOAT_FMT % score]
+                       for k, score in sorted(grid_scores.items()))]
+        _write_csv(out_dir / "rf_info.csv", rows)
     if matrix is not None:
         write_fusion_matrix(
             out_dir / "fusion_matrix.csv",
@@ -967,19 +973,13 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
             output_names=[f"c{k}" for k in range(n_outputs)],
         )
     # at the working rate and of the task's kind, numbered from the
-    # timeline's first frames; fused.npy and fused_index.csv record them
+    # timeline's first frames
     ends = np.cumsum([timeline[vid].n_frames for vid in fused_vids])
-    tracks = [
-        FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
-                   frame_index_origin=timeline[vid].frame_index_origin)
+    products["fused"] = {
+        vid: FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
+                        frame_index_origin=timeline[vid].frame_index_origin)
         for vid, values in zip(fused_vids, np.split(fused, ends[:-1]))
-    ]
-    np.save(out_dir / "fused.npy", fused)
-    (out_dir / "fused_index.csv").write_text(_FUSED_INDEX_HEADER + "\n" + "".join(
-        csv_row_format(t.video_id, ",%d,%d\n") % (t.frame_index_origin, t.n_frames)
-        for t in tracks
-    ), encoding="utf-8", newline="\n")
-    products["fused"] = dict(zip(fused_vids, tracks))
+    }
 
 
 def _check_frames(

@@ -14,7 +14,6 @@ from affectpipe.features import (
     fit_minmax,
     functionals,
     per_video_minmax,
-    write_scaler_csv,
 )
 
 
@@ -164,18 +163,3 @@ class TestMinMax:
         with pytest.raises(ValueError):
             MinMaxScaler(lo=np.array([1.0]), hi=np.array([0.0]))
 
-
-class TestScalerCsv:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(4)
-        lo = rng.normal(size=8)
-        scaler = MinMaxScaler(lo=lo, hi=lo + np.abs(rng.normal(size=8)))
-        path = tmp_path / "scaler.csv"
-        write_scaler_csv(path, scaler)
-        expected = "# scope=global\ndim,lo,hi\n" + "".join(
-            f"{j},{'%.17g' % a},{'%.17g' % b}\n" for j, (a, b) in enumerate(zip(lo, scaler.hi))
-        )
-        assert path.read_bytes() == expected.encode()
-        rows = [line.split(",") for line in expected.splitlines()[2:]]
-        np.testing.assert_array_equal([float(r[1]) for r in rows], scaler.lo)
-        np.testing.assert_array_equal([float(r[2]) for r in rows], scaler.hi)

@@ -624,6 +624,32 @@ class TestRfStacking:
         assert info.dev_score == sum(scores) / len(scores)
         assert info.overfit_gap == info.dev_score - info.oob_metric_score
 
+    @pytest.mark.parametrize("task", ["expr", "va"])
+    def test_info_records_each_heads_trees_rows_seen_and_grid_scores(self, task):
+        truth, preds, va_truth, va_preds = self._noise_case()
+        if task == "va":
+            truth, preds = va_truth, va_preds
+        spec, grid = ForestSpec(n_trees=2, seed=61), [6, 2, 6]
+        _, info = stack_and_fuse_rf(preds, truth, preds, task=task,
+                                    base_spec=spec, grid=grid)
+        x = _stack_features(preds)
+        heads = ([(truth, spec, "classification")] if task == "expr" else
+                 [(truth[:, j], replace(spec, seed=int(
+                     np.random.SeedSequence([61, j]).generate_state(1)[0])), "regression")
+                  for j in range(2)])
+        assert len(info.head_trees) == len(heads) and info.n_rows == len(x)
+        for j, (y, head_spec, forest_task) in enumerate(heads):
+            n_trees, scores, model = select_n_trees(
+                x, y, grid, head_spec, task=forest_task,
+                n_classes=3 if task == "expr" else None)
+            seen = ~np.isnan(predict_oob(model, x).reshape(len(y), -1)[:, 0])
+            assert info.head_trees[j] == n_trees
+            assert info.head_rows_seen[j] == seen.sum()
+            assert info.head_grid_scores[j] == {6: scores[0], 2: scores[1]}
+        assert info.n_trees == max(info.head_trees)
+        if task == "va":  # the noise case gives its two heads two tree counts
+            assert len(set(info.head_trees)) == 2
+
     def test_a_head_with_too_few_oob_rows_has_no_dev_or_oob_score(self):
         truth = np.array([[0.5, -0.5], [-0.5, 0.5], [0.25, 0.0]])
         preds = [truth.copy()]

@@ -218,18 +218,24 @@ def _file_digests(run_dir):
             for p in sorted(run_dir.rglob("*")) if p.is_file()}
 
 
-def _fused_record(run_dir):
-    """fused.npy and the (video, first frame, frame count) rows of
-    fused_index.csv, read as their format promises, without the pipeline."""
-    scores = np.load(run_dir / "fused.npy", allow_pickle=False)
-    with (run_dir / "fused_index.csv").open(encoding="utf-8", newline="") as fh:
-        header, *rows = csv.reader(fh)
-    assert header == ["video_id", "first_frame", "n_frames"]
-    rows = [(vid, int(first), int(n)) for vid, first, n in rows]
-    assert scores.dtype == np.float64 and scores.ndim == 2
-    assert len(scores) == sum(n for _, _, n in rows)
-    assert [vid for vid, _, _ in rows] == sorted(vid for vid, _, _ in rows)
-    return scores, rows
+def _capture_fused(monkeypatch):
+    """A list that gets the fused tracks of each stage_fuse call, as
+    stage_postprocess takes them from the products; no file holds them."""
+    made = []
+
+    def fuse(config, run_dir, products, _fn=pipeline.stage_fuse):
+        _fn(config, run_dir, products)
+        made.append(products["fused"])
+
+    monkeypatch.setattr(pipeline, "stage_fuse", fuse)
+    return made
+
+
+def _fused_rows(fused):
+    """(video, first frame, shape, value bytes) of each fused track, in
+    sorted video order: two fused tables are equal when these are."""
+    return [(vid, t.frame_index_origin, t.values.shape, t.values.tobytes())
+            for vid, t in sorted(fused.items())]
 
 
 def _set_row_field(path, j, value, line=1):
@@ -950,10 +956,11 @@ class TestRunPipeline:
             return _fn(preds, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, fuser, counted)
-        result = run_pipeline(load_config(path))
-        _, index = _fused_record(result.run_dir)
-        assert len(index) == len(dev_videos or ["v000", "v001", "v002"])
-        assert rows == [sum(n for _, _, n in index)]
+        made = _capture_fused(monkeypatch)
+        run_pipeline(load_config(path))
+        [fused] = made
+        assert sorted(fused) == sorted(dev_videos or ["v000", "v001", "v002"])
+        assert rows == [sum(track.n_frames for track in fused.values())]
 
     def test_staged_run_parses_the_embeddings_once(self, tmp_path, monkeypatch):
         bases = _base_paths(tmp_path, 2)
@@ -1040,49 +1047,13 @@ class TestRunPipeline:
         path = _write_config(tmp_path, **overrides)
         config = load_config(path)
         _synth_from(config)
+        made = _capture_fused(monkeypatch)
         shortcut = run_pipeline(config).run_dir
         monkeypatch.setattr(pipeline, "dwf_search", reference_dwf_search)
         loop = run_pipeline(load_config(path, out_dir=str(tmp_path / "loop"))).run_dir
-        for rel in ("dwf_info.csv", "fusion_matrix.csv", "fused.npy", "fused_index.csv"):
+        for rel in ("dwf_info.csv", "fusion_matrix.csv"):
             assert (shortcut / rel).read_bytes() == (loop / rel).read_bytes()
-
-    @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
-    @pytest.mark.parametrize("task", ["expr", "va"])
-    def test_fused_npy_holds_the_values_fused_csv_held(
-        self, tmp_path, monkeypatch, task, method
-    ):
-        overrides = {"task": task,
-                     "fusion": {"method": method, "pool_size": 50, "tree_grid": [2, 3]}}
-        if task == "va":
-            overrides.update(synth={"n_videos": 3, "frames_per_video": 200,
-                                    "noise": 0.05},
-                             split={"dev_videos": ["v002"]})
-        path = _write_config(
-            tmp_path, paths={"base_predictions": _base_paths(tmp_path, 1)}, **overrides
-        )
-        config = load_config(path)
-        _synth_from(config)
-        _write_base_predictions(config)
-        made = {}
-        real_fuse = pipeline.stage_fuse
-
-        def fuse(config, run_dir, products):
-            real_fuse(config, run_dir, products)
-            made.update(products["fused"])
-
-        monkeypatch.setattr(pipeline, "stage_fuse", fuse)
-        run_dir = run_pipeline(config).run_dir
-        # the values a csv of the same tracks reads back as
-        write_track_csv(tmp_path / "fused.csv", list(made.values()))
-        parsed = read_track_csv(tmp_path / "fused.csv", fps=config.fps_target,
-                                kind=config.track_kind)
-        expected = np.concatenate([track.values for track in parsed.values()])
-        got, rows = _fused_record(run_dir)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
-        assert [vid for vid, _, _ in rows] == list(parsed) == sorted(config.split.dev_videos)
-        for vid, first, n in rows:
-            assert (first, n) == (parsed[vid].frame_index_origin, parsed[vid].n_frames)
+        assert _fused_rows(made[0]) == _fused_rows(made[1])
 
     def test_separable_run_is_perfect_on_held_out_video(self, tmp_path):
         # 640 frames at 5 fps with 16 s blocks = 8 blocks; every class shows
@@ -1183,7 +1154,9 @@ class TestRunPipeline:
             assert keys == (["metric", "pool_size", "winner_index", "winner_score",
                              "runner_up_score", "n_tied", "selector"] if method == "dwf"
                             else ["metric", "n_trees", "oob_score", "oob_macro_f1",
-                                  "dev_score", "overfit_gap"])
+                                  "dev_score", "overfit_gap", "expr_n_trees",
+                                  "expr_oob_rows_fraction", "expr_oob_score_at_5",
+                                  "expr_oob_score_at_10"])
 
 
 def _script_entry_point(pyproject: Path) -> str:
@@ -1208,9 +1181,11 @@ class TestCli:
         "split": {"dev_videos": ["v002"]},
     }
 
-    def _staged_equals_single_shot(self, tmp_path, path, stage_cmds=None):
+    def _staged_equals_single_shot(self, tmp_path, monkeypatch, path, stage_cmds=None):
         """Run `path` in one shot and by `stage_cmds`, by default the
-        config's planned stage commands; compare every output."""
+        config's planned stage commands; compare every output and the
+        fused table each fuse held."""
+        made = _capture_fused(monkeypatch)
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         for cmd in stage_cmds or [s.name for s in planned_stages(load_config(path))]:
@@ -1222,6 +1197,8 @@ class TestCli:
         outputs = json.loads((run_a / "manifest.json").read_text())["outputs"]
         del outputs["config.json"]  # written by `run` alone
         assert outputs == _file_digests(run_b)
+        single, staged = made
+        assert _fused_rows(single) == _fused_rows(staged)
         return outputs
 
     @pytest.mark.parametrize(
@@ -1235,31 +1212,33 @@ class TestCli:
         ids=["expr", "va", "expr-dwf", "va-rf"],
     )
     def test_staged_commands_reproduce_the_single_shot_run(
-        self, tmp_path, overrides, n_bases
+        self, tmp_path, monkeypatch, overrides, n_bases
     ):
         path = _write_config(
             tmp_path, paths={"base_predictions": _base_paths(tmp_path, n_bases)}, **overrides
         )
         assert main(["synth", "--config", str(path)]) == 0
         _write_base_predictions(load_config(path))
-        outputs = self._staged_equals_single_shot(tmp_path, path)
-        assert {"windows.csv", "selection.csv", "kelm_scores.npy", "fused.npy",
-                "fused_index.csv", "predictions.csv", "report.csv"} <= set(outputs)
-        # the window-level arrays stay in the kelm command's memory
-        assert not {"features.npy", "window_targets.npy", "models/kelm.csv",
-                    "fused.csv"} & set(outputs)
+        outputs = self._staged_equals_single_shot(tmp_path, monkeypatch, path)
+        assert {"windows.csv", "selection.csv", "kelm_scores.npy", "predictions.csv",
+                "report.csv"} <= set(outputs)
+        # the window-level arrays stay in the kelm command's memory, the
+        # fused table in the fuse command's
+        assert not {"features.npy", "window_targets.npy", "models/kelm.csv", "scaler.csv",
+                    "fused.csv", "fused.npy", "fused_index.csv"} & set(outputs)
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
-    def test_staged_fusion_only_run_reproduces_the_single_shot_run(self, tmp_path, method):
+    def test_staged_fusion_only_run_reproduces_the_single_shot_run(
+        self, tmp_path, monkeypatch, method
+    ):
         path = _write_va_fusion_only(tmp_path, method)
-        outputs = self._staged_equals_single_shot(tmp_path, path, ["fuse"])
-        assert {"fused.npy", "fused_index.csv", "predictions.csv",
-                "report.csv"} <= set(outputs)
-        assert not {"windows.csv", "fused.csv"} & set(outputs)
+        outputs = self._staged_equals_single_shot(tmp_path, monkeypatch, path, ["fuse"])
+        assert {"predictions.csv", "report.csv"} <= set(outputs)
+        assert not {"windows.csv", "fused.csv", "fused.npy", "fused_index.csv"} & set(outputs)
 
     @pytest.mark.parametrize("overrides", [{}, _VA], ids=["expr", "va"])
     def test_repeated_and_invalid_label_rows_stage_like_the_single_shot(
-        self, tmp_path, overrides
+        self, tmp_path, monkeypatch, overrides
     ):
         path = self._prepare(tmp_path, **overrides)
         labels = Path(load_config(path).paths.labels)
@@ -1277,7 +1256,7 @@ class TestCli:
             f"{dev},{n_frames},{invalid}",  # an out-of-range row past the end
         ]
         labels.write_text("\n".join(lines) + "\n")
-        outputs = self._staged_equals_single_shot(tmp_path, path)
+        outputs = self._staged_equals_single_shot(tmp_path, monkeypatch, path)
         assert {"predictions.csv", "report.csv"} <= set(outputs)
         task = load_config(path).task
         truth, dropped = dict_read_label_csv(labels, task)
@@ -1287,11 +1266,11 @@ class TestCli:
         expected = _per_frame_join(pred, truth, task)
         assert evaluate_files(run_dir / "predictions.csv", labels, task) == expected
 
-    def test_any_video_id_survives_the_staged_run(self, tmp_path):
+    def test_any_video_id_survives_the_staged_run(self, tmp_path, monkeypatch):
         path = self._prepare(tmp_path)
         # v003 stays: it is the dev video the config names
         _rename_videos(load_config(path), {"v000": "a b", "v001": 'q"u,o', "v002": "l\nf"})
-        outputs = self._staged_equals_single_shot(tmp_path, path)
+        outputs = self._staged_equals_single_shot(tmp_path, monkeypatch, path)
         assert "windows.csv" in outputs
 
     @pytest.mark.parametrize(
@@ -1348,9 +1327,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(run_dir) in err and message in err
 
-    def test_staged_fuse_needs_no_selection_csv(self, tmp_path):
+    def test_staged_fuse_needs_no_selection_csv(self, tmp_path, monkeypatch):
         # kelm writes it as the record of the chosen C; no command reads it
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
+        made = _capture_fused(monkeypatch)
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
@@ -1358,14 +1338,13 @@ class TestCli:
         run_b = next((tmp_path / "staged").iterdir())
         (run_b / "selection.csv").unlink()
         assert main(["fuse", *staged]) == 0
-        run_a = next((tmp_path / "single").iterdir())
-        for name in ("fused.npy", "fused_index.csv"):
-            assert (run_b / name).read_bytes() == (run_a / name).read_bytes()
+        single, staged = made
+        assert _fused_rows(single) == _fused_rows(staged)
 
     # every run writes these; a KELM run adds _KELM_FILES
-    _RUN_FILES = {"config.json", "manifest.json", "timings.json", "fused.npy",
-                  "fused_index.csv", "predictions.csv", "report.csv", "report.txt"}
-    _KELM_FILES = {"windows.csv", "scaler.csv", "selection.csv", "kelm_scores.npy"}
+    _RUN_FILES = {"config.json", "manifest.json", "timings.json", "predictions.csv",
+                  "report.csv", "report.txt"}
+    _KELM_FILES = {"windows.csv", "selection.csv", "kelm_scores.npy"}
 
     @staticmethod
     def _run_files(path):
@@ -1421,6 +1400,38 @@ class TestCli:
             assert rows["selector"] == "kelm"
             assert rows["runner_up_score"] == rows["winner_score"]
 
+    def test_rf_info_records_each_heads_trees_rows_seen_and_grid_scores(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        infos = []
+
+        def recorded(*args, _fn=pipeline.stack_and_fuse_rf, **kwargs):
+            fused, info = _fn(*args, **kwargs)
+            infos.append(info)
+            return fused, info
+
+        monkeypatch.setattr(pipeline, "stack_and_fuse_rf", recorded)
+        path = _write_va_fusion_only(tmp_path, "rf")  # tree_grid [2, 3]
+        with caplog.at_level("WARNING", logger="affectpipe"):
+            assert main(["run", "--config", str(path)]) == 0
+        [info] = infos
+        with (load_config(path).run_dir() / "rf_info.csv").open(newline="") as fh:
+            rows = dict(csv.reader(fh))
+        head_rows = [f"{head}_{key}" for head in ("valence", "arousal") for key in
+                     ("n_trees", "oob_rows_fraction", "oob_score_at_2", "oob_score_at_3")]
+        assert list(rows) == ["metric", "n_trees", "oob_score", "oob_mean_ccc",
+                              "dev_score", "overfit_gap", *head_rows]
+        assert rows["n_trees"] == str(max(info.head_trees))  # the harness reads it
+        assert info.n_rows == 400  # the frames of the dev videos v001 and v002
+        for j, head in enumerate(("valence", "arousal")):
+            assert rows[f"{head}_n_trees"] == str(info.head_trees[j])
+            assert float(rows[f"{head}_oob_rows_fraction"]) == info.head_rows_seen[j] / 400
+            for k in (2, 3):
+                assert float(rows[f"{head}_oob_score_at_{k}"]) == info.head_grid_scores[j][k]
+        assert info.overfit_gap > 0
+        seen = " and ".join(map(str, info.head_rows_seen))
+        assert f"on the dev rows some tree left out ({seen} of 400)" in caplog.text
+
     @pytest.mark.parametrize(
         "overrides",
         [{"split": {"dev_videos": ["v003", "v001"]}}, _VA],
@@ -1462,10 +1473,13 @@ class TestCli:
         assert expected.shape == (dev.sum(), config.n_outputs)
         assert np.load(got).tobytes() == expected.tobytes()
 
-    def test_staged_fuse_pairs_each_dev_video_with_its_own_kelm_scores(self, tmp_path):
+    def test_staged_fuse_pairs_each_dev_video_with_its_own_kelm_scores(
+        self, tmp_path, monkeypatch
+    ):
         # kelm_scores.npy holds the dev videos in sorted order, whatever
         # order windows.csv lists them in
         path = self._prepare(tmp_path, split={"dev_videos": ["v002", "v003"]})
+        made = _capture_fused(monkeypatch)
         assert main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "single")]) == 0
         staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
@@ -1478,30 +1492,33 @@ class TestCli:
         rest = [row for row in rows if row not in v002 + v003]
         windows.write_text("\n".join([header, *rest, *v003, *v002]) + "\n")
         assert main(["fuse", *staged]) == 0
-        for name in ("kelm_scores.npy", "fused.npy", "predictions.csv", "report.csv"):
+        for name in ("kelm_scores.npy", "predictions.csv", "report.csv"):
             assert (run_b / name).read_bytes() == (run_a / name).read_bytes()
+        single, staged = made
+        assert _fused_rows(single) == _fused_rows(staged)
 
-    def test_run_spreads_each_dev_video_its_own_kelm_scores(self, tmp_path):
+    def test_run_spreads_each_dev_video_its_own_kelm_scores(self, tmp_path, monkeypatch):
         # a single-shot fuse reads windows.csv and kelm_scores.npy back as a
         # staged one does, so a fault in either reader shows in a run too
         # gaps in the VAD give each video its own window starts
         path = self._prepare(tmp_path, split={"dev_videos": ["v003", "v001"]},
                              fusion={"method": "mean"}, synth={"voiced_fraction": 0.7})
+        made = _capture_fused(monkeypatch)
         assert main(["run", "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
         windows = np.loadtxt(run_dir / "windows.csv", delimiter=",", skiprows=1,
                              dtype=str)
-        fused, rows = _fused_record(run_dir)
-        assert [vid for vid, _, _ in rows] == ["v001", "v003"]
+        [fused] = made
+        assert sorted(fused) == ["v001", "v003"]
         # kelm_scores.npy holds the dev videos' window rows in sorted order
-        counts = [(windows[:, 0] == vid).sum() for vid, _, _ in rows]
+        counts = [(windows[:, 0] == vid).sum() for vid in sorted(fused)]
         scores = np.split(np.load(run_dir / "kelm_scores.npy"), np.cumsum(counts)[:-1])
-        tracks = np.split(fused, np.cumsum([n for _, _, n in rows])[:-1])
-        for (vid, _, n), own, got in zip(rows, scores, tracks):
+        for vid, own in zip(sorted(fused), scores):
             starts = windows[windows[:, 0] == vid, 2].astype(int).tolist()
             # one model: the mean is the KELM track; 2 s windows at a 2 s hop
-            expected = pipeline._spread_window_scores(starts, own, n, 10, 10)
-            assert got.tobytes() == expected.tobytes(), vid
+            expected = pipeline._spread_window_scores(starts, own, fused[vid].n_frames,
+                                                      10, 10)
+            assert fused[vid].values.tobytes() == expected.tobytes(), vid
 
     def test_non_finite_window_score_names_its_dev_video(self, tmp_path, capsys):
         path = self._prepare(tmp_path, split={"dev_videos": ["v003", "v001"]},
@@ -1665,7 +1682,7 @@ class TestCli:
         assert (f"fuse stage: split.dev_videos give 1 dev frame(s); {method} fusion "
                 "on va needs at least 2") in capsys.readouterr().err
         run_dir = load_config(path).run_dir()
-        for name in ("dwf_info.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
+        for name in ("dwf_info.csv", "rf_info.csv"):
             assert not (run_dir / name).exists()
 
     def test_expr_rf_on_a_one_frame_dev_split_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -1759,7 +1776,7 @@ class TestCli:
         assert ("fuse stage: model 'b' has 203 frames for 'v001', model 'a' has 200"
                 in capsys.readouterr().err)
         run_dir = load_config(path).run_dir()
-        for name in ("dwf_info.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
+        for name in ("dwf_info.csv", "rf_info.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
@@ -1769,17 +1786,20 @@ class TestCli:
         assert ("fuse stage: model 'b' starts 'v000' at frame 0, model 'a' at frame 4"
                 in capsys.readouterr().err)
         run_dir = load_config(path).run_dir()
-        for name in ("dwf_info.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
+        for name in ("dwf_info.csv", "rf_info.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
-    def test_fused_frames_are_numbered_from_model_0s_first_frame(self, tmp_path, method):
+    def test_fused_frames_are_numbered_from_model_0s_first_frame(
+        self, tmp_path, monkeypatch, method
+    ):
         path = _write_va_fusion_only(tmp_path, method, a_origin=4, b_origin=4,
                                      label_origin=4)
+        made = _capture_fused(monkeypatch)
         assert main(["run", "--config", str(path)]) == 0
-        run_dir = load_config(path).run_dir()
-        assert (run_dir / "fused_index.csv").read_text() == (
-            "video_id,first_frame,n_frames\nv001,4,200\nv002,4,200\n")
+        [fused] = made
+        assert [(vid, t.frame_index_origin, t.n_frames) for vid, t in fused.items()] == [
+            ("v001", 4, 200), ("v002", 4, 200)]
 
     @pytest.mark.parametrize("method", ["dwf", "rf"])
     def test_fuse_exits_4_on_dev_labels_starting_at_another_frame(
@@ -1790,7 +1810,7 @@ class TestCli:
         assert ("fuse stage: the label track starts 'v001' at frame 0, model 'a' at "
                 "frame 4") in capsys.readouterr().err
         run_dir = load_config(path).run_dir()
-        for name in ("dwf_info.csv", "rf_info.csv", "fused.npy", "fused_index.csv"):
+        for name in ("dwf_info.csv", "rf_info.csv"):
             assert not (run_dir / name).exists()
 
     @pytest.mark.parametrize("label_origin, code", [(4, 0), (0, 4)])
@@ -1814,7 +1834,7 @@ class TestCli:
 
     @pytest.mark.parametrize("label_origin, code", [(20, 0), (0, 4)])
     def test_kelm_pairs_tracks_of_two_rates_by_their_first_frames_time(
-        self, tmp_path, capsys, label_origin, code
+        self, tmp_path, capsys, monkeypatch, label_origin, code
     ):
         # labels at 25 fps, each working-rate frame repeated 5 times
         path = self._prepare(tmp_path, postprocess={"target_fps": 25.0})
@@ -1826,14 +1846,15 @@ class TestCli:
             for vid, rows in labels.items()
         }, task="expr")
         _shift_embeddings(config, 4)
+        made = _capture_fused(monkeypatch)
         assert main(["run", "--config", str(path)]) == code
         if code:
             assert ("kelm stage: the embedding track starts 'v000' at frame 4 (0.8 s at 5 "
                     "fps), the label track at frame 0 (0 s at 25 fps)"
                     ) in capsys.readouterr().err
         else:  # 0.8 s is working-rate frame 4
-            assert (config.run_dir() / "fused_index.csv").read_text().endswith(
-                "\nv003,4,320\n")
+            [fused] = made
+            assert (fused["v003"].frame_index_origin, fused["v003"].n_frames) == (4, 320)
 
     def test_labels_above_the_working_rate_keep_their_first_frames_time(self, tmp_path):
         # resampled to 5 fps, labels at 25 fps start at the nearest working-rate frame
@@ -1975,7 +1996,7 @@ class TestCli:
 
     @pytest.mark.parametrize("base_origin, code", [(4, 0), (0, 4)])
     def test_kelm_track_starts_at_the_labels_first_frame(
-        self, tmp_path, capsys, base_origin, code
+        self, tmp_path, capsys, monkeypatch, base_origin, code
     ):
         bases = _base_paths(tmp_path, 1)
         path = self._prepare(tmp_path, paths={"base_predictions": bases}, **self._VA)
@@ -1986,24 +2007,22 @@ class TestCli:
         }, task="va")
         _shift_embeddings(config, 4)
         _write_base_predictions(config, origin=base_origin)
-        run_dir = config.run_dir()
-        fused = [run_dir / "fused.npy", run_dir / "fused_index.csv"]
+        made = _capture_fused(monkeypatch)
         assert main(["run", "--config", str(path)]) == code
-        single = [f.read_bytes() for f in fused] if code == 0 else None
         # a staged fuse numbers the KELM track it reads back from the labels too;
         # the failed run left no run directory
         assert main(["kelm", "--config", str(path)]) == 0
         assert main(["fuse", "--config", str(path)]) == code
         # the fused track is numbered from model 0's, the KELM track's, first frame
         if code == 0:
-            assert [f.read_bytes() for f in fused] == single
-            _, rows = _fused_record(run_dir)
-            assert [(vid, first) for vid, first, _ in rows] == [("v002", 4)]
+            single, staged = made
+            assert _fused_rows(single) == _fused_rows(staged)
+            assert [(vid, t.frame_index_origin) for vid, t in single.items()] == [("v002", 4)]
         else:
             err = capsys.readouterr().err
             assert err.count("fuse stage: model 'base_0' starts 'v000' at frame 0, "
                              "model 'kelm' at frame 4") == 2
-            assert not any(f.exists() for f in fused)
+            assert made == []  # neither fuse got to fuse
 
     def _fusion_only_without_dev(self, tmp_path, monkeypatch, method="mean"):
         """A va fusion-only config of `method` with one base and no dev
@@ -2132,9 +2151,16 @@ class TestArtifactsAbTool:
             "only in other: fused.csv", "only in this: fused.npy", "differs: manifest.json"]
         assert diff(this, this) == []
 
-    def test_self_comparison_is_byte_equal(self, capsys):
+    def test_self_comparison_is_byte_equal(self, capsys, monkeypatch):
         tool = self._tool()
         only = ("expr-dwf", "forest", "kelm")
+        runs = []
+
+        def recorded(checkout, mode, *args, _fn=tool.run_child):
+            runs.append((mode, _fn(checkout, mode, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(tool, "run_child", recorded)
         assert tool.compare(tool.ROOT, only=only, videos=3, frames=60, forest=(200, 3, 2),
                             kelm=(60, 20, 6), pairs=1) == 0
         out = capsys.readouterr().out
@@ -2149,6 +2175,10 @@ class TestArtifactsAbTool:
         # forest: the bootstrap, the OOB curve and 5 arrays per tree; kelm: C, dev score, beta
         assert re.search(r"^forest pair 0: .*, 12 made, equal: True$", out, re.M)
         assert re.search(r"^kelm pair 0: .*, 3 made, equal: True$", out, re.M)
+        # each pipeline run also hashes the fused table it held in memory
+        pipeline_runs = [run for mode, run in runs if mode in ("single", "staged")]
+        assert len(pipeline_runs) == 4
+        assert all("fused (in memory)" in run["made"] for run in pipeline_runs)
 
     def test_staged_files_that_differ_from_single_shot_count_as_a_difference(
         self, monkeypatch, capsys

@@ -17,10 +17,14 @@ gates its windows by the VAD. Each runs twice: single-shot (`run`) and
 stage by stage (the stage commands of its run, as that checkout's
 `planned_stages` lists them). Both checkouts read the same input paths,
 so `manifest.json` does not depend on where a checkout lives; every
-file of the run directory but `timings.json` is compared. Each pair of a
-pipeline case also compares this checkout's staged files with its
-single-shot files, leaving out `config.json` and `manifest.json`, which
-only `run` writes; a file that differs prints as `staged differs: NAME`.
+file of the run directory but `timings.json` is compared, and so is the
+fused table that `fuse` hands `stage_postprocess` in memory and no file
+holds: the item `fused (in memory)` hashes each fused track's video id,
+first frame, shape and values, in sorted video order, as a wrapper of
+`pipeline.stage_fuse` captures them. Each pair of a pipeline case also
+compares this checkout's staged files and fused table with its
+single-shot ones, leaving out `config.json` and `manifest.json`, which
+only `run` writes; a thing that differs prints as `staged differs: NAME`.
 `forest` trains a regression forest of 6 trees on one seeded 9,000 x 4
 set whose features and targets lie on a 0.01 grid, so there are ties
 and -0.0 targets, and compares every tree array, the bootstrap
@@ -98,8 +102,16 @@ elif mode == "kelm":
     model = train_kelm(d["x"], enc, c, kernel=spec, weights=weights, task="classification")
     made = {"c": np.float64(c), "dev score": np.float64(score), "beta": model.beta}
 else:
+    from affectpipe import pipeline
     from affectpipe.cli import main
     from affectpipe.pipeline import load_config, planned_stages
+    fused = []
+
+    def stage_fuse(config, out_dir, products, _fn=pipeline.stage_fuse):
+        _fn(config, out_dir, products)
+        fused.append(products["fused"])
+
+    pipeline.stage_fuse = stage_fuse  # stages() runs the module's stage_fuse
     commands = (["run"] if mode == "single"
                 else [stage.name for stage in planned_stages(load_config(data))])
     start = time.perf_counter()
@@ -108,6 +120,10 @@ else:
         sys.exit(f"exit codes {codes}")
     made = {str(p.relative_to(out)): p for p in sorted(out.rglob("*"))
             if p.is_file() and p.name != "timings.json"}
+    [tracks] = fused
+    made["fused (in memory)"] = np.frombuffer(b"".join(
+        json.dumps([vid, t.frame_index_origin, t.values.shape]).encode() + t.values.tobytes()
+        for vid, t in sorted(tracks.items())), dtype=np.uint8)
 seconds = time.perf_counter() - start
 files = [v for v in made.values() if isinstance(v, Path)]  # a pipeline run's files
 status = Path("/proc/self/status")
