@@ -1368,6 +1368,29 @@ class TestCli:
                                                             "fusion_matrix.csv"}
 
     @pytest.mark.parametrize("fusion_only", [False, True], ids=["kelm", "fusion-only"])
+    def test_a_reused_run_directory_keeps_an_older_versions_files_unlisted(
+        self, tmp_path, fusion_only
+    ):
+        if fusion_only:
+            path = _write_va_fusion_only(tmp_path, "dwf")
+        else:
+            path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
+        run_dir = load_config(path).run_dir()
+        assert main(["run", "--config", str(path)]) == 0
+        first = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+        # what older versions wrote and no command writes or removes now
+        stale = {name: f"older {name}".encode() for name in
+                 ("fused.npy", "fused_index.csv", "scaler.csv", "kelm_beta.npy")}
+        for name, data in stale.items():
+            (run_dir / name).write_bytes(data)
+        assert main(["run", "--config", str(path)]) == 0
+        assert {name: (run_dir / name).read_bytes() for name in stale} == stale
+        outputs = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+        assert outputs.keys() == first.keys() and not stale.keys() & outputs.keys()
+        digests = _file_digests(run_dir)
+        assert {name: digests[name] for name in outputs} == outputs
+
+    @pytest.mark.parametrize("fusion_only", [False, True], ids=["kelm", "fusion-only"])
     def test_dwf_info_records_the_search(self, tmp_path, monkeypatch, fusion_only):
         searches = []
 
@@ -1431,6 +1454,30 @@ class TestCli:
         assert info.overfit_gap > 0
         seen = " and ".join(map(str, info.head_rows_seen))
         assert f"on the dev rows some tree left out ({seen} of 400)" in caplog.text
+
+    def test_expr_rf_info_records_its_one_head(self, tmp_path, monkeypatch):
+        infos = []
+
+        def recorded(*args, _fn=pipeline.stack_and_fuse_rf, **kwargs):
+            fused, info = _fn(*args, **kwargs)
+            infos.append(info)
+            return fused, info
+
+        monkeypatch.setattr(pipeline, "stack_and_fuse_rf", recorded)
+        path = self._prepare(tmp_path, fusion={"method": "rf", "tree_grid": [3, 2]})
+        assert main(["run", "--config", str(path)]) == 0
+        [info] = infos
+        with (load_config(path).run_dir() / "rf_info.csv").open(newline="") as fh:
+            rows = dict(csv.reader(fh))
+        # grid counts in increasing order, whatever order the config lists
+        assert list(rows) == ["metric", "n_trees", "oob_score", "oob_macro_f1", "dev_score",
+                              "overfit_gap", "expr_n_trees", "expr_oob_rows_fraction",
+                              "expr_oob_score_at_2", "expr_oob_score_at_3"]
+        assert len(info.head_trees) == 1
+        assert rows["n_trees"] == rows["expr_n_trees"] == str(info.head_trees[0])
+        assert float(rows["expr_oob_rows_fraction"]) == info.head_rows_seen[0] / info.n_rows
+        for k in (2, 3):
+            assert float(rows[f"expr_oob_score_at_{k}"]) == info.head_grid_scores[0][k]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -2179,6 +2226,26 @@ class TestArtifactsAbTool:
         pipeline_runs = [run for mode, run in runs if mode in ("single", "staged")]
         assert len(pipeline_runs) == 4
         assert all("fused (in memory)" in run["made"] for run in pipeline_runs)
+
+    def test_a_last_bit_change_in_the_fused_table_differs(self, tmp_path, capsys):
+        # expr's predictions.csv holds labels alone, so a one-ulp change to
+        # the fused scores shows in the hash of the in-memory table only
+        tool = self._tool()
+        other = tmp_path / "other"
+        shutil.copytree(ROOT / "src", other / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = other / "src" / "affectpipe" / "pipeline.py"
+        split = "np.split(fused, ends[:-1])"
+        text = source.read_text(encoding="utf-8")
+        assert text.count(split) == 1
+        source.write_text(text.replace(split, "np.split(np.nextafter(fused, np.inf), "
+                                              "ends[:-1])"), encoding="utf-8")
+        assert tool.compare(other, only=("expr-mean",), videos=3, frames=60, pairs=1) == 1
+        out = capsys.readouterr().out
+        pairs = re.findall(r"^expr-mean (\w+) pair 0: .*equal: (\w+)\n((?:  .*\n)*)", out, re.M)
+        assert pairs == [(mode, "False", "  differs: fused (in memory)\n")
+                         for mode in ("single", "staged")]
+        assert "staged equals single-shot in this checkout: True" in out
 
     def test_staged_files_that_differ_from_single_shot_count_as_a_difference(
         self, monkeypatch, capsys
