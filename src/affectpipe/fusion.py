@@ -2,7 +2,7 @@
 
 Three strategies over M models, each giving a (q, K) score array (q
 frames; K = 8 class scores or 2 valence/arousal dimensions); every
-function takes and returns plain arrays:
+function takes and returns arrays, or records of them, and opens no file:
 
 * random weighted fusion — a large pool of per-model-per-output weight
   matrices with simplex columns is sampled from a Dirichlet
@@ -22,9 +22,7 @@ metrics.challenge_score, or for DWF macro-F1 its batched equal.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -376,25 +374,3 @@ def stack_and_fuse_rf(
                         sum(oob_metric_scores) / n, len(x_dev), tuple(chosen),
                         tuple(rows_seen), tuple(grid_scores))
     return np.hstack(fused), info
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def write_fusion_matrix(
-    path: str | Path, matrix: FusionMatrix, model_names=None, output_names=None
-) -> None:
-    """CSV with one row per model and one column per output."""
-    if model_names is None:
-        model_names = [f"model{m}" for m in range(matrix.n_models)]
-    if output_names is None:
-        output_names = [f"out{k}" for k in range(matrix.n_outputs)]
-    if len(model_names) != matrix.n_models or len(output_names) != matrix.n_outputs:
-        raise ValueError("name lists must match the matrix shape")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", *output_names])
-        for name, row in zip(model_names, matrix.weights):
-            writer.writerow([name, *("%.17g" % v for v in row)])

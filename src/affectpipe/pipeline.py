@@ -8,8 +8,10 @@ commands; a config's run is `kelm` when `kelm.enabled`, then `fuse`. A
 command runs its stage functions in order on one dict of products that
 starts with the parsed labels alone: `kelm` slices, featurizes, trains
 and scores the dev windows, and `fuse` reads the windows and scores
-`kelm` wrote, combines the tracks by `fusion.method`, then emits and
-scores the predictions. `run_pipeline` walks that plan, parsing the
+`kelm` wrote, combines them and the bases by `_FUSERS[fusion.method]`,
+writes that method's records, then emits and scores the predictions.
+The decision records are formatted here alone, and every CSV of a run
+ends its lines with LF. `run_pipeline` walks that plan, parsing the
 labels once for both commands; a stage command of the CLI runs one
 alone. Both ways read the same files, so they write bit-identical
 artifacts, and a failed command leaves the run directory as it found it.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -60,13 +63,13 @@ from .features import (
 from .forest import DEFAULT_TREE_GRID, ForestSpec
 from .fusion import (
     FusionMatrix,
+    RfFusionInfo,
     apply_fusion,
     dwf_search,
     mean_fusion,
     sample_pool,
     stack_and_fuse_rf,
     uniform_matrix,
-    write_fusion_matrix,
 )
 from .kelm import (
     DEFAULT_C_GRID,
@@ -115,7 +118,6 @@ from .windowing import (
 log = logging.getLogger("affectpipe")
 
 NORMALIZATIONS = ("none", "global_minmax", "per_video_minmax")
-FUSION_METHODS = ("dwf", "rf", "mean")
 _KELM_TASKS = {"expr": "classification", "va": "regression"}
 
 
@@ -385,9 +387,9 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError(
             f"normalization must be one of {NORMALIZATIONS}, got {config.normalization!r}"
         )
-    if config.fusion.method not in FUSION_METHODS:
+    if config.fusion.method not in _FUSERS:
         raise ConfigError(
-            f"fusion method must be one of {FUSION_METHODS}, got {config.fusion.method!r}"
+            f"fusion method must be one of {tuple(_FUSERS)}, got {config.fusion.method!r}"
         )
     if config.fusion.pool_size < 1 or config.fusion.alpha <= 0:
         raise ConfigError("fusion pool_size must be >= 1 and alpha positive")
@@ -536,8 +538,13 @@ def _dev_split(config: PipelineConfig, vids: Sequence[str]) -> tuple[list[str], 
 
 
 def _write_csv(path: Path, rows: Iterable[list[str]]) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    """`rows` with LF line ends. Each row is formatted with CRLF first, as csv.writer
+    quotes only its terminator's line breaks, so a field holding either is quoted."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        for row in rows:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(row)
+            fh.write(buf.getvalue()[:-2] + "\n")
 
 
 def _write_json(path: Path, value: dict, sort_keys: bool = True) -> None:
@@ -842,9 +849,39 @@ def _dwf_info(scores: np.ndarray, matrix: FusionMatrix, names: list[str]) -> lis
     ]
 
 
-def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
-    """Spread the KELM's dev window scores onto the working timeline, then
-    combine that track and the configured bases by the fusion method."""
+def _rf_info(info: RfFusionInfo, task: str) -> list:
+    """The rows of rf_info.csv: the largest head's tree count, the scores and
+    gap of RfFusionInfo, then per head its trees, OOB row share and grid scores."""
+    rows = [["metric", "value"], ["n_trees", str(info.n_trees)],
+            ["oob_score", FLOAT_FMT % info.oob_score],
+            [f"oob_{info.metric}", FLOAT_FMT % info.oob_metric_score],
+            ["dev_score", FLOAT_FMT % info.dev_score],
+            ["overfit_gap", FLOAT_FMT % info.overfit_gap]]
+    heads = ("expr",) if task == "expr" else ("valence", "arousal")
+    for head, trees, seen, grid_scores in zip(heads, info.head_trees, info.head_rows_seen,
+                                              info.head_grid_scores):
+        rows += [[f"{head}_n_trees", str(trees)],
+                 [f"{head}_oob_rows_fraction", FLOAT_FMT % (seen / info.n_rows)],
+                 *([f"{head}_oob_score_at_{k}", FLOAT_FMT % score]
+                   for k, score in sorted(grid_scores.items()))]
+    return rows
+
+
+def _matrix_rows(matrix: FusionMatrix, names: list[str]) -> list:
+    """The rows of fusion_matrix.csv: `model,c0..c{K-1}`, then each model's weights."""
+    return [["model", *(f"c{k}" for k in range(matrix.n_outputs))],
+            *([name, *(FLOAT_FMT % w for w in row)]
+              for name, row in zip(names, matrix.weights))]
+
+
+def _gather_models(
+    config: PipelineConfig, out_dir: Path, products: dict
+) -> tuple[list[str], list[np.ndarray], dict[str, FrameTrack]]:
+    """The models' names (the KELM, then the bases by file stem), each one's
+    (frames, K) scores over the fused videos, and those videos' tracks of
+    the timeline every model must match: the labels at the working rate,
+    which the KELM track is spread onto, or else base 0. The fused videos
+    are the dev videos, or every video without a dev split."""
     names: list[str] = []
     models: list[dict[str, np.ndarray]] = []  # each model's frame scores per video
     if config.kelm.enabled:
@@ -882,103 +919,89 @@ def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
     if not config.kelm.enabled:
         timeline = bases[0]
     vids = sorted(timeline)
-    # every model needs each video's frames on the timeline: the labels at
-    # the working rate, which the KELM track is built on, or else base 0
     for name, base in zip(names[len(models):], bases):
         if sorted(base) != vids:
-            raise AlignmentError(
-                f"fuse stage: model {name!r} covers videos {sorted(base)}, "
-                f"expected {vids}"
-            )
+            raise AlignmentError(f"fuse stage: model {name!r} covers videos "
+                                 f"{sorted(base)}, expected {vids}")
         _check_frames("fuse", f"model {name!r}", base, f"model {names[0]!r}", timeline,
                       vids)
         models.append({vid: track.values for vid, track in base.items()})
     _dev_split(config, vids)
-    # the dev videos, or every video without a dev split; dwf and rf have one
     fused_vids = sorted(config.split.dev_videos or vids)
     preds = [np.concatenate([model[vid] for vid in fused_vids]) for model in models]
-    n_outputs = config.n_outputs
-    matrix: FusionMatrix | None = None
-    method = config.fusion.method
-    if method in ("dwf", "rf"):  # _validate checked that a dev split is given
-        if config.kelm.enabled:
-            truth = timeline  # the labels at the working rate
-        else:
-            truth = _truth_at_working_rate(config, products, fused_vids, "fuse")
-            _check_frames("fuse", "the label track", truth, f"model {names[0]!r}",
-                          timeline, fused_vids)
-        if config.task == "expr":
-            dev_truth = np.concatenate([truth[v].labels() for v in fused_vids])
-        else:
-            dev_truth = np.vstack([truth[v].values for v in fused_vids])
-        if len(dev_truth) < 2 and (method == "rf" or config.task == "va"):
-            raise ConfigError(f"fuse stage: split.dev_videos give {len(dev_truth)} dev "
-                              f"frame(s); {method} fusion on {config.task} needs at least 2")
+    return names, preds, {vid: timeline[vid] for vid in fused_vids}
 
-    if method == "mean":
-        fused = mean_fusion(preds, task=config.task)
-        matrix = uniform_matrix(len(models), n_outputs)
-    elif method == "dwf":
-        pool = sample_pool(
-            len(models),
-            n_outputs,
-            pool_size=config.fusion.pool_size,
-            alpha=config.fusion.alpha,
-            seed=config.seed,
-        )
-        matrix, best_score, scores = dwf_search(pool, preds, dev_truth, metric=config.metric)
-        _write_csv(out_dir / "dwf_info.csv", _dwf_info(scores, matrix, names))
-        log.info("dwf: best of %d matrices scores %.4f on the dev split",
-                 len(pool), best_score)
-        fused = apply_fusion(preds, matrix, task=config.task)
-    else:  # rf
-        fused, info = stack_and_fuse_rf(
-            preds,
-            dev_truth,
-            preds,
-            task=config.task,
-            base_spec=ForestSpec(n_trees=config.fusion.tree_grid[0], seed=config.seed),
-            grid=config.fusion.tree_grid,
-        )
-        if info.overfit_gap > 0:
-            log.warning(
-                "rf fusion: dev %s %.4f exceeds its out-of-bag estimate %.4f by %.4f "
-                "on the dev rows some tree left out (%s of %d); treat dev gains as "
-                "optimistic", info.metric, info.dev_score, info.oob_metric_score,
-                info.overfit_gap, " and ".join(map(str, info.head_rows_seen)), info.n_rows,
-            )
-        rows = [
-            ["metric", "value"], ["n_trees", str(info.n_trees)],
-            ["oob_score", FLOAT_FMT % info.oob_score],
-            [f"oob_{info.metric}", FLOAT_FMT % info.oob_metric_score],
-            ["dev_score", FLOAT_FMT % info.dev_score],
-            ["overfit_gap", FLOAT_FMT % info.overfit_gap],
-        ]
-        # then each head's tree count, the share of dev rows its OOB and dev
-        # scores are taken on, and its forest's OOB score at each grid count
-        heads = ("expr",) if config.task == "expr" else ("valence", "arousal")
-        for head, trees, seen, grid_scores in zip(
-            heads, info.head_trees, info.head_rows_seen, info.head_grid_scores
-        ):
-            rows += [[f"{head}_n_trees", str(trees)],
-                     [f"{head}_oob_rows_fraction", FLOAT_FMT % (seen / info.n_rows)],
-                     *([f"{head}_oob_score_at_{k}", FLOAT_FMT % score]
-                       for k, score in sorted(grid_scores.items()))]
-        _write_csv(out_dir / "rf_info.csv", rows)
-    if matrix is not None:
-        write_fusion_matrix(
-            out_dir / "fusion_matrix.csv",
-            matrix,
-            model_names=names,
-            output_names=[f"c{k}" for k in range(n_outputs)],
-        )
+
+def _dev_truth(config, products, names, timeline) -> np.ndarray:
+    """The labels of the timeline's frames for dwf or rf, which _validate gave
+    a dev split: class indices for expr, (frames, 2) values for va."""
+    vids, method = list(timeline), config.fusion.method
+    if config.kelm.enabled:
+        truth = timeline  # the labels at the working rate
+    else:
+        truth = _truth_at_working_rate(config, products, vids, "fuse")
+        _check_frames("fuse", "the label track", truth, f"model {names[0]!r}", timeline,
+                      vids)
+    dev_truth = (np.concatenate([truth[v].labels() for v in vids]) if config.task == "expr"
+                 else np.vstack([truth[v].values for v in vids]))
+    if len(dev_truth) < 2 and (method == "rf" or config.task == "va"):
+        raise ConfigError(f"fuse stage: split.dev_videos give {len(dev_truth)} dev "
+                          f"frame(s); {method} fusion on {config.task} needs at least 2")
+    return dev_truth
+
+
+def _fuse_dwf(config, products, names, preds, timeline) -> tuple[np.ndarray, dict]:
+    """The sampled pool's best matrix on the dev frames, and the search's summary."""
+    dev_truth = _dev_truth(config, products, names, timeline)
+    pool = sample_pool(len(preds), config.n_outputs, pool_size=config.fusion.pool_size,
+                       alpha=config.fusion.alpha, seed=config.seed)
+    matrix, best_score, scores = dwf_search(pool, preds, dev_truth, metric=config.metric)
+    log.info("dwf: best of %d matrices scores %.4f on the dev split", len(pool), best_score)
+    return apply_fusion(preds, matrix, task=config.task), {
+        "dwf_info.csv": _dwf_info(scores, matrix, names),
+        "fusion_matrix.csv": _matrix_rows(matrix, names)}
+
+
+def _fuse_rf(config, products, names, preds, timeline) -> tuple[np.ndarray, dict]:
+    """Forest stacking fit on the dev frames, and each head's record."""
+    fused, info = stack_and_fuse_rf(
+        preds, _dev_truth(config, products, names, timeline), preds, task=config.task,
+        base_spec=ForestSpec(n_trees=config.fusion.tree_grid[0], seed=config.seed),
+        grid=config.fusion.tree_grid)
+    if info.overfit_gap > 0:
+        log.warning("rf fusion: dev %s %.4f exceeds its out-of-bag estimate %.4f by %.4f "
+                    "on the dev rows some tree left out (%s of %d); treat dev gains as "
+                    "optimistic", info.metric, info.dev_score, info.oob_metric_score,
+                    info.overfit_gap, " and ".join(map(str, info.head_rows_seen)),
+                    info.n_rows)
+    return fused, {"rf_info.csv": _rf_info(info, config.task)}
+
+
+def _fuse_mean(config, products, names, preds, timeline) -> tuple[np.ndarray, dict]:
+    """The unweighted mean, and its uniform matrix."""
+    rows = _matrix_rows(uniform_matrix(len(preds), config.n_outputs), names)
+    return mean_fusion(preds, task=config.task), {"fusion_matrix.csv": rows}
+
+
+# fusion.method -> its function of (config, products, model names, score
+# tables, timeline), which returns the fused table and {record file: rows}
+_FUSERS = {"dwf": _fuse_dwf, "rf": _fuse_rf, "mean": _fuse_mean}
+
+
+def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
+    """Combine the models _gather_models reads by fusion.method, write the
+    method's records, and leave one fused track per fused video in `products`."""
+    names, preds, timeline = _gather_models(config, out_dir, products)
+    fused, records = _FUSERS[config.fusion.method](config, products, names, preds, timeline)
+    for name, rows in records.items():
+        _write_csv(out_dir / name, rows)
     # at the working rate and of the task's kind, numbered from the
     # timeline's first frames
-    ends = np.cumsum([timeline[vid].n_frames for vid in fused_vids])
+    ends = np.cumsum([track.n_frames for track in timeline.values()])
     products["fused"] = {
         vid: FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
-                        frame_index_origin=timeline[vid].frame_index_origin)
-        for vid, values in zip(fused_vids, np.split(fused, ends[:-1]))
+                        frame_index_origin=track.frame_index_origin)
+        for (vid, track), values in zip(timeline.items(), np.split(fused, ends[:-1]))
     }
 
 

@@ -25,7 +25,6 @@ from affectpipe.fusion import (
     sample_pool,
     stack_and_fuse_rf,
     uniform_matrix,
-    write_fusion_matrix,
     _stack_features,
 )
 
@@ -681,17 +680,3 @@ class TestRfStacking:
         assert info.oob_metric_score == sum(cccs) / 2
         assert info.overfit_gap == info.dev_score - sum(cccs) / 2
 
-
-class TestPersistence:
-    def test_matrix_csv_round_trip(self, tmp_path):
-        weights = sample_pool(3, 2, pool_size=1, seed=50).matrices[0].weights
-        names = ["audio", "video", "text"]
-        path = tmp_path / "matrix.csv"
-        write_fusion_matrix(path, FusionMatrix(weights), model_names=names,
-                            output_names=["valence", "arousal"])
-        expected = "model,valence,arousal\r\n" + "".join(
-            f"{name},{'%.17g' % a},{'%.17g' % b}\r\n" for name, (a, b) in zip(names, weights)
-        )
-        assert path.read_bytes() == expected.encode()
-        rows = [line.split(",")[1:] for line in path.read_text().splitlines()[1:]]
-        np.testing.assert_array_equal(np.array(rows, dtype=float), weights)

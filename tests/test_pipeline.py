@@ -29,6 +29,7 @@ from affectpipe.errors import (
     SolverError,
     TaskMismatchError,
 )
+from affectpipe.fusion import sample_pool
 from affectpipe.kelm import (
     class_weights,
     encode_classification_targets,
@@ -836,6 +837,24 @@ def _per_frame_join(pred, truth, task):
     return va_report(t, p)
 
 
+class TestWriteCsv:
+    def test_rows_round_trip_through_csv_reader(self, tmp_path):
+        # csv.writer quotes only its terminator's characters; a bare CR left
+        # unquoted would read back as a second row
+        rows = [["metric", "value"], ["selector", "a\rb"], ["lf", "a\nb"],
+                ["crlf", "a\r\nb"], ['quo"te', "a,b"], ["", "1.5"]]
+        path = tmp_path / "rows.csv"
+        pipeline._write_csv(path, rows)
+        with path.open(newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == rows
+        assert path.read_bytes().startswith(b"metric,value\nselector,\"a\rb\"\n")
+
+    def test_rows_without_a_line_break_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        pipeline._write_csv(path, [["metric", "value"], ['a"b', "c,d"], ["", "1e-05"]])
+        assert path.read_bytes() == b'metric,value\n"a""b","c,d"\n,1e-05\n'
+
+
 class TestSpreadWindowScores:
     """Windows of 4 frames at a hop of 2: the row of the window that starts
     at frame s covers frames s + 1 and s + 2."""
@@ -1350,6 +1369,8 @@ class TestCli:
     def _run_files(path):
         assert main(["run", "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
+        # every CSV the run writes ends its lines with LF
+        assert [p.name for p in run_dir.glob("*.csv") if b"\r" in p.read_bytes()] == []
         return {str(p.relative_to(run_dir)) for p in run_dir.rglob("*")}
 
     @pytest.mark.parametrize("method, files", [
@@ -1422,6 +1443,27 @@ class TestCli:
             assert rows["n_tied"] == rows["pool_size"] == "51"
             assert rows["selector"] == "kelm"
             assert rows["runner_up_score"] == rows["winner_score"]
+
+    @pytest.mark.parametrize("method", ["dwf", "mean"])
+    def test_fusion_matrix_csv_holds_each_models_weights(self, tmp_path, method):
+        path = self._prepare(tmp_path, fusion={"method": method, "pool_size": 50},
+                             paths={"base_predictions": _base_paths(tmp_path, 2)})
+        config = load_config(path)
+        _write_base_predictions(config)
+        assert main(["run", "--config", str(path)]) == 0
+        with (config.run_dir() / "fusion_matrix.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["model", *(f"c{k}" for k in range(N_EXPR_CLASSES))]
+        assert [row[0] for row in rows] == ["kelm", "base_0", "base_1"]
+        weights = np.array([row[1:] for row in rows], dtype=np.float64)
+        if method == "dwf":
+            with (config.run_dir() / "dwf_info.csv").open(newline="") as fh:
+                winner = int(dict(csv.reader(fh))["winner_index"])
+            expected = sample_pool(3, N_EXPR_CLASSES, pool_size=50, alpha=config.fusion.alpha,
+                                   seed=config.seed).weights[winner]
+        else:
+            expected = np.full((3, N_EXPR_CLASSES), 1 / 3)
+        assert weights.tobytes() == expected.tobytes()
 
     def test_rf_info_records_each_heads_trees_rows_seen_and_grid_scores(
         self, tmp_path, monkeypatch, caplog
@@ -2226,6 +2268,14 @@ class TestArtifactsAbTool:
         pipeline_runs = [run for mode, run in runs if mode in ("single", "staged")]
         assert len(pipeline_runs) == 4
         assert all("fused (in memory)" in run["made"] for run in pipeline_runs)
+
+    def test_ci_compares_every_pipeline_case(self):
+        workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+        [command] = [step["run"] for step in workflow["jobs"]["tier1"]["steps"]
+                     if "tools/artifacts_ab.py" in step.get("run", "")]
+        program, tool, checkout, *cases = command.split()
+        assert (program, tool, checkout) == ("python3", "tools/artifacts_ab.py", ".")
+        assert cases == self._tool().PIPELINE
 
     def test_a_last_bit_change_in_the_fused_table_differs(self, tmp_path, capsys):
         # expr's predictions.csv holds labels alone, so a one-ulp change to
