@@ -53,7 +53,7 @@ def _run_stage(args) -> int:
         raise ConfigError(f"{stage.name}: this config has kelm.enabled: false, so its "
                           f"run has no {stage.name} stage")
     with staged_writes(config) as out_dir:
-        result = stage.run(config, out_dir, _read_truth(config))
+        result = stage.command(config, out_dir, _read_truth(config))
     if result is not None:
         print(report_to_text(result))
     print(f"run directory: {config.run_dir()}")

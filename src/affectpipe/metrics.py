@@ -8,11 +8,12 @@ mean of the valence and arousal CCCs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .timeline import write_csv
 
 
 @dataclass(frozen=True)
@@ -267,6 +268,4 @@ def report_to_csv_rows(report: EvalReport) -> list[list[str]]:
 
 def write_report(report: EvalReport, text_path: str | Path, csv_path: str | Path) -> None:
     Path(text_path).write_text(report_to_text(report), encoding="utf-8")
-    with Path(csv_path).open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(report_to_csv_rows(report))
+    write_csv(csv_path, report_to_csv_rows(report))

@@ -4,17 +4,18 @@ A run executes resample -> VAD gate -> window -> reduce targets ->
 functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
 smoothing -> evaluation. One table, `stages()`, lists the stage
-commands; a config's run is `kelm` when `kelm.enabled`, then `fuse`. A
-command runs its stage functions in order on one dict of products that
-starts with the parsed labels alone: `kelm` slices, featurizes, trains
-and scores the dev windows, and `fuse` reads the windows and scores
-`kelm` wrote, combines them and the bases by `_FUSERS[fusion.method]`,
-writes that method's records, then emits and scores the predictions.
-The decision records are formatted here alone, and every CSV of a run
-ends its lines with LF. `run_pipeline` walks that plan, parsing the
-labels once for both commands; a stage command of the CLI runs one
-alone. Both ways read the same files, so they write bit-identical
-artifacts, and a failed command leaves the run directory as it found it.
+commands; a config's run is `kelm` when `kelm.enabled`, then `fuse`.
+Each command is a function of the config, its staging directory and the
+parsed labels that hands values from one `stage_*` function to the next
+and writes the command's files, which no stage function does. `kelm`
+slices, featurizes, trains and scores the dev windows; `fuse` reads the
+windows and scores `kelm` wrote, combines them and the bases by
+`_FUSERS[fusion.method]`, then emits and scores the predictions. The
+decision records are formatted here alone, and every CSV of a run ends
+its lines with LF. `run_pipeline` walks that plan, parsing the labels
+once for both commands; a stage command of the CLI runs one alone. Both
+ways read the same files, so they write bit-identical artifacts, and a
+failed command leaves the run directory as it found it.
 
 Determinism contract: CSV floats are written with 17 significant
 digits and the KELM scores as .npy, so both read back exactly;
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import logging
 import math
@@ -99,6 +99,7 @@ from .timeline import (
     interpolate_to,
     read_track_csv,
     resample_track,
+    write_csv,
 )
 from .windowing import (
     LabelRows,
@@ -372,6 +373,8 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("fps_target must be positive")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if paths.source_fps is not None and paths.source_fps < config.fps_target:
         raise ConfigError(
             f"fps_target {config.fps_target} exceeds the source rate "
@@ -501,10 +504,9 @@ def _read_labels_checked(path: Path, task: str) -> dict[str, LabelRows]:
 
 
 def _truth_at_working_rate(
-    config: PipelineConfig, products: dict, vids: Sequence[str], stage: str
+    config: PipelineConfig, truth: dict, vids: Sequence[str], stage: str
 ) -> dict[str, FrameTrack]:
-    """The ground-truth tracks of `vids` at the working rate, for `stage`."""
-    truth = products["truth"]
+    """The ground-truth tracks `truth` holds of `vids` at the working rate, for `stage`."""
     missing = [v for v in vids if v not in truth]
     if missing:
         raise AlignmentError(f"{stage} stage: no labels for video(s) {missing}")
@@ -535,16 +537,6 @@ def _dev_split(config: PipelineConfig, vids: Sequence[str]) -> tuple[list[str], 
         raise ConfigError(f"split.dev_videos names unknown videos: {unknown}")
     train = [v for v in sorted(vids) if v not in dev]
     return train, dev
-
-
-def _write_csv(path: Path, rows: Iterable[list[str]]) -> None:
-    """`rows` with LF line ends. Each row is formatted with CRLF first, as csv.writer
-    quotes only its terminator's line breaks, so a field holding either is quoted."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        for row in rows:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\r\n").writerow(row)
-            fh.write(buf.getvalue()[:-2] + "\n")
 
 
 def _write_json(path: Path, value: dict, sort_keys: bool = True) -> None:
@@ -653,7 +645,7 @@ def _read_kelm_scores(config: PipelineConfig, kelm_dir: Path, index: dict) -> di
 # ---------------------------------------------------------------------------
 
 
-def _window_batches(config: PipelineConfig, products: dict) -> dict:
+def _window_batches(config: PipelineConfig, truth: dict) -> dict:
     """Check each embedding track's first frame against its labels', then
     resample the track, gate it by VAD and slice its windows.
 
@@ -668,7 +660,6 @@ def _window_batches(config: PipelineConfig, products: dict) -> dict:
     vids = sorted(embeddings)
     if not _dev_split(config, vids)[0]:
         raise ConfigError("kelm training needs at least one non-dev video")
-    truth = products["truth"]
     # a video without labels is refused once it is windowed
     _check_frames("kelm", "the embedding track", embeddings, "the label track", truth,
                   [v for v in vids if v in truth], counts=False)
@@ -713,24 +704,22 @@ def _read_truth(config: PipelineConfig) -> dict:
     }
 
 
-def stage_window(config: PipelineConfig, out_dir: Path, products: dict) -> None:
-    """Index the windows and reduce the labels to one target per window."""
-    batches = _window_batches(config, products)
+def stage_window(config: PipelineConfig, truth: dict) -> tuple[dict, dict]:
+    """Each video's windows, sliced from its track, and their targets, the
+    labels of `truth` reduced to one per window."""
+    batches = _window_batches(config, truth)
     vids = sorted(batches)
-    truth = _truth_at_working_rate(config, products, vids, "kelm")
+    at_rate = _truth_at_working_rate(config, truth, vids, "kelm")
     reduce = window_labels if config.task == "expr" else window_va_means
-    targets = _map_ordered(lambda vid: reduce(truth[vid], batches[vid]), vids,
+    targets = _map_ordered(lambda vid: reduce(at_rate[vid], batches[vid]), vids,
                            config.workers)
-    (out_dir / "windows.csv").write_bytes(_windows_index(batches))
     log.info("kelm stage: %d windows over %d videos", sum(map(len, targets)), len(vids))
-    products["batches"] = batches
-    products["targets"] = dict(zip(vids, targets))
+    return batches, dict(zip(vids, targets))
 
 
-def stage_features(config: PipelineConfig, out_dir: Path, products: dict) -> None:
-    """Functionals over the windows stage_window sliced, plus the configured
-    normalization; the batches, which hold the tracks, go with their use."""
-    batches = products.pop("batches")
+def stage_features(config: PipelineConfig, batches: dict) -> dict[str, np.ndarray]:
+    """Each video's functionals over the windows stage_window sliced, with the
+    configured normalization."""
     fset = config.functional_set
     vids = sorted(batches)
 
@@ -745,12 +734,12 @@ def stage_features(config: PipelineConfig, out_dir: Path, products: dict) -> Non
         feats = {vid: apply_minmax(feats[vid], scaler) for vid in vids}
     elif config.normalization == "per_video_minmax":
         feats = {vid: per_video_minmax(feats[vid]) for vid in vids}
-    products["features"] = feats
+    return feats
 
 
-def stage_train_kelm(config: PipelineConfig, out_dir: Path, products: dict) -> None:
-    """Select the regularizer on the dev split and train on the rest."""
-    feats, targets = products["features"], products["targets"]
+def stage_train_kelm(config: PipelineConfig, feats: dict, targets: dict) -> tuple:
+    """The KELM trained on the non-dev videos at the regularizer that
+    scores best on the dev split, and the rows of selection.csv."""
     train, dev = _dev_split(config, list(feats))  # _window_batches refused an empty train
     x_train, x_dev = (np.concatenate([feats[v] for v in vids]) for vids in (train, dev))
     y_train, y_dev = (np.concatenate([targets[v] for v in vids]) for vids in (train, dev))
@@ -777,11 +766,9 @@ def stage_train_kelm(config: PipelineConfig, out_dir: Path, products: dict) -> N
         x_train, enc, best_c, kernel=config.kernel_spec, weights=weights,
         task=_KELM_TASKS[config.task],
     )
-    products["kelm_model"] = model
-    _write_csv(out_dir / "selection.csv",
-               [["c", "dev_score"], [FLOAT_FMT % best_c, FLOAT_FMT % dev_score]])
     log.info("kelm: C=%g scores %.4f (%s) on the dev split", best_c, dev_score,
              config.metric)
+    return model, [["c", "dev_score"], [FLOAT_FMT % best_c, FLOAT_FMT % dev_score]]
 
 
 def _spread_window_scores(
@@ -820,17 +807,13 @@ def _spread_window_scores(
     return out
 
 
-def stage_predict_kelm(config: PipelineConfig, out_dir: Path, products: dict) -> None:
-    """Score the dev videos' windows with the model stage_train_kelm left in
-    `products`; stage_fuse reads the scores back and spreads them.
-
-    Fusion reads the KELM track of the dev videos alone (a KELM run
-    always has a dev split), so the training videos are not scored.
-    """
-    feats, model = products["features"], products["kelm_model"]
+def stage_predict_kelm(config: PipelineConfig, feats: dict, model) -> np.ndarray:
+    """The dev videos' window scores of the model stage_train_kelm fit, in
+    sorted video order. Fusion reads the KELM track of the dev videos alone
+    (a KELM run always has a dev split), so the training videos are not scored."""
     vids = sorted(config.split.dev_videos)
     scores = _map_ordered(lambda vid: predict_kelm(model, feats[vid]), vids, config.workers)
-    np.save(out_dir / "kelm_scores.npy", np.concatenate(scores))
+    return np.concatenate(scores)
 
 
 def _dwf_info(scores: np.ndarray, matrix: FusionMatrix, names: list[str]) -> list:
@@ -875,7 +858,7 @@ def _matrix_rows(matrix: FusionMatrix, names: list[str]) -> list:
 
 
 def _gather_models(
-    config: PipelineConfig, out_dir: Path, products: dict
+    config: PipelineConfig, out_dir: Path, truth: dict
 ) -> tuple[list[str], list[np.ndarray], dict[str, FrameTrack]]:
     """The models' names (the KELM, then the bases by file stem), each one's
     (frames, K) scores over the fused videos, and those videos' tracks of
@@ -894,7 +877,7 @@ def _gather_models(
         # the kelm command checked each video's labels against its windows'
         # frame count, so every windowed video's labels at the working rate
         # give the frames its track has; the KELM track holds the dev videos
-        timeline = _truth_at_working_rate(config, products, list(index), "fuse")
+        timeline = _truth_at_working_rate(config, truth, list(index), "fuse")
         for vid, (_, end) in index.items():
             if end > timeline[vid].n_frames:
                 raise AlignmentError(f"fuse stage: {kelm_dir / 'windows.csv'}: the windows "
@@ -932,14 +915,14 @@ def _gather_models(
     return names, preds, {vid: timeline[vid] for vid in fused_vids}
 
 
-def _dev_truth(config, products, names, timeline) -> np.ndarray:
+def _dev_truth(config, truth, names, timeline) -> np.ndarray:
     """The labels of the timeline's frames for dwf or rf, which _validate gave
     a dev split: class indices for expr, (frames, 2) values for va."""
     vids, method = list(timeline), config.fusion.method
     if config.kelm.enabled:
         truth = timeline  # the labels at the working rate
     else:
-        truth = _truth_at_working_rate(config, products, vids, "fuse")
+        truth = _truth_at_working_rate(config, truth, vids, "fuse")
         _check_frames("fuse", "the label track", truth, f"model {names[0]!r}", timeline,
                       vids)
     dev_truth = (np.concatenate([truth[v].labels() for v in vids]) if config.task == "expr"
@@ -950,9 +933,9 @@ def _dev_truth(config, products, names, timeline) -> np.ndarray:
     return dev_truth
 
 
-def _fuse_dwf(config, products, names, preds, timeline) -> tuple[np.ndarray, dict]:
+def _fuse_dwf(config, truth, names, preds, timeline) -> tuple[np.ndarray, dict]:
     """The sampled pool's best matrix on the dev frames, and the search's summary."""
-    dev_truth = _dev_truth(config, products, names, timeline)
+    dev_truth = _dev_truth(config, truth, names, timeline)
     pool = sample_pool(len(preds), config.n_outputs, pool_size=config.fusion.pool_size,
                        alpha=config.fusion.alpha, seed=config.seed)
     matrix, best_score, scores = dwf_search(pool, preds, dev_truth, metric=config.metric)
@@ -962,10 +945,10 @@ def _fuse_dwf(config, products, names, preds, timeline) -> tuple[np.ndarray, dic
         "fusion_matrix.csv": _matrix_rows(matrix, names)}
 
 
-def _fuse_rf(config, products, names, preds, timeline) -> tuple[np.ndarray, dict]:
+def _fuse_rf(config, truth, names, preds, timeline) -> tuple[np.ndarray, dict]:
     """Forest stacking fit on the dev frames, and each head's record."""
     fused, info = stack_and_fuse_rf(
-        preds, _dev_truth(config, products, names, timeline), preds, task=config.task,
+        preds, _dev_truth(config, truth, names, timeline), preds, task=config.task,
         base_spec=ForestSpec(n_trees=config.fusion.tree_grid[0], seed=config.seed),
         grid=config.fusion.tree_grid)
     if info.overfit_gap > 0:
@@ -977,32 +960,30 @@ def _fuse_rf(config, products, names, preds, timeline) -> tuple[np.ndarray, dict
     return fused, {"rf_info.csv": _rf_info(info, config.task)}
 
 
-def _fuse_mean(config, products, names, preds, timeline) -> tuple[np.ndarray, dict]:
+def _fuse_mean(config, truth, names, preds, timeline) -> tuple[np.ndarray, dict]:
     """The unweighted mean, and its uniform matrix."""
     rows = _matrix_rows(uniform_matrix(len(preds), config.n_outputs), names)
     return mean_fusion(preds, task=config.task), {"fusion_matrix.csv": rows}
 
 
-# fusion.method -> its function of (config, products, model names, score
+# fusion.method -> its function of (config, parsed labels, model names, score
 # tables, timeline), which returns the fused table and {record file: rows}
 _FUSERS = {"dwf": _fuse_dwf, "rf": _fuse_rf, "mean": _fuse_mean}
 
 
-def stage_fuse(config: PipelineConfig, out_dir: Path, products: dict) -> None:
-    """Combine the models _gather_models reads by fusion.method, write the
-    method's records, and leave one fused track per fused video in `products`."""
-    names, preds, timeline = _gather_models(config, out_dir, products)
-    fused, records = _FUSERS[config.fusion.method](config, products, names, preds, timeline)
-    for name, rows in records.items():
-        _write_csv(out_dir / name, rows)
+def stage_fuse(config: PipelineConfig, out_dir: Path, truth: dict) -> tuple[dict, dict]:
+    """One fused track per fused video, combining the models _gather_models
+    reads by fusion.method, and the method's records as {file: rows}."""
+    names, preds, timeline = _gather_models(config, out_dir, truth)
+    fused, records = _FUSERS[config.fusion.method](config, truth, names, preds, timeline)
     # at the working rate and of the task's kind, numbered from the
     # timeline's first frames
     ends = np.cumsum([track.n_frames for track in timeline.values()])
-    products["fused"] = {
+    return {
         vid: FrameTrack(vid, config.fps_target, values, kind=config.track_kind,
                         frame_index_origin=track.frame_index_origin)
         for (vid, track), values in zip(timeline.items(), np.split(fused, ends[:-1]))
-    }
+    }, records
 
 
 def _check_frames(
@@ -1027,9 +1008,9 @@ def _check_frames(
                                  f"{ref} at {at[1]}")
 
 
-def stage_postprocess(config: PipelineConfig, out_dir: Path, products: dict) -> None:
-    """Interpolate fused scores to the truth timeline, smooth, and emit labels."""
-    fused, truth = products["fused"], products["truth"]
+def stage_postprocess(config: PipelineConfig, fused: dict, truth: dict) -> dict:
+    """The predictions' label rows: each fused track interpolated to its
+    labels' timeline and smoothed, and for expr its frames' top classes."""
     smoothing = SmoothingSpec(window_seconds=config.postprocess.smooth_seconds)
     vids = sorted(fused)
     missing = [v for v in vids if v not in truth]
@@ -1054,9 +1035,7 @@ def stage_postprocess(config: PipelineConfig, out_dir: Path, products: dict) -> 
             values = values.argmax(axis=1)[:, None]
         return vid, _track_rows(target, values)
 
-    predictions = dict(_map_ordered(one, vids, config.workers))
-    write_label_csv(out_dir / "predictions.csv", predictions, task=config.task)
-    products["predictions"] = predictions
+    return dict(_map_ordered(one, vids, config.workers))
 
 
 def _track_rows(track: FrameTrack, values: np.ndarray) -> LabelRows:
@@ -1121,53 +1100,62 @@ def _valid_rows(rows: dict[str, LabelRows], task: str) -> dict[str, LabelRows]:
     return out
 
 
-def stage_evaluate(config: PipelineConfig, out_dir: Path, products: dict) -> EvalReport:
-    """Score the predictions stage_postprocess made against the labels and
-    write the report."""
-    truth = products["truth"]
-    report = evaluate_files(
-        out_dir / "predictions.csv",
-        config.paths.labels,
-        config.task,
-        pred=products["predictions"],
-        # every video's rows became a track, so the tracks hold all of them
-        truth={vid: _track_rows(t, t.values) for vid, t in truth.items()},
-    )
+def stage_evaluate(config: PipelineConfig, out_dir: Path, truth: dict,
+                   predictions: dict) -> EvalReport:
+    """The report of the predictions, which out_dir's predictions.csv holds."""
+    # every video's rows became a track, so the tracks hold all of them
+    return evaluate_files(out_dir / "predictions.csv", config.paths.labels, config.task,
+                          pred=predictions,
+                          truth={vid: _track_rows(t, t.values) for vid, t in truth.items()})
+
+
+def _run_kelm(config: PipelineConfig, out_dir: Path, truth: dict) -> None:
+    """The kelm command: window, featurize, train and score the dev windows,
+    writing windows.csv, selection.csv and kelm_scores.npy to `out_dir`."""
+    batches, targets = stage_window(config, truth)
+    (out_dir / "windows.csv").write_bytes(_windows_index(batches))
+    feats = stage_features(config, batches)
+    del batches  # the embedding tracks go before training
+    model, selection = stage_train_kelm(config, feats, targets)
+    write_csv(out_dir / "selection.csv", selection)
+    np.save(out_dir / "kelm_scores.npy", stage_predict_kelm(config, feats, model))
+
+
+def _run_fuse(config: PipelineConfig, out_dir: Path, truth: dict) -> EvalReport:
+    """The fuse command: fuse, postprocess and evaluate, writing the fusion
+    records, predictions.csv and the report to `out_dir`; the report."""
+    fused, records = stage_fuse(config, out_dir, truth)
+    for name, rows in records.items():
+        write_csv(out_dir / name, rows)
+    predictions = stage_postprocess(config, fused, truth)
+    write_label_csv(out_dir / "predictions.csv", predictions, task=config.task)
+    report = stage_evaluate(config, out_dir, truth, predictions)
     write_report(report, out_dir / "report.txt", out_dir / "report.csv")
     return report
 
 
 @dataclass(frozen=True)
 class Stage:
-    """A stage command and its stage functions. The `kelm` stages run only
-    when kelm.enabled."""
+    """A stage command: its name, help text and function of the config, the staging
+    directory it writes into and the parsed labels; `kelm` ones need kelm.enabled."""
 
     name: str
     help: str
-    steps: tuple[Callable[[PipelineConfig, Path, dict], EvalReport | None], ...]
+    command: Callable[[PipelineConfig, Path, dict], EvalReport | None]
     kelm: bool = False
-
-    def run(self, config: PipelineConfig, out_dir: Path, truth: dict) -> EvalReport | None:
-        """Run the stage functions in order on one products dict that starts
-        with the parsed labels, `truth`, alone; the last one's result."""
-        products = {"truth": truth}
-        for step in self.steps:
-            result = step(config, out_dir, products)
-        return result
 
 
 def stages() -> list[Stage]:
     """Every stage command, in run order. Built when called, so a wrapper
-    set on a stage function of this module is the one that runs."""
+    set on a command function of this module is the one that runs."""
     return [
         Stage("kelm", "slice the VAD-gated windows, compute their normalized "
               "functionals, select C on the dev split, train, and score the dev windows",
-              (stage_window, stage_features, stage_train_kelm, stage_predict_kelm),
-              kelm=True),
+              _run_kelm, kelm=True),
         Stage("fuse", "spread the KELM's dev window scores onto the working timeline, "
               "combine that track and the base predictions by fusion.method, "
               "interpolate, smooth, emit the predictions, and score them against the "
-              "labels", (stage_fuse, stage_postprocess, stage_evaluate)),
+              "labels", _run_fuse),
     ]
 
 
@@ -1239,7 +1227,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         t0 = time.perf_counter()
         truth = _read_truth(config)  # in the first command's seconds, so timings.json has it
         for stage in planned_stages(config):
-            report = stage.run(config, out_dir, truth)  # fuse returns one
+            report = stage.command(config, out_dir, truth)  # fuse returns one
             now = time.perf_counter()
             timings[stage.name], t0 = now - t0, now
         manifest = _build_manifest(config, out_dir)

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -239,6 +239,16 @@ def csv_row_format(video_id: str, tail: str) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerow([video_id, ""])
     return buf.getvalue()[: -len(",\r\n")].replace("%", "%%") + tail
+
+
+def write_csv(path: str | Path, rows: Iterable[list[str]]) -> None:
+    """`rows` with LF line ends. Each row is formatted with CRLF first, as csv.writer
+    quotes only its terminator's line breaks, so a field holding either is quoted."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        for row in rows:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(row)
+            fh.write(buf.getvalue()[:-2] + "\n")
 
 
 def write_track_csv(path: str | Path, tracks: list[FrameTrack]) -> None:

@@ -269,6 +269,10 @@ class TestReportOutput:
             parsed = list(csv.reader(fh))
         lookup = {row[0]: row[1] for row in parsed if len(row) == 2}
         np.testing.assert_allclose(float(lookup["macro_f1"]), 1.0 / 3.0)
+        # LF line ends; the field holding commas is quoted
+        written = csv_path.read_bytes()
+        assert b"\r" not in written
+        assert b'\nclass,"precision,recall,f1,support"\nclass_0,' in written
 
     def test_va_report_text(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import json
@@ -11,6 +12,8 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 import yaml
 
-from affectpipe import pipeline, synth
+from affectpipe import cli, pipeline, synth
 from affectpipe.cli import main
 from affectpipe.errors import (
     AffectPipeError,
@@ -43,7 +46,6 @@ from affectpipe.pipeline import (
     load_config,
     planned_stages,
     run_pipeline,
-    stage_window,
 )
 from affectpipe.synth import SyntheticSpec, synth_generate, synth_tracks
 from affectpipe.timeline import (
@@ -220,16 +222,33 @@ def _file_digests(run_dir):
 
 
 def _capture_fused(monkeypatch):
-    """A list that gets the fused tracks of each stage_fuse call, as
-    stage_postprocess takes them from the products; no file holds them."""
+    """A list that gets the fused tracks of each stage_fuse call, which the
+    fuse command hands stage_postprocess; no file holds them."""
     made = []
 
-    def fuse(config, run_dir, products, _fn=pipeline.stage_fuse):
-        _fn(config, run_dir, products)
-        made.append(products["fused"])
+    def fuse(config, out_dir, truth, _fn=pipeline.stage_fuse):
+        fused, records = _fn(config, out_dir, truth)
+        made.append(fused)
+        return fused, records
 
     monkeypatch.setattr(pipeline, "stage_fuse", fuse)
     return made
+
+
+def _record_staging(monkeypatch):
+    """A list that gets each command's staging directory, from a wrapper of
+    staged_writes that both run_pipeline and the stage commands call."""
+    staging = []
+
+    @contextmanager
+    def staged_writes(config, _fn=pipeline.staged_writes):
+        with _fn(config) as out_dir:
+            staging.append(out_dir)
+            yield out_dir
+
+    for module in (pipeline, cli):
+        monkeypatch.setattr(module, "staged_writes", staged_writes)
+    return staging
 
 
 def _fused_rows(fused):
@@ -837,24 +856,6 @@ def _per_frame_join(pred, truth, task):
     return va_report(t, p)
 
 
-class TestWriteCsv:
-    def test_rows_round_trip_through_csv_reader(self, tmp_path):
-        # csv.writer quotes only its terminator's characters; a bare CR left
-        # unquoted would read back as a second row
-        rows = [["metric", "value"], ["selector", "a\rb"], ["lf", "a\nb"],
-                ["crlf", "a\r\nb"], ['quo"te', "a,b"], ["", "1.5"]]
-        path = tmp_path / "rows.csv"
-        pipeline._write_csv(path, rows)
-        with path.open(newline="", encoding="utf-8") as fh:
-            assert list(csv.reader(fh)) == rows
-        assert path.read_bytes().startswith(b"metric,value\nselector,\"a\rb\"\n")
-
-    def test_rows_without_a_line_break_keep_their_bytes(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        pipeline._write_csv(path, [["metric", "value"], ['a"b', "c,d"], ["", "1e-05"]])
-        assert path.read_bytes() == b'metric,value\n"a""b","c,d"\n,1e-05\n'
-
-
 class TestSpreadWindowScores:
     """Windows of 4 frames at a hop of 2: the row of the window that starts
     at frame s covers frames s + 1 and s + 2."""
@@ -910,7 +911,7 @@ class TestRunPipeline:
         _synth_from(config)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        stage_window(config, run_dir, {"truth": pipeline._read_truth(config)})
+        pipeline._run_kelm(config, run_dir, pipeline._read_truth(config))
         tracks = read_track_csv(config.paths.embeddings, fps=config.fps_target,
                                 kind="embedding")
         vad = read_vad_csv(config.paths.vad)
@@ -1002,48 +1003,85 @@ class TestRunPipeline:
         assert reads.count(Path(config.paths.embeddings)) == 1
         assert sorted(reads) == sorted(map(Path, [config.paths.embeddings, *bases]))
 
-    def test_each_command_starts_from_the_labels_alone(self, tmp_path, monkeypatch):
-        config = load_config(_write_config(tmp_path, fusion={"method": "dwf",
-                                                             "pool_size": 200}))
+    @pytest.mark.parametrize("command", ["run", "fuse"])
+    def test_fuse_starts_from_the_config_the_staging_directory_and_the_labels(
+        self, tmp_path, monkeypatch, command
+    ):
+        path = _write_va_fusion_only(tmp_path, "dwf")
+        parsed, calls = [], []
+        staging = _record_staging(monkeypatch)
+
+        def read_truth(config, _fn=pipeline._read_truth):
+            parsed.append(_fn(config))
+            return parsed[-1]
+
+        def fuse(*args, _fn=pipeline.stage_fuse, **kwargs):
+            calls.append((args, kwargs))
+            return _fn(*args, **kwargs)
+
+        for module in (pipeline, cli):
+            monkeypatch.setattr(module, "_read_truth", read_truth)
+        monkeypatch.setattr(pipeline, "stage_fuse", fuse)
+        assert main([command, "--config", str(path)]) == 0
+        [((config, out_dir, truth), kwargs)] = calls
+        assert kwargs == {} and config == load_config(path)
+        assert out_dir == staging[-1] and truth is parsed[-1]
+
+    @pytest.mark.parametrize("commands", [["run"], ["kelm", "fuse"]], ids=["run", "staged"])
+    def test_no_stage_function_writes_a_file(self, tmp_path, monkeypatch, commands):
+        bases = _base_paths(tmp_path, 1)
+        path = _write_config(tmp_path, fusion={"method": "dwf", "pool_size": 50},
+                             paths={"base_predictions": bases})
+        config = load_config(path)
         _synth_from(config)
-        seen = {}
+        _write_base_predictions(config)
+        for cmd in commands:
+            assert main([cmd, "--config", str(path), "--out-dir", str(tmp_path / "plain")]) == 0
+        staging, changed, called = _record_staging(monkeypatch), [], []
+
+        def listing():
+            return {p.name: p.stat().st_size for p in staging[-1].iterdir()}
+
         for name in ("stage_window", "stage_features", "stage_train_kelm",
                      "stage_predict_kelm", "stage_fuse", "stage_postprocess",
                      "stage_evaluate"):
-            def recorded(config, run_dir, products, _name=name, _fn=getattr(pipeline, name)):
-                seen[_name] = set(products)
-                return _fn(config, run_dir, products)
+            def watched(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+                called.append(_name)
+                before = listing()
+                result = _fn(*args, **kwargs)
+                if listing() != before:
+                    changed.append(_name)
+                return result
 
-            monkeypatch.setattr(pipeline, name, recorded)
+            monkeypatch.setattr(pipeline, name, watched)
+        for cmd in commands:
+            assert main([cmd, "--config", str(path), "--out-dir", str(tmp_path / "wrapped")]) == 0
+        assert len(called) == 7 and changed == []
+        plain, wrapped = (_file_digests(next((tmp_path / side).iterdir()))
+                          for side in ("plain", "wrapped"))
+        for digests in (plain, wrapped):  # the seconds a run took
+            digests.pop("timings.json", None)
+        assert plain == wrapped
+
+    def test_the_window_batches_are_freed_before_training(self, tmp_path, monkeypatch):
+        config = load_config(_write_config(tmp_path, fusion={"method": "mean"}))
+        _synth_from(config)
+        batches, alive = [], []
+
+        def sliced(*args, _fn=pipeline.slice_windows, **kwargs):
+            batch = _fn(*args, **kwargs)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        def train(*args, _fn=pipeline.stage_train_kelm, **kwargs):
+            gc.collect()
+            alive.extend(ref() for ref in batches if ref() is not None)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "slice_windows", sliced)
+        monkeypatch.setattr(pipeline, "stage_train_kelm", train)
         run_pipeline(config)
-        # the product keys each stage function finds when it starts
-        assert seen == {
-            "stage_window": {"truth"},
-            "stage_features": {"truth", "batches", "targets"},
-            "stage_train_kelm": {"truth", "targets", "features"},
-            "stage_predict_kelm": {"truth", "targets", "features", "kelm_model"},
-            "stage_fuse": {"truth"},
-            "stage_postprocess": {"truth", "fused"},
-            "stage_evaluate": {"truth", "fused", "predictions"},
-        }
-
-    def test_stage_runs_its_steps_in_order_on_one_products_dict(self):
-        calls = []
-
-        def step(name):
-            def run(config, run_dir, products):
-                calls.append((name, dict(products)))
-                products[name] = len(calls)
-                return name
-            return run
-
-        stage = pipeline.Stage("both", "two steps", (step("a"), step("b")))
-        truth = {"v000": None}
-        assert stage.run(None, Path("."), truth) == "b"
-        assert calls == [("a", {"truth": truth}), ("b", {"truth": truth, "a": 1})]
-        # a second run starts from the labels alone again
-        assert stage.run(None, Path("."), truth) == "b"
-        assert calls[2] == ("a", {"truth": truth})
+        assert len(batches) == config.synth.n_videos and alive == []
 
     def test_timings_are_keyed_by_the_command_names(self, tmp_path):
         config = load_config(_write_config(tmp_path, fusion={"method": "dwf",
@@ -1542,12 +1580,9 @@ class TestCli:
                              dtype=str)
         # the features and targets the kelm command keeps in memory, and
         # the model it fits at the C of selection.csv
-        products = {"truth": pipeline._read_truth(config)}
-        (tmp_path / "steps").mkdir()
-        for step in (pipeline.stage_window, pipeline.stage_features):
-            step(config, tmp_path / "steps", products)
-        feats = np.concatenate(list(products["features"].values()))  # in video order
-        targets = np.concatenate(list(products["targets"].values()))
+        batches, targets = pipeline.stage_window(config, pipeline._read_truth(config))
+        feats = np.concatenate(list(pipeline.stage_features(config, batches).values()))
+        targets = np.concatenate(list(targets.values()))  # in video order
         dev = np.isin(windows[:, 0], config.split.dev_videos)
         [c] = np.loadtxt(run_dir / "selection.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
         if config.task == "expr":
@@ -1715,6 +1750,19 @@ class TestCli:
         path = _write_config(tmp_path, "bad.yaml", postprocess=overrides)
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_a_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys, command, where):
+        path = _write_config(tmp_path, "neg.yaml", fusion={"method": "dwf", "pool_size": 50},
+                             seed=-1 if where == "config" else 7)
+        if command == "run":  # the inputs, so only the seed stops the run
+            _synth_from(load_config(_write_config(tmp_path)))
+        before = sorted(tmp_path.rglob("*"))
+        flags = ["--seed", "-1"] if where == "flag" else []
+        assert main([command, "--config", str(path), *flags]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_repeated_dev_video_exits_2_before_any_run_directory(self, tmp_path, capsys):
         self._prepare(tmp_path)
@@ -1953,7 +2001,7 @@ class TestCli:
             track = FrameTrack("v", 25.0, np.zeros((50, 1)), kind="label",
                                frame_index_origin=origin)
             [got] = pipeline._truth_at_working_rate(
-                config, {"truth": {"v": track}}, ["v"], "kelm").values()
+                config, {"v": track}, ["v"], "kelm").values()
             starts.append(got.frame_index_origin)
         assert starts == [4, 0, 1]
 
@@ -2005,17 +2053,16 @@ class TestCli:
         _write_base_predictions(load_config(path))
         return path
 
-    _LAST_STEPS = {"run": "stage_evaluate", "kelm": "stage_predict_kelm",
-                   "fuse": "stage_evaluate"}
+    _LAST_COMMANDS = {"run": "_run_fuse", "kelm": "_run_kelm", "fuse": "_run_fuse"}
 
     def _fail_after(self, monkeypatch, command):
-        """Make `command`'s last step raise once it has written its files;
-        the digests of what it had staged by then."""
+        """Make `command`'s last command function raise once it has written
+        its files; the digests of what it had staged by then."""
         staged = {}
-        name = self._LAST_STEPS[command]
+        name = self._LAST_COMMANDS[command]
 
-        def failing(config, out_dir, products, _real=getattr(pipeline, name)):
-            _real(config, out_dir, products)
+        def failing(config, out_dir, truth, _real=getattr(pipeline, name)):
+            _real(config, out_dir, truth)
             staged.update(_file_digests(out_dir))
             raise SolverError("the last step failed")
 

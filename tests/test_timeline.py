@@ -20,6 +20,7 @@ from affectpipe.timeline import (
     interpolate_to,
     read_track_csv,
     resample_track,
+    write_csv,
     write_track_csv,
 )
 
@@ -515,3 +516,21 @@ def test_numerals_numpy_does_not_read_are_rejected(tmp_path, frame, value):
     _reference_read_track_csv(path, fps=5.0)  # the per-row reader took them
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: ")):
         read_track_csv(path, fps=5.0)
+
+
+class TestWriteCsv:
+    def test_rows_round_trip_through_csv_reader(self, tmp_path):
+        # csv.writer quotes only its terminator's characters; a bare CR left
+        # unquoted would read back as a second row
+        rows = [["metric", "value"], ["selector", "a\rb"], ["lf", "a\nb"],
+                ["crlf", "a\r\nb"], ['quo"te', "a,b"], ["", "1.5"]]
+        path = tmp_path / "rows.csv"
+        write_csv(path, rows)
+        with path.open(newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == rows
+        assert path.read_bytes().startswith(b"metric,value\nselector,\"a\rb\"\n")
+
+    def test_rows_without_a_line_break_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_csv(path, [["metric", "value"], ['a"b', "c,d"], ["", "1e-05"]])
+        assert path.read_bytes() == b'metric,value\n"a""b","c,d"\n,1e-05\n'

@@ -21,7 +21,9 @@ file of the run directory but `timings.json` is compared, and so is the
 fused table that `fuse` hands `stage_postprocess` in memory and no file
 holds: the item `fused (in memory)` hashes each fused track's video id,
 first frame, shape and values, in sorted video order, as a wrapper of
-`pipeline.stage_fuse` captures them. Each pair of a pipeline case also
+`pipeline.interpolate_to` captures them from its first argument, once
+per fused video; it leans on no stage function's signature, so it works
+on checkouts whose stages pass their values differently. Each pair of a pipeline case also
 compares this checkout's staged files and fused table with its
 single-shot ones, leaving out `config.json` and `manifest.json`, which
 only `run` writes; a thing that differs prints as `staged differs: NAME`.
@@ -107,11 +109,11 @@ else:
     from affectpipe.pipeline import load_config, planned_stages
     fused = []
 
-    def stage_fuse(config, out_dir, products, _fn=pipeline.stage_fuse):
-        _fn(config, out_dir, products)
-        fused.append(products["fused"])
+    def interpolate_to(track, *args, _fn=pipeline.interpolate_to, **kwargs):
+        fused.append(track)  # postprocess interpolates each fused track once
+        return _fn(track, *args, **kwargs)
 
-    pipeline.stage_fuse = stage_fuse  # stages() runs the module's stage_fuse
+    pipeline.interpolate_to = interpolate_to
     commands = (["run"] if mode == "single"
                 else [stage.name for stage in planned_stages(load_config(data))])
     start = time.perf_counter()
@@ -120,7 +122,9 @@ else:
         sys.exit(f"exit codes {codes}")
     made = {str(p.relative_to(out)): p for p in sorted(out.rglob("*"))
             if p.is_file() and p.name != "timings.json"}
-    [tracks] = fused
+    tracks = {t.video_id: t for t in fused}
+    if len(tracks) != len(fused):
+        sys.exit("a fused track was interpolated more than once")
     made["fused (in memory)"] = np.frombuffer(b"".join(
         json.dumps([vid, t.frame_index_origin, t.values.shape]).encode() + t.values.tobytes()
         for vid, t in sorted(tracks.items())), dtype=np.uint8)
