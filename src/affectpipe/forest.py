@@ -77,6 +77,8 @@ class ForestSpec:
             raise ValueError(
                 f"unknown features_per_split {self.features_per_split!r}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolve_mtry(self, d: int, task: str) -> int:
         mode = self.features_per_split

@@ -253,17 +253,19 @@ def load_config(
     """Build a validated config from defaults, a YAML file, and overrides.
 
     Precedence: CLI flag overrides > file values > defaults. Structural
-    problems raise ConfigError; a missing config file raises
-    MissingInputError. Referenced data files are checked by the stages
-    that read them, so a config may be loaded before `synth` has
-    produced its files.
+    problems, YAML syntax and a file that is not UTF-8 raise ConfigError;
+    a config path that is missing or not a file raises MissingInputError.
+    Referenced data files are checked by the stages that read them, so a
+    config may be loaded before `synth` has produced its files.
     """
     raw: dict = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise MissingInputError(f"config file not found: {path}")
-        loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+        path = _require_file(path, "config file")
+        try:
+            with path.open(encoding="utf-8") as fh:
+                loaded = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -474,6 +476,8 @@ def _require_file(path: str | Path | None, what: str) -> Path:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise MissingInputError(f"{what} is not a file: {path}")
     return path
 
 
@@ -1045,8 +1049,8 @@ def _track_rows(track: FrameTrack, values: np.ndarray) -> LabelRows:
 
 
 def evaluate_files(
-    pred_csv: str | Path,
-    truth_csv: str | Path,
+    pred_csv: str | Path | None,
+    truth_csv: str | Path | None,
     task: str,
     pred: dict[str, LabelRows] | None = None,
     truth: dict[str, LabelRows] | None = None,
@@ -1058,7 +1062,7 @@ def evaluate_files(
     present on both sides and pools all frames, in video and frame
     order, before computing the task's metric suite. `pred` and `truth`,
     when given, are the label rows of those files held in memory, as
-    read_label_csv returns them, and are not read again; invalid
+    read_label_csv returns them, and their file may be None; invalid
     prediction rows are dropped from them as the read would drop them.
     """
     if task not in ("expr", "va"):
@@ -1100,12 +1104,10 @@ def _valid_rows(rows: dict[str, LabelRows], task: str) -> dict[str, LabelRows]:
     return out
 
 
-def stage_evaluate(config: PipelineConfig, out_dir: Path, truth: dict,
-                   predictions: dict) -> EvalReport:
-    """The report of the predictions, which out_dir's predictions.csv holds."""
+def stage_evaluate(config: PipelineConfig, truth: dict, predictions: dict) -> EvalReport:
+    """The report of the prediction rows against the labels."""
     # every video's rows became a track, so the tracks hold all of them
-    return evaluate_files(out_dir / "predictions.csv", config.paths.labels, config.task,
-                          pred=predictions,
+    return evaluate_files(None, None, config.task, pred=predictions,
                           truth={vid: _track_rows(t, t.values) for vid, t in truth.items()})
 
 
@@ -1129,7 +1131,7 @@ def _run_fuse(config: PipelineConfig, out_dir: Path, truth: dict) -> EvalReport:
         write_csv(out_dir / name, rows)
     predictions = stage_postprocess(config, fused, truth)
     write_label_csv(out_dir / "predictions.csv", predictions, task=config.task)
-    report = stage_evaluate(config, out_dir, truth, predictions)
+    report = stage_evaluate(config, truth, predictions)
     write_report(report, out_dir / "report.txt", out_dir / "report.csv")
     return report
 

@@ -51,6 +51,8 @@ class SyntheticSpec:
             raise ValueError("fps and block_seconds must be positive")
         if not 0 < self.voiced_fraction <= 1:
             raise ValueError("voiced_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.priors is not None:
             priors = tuple(float(p) for p in self.priors)
             if len(priors) != self.class_count:

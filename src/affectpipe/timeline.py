@@ -10,6 +10,7 @@ are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -283,17 +284,9 @@ def read_track_csv(
     FrameTrack of `kind` rejects raise DataFormatError naming the video.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if not header or header[:2] != ["video_id", "frame"]:
-            raise DataFormatError(f"{path}: expected header video_id,frame,c0,...")
-        width = len(header) - 2
-        if width < 1:
-            raise DataFormatError(f"{path}: no value columns")
-        check = row_check(path, _track_fields(width))
-        ids, frames, values = parse_rows(path, fh, (np.float64, (width,)), check)
+    frames, values, videos = read_frame_rows(path)
     tracks = {}
-    for vid, rows in video_rows(path, ids, frames, check).items():
+    for vid, rows in videos.items():
         try:
             tracks[vid] = FrameTrack(
                 vid, fps, values[rows], kind=kind, frame_index_origin=int(frames[rows[0]])
@@ -303,55 +296,11 @@ def read_track_csv(
     return tracks
 
 
-def _track_fields(width: int):
-    def check_fields(row: list[str]) -> None:
-        if len(row) != width + 2:
-            raise ValueError(f"expected {width + 2} fields")
-        [float(v) for v in row[2:]]
-
-    return check_fields
-
-
-def row_check(path: Path, check_fields):
-    """The per-row check of a reader whose videos' frames step by one.
-
-    check_fields(row) raises ValueError, with the message the row's
-    error gets, for a fault in the fields other than the frame.
-    """
-    last_frame: dict[str, int] = {}
-
-    def check(row: list[str], lineno: int) -> None:
-        try:
-            check_fields(row)
-            frame = int(row[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        vid = row[0]
-        if vid in last_frame:
-            check_next_frame(path, lineno, vid, last_frame[vid], frame)
-        last_frame[vid] = frame
-
-    return check
-
-
-def check_next_frame(path: Path, lineno: int, vid: str, last: int, frame: int) -> None:
-    """A video's frames must be strictly increasing and contiguous."""
-    if frame <= last:
-        raise DataFormatError(
-            f"{path}:{lineno}: frames not strictly increasing for {vid!r}"
-        )
-    if frame != last + 1:
-        raise AlignmentError(
-            f"{path}:{lineno}: gap in frames for {vid!r} "
-            f"({last} -> {frame}); tracks must be contiguous"
-        )
-
-
 # ---------------------------------------------------------------------------
-# The row parser the track, VAD and label readers share. One np.loadtxt call
-# parses the data rows; only when it or a frame check finds a fault does a
-# per-row csv pass run, to raise the error of the first faulty row with its
-# file line. csv and numpy split fields alike (quotes, blank lines, \r\n).
+# The reader behind the track, VAD and label CSVs. One np.loadtxt call parses
+# the data rows; only when it or a later check finds a fault does a per-row
+# csv pass run, to raise the error of the first faulty row with its file
+# line. csv and numpy split fields alike (quotes, blank lines, \r\n).
 # ---------------------------------------------------------------------------
 
 # str.isspace() counts U+001C..U+001F as whitespace, and numpy strips them
@@ -359,55 +308,137 @@ def check_next_frame(path: Path, lineno: int, vid: str, last: int, frame: int) -
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def parse_rows(
-    path: Path, fh, value_dtype, check_row
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse the data rows of an open per-frame CSV positioned past its header.
+def read_frame_rows(
+    path: Path, header: list[str] | None = None, convert=None, contiguous: bool = True
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """The frames, values and each video's rows of a per-frame CSV.
 
-    `value_dtype` is the dtype of the fields after video_id and frame,
-    and check_row(row, lineno) raises the error a faulty row gets. Returns
-    the video ids (object array of str), the frames (int64) and the
-    values, in file order, skipping blank lines. A file without data
-    rows raises DataFormatError, and so do numerals that int() or
-    float() read but numpy does not: `1_0`, non-ASCII digits, frames
-    beyond int64.
+    The file is UTF-8 and starts with `header`, or, when header is None,
+    with `video_id,frame` and at least one value column. A data row holds
+    a video id, an int frame and a float per value column; given
+    `convert`, the one value column is read as str and convert(column)
+    maps it to the values, raising ValueError with a faulty row's message.
+    With `contiguous`, each video's frames step by one. A fault raises
+    the error of the first faulty row, naming its line; a byte that is
+    not UTF-8, a file without data rows and numerals that int() or
+    float() read but numpy does not (`1_0`, non-ASCII digits, frames
+    beyond int64) raise DataFormatError.
+
+    Returns the frames (int64) and values in file order, blank lines
+    skipped, and each video's row indices in file order, the videos in
+    order of first appearance.
     """
-    # loadtxt warns on input without data, so find the first data line here
-    for line in fh:
-        if line not in ("\n", "\r\n", "\r"):
-            break
-    else:
-        raise DataFormatError(f"{path}: no data rows")
     is_ascii, separators = _scan(path)
-    # numpy's int64 parser misreads some non-ASCII characters as digits
-    frame_dtype = np.int64 if is_ascii else object
-    dtype = [("id", object), ("frame", frame_dtype), ("v", value_dtype)]
-    try:
-        with warnings.catch_warnings():
-            # older numpy reads `4.0` or `1e3` into an int64 field with only
-            # this warning; as an error, the parse fails
-            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-            table = np.loadtxt(
-                itertools.chain([line], fh), delimiter=",", quotechar='"',
-                comments=None, ndmin=1, dtype=dtype,
-            )
-        frames = table["frame"]
-        if not is_ascii:
-            frames = np.fromiter(map(_ascii_int, frames), np.int64, count=len(frames))
-    except (ValueError, OverflowError, DeprecationWarning) as exc:
-        reject(path, check_row, exc)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        found = next(csv.reader(fh), None)
+        if header is None:
+            if not found or found[:2] != ["video_id", "frame"]:
+                raise DataFormatError(f"{path}: expected header video_id,frame,c0,...")
+            if len(found) == 2:
+                raise DataFormatError(f"{path}: no value columns")
+        elif found != header:
+            raise DataFormatError(f"{path}: expected header {','.join(header)}")
+        check = _row_check(path, len(found), convert, contiguous)
+        # loadtxt warns on input without data, so find the first data line here
+        for line in fh:
+            if line not in ("\n", "\r\n", "\r"):
+                break
+        else:
+            raise DataFormatError(f"{path}: no data rows")
+        # numpy's int64 parser misreads some non-ASCII characters as digits
+        frame_dtype = np.int64 if is_ascii else object
+        value_dtype = object if convert else (np.float64, (len(found) - 2,))
+        dtype = [("id", object), ("frame", frame_dtype), ("v", value_dtype)]
+        try:
+            with warnings.catch_warnings():
+                # older numpy reads `4.0` or `1e3` into an int64 field with
+                # only this warning; as an error, the parse fails
+                warnings.filterwarnings(
+                    "error", ".*integer via a float", DeprecationWarning)
+                table = np.loadtxt(
+                    itertools.chain([line], fh), delimiter=",", quotechar='"',
+                    comments=None, ndmin=1, dtype=dtype,
+                )
+            frames, values = table["frame"], table["v"]
+            if not is_ascii:
+                frames = np.fromiter(map(_ascii_int, frames), np.int64, count=len(frames))
+            if convert:
+                values = convert(values)
+        except (ValueError, OverflowError, DeprecationWarning) as exc:
+            _reject(path, check, exc)
     if separators:
-        check_rows(path, check_row)
-    return table["id"], frames, table["v"]
+        _check_rows(path, check)
+    videos = _group_rows(table["id"])
+    if contiguous:
+        for vid, rows in videos.items():
+            f = frames[rows]
+            # the first test catches a difference that wraps around int64
+            if (f[1:] <= f[:-1]).any() or (np.diff(f) != 1).any():
+                _reject(path, check, f"frames of {vid!r} are not contiguous")
+    return frames, values, videos
+
+
+def _row_check(path: Path, n_fields: int, convert, contiguous: bool):
+    """check(row, lineno), which raises the error a faulty data row gets."""
+    last_frame: dict[str, int] = {}
+
+    def check(row: list[str], lineno: int) -> None:
+        if len(row) != n_fields:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}"
+            )
+        try:
+            if convert:
+                convert(np.array(row[2:], dtype=object))
+            else:
+                [float(v) for v in row[2:]]
+            frame = int(row[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        vid = row[0]
+        if contiguous and vid in last_frame:
+            last = last_frame[vid]
+            if frame <= last:
+                raise DataFormatError(
+                    f"{path}:{lineno}: frames not strictly increasing for {vid!r}"
+                )
+            if frame != last + 1:
+                raise AlignmentError(
+                    f"{path}:{lineno}: gap in frames for {vid!r} "
+                    f"({last} -> {frame}); tracks must be contiguous"
+                )
+        last_frame[vid] = frame
+
+    return check
 
 
 def _scan(path: Path) -> tuple[bool, bool]:
-    """Whether the file is ASCII, and whether it holds U+001C..U+001F."""
+    """Whether the file is ASCII, and whether it holds U+001C..U+001F.
+
+    A file that is not ASCII is decoded as it is read, so a byte that is
+    not UTF-8 raises DataFormatError before any row is parsed.
+    """
     is_ascii, separators = True, False
-    with path.open("rb") as fh:
-        for chunk in iter(partial(fh.read, 1 << 16), b""):
-            is_ascii = is_ascii and chunk.isascii()
-            separators = separators or any(c in chunk for c in _SEPARATORS)
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    try:
+        with path.open("rb") as fh:
+            for chunk in iter(partial(fh.read, 1 << 16), b""):
+                is_ascii = is_ascii and chunk.isascii()
+                separators = separators or any(c in chunk for c in _SEPARATORS)
+                if not is_ascii:
+                    decode(chunk)
+        decode(b"", final=True)
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # csv counts \n, \r\n and a lone \r as a line end
+            lines = [data.count(end, 0, exc.start) for end in (b"\n", b"\r", b"\r\n")]
+            raise DataFormatError(
+                f"{path}:{lines[0] + lines[1] - lines[2] + 1}: "
+                f"byte 0x{data[exc.start]:02x} is not UTF-8"
+            ) from None
     return is_ascii, separators
 
 
@@ -418,7 +449,7 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-def check_rows(path: Path, check_row) -> None:
+def _check_rows(path: Path, check_row) -> None:
     """Run check_row over the file's data rows with their csv line numbers."""
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -428,33 +459,16 @@ def check_rows(path: Path, check_row) -> None:
                 check_row(row, reader.line_num)
 
 
-def reject(path: Path, check_row, reason) -> NoReturn:
+def _reject(path: Path, check_row, reason) -> NoReturn:
     """Raise the error of the first faulty row, or DataFormatError(reason)."""
-    check_rows(path, check_row)
+    _check_rows(path, check_row)
     raise DataFormatError(f"{path}: {reason}")
 
 
-def group_rows(ids: np.ndarray) -> dict[str, np.ndarray]:
+def _group_rows(ids: np.ndarray) -> dict[str, np.ndarray]:
     """Row indices of each video in file order, videos in order of first appearance."""
     bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
     runs: dict[str, list[np.ndarray]] = {}
     for a, b in zip(bounds, bounds[1:]):
         runs.setdefault(ids[a], []).append(np.arange(a, b))
     return {vid: np.concatenate(parts) for vid, parts in runs.items()}
-
-
-def video_rows(
-    path: Path, ids: np.ndarray, frames: np.ndarray, check_row
-) -> dict[str, np.ndarray]:
-    """Row indices of each video in order of first appearance.
-
-    A video's frames must step by one; otherwise the first faulty row
-    raises through check_row.
-    """
-    out = group_rows(ids)
-    for vid, rows in out.items():
-        f = frames[rows]
-        # the first test catches a difference that wraps around int64
-        if (f[1:] <= f[:-1]).any() or (np.diff(f) != 1).any():
-            reject(path, check_row, f"frames of {vid!r} are not contiguous")
-    return out

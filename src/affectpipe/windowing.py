@@ -10,7 +10,6 @@ valence/arousal targets keep every frame of the window.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -19,16 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataFormatError
-from .timeline import (
-    N_EXPR_CLASSES,
-    FrameTrack,
-    csv_row_format,
-    group_rows,
-    parse_rows,
-    reject,
-    row_check,
-    video_rows,
-)
+from .timeline import N_EXPR_CLASSES, FrameTrack, csv_row_format, read_frame_rows
 
 log = logging.getLogger(__name__)
 
@@ -294,25 +284,20 @@ def write_vad_csv(path: str | Path, masks: list[VadMask]) -> None:
 
 def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
     """One mask per video; its frames follow read_track_csv's rule."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header != ["video_id", "frame", "voiced"]:
-            raise DataFormatError(f"{path}: expected header video_id,frame,voiced")
-        check = row_check(path, _vad_fields)
-        ids, frames, flags = parse_rows(path, fh, object, check)
-    voiced = flags == "1"
-    if not (voiced | (flags == "0")).all():
-        reject(path, check, "voiced must be 0 or 1")
+    frames, voiced, videos = read_frame_rows(
+        Path(path), ["video_id", "frame", "voiced"], _voiced)
     return {
         vid: VadMask(vid, voiced[rows], int(frames[rows[0]]))
-        for vid, rows in video_rows(path, ids, frames, check).items()
+        for vid, rows in videos.items()
     }
 
 
-def _vad_fields(row: list[str]) -> None:
-    if len(row) != 3 or row[2] not in ("0", "1"):
+def _voiced(flags: np.ndarray) -> np.ndarray:
+    """The voiced column's str flags as bool; each must be 0 or 1."""
+    voiced = flags == "1"
+    if not (voiced | (flags == "0")).all():
         raise ValueError("voiced must be 0 or 1")
+    return voiced
 
 
 def _label_header(task: str) -> list[str]:
@@ -386,18 +371,10 @@ def read_label_csv(path: str | Path, task: str) -> dict[str, LabelRows]:
     or value raises DataFormatError naming its line.
     """
     path = Path(path)
-    expected = _label_header(task)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header != expected:
-            raise DataFormatError(f"{path}: expected header {','.join(expected)}")
-        check = _label_row_check(path, len(expected))
-        ids, frames, values = parse_rows(
-            path, fh, (np.float64, (len(expected) - 2,)), check
-        )
+    frames, values, per_video = read_frame_rows(path, _label_header(task), contiguous=False)
     valid = valid_label_rows(values, task)
     videos = []
-    for vid, rows in group_rows(ids).items():
+    for vid, rows in per_video.items():
         rows = rows[valid[rows]][::-1]
         if rows.size:
             videos.append((rows[-1], vid, rows))
@@ -412,21 +389,6 @@ def read_label_csv(path: str | Path, task: str) -> dict[str, LabelRows]:
     if not out:
         raise DataFormatError(f"{path}: no valid data rows")
     return out
-
-
-def _label_row_check(path: Path, n_fields: int):
-    def check(row: list[str], lineno: int) -> None:
-        if len(row) != n_fields:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}"
-            )
-        try:
-            [float(v) for v in row[2:]]
-            int(row[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-
-    return check
 
 
 def labels_to_track(

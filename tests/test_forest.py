@@ -386,6 +386,11 @@ def test_spec_validation():
         ForestSpec(n_trees=1, features_per_split="half")
 
 
+def test_a_negative_seed_is_refused_at_construction():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        ForestSpec(n_trees=1, seed=-1)
+
+
 # Reference grower: a plain per-node version (leaf values computed as
 # each leaf is reached) that _grow_tree must reproduce byte for byte.
 # It is compared in-process rather than against stored hashes, because

@@ -412,6 +412,10 @@ class TestSyntheticData:
         with pytest.raises(ValueError):
             SyntheticSpec(class_count=2, priors=(0.9, 0.2))
 
+    def test_a_negative_seed_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            SyntheticSpec(seed=-1)
+
     def test_partial_voicing_produces_runs(self):
         spec = SyntheticSpec(n_videos=1, frames_per_video=400, embedding_dim=3,
                              voiced_fraction=0.6, seed=5)
@@ -797,6 +801,10 @@ class TestEvaluateFiles:
             {t: v for t, v in pred["a"].items() if t != 5})}
         assert in_memory == from_files
         assert from_files == evaluate_files(pred_file, truth_file, "va", pred=without_row)
+        # rows given in memory need no file
+        assert from_files == evaluate_files(None, None, "va",
+                                            pred={"a": LabelRows.from_dict(pred["a"])},
+                                            truth=read_label_csv(truth_file, "va"))
 
     @pytest.mark.parametrize("task", ["expr", "va"])
     @pytest.mark.parametrize("seed", range(4))
@@ -1763,6 +1771,42 @@ class TestCli:
         assert main([command, "--config", str(path), *flags]) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(b"task: [expr\n", "expected ',' or ']', but got '<stream end>'"),
+         (b"task: expr\nseed: 1\xff\n", "can't decode byte 0xff in position 18")],
+        ids=["yaml-syntax", "not-utf8"],
+    )
+    def test_an_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
+    def test_a_config_path_naming_a_directory_exits_3(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 3
+        assert f"error: config file is not a file: {tmp_path}" in capsys.readouterr().err
+
+    def test_a_labels_path_naming_a_directory_exits_3(self, tmp_path, capsys):
+        self._prepare(tmp_path)
+        path = _write_config(tmp_path, "dir.yaml", paths={"labels": str(tmp_path / "data")})
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: labels file is not a file: {tmp_path / 'data'}" in err
+        assert not any((tmp_path / "runs").iterdir())
+
+    @pytest.mark.parametrize("name", ["embeddings", "labels", "vad"])
+    def test_a_byte_that_is_not_utf8_exits_6_naming_the_file(self, tmp_path, capsys, name):
+        path = self._prepare(tmp_path)
+        data = tmp_path / "data" / f"{name}.csv"
+        lines = data.read_bytes().split(b"\n")
+        lines[5] = lines[5].replace(b",", b"\xff,", 1)
+        data.write_bytes(b"\n".join(lines))
+        assert main(["run", "--config", str(path)]) == 6
+        assert f"error: {data}:6: byte 0xff is not UTF-8" in capsys.readouterr().err
+        assert not any((tmp_path / "runs").iterdir())
 
     def test_repeated_dev_video_exits_2_before_any_run_directory(self, tmp_path, capsys):
         self._prepare(tmp_path)

@@ -349,7 +349,8 @@ def _reference_read_track_csv(path, fps, kind="embedding"):
                 continue
             lineno = reader.line_num
             if len(row) != width + 2:
-                raise DataFormatError(f"{path}:{lineno}: expected {width + 2} fields")
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {width + 2} fields, got {len(row)}")
             vid = row[0]
             try:
                 frame = int(row[1])

@@ -16,7 +16,7 @@ from affectpipe.errors import AlignmentError, DataFormatError
 from affectpipe.timeline import (
     N_EXPR_CLASSES,
     FrameTrack,
-    parse_rows,
+    read_frame_rows,
     read_track_csv,
     write_track_csv,
 )
@@ -25,7 +25,6 @@ from affectpipe.windowing import (
     VadMask,
     WindowBatch,
     WindowSpec,
-    _label_row_check,
     labels_to_track,
     read_label_csv,
     read_vad_csv,
@@ -596,17 +595,15 @@ def assert_rows_equal(got, expected):
 
 def dict_read_label_csv(path, task):
     """The dict-based read_label_csv that LabelRows replaced, kept verbatim
-    apart from inlining its run split and returning the dropped count."""
+    apart from inlining its run split, returning the dropped count and
+    taking each row's video id from the shared reader's grouping."""
     path = Path(path)
     expected = ["video_id", "frame", "label"] if task == "expr" else [
         "video_id", "frame", "valence", "arousal"]
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        assert header == expected
-        check = _label_row_check(path, len(expected))
-        ids, frames, values = parse_rows(
-            path, fh, (np.float64, (len(expected) - 2,)), check
-        )
+    frames, values, videos = read_frame_rows(path, expected, contiguous=False)
+    ids = np.empty(len(frames), dtype=object)
+    for vid, rows in videos.items():
+        ids[rows] = vid
     bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
     runs = [(ids[a], a, b) for a, b in zip(bounds, bounds[1:])]
     values = values.copy()
@@ -733,7 +730,9 @@ def _reference_read_vad_csv(path):
             if not row:
                 continue
             lineno = reader.line_num
-            if len(row) != 3 or row[2] not in ("0", "1"):
+            if len(row) != 3:
+                raise DataFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            if row[2] not in ("0", "1"):
                 raise DataFormatError(f"{path}:{lineno}: voiced must be 0 or 1")
             vid = row[0]
             try:
@@ -861,3 +860,33 @@ def test_float_frame_is_rejected_whatever_the_warning_filter(
         warnings.simplefilter("ignore")  # as in a run outside the tests
         with pytest.raises(DataFormatError, match=re.escape(message) + "$"):
             read(path)
+
+
+@pytest.mark.parametrize("where, line", [("header", 1), ("row", 6), ("past-64k", 8003)])
+@pytest.mark.parametrize("which", FRAME_READERS)
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, which, where, line):
+    header, value, read = FRAME_READERS[which]
+    # the quoted id of data[1] spans lines 2 and 3, so data[i] is line i + 2 from i = 2
+    lines = [header, f'"l\r\nf",0,{value}', "é,0," + value]
+    lines += [f"v,{f},{value}" for f in range(8000 if where == "past-64k" else 3)]
+    data = [text.encode("utf-8") for text in lines]
+    i = max(line - 2, 0)
+    data[i] = data[i].replace(b",", b"\xff,", 1)
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\n".join(data) + b"\n")
+    assert path.stat().st_size > (1 << 16) or where != "past-64k"
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{path}:{line}: byte 0xff is not UTF-8") + "$"):
+        read(path)
+
+
+@pytest.mark.parametrize("which", FRAME_READERS)
+def test_a_character_across_a_read_chunk_boundary_is_utf8(tmp_path, which):
+    header, value, read = FRAME_READERS[which]
+    head = f"{header}\nv,0,{value}\n".encode("utf-8")
+    # the two bytes of é straddle the 64 KiB boundary of the file's reads
+    pad = "x" * ((1 << 16) - 1 - len(head))
+    path = tmp_path / "data.csv"
+    path.write_bytes(head + f"{pad}é,0,{value}\n".encode("utf-8"))
+    assert path.read_bytes()[(1 << 16) - 1:(1 << 16) + 1] == "é".encode("utf-8")
+    assert sorted(read(path)) == sorted(["v", pad + "é"])
