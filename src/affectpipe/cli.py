@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .errors import AffectPipeError, ConfigError, MissingInputError
 from .metrics import report_to_text
-from .pipeline import (PipelineConfig, _read_truth, load_config, planned_stages,
-                       run_pipeline, staged_writes, stages)
+from .pipeline import (PipelineConfig, _make_dir, _read_truth, _read_vad, load_config,
+                       planned_stages, run_pipeline, staged_writes, stages)
 from .synth import synth_generate
 
 
@@ -40,6 +40,8 @@ def _cmd_synth(args) -> int:
         emb = base / Path(emb).name
         lab = base / Path(lab).name
         vad = base / Path(vad).name if vad else None
+    for path in filter(None, (emb, lab, vad)):
+        _make_dir(Path(path).parent, "synth output directory")
     paths = synth_generate(config.synth, emb, lab, vad)
     for name in sorted(paths):
         print(f"wrote {name}: {paths[name]}")
@@ -53,7 +55,7 @@ def _run_stage(args) -> int:
         raise ConfigError(f"{stage.name}: this config has kelm.enabled: false, so its "
                           f"run has no {stage.name} stage")
     with staged_writes(config) as out_dir:
-        result = stage.command(config, out_dir, _read_truth(config))
+        result = stage.command(config, out_dir, _read_truth(config), _read_vad(config))
     if result is not None:
         print(report_to_text(result))
     print(f"run directory: {config.run_dir()}")

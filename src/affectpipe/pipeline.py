@@ -5,17 +5,18 @@ functionals -> normalize -> KELM train/predict (or base-prediction
 ingestion) -> fusion -> interpolation to the ground-truth timeline ->
 smoothing -> evaluation. One table, `stages()`, lists the stage
 commands; a config's run is `kelm` when `kelm.enabled`, then `fuse`.
-Each command is a function of the config, its staging directory and the
-parsed labels that hands values from one `stage_*` function to the next
-and writes the command's files, which no stage function does. `kelm`
-slices, featurizes, trains and scores the dev windows; `fuse` reads the
-windows and scores `kelm` wrote, combines them and the bases by
+Each command is a function of the config, its staging directory, the
+parsed labels and the parsed VAD that hands values from one `stage_*`
+function to the next and writes the command's files, which no stage
+function does. `kelm` slices, featurizes, trains and scores the dev
+windows; `fuse` slices the dev windows again through the same helper,
+reads the scores `kelm` wrote, combines them and the bases by
 `_FUSERS[fusion.method]`, then emits and scores the predictions. The
 decision records are formatted here alone, and every CSV of a run ends
 its lines with LF. `run_pipeline` walks that plan, parsing the labels
-once for both commands; a stage command of the CLI runs one alone. Both
-ways read the same files, so they write bit-identical artifacts, and a
-failed command leaves the run directory as it found it.
+and the VAD once for both commands; a stage command of the CLI runs one
+alone. Both ways read the same files, so they write bit-identical
+artifacts, and a failed command leaves the run directory as it found it.
 
 Determinism contract: CSV floats are written with 17 significant
 digits and the KELM scores as .npy, so both read back exactly;
@@ -26,7 +27,6 @@ config, the seed, and the input files.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -94,7 +94,6 @@ from .timeline import (
     N_EXPR_CLASSES,
     FrameTrack,
     SmoothingSpec,
-    csv_row_format,
     hamming_smooth,
     interpolate_to,
     read_track_csv,
@@ -481,6 +480,16 @@ def _require_file(path: str | Path | None, what: str) -> Path:
     return path
 
 
+def _make_dir(path: Path, what: str) -> None:
+    """Make the directory `path` and its parents, where `what` named it; a
+    file in the way is a ConfigError naming the path, not a traceback."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"{what} {path} is a file or lies under one; "
+                          "it must name a directory") from None
+
+
 def _map_ordered(fn: Callable, items: Iterable, workers: int) -> list:
     """Apply fn to items, preserving order; threads when workers > 1."""
     items = list(items)
@@ -561,70 +570,17 @@ def _sha256_file(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-# windows.csv indexes the windows, one row per window, sorted by video;
-# the features and targets of those rows and the KELM model stay in
-# memory. kelm_scores.npy holds one row per window of the dev videos,
-# video by video in sorted order, which is windows.csv's; fuse spreads
-# them onto frames.
-_WINDOWS_HEADER = "video_id,window_index,start,n_real"
+# kelm_scores.npy holds one row per window of the dev videos, video by
+# video in sorted order; fuse slices those windows again from each dev
+# video's labels at the working rate and spreads the rows onto frames.
 
 
-def _windows_index(batches: dict[str, WindowBatch]) -> bytes:
-    """The bytes of windows.csv: one (video, index, start, real frames) row per window."""
-    rows = [_WINDOWS_HEADER + "\n"]
-    for vid in sorted(batches):
-        batch = batches[vid]
-        fmt = csv_row_format(vid, ",%d,%d,%d\n")
-        n_real = batch.n_real.tolist()
-        rows += [fmt % row for row in zip(range(batch.n_windows), batch.starts, n_real)]
-    return "".join(rows).encode("utf-8")
-
-
-def _read_windows(config: PipelineConfig, kelm_dir: Path) -> dict:
-    """Each video's window starts and the frame its windows' real frames
-    end at, from `kelm_dir`'s windows.csv, where every dev video has rows.
-    A malformed row, or one slicing cannot give (a start that is negative
-    or not above the video's previous one, or real frames outside
-    1..window_frames), is a DataFormatError naming its `path:line`."""
-    path = _require_file(kelm_dir / "windows.csv", "kelm stage output")
-    n_fields = _WINDOWS_HEADER.count(",") + 1
-    window_frames = config.window_spec.window_frames
-    index: dict[str, tuple[list[int], int]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _WINDOWS_HEADER.split(","):
-            raise DataFormatError(f"{path}: expected header {_WINDOWS_HEADER}")
-        for row in reader:
-            try:
-                if len(row) != n_fields:
-                    raise ValueError(f"expected {n_fields} fields")
-                i, start, n_real = (int(field) for field in row[1:])
-                starts, end = index.get(row[0], ([], 0))
-                if i != len(starts):
-                    raise ValueError(f"window_index {i} of {row[0]!r} out of sequence")
-                if start < 0 or starts and start <= starts[-1]:
-                    raise ValueError(f"start {start} of {row[0]!r} is negative or "
-                                     "not above the previous start")
-                if not 1 <= n_real <= window_frames:
-                    raise ValueError(f"n_real {n_real} outside 1..{window_frames}")
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-            starts.append(start)
-            index[row[0]] = starts, max(end, start + n_real)
-    missing = sorted(set(config.split.dev_videos) - set(index))
-    if missing:
-        raise DataFormatError(f"{path}: no windows of dev video(s) {missing}; "
-                              "rerun the kelm stage")
-    return index
-
-
-def _read_kelm_scores(config: PipelineConfig, kelm_dir: Path, index: dict) -> dict:
+def _read_kelm_scores(config: PipelineConfig, kelm_dir: Path, counts: Sequence[int]) -> dict:
     """Each dev video's window scores from the kelm_scores.npy in
-    `kelm_dir`, which holds float64 rows of the task's width for the dev
-    videos' windows of `index`, in sorted video order; a score that is
-    not finite is a DataFormatError naming the file and the video."""
+    `kelm_dir`, which holds float64 rows of the task's width for the
+    `counts` windows of the dev videos, in sorted video order; a score
+    that is not finite is a DataFormatError naming the file and the video."""
     vids = sorted(config.split.dev_videos)
-    counts = [len(index[vid][0]) for vid in vids]
     path = _require_file(kelm_dir / "kelm_scores.npy", "kelm stage output")
     try:
         scores = np.load(path, allow_pickle=False)
@@ -649,18 +605,49 @@ def _read_kelm_scores(config: PipelineConfig, kelm_dir: Path, index: dict) -> di
 # ---------------------------------------------------------------------------
 
 
-def _window_batches(config: PipelineConfig, truth: dict) -> dict:
-    """Check each embedding track's first frame against its labels', then
-    resample the track, gate it by VAD and slice its windows.
+def _read_vad(config: PipelineConfig) -> dict | None:
+    """The parsed VAD of a KELM run, or None without one; a fusion-only
+    run slices no windows, so it never opens paths.vad."""
+    if not (config.kelm.enabled and config.paths.vad):
+        return None
+    return read_vad_csv(_require_file(config.paths.vad, "vad file"))
 
-    The kelm command computes the features from them in memory and
-    writes only their index, so no copy of the track is written.
+
+def _voiced_windows(
+    config: PipelineConfig, track: FrameTrack, vad: dict | None, stage: str
+) -> WindowBatch:
+    """The windows of `track`, a video's frames at the working rate, cut
+    from its voiced segments when there is a VAD; for `stage`'s messages.
+    kelm slices the embedding tracks and fuse the dev videos' labels,
+    which kelm checked to have the embeddings' frame count, so both
+    commands get the same windows."""
+    vid = track.video_id
+    segments = None
+    if vad is not None:
+        if vid not in vad:
+            raise AlignmentError(f"{stage} stage: no VAD rows for video {vid!r}")
+        mask = vad[vid]
+        if len(mask) != track.n_frames:
+            raise AlignmentError(
+                f"{stage} stage: VAD for {vid!r} has {len(mask)} frames, "
+                f"track has {track.n_frames}"
+            )
+        segments = voiced_segments(mask)
+        if not segments:
+            raise AlignmentError(f"{stage} stage: video {vid!r} has no voiced frames")
+    return slice_windows(track, config.window_spec, segments=segments)
+
+
+def _window_batches(config: PipelineConfig, truth: dict, vad: dict | None) -> dict:
+    """Check each embedding track's first frame against its labels' and
+    the VAD's, then resample the track and slice its voiced windows.
+
+    The kelm command computes the features from them in memory, so no
+    copy of the track is written.
     """
     emb_path = _require_file(config.paths.embeddings, "embeddings file")
     source_fps = config.paths.source_fps or config.fps_target
     embeddings = read_track_csv(emb_path, fps=source_fps, kind="embedding")
-    vad_path = config.paths.vad
-    vad = read_vad_csv(_require_file(vad_path, "vad file")) if vad_path else None
     vids = sorted(embeddings)
     if not _dev_split(config, vids)[0]:
         raise ConfigError("kelm training needs at least one non-dev video")
@@ -678,20 +665,7 @@ def _window_batches(config: PipelineConfig, truth: dict) -> dict:
         track = embeddings[vid]
         if abs(track.fps - config.fps_target) > 1e-9:
             track = resample_track(track, config.fps_target)
-        segments = None
-        if vad is not None:
-            if vid not in vad:
-                raise AlignmentError(f"kelm stage: no VAD rows for video {vid!r}")
-            mask = vad[vid]
-            if len(mask) != track.n_frames:
-                raise AlignmentError(
-                    f"kelm stage: VAD for {vid!r} has {len(mask)} frames, "
-                    f"track has {track.n_frames}"
-                )
-            segments = voiced_segments(mask)
-            if not segments:
-                raise AlignmentError(f"kelm stage: video {vid!r} has no voiced frames")
-        return slice_windows(track, config.window_spec, segments=segments)
+        return _voiced_windows(config, track, vad, "kelm")
 
     return dict(zip(vids, _map_ordered(one, vids, config.workers)))
 
@@ -708,10 +682,10 @@ def _read_truth(config: PipelineConfig) -> dict:
     }
 
 
-def stage_window(config: PipelineConfig, truth: dict) -> tuple[dict, dict]:
+def stage_window(config: PipelineConfig, truth: dict, vad: dict | None) -> tuple[dict, dict]:
     """Each video's windows, sliced from its track, and their targets, the
     labels of `truth` reduced to one per window."""
-    batches = _window_batches(config, truth)
+    batches = _window_batches(config, truth, vad)
     vids = sorted(batches)
     at_rate = _truth_at_working_rate(config, truth, vids, "kelm")
     reduce = window_labels if config.task == "expr" else window_va_means
@@ -862,35 +836,33 @@ def _matrix_rows(matrix: FusionMatrix, names: list[str]) -> list:
 
 
 def _gather_models(
-    config: PipelineConfig, out_dir: Path, truth: dict
+    config: PipelineConfig, out_dir: Path, truth: dict, vad: dict | None
 ) -> tuple[list[str], list[np.ndarray], dict[str, FrameTrack]]:
     """The models' names (the KELM, then the bases by file stem), each one's
     (frames, K) scores over the fused videos, and those videos' tracks of
-    the timeline every model must match: the labels at the working rate,
-    which the KELM track is spread onto, or else base 0. The fused videos
-    are the dev videos, or every video without a dev split."""
+    the timeline every model must match: the labels at the working rate
+    of every labelled video, which the KELM track is spread onto, or else
+    base 0. The fused videos are the dev videos, or every video without a
+    dev split."""
     names: list[str] = []
     models: list[dict[str, np.ndarray]] = []  # each model's frame scores per video
     if config.kelm.enabled:
         names.append("kelm")
+        # the kelm command checked each windowed video's labels against its
+        # track's frame count and first frame, so the dev videos' labels at
+        # the working rate give the windows kelm scored
+        timeline = _truth_at_working_rate(config, truth, sorted(truth), "fuse")
+        _dev_split(config, list(timeline))
+        starts = {vid: _voiced_windows(config, timeline[vid], vad, "fuse").starts
+                  for vid in sorted(config.split.dev_videos)}
         # where kelm wrote: `run`'s one staging directory, or else the run
-        # directory, as a staged fuse's fresh staging directory holds no windows
-        kelm_dir = out_dir if (out_dir / "windows.csv").exists() else config.run_dir()
-        index = _read_windows(config, kelm_dir)
-        kelm_scores = _read_kelm_scores(config, kelm_dir, index)
-        # the kelm command checked each video's labels against its windows'
-        # frame count, so every windowed video's labels at the working rate
-        # give the frames its track has; the KELM track holds the dev videos
-        timeline = _truth_at_working_rate(config, truth, list(index), "fuse")
-        for vid, (_, end) in index.items():
-            if end > timeline[vid].n_frames:
-                raise AlignmentError(f"fuse stage: {kelm_dir / 'windows.csv'}: the windows "
-                                     f"of {vid!r} end at frame {end}, past its "
-                                     f"{timeline[vid].n_frames} frames")
+        # directory, as a staged fuse's fresh staging directory holds no scores
+        kelm_dir = out_dir if (out_dir / "kelm_scores.npy").exists() else config.run_dir()
+        kelm_scores = _read_kelm_scores(config, kelm_dir, list(map(len, starts.values())))
         spec = config.window_spec
         kelm = {}
         for vid, scores in kelm_scores.items():
-            kelm[vid] = _spread_window_scores(index[vid][0], scores, timeline[vid].n_frames,
+            kelm[vid] = _spread_window_scores(starts[vid], scores, timeline[vid].n_frames,
                                               spec.window_frames, spec.hop_frames)
             if config.task == "va":
                 kelm[vid] = np.clip(kelm[vid], -1.0, 1.0)
@@ -975,10 +947,12 @@ def _fuse_mean(config, truth, names, preds, timeline) -> tuple[np.ndarray, dict]
 _FUSERS = {"dwf": _fuse_dwf, "rf": _fuse_rf, "mean": _fuse_mean}
 
 
-def stage_fuse(config: PipelineConfig, out_dir: Path, truth: dict) -> tuple[dict, dict]:
+def stage_fuse(
+    config: PipelineConfig, out_dir: Path, truth: dict, vad: dict | None
+) -> tuple[dict, dict]:
     """One fused track per fused video, combining the models _gather_models
     reads by fusion.method, and the method's records as {file: rows}."""
-    names, preds, timeline = _gather_models(config, out_dir, truth)
+    names, preds, timeline = _gather_models(config, out_dir, truth, vad)
     fused, records = _FUSERS[config.fusion.method](config, truth, names, preds, timeline)
     # at the working rate and of the task's kind, numbered from the
     # timeline's first frames
@@ -1111,11 +1085,10 @@ def stage_evaluate(config: PipelineConfig, truth: dict, predictions: dict) -> Ev
                           truth={vid: _track_rows(t, t.values) for vid, t in truth.items()})
 
 
-def _run_kelm(config: PipelineConfig, out_dir: Path, truth: dict) -> None:
+def _run_kelm(config: PipelineConfig, out_dir: Path, truth: dict, vad: dict | None) -> None:
     """The kelm command: window, featurize, train and score the dev windows,
-    writing windows.csv, selection.csv and kelm_scores.npy to `out_dir`."""
-    batches, targets = stage_window(config, truth)
-    (out_dir / "windows.csv").write_bytes(_windows_index(batches))
+    writing selection.csv and kelm_scores.npy to `out_dir`."""
+    batches, targets = stage_window(config, truth, vad)
     feats = stage_features(config, batches)
     del batches  # the embedding tracks go before training
     model, selection = stage_train_kelm(config, feats, targets)
@@ -1123,10 +1096,12 @@ def _run_kelm(config: PipelineConfig, out_dir: Path, truth: dict) -> None:
     np.save(out_dir / "kelm_scores.npy", stage_predict_kelm(config, feats, model))
 
 
-def _run_fuse(config: PipelineConfig, out_dir: Path, truth: dict) -> EvalReport:
+def _run_fuse(
+    config: PipelineConfig, out_dir: Path, truth: dict, vad: dict | None
+) -> EvalReport:
     """The fuse command: fuse, postprocess and evaluate, writing the fusion
     records, predictions.csv and the report to `out_dir`; the report."""
-    fused, records = stage_fuse(config, out_dir, truth)
+    fused, records = stage_fuse(config, out_dir, truth, vad)
     for name, rows in records.items():
         write_csv(out_dir / name, rows)
     predictions = stage_postprocess(config, fused, truth)
@@ -1139,11 +1114,12 @@ def _run_fuse(config: PipelineConfig, out_dir: Path, truth: dict) -> EvalReport:
 @dataclass(frozen=True)
 class Stage:
     """A stage command: its name, help text and function of the config, the staging
-    directory it writes into and the parsed labels; `kelm` ones need kelm.enabled."""
+    directory it writes into, the parsed labels and the parsed VAD (None
+    without one); `kelm` ones need kelm.enabled."""
 
     name: str
     help: str
-    command: Callable[[PipelineConfig, Path, dict], EvalReport | None]
+    command: Callable[[PipelineConfig, Path, dict, dict | None], EvalReport | None]
     kelm: bool = False
 
 
@@ -1208,11 +1184,11 @@ def staged_writes(config: PipelineConfig) -> Iterator[Path]:
     the run directory, made if absent; the staging directory goes either
     way, so a command that raises leaves the run directory as it was."""
     run_dir = config.run_dir()
-    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(run_dir.parent, "output.dir")
     staging = Path(tempfile.mkdtemp(prefix=f".{run_dir.name}.", dir=run_dir.parent))
     try:
         yield staging
-        run_dir.mkdir(exist_ok=True)
+        _make_dir(run_dir, "the run directory")
         for path in sorted(staging.iterdir()):
             path.replace(run_dir / path.name)
     finally:
@@ -1221,15 +1197,17 @@ def staged_writes(config: PipelineConfig) -> Iterator[Path]:
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute the config's planned stages in order and write the run manifest.
-    The labels are parsed once; each command starts from them alone and
-    reads what an earlier one wrote from the files, as a stage command does."""
+    The labels and the VAD are parsed once; each command starts from them
+    alone and reads what an earlier one wrote from the files, as a stage
+    command does."""
     timings: dict[str, float] = {}
     with staged_writes(config) as out_dir:
         _write_json(out_dir / "config.json", config_to_dict(config))
         t0 = time.perf_counter()
-        truth = _read_truth(config)  # in the first command's seconds, so timings.json has it
+        # in the first command's seconds, so timings.json has them
+        truth, vad = _read_truth(config), _read_vad(config)
         for stage in planned_stages(config):
-            report = stage.command(config, out_dir, truth)  # fuse returns one
+            report = stage.command(config, out_dir, truth, vad)  # fuse returns one
             now = time.perf_counter()
             timings[stage.name], t0 = now - t0, now
         manifest = _build_manifest(config, out_dir)

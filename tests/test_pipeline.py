@@ -226,8 +226,8 @@ def _capture_fused(monkeypatch):
     fuse command hands stage_postprocess; no file holds them."""
     made = []
 
-    def fuse(config, out_dir, truth, _fn=pipeline.stage_fuse):
-        fused, records = _fn(config, out_dir, truth)
+    def fuse(*args, _fn=pipeline.stage_fuse):
+        fused, records = _fn(*args)
         made.append(fused)
         return fused, records
 
@@ -269,99 +269,53 @@ def _set_row_field(path, j, value, line=1):
     Path(path).write_text("\n".join(lines))
 
 
-def _windows_start_x(run_dir):
-    _set_row_field(run_dir / "windows.csv", 2, "x")
+def _window_starts(config):
+    """Each video's window starts as the kelm command slices them."""
+    batches, _ = pipeline.stage_window(config, pipeline._read_truth(config),
+                                       pipeline._read_vad(config))
+    return {vid: batch.starts for vid, batch in batches.items()}
 
 
-def _no_windows(run_dir):
-    (run_dir / "windows.csv").unlink()
-
-
-def _windows_header_renamed(run_dir):
-    path = run_dir / "windows.csv"
-    path.write_text(path.read_text().replace("window_index", "index", 1))
-
-
-def _windows_row_short_a_field(run_dir):
-    lines = (run_dir / "windows.csv").read_text().split("\n")
-    lines[1] = lines[1].rsplit(",", 1)[0]
-    (run_dir / "windows.csv").write_text("\n".join(lines))
-
-
-def _windows_index_out_of_sequence(run_dir):
-    _set_row_field(run_dir / "windows.csv", 1, "1")
-
-
-def _windows_start_negative(run_dir):
-    _set_row_field(run_dir / "windows.csv", 2, "-50")
-
-
-def _windows_start_repeated(run_dir):
-    """The second window of v000 starts where its first does."""
-    path = run_dir / "windows.csv"
-    _set_row_field(path, 2, path.read_text().split("\n")[1].split(",")[2], line=2)
-
-
-def _windows_no_real_frame(run_dir):
-    _set_row_field(run_dir / "windows.csv", 3, "0")
-
-
-def _windows_more_real_frames_than_a_window(run_dir):
-    _set_row_field(run_dir / "windows.csv", 3, "11")  # 2 s windows at 5 fps
-
-
-def _windows_end_past_the_labels(run_dir):
-    """The last window of v003, the last video, starts past its 320 frames."""
-    _set_row_field(run_dir / "windows.csv", 2, "999999", line=-2)
-
-
-def _object_kelm_scores(run_dir):
-    path = run_dir / "kelm_scores.npy"
+def _object_kelm_scores(config):
+    path = config.run_dir() / "kelm_scores.npy"
     np.save(path, np.load(path).astype(object), allow_pickle=True)
 
 
-def _truncate_kelm_scores(run_dir):
-    path = run_dir / "kelm_scores.npy"
+def _truncate_kelm_scores(config):
+    path = config.run_dir() / "kelm_scores.npy"
     path.write_bytes(path.read_bytes()[:-8])
 
 
-def _kelm_scores_one_row_short(run_dir):
-    path = run_dir / "kelm_scores.npy"
+def _kelm_scores_one_row_short(config):
+    path = config.run_dir() / "kelm_scores.npy"
     np.save(path, np.load(path)[:-1])
 
 
-def _nan_kelm_score(run_dir):
-    path = run_dir / "kelm_scores.npy"
+def _nan_kelm_score(config):
+    path = config.run_dir() / "kelm_scores.npy"
     scores = np.load(path)
     scores[0, 0] = np.nan
     np.save(path, scores)
 
 
-def _no_kelm_scores(run_dir):
-    (run_dir / "kelm_scores.npy").unlink()
+def _no_kelm_scores(config):
+    (config.run_dir() / "kelm_scores.npy").unlink()
 
 
-def _kelm_scores_of_every_video(run_dir):
+def _kelm_scores_of_every_video(config):
     """kelm_scores.npy as it would be had the KELM stage scored every video:
-    one row per window of windows.csv."""
-    path = run_dir / "kelm_scores.npy"
-    n_windows = len((run_dir / "windows.csv").read_text().splitlines()) - 1
+    one row per window of every video."""
+    path = config.run_dir() / "kelm_scores.npy"
+    n_windows = sum(map(len, _window_starts(config).values()))
     np.save(path, np.resize(np.load(path), (n_windows, N_EXPR_CLASSES)))
 
 
-def _frame_level_kelm_scores(run_dir):
+def _frame_level_kelm_scores(config):
     """kelm_scores.npy as an older version wrote it: the dev video's window
     scores spread onto its 320 label frames (2 s windows at a 2 s hop)."""
-    path = run_dir / "kelm_scores.npy"
-    rows = (run_dir / "windows.csv").read_text().splitlines()[1:]
-    starts = [int(row.split(",")[2]) for row in rows if row.startswith("v003,")]
+    path = config.run_dir() / "kelm_scores.npy"
+    starts = _window_starts(config)["v003"]
     np.save(path, pipeline._spread_window_scores(starts, np.load(path), 320, 10, 10))
-
-
-def _windows_without_the_dev_video(run_dir):
-    path = run_dir / "windows.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(line for line in lines if not line.startswith("v003,")))
 
 
 class TestSyntheticData:
@@ -912,27 +866,26 @@ class TestRunPipeline:
         assert 0.0 <= result.report.macro_f1 <= 1.0
         manifest = json.loads((result.run_dir / "manifest.json").read_text())
         assert manifest["outputs_hash"] == result.manifest["outputs_hash"]
-        assert "windows.csv" in manifest["outputs"]
+        assert "kelm_scores.npy" in manifest["outputs"]
 
-    def test_windows_csv_indexes_the_vad_gated_windows(self, tmp_path):
+    def test_fuse_slices_from_the_labels_the_windows_kelm_slices(self, tmp_path):
         config = load_config(_write_config(tmp_path, synth={"voiced_fraction": 0.7}))
         _synth_from(config)
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        pipeline._run_kelm(config, run_dir, pipeline._read_truth(config))
+        truth, vad = pipeline._read_truth(config), pipeline._read_vad(config)
+        batches, _ = pipeline.stage_window(config, truth, vad)
         tracks = read_track_csv(config.paths.embeddings, fps=config.fps_target,
                                 kind="embedding")
-        vad = read_vad_csv(config.paths.vad)
-        expected = ["video_id,window_index,start,n_real"]
+        labels = pipeline._truth_at_working_rate(config, truth, sorted(truth), "fuse")
         padded = 0
         for vid in sorted(tracks):
-            batch = slice_windows(tracks[vid], config.window_spec,
-                                  segments=voiced_segments(vad[vid]))
-            expected += [f"{vid},{i},{start},{batch.pad_mask[i].sum()}"
-                         for i, start in enumerate(batch.starts)]
-            padded += int((~batch.pad_mask).any(axis=1).sum())
+            expected = slice_windows(tracks[vid], config.window_spec,
+                                     segments=voiced_segments(vad[vid]))
+            again = pipeline._voiced_windows(config, labels[vid], vad, "fuse")
+            for batch in (batches[vid], again):
+                assert batch.starts == expected.starts
+                assert batch.n_real.tolist() == expected.n_real.tolist()
+            padded += int((~expected.pad_mask).any(axis=1).sum())
         assert padded > 0
-        assert (run_dir / "windows.csv").read_text().splitlines() == expected
 
     def test_run_never_stacks_a_window_payload(self, tmp_path, monkeypatch):
         path = _write_config(tmp_path, synth={"voiced_fraction": 0.7},
@@ -956,18 +909,42 @@ class TestRunPipeline:
             paths={"base_predictions": bases}))
         _synth_from(config)
         _write_base_predictions(config)
-        calls = {}
+        calls, parsed, given = {}, [], []
         for name in ("read_label_csv", "read_track_csv", "read_vad_csv",
-                     "_read_windows", "_read_kelm_scores"):
+                     "_read_kelm_scores"):
             def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
+                result = _fn(*args, **kwargs)
+                if _name == "read_vad_csv":
+                    parsed.append(result)
+                return result
 
             monkeypatch.setattr(pipeline, name, counted)
+        for name in ("stage_window", "stage_fuse"):
+            def handed(*args, _fn=getattr(pipeline, name)):
+                given.append(args[-1])
+                return _fn(*args)
+
+            monkeypatch.setattr(pipeline, name, handed)
         run_pipeline(config)
         # fuse reads what kelm wrote, as a staged fuse does
         assert calls == {"read_label_csv": 1, "read_track_csv": 1 + len(bases),
-                         "read_vad_csv": 1, "_read_windows": 1, "_read_kelm_scores": 1}
+                         "read_vad_csv": 1, "_read_kelm_scores": 1}
+        # both commands slice their windows over the one parsed VAD
+        assert len(given) == 2 and all(vad is parsed[0] for vad in given)
+
+    @pytest.mark.parametrize("vad", ["absent", "not-a-vad"])
+    def test_a_fusion_only_run_never_parses_the_vad(self, tmp_path, monkeypatch, vad):
+        cfg = yaml.safe_load(_write_va_fusion_only(tmp_path, "dwf").read_text())
+        cfg["paths"]["vad"] = str(tmp_path / "vad.csv")
+        if vad == "not-a-vad":
+            (tmp_path / "vad.csv").write_bytes(b"\xff not a VAD\n")
+        path = tmp_path / "with-vad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        monkeypatch.setattr(pipeline, "read_vad_csv", None)  # never reached
+        for command in ("run", "fuse"):
+            assert main([command, "--config", str(path),
+                         "--out-dir", str(tmp_path / command)]) == 0
 
     @pytest.mark.parametrize("method, fuser, dev_videos", [
         ("mean", "mean_fusion", ()),
@@ -1031,9 +1008,9 @@ class TestRunPipeline:
             monkeypatch.setattr(module, "_read_truth", read_truth)
         monkeypatch.setattr(pipeline, "stage_fuse", fuse)
         assert main([command, "--config", str(path)]) == 0
-        [((config, out_dir, truth), kwargs)] = calls
+        [((config, out_dir, truth, vad), kwargs)] = calls
         assert kwargs == {} and config == load_config(path)
-        assert out_dir == staging[-1] and truth is parsed[-1]
+        assert out_dir == staging[-1] and truth is parsed[-1] and vad is None
 
     @pytest.mark.parametrize("commands", [["run"], ["kelm", "fuse"]], ids=["run", "staged"])
     def test_no_stage_function_writes_a_file(self, tmp_path, monkeypatch, commands):
@@ -1074,7 +1051,7 @@ class TestRunPipeline:
     def test_the_window_batches_are_freed_before_training(self, tmp_path, monkeypatch):
         config = load_config(_write_config(tmp_path, fusion={"method": "mean"}))
         _synth_from(config)
-        batches, alive = [], []
+        batches, alive, made_by_kelm = [], [], []
 
         def sliced(*args, _fn=pipeline.slice_windows, **kwargs):
             batch = _fn(*args, **kwargs)
@@ -1083,13 +1060,16 @@ class TestRunPipeline:
 
         def train(*args, _fn=pipeline.stage_train_kelm, **kwargs):
             gc.collect()
+            made_by_kelm.append(len(batches))
             alive.extend(ref() for ref in batches if ref() is not None)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "slice_windows", sliced)
         monkeypatch.setattr(pipeline, "stage_train_kelm", train)
         run_pipeline(config)
-        assert len(batches) == config.synth.n_videos and alive == []
+        # kelm slices every video before training, fuse the dev videos after
+        assert made_by_kelm == [config.synth.n_videos] and alive == []
+        assert len(batches) == config.synth.n_videos + len(config.split.dev_videos)
 
     def test_timings_are_keyed_by_the_command_names(self, tmp_path):
         config = load_config(_write_config(tmp_path, fusion={"method": "dwf",
@@ -1285,12 +1265,12 @@ class TestCli:
         assert main(["synth", "--config", str(path)]) == 0
         _write_base_predictions(load_config(path))
         outputs = self._staged_equals_single_shot(tmp_path, monkeypatch, path)
-        assert {"windows.csv", "selection.csv", "kelm_scores.npy", "predictions.csv",
+        assert {"selection.csv", "kelm_scores.npy", "predictions.csv",
                 "report.csv"} <= set(outputs)
         # the window-level arrays stay in the kelm command's memory, the
-        # fused table in the fuse command's
-        assert not {"features.npy", "window_targets.npy", "models/kelm.csv", "scaler.csv",
-                    "fused.csv", "fused.npy", "fused_index.csv"} & set(outputs)
+        # fused table in the fuse command's, and fuse slices the windows again
+        assert not {"windows.csv", "features.npy", "window_targets.npy", "models/kelm.csv",
+                    "scaler.csv", "fused.csv", "fused.npy", "fused_index.csv"} & set(outputs)
 
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
     def test_staged_fusion_only_run_reproduces_the_single_shot_run(
@@ -1336,18 +1316,11 @@ class TestCli:
         # v003 stays: it is the dev video the config names
         _rename_videos(load_config(path), {"v000": "a b", "v001": 'q"u,o', "v002": "l\nf"})
         outputs = self._staged_equals_single_shot(tmp_path, monkeypatch, path)
-        assert "windows.csv" in outputs
+        assert "kelm_scores.npy" in outputs
 
     @pytest.mark.parametrize(
         "command, damage, code, message",
         [
-            ("fuse", _windows_start_x, 6, "windows.csv:2: "),
-            ("fuse", _no_windows, 3, "kelm stage output not found"),
-            ("fuse", _windows_header_renamed, 6,
-             "windows.csv: expected header video_id,window_index,start,n_real"),
-            ("fuse", _windows_row_short_a_field, 6, "windows.csv:2: expected 4 fields"),
-            ("fuse", _windows_index_out_of_sequence, 6,
-             "windows.csv:2: window_index 1 of 'v000' out of sequence"),
             ("fuse", _truncate_kelm_scores, 6, "not a loadable .npy array"),
             ("fuse", _object_kelm_scores, 6, "not a loadable .npy array"),
             ("fuse", _kelm_scores_one_row_short, 4, "rerun the kelm stage"),
@@ -1357,40 +1330,21 @@ class TestCli:
              "has 128 rows, expected 32 dev windows; rerun the kelm stage"),
             ("fuse", _frame_level_kelm_scores, 4,
              "has 320 rows, expected 32 dev windows; rerun the kelm stage"),
-            ("fuse", _windows_without_the_dev_video, 6,
-             "windows.csv: no windows of dev video(s) ['v003']; rerun the kelm stage"),
-            ("fuse", _windows_start_negative, 6,
-             "windows.csv:2: start -50 of 'v000' is negative or not above the "
-             "previous start"),
-            ("fuse", _windows_start_repeated, 6,
-             "windows.csv:3: start 0 of 'v000' is negative or not above the "
-             "previous start"),
-            ("fuse", _windows_no_real_frame, 6, "windows.csv:2: n_real 0 outside 1..10"),
-            ("fuse", _windows_more_real_frames_than_a_window, 6,
-             "windows.csv:2: n_real 11 outside 1..10"),
-            ("fuse", _windows_end_past_the_labels, 4,
-             "windows.csv: the windows of 'v003' end at frame 1000009, past its 320 "
-             "frames"),
         ],
-        ids=["windows-start-x", "no-windows", "windows-header-renamed",
-             "windows-row-short-a-field", "windows-index-out-of-sequence",
-             "truncated-kelm-scores", "object-kelm-scores",
+        ids=["truncated-kelm-scores", "object-kelm-scores",
              "kelm-scores-one-row-short", "nan-kelm-score", "no-kelm-scores",
-             "kelm-scores-of-every-video", "frame-level-kelm-scores",
-             "windows-without-the-dev-video", "windows-start-negative",
-             "windows-start-repeated", "windows-no-real-frame",
-             "windows-more-real-frames-than-a-window", "windows-end-past-the-labels"],
+             "kelm-scores-of-every-video", "frame-level-kelm-scores"],
     )
     def test_damaged_intermediate_exits_with_its_family(
         self, tmp_path, capsys, command, damage, code, message
     ):
         path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
         assert main(["kelm", "--config", str(path)]) == 0
-        run_dir = load_config(path).run_dir()
-        damage(run_dir)
+        config = load_config(path)
+        damage(config)
         assert main([command, "--config", str(path)]) == code
         err = capsys.readouterr().err
-        assert str(run_dir) in err and message in err
+        assert str(config.run_dir()) in err and message in err
 
     def test_staged_fuse_needs_no_selection_csv(self, tmp_path, monkeypatch):
         # kelm writes it as the record of the chosen C; no command reads it
@@ -1409,7 +1363,7 @@ class TestCli:
     # every run writes these; a KELM run adds _KELM_FILES
     _RUN_FILES = {"config.json", "manifest.json", "timings.json", "predictions.csv",
                   "report.csv", "report.txt"}
-    _KELM_FILES = {"windows.csv", "selection.csv", "kelm_scores.npy"}
+    _KELM_FILES = {"selection.csv", "kelm_scores.npy"}
 
     @staticmethod
     def _run_files(path):
@@ -1447,7 +1401,8 @@ class TestCli:
         first = json.loads((run_dir / "manifest.json").read_text())["outputs"]
         # what older versions wrote and no command writes or removes now
         stale = {name: f"older {name}".encode() for name in
-                 ("fused.npy", "fused_index.csv", "scaler.csv", "kelm_beta.npy")}
+                 ("fused.npy", "fused_index.csv", "scaler.csv", "kelm_beta.npy",
+                  "windows.csv")}
         for name, data in stale.items():
             (run_dir / name).write_bytes(data)
         assert main(["run", "--config", str(path)]) == 0
@@ -1583,15 +1538,15 @@ class TestCli:
         got = run_dir / "kelm_scores.npy"
         assert got.read_bytes() == (
             next((tmp_path / "staged").iterdir()) / "kelm_scores.npy").read_bytes()
-        # each dev video's window scores, in windows.csv order
-        windows = np.loadtxt(run_dir / "windows.csv", delimiter=",", skiprows=1,
-                             dtype=str)
         # the features and targets the kelm command keeps in memory, and
         # the model it fits at the C of selection.csv
-        batches, targets = pipeline.stage_window(config, pipeline._read_truth(config))
+        batches, targets = pipeline.stage_window(config, pipeline._read_truth(config),
+                                                 pipeline._read_vad(config))
         feats = np.concatenate(list(pipeline.stage_features(config, batches).values()))
         targets = np.concatenate(list(targets.values()))  # in video order
-        dev = np.isin(windows[:, 0], config.split.dev_videos)
+        # each window's video, in video order
+        window_vids = np.repeat(list(batches), [b.n_windows for b in batches.values()])
+        dev = np.isin(window_vids, config.split.dev_videos)
         [c] = np.loadtxt(run_dir / "selection.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
         if config.task == "expr":
             enc = encode_classification_targets(targets[~dev], N_EXPR_CLASSES)
@@ -1600,65 +1555,116 @@ class TestCli:
             enc, weights = targets[~dev], None
         model = train_kelm(feats[~dev], enc, c, kernel=config.kernel_spec, weights=weights,
                            task="classification" if config.task == "expr" else "regression")
-        expected = np.concatenate([predict_kelm(model, feats[windows[:, 0] == vid])
-                                   for vid in dict.fromkeys(windows[dev, 0])])
+        # each dev video's window scores, in sorted video order
+        expected = np.concatenate([predict_kelm(model, feats[window_vids == vid])
+                                   for vid in sorted(config.split.dev_videos)])
         assert expected.shape == (dev.sum(), config.n_outputs)
         assert np.load(got).tobytes() == expected.tobytes()
 
-    def test_staged_fuse_pairs_each_dev_video_with_its_own_kelm_scores(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("commands", [["run"], ["kelm", "fuse"]], ids=["run", "staged"])
+    def test_fuse_spreads_each_dev_video_its_own_kelm_scores(
+        self, tmp_path, monkeypatch, commands
     ):
+        # fuse slices each dev video's windows again from its labels, and
         # kelm_scores.npy holds the dev videos in sorted order, whatever
-        # order windows.csv lists them in
-        path = self._prepare(tmp_path, split={"dev_videos": ["v002", "v003"]})
-        made = _capture_fused(monkeypatch)
-        assert main(["run", "--config", str(path),
-                     "--out-dir", str(tmp_path / "single")]) == 0
-        staged = ["--config", str(path), "--out-dir", str(tmp_path / "staged")]
-        assert main(["kelm", *staged]) == 0
-        run_a, run_b = (next((tmp_path / side).iterdir()) for side in ("single", "staged"))
-        windows = run_b / "windows.csv"
-        header, *rows = windows.read_text().splitlines()
-        v002, v003 = ([row for row in rows if row.startswith(f"{vid},")]
-                      for vid in ("v002", "v003"))
-        rest = [row for row in rows if row not in v002 + v003]
-        windows.write_text("\n".join([header, *rest, *v003, *v002]) + "\n")
-        assert main(["fuse", *staged]) == 0
-        for name in ("kelm_scores.npy", "predictions.csv", "report.csv"):
-            assert (run_b / name).read_bytes() == (run_a / name).read_bytes()
-        single, staged = made
-        assert _fused_rows(single) == _fused_rows(staged)
-
-    def test_run_spreads_each_dev_video_its_own_kelm_scores(self, tmp_path, monkeypatch):
-        # a single-shot fuse reads windows.csv and kelm_scores.npy back as a
-        # staged one does, so a fault in either reader shows in a run too
-        # gaps in the VAD give each video its own window starts
+        # order the config lists them in; gaps in the VAD give each video
+        # its own window starts
         path = self._prepare(tmp_path, split={"dev_videos": ["v003", "v001"]},
                              fusion={"method": "mean"}, synth={"voiced_fraction": 0.7})
         made = _capture_fused(monkeypatch)
-        assert main(["run", "--config", str(path)]) == 0
-        run_dir = load_config(path).run_dir()
-        windows = np.loadtxt(run_dir / "windows.csv", delimiter=",", skiprows=1,
-                             dtype=str)
+        for command in commands:
+            assert main([command, "--config", str(path)]) == 0
+        config = load_config(path)
+        starts = _window_starts(config)
+        assert len(starts["v001"]) != len(starts["v003"])
         [fused] = made
         assert sorted(fused) == ["v001", "v003"]
-        # kelm_scores.npy holds the dev videos' window rows in sorted order
-        counts = [(windows[:, 0] == vid).sum() for vid in sorted(fused)]
-        scores = np.split(np.load(run_dir / "kelm_scores.npy"), np.cumsum(counts)[:-1])
+        counts = [len(starts[vid]) for vid in sorted(fused)]
+        scores = np.split(np.load(config.run_dir() / "kelm_scores.npy"),
+                          np.cumsum(counts)[:-1])
         for vid, own in zip(sorted(fused), scores):
-            starts = windows[windows[:, 0] == vid, 2].astype(int).tolist()
             # one model: the mean is the KELM track; 2 s windows at a 2 s hop
-            expected = pipeline._spread_window_scores(starts, own, fused[vid].n_frames,
+            expected = pipeline._spread_window_scores(starts[vid], own, fused[vid].n_frames,
                                                       10, 10)
             assert fused[vid].values.tobytes() == expected.tobytes(), vid
+
+    def test_fuse_refuses_kelm_scores_the_vad_no_longer_gives(self, tmp_path, capsys):
+        path = self._prepare(tmp_path, fusion={"method": "dwf", "pool_size": 50})
+        config = load_config(path)
+        assert main(["kelm", "--config", str(path)]) == 0
+        before = _file_digests(config.run_dir())
+        # unvoice the dev video's first 40 frames: 28 of its 2 s windows are left of 32
+        vad = read_vad_csv(config.paths.vad)
+        voiced = vad["v003"].voiced.copy()
+        voiced[:40] = False
+        vad["v003"] = replace(vad["v003"], voiced=voiced)
+        write_vad_csv(config.paths.vad, list(vad.values()))
+        assert main(["fuse", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert (f"{config.run_dir() / 'kelm_scores.npy'} has 32 rows, expected 28 dev "
+                "windows; rerun the kelm stage") in err
+        assert _file_digests(config.run_dir()) == before
+
+    @pytest.mark.parametrize("base_holds_it", [True, False], ids=["held", "missing"])
+    def test_a_kelm_runs_bases_cover_every_labelled_video(
+        self, tmp_path, capsys, base_holds_it
+    ):
+        # the labels list v004, which the embeddings lack; the KELM run's
+        # timeline is every labelled video's labels at the working rate
+        bases = _base_paths(tmp_path, 1)
+        path = self._prepare(tmp_path, paths={"base_predictions": bases},
+                             fusion={"method": "dwf", "pool_size": 50})
+        config = load_config(path)
+        labels = read_label_csv(config.paths.labels, "expr")
+        labels["v004"] = labels["v000"]
+        write_label_csv(config.paths.labels, labels, task="expr")
+        _write_base_predictions(config)
+        if base_holds_it:
+            tracks = read_track_csv(bases[0], fps=5.0, kind="class_scores")
+            tracks["v004"] = replace(tracks["v000"], video_id="v004")
+            write_track_csv(bases[0], list(tracks.values()))
+        assert main(["run", "--config", str(path)]) == (0 if base_holds_it else 4)
+        if not base_holds_it:
+            assert ("fuse stage: model 'base_0' covers videos ['v000', 'v001', 'v002', "
+                    "'v003'], expected ['v000', 'v001', 'v002', 'v003', 'v004']"
+                    ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["run", "kelm", "fuse", "synth"])
+    def test_an_output_location_that_is_a_file_exits_2_naming_it(
+        self, tmp_path, capsys, command, under
+    ):
+        path = self._prepare(tmp_path)
+        capsys.readouterr()
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out_dir = taken / "runs" if under else taken
+        assert main([command, "--config", str(path), "--out-dir", str(out_dir)]) == 2
+        what = "synth output directory" if command == "synth" else "output.dir"
+        assert (f"error: {what} {out_dir} is a file or lies under one; it must name a "
+                "directory") in capsys.readouterr().err
+        assert taken.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command", ["run", "fuse"])
+    def test_a_run_directory_that_is_a_file_exits_2_and_stays(
+        self, tmp_path, capsys, command
+    ):
+        path = _write_va_fusion_only(tmp_path, "mean")
+        run_dir = load_config(path).run_dir()
+        run_dir.parent.mkdir()
+        run_dir.write_text("a file\n")
+        assert main([command, "--config", str(path)]) == 2
+        assert (f"error: the run directory {run_dir} is a file or lies under one"
+                in capsys.readouterr().err)
+        assert [p.name for p in run_dir.parent.iterdir()] == [run_dir.name]
+        assert run_dir.read_text() == "a file\n"
 
     def test_non_finite_window_score_names_its_dev_video(self, tmp_path, capsys):
         path = self._prepare(tmp_path, split={"dev_videos": ["v003", "v001"]},
                              fusion={"method": "dwf", "pool_size": 50})
         assert main(["kelm", "--config", str(path)]) == 0
         run_dir = load_config(path).run_dir()
-        windows = (run_dir / "windows.csv").read_text().splitlines()[1:]
-        first_of_v003 = sum(line.startswith("v001,") for line in windows)
+        first_of_v003 = len(_window_starts(load_config(path))["v001"])
         scores = np.load(run_dir / "kelm_scores.npy")
         scores[first_of_v003, 3] = np.inf
         np.save(run_dir / "kelm_scores.npy", scores)
@@ -1848,8 +1854,7 @@ class TestCli:
         config = load_config(path)
         _shorten_video(config, "v003", 12)
         assert main(["run", "--config", str(path)]) == 0
-        windows = (config.run_dir() / "windows.csv").read_text().splitlines()
-        assert sum(row.startswith("v003,") for row in windows) == 1
+        assert len(np.load(config.run_dir() / "kelm_scores.npy")) == 1
 
     @pytest.mark.parametrize("method", ["dwf", "rf"])
     def test_va_fusion_on_a_one_frame_dev_split_exits_2(
@@ -2105,8 +2110,8 @@ class TestCli:
         staged = {}
         name = self._LAST_COMMANDS[command]
 
-        def failing(config, out_dir, truth, _real=getattr(pipeline, name)):
-            _real(config, out_dir, truth)
+        def failing(config, out_dir, *inputs, _real=getattr(pipeline, name)):
+            _real(config, out_dir, *inputs)
             staged.update(_file_digests(out_dir))
             raise SolverError("the last step failed")
 
