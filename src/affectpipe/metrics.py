@@ -8,7 +8,7 @@ mean of the valence and arousal CCCs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -223,46 +223,31 @@ def va_report(truth: np.ndarray, pred: np.ndarray) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
+def _scalars(report: EvalReport) -> list[tuple[str, float]]:
+    """The report's headline metrics as (name, value) pairs, in report order."""
+    names = (("macro_f1", "macro_precision", "macro_recall", "accuracy")
+             if report.task == "expr" else ("ccc_mean", "ccc_valence", "ccc_arousal"))
+    return [(name, getattr(report, name)) for name in names]
+
+
 def report_to_text(report: EvalReport) -> str:
+    scalars = _scalars(report)
+    width = max(len(name) for name, _ in scalars) + 2
     lines = [f"task: {report.task}"]
+    lines += [f"{name + ':':<{width}}{format_score(value)}" for name, value in scalars]
     if report.task == "expr":
-        lines.append(f"macro_f1:        {format_score(report.macro_f1)}")
-        lines.append(f"macro_precision: {format_score(report.macro_precision)}")
-        lines.append(f"macro_recall:    {format_score(report.macro_recall)}")
-        lines.append(f"accuracy:        {format_score(report.accuracy)}")
         lines.append("class  precision  recall  f1      support")
-        for k, scores in enumerate(report.per_class):
-            lines.append(
-                f"{k:<6d} {scores.precision:<10.4f} {scores.recall:<7.4f} "
-                f"{scores.f1:<7.4f} {scores.support}"
-            )
-    else:
-        lines.append(f"ccc_mean:    {format_score(report.ccc_mean)}")
-        lines.append(f"ccc_valence: {format_score(report.ccc_valence)}")
-        lines.append(f"ccc_arousal: {format_score(report.ccc_arousal)}")
+        lines += ("%-6d %-10.4f %-7.4f %-7.4f %d" % (k, *astuple(scores))
+                  for k, scores in enumerate(report.per_class))
     return "\n".join(lines) + "\n"
 
 
 def report_to_csv_rows(report: EvalReport) -> list[list[str]]:
-    rows = [["metric", "value"]]
+    rows = [["metric", "value"], *([name, "%.17g" % v] for name, v in _scalars(report))]
     if report.task == "expr":
-        rows.append(["macro_f1", "%.17g" % report.macro_f1])
-        rows.append(["macro_precision", "%.17g" % report.macro_precision])
-        rows.append(["macro_recall", "%.17g" % report.macro_recall])
-        rows.append(["accuracy", "%.17g" % report.accuracy])
         rows.append(["class", "precision,recall,f1,support"])
-        for k, scores in enumerate(report.per_class):
-            rows.append(
-                [
-                    f"class_{k}",
-                    "%.17g,%.17g,%.17g,%d"
-                    % (scores.precision, scores.recall, scores.f1, scores.support),
-                ]
-            )
-    else:
-        rows.append(["ccc_mean", "%.17g" % report.ccc_mean])
-        rows.append(["ccc_valence", "%.17g" % report.ccc_valence])
-        rows.append(["ccc_arousal", "%.17g" % report.ccc_arousal])
+        rows += ([f"class_{k}", "%.17g,%.17g,%.17g,%d" % astuple(scores)]
+                 for k, scores in enumerate(report.per_class))
     return rows
 
 

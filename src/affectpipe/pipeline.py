@@ -180,14 +180,6 @@ class OutputSettings:
     dir: str = "runs"
 
 
-# Field metadata. _UNHASHED marks a field that cannot change an output
-# byte, so config_to_dict leaves it out. _FROM_PARENT holds a function
-# from the built parent to the section fields that the parent sets;
-# those fields are not keys of the section and are hashed in the parent.
-_UNHASHED = "unhashed"
-_FROM_PARENT = "from_parent"
-
-
 def _synth_from_top(config: PipelineConfig) -> dict:
     """The synth section is a SyntheticSpec minus these top-level fields."""
     return dict(task=config.task, seed=config.seed, fps=config.fps_target)
@@ -199,7 +191,7 @@ class PipelineConfig:
 
     task: str = "expr"
     seed: int = 0
-    workers: int = field(default=1, metadata={_UNHASHED: True})
+    workers: int = 1
     fps_target: float = 5.0
     paths: PathSettings = PathSettings()
     split: SplitSettings = SplitSettings()
@@ -209,10 +201,8 @@ class PipelineConfig:
     kelm: KelmSettings = KelmSettings()
     fusion: FusionSettings = FusionSettings()
     postprocess: PostprocessSettings = PostprocessSettings()
-    output: OutputSettings = field(default=OutputSettings(), metadata={_UNHASHED: True})
-    synth: SyntheticSpec | None = field(
-        default=None, metadata={_FROM_PARENT: _synth_from_top}
-    )
+    output: OutputSettings = OutputSettings()
+    synth: SyntheticSpec | None = None  # load_config sets _synth_from_top's fields
 
     @property
     def window_spec(self) -> WindowSpec:
@@ -272,7 +262,11 @@ def load_config(
         raw = loaded
 
     flags = {k: v for k, v in dict(seed=seed, workers=workers).items() if v is not None}
-    config = _build(PipelineConfig, {**raw, **flags}, "config")
+    top = {k: v for k, v in raw.items() if k != "synth"}
+    config = _build(PipelineConfig, {**top, **flags}, "config")
+    if raw.get("synth") is not None:
+        config = replace(config, synth=_build(SyntheticSpec, raw["synth"], "config.synth",
+                                              **_synth_from_top(config)))
     if out_dir is not None:
         config = replace(config, output=OutputSettings(dir=out_dir))
     _validate(config)
@@ -295,34 +289,18 @@ def _build(cls, mapping, where: str, **given):
     if unknown:
         raise ConfigError(f"unknown config key(s) in {where}: {unknown}")
     hints = get_type_hints(cls)
-    present = [f for f in keys if f.name in mapping]
-    later = [f for f in present if _FROM_PARENT in f.metadata]
-    values = {
-        f.name: _coerce(hints[f.name], mapping[f.name], f"{where}.{f.name}")
-        for f in present
-        if f not in later
-    }
+    values = {f.name: _coerce(hints[f.name], mapping[f.name], f"{where}.{f.name}")
+              for f in keys if f.name in mapping}
     try:
-        built = cls(**values, **given)
+        return cls(**values, **given)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    for f in later:
-        value = _coerce(
-            hints[f.name], mapping[f.name], f"{where}.{f.name}", **_set_by(f, built)
-        )
-        built = replace(built, **{f.name: value})
-    return built
-
-
-def _set_by(f, parent) -> dict:
-    """The fields of section `f` that its parent sets."""
-    return f.metadata[_FROM_PARENT](parent) if _FROM_PARENT in f.metadata else {}
 
 
 _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str, int)}
 
 
-def _coerce(annotation, value, where: str, **given):
+def _coerce(annotation, value, where: str):
     """`value` read from YAML, checked against one field annotation.
 
     A float field also takes an int and stores a float, and refuses NaN
@@ -335,7 +313,7 @@ def _coerce(annotation, value, where: str, **given):
             return None
         (annotation,) = [a for a in get_args(annotation) if a is not type(None)]
     if is_dataclass(annotation):
-        return _build(annotation, value, where, **given)
+        return _build(annotation, value, where)
     if value is None:
         raise ConfigError(f"{where} must not be null")
     origin, args = get_origin(annotation), get_args(annotation)
@@ -431,27 +409,28 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("config is missing paths.labels")
 
 
+_UNHASHED = ("workers", "output")
+
+
 def config_to_dict(config: PipelineConfig) -> dict:
     """Canonical nested dict of everything that can influence outputs.
 
     The output directory and worker count are deliberately excluded:
     neither changes a single output byte, so runs of the same config
-    into different directories share one hash.
+    into different directories share one hash. The synth section leaves
+    out the fields it takes from the top level, which are hashed there.
     """
-    return _plain(config)
+    out = {k: v for k, v in _plain(config).items() if k not in _UNHASHED}
+    if config.synth is not None:
+        for key in _synth_from_top(config):
+            del out["synth"][key]
+    return out
 
 
-def _plain(value, given=()):
-    """JSON-ready copy of a config value without its unhashed fields.
-
-    Fields in `given` are set by the parent and hashed there.
-    """
+def _plain(value):
+    """JSON-ready copy of a config value."""
     if is_dataclass(value):
-        return {
-            f.name: _plain(getattr(value, f.name), _set_by(f, value))
-            for f in fields(value)
-            if f.name not in given and not f.metadata.get(_UNHASHED)
-        }
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
@@ -614,14 +593,20 @@ def _read_vad(config: PipelineConfig) -> dict | None:
 
 
 def _voiced_windows(
-    config: PipelineConfig, track: FrameTrack, vad: dict | None, stage: str
+    config: PipelineConfig, track: FrameTrack, vad: dict | None, stage: str, what: str
 ) -> WindowBatch:
-    """The windows of `track`, a video's frames at the working rate, cut
-    from its voiced segments when there is a VAD; for `stage`'s messages.
-    kelm slices the embedding tracks and fuse the dev videos' labels,
-    which kelm checked to have the embeddings' frame count, so both
-    commands get the same windows."""
+    """The windows of `track`, a video's frames named `what` in `stage`'s
+    messages, resampled to the working rate and cut from its voiced
+    segments when there is a VAD, which must start when the track does.
+    kelm slices the embedding tracks and fuse the dev videos' labels at
+    the working rate, which kelm checked to have the embeddings' first
+    frame and frame count, so both commands get the same windows."""
     vid = track.video_id
+    if vad is not None and vid in vad:  # a VAD is at the working rate
+        _check_start(stage, vid, "the VAD", (vad[vid].frame_index_origin, config.fps_target),
+                     what, (track.frame_index_origin, track.fps))
+    if abs(track.fps - config.fps_target) > 1e-9:
+        track = resample_track(track, config.fps_target)
     segments = None
     if vad is not None:
         if vid not in vad:
@@ -639,8 +624,8 @@ def _voiced_windows(
 
 
 def _window_batches(config: PipelineConfig, truth: dict, vad: dict | None) -> dict:
-    """Check each embedding track's first frame against its labels' and
-    the VAD's, then resample the track and slice its voiced windows.
+    """Check each embedding track's first frame against its labels', then
+    slice its voiced windows at the working rate.
 
     The kelm command computes the features from them in memory, so no
     copy of the track is written.
@@ -654,18 +639,9 @@ def _window_batches(config: PipelineConfig, truth: dict, vad: dict | None) -> di
     # a video without labels is refused once it is windowed
     _check_frames("kelm", "the embedding track", embeddings, "the label track", truth,
                   [v for v in vids if v in truth], counts=False)
-    if vad is not None:  # at the working rate; a video without one is refused below
-        vad_at = {v: types.SimpleNamespace(fps=config.fps_target,
-                                           frame_index_origin=m.frame_index_origin)
-                  for v, m in vad.items()}
-        _check_frames("kelm", "the VAD", vad_at, "the embedding track", embeddings,
-                      [v for v in vids if v in vad], counts=False)
 
     def one(vid: str) -> WindowBatch:
-        track = embeddings[vid]
-        if abs(track.fps - config.fps_target) > 1e-9:
-            track = resample_track(track, config.fps_target)
-        return _voiced_windows(config, track, vad, "kelm")
+        return _voiced_windows(config, embeddings[vid], vad, "kelm", "the embedding track")
 
     return dict(zip(vids, _map_ordered(one, vids, config.workers)))
 
@@ -853,7 +829,8 @@ def _gather_models(
         # the working rate give the windows kelm scored
         timeline = _truth_at_working_rate(config, truth, sorted(truth), "fuse")
         _dev_split(config, list(timeline))
-        starts = {vid: _voiced_windows(config, timeline[vid], vad, "fuse").starts
+        starts = {vid: _voiced_windows(config, timeline[vid], vad, "fuse",
+                                       "the label track").starts
                   for vid in sorted(config.split.dev_videos)}
         # where kelm wrote: `run`'s one staging directory, or else the run
         # directory, as a staged fuse's fresh staging directory holds no scores
@@ -970,20 +947,24 @@ def _check_frames(
 ) -> None:
     """AlignmentError unless each of `vids` in `tracks`, named `what`,
     starts at the time its track in `timeline`, named `ref`, does, and
-    with `counts` has its frame count. A first frame's time is its index
-    over the track's rate, as tracks of two rates pair from it."""
+    with `counts` has its frame count."""
     for v in vids:
         a, b = tracks[v], timeline[v]
         if counts and a.n_frames != b.n_frames:
             raise AlignmentError(f"{stage} stage: {what} has {a.n_frames} frames "
                                  f"for {v!r}, {ref} has {b.n_frames}")
-        if not math.isclose(a.frame_index_origin / a.fps, b.frame_index_origin / b.fps,
-                            abs_tol=1e-9):
-            at = [f"frame {t.frame_index_origin}" + ("" if a.fps == b.fps else
-                  f" ({t.frame_index_origin / t.fps:g} s at {t.fps:g} fps)")
-                  for t in (a, b)]
-            raise AlignmentError(f"{stage} stage: {what} starts {v!r} at {at[0]}, "
-                                 f"{ref} at {at[1]}")
+        _check_start(stage, v, what, (a.frame_index_origin, a.fps),
+                     ref, (b.frame_index_origin, b.fps))
+
+
+def _check_start(stage: str, vid: str, what: str, a: tuple, ref: str, b: tuple) -> None:
+    """AlignmentError unless `what`'s first frame of `vid`, (index, rate) `a`, falls
+    at the time of `ref`'s, `b`: its index over its rate, as two rates pair from it."""
+    if not math.isclose(a[0] / a[1], b[0] / b[1], abs_tol=1e-9):
+        at = [f"frame {i}" + ("" if a[1] == b[1] else f" ({i / fps:g} s at {fps:g} fps)")
+              for i, fps in (a, b)]
+        raise AlignmentError(f"{stage} stage: {what} starts {vid!r} at {at[0]}, "
+                             f"{ref} at {at[1]}")
 
 
 def stage_postprocess(config: PipelineConfig, fused: dict, truth: dict) -> dict:

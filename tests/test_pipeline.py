@@ -880,7 +880,8 @@ class TestRunPipeline:
         for vid in sorted(tracks):
             expected = slice_windows(tracks[vid], config.window_spec,
                                      segments=voiced_segments(vad[vid]))
-            again = pipeline._voiced_windows(config, labels[vid], vad, "fuse")
+            again = pipeline._voiced_windows(config, labels[vid], vad, "fuse",
+                                             "the label track")
             for batch in (batches[vid], again):
                 assert batch.starts == expected.starts
                 assert batch.n_real.tolist() == expected.n_real.tolist()
@@ -2094,6 +2095,49 @@ class TestCli:
                     "frame 0") in capsys.readouterr().err
             assert not config.run_dir().exists()
 
+    @staticmethod
+    def _damage_dev_vad(config, fault):
+        """Damage the VAD mask of the dev video v003 by `fault`."""
+        vad = read_vad_csv(config.paths.vad)
+        mask = vad.pop("v003")
+        if fault == "short":
+            vad["v003"] = replace(mask, voiced=mask.voiced[:300])
+        elif fault == "unvoiced":
+            vad["v003"] = replace(mask, voiced=np.zeros(len(mask), dtype=bool))
+        elif fault == "off-first-frame":
+            vad["v003"] = replace(mask, frame_index_origin=4)
+        write_vad_csv(config.paths.vad, list(vad.values()))
+
+    _VAD_FAULTS = {
+        "missing": "no VAD rows for video 'v003'",
+        "short": "VAD for 'v003' has 300 frames, track has 320",
+        "unvoiced": "video 'v003' has no voiced frames",
+        "off-first-frame": "the VAD starts 'v003' at frame 4, {track} at frame 0",
+    }
+
+    @pytest.mark.parametrize("fault", list(_VAD_FAULTS))
+    @pytest.mark.parametrize("command", ["run", "kelm", "fuse"])
+    def test_every_command_refuses_a_vad_that_does_not_fit_the_dev_video(
+        self, tmp_path, capsys, command, fault
+    ):
+        # a staged fuse after a good kelm slices the dev video from its labels
+        path = self._prepare(tmp_path)
+        config = load_config(path)
+        if command == "fuse":
+            assert main(["kelm", "--config", str(path)]) == 0
+        before = _file_digests(config.run_dir()) if command == "fuse" else None
+        self._damage_dev_vad(config, fault)
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 4
+        stage, track = (("fuse", "the label track") if command == "fuse"
+                        else ("kelm", "the embedding track"))
+        message = self._VAD_FAULTS[fault].format(track=track)
+        assert f"{stage} stage: {message}" in capsys.readouterr().err
+        if before is None:
+            assert not config.run_dir().exists()
+        else:
+            assert _file_digests(config.run_dir()) == before
+
     def _kelm_config_with_a_base(self, tmp_path):
         """An expr KELM config with one base track, its inputs written."""
         bases = _base_paths(tmp_path, 1)
@@ -2349,7 +2393,11 @@ class TestArtifactsAbTool:
         assert tool.compare(tool.ROOT, only=only, videos=3, frames=60, forest=(200, 3, 2),
                             kelm=(60, 20, 6), pairs=1) == 0
         out = capsys.readouterr().out
-        assert out.count("equal: True") == 4 and "everything equal" in out
+        assert out.count("equal: True") == 4
+        lines = tool.source_lines(tool.ROOT)
+        assert lines > 0 and out.splitlines()[-2:] == [
+            f"src/affectpipe/*.py lines: other {lines:,}, this {lines:,}, net +0",
+            "everything equal"]
         assert "expr-dwf pair 0: staged equals single-shot in this checkout: True" in out
         # a pipeline pair prints each side's bytes; single-shot adds config and manifest
         sizes = re.findall(r"^expr-dwf (single|staged) pair 0: other .* MB ([\d,]+) B, "
@@ -2422,8 +2470,12 @@ class TestArtifactsAbTool:
         (package / "__init__.py").write_text("raise ImportError('broken checkout')\n")
         assert tool.compare(tmp_path, only=("kelm",), kelm=(60, 20, 6), pairs=1) == 1
         out = capsys.readouterr().out
-        assert "equal: False" in out and "1 pair(s) differ" in out
+        assert "equal: False" in out and out.endswith("\n1 pair(s) differ\n")
         assert "  other failed: ImportError: broken checkout" in out
+        # the broken checkout's one source line against this checkout's
+        lines = tool.source_lines(tool.ROOT)
+        assert (f"src/affectpipe/*.py lines: other 1, this {lines:,}, net +{lines - 1:,}\n"
+                in out)
 
     def test_unknown_case_or_checkout_exits_2(self, tmp_path, capsys):
         tool = self._tool()

@@ -45,8 +45,10 @@ whether the sha256 of everything they made is equal; a thing that is
 not prints as `differs: NAME`, or as `only in other: NAME` /
 `only in this: NAME` when one checkout alone made it, and a process that
 fails prints its last stderr line. A case of more than one pair ends
-with the medians. Any difference or failure exits 1; an unknown case,
-or an OTHER without `src/affectpipe`, exits 2. The processes inherit the environment, so
+with the medians. Before the verdict, the last line, the tool prints the
+lines of `src/affectpipe/*.py` in each checkout and the net change. Any
+difference or failure exits 1; an unknown case, or an OTHER without
+`src/affectpipe`, exits 2. The processes inherit the environment, so
 `OPENBLAS_NUM_THREADS=1` compares the two at one BLAS thread.
 
 Peak RSS is the process's `VmHWM` where Linux has one: `ru_maxrss`
@@ -342,8 +344,17 @@ def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
                 differ += case_differ
             if name in PIPELINE:
                 differ += staged_vs_single(name, made["single"], made["staged"])
+    lines = {side: source_lines(checkout) for side, checkout in checkouts}
+    print(f"src/affectpipe/*.py lines: other {lines['other']:,}, this {lines['this']:,}, "
+          f"net {lines['this'] - lines['other']:+,}")
     print("everything equal" if not differ else f"{differ} pair(s) differ")
     return 1 if differ else 0
+
+
+def source_lines(checkout: Path) -> int:
+    """The lines of the checkout's src/affectpipe/*.py, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "affectpipe").glob("*.py"))
 
 
 def main(argv=None) -> int:
