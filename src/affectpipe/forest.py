@@ -54,16 +54,14 @@ SMALL_NODE = 64  # regression nodes of at most this many rows grow on lists
 
 @dataclass(frozen=True)
 class ForestSpec:
-    """Forest shape and randomness.
-
-    features_per_split=None resolves to "sqrt" for classification and
-    "third" for regression when training starts.
-    """
+    """Forest shape and randomness. A node of two or more rows may split
+    between any two distinct values of a feature, so a leaf holds one row
+    or more. A split weighs the first resolve_mtry features of a random
+    order that can split the node: floor(sqrt(d)) of the d features for
+    classification, floor(d / 3) for regression, and at least one."""
 
     n_trees: int
     max_depth: int | None = None
-    min_leaf: int = 1
-    features_per_split: str | None = None  # "sqrt" | "third" | "all"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -71,24 +69,11 @@ class ForestSpec:
             raise ValueError("n_trees must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be positive")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        if self.features_per_split not in (None, "sqrt", "third", "all"):
-            raise ValueError(
-                f"unknown features_per_split {self.features_per_split!r}"
-            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolve_mtry(self, d: int, task: str) -> int:
-        mode = self.features_per_split
-        if mode is None:
-            mode = "sqrt" if task == "classification" else "third"
-        if mode == "sqrt":
-            return max(1, int(np.sqrt(d)))
-        if mode == "third":
-            return max(1, d // 3)
-        return d
+        return max(1, int(np.sqrt(d)) if task == "classification" else d // 3)
 
 
 class Tree(NamedTuple):
@@ -113,24 +98,22 @@ class ForestModel:
     """Trained forest. oob_score is accuracy for classification and
     negative mean squared error for regression, so larger is always
     better; oob_curve[k - 1] is that score for the first k trees. in_bag
-    records each tree's bootstrap membership. Both may be None on a model
-    built from trees alone, which only predicts.
+    records each tree's bootstrap membership.
     """
 
     trees: list = field(repr=False)
     oob_score: float
     task: str
     n_outputs: int
-    spec: ForestSpec | None = None
-    in_bag: np.ndarray | None = field(default=None, repr=False)
-    oob_curve: np.ndarray | None = field(default=None, repr=False)
+    in_bag: np.ndarray = field(repr=False)
+    oob_curve: np.ndarray = field(repr=False)
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
 
-def _best_for_feature(col, src, min_leaf, task):
+def _best_for_feature(col, src, task):
     """Best (score, threshold) for one feature, or None if unsplittable.
 
     src is the node's one-hot classes or targets. Scores are comparable
@@ -140,12 +123,11 @@ def _best_for_feature(col, src, min_leaf, task):
     """
     order = col.argsort(kind="stable")
     xs = col[order]
-    n, m = xs.shape[0], min_leaf
-    # boundary b splits after sorted row b; both sides keep min_leaf rows
-    boundary = (xs[m : n - m + 1] != xs[m - 1 : n - m]).nonzero()[0]
+    n = xs.shape[0]
+    # boundary b splits after sorted row b
+    boundary = (xs[1:] != xs[:-1]).nonzero()[0]
     if boundary.size == 0:
         return None
-    boundary += m - 1
     n_left = boundary + 1.0
     n_right = n - n_left
     if task == "classification":
@@ -183,7 +165,7 @@ def _short_mean(values):
     return acc / len(values)
 
 
-def _best_for_small_node(xf, rows, y, y2, min_leaf):
+def _best_for_small_node(xf, rows, y, y2):
     """_best_for_feature for a regression node held as a list of rows.
 
     xf, y and y2 are the feature column, the targets and the squared
@@ -194,10 +176,10 @@ def _best_for_small_node(xf, rows, y, y2, min_leaf):
     xs = [xf[i] for i in rows]
     cy = list(accumulate([y[i] for i in rows]))
     cy2 = list(accumulate([y2[i] for i in rows]))
-    n, m = len(rows), min_leaf
+    n = len(rows)
     total, total2 = cy[-1], cy2[-1]
     best, at = None, -1
-    for b in range(m - 1, n - m):
+    for b in range(n - 1):
         if xs[b] == xs[b + 1]:
             continue
         n_left = b + 1.0
@@ -245,7 +227,7 @@ def _grow_tree(
         else:
             ys = y[idx]
         candidates = []
-        if len(idx) >= 2 * spec.min_leaf and depth < max_depth:
+        if len(idx) >= 2 and depth < max_depth:
             if lists is not None:
                 impure = min(ys) != max(ys)
             else:
@@ -256,11 +238,9 @@ def _grow_tree(
                 # produced a usable boundary (constant features do not count)
                 for f in rng.permutation(d).tolist():
                     if lists is not None:
-                        found = _best_for_small_node(
-                            x_lists[f], idx, y_list, y2_list, spec.min_leaf
-                        )
+                        found = _best_for_small_node(x_lists[f], idx, y_list, y2_list)
                     else:
-                        found = _best_for_feature(cols[f][idx], src, spec.min_leaf, task)
+                        found = _best_for_feature(cols[f][idx], src, task)
                     if found is None:
                         continue
                     candidates.append((found[0], f, found[1]))
@@ -414,7 +394,6 @@ def train_forest(
         oob_score=float(curve[-1]),
         task=task,
         n_outputs=n_outputs,
-        spec=spec,
         in_bag=in_bag,
         oob_curve=curve,
     )
@@ -445,8 +424,6 @@ def predict_oob(model: ForestModel, x: np.ndarray) -> np.ndarray:
     Each row averages only the trees whose bootstrap left it out; rows
     that every tree saw are NaN. x must be the training matrix.
     """
-    if model.in_bag is None:
-        raise ValueError("out-of-bag predictions need the bootstrap membership")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.in_bag.shape[1] or not np.isfinite(x).all():
         raise ValueError("x must be the finite matrix the forest was trained on")
@@ -490,7 +467,6 @@ def select_n_trees(
         oob_score=scores[best_k],
         task=full.task,
         n_outputs=full.n_outputs,
-        spec=replace(base_spec, n_trees=best_k),
         in_bag=full.in_bag[:best_k],
         oob_curve=full.oob_curve[:best_k],
     )

@@ -852,6 +852,10 @@ def _gather_models(
             name += "+"
         names.append(name)
         bases.append(read_track_csv(path, fps=config.fps_target, kind=config.track_kind))
+        width = next(iter(bases[-1].values())).values.shape[1]
+        if width != config.n_outputs:
+            raise DataFormatError(f"{path}: {width} score columns, the {config.task} task "
+                                  f"needs {config.n_outputs}")
     if not config.kelm.enabled:
         timeline = bases[0]
     vids = sorted(timeline)

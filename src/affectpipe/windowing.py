@@ -79,7 +79,6 @@ class WindowBatch:
     starts: list[int]
     n_real: np.ndarray
     window_frames: int
-    hop_frames: int
     expr_targets: list[list[int]] | None = None
     va_targets: np.ndarray | None = None
 
@@ -163,7 +162,7 @@ def slice_windows(
             n_real.append(seg_end - seg_start)
         starts += full
         n_real += [w] * len(full)
-    return WindowBatch(track, starts, np.array(n_real, dtype=np.int64), w, h)
+    return WindowBatch(track, starts, np.array(n_real, dtype=np.int64), w)
 
 
 def _second_groups(w: int, fps: float) -> list[np.ndarray]:

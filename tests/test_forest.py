@@ -60,7 +60,7 @@ class TestTrainForest:
         x = rng.normal(size=(40, 1))
         y = (x[:, 0] + 0.3 * rng.normal(size=40) > 0).astype(int)
         model = train_forest(
-            x, y, ForestSpec(n_trees=1, max_depth=1, features_per_split="all", seed=5)
+            x, y, ForestSpec(n_trees=1, max_depth=1, seed=5)
         )
         tree = model.trees[0]
         assert tree.left[0] != -1  # the root is a split node
@@ -134,26 +134,6 @@ class TestTrainForest:
         assert tree.left[0] != -1
         assert tree.left[tree.left[0]] == -1 and tree.left[tree.right[0]] == -1
 
-    def test_min_leaf_respected(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(40, 2))
-        y = rng.integers(0, 2, size=40)
-        model = train_forest(x, y, ForestSpec(n_trees=3, min_leaf=5, seed=6))
-
-        def smallest_leaf(tree, node, idx):
-            if tree.left[node] == -1:
-                return idx.size
-            mask = x[idx, tree.feature[node]] <= tree.threshold[node]
-            return min(
-                smallest_leaf(tree, tree.left[node], idx[mask]),
-                smallest_leaf(tree, tree.right[node], idx[~mask]),
-            )
-
-        # leaf sizes are measured on the bootstrap sample each tree saw
-        for t, tree in enumerate(model.trees):
-            boot = np.random.default_rng([6, t]).integers(0, 40, size=40)
-            assert smallest_leaf(tree, 0, boot) >= 5
-
 
 class TestPredictForest:
     def test_single_tree_equals_its_leaf_values(self):
@@ -188,6 +168,8 @@ class TestPredictForest:
             oob_score=model.oob_score,
             task=model.task,
             n_outputs=model.n_outputs,
+            in_bag=np.vstack([model.in_bag] * 2),
+            oob_curve=np.repeat(model.oob_curve, 2),
         )
         np.testing.assert_allclose(
             predict_forest(doubled, x), predict_forest(model, x), atol=1e-12
@@ -314,7 +296,7 @@ class TestSelectNTrees:
         assert model.oob_score == solo.oob_score
         np.testing.assert_array_equal(model.in_bag, solo.in_bag)
         np.testing.assert_array_equal(model.oob_curve, solo.oob_curve)
-        assert model.spec == solo.spec and model.n_trees == best
+        assert model.n_trees == best
 
 
 def _prefix_case(task):
@@ -380,10 +362,6 @@ class TestNonFiniteFeatures:
 def test_spec_validation():
     with pytest.raises(ValueError):
         ForestSpec(n_trees=0)
-    with pytest.raises(ValueError):
-        ForestSpec(n_trees=1, min_leaf=0)
-    with pytest.raises(ValueError):
-        ForestSpec(n_trees=1, features_per_split="half")
 
 
 def test_a_negative_seed_is_refused_at_construction():
@@ -397,7 +375,7 @@ def test_a_negative_seed_is_refused_at_construction():
 # the numpy build is not pinned.
 
 
-def _ref_best_for_feature(col, onehot_src, y_float, min_leaf, task):
+def _ref_best_for_feature(col, onehot_src, y_float, task):
     """Best (score, threshold) for one feature, or None if unsplittable.
 
     Scores are comparable across features of the same node: larger is
@@ -410,10 +388,6 @@ def _ref_best_for_feature(col, onehot_src, y_float, min_leaf, task):
     if boundary.size == 0:
         return None
     n = xs.shape[0]
-    keep = (boundary + 1 >= min_leaf) & (n - boundary - 1 >= min_leaf)
-    boundary = boundary[keep]
-    if boundary.size == 0:
-        return None
     n_left = boundary + 1.0
     n_right = n - n_left
     if task == "classification":
@@ -462,11 +436,8 @@ def _ref_grow_tree(x, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outpu
             else np.all(y_float[idx] == y_float[idx[0]])
         )
         candidates = []
-        if not (
-            pure
-            or idx.size < 2 * spec.min_leaf
-            or (spec.max_depth is not None and depth >= spec.max_depth)
-        ):
+        # a node of one row is pure
+        if not (pure or (spec.max_depth is not None and depth >= spec.max_depth)):
             # random feature subset: walk a permutation until mtry features
             # produced a usable boundary (constant features do not count)
             for f in rng.permutation(d):
@@ -474,7 +445,6 @@ def _ref_grow_tree(x, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outpu
                     x[idx, f],
                     None if onehot is None else onehot[idx],
                     None if y_float is None else y_float[idx],
-                    spec.min_leaf,
                     task,
                 )
                 if found is None:
@@ -529,12 +499,12 @@ def _ref_forest(x, y, spec, task):
     return trees, in_bag, np.array(curve)
 
 
-def _reference_case(task, seed):
-    """Ties (x on a 0.1 grid), one constant column, and for regression
-    targets rounded to 0.1, so that -0.0 is among them and sums depend
-    on their order."""
+def _reference_case(task, width, seed):
+    """`width` columns with ties (x on a 0.1 grid), column 3 constant, and
+    for regression targets rounded to 0.1, so that -0.0 is among them and
+    sums depend on their order."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(90, 5)).round(1)
+    x = rng.normal(size=(90, width)).round(1)
     x[:, 3] = 0.5
     if task == "classification":
         y = (x[:, 0] > 0).astype(np.int64) + rng.integers(0, 3, size=90)
@@ -544,12 +514,12 @@ def _reference_case(task, seed):
     return x, y
 
 
-def _large_regression_case(seed):
+def _large_regression_case(width, seed):
     """More rows than SMALL_NODE, so trees start on the numpy path and
-    finish on the list path: x on a 0.1 grid, a third of the rows
-    duplicated, targets rounded to 0.1 with -0.0 among them."""
+    finish on the list path: `width` columns on a 0.1 grid, a third of the
+    rows duplicated, targets rounded to 0.1 with -0.0 among them."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(200, 4)).round(1)
+    x = rng.normal(size=(200, width)).round(1)
     y = np.round(0.5 * (x[:, 0] - x[:, 2] + 0.3 * rng.normal(size=200)), 1)
     dup = rng.integers(0, 200, size=100)
     x, y = np.vstack([x, x[dup]]), np.concatenate([y, y[dup]])
@@ -571,46 +541,44 @@ def _assert_matches_reference(x, y, spec, task):
 
 
 class TestMatchesReferenceGrower:
+    # the width sets mtry: 2 and 3 features per split for classification,
+    # 1 and 3 for regression; each case is grown on three data draws
     @pytest.mark.parametrize("task", ["classification", "regression"])
-    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("width", [4, 9])
     @pytest.mark.parametrize("max_depth", [None, 4])
-    @pytest.mark.parametrize("features_per_split", [None, "all", "sqrt"])
-    def test_trees_and_oob_curve_are_byte_equal(
-        self, task, min_leaf, max_depth, features_per_split
-    ):
-        x, y = _reference_case(task, seed=min_leaf)
-        spec = ForestSpec(
-            n_trees=6, max_depth=max_depth, min_leaf=min_leaf,
-            features_per_split=features_per_split, seed=7,
-        )
+    @pytest.mark.parametrize("data_seed", [1, 2, 3])
+    def test_trees_and_oob_curve_are_byte_equal(self, task, width, max_depth, data_seed):
+        x, y = _reference_case(task, width, seed=data_seed)
+        spec = ForestSpec(n_trees=6, max_depth=max_depth, seed=7)
         _assert_matches_reference(x, y, spec, task)
 
-    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    # the width sets mtry: 1 and 2 features per split
+    @pytest.mark.parametrize("width", [3, 6])
     @pytest.mark.parametrize("max_depth", [None, 4])
-    def test_regression_through_both_node_paths(self, min_leaf, max_depth):
-        x, y = _large_regression_case(seed=min_leaf)
-        spec = ForestSpec(n_trees=3, max_depth=max_depth, min_leaf=min_leaf, seed=8)
+    @pytest.mark.parametrize("data_seed", [1, 2, 3])
+    def test_regression_through_both_node_paths(self, width, max_depth, data_seed):
+        x, y = _large_regression_case(width, seed=data_seed)
+        spec = ForestSpec(n_trees=3, max_depth=max_depth, seed=8)
         _assert_matches_reference(x, y, spec, "regression")
 
     def test_regression_with_tied_split_scores(self):
         # 0/1 targets and x on a small grid: sums are exact, so different
-        # boundaries of one node often score exactly the same
+        # boundaries of one node often score exactly the same, and with
+        # 9 columns a split weighs 3 features, so ties fall across them too
         rng = np.random.default_rng(4)
-        x = rng.integers(0, 6, size=(150, 3)).astype(float)
+        x = rng.integers(0, 6, size=(150, 9)).astype(float)
         y = rng.integers(0, 2, size=150).astype(float)
         y[y == 0] = -0.0
-        _assert_matches_reference(
-            x, y, ForestSpec(n_trees=4, features_per_split="all", seed=9), "regression"
-        )
+        _assert_matches_reference(x, y, ForestSpec(n_trees=4, seed=9), "regression")
 
     def test_first_of_two_tied_boundaries_wins_on_both_paths(self):
         # after row 0 and after row 1 both leave SSE 0.5
         col, y = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0])
-        want = _ref_best_for_feature(col, None, y, 1, "regression")
+        want = _ref_best_for_feature(col, None, y, "regression")
         assert want == (-0.5, 1.5)
-        assert _best_for_feature(col, y, 1, "regression") == want
+        assert _best_for_feature(col, y, "regression") == want
         rows = [2, 0, 1]  # the list path takes the node's rows in any order
-        got = _best_for_small_node(col.tolist(), rows, y.tolist(), (y * y).tolist(), 1)
+        got = _best_for_small_node(col.tolist(), rows, y.tolist(), (y * y).tolist())
         assert got == want
 
     @pytest.mark.parametrize("size", range(1, 8))

@@ -1,10 +1,12 @@
 """Seeded input mutations: every bad input exits in its error family.
 
-Each case makes 1-3 seeded edits to one input CSV of a small KELM + DWF
-run (embeddings, labels, VAD or a base-predictions file, expr or va) and
+Each case makes 1-3 seeded edits to one input CSV of a small run and
 runs `affectpipe run` on it: a byte replaced, inserted or deleted, a line
-deleted or duplicated, or a truncation. The config itself is never
-edited: a digit inserted into `smooth_seconds` can ask for gigabytes.
+deleted or duplicated, the last field of every line deleted, or a
+truncation. The runs are KELM + DWF, expr or va, over the embeddings,
+labels, VAD and a base-predictions file, and expr DWF without the KELM
+over the labels and the base file. The config itself is never edited: a
+digit inserted into `smooth_seconds` can ask for gigabytes.
 The cases run in one child process, so a crash in numpy's text parser
 fails this test instead of the test session. See Miller, Fredriksen &
 So 1990, "An Empirical Study of the Reliability of UNIX Utilities".
@@ -16,6 +18,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import traceback
@@ -28,7 +31,8 @@ N_CASES = 200
 INPUTS = ("embeddings", "labels", "vad", "base")
 # 0xff is not UTF-8; the rest are what a CSV row is made of
 BYTES = b"\xff0123456789,.-e \n\r\""
-EDITS = ("replace", "insert", "delete", "line-delete", "line-duplicate", "truncate")
+EDITS = ("replace", "insert", "delete", "line-delete", "line-duplicate", "field-delete",
+         "truncate")
 
 
 def _write_inputs(workdir: Path, task: str) -> Path:
@@ -55,6 +59,10 @@ def _write_inputs(workdir: Path, task: str) -> Path:
     }
     config_path = data / "config.yaml"
     config_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    if task == "expr":  # the base file, fused without the KELM
+        fusion_paths = {"labels": paths["labels"], "base_predictions": [paths["base"]]}
+        (data / "fusion-only.yaml").write_text(yaml.safe_dump(
+            {**cfg, "kelm": {"enabled": False}, "paths": fusion_paths}), encoding="utf-8")
     config = load_config(config_path)
     synth_generate(config.synth, paths["embeddings"], paths["labels"], paths["vad"])
     rng = np.random.default_rng(0)
@@ -83,6 +91,8 @@ def _mutate(rng, data: bytes) -> tuple[bytes, list[str]]:
             data = data[:at] + data[at + 1:]
         elif kind == "truncate":
             data = data[:at]
+        elif kind == "field-delete":  # every line's, so the column count changes
+            data = re.sub(rb",[^,\r\n]*(?=\r?$)", b"", data, flags=re.M)
         elif kind.startswith("line-"):
             lines = data.splitlines(keepends=True)
             if not lines:
@@ -90,7 +100,8 @@ def _mutate(rng, data: bytes) -> tuple[bytes, list[str]]:
             at = int(rng.integers(len(lines)))
             lines[at:at + 1] = [lines[at]] * (2 if kind == "line-duplicate" else 0)
             data = b"".join(lines)
-        edits.append(f"{kind}@{at}" + (f"={byte!r}" if kind in ("replace", "insert") else ""))
+        where = "" if kind == "field-delete" else f"@{at}"
+        edits.append(kind + where + (f"={byte!r}" if kind in ("replace", "insert") else ""))
     return data, edits
 
 
@@ -100,10 +111,12 @@ def _run_cases(workdir: str, n_cases: int) -> None:
 
     workdir = Path(workdir)
     configs = {task: _write_inputs(workdir, task) for task in ("expr", "va")}
+    configs["expr-fusion-only"] = configs["expr"].parent / "fusion-only.yaml"
     for seed in range(n_cases):
         rng = np.random.default_rng([seed, 36])
-        task = ("expr", "va")[seed % 2]
-        name = INPUTS[int(rng.integers(len(INPUTS)))]
+        task = list(configs)[seed % len(configs)]
+        inputs = ("labels", "base") if task == "expr-fusion-only" else INPUTS
+        name = inputs[int(rng.integers(len(inputs)))]
         path = configs[task].parent / f"{name}.csv"
         original = path.read_bytes()
         mutated, edits = _mutate(rng, original)

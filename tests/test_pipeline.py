@@ -113,13 +113,13 @@ def _base_paths(tmp_path, n):
     return [str(tmp_path / "data" / f"base_{m}.csv") for m in range(n)]
 
 
-def _write_base_predictions(config, seed=0, origin=0):
+def _write_base_predictions(config, seed=0, origin=0, width=None):
     """Random score tracks over the synthetic videos at the working rate,
-    each numbered from frame `origin`."""
+    each numbered from frame `origin`, of the task's width unless given."""
     rng = np.random.default_rng(seed)
     spec = config.synth
     vids = [f"v{i:03d}" for i in range(spec.n_videos)]
-    width = 8 if config.task == "expr" else 2
+    width = width or config.n_outputs
     for path in config.paths.base_predictions:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         write_track_csv(path, [
@@ -1956,6 +1956,22 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 6
         assert f"{bases[0]}: video 'v000'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", [3, 9])
+    @pytest.mark.parametrize("kelm, method", [(False, "dwf"), (False, "rf"), (False, "mean"),
+                                              (True, "dwf")],
+                             ids=["dwf", "rf", "mean", "kelm-dwf"])
+    def test_an_expr_base_of_the_wrong_width_exits_6(
+        self, tmp_path, capsys, kelm, method, width
+    ):
+        bases = _base_paths(tmp_path, 2)
+        path = self._prepare(tmp_path, paths={"base_predictions": bases},
+                             kelm={"enabled": kelm},
+                             fusion={"method": method, "pool_size": 50, "tree_grid": [2, 3]})
+        _write_base_predictions(load_config(path), width=width)
+        assert main(["run", "--config", str(path)]) == 6
+        assert (f"error: {bases[0]}: {width} score columns, the expr task needs 8"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("method", ["mean", "dwf", "rf"])
     def test_fuse_exits_4_on_a_base_off_model_0s_frames(self, tmp_path, capsys, method):
         path = _write_va_fusion_only(tmp_path, method, b_frames={"v001": 203, "v002": 197})
@@ -2382,7 +2398,7 @@ class TestArtifactsAbTool:
 
     def test_self_comparison_is_byte_equal(self, capsys, monkeypatch):
         tool = self._tool()
-        only = ("expr-dwf", "forest", "kelm")
+        only = ("expr-dwf", "forest", "forest-expr", "kelm")
         runs = []
 
         def recorded(checkout, mode, *args, _fn=tool.run_child):
@@ -2391,9 +2407,9 @@ class TestArtifactsAbTool:
 
         monkeypatch.setattr(tool, "run_child", recorded)
         assert tool.compare(tool.ROOT, only=only, videos=3, frames=60, forest=(200, 3, 2),
-                            kelm=(60, 20, 6), pairs=1) == 0
+                            forest_expr=(200, 16, 2), kelm=(60, 20, 6), pairs=1) == 0
         out = capsys.readouterr().out
-        assert out.count("equal: True") == 4
+        assert out.count("equal: True") == 5
         lines = tool.source_lines(tool.ROOT)
         assert lines > 0 and out.splitlines()[-2:] == [
             f"src/affectpipe/*.py lines: other {lines:,}, this {lines:,}, net +0",
@@ -2407,6 +2423,7 @@ class TestArtifactsAbTool:
         assert int(single.replace(",", "")) > int(staged.replace(",", "")) > 0
         # forest: the bootstrap, the OOB curve and 5 arrays per tree; kelm: C, dev score, beta
         assert re.search(r"^forest pair 0: .*, 12 made, equal: True$", out, re.M)
+        assert re.search(r"^forest-expr pair 0: .*, 12 made, equal: True$", out, re.M)
         assert re.search(r"^kelm pair 0: .*, 3 made, equal: True$", out, re.M)
         # each pipeline run also hashes the fused table it held in memory
         pipeline_runs = [run for mode, run in runs if mode in ("single", "staged")]

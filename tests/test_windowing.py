@@ -172,11 +172,10 @@ class TestWindowBatchValidation:
     )
     def test_bad_windows_are_refused(self, starts, n_real, match):
         with pytest.raises(ValueError, match=match):
-            WindowBatch(_track(50), starts, np.array(n_real), window_frames=20,
-                        hop_frames=10)
+            WindowBatch(_track(50), starts, np.array(n_real), window_frames=20)
 
     def test_no_windows_is_a_valid_batch(self):
-        batch = WindowBatch(_track(5), [], np.array([], dtype=np.int64), 20, 10)
+        batch = WindowBatch(_track(5), [], np.array([], dtype=np.int64), 20)
         assert batch.n_windows == 0
         assert batch.pad_mask.shape == (0, 20)
         assert batch.payload.shape == (0, 20, 3)

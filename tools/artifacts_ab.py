@@ -30,11 +30,13 @@ only `run` writes; a thing that differs prints as `staged differs: NAME`.
 `forest` trains a regression forest of 6 trees on one seeded 9,000 x 4
 set whose features and targets lie on a 0.01 grid, so there are ties
 and -0.0 targets, and compares every tree array, the bootstrap
-membership and the OOB curve. `kelm` runs the C search and training
-of the kelm command at the bench shape, `select_c` over the default C
-grid on 3,887 weighted 8-class training rows and 897 dev rows of 192
-min-max scaled columns, then `train_kelm` at the chosen C, and compares
-C, its dev score and beta.
+membership and the OOB curve. `forest-expr` does the same for a
+classification forest of 6 trees over 8 classes, on 9,000 rows of two
+noisy one-hot score vectors, 16 columns on a 0.01 grid. `kelm` runs
+the C search and training of the kelm command at the bench shape,
+`select_c` over the default C grid on 3,887 weighted 8-class training
+rows and 897 dev rows of 192 min-max scaled columns, then `train_kelm`
+at the chosen C, and compares C, its dev score and beta.
 
 Each run is a fresh process per checkout that imports that checkout's
 `src/affectpipe`, in pairs that alternate which checkout runs first.
@@ -76,7 +78,7 @@ PIPELINE = ([f"{task}-{method}" for task in ("expr", "va") for method in FUSION]
                "va-fusion-only-mean"])
 # each case's child modes and pairs of runs
 CASES = {**{name: (("single", "staged"), 1) for name in PIPELINE},
-         "forest": (("forest",), 5), "kelm": (("kelm",), 5)}
+         "forest": (("forest",), 5), "forest-expr": (("forest",), 5), "kelm": (("kelm",), 5)}
 CLASSES = 8
 
 CHILD = """
@@ -90,7 +92,8 @@ if mode == "forest":
     d = np.load(data)
     start = time.perf_counter()
     model = train_forest(d["x"], d["y"], ForestSpec(n_trees=int(d["trees"]), seed=pair),
-                         task="regression")
+                         task=str(d["task"]),
+                         n_classes=int(d["n_classes"]) if "n_classes" in d else None)
     made = {"in_bag": model.in_bag, "oob_curve": model.oob_curve}
     made.update((f"tree {t} {field}", array) for t, tree in enumerate(model.trees)
                 for field, array in zip(tree._fields, tree))
@@ -210,7 +213,16 @@ def forest_data(rows: int, columns: int, trees: int) -> dict:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(rows, columns)).round(2)
     y = np.sin(2 * x[:, 0]) + x[:, 1] * x[:, -1] + 0.3 * rng.normal(size=rows)
-    return {"x": x, "y": np.clip(y, -1, 1).round(2), "trees": trees}
+    return {"x": x, "y": np.clip(y, -1, 1).round(2), "trees": trees, "task": "regression"}
+
+
+def forest_expr_data(rows: int, columns: int, trees: int) -> dict:
+    """Class labels, and as features `columns` // CLASSES noisy one-hot score vectors."""
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, CLASSES, size=rows)
+    x = np.tile(np.eye(CLASSES)[y], columns // CLASSES)
+    x = (x + 0.5 * rng.normal(size=x.shape)).round(2)
+    return {"x": x, "y": y, "trees": trees, "task": "classification", "n_classes": CLASSES}
 
 
 def kelm_data(train: int, dev: int, columns: int) -> dict:
@@ -226,7 +238,8 @@ def kelm_data(train: int, dev: int, columns: int) -> dict:
     return {"x": x[:train], "y": y[:train], "dev_x": x[train:], "dev_y": y[train:]}
 
 
-def write_cases(names, tmp: Path, videos: int, frames: int, forest, kelm) -> dict[str, Path]:
+def write_cases(names, tmp: Path, videos: int, frames: int, forest, forest_expr,
+                kelm) -> dict[str, Path]:
     """Each named case's input: a pipeline config, or the forest or KELM arrays."""
     inputs = {}
     pipeline = [name for name in names if name in PIPELINE]
@@ -235,7 +248,9 @@ def write_cases(names, tmp: Path, videos: int, frames: int, forest, kelm) -> dic
         for name in pipeline:
             inputs[name] = tmp / f"{name}.yaml"
             inputs[name].write_text(yaml.safe_dump(configs[name]))
-    for name, make, sizes in (("forest", forest_data, forest), ("kelm", kelm_data, kelm)):
+    for name, make, sizes in (("forest", forest_data, forest),
+                              ("forest-expr", forest_expr_data, forest_expr),
+                              ("kelm", kelm_data, kelm)):
         if name in names:
             inputs[name] = tmp / f"{name}.npz"
             np.savez(inputs[name], **make(*sizes))
@@ -314,7 +329,8 @@ def staged_vs_single(name: str, single: list, staged: list) -> int:
 
 
 def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
-            forest=(9000, 4, 6), kelm=(3887, 897, 192), pairs: int | None = None) -> int:
+            forest=(9000, 4, 6), forest_expr=(9000, 16, 6), kelm=(3887, 897, 192),
+            pairs: int | None = None) -> int:
     """Run every case, or the ones named in `only`, in both checkouts; 1 on a difference.
 
     `pairs` overrides each case's own count of pairs.
@@ -333,12 +349,12 @@ def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inputs = write_cases(names, tmp, videos, frames, forest, kelm)
+        inputs = write_cases(names, tmp, videos, frames, forest, forest_expr, kelm)
         for name in names:
             modes, case_pairs = CASES[name]
             made = {}
             for mode in modes:
-                label = name if mode == name else f"{name} {mode}"
+                label = name if len(modes) == 1 else f"{name} {mode}"
                 case_differ, made[mode] = run_pairs(label, mode, inputs[name], checkouts,
                                                     pairs or case_pairs, tmp / name / mode)
                 differ += case_differ
