@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeline import write_csv
+from .timeline import FLOAT_FMT, write_csv
 
 
 @dataclass(frozen=True)
@@ -243,10 +243,10 @@ def report_to_text(report: EvalReport) -> str:
 
 
 def report_to_csv_rows(report: EvalReport) -> list[list[str]]:
-    rows = [["metric", "value"], *([name, "%.17g" % v] for name, v in _scalars(report))]
+    rows = [["metric", "value"], *([name, FLOAT_FMT % v] for name, v in _scalars(report))]
     if report.task == "expr":
         rows.append(["class", "precision,recall,f1,support"])
-        rows += ([f"class_{k}", "%.17g,%.17g,%.17g,%d" % astuple(scores)]
+        rows += ([f"class_{k}", f"{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT},%d" % astuple(scores)]
                  for k, scores in enumerate(report.per_class))
     return rows
 

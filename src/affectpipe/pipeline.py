@@ -1141,13 +1141,10 @@ class RunResult:
 
 def _build_manifest(config: PipelineConfig, out_dir: Path) -> dict:
     """The manifest of the files in `out_dir`, which holds this run's alone."""
+    paths = config.paths
+    read = (paths.embeddings, paths.vad) if config.kelm.enabled else ()
     inputs = {}
-    for path_s in (
-        config.paths.embeddings,
-        config.paths.labels,
-        config.paths.vad,
-        *config.paths.base_predictions,
-    ):
+    for path_s in (*read, paths.labels, *paths.base_predictions):
         if path_s and Path(path_s).exists():
             inputs[str(path_s)] = _sha256_file(Path(path_s))
     outputs = {p.name: _sha256_file(p) for p in sorted(out_dir.iterdir())}

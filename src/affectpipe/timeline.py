@@ -230,48 +230,56 @@ def hamming_smooth(track: FrameTrack, spec: SmoothingSpec) -> FrameTrack:
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 
 
-def csv_row_format(video_id: str, tail: str) -> str:
-    """%-format for one video's rows: the id as csv.writer quotes it, then `tail`.
-
-    Writers that format whole rows at once quote the id once per video.
-    An id holding a line break of either kind is quoted, so the readers,
-    which split lines at \r as well as \n, read it back whole.
-    """
+def _csv_line(row: list) -> str:
+    """`row` as csv.writer writes it with CRLF, minus the terminator. csv.writer
+    quotes only its terminator's line breaks, so a field holding either is
+    quoted, and the readers, which split lines at \r as well as \n, read it whole."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow([video_id, ""])
-    return buf.getvalue()[: -len(",\r\n")].replace("%", "%%") + tail
+    csv.writer(buf, lineterminator="\r\n").writerow(row)
+    return buf.getvalue()[:-2]
 
 
 def write_csv(path: str | Path, rows: Iterable[list[str]]) -> None:
-    """`rows` with LF line ends. Each row is formatted with CRLF first, as csv.writer
-    quotes only its terminator's line breaks, so a field holding either is quoted."""
+    """`rows` as csv.writer quotes them, with LF line ends."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        for row in rows:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\r\n").writerow(row)
-            fh.write(buf.getvalue()[:-2] + "\n")
+        fh.writelines(_csv_line(row) + "\n" for row in rows)
+
+
+def write_frame_rows(
+    path: str | Path, header: list[str],
+    videos: Iterable[tuple[str, np.ndarray, np.ndarray]], value_fmt: str,
+) -> None:
+    """Write a per-frame CSV: `header`, then, for each (video_id, frames,
+    values) of `videos` in video-id order, one row per frame of its id, its
+    frame and a `value_fmt` field per value column; UTF-8, LF line ends.
+
+    `frames` is an int array and `values` a (len(frames), len(header) - 2)
+    array. Each video's rows are one %-format over its flat field list.
+    """
+    step = len(header) - 1
+    row_fmt = "%d" + f",{value_fmt}" * (step - 1) + "\n"
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for vid, frames, values in sorted(videos, key=lambda video: video[0]):
+            fields = [None] * (len(frames) * step)
+            fields[::step] = frames.tolist()
+            for j, column in enumerate(values.T.tolist(), 1):
+                fields[j::step] = column
+            # the id is quoted once per video, and its % escaped
+            fmt = _csv_line([vid, ""]).replace("%", "%%") + row_fmt
+            fh.write(fmt * len(frames) % tuple(fields))
 
 
 def write_track_csv(path: str | Path, tracks: list[FrameTrack]) -> None:
     """Write tracks to the shared CSV format, ordered by video id."""
-    tracks = sorted(tracks, key=lambda t: t.video_id)
     if not tracks:
         raise ValueError("no tracks to write")
     width = tracks[0].width
-    for t in tracks:
-        if t.width != width:
-            raise ValueError("all tracks in one file must share a width")
-    path = Path(path)
-    values_fmt = ",".join([FLOAT_FMT] * width) + "\n"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        header = ["video_id", "frame"] + [f"c{j}" for j in range(width)]
-        fh.write(",".join(header) + "\n")
-        for t in tracks:
-            fmt = csv_row_format(t.video_id, ",%s," + values_fmt)
-            origin = t.frame_index_origin
-            fh.write("".join(
-                [fmt % (origin + i, *row) for i, row in enumerate(t.values.tolist())]
-            ))
+    if any(t.width != width for t in tracks):
+        raise ValueError("all tracks in one file must share a width")
+    write_frame_rows(path, ["video_id", "frame"] + [f"c{j}" for j in range(width)], [
+        (t.video_id, np.arange(t.n_frames) + t.frame_index_origin, t.values) for t in tracks
+    ], FLOAT_FMT)
 
 
 def read_track_csv(

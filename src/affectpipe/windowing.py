@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataFormatError
-from .timeline import N_EXPR_CLASSES, FrameTrack, csv_row_format, read_frame_rows
+from .timeline import FLOAT_FMT, N_EXPR_CLASSES, FrameTrack, read_frame_rows, write_frame_rows
 
 log = logging.getLogger(__name__)
 
@@ -272,13 +272,9 @@ def _check_aligned(track: FrameTrack, batch: WindowBatch) -> None:
 
 
 def write_vad_csv(path: str | Path, masks: list[VadMask]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("video_id,frame,voiced\n")
-        for mask in sorted(masks, key=lambda m: m.video_id):
-            fmt = csv_row_format(mask.video_id, ",%d,%d\n")
-            rows = enumerate(mask.voiced.tolist(), mask.frame_index_origin)
-            fh.write("".join([fmt % row for row in rows]))
+    write_frame_rows(path, ["video_id", "frame", "voiced"], [
+        (m.video_id, np.arange(len(m.voiced)) + m.frame_index_origin, m.voiced[:, None])
+        for m in masks], "%d")
 
 
 def read_vad_csv(path: str | Path) -> dict[str, VadMask]:
@@ -420,21 +416,12 @@ def write_label_csv(
     """Write label or prediction rows in the ground-truth format.
 
     `rows` maps each video to its LabelRows or to a {frame: row} dict.
-    Rows go out sorted by video and frame; valence/arousal as "%.17g",
+    Rows go out sorted by video and frame; valence/arousal as FLOAT_FMT,
     which round-trips float64, and labels truncated to int.
     """
-    path = Path(path)
     header = _label_header(task)
-    n_values = len(header) - 2
-    row_fmt = ",%s,%d\n" if task == "expr" else ",%s,%.17g,%.17g\n"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for vid in sorted(rows):
-            video = rows[vid]
-            video = video if isinstance(video, LabelRows) else LabelRows.from_dict(video)
-            # one %-format per video over its fields, frame first in each row
-            fields = [None] * (len(video) * (n_values + 1))
-            fields[:: n_values + 1] = video.frames.tolist()
-            for j, column in enumerate(video.values.T[:n_values].tolist()):
-                fields[j + 1 :: n_values + 1] = column
-            fh.write(csv_row_format(vid, row_fmt) * len(video) % tuple(fields))
+    videos = []
+    for vid, video in rows.items():
+        video = video if isinstance(video, LabelRows) else LabelRows.from_dict(video)
+        videos.append((vid, video.frames, video.values[:, : len(header) - 2]))
+    write_frame_rows(path, header, videos, "%d" if task == "expr" else FLOAT_FMT)

@@ -1,12 +1,14 @@
 """Dead code in the package source, found with `ast` alone.
 
-Two checks over `src/affectpipe/*.py`:
+Three checks over `src/affectpipe/*.py`:
 - every name a module imports is used in that module, except in
   `__init__.py`, whose imports are the package's re-exports, and the
   `__future__` imports;
 - every private module-level name (one leading underscore, not a dunder)
   is referenced somewhere in the package, its own module included, other
-  than where it is defined.
+  than where it is defined;
+- the float format `%.17g` is spelled once, in `timeline.FLOAT_FMT`: no
+  other string but a docstring holds it.
 """
 
 from __future__ import annotations
@@ -67,6 +69,17 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
     return defined
 
 
+def _strings_holding(tree: ast.Module, text: str) -> list[int]:
+    """The lines of the string constants holding `text`, docstrings left out."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and text in node.value and id(node) not in docstrings]
+
+
 def test_every_imported_name_is_used():
     unused = []
     for name, tree in _modules().items():
@@ -87,6 +100,16 @@ def test_every_private_module_level_name_is_referenced():
     assert unreferenced == []
 
 
+def test_the_float_format_is_spelled_once():
+    modules = _modules()
+    [definition] = [node.lineno for node in modules["timeline.py"].body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["FLOAT_FMT"]]
+    spelled = [f"{name}:{line}" for name, tree in modules.items()
+               for line in _strings_holding(tree, "%.17g")]
+    assert spelled == [f"timeline.py:{definition}"]
+
+
 def test_the_checks_find_what_they_look_for():
     tree = ast.parse("from __future__ import annotations\nimport csv\n"
                      "from .timeline import csv_row_format, FLOAT_FMT\n"
@@ -94,3 +117,6 @@ def test_the_checks_find_what_they_look_for():
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(set(_imported(tree)) - used) == ["csv", "csv_row_format"]
     assert sorted(set(_private_definitions(tree)) - _loaded_names(tree)) == ["_unused"]
+    tree = ast.parse('"""%.17g"""\nA = "%.17g"\ndef f():\n    """%.17g"""\n'
+                     '    return f"{A},%.17g,%d"\n')
+    assert _strings_holding(tree, "%.17g") == [2, 5]

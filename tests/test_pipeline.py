@@ -1389,6 +1389,22 @@ class TestCli:
         assert self._run_files(path) == self._RUN_FILES | {"dwf_info.csv",
                                                             "fusion_matrix.csv"}
 
+    @pytest.mark.parametrize("kelm", [True, False], ids=["kelm", "fusion-only"])
+    def test_the_manifest_lists_only_the_inputs_the_run_read(self, tmp_path, kelm):
+        # both configs name the embeddings and the VAD; only the KELM reads them
+        path = self._prepare(tmp_path, kelm={"enabled": kelm}, fusion={"method": "mean"},
+                             paths={"base_predictions": _base_paths(tmp_path, 1)})
+        config = load_config(path)
+        _write_base_predictions(config)
+        assert main(["run", "--config", str(path)]) == 0
+        inputs = json.loads((config.run_dir() / "manifest.json").read_text())["inputs"]
+        read = [config.paths.labels, *config.paths.base_predictions]
+        if kelm:
+            read += [config.paths.embeddings, config.paths.vad]
+        assert sorted(inputs) == sorted(map(str, read))
+        assert all(digest == hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                   for p, digest in inputs.items())
+
     @pytest.mark.parametrize("fusion_only", [False, True], ids=["kelm", "fusion-only"])
     def test_a_reused_run_directory_keeps_an_older_versions_files_unlisted(
         self, tmp_path, fusion_only
@@ -2398,7 +2414,7 @@ class TestArtifactsAbTool:
 
     def test_self_comparison_is_byte_equal(self, capsys, monkeypatch):
         tool = self._tool()
-        only = ("expr-dwf", "forest", "forest-expr", "kelm")
+        only = ("expr-dwf", "forest", "forest-expr", "kelm", "writers")
         runs = []
 
         def recorded(checkout, mode, *args, _fn=tool.run_child):
@@ -2407,9 +2423,10 @@ class TestArtifactsAbTool:
 
         monkeypatch.setattr(tool, "run_child", recorded)
         assert tool.compare(tool.ROOT, only=only, videos=3, frames=60, forest=(200, 3, 2),
-                            forest_expr=(200, 16, 2), kelm=(60, 20, 6), pairs=1) == 0
+                            forest_expr=(200, 16, 2), kelm=(60, 20, 6),
+                            writers=(2, 50, 3, 2, 60), pairs=1) == 0
         out = capsys.readouterr().out
-        assert out.count("equal: True") == 5
+        assert out.count("equal: True") == 6
         lines = tool.source_lines(tool.ROOT)
         assert lines > 0 and out.splitlines()[-2:] == [
             f"src/affectpipe/*.py lines: other {lines:,}, this {lines:,}, net +0",
@@ -2425,6 +2442,8 @@ class TestArtifactsAbTool:
         assert re.search(r"^forest pair 0: .*, 12 made, equal: True$", out, re.M)
         assert re.search(r"^forest-expr pair 0: .*, 12 made, equal: True$", out, re.M)
         assert re.search(r"^kelm pair 0: .*, 3 made, equal: True$", out, re.M)
+        # writers: the embeddings, two base sets, labels, VAD and predictions
+        assert re.search(r"^writers pair 0: .* MB [\d,]+ B, 6 made, equal: True$", out, re.M)
         # each pipeline run also hashes the fused table it held in memory
         pipeline_runs = [run for mode, run in runs if mode in ("single", "staged")]
         assert len(pipeline_runs) == 4

@@ -15,12 +15,12 @@ from affectpipe.timeline import (
     FLOAT_FMT,
     FrameTrack,
     SmoothingSpec,
-    csv_row_format,
     hamming_smooth,
     interpolate_to,
     read_track_csv,
     resample_track,
     write_csv,
+    write_frame_rows,
     write_track_csv,
 )
 
@@ -271,7 +271,7 @@ class TestTrackCsv:
     @pytest.mark.parametrize(
         "text", ["v0", "", "a,b", 'q"d', "l\nf", "c\rr", " lead", "x%sy", "é"]
     )
-    def test_csv_row_format_quotes_like_csv_writer(self, tmp_path, text):
+    def test_frame_rows_quote_ids_like_csv_writer(self, tmp_path, text):
         path = tmp_path / "row.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow([text, "1"])
@@ -280,7 +280,9 @@ class TestTrackCsv:
             # csv.writer quotes only the characters of its own line terminator;
             # the readers split lines at a bare \r, so the id is quoted
             expected = '"%s",1\n' % text.replace('"', '""')
-        assert csv_row_format(text, ",%d\n") % 1 == expected
+        write_frame_rows(path, ["video_id", "frame"], [(text, np.array([1]), np.empty((1, 0)))],
+                         "%d")
+        assert path.read_bytes().decode("utf-8") == "video_id,frame\n" + expected
 
 
 def _reference_write_track_csv(path, tracks):

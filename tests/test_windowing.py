@@ -682,6 +682,29 @@ def test_writer_matches_the_per_row_reference(tmp_path, task, seed):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _reference_write_vad_csv(path, masks):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["video_id", "frame", "voiced"])
+        for mask in sorted(masks, key=lambda m: m.video_id):
+            for i, voiced in enumerate(mask.voiced):
+                writer.writerow([mask.video_id, str(mask.frame_index_origin + i),
+                                 str(int(voiced))])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vad_writer_matches_the_per_row_reference(tmp_path, seed):
+    rng = np.random.default_rng([seed, 6])
+    masks = []
+    for i, vid in enumerate(rng.permutation(_ODD_VIDEO_IDS).tolist()):
+        n = 1 if i % 3 == 0 else int(rng.integers(2, 30))  # some one-frame masks
+        origin = int(rng.integers(1, 100)) if i % 2 else 0
+        masks.append(VadMask(vid, rng.random(n) < 0.5, frame_index_origin=origin))
+    write_vad_csv(tmp_path / "new.csv", masks)
+    _reference_write_vad_csv(tmp_path / "ref.csv", masks)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_writers_round_trip_ids_that_need_quoting(tmp_path, newline):
     ids = ["c\rr", "l\nf", "cr\r\nlf", "\r", "b,c", 'q"d', '"', "plain"]

@@ -36,17 +36,23 @@ noisy one-hot score vectors, 16 columns on a 0.01 grid. `kelm` runs
 the C search and training of the kelm command at the bench shape,
 `select_c` over the default C grid on 3,887 weighted 8-class training
 rows and 897 dev rows of 192 min-max scaled columns, then `train_kelm`
-at the chosen C, and compares C, its dev score and beta.
+at the chosen C, and compares C, its dev score and beta. `writers`
+writes, with each checkout's `write_track_csv`, `write_label_csv` and
+`write_vad_csv`, the input files of the `expr-dwf` benchmark workload at
+its shapes (8 videos of 2,000 frames: 8-d embeddings, two sets of
+8-column base tracks, expr labels as {frame: row} dicts and a VAD) and
+the predictions of `va-late-fusion` (12 videos of 3,000 va rows), from
+arrays the tool seeds, and compares every file; its time is the writes'.
 
 Each run is a fresh process per checkout that imports that checkout's
 `src/affectpipe`, in pairs that alternate which checkout runs first.
 Each pair prints both processes' time and peak RSS, for a pipeline case
-the bytes of the files it compares (the run directory without
-`timings.json`, so a change in size shows without the benchmark), and
-whether the sha256 of everything they made is equal; a thing that is
-not prints as `differs: NAME`, or as `only in other: NAME` /
-`only in this: NAME` when one checkout alone made it, and a process that
-fails prints its last stderr line. A case of more than one pair ends
+or `writers` the bytes of the files it compares (for a pipeline case the
+run directory without `timings.json`, so a change in size shows without
+the benchmark), and whether the sha256 of everything they made is
+equal; a thing that is not prints as `differs: NAME`, or as
+`only in other: NAME` / `only in this: NAME` when one checkout alone
+made it, and a process that fails prints its last stderr line. A case of more than one pair ends
 with the medians. Before the verdict, the last line, the tool prints the
 lines of `src/affectpipe/*.py` in each checkout and the net change. Any
 difference or failure exits 1; an unknown case, or an OTHER without
@@ -78,7 +84,8 @@ PIPELINE = ([f"{task}-{method}" for task in ("expr", "va") for method in FUSION]
                "va-fusion-only-mean"])
 # each case's child modes and pairs of runs
 CASES = {**{name: (("single", "staged"), 1) for name in PIPELINE},
-         "forest": (("forest",), 5), "forest-expr": (("forest",), 5), "kelm": (("kelm",), 5)}
+         "forest": (("forest",), 5), "forest-expr": (("forest",), 5), "kelm": (("kelm",), 5),
+         "writers": (("writers",), 5)}
 CLASSES = 8
 
 CHILD = """
@@ -108,6 +115,27 @@ elif mode == "kelm":
                         kernel=spec, weights=weights)
     model = train_kelm(d["x"], enc, c, kernel=spec, weights=weights, task="classification")
     made = {"c": np.float64(c), "dev score": np.float64(score), "beta": model.beta}
+elif mode == "writers":
+    from affectpipe.timeline import FrameTrack, write_track_csv
+    from affectpipe.windowing import LabelRows, VadMask, write_label_csv, write_vad_csv
+    d = np.load(data)
+    embeddings = [FrameTrack(f"v{i:03d}", 5.0, x) for i, x in enumerate(d["embeddings"])]
+    bases = [[FrameTrack(f"v{i:03d}", 5.0, x, kind="class_scores") for i, x in enumerate(s)]
+             for s in d["scores"]]
+    # the labels as synth_tracks gives them, the predictions as stage_postprocess does
+    labels = {f"v{i:03d}": {t: np.array([float(y)]) for t, y in enumerate(ys)}
+              for i, ys in enumerate(d["labels"])}
+    vad = [VadMask(f"v{i:03d}", voiced) for i, voiced in enumerate(d["voiced"])]
+    predictions = {f"v{i:03d}": LabelRows(np.arange(len(va)), va) for i, va in enumerate(d["va"])}
+    out.mkdir(parents=True)
+    start = time.perf_counter()
+    write_track_csv(out / "embeddings.csv", embeddings)
+    for m, base in enumerate(bases):
+        write_track_csv(out / f"base_{m}.csv", base)
+    write_label_csv(out / "labels.csv", labels, task="expr")
+    write_vad_csv(out / "vad.csv", vad)
+    write_label_csv(out / "predictions.csv", predictions, task="va")
+    made = {p.name: p for p in sorted(out.iterdir())}
 else:
     from affectpipe import pipeline
     from affectpipe.cli import main
@@ -134,7 +162,7 @@ else:
         json.dumps([vid, t.frame_index_origin, t.values.shape]).encode() + t.values.tobytes()
         for vid, t in sorted(tracks.items())), dtype=np.uint8)
 seconds = time.perf_counter() - start
-files = [v for v in made.values() if isinstance(v, Path)]  # a pipeline run's files
+files = [v for v in made.values() if isinstance(v, Path)]  # a run's files
 status = Path("/proc/self/status")
 hwm = [line.split()[1] for line in (status.read_text().splitlines() if status.exists() else ())
        if line.startswith("VmHWM:")]
@@ -238,9 +266,20 @@ def kelm_data(train: int, dev: int, columns: int) -> dict:
     return {"x": x[:train], "y": y[:train], "dev_x": x[train:], "dev_y": y[train:]}
 
 
+def writers_data(videos: int, frames: int, dim: int, va_videos: int, va_frames: int) -> dict:
+    """Embeddings, two sets of base scores, expr labels and voiced flags for
+    `videos` videos of `frames` frames, and va predictions for `va_videos`."""
+    rng = np.random.default_rng(0)
+    return {"embeddings": rng.normal(size=(videos, frames, dim)),
+            "scores": rng.normal(size=(2, videos, frames, CLASSES)),
+            "labels": rng.integers(0, CLASSES, size=(videos, frames)),
+            "voiced": rng.random((videos, frames)) < 0.8,
+            "va": rng.uniform(-1, 1, size=(va_videos, va_frames, 2))}
+
+
 def write_cases(names, tmp: Path, videos: int, frames: int, forest, forest_expr,
-                kelm) -> dict[str, Path]:
-    """Each named case's input: a pipeline config, or the forest or KELM arrays."""
+                kelm, writers) -> dict[str, Path]:
+    """Each named case's input: a pipeline config, or the arrays of another case."""
     inputs = {}
     pipeline = [name for name in names if name in PIPELINE]
     if pipeline:
@@ -250,7 +289,8 @@ def write_cases(names, tmp: Path, videos: int, frames: int, forest, forest_expr,
             inputs[name].write_text(yaml.safe_dump(configs[name]))
     for name, make, sizes in (("forest", forest_data, forest),
                               ("forest-expr", forest_expr_data, forest_expr),
-                              ("kelm", kelm_data, kelm)):
+                              ("kelm", kelm_data, kelm),
+                              ("writers", writers_data, writers)):
         if name in names:
             inputs[name] = tmp / f"{name}.npz"
             np.savez(inputs[name], **make(*sizes))
@@ -330,7 +370,7 @@ def staged_vs_single(name: str, single: list, staged: list) -> int:
 
 def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
             forest=(9000, 4, 6), forest_expr=(9000, 16, 6), kelm=(3887, 897, 192),
-            pairs: int | None = None) -> int:
+            writers=(8, 2000, 8, 12, 3000), pairs: int | None = None) -> int:
     """Run every case, or the ones named in `only`, in both checkouts; 1 on a difference.
 
     `pairs` overrides each case's own count of pairs.
@@ -349,7 +389,7 @@ def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inputs = write_cases(names, tmp, videos, frames, forest, forest_expr, kelm)
+        inputs = write_cases(names, tmp, videos, frames, forest, forest_expr, kelm, writers)
         for name in names:
             modes, case_pairs = CASES[name]
             made = {}
