@@ -20,20 +20,23 @@ tree is grown; prediction descends all rows one level at a time.
 
 Regression nodes grow on one of two paths, chosen by size. A node of
 more than SMALL_NODE rows holds them as an index array and scores its
-features with a few numpy calls each. A smaller node copies its own
-rows of the columns and targets into Python lists, and it and the rest
-of its subtree grow on those: there numpy's per-call overhead outweighs
-the arithmetic. The copies hold at most SMALL_NODE rows, so they stay
-small whatever the training set's size. Both paths give the same bytes.
-The list path sorts with the stable `sorted`, as
-`argsort(kind="stable")` is stable; builds cumulative sums with
+features with a few numpy calls each; `_grow_tree` keeps such nodes on
+a stack. A smaller node copies its own rows of the columns and targets
+into Python lists, and `_grow_small` grows its whole subtree on those,
+recursively: there numpy's per-call overhead outweighs the arithmetic.
+The copies hold at most SMALL_NODE rows, so they stay small whatever
+the training set's size, and the recursion is at most that deep. Both
+paths give the same bytes. The list path sorts with the stable `sorted`,
+as `argsort(kind="stable")` is stable; builds cumulative sums with
 `itertools.accumulate`, which adds in order from the first element as
 `np.cumsum` does; and scores each boundary with the same operations in
 the same order, the first maximum winning.
 A leaf of fewer than 8 rows sums its targets in order from +0.0, which
 is what `mean()` does below its 8-element pairwise block; larger leaves
-take `mean()`. The random stream is untouched: each splittable node
-draws one feature permutation, in preorder, on either path.
+take `mean()`. Each splittable node, on either path, takes the next
+feature order of its tree in preorder: the next `permutation(d)` of
+the tree's generator, drawn _ORDER_CHUNK at a time by one `permuted`
+call, which gives the same orders.
 Classification nodes always take the numpy path: their Gini row sums
 over 8 or more classes use numpy's pairwise sum.
 """
@@ -50,6 +53,7 @@ from .metrics import first_best
 
 DEFAULT_TREE_GRID = (10, 20, 50, 100, 200)
 SMALL_NODE = 64  # regression nodes of at most this many rows grow on lists
+_ORDER_CHUNK = 64  # feature orders drawn per call
 
 
 @dataclass(frozen=True)
@@ -193,67 +197,99 @@ def _best_for_small_node(xf, rows, y, y2):
     return best, 0.5 * (xs[at] + xs[at + 1])
 
 
+def _feature_orders(rng, d):
+    """Successive rng.permutation(d) draws, as lists, drawn _ORDER_CHUNK at a time.
+
+    numpy's Generator shuffles each row of permuted(axis=1) with the
+    draws of one permutation call, so the rows are the calls' results in
+    order (a test pins this). Nothing draws from a tree's generator after
+    the tree is grown, so orders drawn and never used change no draw.
+    """
+    base = np.tile(np.arange(d), (_ORDER_CHUNK, 1))
+    while True:
+        yield from rng.permuted(base, axis=1).tolist()
+
+
+def _grow_small(lists, rows, depth, mtry, max_depth, orders, nodes, values):
+    """Grow the subtree of a regression node held as lists, in preorder.
+
+    lists holds the node's feature columns, targets and squared targets
+    as Python lists, and rows the ids into them of the subtree's rows.
+    The subtree's nodes and leaf values go into nodes and values, as in
+    _grow_tree.
+    """
+    x_lists, y_list, y2_list = lists
+    node = len(nodes)
+    ys = [y_list[i] for i in rows]
+    candidates = []
+    if len(rows) >= 2 and depth < max_depth and min(ys) != max(ys):
+        for f in next(orders):
+            found = _best_for_small_node(x_lists[f], rows, y_list, y2_list)
+            if found is not None:
+                candidates.append((found[0], f, found[1]))
+                if len(candidates) >= mtry:
+                    break
+    if not candidates:
+        nodes.append([-1, 0.0, -1, -1])
+        values[node] = _short_mean(ys) if len(ys) < 8 else np.mean(ys)
+        return
+    _, feat, thr = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
+    nodes.append([feat, thr, node + 1, -1])
+    xf = x_lists[feat]
+    _grow_small(lists, [i for i in rows if xf[i] <= thr], depth + 1, mtry, max_depth,
+                orders, nodes, values)
+    nodes[node][3] = len(nodes)
+    _grow_small(lists, [i for i in rows if xf[i] > thr], depth + 1, mtry, max_depth,
+                orders, nodes, values)
+
+
 def _grow_tree(
     x, cols, y_int, onehot, y_float, boot_idx, rng, spec, task, n_outputs
 ) -> Tree:
-    """Grow one tree iteratively in preorder (stack-based, no recursion).
+    """Grow one tree in preorder: a stack of numpy-path nodes, and one
+    _grow_small call for each regression node of at most SMALL_NODE rows.
 
     x is the training matrix and cols holds one contiguous array per
-    feature. A regression node of at most SMALL_NODE rows copies its rows
-    of x and y into Python lists; it and its subtree grow on those, with
-    row ids local to the copy.
+    feature. Such a small node copies its rows of x and y into Python
+    lists, and its whole subtree grows on those, with row ids local to
+    the copy.
     """
     d = len(cols)
     mtry = spec.resolve_mtry(d, task)
     max_depth = np.inf if spec.max_depth is None else spec.max_depth
+    orders = _feature_orders(rng, d)
     y = y_float if onehot is None else y_int
     small = SMALL_NODE if onehot is None else -1
     nodes = []  # [feature, threshold, left, right] in preorder
     values = {}  # leaf node -> its value
-    # (rows, depth, node whose right child this is or -1, the subtree's lists or None)
-    stack = [(boot_idx, 0, -1, None)]
+    stack = [(boot_idx, 0, -1)]  # (rows, depth, node whose right child this is or -1)
     while stack:
-        idx, depth, parent, lists = stack.pop()
+        idx, depth, parent = stack.pop()
         node = len(nodes)
         if parent >= 0:
             nodes[parent][3] = node
-        if lists is None and len(idx) <= small:
-            yi = y[idx]
-            lists = (x[idx].T.tolist(), yi.tolist(), (yi * yi).tolist())
-            idx = list(range(len(idx)))
-        if lists is not None:
-            x_lists, y_list, y2_list = lists
-            ys = [y_list[i] for i in idx]
-        else:
-            ys = y[idx]
+        ys = y[idx]
+        if len(idx) <= small:
+            lists = (x[idx].T.tolist(), ys.tolist(), (ys * ys).tolist())
+            _grow_small(lists, range(len(idx)), depth, mtry, max_depth, orders, nodes,
+                        values)
+            continue
         candidates = []
-        if len(idx) >= 2 and depth < max_depth:
-            if lists is not None:
-                impure = min(ys) != max(ys)
-            else:
-                impure = not (ys == ys[0]).all()
-                src = ys if onehot is None else onehot[idx]
-            if impure:
-                # random feature subset: walk a permutation until mtry features
-                # produced a usable boundary (constant features do not count)
-                for f in rng.permutation(d).tolist():
-                    if lists is not None:
-                        found = _best_for_small_node(x_lists[f], idx, y_list, y2_list)
-                    else:
-                        found = _best_for_feature(cols[f][idx], src, task)
-                    if found is None:
-                        continue
+        if len(idx) >= 2 and depth < max_depth and not (ys == ys[0]).all():
+            src = ys if onehot is None else onehot[idx]
+            # random feature subset: walk a permutation until mtry features
+            # produced a usable boundary (constant features do not count)
+            for f in next(orders):
+                found = _best_for_feature(cols[f][idx], src, task)
+                if found is not None:
                     candidates.append((found[0], f, found[1]))
                     if len(candidates) >= mtry:
                         break
         if not candidates:
             nodes.append([-1, 0.0, -1, -1])
-            if onehot is not None:
-                values[node] = np.bincount(ys, minlength=n_outputs) / len(ys)
-            elif len(ys) < 8:
-                values[node] = _short_mean(ys)
-            else:
-                values[node] = np.mean(ys)
+            # a regression leaf here holds more than SMALL_NODE rows
+            values[node] = (np.mean(ys) if onehot is None
+                            else np.bincount(ys, minlength=n_outputs) / len(ys))
             continue
         # zero-gain splits are accepted while the node is impure: a split
         # never increases weighted impurity, and always shrinks both
@@ -261,15 +297,9 @@ def _grow_tree(
         _, feat, thr = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
         # the right child index is filled in when that child is popped
         nodes.append([feat, thr, node + 1, -1])
-        if lists is not None:
-            xf = x_lists[feat]
-            left = [i for i in idx if xf[i] <= thr]
-            right = [i for i in idx if xf[i] > thr]
-        else:
-            mask = cols[feat][idx] <= thr
-            left, right = idx[mask], idx[~mask]
-        stack.append((right, depth + 1, node, lists))
-        stack.append((left, depth + 1, -1, lists))
+        mask = cols[feat][idx] <= thr
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, -1))
     value = np.zeros((len(nodes), n_outputs))
     for node, v in values.items():
         value[node] = v

@@ -131,6 +131,11 @@ class TestMinMax:
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert np.any(out == 0.0) and np.any(out == 1.0)
 
+    def test_a_span_below_one_divides_by_the_span(self):
+        scaler = MinMaxScaler(lo=np.array([1.0]), hi=np.array([1.25]))
+        out = apply_minmax(np.array([[1.125], [1.25]]), scaler)
+        np.testing.assert_array_equal(out[:, 0], [0.5, 1.0])
+
     def test_constant_dimension_maps_to_zero(self):
         data = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
         out = apply_minmax(data, fit_minmax([data]))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from affectpipe.forest import (
+    _ORDER_CHUNK,
     SMALL_NODE,
     ForestModel,
     ForestSpec,
@@ -15,6 +16,7 @@ from affectpipe.forest import (
     _add_oob,
     _best_for_feature,
     _best_for_small_node,
+    _feature_orders,
     _oob_score,
     _short_mean,
     _tree_apply,
@@ -538,6 +540,7 @@ def _assert_matches_reference(x, y, spec, task):
             assert a.tobytes() == b.tobytes(), name
     assert model.in_bag.tobytes() == in_bag.tobytes()
     assert model.oob_curve.tobytes() == curve.tobytes()
+    return model
 
 
 class TestMatchesReferenceGrower:
@@ -560,6 +563,16 @@ class TestMatchesReferenceGrower:
         x, y = _large_regression_case(width, seed=data_seed)
         spec = ForestSpec(n_trees=3, max_depth=max_depth, seed=8)
         _assert_matches_reference(x, y, spec, "regression")
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_trees_of_more_split_nodes_than_one_chunk_of_feature_orders(self, task):
+        # each split node takes one feature order, so every one of these
+        # trees draws a second chunk of them
+        x, y = _large_regression_case(6, seed=1)
+        if task == "classification":  # 4 classes, from the targets' first decimal
+            y = np.abs(10 * y).astype(np.int64) % 4
+        model = _assert_matches_reference(x, y, ForestSpec(n_trees=3, seed=8), task)
+        assert min((tree.feature >= 0).sum() for tree in model.trees) > _ORDER_CHUNK
 
     def test_regression_with_tied_split_scores(self):
         # 0/1 targets and x on a small grid: sums are exact, so different
@@ -591,3 +604,20 @@ class TestMatchesReferenceGrower:
                 y[rng.random(size) < 0.5] = -0.0
             want = np.float64(y.mean()).tobytes()
             assert np.float64(_short_mean(y.tolist())).tobytes() == want
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_batched_feature_orders_are_successive_permutations(d):
+    # the grower's draws equal the reference's one permutation(d) per
+    # node only while numpy's Generator shuffles each row of permuted()
+    # as permutation() shuffles its array: a property of numpy
+    draws = 2 * _ORDER_CHUNK + 3
+    for seed in range(3):
+        batched, single = np.random.default_rng([seed, d]), np.random.default_rng([seed, d])
+        for rng in (batched, single):
+            rng.integers(0, 90, size=90)  # as train_forest draws a bootstrap first
+        orders = _feature_orders(batched, d)
+        got = [next(orders) for _ in range(draws)]
+        want = [single.permutation(d).tolist() for _ in range(draws)]
+        assert got == want, (f"numpy {np.__version__}: Generator.permuted rows are not "
+                             f"successive permutation({d}) draws (seed {seed})")

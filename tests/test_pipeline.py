@@ -1782,6 +1782,22 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"fusion": {"alpha": 0}}, "fusion pool_size must be >= 1 and alpha positive"),
+         ({"postprocess": {"smooth_seconds": 0}},
+          "postprocess smooth_seconds must be positive")],
+        ids=["alpha-zero", "smooth-zero"],
+    )
+    def test_a_zero_where_a_positive_value_is_needed_exits_2(self, tmp_path, capsys,
+                                                             overrides, message):
+        assert main(["run", "--config", str(_write_config(tmp_path, **overrides))]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_target_rate_below_one_frame_per_second_is_accepted(self, tmp_path):
+        path = _write_config(tmp_path, postprocess={"target_fps": 0.5})
+        assert load_config(path).postprocess.target_fps == 0.5
+
     @pytest.mark.parametrize("command", ["run", "synth"])
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_a_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys, command, where):
@@ -2414,7 +2430,7 @@ class TestArtifactsAbTool:
 
     def test_self_comparison_is_byte_equal(self, capsys, monkeypatch):
         tool = self._tool()
-        only = ("expr-dwf", "forest", "forest-expr", "kelm", "writers")
+        only = ("expr-dwf", "forest", "forest-expr", "stack-rf", "kelm", "writers")
         runs = []
 
         def recorded(checkout, mode, *args, _fn=tool.run_child):
@@ -2423,10 +2439,10 @@ class TestArtifactsAbTool:
 
         monkeypatch.setattr(tool, "run_child", recorded)
         assert tool.compare(tool.ROOT, only=only, videos=3, frames=60, forest=(200, 3, 2),
-                            forest_expr=(200, 16, 2), kelm=(60, 20, 6),
+                            forest_expr=(200, 16, 2), stack_rf=(3, 60), kelm=(60, 20, 6),
                             writers=(2, 50, 3, 2, 60), pairs=1) == 0
         out = capsys.readouterr().out
-        assert out.count("equal: True") == 6
+        assert out.count("equal: True") == 7
         lines = tool.source_lines(tool.ROOT)
         assert lines > 0 and out.splitlines()[-2:] == [
             f"src/affectpipe/*.py lines: other {lines:,}, this {lines:,}, net +0",
@@ -2438,9 +2454,12 @@ class TestArtifactsAbTool:
         [(_, single, same), (_, staged, same_staged)] = sizes
         assert single == same and staged == same_staged
         assert int(single.replace(",", "")) > int(staged.replace(",", "")) > 0
-        # forest: the bootstrap, the OOB curve and 5 arrays per tree; kelm: C, dev score, beta
-        assert re.search(r"^forest pair 0: .*, 12 made, equal: True$", out, re.M)
-        assert re.search(r"^forest-expr pair 0: .*, 12 made, equal: True$", out, re.M)
+        # forest: the bootstrap, the OOB curve, 5 arrays per tree and the two
+        # predictions; stack-rf: the fused table and 8 RfFusionInfo fields;
+        # kelm: C, dev score, beta
+        assert re.search(r"^forest pair 0: .*, 14 made, equal: True$", out, re.M)
+        assert re.search(r"^forest-expr pair 0: .*, 14 made, equal: True$", out, re.M)
+        assert re.search(r"^stack-rf pair 0: .*, 9 made, equal: True$", out, re.M)
         assert re.search(r"^kelm pair 0: .*, 3 made, equal: True$", out, re.M)
         # writers: the embeddings, two base sets, labels, VAD and predictions
         assert re.search(r"^writers pair 0: .* MB [\d,]+ B, 6 made, equal: True$", out, re.M)

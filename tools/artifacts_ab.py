@@ -30,9 +30,16 @@ only `run` writes; a thing that differs prints as `staged differs: NAME`.
 `forest` trains a regression forest of 6 trees on one seeded 9,000 x 4
 set whose features and targets lie on a 0.01 grid, so there are ties
 and -0.0 targets, and compares every tree array, the bootstrap
-membership and the OOB curve. `forest-expr` does the same for a
+membership, the OOB curve, and `predict_forest` and `predict_oob` of
+the training rows; its time is the training and both predictions.
+`forest-expr` does the same for a
 classification forest of 6 trees over 8 classes, on 9,000 rows of two
-noisy one-hot score vectors, 16 columns on a 0.01 grid. `kelm` runs
+noisy one-hot score vectors, 16 columns on a 0.01 grid. `stack-rf`
+runs `fusion.stack_and_fuse_rf` on a seeded va stack of the `va-rf`
+benchmark workload's dev shape (3 models x 600 frames x 2 columns,
+`grid=(2, 4, 12)`, two regression heads), with the dev rows as the
+target, and compares the fused table and every field of its
+`RfFusionInfo`; its time is the call's. `kelm` runs
 the C search and training of the kelm command at the bench shape,
 `select_c` over the default C grid on 3,887 weighted 8-class training
 rows and 897 dev rows of 192 min-max scaled columns, then `train_kelm`
@@ -84,8 +91,8 @@ PIPELINE = ([f"{task}-{method}" for task in ("expr", "va") for method in FUSION]
                "va-fusion-only-mean"])
 # each case's child modes and pairs of runs
 CASES = {**{name: (("single", "staged"), 1) for name in PIPELINE},
-         "forest": (("forest",), 5), "forest-expr": (("forest",), 5), "kelm": (("kelm",), 5),
-         "writers": (("writers",), 5)}
+         "forest": (("forest",), 5), "forest-expr": (("forest",), 5),
+         "stack-rf": (("stack-rf",), 5), "kelm": (("kelm",), 5), "writers": (("writers",), 5)}
 CLASSES = 8
 
 CHILD = """
@@ -95,15 +102,28 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np
 mode, data, out, pair = sys.argv[2], sys.argv[3], Path(sys.argv[4]), int(sys.argv[5])
 if mode == "forest":
-    from affectpipe.forest import ForestSpec, train_forest
+    from affectpipe.forest import ForestSpec, predict_forest, predict_oob, train_forest
     d = np.load(data)
     start = time.perf_counter()
     model = train_forest(d["x"], d["y"], ForestSpec(n_trees=int(d["trees"]), seed=pair),
                          task=str(d["task"]),
                          n_classes=int(d["n_classes"]) if "n_classes" in d else None)
-    made = {"in_bag": model.in_bag, "oob_curve": model.oob_curve}
+    made = {"in_bag": model.in_bag, "oob_curve": model.oob_curve,
+            "predict_forest": predict_forest(model, d["x"]),
+            "predict_oob": predict_oob(model, d["x"])}
     made.update((f"tree {t} {field}", array) for t, tree in enumerate(model.trees)
                 for field, array in zip(tree._fields, tree))
+elif mode == "stack-rf":
+    from dataclasses import fields
+    from affectpipe.forest import ForestSpec
+    from affectpipe.fusion import stack_and_fuse_rf
+    d = np.load(data)
+    preds = list(d["preds"])
+    start = time.perf_counter()
+    fused, info = stack_and_fuse_rf(preds, d["truth"], preds, "va",
+                                    ForestSpec(n_trees=10, seed=pair), grid=(2, 4, 12))
+    made = {"fused": fused}
+    made.update((f.name, repr(getattr(info, f.name))) for f in fields(info))
 elif mode == "kelm":
     from affectpipe.kelm import (DEFAULT_C_GRID, KernelSpec, class_weights,
                                  encode_classification_targets, select_c, train_kelm)
@@ -253,6 +273,16 @@ def forest_expr_data(rows: int, columns: int, trees: int) -> dict:
     return {"x": x, "y": y, "trees": trees, "task": "classification", "n_classes": CLASSES}
 
 
+def stack_rf_data(models: int, frames: int) -> dict:
+    """A va truth that drifts in [-1, 1], and `models` noisier copies of it."""
+    rng = np.random.default_rng(0)
+    t = np.arange(frames) / 15.0
+    truth = np.stack([np.sin(t / 3), np.cos(t / 5)], axis=1) + 0.2 * rng.normal(size=(frames, 2))
+    noise = 0.3 + 0.1 * np.arange(models)
+    preds = truth + noise[:, None, None] * rng.normal(size=(models, frames, 2))
+    return {"truth": np.clip(truth, -1, 1), "preds": np.clip(preds, -1, 1)}
+
+
 def kelm_data(train: int, dev: int, columns: int) -> dict:
     """Labelled features in [0, 1] whose classes overlap, unequal in size."""
     rng = np.random.default_rng(0)
@@ -278,7 +308,7 @@ def writers_data(videos: int, frames: int, dim: int, va_videos: int, va_frames: 
 
 
 def write_cases(names, tmp: Path, videos: int, frames: int, forest, forest_expr,
-                kelm, writers) -> dict[str, Path]:
+                stack_rf, kelm, writers) -> dict[str, Path]:
     """Each named case's input: a pipeline config, or the arrays of another case."""
     inputs = {}
     pipeline = [name for name in names if name in PIPELINE]
@@ -289,6 +319,7 @@ def write_cases(names, tmp: Path, videos: int, frames: int, forest, forest_expr,
             inputs[name].write_text(yaml.safe_dump(configs[name]))
     for name, make, sizes in (("forest", forest_data, forest),
                               ("forest-expr", forest_expr_data, forest_expr),
+                              ("stack-rf", stack_rf_data, stack_rf),
                               ("kelm", kelm_data, kelm),
                               ("writers", writers_data, writers)):
         if name in names:
@@ -369,8 +400,9 @@ def staged_vs_single(name: str, single: list, staged: list) -> int:
 
 
 def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
-            forest=(9000, 4, 6), forest_expr=(9000, 16, 6), kelm=(3887, 897, 192),
-            writers=(8, 2000, 8, 12, 3000), pairs: int | None = None) -> int:
+            forest=(9000, 4, 6), forest_expr=(9000, 16, 6), stack_rf=(3, 600),
+            kelm=(3887, 897, 192), writers=(8, 2000, 8, 12, 3000),
+            pairs: int | None = None) -> int:
     """Run every case, or the ones named in `only`, in both checkouts; 1 on a difference.
 
     `pairs` overrides each case's own count of pairs.
@@ -389,7 +421,8 @@ def compare(other: Path, only=None, videos: int = 4, frames: int = 200,
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inputs = write_cases(names, tmp, videos, frames, forest, forest_expr, kelm, writers)
+        inputs = write_cases(names, tmp, videos, frames, forest, forest_expr, stack_rf, kelm,
+                             writers)
         for name in names:
             modes, case_pairs = CASES[name]
             made = {}
